@@ -78,7 +78,7 @@ def _structure_from_args(args, k: int, default: AdversaryStructure | None) -> Ad
 def cmd_check_viability(args) -> int:
     pmf, f, default = _load_pmf_and_function(args)
     structure = _structure_from_args(args, pmf.k - 1, default)
-    report = check_viability(pmf, f, structure, fast_mode=args.fast_mode)
+    report = check_viability(pmf, f, structure)
     out = {"viable": report.viable}
     if report.witness is not None:
         out["witness"] = _witness_json(report.witness)
@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--threshold", type=int, help="threshold s")
     p.add_argument("--structure", help="structure JSON file")
-    p.add_argument("--fast-mode", action="store_true",
-                   help="UNSOUND heuristic: check only the maximal collection")
     p.set_defaults(func=cmd_check_viability)
 
     p = sub.add_parser("build-g", help="repaired decoding table for a collection")

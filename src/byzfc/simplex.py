@@ -1,11 +1,14 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex with Bland's rule.  Constraint rows use
-Edmonds-style integer pivoting: the tableau carries one shared positive
-determinant denominator and every pivot update divides exactly, so all
-constraint arithmetic stays in Python ints.  The objective row is carried
-separately in Fractions (it is re-priced for warm restarts and does not
-share the minor structure that makes integer division exact).
+Primal simplex with Bland's rule.  The starting basis comes either from
+phase 1 on artificial columns or, when a feasible point is already known,
+from a crash start: the point's nonzero columns are pivoted in directly
+(Bixby 1992), so no phase 1 runs.  Constraint rows use Edmonds-style
+integer pivoting: the tableau carries one shared positive determinant
+denominator and every pivot update divides exactly, so all constraint
+arithmetic stays in Python ints.  The objective row is carried separately
+in Fractions (it is re-priced for warm restarts and does not share the
+minor structure that makes integer division exact).
 
 Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.
 Rational inputs (Fraction / int) are scaled row-wise to integers.
@@ -56,13 +59,15 @@ def _scale_row(vals, m: int) -> list[int]:
 class Tableau:
     """Feasible simplex tableau for A x = b, x >= 0.
 
-    Construction runs phase 1 and raises Infeasible when the region is
-    empty.  ``maximize(c)`` optimizes any rational objective from the
-    current basis; repeated calls warm-start, which is how the polytope
-    support detection uses it.
+    Without ``start``, construction runs phase 1 and raises Infeasible when
+    the region is empty.  ``start`` is a known feasible point; the starting
+    basis is then built from it and phase 1 is skipped.  ``maximize(c)``
+    optimizes any rational objective from the current basis; repeated calls
+    warm-start, which is how the polytope support detection uses it.
     """
 
-    def __init__(self, A: Sequence[Sequence], b: Sequence):
+    def __init__(self, A: Sequence[Sequence], b: Sequence,
+                 start: Sequence | None = None):
         m = len(A)
         self.n = n = len(A[0]) if m else 0
         rows: list[list[int]] = []
@@ -79,18 +84,21 @@ class Tableau:
             rows.append(row + [rhs])
         self.m = m
         self.art0 = n  # first artificial column
-        width = n + m + 1
-        for i, row in enumerate(rows):
-            full = row[:n] + [0] * m + [row[n]]
-            full[n + i] = 1
-            rows[i] = full
-        self.rows = rows
-        self.width = width
         self.den = 1
-        self.basis = list(range(n, n + m))
-        self.allowed = n + m
         self.obj: list[Fraction] | None = None  # reduced costs + [-value]
-        self._phase1()
+        self.allowed = n
+        self.rows = rows
+        if start is not None:
+            self.width = n + 1
+            self.basis = [-1] * m
+            self._crash(start)
+        else:
+            for i, row in enumerate(rows):
+                rows[i] = row[:n] + [0] * m + [row[n]]
+                rows[i][n + i] = 1
+            self.width = n + m + 1
+            self.basis = list(range(n, n + m))
+            self._phase1()
 
     # -- pivoting core ---------------------------------------------------
 
@@ -187,7 +195,48 @@ class Tableau:
                 return
         raise LPError("pivot limit exceeded")
 
-    # -- phases ------------------------------------------------------------
+    # -- starting bases ----------------------------------------------------
+
+    def _crash(self, x: Sequence) -> None:
+        """Basis through the known feasible point x, without artificials.
+
+        The columns where x is nonzero are pivoted in first, then the other
+        columns in index order while a row is unassigned.  Rows left
+        all-zero are dependent and dropped.  The basic solution must equal
+        x exactly, which also certifies that x is feasible; anything else
+        raises LPError.
+        """
+        n = self.art0
+        if len(x) != n:
+            raise LPError("start point length differs from the variable count")
+        rows = self.rows
+        free = list(range(self.m))
+        support = [j for j in range(n) if x[j] != 0]
+        others = [j for j in range(n) if x[j] == 0]
+        for c in support + others:
+            if not free and x[c] == 0:
+                break
+            r = next((i for i in free if rows[i][c]), -1)
+            if r < 0:
+                if x[c] != 0:
+                    raise LPError("start point has dependent nonzero columns")
+                continue
+            if rows[r][c] < 0:
+                rows[r] = [-v for v in rows[r]]
+            self._pivot(r, c)
+            free.remove(r)
+        # an unassigned row is zero in every column now: pivots only ever
+        # combined it with rows that were zero where it was
+        if any(rows[i][n] != 0 for i in free):
+            raise LPError("start point violates a dependent row")
+        keep = [i for i in range(self.m) if self.basis[i] >= 0]
+        self.rows = [rows[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.m = len(keep)
+        den = self.den
+        for row, j in zip(self.rows, self.basis):
+            if row[n] < 0 or Fraction(row[n], den) != x[j]:
+                raise LPError("start point is not the basic solution of its columns")
 
     def _phase1(self) -> None:
         c = [_ZERO] * self.art0 + [Fraction(-1)] * self.m
@@ -217,7 +266,7 @@ class Tableau:
         c_frac = [v if isinstance(v, Fraction) else Fraction(v) for v in c]
         if len(c_frac) > self.art0:
             raise LPError("objective longer than variable count")
-        c_frac += [_ZERO] * (self.art0 + self.m - len(c_frac))
+        c_frac += [_ZERO] * (self.width - 1 - len(c_frac))
         self.allowed = self.art0
         self._price_objective(c_frac)
         self._run()

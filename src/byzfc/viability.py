@@ -178,7 +178,6 @@ class _Region:
                     rows_eq.append(row)
                     rhs_eq.append(_ZERO)
         self._presolve(rows_eq, rhs_eq)
-        self._tableau: Tableau | None = None
         self._reach: set[int] | None = None
         self._sols: dict[int, list[Fraction]] | None = None
 
@@ -248,11 +247,12 @@ class _Region:
         for v in self.fixed:
             if identity[v] != 0:
                 raise LPError("presolve fixed a coordinate of a feasible point")
-        tableau = Tableau(self.A, self.b)
+        # each identity column sits alone in its own row-sum row, so the
+        # point's nonzero columns are independent and start the basis
         id_alive = [identity[v] for v in self.alive_vars]
+        tableau = Tableau(self.A, self.b, start=id_alive)
         pos_alive, wit_alive = positive_coordinates(
             tableau, range(len(self.alive_vars)), seeds=[id_alive])
-        self._tableau = tableau
         self._reach = {self.alive_vars[i] for i in pos_alive}
         self._sols = {}
         for i, sol in wit_alive.items():
@@ -452,8 +452,8 @@ def _validate(p: JointPmf, f: TargetFunction, k: int) -> None:
         raise ViabilityInputError("function domain does not match the pmf axes")
 
 
-def check_viability(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
-                    fast_mode: bool = False) -> ViabilityReport:
+def check_viability(p: JointPmf, f: TargetFunction,
+                    structure: AdversaryStructure) -> ViabilityReport:
     """Decide whether f is robustly recoverable under the structure.
 
     Exhaustive over non-intersecting collections in canonical order; the
@@ -461,19 +461,9 @@ def check_viability(p: JointPmf, f: TargetFunction, structure: AdversaryStructur
     scenarios already conflict-free on a checked sub-collection is skipped
     (restricting a matched family to a sub-collection stays feasible, so
     conflicts only shrink when members are added).
-
-    ``fast_mode`` checks only the single maximal collection of all
-    non-empty sets.  That is an UNSOUND heuristic: the definition
-    quantifies over every collection and a violation may need a smaller
-    one.  It exists for exploration only.
     """
     _validate(p, f, structure.k)
     collections = nonintersecting_collections(structure)
-    if fast_mode:
-        maximal = tuple(sorted(structure.nonempty_sets, key=lambda s: (len(s), sorted(s))))
-        if maximal in collections or (len(maximal) >= 2
-                                      and not frozenset.intersection(*maximal)):
-            collections = [maximal]
     covered: dict[frozenset[frozenset[int]], list[frozenset]] = {}
     for col in collections:
         col_set = frozenset(col)
@@ -497,11 +487,10 @@ def check_viability(p: JointPmf, f: TargetFunction, structure: AdversaryStructur
     return ViabilityReport(viable=True)
 
 
-def check_s_viability(p: JointPmf, f: TargetFunction, s: int,
-                      fast_mode: bool = False) -> ViabilityReport:
+def check_s_viability(p: JointPmf, f: TargetFunction, s: int) -> ViabilityReport:
     """Threshold special case: structure = all subsets of size <= s."""
     k = p.k - 1
-    return check_viability(p, f, AdversaryStructure.threshold(k, s), fast_mode=fast_mode)
+    return check_viability(p, f, AdversaryStructure.threshold(k, s))
 
 
 def build_g(p: JointPmf, f: TargetFunction, collection: Collection) -> GTable:

@@ -149,7 +149,16 @@ def _distance_exact(handle: ViewSetHandle, q: JointPmf, delta=0) -> MembershipRe
             row[wvar[(tx, ux)]] = _ONE
         A.append(row)
         b.append(_ONE)
-    t = Tableau(A, b)
+    # start at the identity channel, whose view is P, with slacks P - q split
+    # by sign; each identity column is alone in its row-sum row and each
+    # slack alone in its view row, so the start columns are independent
+    start = [_ZERO] * nvar
+    for tx in rows:
+        start[wvar[(tx, tx)]] = _ONE
+    for vi, v in enumerate(views):
+        gap = p.mass[v] - q.mass[v]
+        start[nw + vi if gap > 0 else nw + nv + vi] = abs(gap)
+    t = Tableau(A, b, start=start)
     c = [_ZERO] * nw + [Fraction(-1, 2)] * (2 * nv)
     dist = -t.maximize(c)
     sol = t.solution()

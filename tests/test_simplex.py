@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from byzfc.simplex import Infeasible, Tableau, positive_coordinates, solve_lp
+from byzfc.simplex import Infeasible, LPError, Tableau, positive_coordinates, solve_lp
 
 
 def test_known_small_lp():
@@ -151,3 +151,69 @@ def test_degenerate_rhs_zero_blocks():
             continue
         for i in range(4):
             assert sum(Fraction(A[i][j]) * x[j] for j in range(n)) == b[i]
+
+
+# -- crash start from a known feasible point ----------------------------------
+
+def test_crash_start_basic_solution_is_the_start():
+    A = [[1, 2, 1, 0], [3, 1, 0, 1]]
+    x = [Fraction(2), Fraction(0), Fraction(2), Fraction(0)]
+    t = Tableau(A, [4, 6], start=x)
+    assert t.solution() == x
+    assert t.maximize([1, 1, 0, 0]) == Fraction(14, 5)
+
+
+@pytest.mark.parametrize("A, b, x", [
+    ([[1, 1]], [1], [2, 0]),                          # A x != b
+    ([[1, 0, 0], [0, 1, 1]], [1, 1], [1, -1, 2]),     # a negative coordinate
+    ([[1, 1, 0], [0, 0, 1]], [2, 0], [1, 1, 0]),      # dependent nonzero columns
+    ([[1, 1], [1, 1]], [1, 2], [1, 0]),               # inconsistent dependent row
+    ([[1, 1]], [1], [1, 0, 0]),                       # wrong length
+])
+def test_crash_start_rejects_a_bad_point(A, b, x):
+    with pytest.raises(LPError):
+        Tableau(A, b, start=x)
+
+
+def test_crash_start_drops_dependent_rows():
+    t = Tableau([[1, 1], [1, 1], [2, 2]], [1, 1, 2], start=[1, 0])
+    assert t.m == 1
+    assert t.maximize([0, 1]) == 1
+
+
+def test_crash_start_full_column_rank_needs_no_pivots(monkeypatch):
+    # the start is the region's only point; the last row is dependent
+    A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, -1, 0], [0, 1, 0, 0], [1, 1, 1, 1]]
+    x = [Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
+    t = Tableau(A, [1, 1, 0, 0, 2], start=x)
+    assert t.m == 4
+    calls = []
+    monkeypatch.setattr(Tableau, "_pivot", lambda self, r, c: calls.append((r, c)))
+    pos, _ = positive_coordinates(t, range(4), seeds=[x])
+    assert pos == {0, 2} and calls == []
+
+
+def test_crash_start_matches_phase1_on_random_lps():
+    # start at the vertex phase 1 reaches, then compare both tableaux on
+    # support detection and on random rational objectives
+    rng = np.random.default_rng(77)
+    for trial in range(120):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 8))
+        A = [[int(v) for v in row] for row in rng.integers(-3, 4, size=(m, n))]
+        x0 = rng.integers(0, 3, size=n)
+        b = [sum(A[i][j] * int(x0[j]) for j in range(n)) for i in range(m)]
+        A = [row + [0] for row in A] + [[1] * (n + 1)]
+        b = b + [int(x0.sum()) + 2]
+        vertex = Tableau(A, b).solution()
+        crashed = Tableau(A, b, start=vertex)
+        assert crashed.solution() == vertex, trial
+        phase1 = Tableau(A, b)
+        pos_c, wit = positive_coordinates(crashed, range(n + 1))
+        assert pos_c == positive_coordinates(phase1, range(n + 1))[0], trial
+        for j, sol in wit.items():
+            assert sol[j] > 0
+        for _ in range(3):
+            c = [Fraction(int(v), int(d)) for v, d in
+                 zip(rng.integers(-5, 6, n + 1), rng.integers(1, 4, n + 1))]
+            assert crashed.maximize(c) == phase1.maximize(c), trial

@@ -227,15 +227,6 @@ class TestBuildG:
                             assert g.table[v] == erasure_f_uv.table[tuple(full)]
 
 
-class TestFastMode:
-    def test_fast_mode_agrees_on_the_example(self, erasure_pmf, erasure_f_uv,
-                                             erasure_f_uvw):
-        # heuristic mode: documented unsound, but on these instances the
-        # maximal collection happens to decide identically
-        assert check_s_viability(erasure_pmf, erasure_f_uv, 2, fast_mode=True).viable
-        assert not check_s_viability(erasure_pmf, erasure_f_uvw, 2, fast_mode=True).viable
-
-
 class TestValidation:
     def test_axis_count_checked(self, erasure_pmf, erasure_f_uv):
         with pytest.raises(ViabilityInputError):
