@@ -69,14 +69,13 @@ class DecoderConfig:
     mode: str = "float"
     slack: float = 1e-7
     viable: bool = True
-    handles: tuple[ViewSetHandle, ...] = field(default=())
+    handles: tuple[ViewSetHandle, ...] = field(init=False)
 
     def __post_init__(self):
         if self.delta <= 0:
             raise DecoderConfigError("delta must be positive")
-        if not self.handles:
-            base = self.base if self.mode == "exact" else self.base.to_float()
-            self.handles = tuple(ViewSetHandle(base, s) for s in self.structure.sets)
+        base = self.base if self.mode == "exact" else self.base.to_float()
+        self.handles = tuple(ViewSetHandle(base, s) for s in self.structure.sets)
         for col in nonintersecting_collections(self.structure):
             if frozenset(col) not in self.g_tables:
                 raise DecoderConfigError(f"missing g-table for collection {col}")

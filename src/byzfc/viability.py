@@ -22,10 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .polytope import ChannelVars
 from .probability import Alphabet, Channel, JointPmf
 from .simplex import Infeasible, LPError, Tableau, positive_coordinates
 from .structures import (AdversaryStructure, Collection, TargetFunction,
                          nonintersecting_collections)
+from .viewsets import induce_view
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -133,60 +135,27 @@ class _Region:
         self.p = p
         self.collection = collection
         self.k = p.k - 1
-        axes_sizes = tuple(a.size for a in p.axes)
-        self.view_shape = axes_sizes
-
-        self.member_coords: list[tuple[int, ...]] = []
-        self.member_rows: list[list[tuple[int, ...]]] = []
-        self.member_out: list[list[tuple[int, ...]]] = []
-        self.var_of: dict[tuple[int, tuple, tuple], int] = {}
+        self.members: list[ChannelVars] = []
         nvar = 0
-        for m, aset in enumerate(collection):
-            coords = tuple(sorted(aset))
-            self.member_coords.append(coords)
-            marg = p.marginalize(coords)
-            rows = [idx for idx in product(*(range(axes_sizes[c]) for c in coords))
-                    if marg.mass[idx] > 0]
-            outs = list(product(*(range(axes_sizes[c]) for c in coords)))
-            self.member_rows.append(rows)
-            self.member_out.append(outs)
-            for tx in rows:
-                for ux in outs:
-                    self.var_of[(m, tx, ux)] = nvar
-                    nvar += 1
+        for aset in collection:
+            w = ChannelVars(p, tuple(sorted(aset)), nvar)
+            self.members.append(w)
+            nvar += w.size
         self.nvar = nvar
 
-        rows_eq: list[dict[int, Fraction]] = []
-        rhs_eq: list[Fraction] = []
-        for m in range(len(collection)):
-            for tx in self.member_rows[m]:
-                rows_eq.append({self.var_of[(m, tx, ux)]: _ONE for ux in self.member_out[m]})
-                rhs_eq.append(_ONE)
+        rows_eq = [row for w in self.members for row in w.sum_rows()]
+        rhs_eq = [_ONE] * len(rows_eq)
         # view-match between adjacent members
-        for m in range(len(collection) - 1):
-            for v in product(*(range(s) for s in axes_sizes)):
-                row: dict[int, Fraction] = {}
-                for mm, sign in ((m, _ONE), (m + 1, -_ONE)):
-                    coords = self.member_coords[mm]
-                    ux = tuple(v[c] for c in coords)
-                    for tx in self.member_rows[mm]:
-                        coef = self._p_at(v, coords, tx)
-                        if coef > 0:
-                            var = self.var_of[(mm, tx, ux)]
-                            row[var] = row.get(var, _ZERO) + sign * coef
+        views = list(product(*(range(a.size) for a in p.axes)))
+        for w0, w1 in zip(self.members, self.members[1:]):
+            for v in views:
+                row = {**w0.view_row(v), **w1.view_row(v, -1)}
                 if row:
                     rows_eq.append(row)
                     rhs_eq.append(_ZERO)
         self._presolve(rows_eq, rhs_eq)
         self._reach: set[int] | None = None
         self._sols: dict[int, list[Fraction]] | None = None
-
-    def _p_at(self, v: tuple[int, ...], coords: tuple[int, ...], tx: tuple[int, ...]):
-        """P at the view point with the member coordinates replaced by tx."""
-        full = list(v)
-        for pos, c in enumerate(coords):
-            full[c] = tx[pos]
-        return self.p.mass[tuple(full)]
 
     def _presolve(self, rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> None:
         fixed: set[int] = set()
@@ -211,21 +180,21 @@ class _Region:
         b_out: list[Fraction] = []
         seen: set[tuple] = set()
         for row, b in zip(rows, rhs):
-            dense = [_ZERO] * len(alive_vars)
-            nonzero = False
-            for v, c in row.items():
-                if v in fixed:
-                    continue
-                dense[self.alive_index[v]] = c
-                nonzero = True
-            if not nonzero:
+            # rows hold no explicit zero coefficient, so equal sparse keys
+            # are exactly the equal dense rows
+            items = tuple(sorted((self.alive_index[v], c) for v, c in row.items()
+                                 if v not in fixed))
+            if not items:
                 if b != 0:
                     raise Infeasible("presolve emptied an inconsistent row")
                 continue
-            key = (b, tuple(dense))
+            key = (b, items)
             if key in seen:
                 continue
             seen.add(key)
+            dense = [_ZERO] * len(alive_vars)
+            for i, c in items:
+                dense[i] = c
             A.append(dense)
             b_out.append(b)
         self.A = A
@@ -235,9 +204,8 @@ class _Region:
 
     def identity_solution(self) -> list[Fraction]:
         sol = [_ZERO] * self.nvar
-        for m in range(len(self.collection)):
-            for tx in self.member_rows[m]:
-                sol[self.var_of[(m, tx, tx)]] = _ONE
+        for w in self.members:
+            w.set_identity(sol)
         return sol
 
     def _solve_support(self) -> None:
@@ -260,13 +228,13 @@ class _Region:
 
     def reachable(self, m: int, tx: tuple[int, ...], ux: tuple[int, ...]) -> bool:
         self._solve_support()
-        var = self.var_of.get((m, tx, ux))
+        var = self.members[m].var.get((tx, ux))
         return var is not None and var in self._reach
 
     def solution_for(self, m: int, tx: tuple[int, ...], ux: tuple[int, ...]) -> list[Fraction]:
         """A feasible full-length solution with W_m(ux|tx) > 0."""
         self._solve_support()
-        var = self.var_of[(m, tx, ux)]
+        var = self.members[m].var[(tx, ux)]
         sol_alive = self._sols[var]
         full = [_ZERO] * self.nvar
         for v, i in self.alive_index.items():
@@ -309,33 +277,16 @@ class _Region:
         """Scenario truths (member, tx) that can carry positive mass at view v."""
         self._solve_support()
         out = []
-        for m in range(len(self.collection)):
-            coords = self.member_coords[m]
-            ux = tuple(v[c] for c in coords)
-            for tx in self.member_rows[m]:
-                if self._p_at(v, coords, tx) > 0 and self.reachable(m, tx, ux):
+        for m, w in enumerate(self.members):
+            ux = tuple(v[c] for c in w.coords)
+            for tx in w.rows:
+                if w.p_at(v, tx) > 0 and self.reachable(m, tx, ux):
                     out.append((m, tx))
         return out
 
     def channels_from(self, sol: Sequence[Fraction]) -> list[Channel]:
         """Member channels of a feasible solution; off-support rows identity."""
-        chans = []
-        for m, aset in enumerate(self.collection):
-            coords = self.member_coords[m]
-            axes = tuple(self.p.axes[c] for c in coords)
-            sizes = tuple(a.size for a in axes)
-            n = int(np.prod(sizes))
-            mat = np.empty((n, n), dtype=object)
-            mat[:] = _ZERO
-            rows = set(self.member_rows[m])
-            for i, tx in enumerate(product(*(range(s) for s in sizes))):
-                if tx in rows:
-                    for j, ux in enumerate(product(*(range(s) for s in sizes))):
-                        mat[i, j] = sol[self.var_of[(m, tx, ux)]]
-                else:
-                    mat[i, i] = _ONE
-            chans.append(Channel(axes, axes, mat.reshape(sizes + sizes)))
-        return chans
+        return [w.channel(sol, exact=True) for w in self.members]
 
 
 def _f_at(f: TargetFunction, v: tuple[int, ...], coords: tuple[int, ...],
@@ -352,39 +303,32 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
     p = region.p
     k = region.k
     collection = region.collection
-    var_a = region.var_of[(a[0], a[1], tuple(v[c] for c in region.member_coords[a[0]]))]
-    var_b = region.var_of[(b[0], b[1], tuple(v[c] for c in region.member_coords[b[0]]))]
-    avg = region.conflict_vertex(var_a, var_b)
-    chans = region.channels_from(avg)
-
-    from .viewsets import induce_view  # local import to avoid a cycle
+    members = region.members
+    wa, wb = members[a[0]], members[b[0]]
+    var_a = wa.var[(a[1], tuple(v[c] for c in wa.coords))]
+    var_b = wb.var[(b[1], tuple(v[c] for c in wb.coords))]
+    chans = region.channels_from(region.conflict_vertex(var_a, var_b))
     view = induce_view(p, collection[0], chans[0])
 
     member_axes: list[Alphabet] = []
-    for m in range(len(collection)):
-        member_axes.extend(p.axes[c] for c in region.member_coords[m])
+    for w in members:
+        member_axes.extend(p.axes[c] for c in w.coords)
     joint_axes = tuple(p.axes) + tuple(member_axes)
     shape = tuple(ax.size for ax in joint_axes)
     mass = np.empty(shape, dtype=object)
     mass[:] = _ZERO
 
-    r = len(collection)
     axes_sizes = tuple(ax.size for ax in p.axes)
     for vp in product(*(range(s) for s in axes_sizes)):
         pv = view.mass[vp]
         if pv == 0:
             continue
         posts = []
-        for m in range(r):
-            coords = region.member_coords[m]
-            ux = tuple(vp[c] for c in coords)
+        for w, chan in zip(members, chans):
+            ux = tuple(vp[c] for c in w.coords)
             post = []
-            for tx in product(*(range(axes_sizes[c]) for c in coords)):
-                if tx in set(region.member_rows[m]):
-                    w = avg[region.var_of[(m, tx, ux)]]
-                else:
-                    w = _ONE if tx == ux else _ZERO
-                num = region._p_at(vp, coords, tx) * w
+            for tx in w.outs:
+                num = w.p_at(vp, tx) * chan.rows[tx + ux]
                 if num > 0:
                     post.append((tx, num / pv))
             posts.append(post)
@@ -398,26 +342,24 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
     joint = JointPmf(joint_axes, mass)
 
     point: list[int] = list(v)
-    for m in range(r):
+    for m, (w, chan) in enumerate(zip(members, chans)):
         if m == a[0]:
             point.extend(a[1])
         elif m == b[0]:
             point.extend(b[1])
         else:
-            coords = region.member_coords[m]
-            ux = tuple(v[c] for c in coords)
+            ux = tuple(v[c] for c in w.coords)
             chosen = None
-            for tx in region.member_rows[m]:
-                w = avg[region.var_of[(m, tx, ux)]]
-                if region._p_at(v, coords, tx) * w > 0:
+            for tx in w.rows:
+                if w.p_at(v, tx) * chan.rows[tx + ux] > 0:
                     chosen = tx
                     break
             if chosen is None:
                 raise LPError("view point lost its explanation during averaging")
             point.extend(chosen)
 
-    fa = f.codomain.symbols[_f_at(f, v, region.member_coords[a[0]], a[1])]
-    fb = f.codomain.symbols[_f_at(f, v, region.member_coords[b[0]], b[1])]
+    fa = f.codomain.symbols[_f_at(f, v, wa.coords, a[1])]
+    fb = f.codomain.symbols[_f_at(f, v, wb.coords, b[1])]
     return ViolationWitness(collection=collection, joint=joint, point=tuple(point),
                             pair=(a[0], b[0]), f_values=(fa, fb), k=k)
 
@@ -432,7 +374,7 @@ def _scan_collection(region: _Region, f: TargetFunction,
             continue
         by_member: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for m, tx in expl:
-            by_member.setdefault(m, []).append((tx, _f_at(f, v, region.member_coords[m], tx)))
+            by_member.setdefault(m, []).append((tx, _f_at(f, v, region.members[m].coords, tx)))
         members = sorted(by_member)
         for ai in range(len(members)):
             for bi in range(ai + 1, len(members)):
@@ -518,7 +460,7 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection) -> GTable:
             continue
         values = {}
         for m, tx in expl:
-            values.setdefault(_f_at(f, v, region.member_coords[m], tx), (m, tx))
+            values.setdefault(_f_at(f, v, region.members[m].coords, tx), (m, tx))
         if len(values) > 1:
             (va, da), (vb, db) = list(values.items())[:2]
             raise GBuildConflict(v, (da, f.codomain.symbols[va]), (db, f.codomain.symbols[vb]))

@@ -12,15 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
+from .polytope import ChannelVars
 from .probability import Channel, JointPmf, ProbabilityError, apply_channel
 from .simplex import LPError, Tableau
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def induce_view(p: JointPmf, adversary_set: Iterable[int], w: Channel | None) -> JointPmf:
@@ -56,18 +56,7 @@ class ViewSetHandle:
 @dataclass(frozen=True)
 class MembershipResult:
     distance: float | Fraction
-    delta: float | Fraction
     nearest_channel: Channel | None
-
-    @property
-    def member_at_delta(self) -> bool:
-        return self.distance <= self.delta
-
-    def member_at(self, delta, slack: float = 0.0) -> bool:
-        """Closed-ball membership at any radius; one solve serves all."""
-        if isinstance(self.distance, Fraction):
-            return self.distance <= delta
-        return self.distance <= float(delta) + slack
 
     def verify(self, handle: ViewSetHandle, q: JointPmf, tol: float = 1e-7) -> None:
         """Re-check that the nearest channel induces a view within distance."""
@@ -83,34 +72,13 @@ class MembershipResult:
             assert float(gap) <= float(self.distance) + tol
 
 
-def _lp_data(handle: ViewSetHandle, q: JointPmf, exact: bool):
-    p = handle.base
-    coords = handle.coords
-    sizes = tuple(a.size for a in p.axes)
-    marg = p.marginalize(coords)
-    rows = [tx for tx in product(*(range(sizes[c]) for c in coords)) if marg.mass[tx] > 0]
-    outs = list(product(*(range(sizes[c]) for c in coords)))
-    nw = len(rows) * len(outs)
-    views = list(product(*(range(s) for s in sizes)))
-    nv = len(views)
-    wvar = {(tx, ux): i for i, (tx, ux) in enumerate(product(rows, outs))}
-
-    def p_at(v, tx):
-        full = list(v)
-        for pos, c in enumerate(coords):
-            full[c] = tx[pos]
-        return p.mass[tuple(full)]
-
-    return p, coords, rows, outs, nw, views, nv, wvar, p_at
-
-
 def distance_to_viewset(handle: ViewSetHandle, q: JointPmf,
-                        mode: str = "auto", delta=0) -> MembershipResult:
+                        mode: str = "auto") -> MembershipResult:
     """min over channels W of TV(view(W), q), with an optimal channel.
 
     ``mode`` is "exact" (rational simplex), "float" (scipy HiGHS) or
     "auto" (exact iff both pmfs are exact).  One solve serves every
-    radius; ``delta`` only seeds the result's member_at_delta flag.
+    radius.
     """
     if handle.base.axes != q.axes:
         raise ProbabilityError("query pmf axes do not match the base law")
@@ -119,124 +87,78 @@ def distance_to_viewset(handle: ViewSetHandle, q: JointPmf,
     if not handle.coords:
         dist = handle.base.tv_distance(q) if mode == "exact" and handle.base.exact and q.exact \
             else handle.base.to_float().tv_distance(q.to_float())
-        return MembershipResult(distance=dist, delta=delta, nearest_channel=None)
+        return MembershipResult(distance=dist, nearest_channel=None)
     if mode == "exact":
-        return _distance_exact(handle, q, delta)
-    return _distance_float(handle, q, delta)
+        return _distance_exact(handle, q)
+    return _distance_float(handle, q)
 
 
-def _distance_exact(handle: ViewSetHandle, q: JointPmf, delta=0) -> MembershipResult:
+def _distance_rows(w: ChannelVars, q: JointPmf):
+    """Sparse rows and right-hand sides of the view-distance LP.
+
+    Variables are the channel's entries, then the view slacks below q and
+    the view slacks above q, one each per view point.  Rows: the induced
+    view minus q at each view point, then the channel's row sums.
+    """
+    views = list(product(*(range(a.size) for a in q.axes)))
+    nv = len(views)
+    rows, rhs = [], []
+    for vi, v in enumerate(views):
+        row = w.view_row(v)
+        row[w.size + vi] = -1
+        row[w.size + nv + vi] = 1
+        rows.append(row)
+        rhs.append(q.mass[v])
+    for row in w.sum_rows():
+        rows.append(row)
+        rhs.append(1)
+    return rows, rhs, views
+
+
+def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     handle.base.require_exact("exact view distance")
     q.require_exact("exact view distance")
-    p, coords, rows, outs, nw, views, nv, wvar, p_at = _lp_data(handle, q, True)
-    nvar = nw + 2 * nv
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for vi, v in enumerate(views):
-        row = [_ZERO] * nvar
-        ux = tuple(v[c] for c in coords)
-        for tx in rows:
-            coef = p_at(v, tx)
-            if coef > 0:
-                row[wvar[(tx, ux)]] += coef
-        row[nw + vi] = -_ONE
-        row[nw + nv + vi] = _ONE
-        A.append(row)
-        b.append(q.mass[v])
-    for tx in rows:
-        row = [_ZERO] * nvar
-        for ux in outs:
-            row[wvar[(tx, ux)]] = _ONE
-        A.append(row)
-        b.append(_ONE)
+    p = handle.base
+    w = ChannelVars(p, handle.coords)
+    rows, b, views = _distance_rows(w, q)
+    nv = len(views)
+    nvar = w.size + 2 * nv
+    A = []
+    for row in rows:
+        dense = [_ZERO] * nvar
+        for j, c in row.items():
+            dense[j] = c
+        A.append(dense)
     # start at the identity channel, whose view is P, with slacks P - q split
     # by sign; each identity column is alone in its row-sum row and each
     # slack alone in its view row, so the start columns are independent
     start = [_ZERO] * nvar
-    for tx in rows:
-        start[wvar[(tx, tx)]] = _ONE
+    w.set_identity(start)
     for vi, v in enumerate(views):
         gap = p.mass[v] - q.mass[v]
-        start[nw + vi if gap > 0 else nw + nv + vi] = abs(gap)
+        start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
     t = Tableau(A, b, start=start)
-    c = [_ZERO] * nw + [Fraction(-1, 2)] * (2 * nv)
+    c = [_ZERO] * w.size + [Fraction(-1, 2)] * (2 * nv)
     dist = -t.maximize(c)
-    sol = t.solution()
-    chan = _channel_from_solution(handle, rows, outs, wvar, sol, exact=True)
-    return MembershipResult(distance=dist, delta=delta, nearest_channel=chan)
+    return MembershipResult(distance=dist, nearest_channel=w.channel(t.solution(), exact=True))
 
 
-def _distance_float(handle: ViewSetHandle, q: JointPmf, delta=0) -> MembershipResult:
+def _distance_float(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     from scipy.optimize import linprog
 
-    base = handle.base.to_float()
     qf = q.to_float()
-    fh = ViewSetHandle(base, handle.adversary_set)
-    p, coords, rows, outs, nw, views, nv, wvar, p_at = _lp_data(fh, qf, False)
-    nvar = nw + 2 * nv
-    A = np.zeros((nv + len(rows), nvar))
-    b = np.zeros(nv + len(rows))
-    for vi, v in enumerate(views):
-        ux = tuple(v[c] for c in coords)
-        for tx in rows:
-            coef = p_at(v, tx)
-            if coef > 0:
-                A[vi, wvar[(tx, ux)]] += coef
-        A[vi, nw + vi] = -1.0
-        A[vi, nw + nv + vi] = 1.0
-        b[vi] = qf.mass[v]
-    for ri, tx in enumerate(rows):
-        for ux in outs:
-            A[nv + ri, wvar[(tx, ux)]] = 1.0
-        b[nv + ri] = 1.0
+    w = ChannelVars(handle.base.to_float(), handle.coords)
+    rows, rhs, views = _distance_rows(w, qf)
+    nvar = w.size + 2 * len(views)
+    A = np.zeros((len(rows), nvar))
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            A[i, j] = c
+    b = np.array(rhs, dtype=float)
     c = np.zeros(nvar)
-    c[nw:] = 0.5
+    c[w.size:] = 0.5
     res = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * nvar, method="highs")
     if not res.success:
         raise LPError(f"view-distance LP failed: {res.message}")
     dist = max(float(res.fun), 0.0)
-    chan = _channel_from_solution(fh, rows, outs, wvar, res.x, exact=False)
-    return MembershipResult(distance=dist, delta=delta, nearest_channel=chan)
-
-
-def _channel_from_solution(handle: ViewSetHandle, rows, outs, wvar, sol, exact: bool) -> Channel:
-    axes = tuple(handle.base.axes[c] for c in handle.coords)
-    sizes = tuple(a.size for a in axes)
-    n = int(np.prod(sizes))
-    rowset = set(rows)
-    if exact:
-        mat = np.empty((n, n), dtype=object)
-        mat[:] = _ZERO
-    else:
-        mat = np.zeros((n, n))
-    for i, tx in enumerate(product(*(range(s) for s in sizes))):
-        if tx in rowset:
-            total = _ZERO if exact else 0.0
-            for j, ux in enumerate(product(*(range(s) for s in sizes))):
-                v = sol[wvar[(tx, ux)]]
-                if not exact and v < 0:
-                    v = 0.0  # solver round-off below the bound
-                mat[i, j] = v
-                total = total + v
-            if not exact:
-                # absorb solver round-off so the row is stochastic
-                if total <= 0:
-                    mat[i, i] = 1.0
-                else:
-                    mat[i] = mat[i] / total
-        else:
-            mat[i, i] = _ONE if exact else 1.0
-    return Channel(axes, axes, mat.reshape(sizes + sizes))
-
-
-def in_all_viewsets(handles: Sequence[ViewSetHandle], q: JointPmf,
-                    delta: float | Fraction, mode: str = "auto",
-                    slack: float = 0.0) -> list[int]:
-    """Indices whose view set contains q within radius delta (closed balls)."""
-    out = []
-    for i, h in enumerate(handles):
-        res = distance_to_viewset(h, q, mode=mode)
-        thresh = delta if isinstance(res.distance, Fraction) else float(delta) + slack
-        if res.distance <= thresh:
-            out.append(i)
-    return out
+    return MembershipResult(distance=dist, nearest_channel=w.channel(res.x, exact=False))

@@ -1,5 +1,6 @@
 """Decoder branch logic, scoring, and decoding-quality Monte Carlo."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,16 @@ class TestExactModeDecode:
         assert v.kind == "estimate"
         assert np.array_equal(v.estimate, apply_pointwise(erasure_f_uv, blk))
 
+    def test_replaced_mode_rebuilds_handles(self, erasure_pmf, erasure_f_uv,
+                                            erasure_config):
+        # the view handles follow the mode of a config derived by replace
+        cfg = dataclasses.replace(erasure_config, mode="exact")
+        assert all(h.base.exact for h in cfg.handles)
+        blk = exact_type_block(erasure_pmf)
+        v = decode(cfg, blk)
+        assert v.kind == "estimate"
+        assert np.array_equal(v.estimate, apply_pointwise(erasure_f_uv, blk))
+
     def test_exact_and_float_agree_on_samples(self, erasure_pmf, erasure_f_uv,
                                               threshold_3_2, erasure_config):
         exact_cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2,
@@ -256,7 +267,7 @@ class TestRepairedTableApplied:
         region = _Region(p, col)
         m, tx = region.explanations(target)[0]
         sol = region.solution_for(m, tx,
-                                  tuple(target[c] for c in region.member_coords[m]))
+                                  tuple(target[c] for c in region.members[m].coords))
         chans = region.channels_from(sol)
         view = induce_view(p, col[0], chans[0])
         assert view == induce_view(p, col[1], chans[1])

@@ -214,12 +214,12 @@ class TestBuildG:
             for var, i in region.alive_index.items():
                 sol[var] = sol_alive[i]
             for v in product(*(range(s) for s in sizes)):
-                for m in range(len(col)):
-                    coords = region.member_coords[m]
+                for chan_vars in region.members:
+                    coords = chan_vars.coords
                     ux = tuple(v[c_] for c_ in coords)
-                    for tx in region.member_rows[m]:
-                        w = sol[region.var_of[(m, tx, ux)]]
-                        if w > 0 and region._p_at(v, coords, tx) > 0:
+                    for tx in chan_vars.rows:
+                        w = sol[chan_vars.var[(tx, ux)]]
+                        if w > 0 and chan_vars.p_at(v, tx) > 0:
                             assert g.defined_mask[v]
                             full = list(v)
                             for pos, c_ in enumerate(coords):

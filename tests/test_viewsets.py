@@ -9,11 +9,12 @@ from itertools import product
 
 import numpy as np
 
-from byzfc.probability import (Alphabet, Channel, JointPmf, derive_seed,
-                               empirical_type, philox, pmf_from_dict,
-                               sample_iid, tv_distance)
-from byzfc.viewsets import (ViewSetHandle, distance_to_viewset,
-                            in_all_viewsets, induce_view)
+from byzfc.decoder import DecoderConfig, explanation_set
+from byzfc.probability import (Alphabet, Channel, JointPmf, derive_seed, philox,
+                               pmf_from_dict, sample_iid, tv_distance)
+from byzfc.viewsets import ViewSetHandle, distance_to_viewset, induce_view
+
+from test_decoder import exact_type_block
 
 
 def random_channel(axes, seed, exact=False):
@@ -148,41 +149,33 @@ class TestDistance:
 
 
 class TestMembership:
-    def test_base_in_all(self, erasure_pmf, threshold_3_2):
-        handles = [ViewSetHandle(erasure_pmf, s) for s in threshold_3_2.sets]
-        got = in_all_viewsets(handles, erasure_pmf, delta=0, mode="exact")
-        assert got == list(range(len(handles)))
+    """View-set membership as the decoder computes it, one set at a time."""
 
-    def test_delta_one_contains_everything(self, erasure_pmf, threshold_3_2):
+    def test_base_in_all(self, erasure_pmf, erasure_f_uv, threshold_3_2, erasure_config):
+        # the source law is in every view set at distance exactly zero
+        cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
+                            delta=1e-12, g_tables=erasure_config.g_tables, mode="exact")
+        blk = exact_type_block(erasure_pmf)
+        assert explanation_set(cfg, blk) == list(range(len(threshold_3_2.sets)))
+
+    def test_delta_one_contains_everything(self, erasure_pmf, erasure_f_uv, threshold_3_2,
+                                           erasure_config):
         rng = philox(4)
         q = JointPmf(erasure_pmf.axes,
                      (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape)))
-        handles = [ViewSetHandle(erasure_pmf.to_float(), s) for s in threshold_3_2.sets]
-        got = in_all_viewsets(handles, q, delta=1.0, mode="float")
-        assert got == list(range(len(handles)))
+        cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
+                            delta=1.0, g_tables=erasure_config.g_tables)
+        blk = sample_iid(q, 500, seed=4)
+        assert explanation_set(cfg, blk) == list(range(len(threshold_3_2.sets)))
 
-    def test_honest_type_in_all_viewsets(self, erasure_pmf, threshold_3_2):
+    def test_honest_type_in_all_viewsets(self, erasure_pmf, threshold_3_2, erasure_config):
         pf = erasure_pmf.to_float()
-        handles = [ViewSetHandle(pf, s) for s in threshold_3_2.sets]
         fails = 0
         for seed in range(25):
             blk = sample_iid(pf, 5000, seed=derive_seed(77, seed))
-            ty = empirical_type(blk).to_float()
-            got = in_all_viewsets(handles, ty, delta=0.1, mode="float", slack=1e-7)
-            if got != list(range(len(handles))):
+            if explanation_set(erasure_config, blk) != list(range(len(threshold_3_2.sets))):
                 fails += 1
         assert fails == 0
-
-    def test_monotone_in_delta(self, erasure_pmf, threshold_3_2):
-        pf = erasure_pmf.to_float()
-        handles = [ViewSetHandle(pf, s) for s in threshold_3_2.sets]
-        blk = sample_iid(pf, 300, seed=5)
-        ty = empirical_type(blk).to_float()
-        prev: list[int] = []
-        for delta in (0.001, 0.01, 0.05, 0.2, 1.0):
-            got = in_all_viewsets(handles, ty, delta=delta, mode="float")
-            assert set(prev) <= set(got)
-            prev = got
 
     def test_triangle_consistency(self, erasure_pmf):
         rng = philox(6)
