@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,25 @@ from .viability import ViabilityInputError, build_g, check_viability
 CONFIG_ERRORS = (ProbabilityError, ViabilityInputError, DecoderConfigError,
                  ScenarioError, AttackError, ValueError, KeyError,
                  FileNotFoundError, json.JSONDecodeError)
+# what a JSON-to-object parser raises on a value of the wrong type or shape
+_MALFORMED = (TypeError, IndexError, AttributeError)
 
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{path}: expected a JSON object")
+    return d
+
+
+@contextmanager
+def _parsing():
+    """Malformed JSON input inside the block becomes a configuration error."""
+    try:
+        yield
+    except _MALFORMED as e:
+        raise ScenarioError(f"malformed input: {e}") from e
 
 
 def _emit(obj, out: str | None, name: str) -> None:
@@ -61,15 +76,17 @@ def _load_pmf_and_function(args) -> tuple[JointPmf, TargetFunction, AdversaryStr
         return resolve_example(args.example)
     if not args.pmf or not args.function:
         raise ScenarioError("need --example or both --pmf and --function")
-    return (JointPmf.from_json_dict(_load_json(args.pmf)),
-            TargetFunction.from_json_dict(_load_json(args.function)), None)
+    with _parsing():
+        return (JointPmf.from_json_dict(_load_json(args.pmf)),
+                TargetFunction.from_json_dict(_load_json(args.function)), None)
 
 
 def _structure_from_args(args, k: int, default: AdversaryStructure | None) -> AdversaryStructure:
     if getattr(args, "threshold", None) is not None:
         return AdversaryStructure.threshold(k, args.threshold)
     if getattr(args, "structure", None):
-        return AdversaryStructure.from_json_dict(_load_json(args.structure))
+        with _parsing():
+            return AdversaryStructure.from_json_dict(_load_json(args.structure))
     if default is not None:
         return default
     raise ScenarioError("need --threshold or --structure")
@@ -88,8 +105,9 @@ def cmd_check_viability(args) -> int:
 
 def cmd_build_g(args) -> int:
     pmf, f, _ = _load_pmf_and_function(args)
-    collection = tuple(sorted((frozenset(s) for s in json.loads(args.collection)),
-                              key=lambda s: (len(s), sorted(s))))
+    with _parsing():
+        collection = tuple(sorted((frozenset(s) for s in json.loads(args.collection)),
+                                  key=lambda s: (len(s), sorted(s))))
     table = build_g(pmf, f, collection)
     _emit(table.to_json_dict(), args.out, "gtable.json")
     return 0
@@ -102,7 +120,8 @@ def cmd_decode(args) -> int:
     elif getattr(args, "float_mode", False):
         d["mode"] = "float"
     config = config_from_json_dict(d)
-    block = SampleBlock.from_json_dict(_load_json(args.block))
+    with _parsing():
+        block = SampleBlock.from_json_dict(_load_json(args.block))
     verdict = decode(config, block)
     _emit(verdict.to_json_dict(config.f.codomain), args.out, "verdict.json")
     return 0
@@ -119,7 +138,8 @@ def cmd_build_config(args) -> int:
 
 
 def cmd_mss(args) -> int:
-    pmf = JointPmf.from_json_dict(_load_json(args.pmf))
+    with _parsing():
+        pmf = JointPmf.from_json_dict(_load_json(args.pmf))
     out: dict = {}
     if pmf.k == 2:
         part = mss_partition(pmf)
@@ -147,7 +167,8 @@ def cmd_simulate(args) -> int:
     d = _load_json(args.scenario)
     if args.seed is not None:
         d["seed"] = args.seed
-    scenario = scenario_from_json_dict(d, witness_lookup=_witness_resolver(d))
+    with _parsing():
+        scenario = scenario_from_json_dict(d, witness_lookup=_witness_resolver)
     report = run_scenario(scenario, threads=args.threads)
     _emit(report.to_json_dict(), args.out, f"{scenario.name}.json")
     if args.out:
@@ -155,27 +176,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _witness_resolver(scenario_dict):
-    """witness_dmc strategies name the function whose violation to replay."""
+def _witness_resolver(d: dict):
+    """witness_dmc strategies name the function whose violation to replay.
 
-    def resolver(d: dict):
-        ref = d.get("from_example")
-        if not ref:
-            raise ScenarioError("witness_dmc needs from_example: 'name:function'")
-        pmf, f, structure = resolve_example(ref)
+    Runs while a scenario is parsed, but the verdict is not parsing: a
+    type fault inside check_viability is re-raised as an internal error
+    so that it keeps its traceback instead of reading as malformed input.
+    """
+    ref = d.get("from_example")
+    if not ref:
+        raise ScenarioError("witness_dmc needs from_example: 'name:function'")
+    pmf, f, structure = resolve_example(ref)
+    try:
         report = check_viability(pmf, f, structure)
-        if report.viable:
-            raise ScenarioError(f"{ref} is viable; no witness to extract")
-        return report.witness
-
-    return resolver
+    except _MALFORMED as e:
+        raise RuntimeError(f"checking {ref} failed") from e
+    if report.viable:
+        raise ScenarioError(f"{ref} is viable; no witness to extract")
+    return report.witness
 
 
 def cmd_sweep(args) -> int:
     d = _load_json(args.scenario)
     if args.seed is not None:
         d["seed"] = args.seed
-    base = scenario_from_json_dict(d, witness_lookup=_witness_resolver(d))
+    with _parsing():
+        base = scenario_from_json_dict(d, witness_lookup=_witness_resolver)
     values = [v for v in args.values.split(",") if v]
     reports = sweep(base, args.axis, values, threads=args.threads)
     _emit([r.to_json_dict() for r in reports], args.out, f"{base.name}-sweep.json")

@@ -179,26 +179,34 @@ def config_to_json_dict(config: DecoderConfig) -> dict:
 
 
 def config_from_json_dict(d: dict) -> DecoderConfig:
-    p = JointPmf.from_json_dict(d["pmf"])
-    f = TargetFunction.from_json_dict(d["function"])
-    structure = AdversaryStructure.from_json_dict(d["structure"])
-    if "g_tables" not in d:
-        return build_decoder_config(p, f, structure, float(d["delta"]),
-                                    mode=d.get("mode", "float"),
-                                    slack=float(d.get("slack", 1e-7)))
-    tables = {}
-    for gd in d["g_tables"]:
-        col = tuple(sorted((frozenset(s) for s in gd["collection"]),
-                           key=lambda s: (len(s), sorted(s))))
-        axes = tuple(Alphabet(a) for a in gd["axes"])
-        codomain = Alphabet(gd["codomain"])
-        flat = np.array([codomain.index(s) for s in gd["table"]], dtype=np.int64)
-        shape = tuple(a.size for a in axes)
-        mask = np.array(gd["defined"], dtype=bool).reshape(shape)
-        tables[frozenset(col)] = GTable(collection=col, domain_axes=axes,
-                                        codomain=codomain, table=flat.reshape(shape),
-                                        defined_mask=mask)
-    return DecoderConfig(base=p, structure=structure, f=f, delta=float(d["delta"]),
-                         g_tables=tables, mode=d.get("mode", "float"),
-                         slack=float(d.get("slack", 1e-7)),
-                         viable=bool(d.get("viable", True)))
+    """Parse a config; without ``g_tables`` the tables are built from the law.
+
+    Fields of the wrong JSON type raise DecoderConfigError; the build is
+    not part of the parse, so its own faults propagate unchanged.
+    """
+    try:
+        p = JointPmf.from_json_dict(d["pmf"])
+        f = TargetFunction.from_json_dict(d["function"])
+        structure = AdversaryStructure.from_json_dict(d["structure"])
+        delta, slack = float(d["delta"]), float(d.get("slack", 1e-7))
+        mode = d.get("mode", "float")
+        tables = None
+        if "g_tables" in d:
+            tables = {}
+            for gd in d["g_tables"]:
+                col = tuple(sorted((frozenset(s) for s in gd["collection"]),
+                                   key=lambda s: (len(s), sorted(s))))
+                axes = tuple(Alphabet(a) for a in gd["axes"])
+                codomain = Alphabet(gd["codomain"])
+                flat = np.array([codomain.index(s) for s in gd["table"]], dtype=np.int64)
+                shape = tuple(a.size for a in axes)
+                mask = np.array(gd["defined"], dtype=bool).reshape(shape)
+                tables[frozenset(col)] = GTable(collection=col, domain_axes=axes,
+                                                codomain=codomain, table=flat.reshape(shape),
+                                                defined_mask=mask)
+    except (TypeError, IndexError, AttributeError) as e:
+        raise DecoderConfigError(f"malformed config: {e}") from e
+    if tables is None:
+        return build_decoder_config(p, f, structure, delta, mode=mode, slack=slack)
+    return DecoderConfig(base=p, structure=structure, f=f, delta=delta, g_tables=tables,
+                         mode=mode, slack=slack, viable=bool(d.get("viable", True)))

@@ -165,7 +165,7 @@ def cached_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversarySt
     return _CONFIG_CACHE[key]
 
 
-def run_scenario(s: Scenario, threads: int = 1, keep_records: bool = True) -> ExperimentReport:
+def run_scenario(s: Scenario, threads: int = 1) -> ExperimentReport:
     """Monte Carlo estimate of the decoding error rate under one attack.
 
     The g-table construction doubles as the viability precheck: a
@@ -215,7 +215,7 @@ def run_scenario(s: Scenario, threads: int = 1, keep_records: bool = True) -> Ex
         name=s.name, trials=s.trials, counts=counts, blame_histogram=blames,
         eta_hat=errors / s.trials, wilson_low=lo, wilson_high=hi,
         viable_precheck=config.viable, seed=s.seed, config_echo=echo,
-        records=records if keep_records else [],
+        records=records,
         wall_clock=time.monotonic() - start,
     )
 

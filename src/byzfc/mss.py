@@ -397,7 +397,6 @@ def _h_map(cu: CommonUpgrade, pu: PairUpgrade, p: JointPmf) -> np.ndarray:
     rest_sizes = tuple(p.axes[c].size for c in rest)
     y_size = p.axes[k].size
     out = np.zeros(pu.upgrade.ystar_count, dtype=np.int64)
-    seen = np.zeros(pu.upgrade.ystar_count, dtype=bool)
     for u, v, wc in product(range(nu), range(nv), range(nwc)):
         if pu.pmf3.mass[u, v, wc] <= 0:
             continue
@@ -408,7 +407,6 @@ def _h_map(cu: CommonUpgrade, pu: PairUpgrade, p: JointPmf) -> np.ndarray:
             full[c] = int(comp[pos + 1])
         lab = int(pu.upgrade.ystar_labels[u, v, wc])
         out[lab] = int(cu.gstar[tuple(full)])
-        seen[lab] = True
     return out
 
 

@@ -160,9 +160,6 @@ class JointPmf:
         idx = tuple(a.index(s) for a, s in zip(self.axes, labels))
         return self.mass[idx]
 
-    def prob_idx(self, idx: Sequence[int]):
-        return self.mass[tuple(idx)]
-
     def support_idx(self) -> list[tuple[int, ...]]:
         """Index tuples with positive mass, row-major order."""
         out = []
@@ -324,18 +321,11 @@ class Channel:
     def exact(self) -> bool:
         return self.rows.dtype == object
 
-    @property
-    def n_inputs(self) -> int:
-        return len(self.input_axes)
-
     def to_float(self) -> "Channel":
         if not self.exact:
             return self
         flat = np.array([float(v) for v in self.rows.reshape(-1)], dtype=np.float64)
         return Channel(self.input_axes, self.output_axes, flat.reshape(self.rows.shape))
-
-    def row(self, in_idx: Sequence[int]):
-        return self.rows[tuple(in_idx)]
 
     @staticmethod
     def identity(axes: Sequence[Alphabet], exact: bool = True) -> "Channel":

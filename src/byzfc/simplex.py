@@ -3,21 +3,22 @@
 Primal simplex with Bland's rule.  The starting basis comes either from
 phase 1 on artificial columns or, when a feasible point is already known,
 from a crash start: the point's nonzero columns are pivoted in directly
-(Bixby 1992), so no phase 1 runs.  Constraint rows use Edmonds-style
-integer pivoting: the tableau carries one shared positive determinant
-denominator and every pivot update divides exactly, so all constraint
-arithmetic stays in Python ints.  The objective row is carried separately
-in Fractions (it is re-priced for warm restarts and does not share the
-minor structure that makes integer division exact).
+(Bixby 1992), so no phase 1 runs.  All tableau arithmetic stays in Python
+ints through Edmonds-style integer pivoting (Bareiss 1968): the tableau
+carries one shared positive determinant denominator and every pivot update
+divides exactly.  The objective rides along as one more integer row, its
+reduced costs scaled by that denominator, so Fractions appear only in the
+values returned.
 
-Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.
-Rational inputs (Fraction / int) are scaled row-wise to integers.
+Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.  Each
+row of A is a sparse ``{column: coefficient}`` dict; rational inputs
+(Fraction / int) are scaled row-wise to integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 MAX_PIVOTS = 200_000
@@ -37,27 +38,15 @@ class Unbounded(LPError):
     """The objective is unbounded over the feasible region."""
 
 
-def _row_lcm(vals) -> int:
-    m = 1
-    for v in vals:
-        if isinstance(v, Fraction):
-            d = v.denominator
-            m = m * d // gcd(m, d)
-    return m
-
-
-def _scale_row(vals, m: int) -> list[int]:
-    out = []
-    for v in vals:
-        if isinstance(v, Fraction):
-            out.append(int(v * m))
-        else:
-            out.append(int(v) * m)
-    return out
+def _integers(vals: list) -> tuple[list[int], int]:
+    """Rational vals times the least common multiple of their denominators."""
+    mult = lcm(*(v.denominator for v in vals if isinstance(v, Fraction)))
+    return [v.numerator * (mult // v.denominator) if isinstance(v, Fraction)
+            else int(v) * mult for v in vals], mult
 
 
 class Tableau:
-    """Feasible simplex tableau for A x = b, x >= 0.
+    """Feasible simplex tableau for A x = b, x >= 0 over ``n`` columns.
 
     Without ``start``, construction runs phase 1 and raises Infeasible when
     the region is empty.  ``start`` is a known feasible point; the starting
@@ -66,43 +55,42 @@ class Tableau:
     warm-start, which is how the polytope support detection uses it.
     """
 
-    def __init__(self, A: Sequence[Sequence], b: Sequence,
+    def __init__(self, A: Sequence[dict], b: Sequence, n: int,
                  start: Sequence | None = None):
         m = len(A)
-        self.n = n = len(A[0]) if m else 0
+        if len(b) != m:
+            raise LPError("constraint rows and right-hand sides differ in count")
+        phase1 = start is None
+        self.width = width = n + 1 + (m if phase1 else 0)
         rows: list[list[int]] = []
-        for i in range(m):
-            if len(A[i]) != n:
-                raise LPError("ragged constraint matrix")
-            mult = _row_lcm(list(A[i]) + [b[i]])
-            row = _scale_row(A[i], mult)
-            rhs = b[i]
-            rhs = int(rhs * mult) if isinstance(rhs, Fraction) else int(rhs) * mult
-            if rhs < 0:
-                row = [-v for v in row]
-                rhs = -rhs
-            rows.append(row + [rhs])
+        for i, (a, rhs) in enumerate(zip(A, b)):
+            vals, _ = _integers([*a.values(), rhs])
+            sign = -1 if vals[-1] < 0 else 1
+            row = [0] * width
+            for j, v in zip(a, vals):
+                if not 0 <= j < n:
+                    raise LPError(f"column {j} outside the {n} variables")
+                row[j] = sign * v
+            row[-1] = sign * vals[-1]
+            if phase1:
+                row[n + i] = 1
+            rows.append(row)
         self.m = m
         self.art0 = n  # first artificial column
         self.den = 1
-        self.obj: list[Fraction] | None = None  # reduced costs + [-value]
         self.allowed = n
         self.rows = rows
-        if start is not None:
-            self.width = n + 1
-            self.basis = [-1] * m
-            self._crash(start)
-        else:
-            for i, row in enumerate(rows):
-                rows[i] = row[:n] + [0] * m + [row[n]]
-                rows[i][n + i] = 1
-            self.width = n + m + 1
+        if phase1:
             self.basis = list(range(n, n + m))
             self._phase1()
+        else:
+            self.basis = [-1] * m
+            self._crash(start)
 
     # -- pivoting core ---------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
+        """Pivot on (r, c), updating every row, the objective's included."""
         rows = self.rows
         prow = rows[r]
         p = prow[c]
@@ -110,10 +98,9 @@ class Tableau:
             raise LPError("pivot element must be positive")
         den = self.den
         width = self.width
-        for i in range(self.m):
+        for i, row in enumerate(rows):
             if i == r:
                 continue
-            row = rows[i]
             f = row[c]
             if f == 0:
                 if p != den:
@@ -128,42 +115,13 @@ class Tableau:
                     if rem:
                         raise LPError("integer pivot residue")
                     row[j] = q
-        obj = self.obj
-        if obj is not None:
-            f = obj[c]
-            if f:
-                fp = f / p
-                for j in range(width):
-                    if prow[j]:
-                        obj[j] = obj[j] - fp * prow[j]
         self.den = p
         self.basis[r] = c
 
-    def _price_objective(self, c_frac: list[Fraction]) -> None:
-        """Reduced-cost row for maximizing c.x from the current basis.
-
-        obj[j] = c_j - sum_i c_{B(i)} T[i][j] / den for columns, and
-        obj[-1] = -(current objective value).
-        """
-        den = self.den
-        width = self.width
-        acc = [_ZERO] * width
-        for i in range(self.m):
-            cb = c_frac[self.basis[i]]
-            if cb:
-                row = self.rows[i]
-                for j in range(width):
-                    if row[j]:
-                        acc[j] += cb * row[j]
-        obj = [_ZERO] * width
-        for j in range(width - 1):
-            obj[j] = c_frac[j] - acc[j] / den
-        obj[width - 1] = -acc[width - 1] / den
-        self.obj = obj
-
     def _bland_step(self) -> bool:
         """One Bland pivot; False at optimality."""
-        obj = self.obj
+        rows = self.rows
+        obj = rows[self.m]
         enter = -1
         for j in range(self.allowed):
             if obj[j] > 0:
@@ -171,7 +129,6 @@ class Tableau:
                 break
         if enter < 0:
             return False
-        rows = self.rows
         width = self.width
         best = -1
         for i in range(self.m):
@@ -189,11 +146,29 @@ class Tableau:
         self._pivot(best, enter)
         return True
 
-    def _run(self) -> None:
-        for _ in range(MAX_PIVOTS):
-            if not self._bland_step():
-                return
-        raise LPError("pivot limit exceeded")
+    def _optimize(self, c: list[int]) -> Fraction:
+        """Maximize c.x for integer costs c over every column but the last.
+
+        The objective is priced as one more row, den*c_j - sum_i
+        c_B(i)*T[i][j]: den times the reduced cost of column j, and minus
+        den times the objective value in the last column.  Pivots keep it
+        integral like a constraint row; it is dropped again on return.
+        """
+        z = [self.den * v for v in c] + [0]
+        for i in range(self.m):
+            cb = c[self.basis[i]]
+            if cb:
+                for j, v in enumerate(self.rows[i]):
+                    if v:
+                        z[j] -= cb * v
+        self.rows.append(z)
+        try:
+            for _ in range(MAX_PIVOTS):
+                if not self._bland_step():
+                    return Fraction(-z[-1], self.den)
+            raise LPError("pivot limit exceeded")
+        finally:
+            self.rows.pop()
 
     # -- starting bases ----------------------------------------------------
 
@@ -239,13 +214,9 @@ class Tableau:
                 raise LPError("start point is not the basic solution of its columns")
 
     def _phase1(self) -> None:
-        c = [_ZERO] * self.art0 + [Fraction(-1)] * self.m
         self.allowed = self.art0 + self.m
-        self._price_objective(c)
-        self._run()
-        if self.obj[self.width - 1] != 0:
+        if self._optimize([0] * self.art0 + [-1] * self.m) != 0:
             raise Infeasible("phase 1 optimum is nonzero")
-        self.obj = None
         for i in range(self.m):
             if self.basis[i] >= self.art0:
                 row = self.rows[i]
@@ -263,14 +234,11 @@ class Tableau:
 
     def maximize(self, c: Sequence) -> Fraction:
         """Maximize c.x from the current basis; returns the optimum."""
-        c_frac = [v if isinstance(v, Fraction) else Fraction(v) for v in c]
-        if len(c_frac) > self.art0:
+        if len(c) > self.art0:
             raise LPError("objective longer than variable count")
-        c_frac += [_ZERO] * (self.width - 1 - len(c_frac))
+        ints, mult = _integers(list(c))
         self.allowed = self.art0
-        self._price_objective(c_frac)
-        self._run()
-        return -self.obj[self.width - 1]
+        return self._optimize(ints + [0] * (self.width - 1 - len(ints))) / mult
 
     def solution(self) -> list[Fraction]:
         x = [_ZERO] * self.art0
@@ -278,19 +246,20 @@ class Tableau:
         for i in range(self.m):
             bi = self.basis[i]
             if bi < self.art0:
-                x[bi] = Fraction(self.rows[i][self.width - 1], den)
+                x[bi] = Fraction(self.rows[i][-1], den)
         return x
 
 
-def solve_lp(A: Sequence[Sequence], b: Sequence, c: Sequence,
+def solve_lp(A: Sequence[dict], b: Sequence, c: Sequence,
              maximize: bool = True) -> tuple[Fraction, list[Fraction]]:
-    """Optimize c.x subject to A x = b, x >= 0 (exact, vertex solution)."""
-    t = Tableau(A, b)
-    if maximize:
-        val = t.maximize(list(c))
-    else:
-        val = -t.maximize([-(v if isinstance(v, Fraction) else Fraction(v)) for v in c])
-    return val, t.solution()
+    """Optimize c.x subject to A x = b, x >= 0 (exact, vertex solution).
+
+    A holds sparse rows over the ``len(c)`` variables.
+    """
+    t = Tableau(A, b, len(c))
+    sign = 1 if maximize else -1
+    val = t.maximize([sign * v for v in c])
+    return sign * val, t.solution()
 
 
 def positive_coordinates(tableau: Tableau, coords: Sequence[int],
@@ -313,11 +282,10 @@ def positive_coordinates(tableau: Tableau, coords: Sequence[int],
                 positive.add(j)
                 witness[j] = list(sol)
     remaining = [j for j in coords if j not in positive]
-    one = Fraction(1)
     while remaining:
-        c = [_ZERO] * tableau.art0
+        c = [0] * tableau.art0
         for j in remaining:
-            c[j] = one
+            c[j] = 1
         val = tableau.maximize(c)
         if val == 0:
             break

@@ -131,9 +131,6 @@ class TargetFunction:
             arr[idx] = codomain.index(fn(*labels))
         return TargetFunction(domain_axes, codomain, arr)
 
-    def value_idx(self, idx: Sequence[int]) -> int:
-        return int(self.table[tuple(idx)])
-
     def value(self, labels: Sequence[Label]) -> Label:
         idx = tuple(a.index(s) for a, s in zip(self.domain_axes, labels))
         return self.codomain.symbols[int(self.table[idx])]

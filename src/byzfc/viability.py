@@ -176,12 +176,10 @@ class _Region:
         alive_vars = [v for v in range(self.nvar) if v not in fixed]
         self.alive_index = {v: i for i, v in enumerate(alive_vars)}
         self.alive_vars = alive_vars
-        A: list[list[Fraction]] = []
+        A: list[dict[int, Fraction]] = []
         b_out: list[Fraction] = []
         seen: set[tuple] = set()
         for row, b in zip(rows, rhs):
-            # rows hold no explicit zero coefficient, so equal sparse keys
-            # are exactly the equal dense rows
             items = tuple(sorted((self.alive_index[v], c) for v, c in row.items()
                                  if v not in fixed))
             if not items:
@@ -192,10 +190,7 @@ class _Region:
             if key in seen:
                 continue
             seen.add(key)
-            dense = [_ZERO] * len(alive_vars)
-            for i, c in items:
-                dense[i] = c
-            A.append(dense)
+            A.append(dict(items))
             b_out.append(b)
         self.A = A
         self.b = b_out
@@ -218,7 +213,7 @@ class _Region:
         # each identity column sits alone in its own row-sum row, so the
         # point's nonzero columns are independent and start the basis
         id_alive = [identity[v] for v in self.alive_vars]
-        tableau = Tableau(self.A, self.b, start=id_alive)
+        tableau = Tableau(self.A, self.b, len(self.alive_vars), start=id_alive)
         pos_alive, wit_alive = positive_coordinates(
             tableau, range(len(self.alive_vars)), seeds=[id_alive])
         self._reach = {self.alive_vars[i] for i in pos_alive}
@@ -254,16 +249,10 @@ class _Region:
         if ia is None or ib is None:
             raise LPError("conflict coordinate was presolved away")
         nv = len(self.alive_vars)
-        A = [row + [_ZERO, _ZERO, _ZERO] for row in self.A]
-        row_a = [_ZERO] * (nv + 3)
-        row_a[ia], row_a[nv], row_a[nv + 1] = _ONE, -_ONE, -_ONE
-        row_b = [_ZERO] * (nv + 3)
-        row_b[ib], row_b[nv], row_b[nv + 2] = _ONE, -_ONE, -_ONE
-        A.extend([row_a, row_b])
-        b = list(self.b) + [_ZERO, _ZERO]
-        t = Tableau(A, b)
-        c = [_ZERO] * (nv + 3)
-        c[nv] = _ONE
+        A = self.A + [{ia: 1, nv: -1, nv + 1: -1}, {ib: 1, nv: -1, nv + 2: -1}]
+        t = Tableau(A, self.b + [0, 0], nv + 3)
+        c = [0] * (nv + 3)
+        c[nv] = 1
         opt = t.maximize(c)
         if opt <= 0:
             raise LPError("conflict coordinates are not simultaneously reachable")

@@ -49,9 +49,6 @@ class ViewSetHandle:
     def coords(self) -> tuple[int, ...]:
         return tuple(sorted(self.adversary_set))
 
-    def induce(self, w: Channel | None) -> JointPmf:
-        return induce_view(self.base, self.adversary_set, w)
-
 
 @dataclass(frozen=True)
 class MembershipResult:
@@ -123,12 +120,6 @@ def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     rows, b, views = _distance_rows(w, q)
     nv = len(views)
     nvar = w.size + 2 * nv
-    A = []
-    for row in rows:
-        dense = [_ZERO] * nvar
-        for j, c in row.items():
-            dense[j] = c
-        A.append(dense)
     # start at the identity channel, whose view is P, with slacks P - q split
     # by sign; each identity column is alone in its row-sum row and each
     # slack alone in its view row, so the start columns are independent
@@ -137,7 +128,7 @@ def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     for vi, v in enumerate(views):
         gap = p.mass[v] - q.mass[v]
         start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
-    t = Tableau(A, b, start=start)
+    t = Tableau(rows, b, nvar, start=start)
     c = [_ZERO] * w.size + [Fraction(-1, 2)] * (2 * nv)
     dist = -t.maximize(c)
     return MembershipResult(distance=dist, nearest_channel=w.channel(t.solution(), exact=True))

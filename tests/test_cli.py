@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from byzfc.cli import main
+from byzfc.decoder import config_to_json_dict
 from byzfc.probability import sample_iid
 
 
@@ -202,3 +205,51 @@ class TestSweepCsv:
         assert code == 0
         assert (tmp_path / "sw[n=200].csv").exists()
         assert (tmp_path / "sw[n=300].csv").exists()
+
+
+class TestMalformedInput:
+    SCENARIO = {"example": "example-3-2-erasure:uv", "n": 100, "trials": 1, "seed": 1}
+
+    @pytest.mark.parametrize("case", ["n-null", "top-level-list", "adversary-set-int",
+                                      "axes-int", "short-users", "delta-null"])
+    def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
+                                   erasure_config):
+        def put(name, obj):
+            path = tmp_path / name
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        scenario = self.SCENARIO
+        block = sample_iid(erasure_pmf.to_float(), 20, seed=1).to_json_dict()
+        config = config_to_json_dict(erasure_config)
+        args = {
+            "n-null": lambda: ["simulate", put("s.json", {**scenario, "n": None})],
+            "top-level-list": lambda: ["simulate", put("s.json", [scenario])],
+            "adversary-set-int": lambda: ["simulate",
+                                          put("s.json", {**scenario, "adversary_set": 5})],
+            "axes-int": lambda: ["check-viability", "--threshold", "1",
+                                 "--pmf", put("p.json", {"axes": 3, "mass": [1]}),
+                                 "--function", put("f.json", {})],
+            "short-users": lambda: ["decode", "--config", put("c.json", config),
+                                    "--block", put("b.json", {**block,
+                                                              "users": block["users"][:2]})],
+            "delta-null": lambda: ["decode", "--config", put("c.json", {**config, "delta": None}),
+                                   "--block", put("b.json", block)],
+        }[case]()
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+
+    def test_fault_while_resolving_a_witness_is_internal(self, tmp_path, monkeypatch):
+        import byzfc.cli as cli
+
+        def broken(*args):
+            raise TypeError("synthetic fault")
+
+        monkeypatch.setattr(cli, "check_viability", broken)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**self.SCENARIO, "adversary_set": [1, 2], "strategy": {
+            "kind": "witness_dmc", "from_example": "example-3-2-erasure:uvw", "scenario": 1}}))
+        with pytest.raises(RuntimeError) as info:
+            main(["simulate", str(path)])
+        assert isinstance(info.value.__cause__, TypeError)

@@ -27,10 +27,10 @@ from test_viewsets import random_channel
 def _compare_starts(region: _Region, rng: np.random.Generator, objectives: int = 3) -> None:
     identity = region.identity_solution()
     start = [identity[v] for v in region.alive_vars]
-    crashed = Tableau(region.A, region.b, start=start)
+    crashed = Tableau(region.A, region.b, len(start), start=start)
     assert crashed.solution() == start
     coords = range(len(region.alive_vars))
-    phase1 = Tableau(region.A, region.b)
+    phase1 = Tableau(region.A, region.b, len(start))
     pos_crashed, witness = positive_coordinates(crashed, coords)
     assert pos_crashed == positive_coordinates(phase1, coords)[0]
     for j, sol in witness.items():
@@ -82,7 +82,7 @@ def test_exact_distance_same_without_the_start(erasure_pmf, monkeypatch):
         for q in queries:
             q = JointPmf(erasure_pmf.axes, q.mass)
             cases.append((h, q, _distance_exact(h, q).distance))
-    monkeypatch.setattr(viewsets, "Tableau", lambda A, b, start=None: Tableau(A, b))
+    monkeypatch.setattr(viewsets, "Tableau", lambda A, b, n, start=None: Tableau(A, b, n))
     for h, q, dist in cases:
         res = _distance_exact(h, q)
         assert res.distance == dist

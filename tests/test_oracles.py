@@ -59,11 +59,11 @@ def qspace_max_conflict(p, f, collection):
         rest = tuple(c for c in range(k + 1) if c not in cs)
         for tx in product(*(range(sizes[c]) for c in cs)):
             for others in product(*(range(sizes[c]) for c in rest)):
-                row = [_ZERO] * nvar
+                row = {}
                 for pt in points:
                     view, blocks = split(pt)
                     if blocks[m] == tx and tuple(view[c] for c in rest) == others:
-                        row[index[pt]] += 1
+                        row[index[pt]] = 1
                 full = [0] * (k + 1)
                 for pos, c in enumerate(cs):
                     full[c] = tx[pos]
@@ -80,8 +80,7 @@ def qspace_max_conflict(p, f, collection):
                 pa = p_marg[m].mass[tx]
                 for others in product(*(range(sizes[c]) for c in rest)):
                     pfull = p.mass[insert_point(k, sizes, cs, tx, rest, others)]
-                    row = [_ZERO] * nvar
-                    nonzero = False
+                    row = {}
                     for pt in points:
                         view, blocks = split(pt)
                         coef = _ZERO
@@ -91,11 +90,10 @@ def qspace_max_conflict(p, f, collection):
                             coef -= pfull
                         if coef != 0:
                             row[index[pt]] = coef
-                            nonzero = True
-                    if nonzero:
+                    if row:
                         rows.append(row)
                         rhs.append(_ZERO)
-    t = Tableau(rows, rhs)
+    t = Tableau(rows, rhs, nvar)
     c = [_ZERO] * nvar
     for pt in points:
         view, blocks = split(pt)

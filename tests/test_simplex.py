@@ -7,29 +7,35 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from byzfc.simplex import Infeasible, LPError, Tableau, positive_coordinates, solve_lp
+from byzfc.simplex import (Infeasible, LPError, Tableau, Unbounded, positive_coordinates,
+                           solve_lp)
+
+
+def sparse(A):
+    """Dense test matrix -> the solver's {column: coefficient} rows."""
+    return [{j: v for j, v in enumerate(row) if v} for row in A]
 
 
 def test_known_small_lp():
     # max x + y  s.t.  x + 2y + s1 = 4, 3x + y + s2 = 6  ->  (8/5, 6/5), 14/5
-    val, x = solve_lp([[1, 2, 1, 0], [3, 1, 0, 1]], [4, 6], [1, 1, 0, 0])
+    val, x = solve_lp(sparse([[1, 2, 1, 0], [3, 1, 0, 1]]), [4, 6], [1, 1, 0, 0])
     assert val == Fraction(14, 5)
     assert x[0] == Fraction(8, 5) and x[1] == Fraction(6, 5)
 
 
 def test_minimization():
-    val, x = solve_lp([[1, 1, -1]], [2], [1, 0, 0], maximize=False)
+    val, x = solve_lp(sparse([[1, 1, -1]]), [2], [1, 0, 0], maximize=False)
     assert val == 0 and x[0] == 0
 
 
 def test_infeasible_detected():
     with pytest.raises(Infeasible):
-        solve_lp([[1, 1], [1, 1]], [1, 2], [1, 0])
+        solve_lp(sparse([[1, 1], [1, 1]]), [1, 2], [1, 0])
 
 
 def test_rational_coefficients():
     A = [[Fraction(1, 3), Fraction(1, 6)]]
-    val, x = solve_lp(A, [Fraction(1, 2)], [1, 0])
+    val, x = solve_lp(sparse(A), [Fraction(1, 2)], [1, 0])
     assert val == Fraction(3, 2) and x[0] == Fraction(3, 2)
 
 
@@ -42,7 +48,7 @@ def test_degenerate_bland_terminates():
     ]
     b = [0, 0, 1]
     c = [Fraction(3, 4), -150, Fraction(1, 50), -6, 0, 0, 0]
-    val, _ = solve_lp(A, b, c)
+    val, _ = solve_lp(sparse(A), b, c)
     assert val == Fraction(1, 20)
 
 
@@ -62,7 +68,7 @@ def test_random_lps_match_scipy():
         c2 = np.concatenate([c, [0]])
         ref = linprog(-c2, A_eq=A2, b_eq=b2, bounds=[(0, None)] * (n + 1), method="highs")
         assert ref.status == 0
-        val, x = solve_lp([[int(v) for v in row] for row in A2],
+        val, x = solve_lp(sparse([[int(v) for v in row] for row in A2]),
                           [int(v) for v in b2], [int(v) for v in c2])
         assert abs(float(val) + ref.fun) < 1e-7, trial
         # vertex must satisfy the constraints exactly
@@ -72,7 +78,7 @@ def test_random_lps_match_scipy():
 
 
 def test_warm_restart_multiple_objectives():
-    t = Tableau([[1, 1, 1]], [1])
+    t = Tableau(sparse([[1, 1, 1]]), [1], 3)
     assert t.maximize([1, 0, 0]) == 1
     assert t.maximize([0, 1, 0]) == 1
     assert t.maximize([0, 0, -1]) == 0
@@ -81,7 +87,7 @@ def test_warm_restart_multiple_objectives():
 
 def test_positive_coordinates_forced_zero():
     # x3 = 0 forced; x1, x2 free over the simplex
-    t = Tableau([[1, 1, 0], [0, 0, 1]], [1, 0])
+    t = Tableau(sparse([[1, 1, 0], [0, 0, 1]]), [1, 0], 3)
     pos, wit = positive_coordinates(t, [0, 1, 2])
     assert pos == {0, 1}
     for j, sol in wit.items():
@@ -90,7 +96,7 @@ def test_positive_coordinates_forced_zero():
 
 
 def test_positive_coordinates_seeds_short_circuit():
-    t = Tableau([[1, 1]], [1])
+    t = Tableau(sparse([[1, 1]]), [1], 2)
     seed = [Fraction(1, 2), Fraction(1, 2)]
     pos, wit = positive_coordinates(t, [0, 1], seeds=[seed])
     assert pos == {0, 1} and wit[0] == seed
@@ -98,14 +104,36 @@ def test_positive_coordinates_seeds_short_circuit():
 
 def test_redundant_rows_handled():
     # duplicated constraint leaves a basic artificial at zero
-    val, x = solve_lp([[1, 1], [1, 1], [2, 2]], [1, 1, 2], [1, 0])
+    val, x = solve_lp(sparse([[1, 1], [1, 1], [2, 2]]), [1, 1, 2], [1, 0])
     assert val == 1 and x[0] == 1
 
 
 def test_unbounded_detected():
-    from byzfc.simplex import Unbounded
     with pytest.raises(Unbounded):
-        solve_lp([[1, -1]], [1], [0, 1])
+        solve_lp(sparse([[1, -1]]), [1], [0, 1])
+
+
+def test_unbounded_leaves_the_tableau_usable():
+    # x = y grow together without bound; s + t = 1 caps s
+    t = Tableau(sparse([[1, -1, 0, 0], [0, 0, 1, 1]]), [0, 1], 4)
+    with pytest.raises(Unbounded):
+        t.maximize([0, 1, 0, 0])
+    assert len(t.rows) == t.m
+    assert t.maximize([0, 0, 1, 0]) == 1
+    assert t.maximize([-1, 0, Fraction(1, 2), 0]) == Fraction(1, 2)
+    x = t.solution()
+    assert x[0] == x[1] == 0 and x[2] == 1 and x[3] == 0
+
+
+@pytest.mark.parametrize("A, b, n", [
+    ([{0: 1, 2: 1}], [1], 2),      # column past the last variable
+    ([{-1: 1}], [1], 2),           # negative column
+    ([{0: 1}], [1, 2], 2),         # more right-hand sides than rows
+    ([{0: 1}, {1: 1}], [1], 2),    # more rows than right-hand sides
+])
+def test_malformed_rows_rejected(A, b, n):
+    with pytest.raises(LPError):
+        Tableau(A, b, n)
 
 
 def test_rational_coefficient_fuzz_vs_scipy():
@@ -124,7 +152,7 @@ def test_rational_coefficient_fuzz_vs_scipy():
         A.append([Fraction(1)] * n + [Fraction(1)])
         b.append(sum(x0) + 3)
         c = [Fraction(int(v), 3) for v in rng.integers(-6, 7, size=n)] + [Fraction(0)]
-        val, x = solve_lp(A, b, c)
+        val, x = solve_lp(sparse(A), b, c)
         Af = np.array([[float(v) for v in row] for row in A])
         bf = np.array([float(v) for v in b])
         cf = np.array([float(v) for v in c])
@@ -146,7 +174,7 @@ def test_degenerate_rhs_zero_blocks():
         A.append([1] * n)
         b.append(1)
         try:
-            val, x = solve_lp(A, b, [int(v) for v in rng.integers(-3, 4, size=n)])
+            val, x = solve_lp(sparse(A), b, [int(v) for v in rng.integers(-3, 4, size=n)])
         except Infeasible:
             continue
         for i in range(4):
@@ -158,7 +186,7 @@ def test_degenerate_rhs_zero_blocks():
 def test_crash_start_basic_solution_is_the_start():
     A = [[1, 2, 1, 0], [3, 1, 0, 1]]
     x = [Fraction(2), Fraction(0), Fraction(2), Fraction(0)]
-    t = Tableau(A, [4, 6], start=x)
+    t = Tableau(sparse(A), [4, 6], 4, start=x)
     assert t.solution() == x
     assert t.maximize([1, 1, 0, 0]) == Fraction(14, 5)
 
@@ -172,11 +200,11 @@ def test_crash_start_basic_solution_is_the_start():
 ])
 def test_crash_start_rejects_a_bad_point(A, b, x):
     with pytest.raises(LPError):
-        Tableau(A, b, start=x)
+        Tableau(sparse(A), b, len(A[0]), start=x)
 
 
 def test_crash_start_drops_dependent_rows():
-    t = Tableau([[1, 1], [1, 1], [2, 2]], [1, 1, 2], start=[1, 0])
+    t = Tableau(sparse([[1, 1], [1, 1], [2, 2]]), [1, 1, 2], 2, start=[1, 0])
     assert t.m == 1
     assert t.maximize([0, 1]) == 1
 
@@ -185,7 +213,7 @@ def test_crash_start_full_column_rank_needs_no_pivots(monkeypatch):
     # the start is the region's only point; the last row is dependent
     A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, -1, 0], [0, 1, 0, 0], [1, 1, 1, 1]]
     x = [Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
-    t = Tableau(A, [1, 1, 0, 0, 2], start=x)
+    t = Tableau(sparse(A), [1, 1, 0, 0, 2], 4, start=x)
     assert t.m == 4
     calls = []
     monkeypatch.setattr(Tableau, "_pivot", lambda self, r, c: calls.append((r, c)))
@@ -203,12 +231,12 @@ def test_crash_start_matches_phase1_on_random_lps():
         A = [[int(v) for v in row] for row in rng.integers(-3, 4, size=(m, n))]
         x0 = rng.integers(0, 3, size=n)
         b = [sum(A[i][j] * int(x0[j]) for j in range(n)) for i in range(m)]
-        A = [row + [0] for row in A] + [[1] * (n + 1)]
+        A = sparse([row + [0] for row in A] + [[1] * (n + 1)])
         b = b + [int(x0.sum()) + 2]
-        vertex = Tableau(A, b).solution()
-        crashed = Tableau(A, b, start=vertex)
+        vertex = Tableau(A, b, n + 1).solution()
+        crashed = Tableau(A, b, n + 1, start=vertex)
         assert crashed.solution() == vertex, trial
-        phase1 = Tableau(A, b)
+        phase1 = Tableau(A, b, n + 1)
         pos_c, wit = positive_coordinates(crashed, range(n + 1))
         assert pos_c == positive_coordinates(phase1, range(n + 1))[0], trial
         for j, sol in wit.items():
