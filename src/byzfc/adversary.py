@@ -43,6 +43,10 @@ class WitnessDMC:
     witness: ViolationWitness
     scenario: int
 
+    def __post_init__(self):
+        if not 0 <= self.scenario < len(self.witness.collection):
+            raise AttackError(f"witness scenario {self.scenario} out of range")
+
 
 @dataclass(frozen=True)
 class ResampleW:

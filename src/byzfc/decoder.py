@@ -74,6 +74,10 @@ class DecoderConfig:
     def __post_init__(self):
         if self.delta <= 0:
             raise DecoderConfigError("delta must be positive")
+        if self.mode not in ("exact", "float"):
+            raise DecoderConfigError(f"unknown mode {self.mode!r}")
+        if self.mode == "exact" and not self.base.exact:
+            raise DecoderConfigError("exact mode needs an exact law")
         base = self.base if self.mode == "exact" else self.base.to_float()
         self.handles = tuple(ViewSetHandle(base, s) for s in self.structure.sets)
         for col in nonintersecting_collections(self.structure):
@@ -111,7 +115,7 @@ def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
     ty = ty if config.mode == "exact" else ty.to_float()
     out = []
     for i, h in enumerate(config.handles):
-        res = distance_to_viewset(h, ty, mode=config.mode)
+        res = distance_to_viewset(h, ty)
         thresh = config.delta if config.mode == "exact" else config.delta + config.slack
         if res.distance <= thresh:
             out.append(i)

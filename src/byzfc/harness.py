@@ -149,19 +149,17 @@ _CONFIG_CACHE: dict[str, DecoderConfig] = {}
 
 
 def _config_key(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
-                delta: float, slack: float, mode: str) -> str:
+                delta: float) -> str:
     blob = json.dumps([p.to_json_dict(), f.to_json_dict(), structure.to_json_dict(),
-                       delta, slack, mode], sort_keys=True)
+                       delta], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def cached_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
-                          delta: float, slack: float = 1e-7, mode: str = "float",
-                          ) -> DecoderConfig:
-    key = _config_key(p, f, structure, delta, slack, mode)
+                          delta: float) -> DecoderConfig:
+    key = _config_key(p, f, structure, delta)
     if key not in _CONFIG_CACHE:
-        _CONFIG_CACHE[key] = build_decoder_config(p, f, structure, delta,
-                                                  mode=mode, slack=slack)
+        _CONFIG_CACHE[key] = build_decoder_config(p, f, structure, delta)
     return _CONFIG_CACHE[key]
 
 

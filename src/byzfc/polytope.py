@@ -2,8 +2,9 @@
 
 Both LPs are built from per-letter adversary channels W(ux | tx) on the
 coordinates of one adversary set.  ``ChannelVars`` numbers the entries of
-one such channel, emits its sparse constraint rows and turns a solution
-back into a ``Channel``.
+one such channel, tabulates P's coefficient on each variable at each view
+point, emits its sparse constraint rows and turns a solution back into a
+``Channel``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ class ChannelVars:
     Inputs tx range over the support of P's marginal on ``coords``
     (``rows``), outputs ux over every symbol tuple (``outs``).  Variables
     are numbered from ``offset`` in (tx, ux) lexicographic order.
+
+    ``at[v]``, for each view point v in ``product`` order over P's axes,
+    holds one ``(tx, var, coef)`` per input in ``rows`` order with
+    coef = P(v with ``coords`` replaced by tx) > 0; var is W(v's ``coords`` | tx).
     """
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...], offset: int = 0):
@@ -36,23 +41,22 @@ class ChannelVars:
         self.rows = [tx for tx in self.outs if marg.mass[tx] > 0]
         self.var = {key: offset + i for i, key in enumerate(product(self.rows, self.outs))}
         self.size = len(self.var)
-
-    def p_at(self, v: tuple[int, ...], tx: tuple[int, ...]):
-        """P at the view point v with the channel's coordinates replaced by tx."""
-        full = list(v)
-        for pos, c in enumerate(self.coords):
-            full[c] = tx[pos]
-        return self.p.mass[tuple(full)]
+        # P(v with coords <- tx) depends on v only through the other
+        # coordinates, rest; moved[tx + rest] is that entry
+        moved = np.moveaxis(p.mass, coords, range(len(coords)))
+        others = [c for c in range(p.k) if c not in coords]
+        live: dict[tuple[int, ...], list] = {}
+        self.at: dict[tuple[int, ...], list] = {}
+        for v in product(*(range(a.size) for a in p.axes)):
+            rest = tuple(v[c] for c in others)
+            if rest not in live:
+                live[rest] = [(tx, coef) for tx in self.rows if (coef := moved[tx + rest]) > 0]
+            ux = tuple(v[c] for c in coords)
+            self.at[v] = [(tx, self.var[(tx, ux)], coef) for tx, coef in live[rest]]
 
     def view_row(self, v: tuple[int, ...], sign: int = 1) -> dict:
-        """The induced view's mass at v, ``sign`` times, as ``{var: coef}``."""
-        ux = tuple(v[c] for c in self.coords)
-        row = {}
-        for tx in self.rows:
-            coef = self.p_at(v, tx)
-            if coef > 0:
-                row[self.var[(tx, ux)]] = sign * coef
-        return row
+        """The induced view's mass at v, ``sign`` (1 or -1) times, as ``{var: coef}``."""
+        return {var: coef if sign > 0 else -coef for _, var, coef in self.at[v]}
 
     def sum_rows(self) -> list[dict]:
         """One row per input: its outputs' entries sum to one."""
@@ -63,15 +67,16 @@ class ChannelVars:
         for tx in self.rows:
             x[self.var[(tx, tx)]] = _ONE
 
-    def channel(self, sol: Sequence, exact: bool) -> Channel:
+    def channel(self, sol: Sequence) -> Channel:
         """The channel at a solution; inputs off P's support map to themselves.
 
-        Float solutions are clipped at zero and their rows renormalized,
-        absorbing solver round-off.
+        Exact iff P is.  Float solutions are clipped at zero and their rows
+        renormalized, absorbing solver round-off.
         """
         axes = tuple(self.p.axes[c] for c in self.coords)
         sizes = tuple(a.size for a in axes)
         n = len(self.outs)
+        exact = self.p.exact
         if exact:
             mat = np.empty((n, n), dtype=object)
             mat[:] = _ZERO

@@ -125,6 +125,8 @@ class JointPmf:
                 raise ProbabilityError(f"exact pmf sums to {total}, not 1")
         else:
             arr = arr.astype(np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise ProbabilityError("non-finite mass entry")
             if np.any(arr < 0):
                 raise ProbabilityError("negative mass entry")
             total = float(arr.sum())
@@ -310,6 +312,8 @@ class Channel:
             arr = fixed.reshape(in_shape + out_shape)
         else:
             arr = arr.astype(np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise ProbabilityError("non-finite channel entry")
             if np.any(arr < 0):
                 raise ProbabilityError("negative channel entry")
             sums = arr.reshape(n_in, n_out).sum(axis=1)

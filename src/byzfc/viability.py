@@ -146,9 +146,8 @@ class _Region:
         rows_eq = [row for w in self.members for row in w.sum_rows()]
         rhs_eq = [_ONE] * len(rows_eq)
         # view-match between adjacent members
-        views = list(product(*(range(a.size) for a in p.axes)))
         for w0, w1 in zip(self.members, self.members[1:]):
-            for v in views:
+            for v in w0.at:
                 row = {**w0.view_row(v), **w1.view_row(v, -1)}
                 if row:
                     rows_eq.append(row)
@@ -221,11 +220,6 @@ class _Region:
         for i, sol in wit_alive.items():
             self._sols[self.alive_vars[i]] = sol
 
-    def reachable(self, m: int, tx: tuple[int, ...], ux: tuple[int, ...]) -> bool:
-        self._solve_support()
-        var = self.members[m].var.get((tx, ux))
-        return var is not None and var in self._reach
-
     def solution_for(self, m: int, tx: tuple[int, ...], ux: tuple[int, ...]) -> list[Fraction]:
         """A feasible full-length solution with W_m(ux|tx) > 0."""
         self._solve_support()
@@ -265,17 +259,12 @@ class _Region:
     def explanations(self, v: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """Scenario truths (member, tx) that can carry positive mass at view v."""
         self._solve_support()
-        out = []
-        for m, w in enumerate(self.members):
-            ux = tuple(v[c] for c in w.coords)
-            for tx in w.rows:
-                if w.p_at(v, tx) > 0 and self.reachable(m, tx, ux):
-                    out.append((m, tx))
-        return out
+        return [(m, tx) for m, w in enumerate(self.members)
+                for tx, var, _ in w.at[v] if var in self._reach]
 
     def channels_from(self, sol: Sequence[Fraction]) -> list[Channel]:
         """Member channels of a feasible solution; off-support rows identity."""
-        return [w.channel(sol, exact=True) for w in self.members]
+        return [w.channel(sol) for w in self.members]
 
 
 def _f_at(f: TargetFunction, v: tuple[int, ...], coords: tuple[int, ...],
@@ -307,8 +296,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
     mass = np.empty(shape, dtype=object)
     mass[:] = _ZERO
 
-    axes_sizes = tuple(ax.size for ax in p.axes)
-    for vp in product(*(range(s) for s in axes_sizes)):
+    for vp in members[0].at:
         pv = view.mass[vp]
         if pv == 0:
             continue
@@ -316,8 +304,8 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
         for w, chan in zip(members, chans):
             ux = tuple(vp[c] for c in w.coords)
             post = []
-            for tx in w.outs:
-                num = w.p_at(vp, tx) * chan.rows[tx + ux]
+            for tx, _, coef in w.at[vp]:
+                num = coef * chan.rows[tx + ux]
                 if num > 0:
                     post.append((tx, num / pv))
             posts.append(post)
@@ -338,11 +326,8 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
             point.extend(b[1])
         else:
             ux = tuple(v[c] for c in w.coords)
-            chosen = None
-            for tx in w.rows:
-                if w.p_at(v, tx) * chan.rows[tx + ux] > 0:
-                    chosen = tx
-                    break
+            chosen = next((tx for tx, _, coef in w.at[v] if coef * chan.rows[tx + ux] > 0),
+                          None)
             if chosen is None:
                 raise LPError("view point lost its explanation during averaging")
             point.extend(chosen)
@@ -356,8 +341,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
 def _scan_collection(region: _Region, f: TargetFunction,
                      ) -> tuple[int, tuple, int, tuple, tuple] | None:
     """First f-conflict between two scenarios of the collection, or None."""
-    axes_sizes = tuple(a.size for a in region.p.axes)
-    for v in product(*(range(s) for s in axes_sizes)):
+    for v in region.members[0].at:
         expl = region.explanations(v)
         if len(expl) < 2:
             continue
@@ -440,10 +424,9 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection) -> GTable:
         raise ViabilityInputError(
             "collection must be >= 2 distinct non-empty sets with empty intersection")
     region = _Region(p, tuple(collection))
-    axes_sizes = tuple(a.size for a in p.axes)
     table = f.table.copy()
     mask = np.zeros(table.shape, dtype=bool)
-    for v in product(*(range(s) for s in axes_sizes)):
+    for v in region.members[0].at:
         expl = region.explanations(v)
         if not expl:
             continue

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -69,23 +68,17 @@ class MembershipResult:
             assert float(gap) <= float(self.distance) + tol
 
 
-def distance_to_viewset(handle: ViewSetHandle, q: JointPmf,
-                        mode: str = "auto") -> MembershipResult:
+def distance_to_viewset(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     """min over channels W of TV(view(W), q), with an optimal channel.
 
-    ``mode`` is "exact" (rational simplex), "float" (scipy HiGHS) or
-    "auto" (exact iff both pmfs are exact).  One solve serves every
-    radius.
+    Exact (rational simplex) iff both pmfs are exact, else float (scipy
+    HiGHS).  One solve serves every radius.
     """
     if handle.base.axes != q.axes:
         raise ProbabilityError("query pmf axes do not match the base law")
-    if mode == "auto":
-        mode = "exact" if (handle.base.exact and q.exact) else "float"
     if not handle.coords:
-        dist = handle.base.tv_distance(q) if mode == "exact" and handle.base.exact and q.exact \
-            else handle.base.to_float().tv_distance(q.to_float())
-        return MembershipResult(distance=dist, nearest_channel=None)
-    if mode == "exact":
+        return MembershipResult(distance=handle.base.tv_distance(q), nearest_channel=None)
+    if handle.base.exact and q.exact:
         return _distance_exact(handle, q)
     return _distance_float(handle, q)
 
@@ -97,7 +90,7 @@ def _distance_rows(w: ChannelVars, q: JointPmf):
     the view slacks above q, one each per view point.  Rows: the induced
     view minus q at each view point, then the channel's row sums.
     """
-    views = list(product(*(range(a.size) for a in q.axes)))
+    views = list(w.at)
     nv = len(views)
     rows, rhs = [], []
     for vi, v in enumerate(views):
@@ -113,8 +106,6 @@ def _distance_rows(w: ChannelVars, q: JointPmf):
 
 
 def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
-    handle.base.require_exact("exact view distance")
-    q.require_exact("exact view distance")
     p = handle.base
     w = ChannelVars(p, handle.coords)
     rows, b, views = _distance_rows(w, q)
@@ -131,7 +122,7 @@ def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     t = Tableau(rows, b, nvar, start=start)
     c = [_ZERO] * w.size + [Fraction(-1, 2)] * (2 * nv)
     dist = -t.maximize(c)
-    return MembershipResult(distance=dist, nearest_channel=w.channel(t.solution(), exact=True))
+    return MembershipResult(distance=dist, nearest_channel=w.channel(t.solution()))
 
 
 def _distance_float(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
@@ -152,4 +143,4 @@ def _distance_float(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     if not res.success:
         raise LPError(f"view-distance LP failed: {res.message}")
     dist = max(float(res.fun), 0.0)
-    return MembershipResult(distance=dist, nearest_channel=w.channel(res.x, exact=False))
+    return MembershipResult(distance=dist, nearest_channel=w.channel(res.x))

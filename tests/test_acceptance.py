@@ -336,7 +336,7 @@ class TestCriterion10:
             m = rng.random(pf.mass.shape) + 0.01
             q = JointPmf(pf.axes, m / m.sum())
             for aset, h in handles.items():
-                d = distance_to_viewset(h, q, mode="float").distance
+                d = distance_to_viewset(h, q).distance
                 untouched = tuple(c for c in range(4) if c not in aset)
                 gap = pf.marginalize(untouched).tv_distance(q.marginalize(untouched))
                 assert gap - 1e-7 <= d <= 1 + 1e-9

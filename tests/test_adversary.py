@@ -149,6 +149,12 @@ class TestWitnessDMC:
         with pytest.raises(AttackError):
             attack(WitnessDMC(uvw_witness, 0), frozenset({1, 2}), blk, seed=0)
 
+    @pytest.mark.parametrize("scenario", [-1, 2, 7])
+    def test_scenario_index_out_of_range(self, uvw_witness, scenario):
+        assert len(uvw_witness.collection) == 2
+        with pytest.raises(AttackError, match="out of range"):
+            WitnessDMC(uvw_witness, scenario)
+
     def test_indistinguishability_across_random_witnesses(self):
         # Figure-2 property on random non-viable threshold-1 instances
         checked = 0

@@ -211,7 +211,8 @@ class TestMalformedInput:
     SCENARIO = {"example": "example-3-2-erasure:uv", "n": 100, "trials": 1, "seed": 1}
 
     @pytest.mark.parametrize("case", ["n-null", "top-level-list", "adversary-set-int",
-                                      "axes-int", "short-users", "delta-null"])
+                                      "axes-int", "short-users", "delta-null", "nan-pmf",
+                                      "witness-index", "mode-bogus", "exact-over-float"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -235,6 +236,17 @@ class TestMalformedInput:
                                                               "users": block["users"][:2]})],
             "delta-null": lambda: ["decode", "--config", put("c.json", {**config, "delta": None}),
                                    "--block", put("b.json", block)],
+            "nan-pmf": lambda: ["mss", "--pmf", put("p.json", {"axes": [[0, 1], [0, 1]],
+                                                                "mass": [float("nan"), 1, 0, 0]})],
+            "witness-index": lambda: ["simulate", put("s.json", {
+                **scenario, "adversary_set": [1, 2],
+                "strategy": {"kind": "witness_dmc", "from_example": "example-3-2-erasure:uvw",
+                             "scenario": 7}})],
+            "mode-bogus": lambda: ["decode", "--config", put("c.json", {**config, "mode": "bogus"}),
+                                   "--block", put("b.json", block)],
+            "exact-over-float": lambda: ["decode", "--config", put("c.json", {
+                **config, "mode": "exact", "pmf": erasure_pmf.to_float().to_json_dict()}),
+                                         "--block", put("b.json", block)],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

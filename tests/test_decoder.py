@@ -225,6 +225,13 @@ class TestExactModeDecode:
         assert v.kind == "estimate"
         assert np.array_equal(v.estimate, apply_pointwise(erasure_f_uv, blk))
 
+    @pytest.mark.parametrize("mode, float_law", [("bogus", False), ("exact", True)])
+    def test_bad_mode_rejected_at_construction(self, mode, float_law, erasure_pmf,
+                                               erasure_config):
+        base = erasure_pmf.to_float() if float_law else erasure_pmf
+        with pytest.raises(DecoderConfigError):
+            dataclasses.replace(erasure_config, base=base, mode=mode)
+
     def test_exact_and_float_agree_on_samples(self, erasure_pmf, erasure_f_uv,
                                               threshold_3_2, erasure_config):
         exact_cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2,

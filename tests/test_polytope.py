@@ -51,4 +51,27 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
         for row in w.sum_rows():
             assert sum(x[var] * c for var, c in row.items()) == 1
         ident = Channel.identity(tuple(law.axes[c] for c in w.coords))
-        assert (w.channel(x, exact=True).rows == ident.rows).all()
+        assert (w.channel(x).rows == ident.rows).all()
+
+
+def test_table_matches_definition(law, threshold_3_2):
+    # at[v] lists (tx, var, P(v with coords <- tx)) for every input of
+    # positive coefficient, inputs in product order, P read from the mass
+    views = list(product(*(range(a.size) for a in law.axes)))
+    for s in threshold_3_2.sets:
+        if not s:
+            continue
+        coords = tuple(sorted(s))
+        w = ChannelVars(law, coords, offset=3)
+        assert list(w.at) == views
+        for v in views:
+            ux = tuple(v[c] for c in coords)
+            want = []
+            for tx in product(*(range(law.axes[c].size) for c in coords)):
+                full = list(v)
+                for pos, c in enumerate(coords):
+                    full[c] = tx[pos]
+                coef = law.mass[tuple(full)]
+                if coef > 0:
+                    want.append((tx, w.var[(tx, ux)], coef))
+            assert w.at[v] == want

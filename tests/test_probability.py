@@ -67,6 +67,19 @@ class TestConstruction:
         with pytest.raises(ProbabilityError):
             JointPmf((a,), [-0.1, 1.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pmf_rejected(self, bad):
+        # a NaN total passes any |total - 1| > tol test
+        a = Alphabet.binary()
+        with pytest.raises(ProbabilityError, match="non-finite"):
+            JointPmf((a, a), [bad, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_channel_rejected(self, bad):
+        a = Alphabet.binary()
+        with pytest.raises(ProbabilityError, match="non-finite"):
+            Channel((a,), (a,), np.array([[bad, 1.0], [0.0, 1.0]]))
+
 
 class TestMarginalize:
     def test_uniform_two_bits_keep_first(self):

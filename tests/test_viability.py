@@ -218,12 +218,12 @@ class TestBuildG:
                     coords = chan_vars.coords
                     ux = tuple(v[c_] for c_ in coords)
                     for tx in chan_vars.rows:
+                        full = list(v)
+                        for pos, c_ in enumerate(coords):
+                            full[c_] = tx[pos]
                         w = sol[chan_vars.var[(tx, ux)]]
-                        if w > 0 and chan_vars.p_at(v, tx) > 0:
+                        if w > 0 and erasure_pmf.mass[tuple(full)] > 0:
                             assert g.defined_mask[v]
-                            full = list(v)
-                            for pos, c_ in enumerate(coords):
-                                full[c_] = tx[pos]
                             assert g.table[v] == erasure_f_uv.table[tuple(full)]
 
 

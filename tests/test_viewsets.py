@@ -71,7 +71,7 @@ class TestDistance:
     def test_base_law_distance_zero(self, erasure_pmf):
         for aset in ({0}, {1}, {1, 2}, frozenset()):
             h = ViewSetHandle(erasure_pmf, frozenset(aset))
-            res = distance_to_viewset(h, erasure_pmf, mode="exact")
+            res = distance_to_viewset(h, erasure_pmf)
             assert res.distance == 0
             res.verify(h, erasure_pmf)
 
@@ -85,7 +85,7 @@ class TestDistance:
             (0, 0, 0): Fraction(3, 8), (1, 1, 1): Fraction(3, 8),
             (0, 1, 0): Fraction(1, 8), (1, 0, 1): Fraction(1, 8)})
         h = ViewSetHandle(p, frozenset({0}))
-        res = distance_to_viewset(h, q, mode="exact")
+        res = distance_to_viewset(h, q)
         gap = p.marginalize((1, 2)).tv_distance(q.marginalize((1, 2)))
         assert gap > 0
         assert res.distance == gap
@@ -107,7 +107,7 @@ class TestDistance:
                 w = random_channel(axes, seed=seed, exact=True)
                 q = induce_view(erasure_pmf, aset, w)
                 h = ViewSetHandle(erasure_pmf, frozenset(aset))
-                res = distance_to_viewset(h, q, mode="exact")
+                res = distance_to_viewset(h, q)
                 assert res.distance == 0
                 res.verify(h, q)
 
@@ -128,8 +128,8 @@ class TestDistance:
         total = qm_exact.mass.sum()
         qm_exact = JointPmf(q.axes, qm_exact.mass / total)
         res_f = distance_to_viewset(ViewSetHandle(erasure_pmf.to_float(), frozenset({1, 2})),
-                                    qm, mode="float")
-        res_e = distance_to_viewset(h, qm_exact, mode="exact")
+                                    qm)
+        res_e = distance_to_viewset(h, qm_exact)
         assert abs(float(res_e.distance) - res_f.distance) < 1e-6
         res_f.verify(ViewSetHandle(erasure_pmf.to_float(), frozenset({1, 2})), qm)
 
@@ -141,7 +141,7 @@ class TestDistance:
                          (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape) + 0.01))
             for aset in ({0}, {2}, {1, 2}):
                 h = ViewSetHandle(erasure_pmf.to_float(), frozenset(aset))
-                res = distance_to_viewset(h, q, mode="float")
+                res = distance_to_viewset(h, q)
                 untouched = tuple(c for c in range(4) if c not in aset)
                 gap = erasure_pmf.to_float().marginalize(untouched).tv_distance(
                     q.marginalize(untouched))
@@ -185,6 +185,6 @@ class TestMembership:
                           (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape) + .01))
             q2 = JointPmf(erasure_pmf.axes,
                           (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape) + .01))
-            d1 = distance_to_viewset(h, q1, mode="float").distance
-            d2 = distance_to_viewset(h, q2, mode="float").distance
+            d1 = distance_to_viewset(h, q1).distance
+            d2 = distance_to_viewset(h, q2).distance
             assert d1 <= d2 + tv_distance(q1, q2) + 1e-7
