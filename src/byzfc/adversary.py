@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .probability import Alphabet, Channel, SampleBlock, derive_seed, philox
+from .probability import Alphabet, Channel, SampleBlock, derive_seed, philox, zero_mass
 from .viability import ViolationWitness
 
 
@@ -86,19 +86,8 @@ def witness_to_dmc(witness: ViolationWitness, scenario: int) -> Channel:
     block = witness.member_block(scenario)
     marg = witness.joint.marginalize(tuple(block) + coords)  # (tx..., ux...)
     axes = tuple(witness.joint.axes[c] for c in coords)
-    sizes = tuple(a.size for a in axes)
-    n = int(np.prod(sizes))
-    flat = marg.mass.reshape(n, n)
-    rows = np.empty((n, n), dtype=object)
-    rows[:] = Fraction(0)
-    for i in range(n):
-        tot = flat[i].sum()
-        if tot == 0:
-            rows[i, i] = Fraction(1)
-        else:
-            for j in range(n):
-                rows[i, j] = flat[i, j] / tot
-    return Channel(axes, axes, rows.reshape(sizes + sizes))
+    n = int(np.prod([a.size for a in axes]))
+    return Channel.from_joint(axes, axes, marg.mass.reshape(n, n))
 
 
 def _erasure_symbol(axis: Alphabet) -> int:
@@ -118,11 +107,8 @@ def resample_w_channel(axes: tuple[Alphabet, Alphabet], exact: bool = True) -> C
            {axes[0].index(b) for b in ("0", "1") if b in axes[0].symbols}
     bit2 = {axes[1].index(b) for b in (0, 1) if b in axes[1].symbols} | \
            {axes[1].index(b) for b in ("0", "1") if b in axes[1].symbols}
-    half = Fraction(1, 2) if exact else 0.5
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    rows = np.empty((n1, n2, n1, n2), dtype=object if exact else np.float64)
-    rows[:] = zero
+    half = Fraction(1, 2)  # stored as 0.5 in a float array
+    rows = zero_mass((n1, n2, n1, n2), exact)
     bitsym = {axes[0].symbols[b]: b for b in bit1}
     for a, b in product(range(n1), range(n2)):
         if a == e1 and b != e2 and b in bit2:
@@ -134,7 +120,7 @@ def resample_w_channel(axes: tuple[Alphabet, Alphabet], exact: bool = True) -> C
             rows[a, b, e1, axes[1].index(u)] = half
             rows[a, b, a, e2] = half
         else:
-            rows[a, b, a, b] = one
+            rows[a, b, a, b] = 1
     return Channel(axes, axes, rows)
 
 

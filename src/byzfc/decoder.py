@@ -10,6 +10,7 @@ collection letter by letter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +73,10 @@ class DecoderConfig:
     handles: tuple[ViewSetHandle, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise DecoderConfigError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise DecoderConfigError(f"delta must be finite and positive, not {self.delta}")
+        if not (math.isfinite(self.slack) and self.slack >= 0):
+            raise DecoderConfigError(f"slack must be finite and nonnegative, not {self.slack}")
         if self.mode not in ("exact", "float"):
             raise DecoderConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "exact" and not self.base.exact:

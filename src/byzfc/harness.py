@@ -53,8 +53,10 @@ class Scenario:
             raise ScenarioError("adversary set not in the structure")
         if self.n < 1 or self.trials < 1:
             raise ScenarioError("n and trials must be >= 1")
-        if self.delta <= 0 or self.gamma <= 0:
-            raise ScenarioError("delta and gamma must be positive")
+        for name in ("delta", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ScenarioError(f"{name} must be finite and positive, not {value}")
 
 
 def scenario_from_json_dict(d: dict, witness_lookup=None) -> Scenario:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
-from .probability import Alphabet, JointPmf, ProbabilityError, product_alphabet
+from .probability import Alphabet, JointPmf, ProbabilityError, product_alphabet, zero_mass
 from .structures import TargetFunction
 
 ROW_TOL = 1e-9
@@ -153,12 +152,7 @@ class MaxUpgrade:
 def _joint_with_labels(mass: np.ndarray, labels: np.ndarray, count: int,
                        axis: int, exact: bool) -> np.ndarray:
     """Joint mass of (axis variable, label(u,v,w)) as a dense matrix."""
-    n = mass.shape[axis]
-    if exact:
-        out = np.empty((n, count), dtype=object)
-        out[:] = Fraction(0)
-    else:
-        out = np.zeros((n, count))
+    out = zero_mass((mass.shape[axis], count), exact)
     it = np.nditer(labels, flags=["multi_index"])
     for lab in it:
         idx = it.multi_index
@@ -242,8 +236,7 @@ def markov_holds_exact(p: JointPmf, up: MaxUpgrade) -> bool:
     nu, nv, nw = (a.size for a in p.axes)
     cu, cv = up.psi_u.class_of, up.psi_v.class_of
     na, nb = up.psi_u.class_count, up.psi_v.class_count * nw
-    joint = np.empty((na, nu, nb), dtype=object)
-    joint[:] = Fraction(0)
+    joint = zero_mass((na, nu, nb), True)
     for u, v, w in product(range(nu), range(nv), range(nw)):
         joint[cu[u], u, cv[v] * nw + w] += p.mass[u, v, w]
     for a in range(na):
@@ -287,8 +280,8 @@ def decode_21(p: JointPmf, u_seq: np.ndarray, v_seq: np.ndarray, w_seq: np.ndarr
     for r in range(bound + 1):
         rnd = up.rounds[min(r, len(up.rounds) - 1)]
         lab_seq = rnd.labels[u_seq, v_seq, w_seq]
-        ju = rnd.joint_u if not p.exact else np.vectorize(float)(rnd.joint_u)
-        jv = rnd.joint_v if not p.exact else np.vectorize(float)(rnd.joint_v)
+        ju = rnd.joint_u.astype(np.float64)
+        jv = rnd.joint_v.astype(np.float64)
         tu = np.bincount(u_seq * rnd.label_count + lab_seq,
                          minlength=nu * rnd.label_count).reshape(nu, rnd.label_count) / n
         if 0.5 * np.abs(tu - ju).sum() > gammas[r]:
@@ -321,7 +314,7 @@ def _pair_pmf(p: JointPmf, i: int, j: int) -> tuple[JointPmf, tuple[int, ...]]:
     comp_axes = (p.axes[k],) + tuple(p.axes[c] for c in rest)
     comp = product_alphabet(comp_axes)
     new = arr.reshape(p.axes[i].size, p.axes[j].size, comp.size)
-    return JointPmf((p.axes[i], p.axes[j], comp), new, tol=1e-8), rest
+    return JointPmf((p.axes[i], p.axes[j], comp), new), rest
 
 
 def pair_upgrade(p: JointPmf, i: int, j: int) -> PairUpgrade:

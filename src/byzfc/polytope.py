@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .probability import Channel, JointPmf
+from .probability import Channel, JointPmf, zero_mass
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -68,33 +67,15 @@ class ChannelVars:
             x[self.var[(tx, tx)]] = _ONE
 
     def channel(self, sol: Sequence) -> Channel:
-        """The channel at a solution; inputs off P's support map to themselves.
-
-        Exact iff P is.  Float solutions are clipped at zero and their rows
-        renormalized, absorbing solver round-off.
+        """The channel at a solution, exact iff P is; inputs off P's support
+        map to themselves.  Entries are clipped at zero and rows divided by
+        their sums, absorbing float solver round-off.
         """
         axes = tuple(self.p.axes[c] for c in self.coords)
-        sizes = tuple(a.size for a in axes)
         n = len(self.outs)
-        exact = self.p.exact
-        if exact:
-            mat = np.empty((n, n), dtype=object)
-            mat[:] = _ZERO
-        else:
-            mat = np.zeros((n, n))
+        joint = zero_mass((n, n), self.p.exact)
         rowset = set(self.rows)
         for i, tx in enumerate(self.outs):
-            if tx not in rowset:
-                mat[i, i] = _ONE if exact else 1.0
-                continue
-            vals = [sol[self.var[(tx, ux)]] for ux in self.outs]
-            if exact:
-                mat[i] = vals
-                continue
-            mat[i] = [0.0 if v < 0 else v for v in vals]
-            total = sum(mat[i].tolist())
-            if total <= 0:
-                mat[i, i] = 1.0
-            else:
-                mat[i] = mat[i] / total
-        return Channel(axes, axes, mat.reshape(sizes + sizes))
+            if tx in rowset:
+                joint[i] = [0 if (v := sol[self.var[(tx, ux)]]) < 0 else v for ux in self.outs]
+        return Channel.from_joint(axes, axes, joint)

@@ -6,8 +6,11 @@ Two arithmetic modes are supported and never mixed implicitly:
 
 * exact  -- entries are ``fractions.Fraction`` held in object ndarrays;
   sums and equalities are literal,
-* float  -- float64 entries with a construction-time normalization
-  tolerance (default 1e-9).
+* float  -- float64 entries, normalized to within ``FLOAT_NORMALIZATION_TOL``.
+
+Only this module branches on the mode when it builds, checks, converts or
+serializes a mass array: ``zero_mass`` starts one, ``JointPmf`` and
+``Channel`` share one validator and one JSON codec.
 
 Sampling uses numpy's counter-based Philox generator so that runs are
 reproducible bit-for-bit from an integer seed.
@@ -16,6 +19,7 @@ reproducible bit-for-bit from an integer seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,6 +43,67 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise ProbabilityError(f"cannot interpret {x!r} as an exact rational")
+
+
+def zero_mass(shape, exact: bool) -> np.ndarray:
+    """An all-zero mass array: Fraction entries if ``exact``, else float64."""
+    if not exact:
+        return np.zeros(shape)
+    arr = np.empty(shape, dtype=object)
+    arr.fill(Fraction(0))
+    return arr
+
+
+def _checked_mass(values, shape: tuple[int, ...], n_rows: int, what: str) -> np.ndarray:
+    """``values`` reshaped to ``shape`` and checked as ``n_rows`` pmfs, one per row.
+
+    Object dtype is exact mode: entries become Fractions, must be
+    nonnegative, and every row must sum to 1 literally.  Any other dtype
+    is float mode: entries must be finite and nonnegative, and every row
+    sum within ``FLOAT_NORMALIZATION_TOL`` of 1.
+    """
+    arr = np.asarray(values)
+    if arr.shape != shape:
+        arr = arr.reshape(shape)
+    if arr.dtype == object:
+        flat = np.fromiter(map(_as_fraction, arr.reshape(-1)), dtype=object, count=arr.size)
+        if any(v.numerator < 0 for v in flat):
+            raise ProbabilityError(f"negative {what} entry")
+        # summed as integers over the row's common denominator: Fraction
+        # additions would dominate the cost of every exact marginal
+        for i, row in enumerate(flat.reshape(n_rows, -1).tolist()):
+            den = math.lcm(*(v.denominator for v in row))
+            if sum(v.numerator * (den // v.denominator) for v in row) != den:
+                raise ProbabilityError(f"exact {what} row {i} sums to {sum(row)}, not 1")
+        return flat.reshape(shape)
+    arr = arr.astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ProbabilityError(f"non-finite {what} entry")
+    if np.any(arr < 0):
+        raise ProbabilityError(f"negative {what} entry")
+    sums = arr.reshape(n_rows, -1).sum(axis=1)
+    for i, total in enumerate(sums):
+        if abs(total - 1.0) > FLOAT_NORMALIZATION_TOL:
+            raise ProbabilityError(f"float {what} row {i} sums to {total:.12g}, "
+                                   f"outside tolerance {FLOAT_NORMALIZATION_TOL}")
+    return arr
+
+
+def _mass_to_json(arr: np.ndarray) -> tuple[list, str]:
+    """Flat JSON values and mode of a mass array: "n/d" strings if exact."""
+    flat = arr.reshape(-1)
+    if arr.dtype == object:
+        return [f"{v.numerator}/{v.denominator}" for v in flat], "exact"
+    return flat.tolist(), "float"
+
+
+def _mass_from_json(values, mode: str) -> np.ndarray:
+    """Inverse of ``_mass_to_json``; the caller reshapes and validates."""
+    if mode == "exact":
+        return np.array([_as_fraction(v) for v in values], dtype=object)
+    if mode == "float":
+        return np.asarray(values, dtype=np.float64)
+    raise ProbabilityError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
 
 
 class Alphabet:
@@ -104,35 +169,14 @@ class JointPmf:
     ``mass`` is an ndarray of shape ``tuple(a.size for a in axes)``;
     object dtype means exact mode (Fraction entries), float64 means float
     mode.  Entries must be nonnegative and sum to one (exactly, or within
-    ``tol`` in float mode).
+    ``FLOAT_NORMALIZATION_TOL`` in float mode).
     """
 
-    __slots__ = ("axes", "mass", "tol")
+    __slots__ = ("axes", "mass")
 
-    def __init__(self, axes: Sequence[Alphabet], mass, tol: float = FLOAT_NORMALIZATION_TOL):
+    def __init__(self, axes: Sequence[Alphabet], mass):
         self.axes = tuple(axes)
-        shape = tuple(a.size for a in self.axes)
-        arr = np.asarray(mass)
-        if arr.shape != shape:
-            arr = arr.reshape(shape)
-        self.tol = tol
-        if arr.dtype == object:
-            arr = np.array([[_as_fraction(v)] for v in arr.reshape(-1)], dtype=object)[:, 0].reshape(shape)
-            total = arr.sum()
-            if any(v < 0 for v in arr.reshape(-1)):
-                raise ProbabilityError("negative mass entry")
-            if total != 1:
-                raise ProbabilityError(f"exact pmf sums to {total}, not 1")
-        else:
-            arr = arr.astype(np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ProbabilityError("non-finite mass entry")
-            if np.any(arr < 0):
-                raise ProbabilityError("negative mass entry")
-            total = float(arr.sum())
-            if abs(total - 1.0) > tol:
-                raise ProbabilityError(f"float pmf sums to {total:.12g}, outside tolerance {tol}")
-        self.mass = arr
+        self.mass = _checked_mass(mass, tuple(a.size for a in self.axes), 1, "pmf")
 
     # -- mode handling -------------------------------------------------
 
@@ -149,8 +193,7 @@ class JointPmf:
         """Explicit conversion to float mode (identity if already float)."""
         if not self.exact:
             return self
-        flat = np.array([float(v) for v in self.mass.reshape(-1)], dtype=np.float64)
-        return JointPmf(self.axes, flat.reshape(self.mass.shape), tol=self.tol)
+        return JointPmf(self.axes, self.mass.astype(np.float64))
 
     def require_exact(self, what: str = "operation") -> None:
         if not self.exact:
@@ -193,7 +236,7 @@ class JointPmf:
             axes = tuple(self.axes[c] for c in keep)
         else:
             axes = tuple(self.axes[c] for c in keep_sorted)
-        return JointPmf(axes, arr, tol=max(self.tol, 1e-9))
+        return JointPmf(axes, arr)
 
     def tv_distance(self, other: "JointPmf"):
         if self.axes != other.axes:
@@ -219,29 +262,13 @@ class JointPmf:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        flat = self.mass.reshape(-1)
-        if self.exact:
-            mass = [f"{v.numerator}/{v.denominator}" for v in flat]
-            mode = "exact"
-        else:
-            mass = [float(v) for v in flat]
-            mode = "float"
-        return {
-            "axes": [list(a.symbols) for a in self.axes],
-            "mass": mass,
-            "mode": mode,
-        }
+        mass, mode = _mass_to_json(self.mass)
+        return {"axes": [list(a.symbols) for a in self.axes], "mass": mass, "mode": mode}
 
     @staticmethod
     def from_json_dict(d: dict) -> "JointPmf":
         axes = tuple(Alphabet(sym) for sym in d["axes"])
-        shape = tuple(a.size for a in axes)
-        if d.get("mode", "float") == "exact":
-            flat = np.empty(int(np.prod(shape)), dtype=object)
-            for i, v in enumerate(d["mass"]):
-                flat[i] = _as_fraction(v)
-            return JointPmf(axes, flat.reshape(shape))
-        return JointPmf(axes, np.asarray(d["mass"], dtype=np.float64).reshape(shape))
+        return JointPmf(axes, _mass_from_json(d["mass"], d.get("mode", "float")))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -253,28 +280,16 @@ class JointPmf:
 
 def pmf_from_dict(axes: Sequence[Alphabet], entries: dict, exact: bool = True) -> JointPmf:
     """Build a pmf from {label-tuple: mass}; unspecified entries are 0."""
-    shape = tuple(a.size for a in axes)
-    if exact:
-        flat = np.empty(int(np.prod(shape)), dtype=object)
-        flat[:] = Fraction(0)
-        arr = flat.reshape(shape)
-        for labels, v in entries.items():
-            arr[tuple(a.index(s) for a, s in zip(axes, labels))] = _as_fraction(v)
-    else:
-        arr = np.zeros(shape, dtype=np.float64)
-        for labels, v in entries.items():
-            arr[tuple(a.index(s) for a, s in zip(axes, labels))] = float(v)
+    arr = zero_mass(tuple(a.size for a in axes), exact)
+    for labels, v in entries.items():
+        arr[tuple(a.index(s) for a, s in zip(axes, labels))] = v
     return JointPmf(axes, arr)
 
 
 def uniform_pmf(axes: Sequence[Alphabet], exact: bool = True) -> JointPmf:
-    n = int(np.prod([a.size for a in axes]))
-    if exact:
-        flat = np.empty(n, dtype=object)
-        flat[:] = Fraction(1, n)
-    else:
-        flat = np.full(n, 1.0 / n)
-    return JointPmf(axes, flat.reshape(tuple(a.size for a in axes)))
+    mass = zero_mass(tuple(a.size for a in axes), exact)
+    mass[...] = Fraction(1, mass.size)  # 1/n correctly rounded in a float array
+    return JointPmf(axes, mass)
 
 
 class Channel:
@@ -284,42 +299,15 @@ class Channel:
     to one.
     """
 
-    __slots__ = ("input_axes", "output_axes", "rows", "tol")
+    __slots__ = ("input_axes", "output_axes", "rows")
 
-    def __init__(self, input_axes: Sequence[Alphabet], output_axes: Sequence[Alphabet],
-                 rows, tol: float = FLOAT_NORMALIZATION_TOL):
+    def __init__(self, input_axes: Sequence[Alphabet], output_axes: Sequence[Alphabet], rows):
         self.input_axes = tuple(input_axes)
         self.output_axes = tuple(output_axes)
         in_shape = tuple(a.size for a in self.input_axes)
         out_shape = tuple(a.size for a in self.output_axes)
-        arr = np.asarray(rows)
-        if arr.shape != in_shape + out_shape:
-            arr = arr.reshape(in_shape + out_shape)
-        self.tol = tol
-        n_in = int(np.prod(in_shape)) if in_shape else 1
-        n_out = int(np.prod(out_shape)) if out_shape else 1
-        flat = arr.reshape(n_in, n_out)
-        if arr.dtype == object:
-            fixed = np.empty((n_in, n_out), dtype=object)
-            for i in range(n_in):
-                for j in range(n_out):
-                    v = _as_fraction(flat[i, j])
-                    if v < 0:
-                        raise ProbabilityError("negative channel entry")
-                    fixed[i, j] = v
-                if fixed[i].sum() != 1:
-                    raise ProbabilityError(f"exact channel row {i} does not sum to 1")
-            arr = fixed.reshape(in_shape + out_shape)
-        else:
-            arr = arr.astype(np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ProbabilityError("non-finite channel entry")
-            if np.any(arr < 0):
-                raise ProbabilityError("negative channel entry")
-            sums = arr.reshape(n_in, n_out).sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > tol):
-                raise ProbabilityError("float channel row outside normalization tolerance")
-        self.rows = arr
+        self.rows = _checked_mass(rows, in_shape + out_shape,
+                                  int(np.prod(in_shape, dtype=np.int64)), "channel")
 
     @property
     def exact(self) -> bool:
@@ -328,31 +316,32 @@ class Channel:
     def to_float(self) -> "Channel":
         if not self.exact:
             return self
-        flat = np.array([float(v) for v in self.rows.reshape(-1)], dtype=np.float64)
-        return Channel(self.input_axes, self.output_axes, flat.reshape(self.rows.shape))
+        return Channel(self.input_axes, self.output_axes, self.rows.astype(np.float64))
+
+    @staticmethod
+    def from_joint(input_axes: Sequence[Alphabet], output_axes: Sequence[Alphabet],
+                   joint) -> "Channel":
+        """The conditional of an (n_in, n_out) joint mass matrix.
+
+        Each row is divided by its sequential sum; a zero row maps its input
+        to the output of the same index.
+        """
+        rows = np.array(joint)
+        for i, row in enumerate(rows):
+            total = sum(row.tolist())
+            if total == 0:
+                row[i] = 1
+            elif total != 1:
+                rows[i] = row / total
+        return Channel(input_axes, output_axes, rows)
 
     @staticmethod
     def identity(axes: Sequence[Alphabet], exact: bool = True) -> "Channel":
-        axes = tuple(axes)
-        n = int(np.prod([a.size for a in axes])) if axes else 1
-        if exact:
-            eye = np.empty((n, n), dtype=object)
-            eye[:] = Fraction(0)
-            for i in range(n):
-                eye[i, i] = Fraction(1)
-        else:
-            eye = np.eye(n)
-        shape = tuple(a.size for a in axes)
-        return Channel(axes, axes, eye.reshape(shape + shape))
+        n = int(np.prod([a.size for a in axes], dtype=np.int64))
+        return Channel.from_joint(axes, axes, zero_mass((n, n), exact))
 
     def to_json_dict(self) -> dict:
-        flat = self.rows.reshape(-1)
-        if self.exact:
-            rows = [f"{v.numerator}/{v.denominator}" for v in flat]
-            mode = "exact"
-        else:
-            rows = [float(v) for v in flat]
-            mode = "float"
+        rows, mode = _mass_to_json(self.rows)
         return {
             "input_axes": [list(a.symbols) for a in self.input_axes],
             "output_axes": [list(a.symbols) for a in self.output_axes],
@@ -362,15 +351,9 @@ class Channel:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Channel":
-        in_axes = tuple(Alphabet(s) for s in d["input_axes"])
-        out_axes = tuple(Alphabet(s) for s in d["output_axes"])
-        shape = tuple(a.size for a in in_axes) + tuple(a.size for a in out_axes)
-        if d.get("mode", "float") == "exact":
-            flat = np.empty(int(np.prod(shape)), dtype=object)
-            for i, v in enumerate(d["rows"]):
-                flat[i] = _as_fraction(v)
-            return Channel(in_axes, out_axes, flat.reshape(shape))
-        return Channel(in_axes, out_axes, np.asarray(d["rows"], dtype=np.float64).reshape(shape))
+        return Channel(tuple(Alphabet(s) for s in d["input_axes"]),
+                       tuple(Alphabet(s) for s in d["output_axes"]),
+                       _mass_from_json(d["rows"], d.get("mode", "float")))
 
 
 def apply_channel(p: JointPmf, coords: Sequence[int], w: Channel) -> JointPmf:
@@ -407,7 +390,7 @@ def apply_channel(p: JointPmf, coords: Sequence[int], w: Channel) -> JointPmf:
     new_axes = list(p.axes)
     for pos, c in enumerate(coords):
         new_axes[c] = w.output_axes[pos]
-    return JointPmf(new_axes, out, tol=max(p.tol, 1e-9))
+    return JointPmf(new_axes, out)
 
 
 def tv_distance(p: JointPmf, q: JointPmf):
@@ -488,10 +471,7 @@ def empirical_type(block: SampleBlock) -> JointPmf:
         tuple(block.user_seqs[i] for i in range(block.k)) + (block.side_seq,), shape
     )
     counts = np.bincount(flat_idx, minlength=int(np.prod(shape)))
-    mass = np.empty(counts.size, dtype=object)
-    for i, c in enumerate(counts):
-        mass[i] = Fraction(int(c), n)
-    return JointPmf(block.axes, mass.reshape(shape))
+    return JointPmf(block.axes, np.array([Fraction(int(c), n) for c in counts], dtype=object))
 
 
 def philox(seed: int) -> np.random.Generator:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .polytope import ChannelVars
-from .probability import Alphabet, Channel, JointPmf
+from .probability import Alphabet, Channel, JointPmf, zero_mass
 from .simplex import Infeasible, LPError, Tableau, positive_coordinates
 from .structures import (AdversaryStructure, Collection, TargetFunction,
                          nonintersecting_collections)
@@ -293,8 +293,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
         member_axes.extend(p.axes[c] for c in w.coords)
     joint_axes = tuple(p.axes) + tuple(member_axes)
     shape = tuple(ax.size for ax in joint_axes)
-    mass = np.empty(shape, dtype=object)
-    mass[:] = _ZERO
+    mass = zero_mass(shape, True)
 
     for vp in members[0].at:
         pv = view.mass[vp]

@@ -212,7 +212,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("case", ["n-null", "top-level-list", "adversary-set-int",
                                       "axes-int", "short-users", "delta-null", "nan-pmf",
-                                      "witness-index", "mode-bogus", "exact-over-float"])
+                                      "witness-index", "mode-bogus", "exact-over-float",
+                                      "delta-nan", "sweep-gamma-nan", "pmf-mode-unknown"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -247,6 +248,11 @@ class TestMalformedInput:
             "exact-over-float": lambda: ["decode", "--config", put("c.json", {
                 **config, "mode": "exact", "pmf": erasure_pmf.to_float().to_json_dict()}),
                                          "--block", put("b.json", block)],
+            "delta-nan": lambda: ["simulate", put("s.json", {**scenario, "delta": float("nan")})],
+            "sweep-gamma-nan": lambda: ["sweep", put("s.json", scenario),
+                                        "--axis", "gamma", "--values", "nan"],
+            "pmf-mode-unknown": lambda: ["mss", "--pmf", put("p.json", {
+                "axes": [[0, 1], [0, 1]], "mass": [0.5, 0, 0, 0.5], "mode": "exakt"})],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

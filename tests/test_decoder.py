@@ -1,6 +1,7 @@
 """Decoder branch logic, scoring, and decoding-quality Monte Carlo."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +232,13 @@ class TestExactModeDecode:
         base = erasure_pmf.to_float() if float_law else erasure_pmf
         with pytest.raises(DecoderConfigError):
             dataclasses.replace(erasure_config, base=base, mode=mode)
+
+    @pytest.mark.parametrize("name, value", [("delta", math.nan), ("slack", math.nan),
+                                             ("slack", -1e-7)])
+    def test_bad_radius_rejected_at_construction(self, name, value, erasure_config):
+        # NaN fails every comparison, so a `<= 0` test lets it through
+        with pytest.raises(DecoderConfigError):
+            dataclasses.replace(erasure_config, **{name: value})
 
     def test_exact_and_float_agree_on_samples(self, erasure_pmf, erasure_f_uv,
                                               threshold_3_2, erasure_config):

@@ -16,7 +16,7 @@ from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError,
                                SampleBlock, apply_channel, apply_pointwise,
                                derive_seed, empirical_type, hamming_distortion,
                                philox, pmf_from_dict, sample_iid, tv_distance,
-                               uniform_pmf)
+                               uniform_pmf, zero_mass)
 
 
 def random_float_pmf(sizes, seed):
@@ -79,6 +79,56 @@ class TestConstruction:
         a = Alphabet.binary()
         with pytest.raises(ProbabilityError, match="non-finite"):
             Channel((a,), (a,), np.array([[bad, 1.0], [0.0, 1.0]]))
+
+
+class TestChannelFromJoint:
+    def test_zero_row_maps_to_its_own_input(self):
+        a = Alphabet.of_size(3)
+        for exact in (True, False):
+            joint = zero_mass((3, 3), exact)
+            joint[0, 2] = joint[2, 0] = Fraction(1, 2)
+            w = Channel.from_joint((a,), (a,), joint)
+            assert w.exact == exact
+            assert w.rows[1].tolist() == [0, 1, 0]
+            assert w.rows[0].tolist() == [0, 0, 1] and w.rows[2].tolist() == [1, 0, 0]
+
+    def test_exact_rows_equal_the_conditional(self):
+        for seed in range(20):
+            p = random_exact_pmf((4, 4), seed=seed, max_weight=2)
+            w = Channel.from_joint(p.axes[:1], p.axes[1:], p.mass)
+            assert w.exact
+            for i in range(4):
+                total = sum(p.mass[i, j] for j in range(4))
+                for j in range(4):
+                    want = p.mass[i, j] / total if total else Fraction(int(i == j))
+                    assert w.rows[i, j] == want and isinstance(w.rows[i, j], Fraction)
+
+    def test_float_rows_sum_to_one(self):
+        rng = philox(7)
+        joint = rng.random((5, 5)) * 3.0
+        joint[3] = 0.0
+        w = Channel.from_joint((Alphabet.of_size(5),), (Alphabet.of_size(5),), joint)
+        assert not w.exact
+        assert np.allclose(w.rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert w.rows[3].tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+        for i in (0, 1, 2, 4):
+            assert np.allclose(w.rows[i] * joint[i].sum(), joint[i])
+
+    def test_input_left_unchanged(self):
+        joint = zero_mass((2, 2), True)
+        joint[0, 0] = Fraction(2)
+        Channel.from_joint((Alphabet.binary(),), (Alphabet.binary(),), joint)
+        assert joint.tolist() == [[2, 0], [0, 0]]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_identity_is_the_identity_matrix(self, exact):
+        axes = (Alphabet.binary(), Alphabet.of_size(3))
+        w = Channel.identity(axes, exact=exact)
+        assert w.exact == exact
+        flat = w.rows.reshape(6, 6)
+        for i, j in product(range(6), range(6)):
+            assert flat[i, j] == int(i == j)
+            assert isinstance(flat[i, j], Fraction if exact else np.floating)
 
 
 class TestMarginalize:
@@ -352,6 +402,26 @@ class TestSerialization:
         w = resample_w_channel((erasure_pmf.axes[1], erasure_pmf.axes[2]))
         again = Channel.from_json_dict(w.to_json_dict())
         assert np.array_equal(again.rows, w.rows)
+
+    def test_float_channel_roundtrip(self, erasure_pmf):
+        w = resample_w_channel((erasure_pmf.axes[1], erasure_pmf.axes[2]), exact=False)
+        d = w.to_json_dict()
+        assert d["mode"] == "float"
+        again = Channel.from_json_dict(d)
+        assert not again.exact and np.array_equal(again.rows, w.rows)
+
+    def test_absent_mode_means_float(self):
+        p = JointPmf.from_json_dict({"axes": [[0, 1]], "mass": [0.5, 0.5]})
+        assert not p.exact
+
+    @pytest.mark.parametrize("mode", ["exakt", "Exact", None, 1])
+    def test_unknown_mode_rejected(self, erasure_pmf, mode):
+        d = {**uniform_pmf((Alphabet.binary(),)).to_json_dict(), "mode": mode}
+        with pytest.raises(ProbabilityError, match="unknown mode"):
+            JointPmf.from_json_dict(d)
+        w = resample_w_channel((erasure_pmf.axes[1], erasure_pmf.axes[2]))
+        with pytest.raises(ProbabilityError, match="unknown mode"):
+            Channel.from_json_dict({**w.to_json_dict(), "mode": mode})
 
     def test_block_roundtrip(self, erasure_pmf):
         blk = sample_iid(erasure_pmf.to_float(), 32, seed=5)
