@@ -10,14 +10,15 @@ __version__ = "0.1.0"
 
 from .probability import (Alphabet, Channel, JointPmf, SampleBlock,
                           apply_channel, apply_pointwise, derive_seed,
-                          empirical_type, hamming_distortion, philox,
+                          empirical_type, float_type, hamming_distortion, philox,
                           pmf_from_dict, sample_iid, tv_distance, uniform_pmf)
 from .structures import (AdversaryStructure, TargetFunction, constant_function,
                          nonintersecting_collections)
 from .viability import (GBuildConflict, GTable, ViabilityReport,
                         ViolationWitness, build_g, check_s_viability,
                         check_viability, verify_witness)
-from .viewsets import MembershipResult, ViewSetHandle, distance_to_viewset, induce_view
+from .viewsets import (MembershipResult, ViewSetHandle, distance_bounds, distance_to_viewset,
+                       induce_view)
 from .adversary import (AttackStrategy, BlockSplit, Honest, MemorylessChannel,
                         ResampleW, WitnessDMC, attack, resample_w_channel,
                         witness_to_dmc)

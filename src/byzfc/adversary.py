@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Union
 
@@ -46,6 +47,11 @@ class WitnessDMC:
     def __post_init__(self):
         if not 0 <= self.scenario < len(self.witness.collection):
             raise AttackError(f"witness scenario {self.scenario} out of range")
+
+    @cached_property
+    def channel(self) -> Channel:
+        """The scenario channel, extracted from the witness joint once."""
+        return witness_to_dmc(self.witness, self.scenario)
 
 
 @dataclass(frozen=True)
@@ -163,8 +169,7 @@ def attack(strategy: AttackStrategy, adversary_set, true_block: SampleBlock,
         member_set = strategy.witness.collection[strategy.scenario]
         if frozenset(adversary_set) != member_set:
             raise AttackError("adversary set differs from the witness scenario")
-        chan = witness_to_dmc(strategy.witness, strategy.scenario)
-        return _apply_memoryless(chan, coords, true_block, seed)
+        return _apply_memoryless(strategy.channel, coords, true_block, seed)
     if isinstance(strategy, ResampleW):
         if len(coords) != 2:
             raise AttackError("resampler needs a two-coordinate adversary set")

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probability import (Alphabet, JointPmf, SampleBlock, apply_pointwise,
-                          empirical_type, hamming_distortion)
+from .probability import (FLOAT_NORMALIZATION_TOL, Alphabet, JointPmf, SampleBlock,
+                          apply_pointwise, empirical_type, float_type, hamming_distortion)
 from .structures import AdversaryStructure, TargetFunction, nonintersecting_collections
 from .viability import GBuildConflict, GTable, build_g
-from .viewsets import ViewSetHandle, distance_to_viewset
+from .viewsets import ViewSetHandle, distance_bounds, distance_to_viewset
 
 
 class DecoderConfigError(RuntimeError):
@@ -113,14 +113,26 @@ def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStr
 
 
 def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
-    """Indices into structure.sets whose view set covers the block's type."""
-    ty = empirical_type(reported)
-    ty = ty if config.mode == "exact" else ty.to_float()
+    """Indices into structure.sets whose view set covers the block's type.
+
+    Each set is decided by ``distance_bounds`` when they settle it and by
+    the view-distance LP only when the threshold falls between them.  In
+    exact mode the bounds are compared exactly with delta, so they decide
+    as the LP would.  In float mode the threshold is delta + slack, and a
+    bound decides only when it clears it by ``FLOAT_NORMALIZATION_TOL``;
+    nearer calls go to the LP.
+    """
+    if config.mode == "exact":
+        ty, thresh, margin = empirical_type(reported), config.delta, 0
+    else:
+        ty, thresh = float_type(reported), config.delta + config.slack
+        margin = FLOAT_NORMALIZATION_TOL
     out = []
     for i, h in enumerate(config.handles):
-        res = distance_to_viewset(h, ty)
-        thresh = config.delta if config.mode == "exact" else config.delta + config.slack
-        if res.distance <= thresh:
+        lower, upper = distance_bounds(h, ty)
+        if lower > thresh + margin:
+            continue
+        if upper <= thresh - margin or distance_to_viewset(h, ty).distance <= thresh:
             out.append(i)
     return out
 

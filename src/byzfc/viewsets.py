@@ -5,18 +5,22 @@ observations and side information reachable by some per-letter channel on
 the A coordinates of the source law.  Membership of an observed type is
 decided through the minimum total-variation distance to the view set,
 computed by one linear program whose optimum serves every radius delta.
+Two certified bounds bracket that distance without any LP
+(``distance_bounds``); the decoder solves the LP only when the radius
+falls between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 from .polytope import ChannelVars
-from .probability import Channel, JointPmf, ProbabilityError, apply_channel
+from .probability import Channel, JointPmf, ProbabilityError, apply_channel, integer_mass
 from .simplex import LPError, Tableau
 
 _ZERO = Fraction(0)
@@ -34,7 +38,12 @@ def induce_view(p: JointPmf, adversary_set: Iterable[int], w: Channel | None) ->
 
 @dataclass(frozen=True)
 class ViewSetHandle:
-    """The view set of one adversary set over a base law."""
+    """The view set of one adversary set over a base law.
+
+    What does not depend on the query is built once per handle, on first
+    use: the view-distance LP's channel variables, rows and objective, and
+    for an exact base P's integer numerators for ``distance_bounds``.
+    """
 
     base: JointPmf
     adversary_set: frozenset[int]
@@ -47,6 +56,33 @@ class ViewSetHandle:
     @property
     def coords(self) -> tuple[int, ...]:
         return tuple(sorted(self.adversary_set))
+
+    @cached_property
+    def _integer_base(self) -> tuple[np.ndarray, int]:
+        return integer_mass(self.base.mass)
+
+    @cached_property
+    def _exact_lp(self):
+        w = ChannelVars(self.base, self.coords)
+        rows, views = _distance_rows(w)
+        nvar = w.size + 2 * len(views)
+        start = [_ZERO] * nvar
+        w.set_identity(start)
+        c = (_ZERO,) * w.size + (Fraction(-1, 2),) * (2 * len(views))
+        return w, rows, views, tuple(start), c
+
+    @cached_property
+    def _float_lp(self):
+        w = ChannelVars(self.base.to_float(), self.coords)
+        rows, views = _distance_rows(w)
+        nvar = w.size + 2 * len(views)
+        A = np.zeros((len(rows), nvar))
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                A[i, j] = c
+        c = np.zeros(nvar)
+        c[w.size:] = 0.5
+        return w, A, c, np.ones(len(rows) - len(views))
 
 
 @dataclass(frozen=True)
@@ -68,6 +104,25 @@ class MembershipResult:
             assert float(gap) <= float(self.distance) + tol
 
 
+def distance_bounds(handle: ViewSetHandle, q: JointPmf):
+    """Certified ``(lower, upper)`` around ``distance_to_viewset(handle, q)``.
+
+    Upper: TV(P, q), the distance at the identity channel.  Lower: the TV
+    gap between P's and q's marginals outside the adversary set, which no
+    channel on the set can move (data processing); it is read off the
+    marginal of P - q.  For the empty set the two coincide and equal the
+    distance.  Exact (integer numerators over one denominator) iff both
+    pmfs are.
+    """
+    if handle.base.exact and q.exact:
+        pn, pd = handle._integer_base
+        qn, qd = integer_mass(q.mass)
+        diff, scale = pn * qd - qn * pd, Fraction(1, 2 * pd * qd)
+    else:
+        diff, scale = handle.base.to_float().mass - q.to_float().mass, 0.5
+    return np.abs(diff.sum(axis=handle.coords)).sum() * scale, np.abs(diff).sum() * scale
+
+
 def distance_to_viewset(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     """min over channels W of TV(view(W), q), with an optimal channel.
 
@@ -83,44 +138,40 @@ def distance_to_viewset(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     return _distance_float(handle, q)
 
 
-def _distance_rows(w: ChannelVars, q: JointPmf):
-    """Sparse rows and right-hand sides of the view-distance LP.
+def _distance_rows(w: ChannelVars):
+    """Sparse rows of the view-distance LP, and the view points in row order.
 
     Variables are the channel's entries, then the view slacks below q and
     the view slacks above q, one each per view point.  Rows: the induced
-    view minus q at each view point, then the channel's row sums.
+    view minus q at each view point (right-hand side q there, in ``product``
+    order, which is q's flat order), then the channel's row sums (right-hand
+    side 1).
     """
     views = list(w.at)
     nv = len(views)
-    rows, rhs = [], []
+    rows = []
     for vi, v in enumerate(views):
         row = w.view_row(v)
         row[w.size + vi] = -1
         row[w.size + nv + vi] = 1
         rows.append(row)
-        rhs.append(q.mass[v])
-    for row in w.sum_rows():
-        rows.append(row)
-        rhs.append(1)
-    return rows, rhs, views
+    rows.extend(w.sum_rows())
+    return rows, views
 
 
 def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     p = handle.base
-    w = ChannelVars(p, handle.coords)
-    rows, b, views = _distance_rows(w, q)
+    w, rows, views, identity, c = handle._exact_lp
     nv = len(views)
-    nvar = w.size + 2 * nv
+    b = [q.mass[v] for v in views] + [1] * (len(rows) - nv)
     # start at the identity channel, whose view is P, with slacks P - q split
     # by sign; each identity column is alone in its row-sum row and each
     # slack alone in its view row, so the start columns are independent
-    start = [_ZERO] * nvar
-    w.set_identity(start)
+    start = list(identity)
     for vi, v in enumerate(views):
         gap = p.mass[v] - q.mass[v]
         start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
-    t = Tableau(rows, b, nvar, start=start)
-    c = [_ZERO] * w.size + [Fraction(-1, 2)] * (2 * nv)
+    t = Tableau(rows, b, len(start), start=start)
     dist = -t.maximize(c)
     return MembershipResult(distance=dist, nearest_channel=w.channel(t.solution()))
 
@@ -128,18 +179,9 @@ def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
 def _distance_float(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     from scipy.optimize import linprog
 
-    qf = q.to_float()
-    w = ChannelVars(handle.base.to_float(), handle.coords)
-    rows, rhs, views = _distance_rows(w, qf)
-    nvar = w.size + 2 * len(views)
-    A = np.zeros((len(rows), nvar))
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            A[i, j] = c
-    b = np.array(rhs, dtype=float)
-    c = np.zeros(nvar)
-    c[w.size:] = 0.5
-    res = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * nvar, method="highs")
+    w, A, c, ones = handle._float_lp
+    b = np.concatenate([q.to_float().mass.reshape(-1), ones])
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:
         raise LPError(f"view-distance LP failed: {res.message}")
     dist = max(float(res.fun), 0.0)

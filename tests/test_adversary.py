@@ -149,6 +149,21 @@ class TestWitnessDMC:
         with pytest.raises(AttackError):
             attack(WitnessDMC(uvw_witness, 0), frozenset({1, 2}), blk, seed=0)
 
+    def test_channel_extracted_once(self, uvw_witness, erasure_pmf):
+        m = list(uvw_witness.collection).index(frozenset({1, 2}))
+        strategy = WitnessDMC(uvw_witness, m)
+        ch, want = strategy.channel, witness_to_dmc(uvw_witness, m)
+        assert strategy.channel is ch
+        assert (ch.input_axes, ch.output_axes) == (want.input_axes, want.output_axes)
+        assert np.array_equal(ch.rows, want.rows)
+        blk = honest_block(erasure_pmf, n=500, seed=3)
+        first = attack(strategy, frozenset({1, 2}), blk, seed=9)
+        second = attack(strategy, frozenset({1, 2}), blk, seed=9)
+        assert np.array_equal(first.user_seqs, second.user_seqs)
+        # the same as replaying the freshly extracted channel
+        fresh = attack(MemorylessChannel(want), frozenset({1, 2}), blk, seed=9)
+        assert np.array_equal(first.user_seqs, fresh.user_seqs)
+
     @pytest.mark.parametrize("scenario", [-1, 2, 7])
     def test_scenario_index_out_of_range(self, uvw_witness, scenario):
         assert len(uvw_witness.collection) == 2

@@ -1,14 +1,25 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import byzfc
 from byzfc.cli import main
 from byzfc.decoder import config_to_json_dict
 from byzfc.probability import sample_iid
+
+
+def run_python(args):
+    """A fresh interpreter that imports this checkout's byzfc."""
+    env = dict(os.environ)
+    src = str(Path(byzfc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run_cli(args, capsys):
@@ -149,10 +160,26 @@ class TestSimulateAndSweep:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        out = subprocess.run([sys.executable, "-m", "byzfc.cli", "examples", "list"],
-                             capture_output=True, text=True)
-        assert out.returncode == 0
+        out = run_python(["-m", "byzfc.cli", "examples", "list"])
+        assert out.returncode == 0, out.stderr
         assert "example-3-2-erasure" in out.stdout
+
+    def test_screened_decode_never_imports_the_lp_solver(self):
+        # the bounds settle every view set of an honest block, so the LP
+        # path, and with it scipy.optimize, is never loaded
+        script = "\n".join([
+            "import sys",
+            "from byzfc import AdversaryStructure, build_decoder_config, decode, sample_iid",
+            "from byzfc.examples_lib import three_user_erasure_f_uv, three_user_erasure_pmf",
+            "p = three_user_erasure_pmf()",
+            "cfg = build_decoder_config(p, three_user_erasure_f_uv(),",
+            "                           AdversaryStructure.threshold(3, 2), 0.1)",
+            "assert decode(cfg, sample_iid(p.to_float(), 5000, seed=1)).kind == 'estimate'",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
+        ])
+        out = run_python(["-c", script])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_lp_error_maps_to_3(self, monkeypatch, capsys):
         import byzfc.cli as cli

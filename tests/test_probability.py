@@ -5,6 +5,7 @@ inside the tests (double loops over index tuples), never by the code
 paths under test.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -14,9 +15,9 @@ import pytest
 from byzfc.adversary import resample_w_channel
 from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError,
                                SampleBlock, apply_channel, apply_pointwise,
-                               derive_seed, empirical_type, hamming_distortion,
-                               philox, pmf_from_dict, sample_iid, tv_distance,
-                               uniform_pmf, zero_mass)
+                               derive_seed, empirical_type, float_type, hamming_distortion,
+                               integer_mass, philox, pmf_from_dict, sample_iid,
+                               tv_distance, uniform_pmf, zero_mass)
 
 
 def random_float_pmf(sizes, seed):
@@ -246,6 +247,14 @@ class TestTVDistance:
         with pytest.raises(ProbabilityError):
             tv_distance(p, q)
 
+    def test_integer_mass_over_least_common_denominator(self):
+        p = random_exact_pmf((2, 3, 2), seed=3)
+        nums, den = integer_mass(p.mass)
+        flat = p.mass.reshape(-1)
+        assert nums.shape == p.mass.shape
+        assert den == math.lcm(*(v.denominator for v in flat))
+        assert [Fraction(a, den) for a in nums.reshape(-1)] == list(flat)
+
 
 def block_of(axes, users, side):
     return SampleBlock(tuple(axes), np.asarray(users, dtype=np.int64),
@@ -282,6 +291,25 @@ class TestEmpiricalType:
         blk = block_of([a, a], [rng.integers(0, 2, 7)], rng.integers(0, 2, 7))
         for v in empirical_type(blk).mass.reshape(-1):
             assert (v * 7).denominator == 1
+
+    def test_float_type_equals_converted_exact_type(self):
+        rng = philox(10)
+        for _ in range(40):
+            sizes = [int(s) for s in rng.integers(2, 4, size=3)]
+            n = int(rng.integers(1, 3000))
+            users = np.stack([rng.integers(0, s, n) for s in sizes[:-1]])
+            blk = block_of([Alphabet.of_size(s) for s in sizes], users,
+                           rng.integers(0, sizes[-1], n))
+            ty = float_type(blk)
+            assert not ty.exact
+            assert np.array_equal(ty.mass, empirical_type(blk).to_float().mass)
+
+    def test_count_over_n_is_the_rounded_fraction(self):
+        # float_type divides counts by n; float(Fraction) rounds the same ratio
+        rng = philox(11)
+        n = rng.integers(1, 10**7, size=16_000)
+        c = rng.integers(0, n + 1)
+        assert np.array_equal(c / n, [float(Fraction(int(a), int(b))) for a, b in zip(c, n)])
 
 
 class TestSampleIid:

@@ -8,11 +8,17 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 
+from byzfc import decoder
+from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW, WitnessDMC,
+                             attack)
 from byzfc.decoder import DecoderConfig, explanation_set
-from byzfc.probability import (Alphabet, Channel, JointPmf, derive_seed, philox,
-                               pmf_from_dict, sample_iid, tv_distance)
-from byzfc.viewsets import ViewSetHandle, distance_to_viewset, induce_view
+from byzfc.probability import (Alphabet, Channel, JointPmf, SampleBlock, derive_seed,
+                               empirical_type, philox, pmf_from_dict, sample_iid,
+                               tv_distance, uniform_pmf)
+from byzfc.viability import check_s_viability
+from byzfc.viewsets import ViewSetHandle, distance_bounds, distance_to_viewset, induce_view
 
 from test_decoder import exact_type_block
 
@@ -148,6 +154,24 @@ class TestDistance:
                 assert res.distance >= gap - 1e-7
 
 
+class TestHandleCache:
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_reused_handle_matches_a_fresh_one(self, erasure_pmf, exact):
+        # the LP's rows and matrix are built once per handle; only q changes
+        base = erasure_pmf if exact else erasure_pmf.to_float()
+        rng = philox(21)
+        for aset in ({0}, {1, 2}):
+            shared = ViewSetHandle(base, frozenset(aset))
+            for seed in range(3):
+                law = JointPmf(base.axes, (lambda m: m / m.sum())(rng.random(base.mass.shape)))
+                q = empirical_type(sample_iid(law, 300, seed=seed))
+                q = q if exact else q.to_float()
+                got = distance_to_viewset(shared, q)
+                want = distance_to_viewset(ViewSetHandle(base, frozenset(aset)), q)
+                assert got.distance == want.distance > 0
+                assert np.array_equal(got.nearest_channel.rows, want.nearest_channel.rows)
+
+
 class TestMembership:
     """View-set membership as the decoder computes it, one set at a time."""
 
@@ -168,7 +192,12 @@ class TestMembership:
         blk = sample_iid(q, 500, seed=4)
         assert explanation_set(cfg, blk) == list(range(len(threshold_3_2.sets)))
 
-    def test_honest_type_in_all_viewsets(self, erasure_pmf, threshold_3_2, erasure_config):
+    def test_honest_type_in_all_viewsets(self, erasure_pmf, threshold_3_2, erasure_config,
+                                         monkeypatch):
+        # the bounds settle every honest block, so no LP runs
+        lps = []
+        monkeypatch.setattr(decoder, "distance_to_viewset",
+                            lambda h, q: lps.append(h) or distance_to_viewset(h, q))
         pf = erasure_pmf.to_float()
         fails = 0
         for seed in range(25):
@@ -176,6 +205,7 @@ class TestMembership:
             if explanation_set(erasure_config, blk) != list(range(len(threshold_3_2.sets))):
                 fails += 1
         assert fails == 0
+        assert lps == []
 
     def test_triangle_consistency(self, erasure_pmf):
         rng = philox(6)
@@ -188,3 +218,77 @@ class TestMembership:
             d1 = distance_to_viewset(h, q1).distance
             d2 = distance_to_viewset(h, q2).distance
             assert d1 <= d2 + tv_distance(q1, q2) + 1e-7
+
+
+def splice(a: SampleBlock, b: SampleBlock, m: int) -> SampleBlock:
+    """The first a.n - m letters of a, then the first m letters of b."""
+    keep = a.n - m
+    return SampleBlock(a.axes,
+                       np.concatenate([a.user_seqs[:, :keep], b.user_seqs[:, :m]], axis=1),
+                       np.concatenate([a.side_seq[:keep], b.side_seq[:m]]))
+
+
+@pytest.fixture(scope="module")
+def screen_blocks(erasure_pmf, erasure_f_uvw):
+    """Honest, resample_w and split blocks, then honest blocks spliced with
+    a growing share t of a far block: the type moves from P toward that
+    block's law R as (1 - t) P + t R.
+
+    A far law in a view set (a channel on {0} or on {1, 2}) sweeps the upper
+    bound past delta while the lower bound and the distance stay below it.
+    Flipping user 1's bit exactly when Y is erased keeps the others'
+    marginal, so the lower bound for {0} stays near 0, but no channel on
+    user 1 alone does it: the distance crosses delta with the upper bound.
+    The uniform law pushes the lower bounds past delta.
+    """
+    n = 1000
+    pf = erasure_pmf.to_float()
+    axes = erasure_pmf.axes
+    both = frozenset({1, 2})
+    witness = check_s_viability(erasure_pmf, erasure_f_uvw, 2).witness
+    m = list(witness.collection).index(both)
+
+    def attacked(name, aset, strategy, law=pf):
+        blk = sample_iid(law, n, seed=derive_seed(13, "sample", name))
+        return attack(strategy, aset, blk, seed=derive_seed(13, "attack", name))
+
+    honest = attacked("honest", frozenset(), Honest())
+    flip = attacked("flip", frozenset(), Honest())
+    bits, erased = flip.user_seqs[0], flip.side_seq == axes[3].index("e")
+    flip = flip.replace_users({0: np.where(erased, 1 - bits, bits)})
+    blocks = [honest, attacked("resample", both, ResampleW()),
+              attacked("split", both, BlockSplit(Honest(), WitnessDMC(witness, m)))]
+    far = [attacked("w0", frozenset({0}), MemorylessChannel(random_channel(axes[:1], 1))),
+           attacked("w12", both, MemorylessChannel(random_channel(axes[1:3], 2))),
+           flip, attacked("uniform", frozenset(), Honest(), uniform_pmf(axes, exact=False))]
+    for r in far:
+        blocks += [splice(honest, r, int(t * n)) for t in (0.25, 0.5, 1.0)]
+    return blocks
+
+
+class TestScreen:
+    """The decoder's bound screen against the view-distance LP it skips."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_bounds_bracket_the_lp_and_keep_every_decision(
+            self, mode, screen_blocks, erasure_pmf, erasure_f_uv, threshold_3_2,
+            erasure_config):
+        cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
+                            delta=0.1, g_tables=erasure_config.g_tables, mode=mode)
+        thresh = cfg.delta if mode == "exact" else cfg.delta + cfg.slack
+        tol = 0 if mode == "exact" else 1e-9
+        seen = {"reject": 0, "accept": 0, "band, in": 0, "band, out": 0}
+        for blk in screen_blocks:
+            ty = empirical_type(blk)
+            ty = ty if mode == "exact" else ty.to_float()
+            lp_only = []
+            for i, h in enumerate(cfg.handles):
+                lower, upper = distance_bounds(h, ty)
+                dist = distance_to_viewset(h, ty).distance
+                assert lower - tol <= dist <= upper + tol
+                if dist <= thresh:
+                    lp_only.append(i)
+                seen["reject" if lower > thresh else "accept" if upper <= thresh
+                     else "band, in" if dist <= thresh else "band, out"] += 1
+            assert explanation_set(cfg, blk) == lp_only
+        assert all(seen.values()), seen
