@@ -116,7 +116,8 @@ def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
     """Indices into structure.sets whose view set covers the block's type.
 
     Each set is decided by ``distance_bounds`` when they settle it and by
-    the view-distance LP only when the threshold falls between them.  In
+    the view-distance LP only when the threshold falls between them; the
+    bounds of every set come from one P - type difference per block.  In
     exact mode the bounds are compared exactly with delta, so they decide
     as the LP would.  In float mode the threshold is delta + slack, and a
     bound decides only when it clears it by ``FLOAT_NORMALIZATION_TOL``;
@@ -128,8 +129,8 @@ def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
         ty, thresh = float_type(reported), config.delta + config.slack
         margin = FLOAT_NORMALIZATION_TOL
     out = []
-    for i, h in enumerate(config.handles):
-        lower, upper = distance_bounds(h, ty)
+    bounds = distance_bounds(config.handles, ty)
+    for i, (h, (lower, upper)) in enumerate(zip(config.handles, bounds)):
         if lower > thresh + margin:
             continue
         if upper <= thresh - margin or distance_to_viewset(h, ty).distance <= thresh:

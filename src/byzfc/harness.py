@@ -11,9 +11,7 @@ seed and the trial index, so partial re-runs match.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -147,22 +145,29 @@ def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-_CONFIG_CACHE: dict[str, DecoderConfig] = {}
+# (law, function, structure, delta, config, float law), the law and the
+# function copied so that a caller changing its own in place misses
+_CONFIG_CACHE: list[tuple[JointPmf, TargetFunction, AdversaryStructure, float,
+                          DecoderConfig, JointPmf]] = []
 
 
-def _config_key(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
-                delta: float) -> str:
-    blob = json.dumps([p.to_json_dict(), f.to_json_dict(), structure.to_json_dict(),
-                       delta], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _cached(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
+            delta: float) -> tuple[DecoderConfig, JointPmf]:
+    """The float-mode config for the inputs and the law in float mode,
+    built on the first call with equal inputs."""
+    for cp, cf, cs, cd, config, p_float in _CONFIG_CACHE:
+        if cd == delta and cs == structure and cp == p and cf == f:
+            return config, p_float
+    p = JointPmf(p.axes, p.mass.copy())
+    f = TargetFunction(f.domain_axes, f.codomain, f.table.copy())
+    config, p_float = build_decoder_config(p, f, structure, delta), p.to_float()
+    _CONFIG_CACHE.append((p, f, structure, delta, config, p_float))
+    return config, p_float
 
 
 def cached_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
                           delta: float) -> DecoderConfig:
-    key = _config_key(p, f, structure, delta)
-    if key not in _CONFIG_CACHE:
-        _CONFIG_CACHE[key] = build_decoder_config(p, f, structure, delta)
-    return _CONFIG_CACHE[key]
+    return _cached(p, f, structure, delta)[0]
 
 
 def run_scenario(s: Scenario, threads: int = 1) -> ExperimentReport:
@@ -173,8 +178,7 @@ def run_scenario(s: Scenario, threads: int = 1) -> ExperimentReport:
     collections fall back to f (negative testing is allowed, not fatal).
     """
     start = time.monotonic()
-    config = cached_decoder_config(s.pmf, s.f, s.structure, s.delta)
-    pmf_float = s.pmf.to_float()
+    config, pmf_float = _cached(s.pmf, s.f, s.structure, s.delta)
 
     def one_trial(t: int) -> TrialRecord:
         true_block = sample_iid(pmf_float, s.n, derive_seed(s.seed, "trial", t))

@@ -25,20 +25,22 @@ class ChannelVars:
 
     Inputs tx range over the support of P's marginal on ``coords``
     (``rows``), outputs ux over every symbol tuple (``outs``).  Variables
-    are numbered from ``offset`` in (tx, ux) lexicographic order.
+    are numbered from 0 in (tx, ux) lexicographic order; a system holding
+    several channels places this one at an ``offset`` that the row,
+    identity and channel methods add.
 
     ``at[v]``, for each view point v in ``product`` order over P's axes,
     holds one ``(tx, var, coef)`` per input in ``rows`` order with
     coef = P(v with ``coords`` replaced by tx) > 0; var is W(v's ``coords`` | tx).
     """
 
-    def __init__(self, p: JointPmf, coords: tuple[int, ...], offset: int = 0):
+    def __init__(self, p: JointPmf, coords: tuple[int, ...]):
         self.p = p
         self.coords = coords
         marg = p.marginalize(coords)
         self.outs = list(product(*(range(p.axes[c].size) for c in coords)))
         self.rows = [tx for tx in self.outs if marg.mass[tx] > 0]
-        self.var = {key: offset + i for i, key in enumerate(product(self.rows, self.outs))}
+        self.var = {key: i for i, key in enumerate(product(self.rows, self.outs))}
         self.size = len(self.var)
         # P(v with coords <- tx) depends on v only through the other
         # coordinates, rest; moved[tx + rest] is that entry
@@ -53,20 +55,20 @@ class ChannelVars:
             ux = tuple(v[c] for c in coords)
             self.at[v] = [(tx, self.var[(tx, ux)], coef) for tx, coef in live[rest]]
 
-    def view_row(self, v: tuple[int, ...], sign: int = 1) -> dict:
+    def view_row(self, v: tuple[int, ...], sign: int = 1, offset: int = 0) -> dict:
         """The induced view's mass at v, ``sign`` (1 or -1) times, as ``{var: coef}``."""
-        return {var: coef if sign > 0 else -coef for _, var, coef in self.at[v]}
+        return {offset + var: coef if sign > 0 else -coef for _, var, coef in self.at[v]}
 
-    def sum_rows(self) -> list[dict]:
+    def sum_rows(self, offset: int = 0) -> list[dict]:
         """One row per input: its outputs' entries sum to one."""
-        return [{self.var[(tx, ux)]: 1 for ux in self.outs} for tx in self.rows]
+        return [{offset + self.var[(tx, ux)]: 1 for ux in self.outs} for tx in self.rows]
 
-    def set_identity(self, x: list) -> None:
+    def set_identity(self, x: list, offset: int = 0) -> None:
         """Write the identity channel into the solution vector x."""
         for tx in self.rows:
-            x[self.var[(tx, tx)]] = _ONE
+            x[offset + self.var[(tx, tx)]] = _ONE
 
-    def channel(self, sol: Sequence) -> Channel:
+    def channel(self, sol: Sequence, offset: int = 0) -> Channel:
         """The channel at a solution, exact iff P is; inputs off P's support
         map to themselves.  Entries are clipped at zero and rows divided by
         their sums, absorbing float solver round-off.
@@ -77,5 +79,6 @@ class ChannelVars:
         rowset = set(self.rows)
         for i, tx in enumerate(self.outs):
             if tx in rowset:
-                joint[i] = [0 if (v := sol[self.var[(tx, ux)]]) < 0 else v for ux in self.outs]
+                joint[i] = [0 if (v := sol[offset + self.var[(tx, ux)]]) < 0 else v
+                            for ux in self.outs]
         return Channel.from_joint(axes, axes, joint)

@@ -12,7 +12,8 @@ values returned.
 
 Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.  Each
 row of A is a sparse ``{column: coefficient}`` dict; rational inputs
-(Fraction / int) are scaled row-wise to integers.
+(Fraction / int) are scaled row-wise to integers.  ``unique_point``
+decides, without a tableau, when a known solution is the only one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from math import lcm
 from typing import Sequence
 
 MAX_PIVOTS = 200_000
+RANK_PRIME = 2_147_483_647  # 2**31 - 1
 
 _ZERO = Fraction(0)
 
@@ -43,6 +45,41 @@ def _integers(vals: list) -> tuple[list[int], int]:
     mult = lcm(*(v.denominator for v in vals if isinstance(v, Fraction)))
     return [v.numerator * (mult // v.denominator) if isinstance(v, Fraction)
             else int(v) * mult for v in vals], mult
+
+
+def unique_point(A: Sequence[dict], b: Sequence, x: Sequence) -> bool:
+    """Whether x is the only solution of A x = b, certified by a rank mod a prime.
+
+    Checks in integers that x satisfies every row, raising LPError if not,
+    and eliminates the rows mod ``RANK_PRIME``.  The rank of an integer
+    matrix mod a prime is at most its rank over Q (Dixon 1982), so a rank
+    of ``len(x)`` proves full column rank; False proves nothing.
+    """
+    n = len(x)
+    xs, xm = _integers(list(x))
+    # pivot rows keyed by their least column, normalized to 1 there
+    pivots: dict[int, dict[int, int]] = {}
+    for a, rhs in zip(A, b):
+        vals, _ = _integers([*a.values(), rhs])
+        if sum(v * xs[j] for j, v in zip(a, vals)) != vals[-1] * xm:
+            raise LPError("point violates a constraint row")
+        if len(pivots) == n:
+            continue
+        row = {j: r for j, v in zip(a, vals) if (r := v % RANK_PRIME)}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, RANK_PRIME)
+                pivots[c] = {j: v * inv % RANK_PRIME for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in piv.items():
+                if r := (row.get(j, 0) - f * v) % RANK_PRIME:
+                    row[j] = r
+                else:
+                    row.pop(j, None)
+    return len(pivots) == n
 
 
 class Tableau:

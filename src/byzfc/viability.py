@@ -24,7 +24,7 @@ import numpy as np
 
 from .polytope import ChannelVars
 from .probability import Alphabet, Channel, JointPmf, zero_mass
-from .simplex import Infeasible, LPError, Tableau, positive_coordinates
+from .simplex import Infeasible, LPError, Tableau, positive_coordinates, unique_point
 from .structures import (AdversaryStructure, Collection, TargetFunction,
                          nonintersecting_collections)
 from .viewsets import induce_view
@@ -125,30 +125,39 @@ class _Region:
     """Channel-parametrized feasibility region for one collection.
 
     Variables are the entries W_m(out | row) for every member m, rows
-    restricted to the support of P over the member's coordinates.
-    Equalities: each row sums to 1; induced views match between adjacent
-    members.  A zero-fixing presolve removes variables that structurally
-    dead view points force to zero.
+    restricted to the support of P over the member's coordinates; member
+    m's channel table is numbered from ``offsets[m]``.  Equalities: each
+    row sums to 1; induced views match between adjacent members.  A
+    zero-fixing presolve removes variables that structurally dead view
+    points force to zero.  ``tables`` maps coordinates to channel tables
+    of P, shared by the regions of one verdict and filled as needed.
     """
 
-    def __init__(self, p: JointPmf, collection: Collection):
+    def __init__(self, p: JointPmf, collection: Collection,
+                 tables: dict[tuple[int, ...], ChannelVars] | None = None):
         self.p = p
         self.collection = collection
         self.k = p.k - 1
+        tables = {} if tables is None else tables
         self.members: list[ChannelVars] = []
+        self.offsets: list[int] = []
         nvar = 0
         for aset in collection:
-            w = ChannelVars(p, tuple(sorted(aset)), nvar)
-            self.members.append(w)
-            nvar += w.size
+            coords = tuple(sorted(aset))
+            if coords not in tables:
+                tables[coords] = ChannelVars(p, coords)
+            self.members.append(tables[coords])
+            self.offsets.append(nvar)
+            nvar += tables[coords].size
         self.nvar = nvar
 
-        rows_eq = [row for w in self.members for row in w.sum_rows()]
+        rows_eq = [row for w, off in zip(self.members, self.offsets) for row in w.sum_rows(off)]
         rhs_eq = [_ONE] * len(rows_eq)
         # view-match between adjacent members
-        for w0, w1 in zip(self.members, self.members[1:]):
+        placed = list(zip(self.members, self.offsets))
+        for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
             for v in w0.at:
-                row = {**w0.view_row(v), **w1.view_row(v, -1)}
+                row = {**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
                 if row:
                     rows_eq.append(row)
                     rhs_eq.append(_ZERO)
@@ -198,9 +207,13 @@ class _Region:
 
     def identity_solution(self) -> list[Fraction]:
         sol = [_ZERO] * self.nvar
-        for w in self.members:
-            w.set_identity(sol)
+        for w, off in zip(self.members, self.offsets):
+            w.set_identity(sol, off)
         return sol
+
+    def var(self, m: int, tx: tuple[int, ...], ux: tuple[int, ...]) -> int:
+        """The region's variable W_m(ux | tx)."""
+        return self.offsets[m] + self.members[m].var[(tx, ux)]
 
     def _solve_support(self) -> None:
         if self._reach is not None:
@@ -209,9 +222,15 @@ class _Region:
         for v in self.fixed:
             if identity[v] != 0:
                 raise LPError("presolve fixed a coordinate of a feasible point")
+        id_alive = [identity[v] for v in self.alive_vars]
+        if unique_point(self.A, self.b, id_alive):
+            # the identity is the region's only point: it is every witness
+            self._reach = {v for v, x in zip(self.alive_vars, id_alive) if x > 0}
+            sol = list(id_alive)
+            self._sols = dict.fromkeys(self._reach, sol)
+            return
         # each identity column sits alone in its own row-sum row, so the
         # point's nonzero columns are independent and start the basis
-        id_alive = [identity[v] for v in self.alive_vars]
         tableau = Tableau(self.A, self.b, len(self.alive_vars), start=id_alive)
         pos_alive, wit_alive = positive_coordinates(
             tableau, range(len(self.alive_vars)), seeds=[id_alive])
@@ -223,8 +242,7 @@ class _Region:
     def solution_for(self, m: int, tx: tuple[int, ...], ux: tuple[int, ...]) -> list[Fraction]:
         """A feasible full-length solution with W_m(ux|tx) > 0."""
         self._solve_support()
-        var = self.members[m].var[(tx, ux)]
-        sol_alive = self._sols[var]
+        sol_alive = self._sols[self.var(m, tx, ux)]
         full = [_ZERO] * self.nvar
         for v, i in self.alive_index.items():
             full[v] = sol_alive[i]
@@ -259,12 +277,12 @@ class _Region:
     def explanations(self, v: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """Scenario truths (member, tx) that can carry positive mass at view v."""
         self._solve_support()
-        return [(m, tx) for m, w in enumerate(self.members)
-                for tx, var, _ in w.at[v] if var in self._reach]
+        return [(m, tx) for m, (w, off) in enumerate(zip(self.members, self.offsets))
+                for tx, var, _ in w.at[v] if off + var in self._reach]
 
     def channels_from(self, sol: Sequence[Fraction]) -> list[Channel]:
         """Member channels of a feasible solution; off-support rows identity."""
-        return [w.channel(sol) for w in self.members]
+        return [w.channel(sol, off) for w, off in zip(self.members, self.offsets)]
 
 
 def _f_at(f: TargetFunction, v: tuple[int, ...], coords: tuple[int, ...],
@@ -283,8 +301,8 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
     collection = region.collection
     members = region.members
     wa, wb = members[a[0]], members[b[0]]
-    var_a = wa.var[(a[1], tuple(v[c] for c in wa.coords))]
-    var_b = wb.var[(b[1], tuple(v[c] for c in wb.coords))]
+    var_a = region.var(a[0], a[1], tuple(v[c] for c in wa.coords))
+    var_b = region.var(b[0], b[1], tuple(v[c] for c in wb.coords))
     chans = region.channels_from(region.conflict_vertex(var_a, var_b))
     view = induce_view(p, collection[0], chans[0])
 
@@ -378,6 +396,7 @@ def check_viability(p: JointPmf, f: TargetFunction,
     """
     _validate(p, f, structure.k)
     collections = nonintersecting_collections(structure)
+    tables: dict[tuple[int, ...], ChannelVars] = {}
     covered: dict[frozenset[frozenset[int]], list[frozenset]] = {}
     for col in collections:
         col_set = frozenset(col)
@@ -389,7 +408,7 @@ def check_viability(p: JointPmf, f: TargetFunction,
                     uncovered.append((i, j))
         if not uncovered:
             continue
-        region = _Region(p, col)
+        region = _Region(p, col, tables)
         hit = _scan_collection(region, f)
         if hit is not None:
             ma, tx_a, mb, tx_b, v = hit

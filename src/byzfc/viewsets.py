@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,23 +104,30 @@ class MembershipResult:
             assert float(gap) <= float(self.distance) + tol
 
 
-def distance_bounds(handle: ViewSetHandle, q: JointPmf):
-    """Certified ``(lower, upper)`` around ``distance_to_viewset(handle, q)``.
+def distance_bounds(handles: Sequence[ViewSetHandle], q: JointPmf) -> list[tuple]:
+    """Certified ``(lower, upper)`` around ``distance_to_viewset(h, q)`` per handle.
 
-    Upper: TV(P, q), the distance at the identity channel.  Lower: the TV
-    gap between P's and q's marginals outside the adversary set, which no
-    channel on the set can move (data processing); it is read off the
-    marginal of P - q.  For the empty set the two coincide and equal the
-    distance.  Exact (integer numerators over one denominator) iff both
-    pmfs are.
+    The handles share one base law P, and P - q is formed once.  Upper:
+    TV(P, q), the distance at the identity channel, the same for every
+    handle.  Lower: the TV gap between P's and q's marginals outside the
+    adversary set, which no channel on the set can move (data processing);
+    it is read off the marginal of P - q.  For the empty set the two
+    coincide and equal the distance.  Exact (integer numerators over one
+    denominator) iff both pmfs are.
     """
-    if handle.base.exact and q.exact:
-        pn, pd = handle._integer_base
+    if not handles:
+        return []
+    base = handles[0].base
+    if any(h.base is not base for h in handles):
+        raise ProbabilityError("bounds need handles over one base law")
+    if base.exact and q.exact:
+        pn, pd = handles[0]._integer_base
         qn, qd = integer_mass(q.mass)
         diff, scale = pn * qd - qn * pd, Fraction(1, 2 * pd * qd)
     else:
-        diff, scale = handle.base.to_float().mass - q.to_float().mass, 0.5
-    return np.abs(diff.sum(axis=handle.coords)).sum() * scale, np.abs(diff).sum() * scale
+        diff, scale = base.to_float().mass - q.to_float().mass, 0.5
+    upper = np.abs(diff).sum() * scale
+    return [(np.abs(diff.sum(axis=h.coords)).sum() * scale, upper) for h in handles]
 
 
 def distance_to_viewset(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:

@@ -1,21 +1,26 @@
 """Regions started at the identity channel agree with phase 1.
 
-The exact checker starts every region tableau at the identity-channel
-point instead of running phase 1.  These tests compare the two starts on
-the regions the checker builds, on the exact view-distance LP, and check
-collection pruning against the unpruned scan at k=4.
+The exact checker decides a region whose only point is the identity
+channel with a rank certificate mod a prime, and starts every other
+region tableau at the identity-channel point instead of running phase 1.
+These tests compare the certificate with the crash start and the crash
+start with phase 1 on the regions the checker builds, compare the two
+starts on the exact view-distance LP, and check collection pruning
+against the unpruned scan at k=4.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byzfc import viewsets
+from byzfc import simplex, viability, viewsets
 from byzfc.examples_lib import random_function, random_pmf
-from byzfc.probability import JointPmf
-from byzfc.simplex import Tableau, positive_coordinates
+from byzfc.probability import JointPmf, derive_seed
+from byzfc.simplex import LPError, Tableau, positive_coordinates, unique_point
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
 from byzfc.viability import _Region, _scan_collection, check_viability
 from byzfc.viewsets import ViewSetHandle, _distance_exact, induce_view
@@ -97,3 +102,151 @@ def test_k4_pruning_matches_the_unpruned_scan():
     assert len(cols) == 969
     unpruned = all(_scan_collection(_Region(p, col), f) is None for col in cols)
     assert unpruned == check_viability(p, f, st_).viable
+
+
+# -- the rank certificate ---------------------------------------------------
+
+def _identity_start(region: _Region) -> list[Fraction]:
+    identity = region.identity_solution()
+    return [identity[v] for v in region.alive_vars]
+
+
+def _certificate_matches_crash_start(region: _Region) -> bool:
+    """Solve the region's support, compare it with a crash-started
+    ``positive_coordinates``, and say whether the certificate decided it."""
+    start = _identity_start(region)
+    certified = unique_point(region.A, region.b, start)
+    region._solve_support()
+    crashed = Tableau(region.A, region.b, len(start), start=start)
+    pos, witness = positive_coordinates(crashed, range(len(start)), seeds=[start])
+    assert region._reach == {region.alive_vars[i] for i in pos}
+    assert region._sols == {region.alive_vars[i]: sol for i, sol in witness.items()}
+    if certified:
+        assert all(sol == start for sol in witness.values())
+    return certified
+
+
+def _verdict_regions(p, structure, monkeypatch) -> list[_Region]:
+    """The regions ``check_viability`` builds for a constant function."""
+    built = []
+
+    class Recorded(_Region):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(viability, "_Region", Recorded)
+    f = random_function(p, 1, seed=0)
+    assert check_viability(p, f, structure).viable
+    monkeypatch.undo()
+    return built
+
+
+def test_certificate_matches_the_crash_start_on_the_ladder(monkeypatch):
+    outcomes = Counter()
+    for t in range(200):
+        p, _ = t1_instance(t)
+        for col in nonintersecting_collections(AdversaryStructure.threshold(p.k - 1, 1)):
+            outcomes[_certificate_matches_crash_start(_Region(p, col))] += 1
+    t32 = AdversaryStructure.threshold(3, 2)
+    for i in range(12):
+        p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", i),
+                       zero_frac=0.3, max_weight=3)
+        for region in _verdict_regions(p, t32, monkeypatch):
+            outcomes[_certificate_matches_crash_start(region)] += 1
+    k4 = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)
+    regions = _verdict_regions(k4, AdversaryStructure.threshold(4, 2), monkeypatch)
+    assert len(regions) == 115
+    for region in regions:
+        outcomes[_certificate_matches_crash_start(region)] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(2, 3), min_size=3, max_size=4),
+       seed=st.integers(0, 10_000), zero_frac=st.sampled_from([0.0, 0.3, 0.5]),
+       pick=st.integers(0, 10_000), s=st.integers(1, 2))
+def test_certificate_matches_the_crash_start_on_generated_regions(sizes, seed, zero_frac,
+                                                                  pick, s):
+    if np.prod(sizes) > 18:   # keep the crash-start reference solves small
+        sizes = sizes[:3]
+    p = random_pmf(tuple(sizes), seed=seed, zero_frac=zero_frac, max_weight=4)
+    k = p.k - 1
+    cols = nonintersecting_collections(AdversaryStructure.threshold(k, min(s, k - 1)))
+    if cols:
+        _certificate_matches_crash_start(_Region(p, cols[pick % len(cols)]))
+
+
+def test_rank_deficient_mod_the_prime_is_not_certified(monkeypatch):
+    # full rank over Q (determinant -2), rank 1 mod 2
+    A, b, x = [{0: 1, 1: 1}, {0: 1, 1: -1}], [1, 1], [Fraction(1), Fraction(0)]
+    assert unique_point(A, b, x)
+    monkeypatch.setattr(simplex, "RANK_PRIME", 2)
+    assert not unique_point(A, b, x)
+    assert not unique_point([{0: 1, 1: 1}], [1], x)
+
+
+def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
+    # regions certified mod the default prime but rank-deficient mod 2 get
+    # the same reach and witnesses through the fallback
+    p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", 0),
+                   zero_frac=0.3, max_weight=3)
+    certified = []
+    for col in nonintersecting_collections(AdversaryStructure.threshold(3, 2)):
+        region = _Region(p, col)
+        if unique_point(region.A, region.b, _identity_start(region)):
+            region._solve_support()
+            certified.append(region)
+    tableaus = []
+
+    class Counted(Tableau):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tableaus.append(self)
+
+    monkeypatch.setattr(simplex, "RANK_PRIME", 2)
+    monkeypatch.setattr(viability, "Tableau", Counted)
+    demoted = 0
+    for region in certified:
+        fresh = _Region(p, region.collection)
+        if unique_point(fresh.A, fresh.b, _identity_start(fresh)):
+            continue
+        demoted += 1
+        fresh._solve_support()
+        assert len(tableaus) == demoted
+        assert fresh._reach == region._reach and fresh._sols == region._sols
+    assert demoted
+
+
+def test_a_row_the_point_violates_raises():
+    x = [Fraction(1), Fraction(0)]
+    with pytest.raises(LPError):
+        unique_point([{0: 1, 1: 1}, {0: 1, 1: -1}], [1, 0], x)
+    with pytest.raises(LPError):
+        unique_point([{0: Fraction(1, 3), 1: 1}], [Fraction(1, 2)], x)
+    # a row after full rank is reached is still checked
+    with pytest.raises(LPError):
+        unique_point([{0: 1}, {1: 1}, {0: 1, 1: 1}], [1, 0, 2], x)
+
+
+def test_a_region_the_identity_violates_raises():
+    p, _ = t1_instance(0)
+    region = next(r for col in nonintersecting_collections(AdversaryStructure.threshold(2, 1))
+                  if unique_point((r := _Region(p, col)).A, r.b, _identity_start(r)))
+    region.b[0] += 1
+    with pytest.raises(LPError):
+        region._solve_support()
+
+
+# -- shared channel tables ------------------------------------------------------
+
+def test_shared_channel_tables_build_the_same_regions():
+    p = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)
+    tables = {}
+    for col in nonintersecting_collections(AdversaryStructure.threshold(4, 2)):
+        fresh, shared = _Region(p, col), _Region(p, col, tables)
+        assert shared.A == fresh.A and shared.b == fresh.b
+        assert shared.alive_vars == fresh.alive_vars and shared.fixed == fresh.fixed
+        for v in fresh.members[0].at:
+            assert shared.explanations(v) == fresh.explanations(v)
+    assert len(tables) == 10

@@ -9,7 +9,7 @@ from scipy.stats import binomtest
 from byzfc.adversary import Honest, ResampleW
 from byzfc.examples_lib import (builtin_examples, resolve_example,
                                 three_user_erasure_self_check)
-from byzfc.harness import (Scenario, ScenarioError, run_scenario,
+from byzfc.harness import (Scenario, ScenarioError, cached_decoder_config, run_scenario,
                            scenario_from_json_dict, sweep, wilson_interval)
 from byzfc.mss import upgrade_to_saturation
 
@@ -112,6 +112,28 @@ class TestRunScenario:
         r = run_scenario(tiny_scenario(trials=4))
         lines = r.records_csv().strip().splitlines()
         assert len(lines) == 5 and lines[0].startswith("trial,")
+
+
+class TestConfigCache:
+    def test_equal_inputs_share_a_config(self):
+        pmf, f, st = resolve_example("example-3-2-erasure")
+        config = cached_decoder_config(pmf, f, st, 0.1)
+        pmf2, f2, st2 = resolve_example("example-3-2-erasure")
+        assert pmf2 is not pmf and f2 is not f
+        assert cached_decoder_config(pmf2, f2, st2, 0.1) is config
+        assert cached_decoder_config(pmf, f, st, 0.2) is not config
+
+    def test_changed_in_place_gets_a_fresh_config(self):
+        pmf, f, st = resolve_example("example-3-2-erasure")
+        before = cached_decoder_config(pmf, f, st, 0.1)
+        # swap the masses at two support points of different weight
+        a, b = (0, 0, 0, 0), (0, 0, 0, 1)
+        assert pmf.mass[a] != pmf.mass[b]
+        pmf.mass[a], pmf.mass[b] = pmf.mass[b], pmf.mass[a]
+        after = cached_decoder_config(pmf, f, st, 0.1)
+        assert after is not before and after.base == pmf and before.base != pmf
+        f.table[a] = (f.table[a] + 1) % f.codomain.size
+        assert cached_decoder_config(pmf, f, st, 0.1) is not after
 
 
 class TestConverseDemonstration:

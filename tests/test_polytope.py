@@ -28,16 +28,17 @@ def test_view_rows_match_induced_view(law, threshold_3_2):
         if not s:
             continue
         coords = tuple(sorted(s))
-        w = ChannelVars(law, coords, offset=5)
+        w = ChannelVars(law, coords)
         axes = tuple(law.axes[c] for c in coords)
         for seed in range(3):
             chan = random_channel(axes, seed=seed, exact=True)
-            x = {var: chan.rows[tx + ux] for (tx, ux), var in w.var.items()}
+            x = {5 + var: chan.rows[tx + ux] for (tx, ux), var in w.var.items()}
             view = induce_view(law, s, chan)
             for v in views:
-                got = sum((c * x[var] for var, c in w.view_row(v).items()), Fraction(0))
+                got = sum((c * x[var] for var, c in w.view_row(v, 1, 5).items()), Fraction(0))
                 assert got == view.mass[v]
-                neg = sum((c * x[var] for var, c in w.view_row(v, -1).items()), Fraction(0))
+                neg = sum((c * x[var] for var, c in w.view_row(v, -1, 5).items()),
+                          Fraction(0))
                 assert neg == -view.mass[v]
 
 
@@ -62,7 +63,7 @@ def test_table_matches_definition(law, threshold_3_2):
         if not s:
             continue
         coords = tuple(sorted(s))
-        w = ChannelVars(law, coords, offset=3)
+        w = ChannelVars(law, coords)
         assert list(w.at) == views
         for v in views:
             ux = tuple(v[c] for c in coords)

@@ -214,14 +214,14 @@ class TestBuildG:
             for var, i in region.alive_index.items():
                 sol[var] = sol_alive[i]
             for v in product(*(range(s) for s in sizes)):
-                for chan_vars in region.members:
+                for m, chan_vars in enumerate(region.members):
                     coords = chan_vars.coords
                     ux = tuple(v[c_] for c_ in coords)
                     for tx in chan_vars.rows:
                         full = list(v)
                         for pos, c_ in enumerate(coords):
                             full[c_] = tx[pos]
-                        w = sol[chan_vars.var[(tx, ux)]]
+                        w = sol[region.var(m, tx, ux)]
                         if w > 0 and erasure_pmf.mass[tuple(full)] > 0:
                             assert g.defined_mask[v]
                             assert g.table[v] == erasure_f_uv.table[tuple(full)]

@@ -14,8 +14,8 @@ from byzfc import decoder
 from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW, WitnessDMC,
                              attack)
 from byzfc.decoder import DecoderConfig, explanation_set
-from byzfc.probability import (Alphabet, Channel, JointPmf, SampleBlock, derive_seed,
-                               empirical_type, philox, pmf_from_dict, sample_iid,
+from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, SampleBlock,
+                               derive_seed, empirical_type, philox, pmf_from_dict, sample_iid,
                                tv_distance, uniform_pmf)
 from byzfc.viability import check_s_viability
 from byzfc.viewsets import ViewSetHandle, distance_bounds, distance_to_viewset, induce_view
@@ -282,8 +282,9 @@ class TestScreen:
             ty = empirical_type(blk)
             ty = ty if mode == "exact" else ty.to_float()
             lp_only = []
+            bounds = distance_bounds(cfg.handles, ty)
             for i, h in enumerate(cfg.handles):
-                lower, upper = distance_bounds(h, ty)
+                lower, upper = bounds[i]
                 dist = distance_to_viewset(h, ty).distance
                 assert lower - tol <= dist <= upper + tol
                 if dist <= thresh:
@@ -292,3 +293,12 @@ class TestScreen:
                      else "band, in" if dist <= thresh else "band, out"] += 1
             assert explanation_set(cfg, blk) == lp_only
         assert all(seen.values()), seen
+
+    def test_bounds_need_one_base_law(self, erasure_pmf):
+        q = erasure_pmf.to_float()
+        same = [ViewSetHandle(erasure_pmf, frozenset(s)) for s in ({0}, {1, 2})]
+        assert distance_bounds(same, q) == [(0, 0), (0, 0)]
+        assert distance_bounds([], q) == []
+        copy = JointPmf(erasure_pmf.axes, erasure_pmf.mass.copy())
+        with pytest.raises(ProbabilityError):
+            distance_bounds(same + [ViewSetHandle(copy, frozenset({2}))], q)
