@@ -24,9 +24,9 @@ from .mss import common_upgrade, mss_partition, upgrade_to_saturation
 from .probability import JointPmf, ProbabilityError, SampleBlock
 from .simplex import LPError
 from .structures import AdversaryStructure, TargetFunction
-from .viability import ViabilityInputError, build_g, check_viability
+from .viability import GBuildConflict, ViabilityInputError, build_g, check_viability
 
-CONFIG_ERRORS = (ProbabilityError, ViabilityInputError, DecoderConfigError,
+CONFIG_ERRORS = (ProbabilityError, ViabilityInputError, GBuildConflict, DecoderConfigError,
                  ScenarioError, AttackError, ValueError, KeyError,
                  FileNotFoundError, json.JSONDecodeError)
 # what a JSON-to-object parser raises on a value of the wrong type or shape

@@ -84,8 +84,13 @@ class DecoderConfig:
         base = self.base if self.mode == "exact" else self.base.to_float()
         self.handles = tuple(ViewSetHandle(base, s) for s in self.structure.sets)
         for col in nonintersecting_collections(self.structure):
-            if frozenset(col) not in self.g_tables:
+            g = self.g_tables.get(frozenset(col))
+            if g is None:
                 raise DecoderConfigError(f"missing g-table for collection {col}")
+            if g.domain_axes != self.base.axes or g.codomain != self.f.codomain:
+                raise DecoderConfigError(
+                    f"g-table for collection {col} does not match the law's axes "
+                    "or the function's codomain")
 
 
 def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,

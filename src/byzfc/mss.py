@@ -275,7 +275,6 @@ def decode_21(p: JointPmf, u_seq: np.ndarray, v_seq: np.ndarray, w_seq: np.ndarr
     if not (len(v_seq) == len(w_seq) == n):
         raise ProbabilityError("sequence lengths differ")
     up = upgrade_to_saturation(p)
-    pf = p.to_float()
 
     for r in range(bound + 1):
         rnd = up.rounds[min(r, len(up.rounds) - 1)]

@@ -151,57 +151,52 @@ class _Region:
             nvar += tables[coords].size
         self.nvar = nvar
 
-        rows_eq = [row for w, off in zip(self.members, self.offsets) for row in w.sum_rows(off)]
-        rhs_eq = [_ONE] * len(rows_eq)
-        # view-match between adjacent members
+        sums = [row for w, off in zip(self.members, self.offsets) for row in w.sum_rows(off)]
+        # view-match between adjacent members, as (member m's side, member m+1's side)
         placed = list(zip(self.members, self.offsets))
-        for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
-            for v in w0.at:
-                row = {**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
-                if row:
-                    rows_eq.append(row)
-                    rhs_eq.append(_ZERO)
-        self._presolve(rows_eq, rhs_eq)
+        matches = [(w0.view_row(v, 1, off0), w1.view_row(v, -1, off1))
+                   for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
+        self._presolve(sums, matches)
         self._reach: set[int] | None = None
         self._sols: dict[int, list[Fraction]] | None = None
 
-    def _presolve(self, rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> None:
+    def _presolve(self, sums: list[dict[int, Fraction]],
+                  matches: list[tuple[dict[int, Fraction], dict[int, Fraction]]]) -> None:
+        """Fix what the view-match rows force to zero; drop emptied and repeated rows.
+
+        A match row's first side has only positive coefficients, its second
+        only negative ones, so once one side is fixed the other is too.
+        """
         fixed: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for row, b in zip(rows, rhs):
-                if b != 0:
-                    continue
-                alive = {v: c for v, c in row.items() if v not in fixed and c != 0}
-                if not alive:
-                    continue
-                signs = {c > 0 for c in alive.values()}
-                if len(signs) == 1:
-                    fixed.update(alive)
-                    changed = True
+        pending = [(pos.keys(), neg.keys()) for pos, neg in matches]
+        while True:
+            rest = []
+            for pos, neg in pending:
+                if fixed.issuperset(pos):
+                    fixed.update(neg)
+                elif fixed.issuperset(neg):
+                    fixed.update(pos)
+                else:
+                    rest.append((pos, neg))
+            if len(rest) == len(pending):
+                break
+            pending = rest
         self.fixed = fixed
-        alive_vars = [v for v in range(self.nvar) if v not in fixed]
-        self.alive_index = {v: i for i, v in enumerate(alive_vars)}
-        self.alive_vars = alive_vars
-        A: list[dict[int, Fraction]] = []
-        b_out: list[Fraction] = []
+        self.alive_vars = [v for v in range(self.nvar) if v not in fixed]
+        self.alive_index = {v: i for i, v in enumerate(self.alive_vars)}
+        self.A: list[dict[int, Fraction]] = []
+        self.b: list[Fraction] = []
         seen: set[tuple] = set()
-        for row, b in zip(rows, rhs):
-            items = tuple(sorted((self.alive_index[v], c) for v, c in row.items()
-                                 if v not in fixed))
-            if not items:
-                if b != 0:
-                    raise Infeasible("presolve emptied an inconsistent row")
-                continue
-            key = (b, items)
-            if key in seen:
-                continue
-            seen.add(key)
-            A.append(dict(items))
-            b_out.append(b)
-        self.A = A
-        self.b = b_out
+        for i, row in enumerate(sums + [{**pos, **neg} for pos, neg in matches]):
+            items = tuple((self.alive_index[v], c) for v, c in sorted(row.items())
+                          if v not in fixed)
+            rhs = _ONE if i < len(sums) else _ZERO
+            if not items and i < len(sums):
+                raise Infeasible("presolve emptied an inconsistent row")
+            if items and (rhs, items) not in seen:
+                seen.add((rhs, items))
+                self.A.append(dict(items))
+                self.b.append(rhs)
 
     # -- feasibility and support -----------------------------------------
 
@@ -389,24 +384,16 @@ def check_viability(p: JointPmf, f: TargetFunction,
     """Decide whether f is robustly recoverable under the structure.
 
     Exhaustive over non-intersecting collections in canonical order; the
-    first violation is returned as a materialized witness.  A pair of
-    scenarios already conflict-free on a checked sub-collection is skipped
-    (restricting a matched family to a sub-collection stays feasible, so
-    conflicts only shrink when members are added).
+    first violation is returned as a materialized witness.  A collection
+    with three members that can each be dropped keeping it non-intersecting
+    is skipped: each pair of its scenarios lies in an earlier, smaller such
+    collection, and conflicts only shrink when members are added
+    (restricting a matched family to a sub-collection stays feasible).
     """
     _validate(p, f, structure.k)
-    collections = nonintersecting_collections(structure)
     tables: dict[tuple[int, ...], ChannelVars] = {}
-    covered: dict[frozenset[frozenset[int]], list[frozenset]] = {}
-    for col in collections:
-        col_set = frozenset(col)
-        uncovered = []
-        for i in range(len(col)):
-            for j in range(i + 1, len(col)):
-                key = frozenset((col[i], col[j]))
-                if not any(c <= col_set for c in covered.get(key, [])):
-                    uncovered.append((i, j))
-        if not uncovered:
+    for col in nonintersecting_collections(structure):
+        if not _needs_solving(col):
             continue
         region = _Region(p, col, tables)
         hit = _scan_collection(region, f)
@@ -414,10 +401,12 @@ def check_viability(p: JointPmf, f: TargetFunction,
             ma, tx_a, mb, tx_b, v = hit
             witness = _materialize_witness(region, f, v, (ma, tx_a), (mb, tx_b))
             return ViabilityReport(viable=False, witness=witness)
-        for i in range(len(col)):
-            for j in range(i + 1, len(col)):
-                covered.setdefault(frozenset((col[i], col[j])), []).append(col_set)
     return ViabilityReport(viable=True)
+
+
+def _needs_solving(col: Collection) -> bool:
+    """Whether at most two members can be dropped leaving the rest non-intersecting."""
+    return sum(not frozenset.intersection(*col[:i], *col[i + 1:]) for i in range(len(col))) <= 2
 
 
 def check_s_viability(p: JointPmf, f: TargetFunction, s: int) -> ViabilityReport:
@@ -431,8 +420,8 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection) -> GTable:
 
     Pins every view point reachable by some matched channel family to the
     (unique, when f is viable) function value of a positive-posterior
-    scenario truth; unreachable points copy f.  Two reachable truths with
-    different values raise GBuildConflict.
+    scenario truth; unreachable points copy f.  An f-conflict between two
+    scenarios, found by the verdict's own scan, raises GBuildConflict.
     """
     _validate(p, f, p.k - 1)
     collection = tuple(frozenset(s) for s in collection)
@@ -441,22 +430,22 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection) -> GTable:
             or frozenset.intersection(*collection):
         raise ViabilityInputError(
             "collection must be >= 2 distinct non-empty sets with empty intersection")
-    region = _Region(p, tuple(collection))
+    region = _Region(p, collection)
+    hit = _scan_collection(region, f)
+    if hit is not None:
+        ma, tx_a, mb, tx_b, v = hit
+        fa, fb = (f.codomain.symbols[_f_at(f, v, region.members[m].coords, tx)]
+                  for m, tx in ((ma, tx_a), (mb, tx_b)))
+        raise GBuildConflict(v, ((ma, tx_a), fa), ((mb, tx_b), fb))
     table = f.table.copy()
     mask = np.zeros(table.shape, dtype=bool)
     for v in region.members[0].at:
         expl = region.explanations(v)
-        if not expl:
-            continue
-        values = {}
-        for m, tx in expl:
-            values.setdefault(_f_at(f, v, region.members[m].coords, tx), (m, tx))
-        if len(values) > 1:
-            (va, da), (vb, db) = list(values.items())[:2]
-            raise GBuildConflict(v, (da, f.codomain.symbols[va]), (db, f.codomain.symbols[vb]))
-        table[v] = next(iter(values))
-        mask[v] = True
-    return GTable(collection=tuple(collection), domain_axes=tuple(p.axes),
+        if expl:
+            m, tx = expl[0]
+            table[v] = _f_at(f, v, region.members[m].coords, tx)
+            mask[v] = True
+    return GTable(collection=collection, domain_axes=tuple(p.axes),
                   codomain=f.codomain, table=table, defined_mask=mask)
 
 

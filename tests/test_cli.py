@@ -240,7 +240,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", ["n-null", "top-level-list", "adversary-set-int",
                                       "axes-int", "short-users", "delta-null", "nan-pmf",
                                       "witness-index", "mode-bogus", "exact-over-float",
-                                      "delta-nan", "sweep-gamma-nan", "pmf-mode-unknown"])
+                                      "delta-nan", "sweep-gamma-nan", "pmf-mode-unknown",
+                                      "gtable-codomain", "gtable-axes", "build-g-conflict"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -251,6 +252,13 @@ class TestMalformedInput:
         scenario = self.SCENARIO
         block = sample_iid(erasure_pmf.to_float(), 20, seed=1).to_json_dict()
         config = config_to_json_dict(erasure_config)
+        g0 = config["g_tables"][0]
+
+        def decode_with_g0(g):
+            return ["decode", "--config", put("c.json", {
+                **config, "g_tables": [g, *config["g_tables"][1:]]}),
+                    "--block", put("b.json", block)]
+
         args = {
             "n-null": lambda: ["simulate", put("s.json", {**scenario, "n": None})],
             "top-level-list": lambda: ["simulate", put("s.json", [scenario])],
@@ -280,6 +288,11 @@ class TestMalformedInput:
                                         "--axis", "gamma", "--values", "nan"],
             "pmf-mode-unknown": lambda: ["mss", "--pmf", put("p.json", {
                 "axes": [[0, 1], [0, 1]], "mass": [0.5, 0, 0, 0.5], "mode": "exakt"})],
+            "gtable-codomain": lambda: decode_with_g0({**g0, "codomain": g0["codomain"][::-1]}),
+            "gtable-axes": lambda: decode_with_g0(
+                {**g0, "axes": [g0["axes"][0][::-1], *g0["axes"][1:]]}),
+            "build-g-conflict": lambda: ["build-g", "--example", "example-3-2-erasure:uvw",
+                                         "--collection", "[[0],[1,2]]"],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

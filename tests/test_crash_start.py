@@ -1,4 +1,4 @@
-"""Regions started at the identity channel agree with phase 1.
+"""Verdict shortcuts agree with the routines they replaced.
 
 The exact checker decides a region whose only point is the identity
 channel with a rank certificate mod a prime, and starts every other
@@ -6,11 +6,14 @@ region tableau at the identity-channel point instead of running phase 1.
 These tests compare the certificate with the crash start and the crash
 start with phase 1 on the regions the checker builds, compare the two
 starts on the exact view-distance LP, and check collection pruning
-against the unpruned scan at k=4.
+against the unpruned scan at k=4.  The stateless collection filter, the
+row-side presolve and build_g's conflict rule are each checked against
+the routine they replaced, kept here as the reference.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from byzfc.examples_lib import random_function, random_pmf
 from byzfc.probability import JointPmf, derive_seed
 from byzfc.simplex import LPError, Tableau, positive_coordinates, unique_point
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
-from byzfc.viability import _Region, _scan_collection, check_viability
+from byzfc.viability import (GBuildConflict, _f_at, _needs_solving, _Region,
+                             _scan_collection, build_g, check_viability)
 from byzfc.viewsets import ViewSetHandle, _distance_exact, induce_view
 
 from test_acceptance import t1_instance
@@ -94,14 +98,150 @@ def test_exact_distance_same_without_the_start(erasure_pmf, monkeypatch):
         res.verify(h, q)
 
 
-def test_k4_pruning_matches_the_unpruned_scan():
+def test_k4_pruning_matches_the_unpruned_scan(monkeypatch):
     st_ = AdversaryStructure.threshold(4, 2)
     p = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)
     f = random_function(p, 2, seed=6)
     cols = nonintersecting_collections(st_)
     assert len(cols) == 969
-    unpruned = all(_scan_collection(_Region(p, col), f) is None for col in cols)
+    unpruned = all([_g_matches_the_grouping(p, f, col, monkeypatch) for col in cols])
     assert unpruned == check_viability(p, f, st_).viable
+
+
+# -- the stateless collection filter ------------------------------------------
+
+def _pair_cover(cols):
+    """The collections the pair-cover loop solved, every solve passing: one
+    is solved while some pair of its members lies in no solved sub-collection."""
+    covered: dict[frozenset, list[frozenset]] = {}
+    out = []
+    for col in cols:
+        col_set = frozenset(col)
+        pairs = [frozenset(pair) for pair in combinations(col, 2)]
+        if all(any(c <= col_set for c in covered.get(pair, [])) for pair in pairs):
+            continue
+        out.append(col)
+        for pair in pairs:
+            covered.setdefault(pair, []).append(col_set)
+    return out
+
+
+@pytest.mark.parametrize("k, s", [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+def test_filter_matches_the_pair_cover_on_thresholds(k, s):
+    cols = nonintersecting_collections(AdversaryStructure.threshold(k, s))
+    assert [col for col in cols if _needs_solving(col)] == _pair_cover(cols)
+
+
+def test_filter_matches_the_pair_cover_on_random_structures():
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        k = int(rng.integers(3, 6))
+        subsets = [frozenset(c) for r in range(1, k + 1) for c in combinations(range(k), r)]
+        picked = rng.choice(len(subsets), size=int(rng.integers(2, min(len(subsets), 10) + 1)),
+                            replace=False)
+        st_ = AdversaryStructure(k, [frozenset()] + [subsets[i] for i in picked])
+        cols = nonintersecting_collections(st_)
+        assert [col for col in cols if _needs_solving(col)] == _pair_cover(cols)
+
+
+# -- the row-side presolve and build_g's conflict rule ---------------------------
+
+def _ladder():
+    """(p, f, structure) for the threshold-1 pool, the 12 k=3 instances of
+    the benchmark's verdict ladder and its k=4 rung."""
+    for t in range(200):
+        p, f = t1_instance(t)
+        yield p, f, AdversaryStructure.threshold(p.k - 1, 1)
+    for i in range(12):
+        p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", i),
+                       zero_frac=0.3, max_weight=3)
+        yield (p, random_function(p, 2, seed=derive_seed(20261017, "f", i)),
+               AdversaryStructure.threshold(3, 2))
+    p = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)
+    yield p, random_function(p, 2, seed=6), AdversaryStructure.threshold(4, 2)
+
+
+def _sign_presolve(region: _Region):
+    """The presolve that fixed a zero row's variables when every unfixed
+    coefficient had one sign: (fixed, alive_vars, A, b)."""
+    rows = [row for w, off in zip(region.members, region.offsets) for row in w.sum_rows(off)]
+    rhs = [Fraction(1)] * len(rows)
+    placed = list(zip(region.members, region.offsets))
+    for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
+        for v in w0.at:
+            row = {**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
+            if row:
+                rows.append(row)
+                rhs.append(Fraction(0))
+    fixed: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for row, b in zip(rows, rhs):
+            if b != 0:
+                continue
+            alive = {v: c for v, c in row.items() if v not in fixed and c != 0}
+            if alive and len({c > 0 for c in alive.values()}) == 1:
+                fixed.update(alive)
+                changed = True
+    alive_vars = [v for v in range(region.nvar) if v not in fixed]
+    index = {v: i for i, v in enumerate(alive_vars)}
+    A, b_out, seen = [], [], set()
+    for row, b in zip(rows, rhs):
+        items = tuple(sorted((index[v], c) for v, c in row.items() if v not in fixed))
+        if not items:
+            if b != 0:
+                raise simplex.Infeasible("presolve emptied an inconsistent row")
+            continue
+        if (b, items) not in seen:
+            seen.add((b, items))
+            A.append(dict(items))
+            b_out.append(b)
+    return fixed, alive_vars, A, b_out
+
+
+def test_side_presolve_matches_the_sign_presolve():
+    regions = 0
+    for p, _, structure in _ladder():
+        for col in filter(_needs_solving, nonintersecting_collections(structure)):
+            region = _Region(p, col)
+            assert (region.fixed, region.alive_vars, region.A, region.b) == _sign_presolve(region)
+            regions += 1
+    assert regions == 200 + 12 * 22 + 115
+
+
+def _g_matches_the_grouping(p, f, col, monkeypatch) -> bool:
+    """Check build_g on one collection against the f-value grouping loop it
+    replaced, which raised when one view's explanations held two values.
+    Both see one region; returns whether the collection is conflict-free."""
+    region = _Region(p, col)
+    table, mask, grouped = f.table.copy(), np.zeros(f.table.shape, dtype=bool), True
+    for v in region.members[0].at:
+        values = {_f_at(f, v, region.members[m].coords, tx) for m, tx in region.explanations(v)}
+        grouped = grouped and len(values) < 2
+        if values:
+            table[v], mask[v] = min(values), True
+    clean = _scan_collection(region, f) is None
+    assert clean == grouped
+    with monkeypatch.context() as m:
+        m.setattr(viability, "_Region", lambda *args: region)
+        if not clean:
+            with pytest.raises(GBuildConflict):
+                build_g(p, f, col)
+            return False
+        g = build_g(p, f, col)
+    assert np.array_equal(g.table, table) and np.array_equal(g.defined_mask, mask)
+    return True
+
+
+def test_build_g_conflicts_iff_the_scan_hits(monkeypatch):
+    # the k=4 rung's 969 collections run in test_k4_pruning_matches_the_unpruned_scan
+    outcomes = Counter()
+    for p, f, structure in _ladder():
+        if structure.k < 4:
+            for col in nonintersecting_collections(structure):
+                outcomes[_g_matches_the_grouping(p, f, col, monkeypatch)] += 1
+    assert outcomes[True] and outcomes[False], outcomes
 
 
 # -- the rank certificate ---------------------------------------------------

@@ -196,6 +196,16 @@ class TestConfigSerialization:
             assert np.array_equal(again.g_tables[key].table, g.table)
             assert np.array_equal(again.g_tables[key].defined_mask, g.defined_mask)
 
+    @pytest.mark.parametrize("field", ["codomain", "axes"])
+    def test_gtable_off_the_law_or_function_rejected(self, field, erasure_config):
+        # decode reads a table through the law's axes and f's codomain, so a
+        # table listing either in another order would decode wrong labels
+        d = config_to_json_dict(erasure_config)
+        g = d["g_tables"][0]
+        g[field] = g[field][::-1] if field == "codomain" else [g["axes"][0][::-1], *g["axes"][1:]]
+        with pytest.raises(DecoderConfigError, match="does not match"):
+            config_from_json_dict(d)
+
     def test_roundtrip_decodes_identically(self, erasure_pmf, erasure_config):
         again = config_from_json_dict(config_to_json_dict(erasure_config))
         blk = sample_iid(erasure_pmf.to_float(), 500, seed=41)
