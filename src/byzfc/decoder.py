@@ -104,10 +104,11 @@ def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStr
     """
     p.require_exact("decoder config construction")
     tables: dict[frozenset, GTable] = {}
+    channels: dict = {}
     viable = True
     for col in nonintersecting_collections(structure):
         try:
-            tables[frozenset(col)] = build_g(p, f, col)
+            tables[frozenset(col)] = build_g(p, f, col, tables=channels)
         except GBuildConflict:
             viable = False
             tables[frozenset(col)] = GTable(
@@ -206,8 +207,9 @@ def config_to_json_dict(config: DecoderConfig) -> dict:
 def config_from_json_dict(d: dict) -> DecoderConfig:
     """Parse a config; without ``g_tables`` the tables are built from the law.
 
-    Fields of the wrong JSON type raise DecoderConfigError; the build is
-    not part of the parse, so its own faults propagate unchanged.
+    Fields of the wrong JSON type or length, and a collection listed twice,
+    raise DecoderConfigError; the build is not part of the parse, so its
+    own faults propagate unchanged.
     """
     try:
         p = JointPmf.from_json_dict(d["pmf"])
@@ -215,16 +217,25 @@ def config_from_json_dict(d: dict) -> DecoderConfig:
         structure = AdversaryStructure.from_json_dict(d["structure"])
         delta, slack = float(d["delta"]), float(d.get("slack", 1e-7))
         mode = d.get("mode", "float")
+        viable = d.get("viable", True)
+        if not isinstance(viable, bool):
+            raise DecoderConfigError(f"viable must be a boolean, not {viable!r}")
         tables = None
         if "g_tables" in d:
             tables = {}
             for gd in d["g_tables"]:
                 col = tuple(sorted((frozenset(s) for s in gd["collection"]),
                                    key=lambda s: (len(s), sorted(s))))
+                if frozenset(col) in tables:
+                    raise DecoderConfigError(f"g-table for collection {col} listed twice")
                 axes = tuple(Alphabet(a) for a in gd["axes"])
                 codomain = Alphabet(gd["codomain"])
-                flat = np.array([codomain.index(s) for s in gd["table"]], dtype=np.int64)
                 shape = tuple(a.size for a in axes)
+                if not (len(gd["table"]) == len(gd["defined"]) == math.prod(shape)
+                        and all(isinstance(m, bool) for m in gd["defined"])):
+                    raise DecoderConfigError(f"g-table for collection {col} needs one label "
+                                             "and one boolean 'defined' entry per cell")
+                flat = np.array([codomain.index(s) for s in gd["table"]], dtype=np.int64)
                 mask = np.array(gd["defined"], dtype=bool).reshape(shape)
                 tables[frozenset(col)] = GTable(collection=col, domain_axes=axes,
                                                 codomain=codomain, table=flat.reshape(shape),
@@ -234,4 +245,4 @@ def config_from_json_dict(d: dict) -> DecoderConfig:
     if tables is None:
         return build_decoder_config(p, f, structure, delta, mode=mode, slack=slack)
     return DecoderConfig(base=p, structure=structure, f=f, delta=delta, g_tables=tables,
-                         mode=mode, slack=slack, viable=bool(d.get("viable", True)))
+                         mode=mode, slack=slack, viable=viable)

@@ -57,6 +57,14 @@ class Scenario:
                 raise ScenarioError(f"{name} must be finite and positive, not {value}")
 
 
+def _json_int(d: dict, key: str, default: int | None = None) -> int:
+    """The integer at d[key]; a float, bool or string there is a ScenarioError."""
+    v = d[key] if default is None else d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ScenarioError(f"{key} must be an integer, not {v!r}")
+    return v
+
+
 def scenario_from_json_dict(d: dict, witness_lookup=None) -> Scenario:
     if "example" in d:
         pmf, f, structure = resolve_example(d["example"])
@@ -67,14 +75,14 @@ def scenario_from_json_dict(d: dict, witness_lookup=None) -> Scenario:
     if "structure" in d and "example" in d:
         structure = AdversaryStructure.from_json_dict(d["structure"])
     if "threshold" in d:
-        structure = AdversaryStructure.threshold(structure.k, int(d["threshold"]))
+        structure = AdversaryStructure.threshold(structure.k, _json_int(d, "threshold"))
     return Scenario(
         pmf=pmf, f=f, structure=structure,
         adversary_set=frozenset(d.get("adversary_set", [])),
         strategy=strategy_from_json(d.get("strategy", {"kind": "honest"}), witness_lookup),
-        n=int(d["n"]), trials=int(d["trials"]),
+        n=_json_int(d, "n"), trials=_json_int(d, "trials"),
         delta=float(d.get("delta", 0.1)), gamma=float(d.get("gamma", 0.05)),
-        seed=int(d.get("seed", 0)), name=d.get("name", "scenario"),
+        seed=_json_int(d, "seed", 0), name=d.get("name", "scenario"),
     )
 
 

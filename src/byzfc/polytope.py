@@ -37,21 +37,21 @@ class ChannelVars:
     def __init__(self, p: JointPmf, coords: tuple[int, ...]):
         self.p = p
         self.coords = coords
-        marg = p.marginalize(coords)
+        # P(v with coords <- tx) is moved[tx + rest], rest being v's other
+        # coordinates; entries are >= 0, so tx has marginal mass iff one is > 0
+        moved = np.moveaxis(p.mass, coords, range(len(coords)))
+        pos = moved > 0
         self.outs = list(product(*(range(p.axes[c].size) for c in coords)))
-        self.rows = [tx for tx in self.outs if marg.mass[tx] > 0]
+        self.rows = [tx for tx in self.outs if pos[tx].any()]
         self.var = {key: i for i, key in enumerate(product(self.rows, self.outs))}
         self.size = len(self.var)
-        # P(v with coords <- tx) depends on v only through the other
-        # coordinates, rest; moved[tx + rest] is that entry
-        moved = np.moveaxis(p.mass, coords, range(len(coords)))
         others = [c for c in range(p.k) if c not in coords]
         live: dict[tuple[int, ...], list] = {}
         self.at: dict[tuple[int, ...], list] = {}
         for v in product(*(range(a.size) for a in p.axes)):
             rest = tuple(v[c] for c in others)
             if rest not in live:
-                live[rest] = [(tx, coef) for tx in self.rows if (coef := moved[tx + rest]) > 0]
+                live[rest] = [(tx, moved[tx + rest]) for tx in self.rows if pos[tx + rest]]
             ux = tuple(v[c] for c in coords)
             self.at[v] = [(tx, self.var[(tx, ux)], coef) for tx, coef in live[rest]]
 

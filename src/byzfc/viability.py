@@ -130,7 +130,7 @@ class _Region:
     row sums to 1; induced views match between adjacent members.  A
     zero-fixing presolve removes variables that structurally dead view
     points force to zero.  ``tables`` maps coordinates to channel tables
-    of P, shared by the regions of one verdict and filled as needed.
+    of P, shared by the regions of a verdict or config and filled as needed.
     """
 
     def __init__(self, p: JointPmf, collection: Collection,
@@ -415,7 +415,8 @@ def check_s_viability(p: JointPmf, f: TargetFunction, s: int) -> ViabilityReport
     return check_viability(p, f, AdversaryStructure.threshold(k, s))
 
 
-def build_g(p: JointPmf, f: TargetFunction, collection: Collection) -> GTable:
+def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
+            tables: dict[tuple[int, ...], ChannelVars] | None = None) -> GTable:
     """Repaired decoding table for one non-intersecting collection.
 
     Pins every view point reachable by some matched channel family to the
@@ -430,7 +431,7 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection) -> GTable:
             or frozenset.intersection(*collection):
         raise ViabilityInputError(
             "collection must be >= 2 distinct non-empty sets with empty intersection")
-    region = _Region(p, collection)
+    region = _Region(p, collection, tables)
     hit = _scan_collection(region, f)
     if hit is not None:
         ma, tx_a, mb, tx_b, v = hit

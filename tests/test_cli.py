@@ -241,7 +241,10 @@ class TestMalformedInput:
                                       "axes-int", "short-users", "delta-null", "nan-pmf",
                                       "witness-index", "mode-bogus", "exact-over-float",
                                       "delta-nan", "sweep-gamma-nan", "pmf-mode-unknown",
-                                      "gtable-codomain", "gtable-axes", "build-g-conflict"])
+                                      "gtable-codomain", "gtable-axes", "build-g-conflict",
+                                      "gtable-table-short", "gtable-defined-string",
+                                      "viable-string", "gtable-twice", "n-float", "n-bool",
+                                      "seed-float"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -293,6 +296,17 @@ class TestMalformedInput:
                 {**g0, "axes": [g0["axes"][0][::-1], *g0["axes"][1:]]}),
             "build-g-conflict": lambda: ["build-g", "--example", "example-3-2-erasure:uvw",
                                          "--collection", "[[0],[1,2]]"],
+            "gtable-table-short": lambda: decode_with_g0({**g0, "table": g0["table"][:-1]}),
+            "gtable-defined-string": lambda: decode_with_g0(
+                {**g0, "defined": ["false", *g0["defined"][1:]]}),
+            "viable-string": lambda: ["decode", "--config", put("c.json", {
+                **config, "viable": "false"}), "--block", put("b.json", block)],
+            "gtable-twice": lambda: ["decode", "--config", put("c.json", {
+                **config, "g_tables": [*config["g_tables"], g0]}),
+                                     "--block", put("b.json", block)],
+            "n-float": lambda: ["simulate", put("s.json", {**scenario, "n": 5000.7})],
+            "n-bool": lambda: ["simulate", put("s.json", {**scenario, "n": True})],
+            "seed-float": lambda: ["simulate", put("s.json", {**scenario, "seed": 1.5})],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

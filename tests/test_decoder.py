@@ -2,19 +2,29 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from byzfc import viability
 from byzfc.decoder import (DecoderConfig, DecoderConfigError, TrialTruth, Verdict,
                            build_decoder_config, classify_error,
                            config_from_json_dict, config_to_json_dict, decode,
                            explanation_set)
+from byzfc.polytope import ChannelVars
 from byzfc.probability import (Alphabet, Channel, SampleBlock, apply_pointwise,
                                derive_seed, empirical_type, hamming_distortion,
                                philox, pmf_from_dict, sample_iid)
-from byzfc.structures import AdversaryStructure, TargetFunction
+from byzfc.structures import AdversaryStructure, TargetFunction, nonintersecting_collections
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.append(str(BENCH))
+
+import workloads  # noqa: E402
 
 
 def exact_type_block(erasure_pmf):
@@ -206,6 +216,24 @@ class TestConfigSerialization:
         with pytest.raises(DecoderConfigError, match="does not match"):
             config_from_json_dict(d)
 
+    @pytest.mark.parametrize("case", ["table-short", "defined-long", "defined-string",
+                                      "viable-string", "collection-twice"])
+    def test_malformed_gtables_rejected(self, case, erasure_config):
+        d = config_to_json_dict(erasure_config)
+        g0 = d["g_tables"][0]
+        if case == "table-short":
+            g0["table"] = g0["table"][:-1]
+        elif case == "defined-long":
+            g0["defined"] = g0["defined"] + [False]
+        elif case == "defined-string":
+            g0["defined"] = ["false", *g0["defined"][1:]]
+        elif case == "viable-string":
+            d["viable"] = "false"
+        else:
+            d["g_tables"].append({**g0, "collection": g0["collection"][::-1]})
+        with pytest.raises(DecoderConfigError):
+            config_from_json_dict(d)
+
     def test_roundtrip_decodes_identically(self, erasure_pmf, erasure_config):
         again = config_from_json_dict(config_to_json_dict(erasure_config))
         blk = sample_iid(erasure_pmf.to_float(), 500, seed=41)
@@ -213,6 +241,59 @@ class TestConfigSerialization:
         assert v1.kind == v2.kind
         if v1.kind == "estimate":
             assert np.array_equal(v1.estimate, v2.estimate)
+
+
+def _fresh_tables(p, f, structure):
+    """Every collection's table from its own build_g call and fresh channel
+    tables, with the config's conflict fallback, and whether none conflicted."""
+    tables, viable = {}, True
+    for col in nonintersecting_collections(structure):
+        try:
+            tables[frozenset(col)] = viability.build_g(p, f, col)
+        except viability.GBuildConflict:
+            viable = False
+            tables[frozenset(col)] = viability.GTable(
+                collection=col, domain_axes=tuple(p.axes), codomain=f.codomain,
+                table=f.table, defined_mask=np.zeros(f.table.shape, dtype=bool))
+    return tables, viable
+
+
+class TestSharedChannelTables:
+    """The config's build_g calls share one channel table per adversary set;
+    the tables and the viable flag match independent per-collection builds."""
+
+    @pytest.mark.parametrize("instance", ["uv", "uvw", *range(12)])
+    def test_config_matches_fresh_builds(self, instance, erasure_pmf, erasure_f_uv,
+                                         erasure_f_uvw, threshold_3_2):
+        # uvw conflicts, so it checks the fallback tables; the integers are
+        # the benchmark's k=3 verdict instances
+        if isinstance(instance, int):
+            p, f = workloads.k3_instance(instance)
+        else:
+            p, f = erasure_pmf, {"uv": erasure_f_uv, "uvw": erasure_f_uvw}[instance]
+        cfg = build_decoder_config(p, f, threshold_3_2, delta=0.1)
+        want, viable = _fresh_tables(p, f, threshold_3_2)
+        assert cfg.viable == viable
+        if not isinstance(instance, int):
+            assert viable == (instance == "uv")
+        assert set(cfg.g_tables) == set(want)
+        for key, g in cfg.g_tables.items():
+            assert g.collection == want[key].collection
+            assert np.array_equal(g.table, want[key].table)
+            assert np.array_equal(g.defined_mask, want[key].defined_mask)
+
+    def test_uv_config_builds_one_table_per_set(self, erasure_pmf, erasure_f_uv,
+                                                threshold_3_2, monkeypatch):
+        built = []
+        init = ChannelVars.__init__
+
+        def counted(self, p, coords):
+            built.append(coords)
+            init(self, p, coords)
+
+        monkeypatch.setattr(ChannelVars, "__init__", counted)
+        build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, delta=0.1)
+        assert len(built) == len(set(built)) == 6
 
 
 class TestExactModeDecode:

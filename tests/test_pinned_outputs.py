@@ -1,4 +1,5 @@
-"""The worked example's refutation, decoder config and exact decodes, pinned byte for byte.
+"""The worked example's refutation and decoder config, and every benchmark
+workload's seed-1 outputs, pinned byte for byte.
 
 The benchmark stores digests of the ``uvw`` witness, the ``uv`` decoder
 config and each workload's seed-1 outputs (``bench/expected.json``).
@@ -8,6 +9,8 @@ not only the benchmark run.
 
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -26,12 +29,11 @@ def test_uvw_witness_and_uv_config_match_the_stored_digests(erasure_pmf, erasure
     assert workloads.digest(config_to_json_dict(config)) == expected["uv_config"]
 
 
-def test_decode_exact_seed_1_fingerprint():
-    # the exact Channel/JointPmf path end to end; decode-float takes ~6 s,
-    # so its fingerprint is left to the benchmark run
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_seed_1_fingerprint(name):
     expected = workloads.load_expected()
-    wl = workloads.WORKLOADS["decode-exact"](workloads.DEFAULT_SEED, expected)
+    wl = workloads.WORKLOADS[name](workloads.DEFAULT_SEED, expected)
     wl.setup()
     stats = run.measure(wl, 0.0, run._no_span)
     assert stats["failed"] == 0, stats["problems"]
-    assert workloads.digest(wl.records) == expected["fingerprints"]["decode-exact"]
+    assert workloads.digest(wl.records) == expected["fingerprints"][name]

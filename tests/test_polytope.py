@@ -76,3 +76,21 @@ def test_table_matches_definition(law, threshold_3_2):
                 if coef > 0:
                     want.append((tx, w.var[(tx, ux)], coef))
             assert w.at[v] == want
+
+
+@pytest.mark.parametrize("as_float", [False, True])
+def test_rows_are_the_marginal_support(law, threshold_3_2, erasure_pmf, as_float):
+    p = law.to_float() if as_float else law
+    dropped = 0
+    for s in threshold_3_2.sets:
+        if not s:
+            continue
+        coords = tuple(sorted(s))
+        w = ChannelVars(p, coords)
+        marg = p.marginalize(coords)
+        support = [tx for tx in product(*(range(p.axes[c].size) for c in coords))
+                   if marg.mass[tx] > 0]
+        assert w.rows == support
+        dropped += len(w.outs) - len(w.rows)
+    # the erasure law leaves inputs off its pair marginals' support
+    assert dropped or law is not erasure_pmf
