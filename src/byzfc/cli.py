@@ -23,7 +23,7 @@ from .harness import ScenarioError, run_scenario, scenario_from_json_dict, sweep
 from .mss import common_upgrade, mss_partition, upgrade_to_saturation
 from .probability import JointPmf, ProbabilityError, SampleBlock
 from .simplex import LPError
-from .structures import AdversaryStructure, TargetFunction
+from .structures import AdversaryStructure, TargetFunction, canonical_collection
 from .viability import GBuildConflict, ViabilityInputError, build_g, check_viability
 
 CONFIG_ERRORS = (ProbabilityError, ViabilityInputError, GBuildConflict, DecoderConfigError,
@@ -106,8 +106,7 @@ def cmd_check_viability(args) -> int:
 def cmd_build_g(args) -> int:
     pmf, f, _ = _load_pmf_and_function(args)
     with _parsing():
-        collection = tuple(sorted((frozenset(s) for s in json.loads(args.collection)),
-                                  key=lambda s: (len(s), sorted(s))))
+        collection = canonical_collection(json.loads(args.collection))
     table = build_g(pmf, f, collection)
     _emit(table.to_json_dict(), args.out, "gtable.json")
     return 0

@@ -11,19 +11,22 @@ collection letter by letter.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .probability import (FLOAT_NORMALIZATION_TOL, Alphabet, JointPmf, SampleBlock,
-                          apply_pointwise, empirical_type, float_type, hamming_distortion)
-from .structures import AdversaryStructure, TargetFunction, nonintersecting_collections
-from .viability import GBuildConflict, GTable, build_g
+                          apply_pointwise, empirical_type, float_type, hamming_distortion,
+                          json_number)
+from .structures import (AdversaryStructure, TargetFunction, canonical_collection,
+                         nonintersecting_collections)
+from .viability import GBuildConflict, GTable, build_g, check_viability
 from .viewsets import ViewSetHandle, distance_bounds, distance_to_viewset
 
 
 class DecoderConfigError(RuntimeError):
-    """Missing g-table or inconsistent configuration."""
+    """Malformed or inconsistent configuration."""
 
 
 @dataclass(frozen=True)
@@ -53,20 +56,21 @@ class Verdict:
 
 @dataclass
 class DecoderConfig:
-    """Precomputed decoding state for one (law, function, structure)).
+    """Decoding state for one (law, function, structure).
 
-    ``g_tables`` covers every non-intersecting collection; ``delta`` is
-    the membership radius; float-mode membership adds ``slack`` to absorb
-    LP round-off.  ``viable`` records the g-construction precheck: when
-    False the conflicted collections fall back to f itself (naive table),
-    which is the documented behavior for negative testing.
+    ``viable`` is the viability verdict.  ``g_tables`` holds the repaired
+    tables built so far, keyed by collection; ``g_table`` builds a missing
+    one on first use, on one channel-table dict owned by the config.  The
+    law must be exact, since every table is an exact-LP construction; the
+    view handles follow ``mode``.  ``delta`` is the membership radius;
+    float-mode membership adds ``slack`` to absorb LP round-off.
     """
 
     base: JointPmf
     structure: AdversaryStructure
     f: TargetFunction
     delta: float
-    g_tables: dict[frozenset, GTable]
+    g_tables: dict[frozenset, GTable] = field(default_factory=dict)
     mode: str = "float"
     slack: float = 1e-7
     viable: bool = True
@@ -79,43 +83,51 @@ class DecoderConfig:
             raise DecoderConfigError(f"slack must be finite and nonnegative, not {self.slack}")
         if self.mode not in ("exact", "float"):
             raise DecoderConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == "exact" and not self.base.exact:
-            raise DecoderConfigError("exact mode needs an exact law")
+        if not self.base.exact:
+            raise DecoderConfigError("a decoder config needs an exact law")
         base = self.base if self.mode == "exact" else self.base.to_float()
         self.handles = tuple(ViewSetHandle(base, s) for s in self.structure.sets)
-        for col in nonintersecting_collections(self.structure):
-            g = self.g_tables.get(frozenset(col))
-            if g is None:
-                raise DecoderConfigError(f"missing g-table for collection {col}")
+        # own copy: tables built later stay out of the caller's dict
+        self.g_tables = dict(self.g_tables)
+        self._channels: dict = {}
+        self._lock = threading.Lock()     # run_scenario may decode from threads
+        for g in self.g_tables.values():
             if g.domain_axes != self.base.axes or g.codomain != self.f.codomain:
                 raise DecoderConfigError(
-                    f"g-table for collection {col} does not match the law's axes "
+                    f"g-table for collection {g.collection} does not match the law's axes "
                     "or the function's codomain")
+
+    def g_table(self, collection) -> GTable:
+        """The repaired table of a non-intersecting collection, built on first use.
+
+        A construction conflict (f non-viable) stores f itself with an
+        all-false mask, the naive table kept for negative testing.
+        """
+        col = canonical_collection(collection)
+        with self._lock:
+            g = self.g_tables.get(frozenset(col))
+            if g is None:
+                try:
+                    g = build_g(self.base, self.f, col, tables=self._channels)
+                except GBuildConflict:
+                    g = GTable(collection=col, domain_axes=self.base.axes,
+                               codomain=self.f.codomain, table=self.f.table.copy(),
+                               defined_mask=np.zeros(self.f.table.shape, dtype=bool))
+                self.g_tables[frozenset(col)] = g
+        return g
 
 
 def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
                          delta: float, mode: str = "float", slack: float = 1e-7,
                          ) -> DecoderConfig:
-    """Precompute every collection's repaired table and the view handles.
+    """The viability verdict and the view handles; no g-table is built.
 
-    Requires an exact pmf (the tables are exact-LP constructions); the
-    stored base law follows ``mode``.  A g-construction conflict marks the
-    config non-viable and substitutes f for that collection.
+    ``DecoderConfig.g_table`` builds each repaired table when decoding
+    first needs it.  Requires an exact pmf; the view handles follow ``mode``.
     """
-    p.require_exact("decoder config construction")
-    tables: dict[frozenset, GTable] = {}
-    channels: dict = {}
-    viable = True
-    for col in nonintersecting_collections(structure):
-        try:
-            tables[frozenset(col)] = build_g(p, f, col, tables=channels)
-        except GBuildConflict:
-            viable = False
-            tables[frozenset(col)] = GTable(
-                collection=col, domain_axes=tuple(p.axes), codomain=f.codomain,
-                table=f.table.copy(), defined_mask=np.zeros(f.table.shape, dtype=bool))
+    viable = check_viability(p, f, structure).viable
     return DecoderConfig(base=p, structure=structure, f=f, delta=delta,
-                         g_tables=tables, mode=mode, slack=slack, viable=viable)
+                         mode=mode, slack=slack, viable=viable)
 
 
 def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
@@ -154,14 +166,8 @@ def decode(config: DecoderConfig, reported: SampleBlock) -> Verdict:
     inter = frozenset.intersection(*sets)
     if inter:
         return Verdict(kind="blame", user=min(inter))
-    nonempty = frozenset(s for s in sets if s)
-    if any(not s for s in sets):
-        table = config.f           # honest explains: repaired table is f itself
-    else:
-        g = config.g_tables.get(nonempty)
-        if g is None:
-            raise DecoderConfigError(f"no g-table for computed collection {sets}")
-        table = g
+    # honest explains: the repaired table is f itself
+    table = config.f if frozenset() in sets else config.g_table(sets)
     return Verdict(kind="estimate", estimate=apply_pointwise(table, reported))
 
 
@@ -200,22 +206,25 @@ def config_to_json_dict(config: DecoderConfig) -> dict:
         "mode": config.mode,
         "slack": config.slack,
         "viable": config.viable,
-        "g_tables": [g.to_json_dict() for g in config.g_tables.values()],
+        "g_tables": [config.g_table(col).to_json_dict()
+                     for col in nonintersecting_collections(config.structure)],
     }
 
 
 def config_from_json_dict(d: dict) -> DecoderConfig:
-    """Parse a config; without ``g_tables`` the tables are built from the law.
+    """Parse a config; tables it omits are built from its law on first use.
 
-    Fields of the wrong JSON type or length, and a collection listed twice,
-    raise DecoderConfigError; the build is not part of the parse, so its
-    own faults propagate unchanged.
+    Without ``g_tables`` the verdict is computed from the law too.  Fields
+    of the wrong JSON type or length, and a collection listed twice, raise
+    DecoderConfigError; the verdict is not part of the parse, so its own
+    faults propagate unchanged.
     """
     try:
         p = JointPmf.from_json_dict(d["pmf"])
         f = TargetFunction.from_json_dict(d["function"])
         structure = AdversaryStructure.from_json_dict(d["structure"])
-        delta, slack = float(d["delta"]), float(d.get("slack", 1e-7))
+        delta = json_number(d, "delta", error=DecoderConfigError)
+        slack = json_number(d, "slack", 1e-7, error=DecoderConfigError)
         mode = d.get("mode", "float")
         viable = d.get("viable", True)
         if not isinstance(viable, bool):
@@ -224,8 +233,7 @@ def config_from_json_dict(d: dict) -> DecoderConfig:
         if "g_tables" in d:
             tables = {}
             for gd in d["g_tables"]:
-                col = tuple(sorted((frozenset(s) for s in gd["collection"]),
-                                   key=lambda s: (len(s), sorted(s))))
+                col = canonical_collection(gd["collection"])
                 if frozenset(col) in tables:
                     raise DecoderConfigError(f"g-table for collection {col} listed twice")
                 axes = tuple(Alphabet(a) for a in gd["axes"])

@@ -24,7 +24,7 @@ from .decoder import (DecoderConfig, TrialTruth, build_decoder_config,
                       classify_error, decode)
 from .examples_lib import resolve_example
 from .probability import (JointPmf, apply_pointwise, derive_seed,
-                          hamming_distortion, sample_iid)
+                          hamming_distortion, json_number, sample_iid)
 from .structures import AdversaryStructure, TargetFunction
 
 
@@ -57,15 +57,10 @@ class Scenario:
                 raise ScenarioError(f"{name} must be finite and positive, not {value}")
 
 
-def _json_int(d: dict, key: str, default: int | None = None) -> int:
-    """The integer at d[key]; a float, bool or string there is a ScenarioError."""
-    v = d[key] if default is None else d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{key} must be an integer, not {v!r}")
-    return v
-
-
 def scenario_from_json_dict(d: dict, witness_lookup=None) -> Scenario:
+    def number(key, default=None, integer=False):
+        return json_number(d, key, default, integer=integer, error=ScenarioError)
+
     if "example" in d:
         pmf, f, structure = resolve_example(d["example"])
     else:
@@ -75,14 +70,14 @@ def scenario_from_json_dict(d: dict, witness_lookup=None) -> Scenario:
     if "structure" in d and "example" in d:
         structure = AdversaryStructure.from_json_dict(d["structure"])
     if "threshold" in d:
-        structure = AdversaryStructure.threshold(structure.k, _json_int(d, "threshold"))
+        structure = AdversaryStructure.threshold(structure.k, number("threshold", integer=True))
     return Scenario(
         pmf=pmf, f=f, structure=structure,
         adversary_set=frozenset(d.get("adversary_set", [])),
         strategy=strategy_from_json(d.get("strategy", {"kind": "honest"}), witness_lookup),
-        n=_json_int(d, "n"), trials=_json_int(d, "trials"),
-        delta=float(d.get("delta", 0.1)), gamma=float(d.get("gamma", 0.05)),
-        seed=_json_int(d, "seed", 0), name=d.get("name", "scenario"),
+        n=number("n", integer=True), trials=number("trials", integer=True),
+        delta=number("delta", 0.1), gamma=number("gamma", 0.05),
+        seed=number("seed", 0, integer=True), name=d.get("name", "scenario"),
     )
 
 
@@ -181,9 +176,9 @@ def cached_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversarySt
 def run_scenario(s: Scenario, threads: int = 1) -> ExperimentReport:
     """Monte Carlo estimate of the decoding error rate under one attack.
 
-    The g-table construction doubles as the viability precheck: a
-    construction conflict marks the report non-viable and the conflicted
-    collections fall back to f (negative testing is allowed, not fatal).
+    ``viable_precheck`` is the config's viability verdict.  A non-viable
+    input still runs (negative testing is allowed, not fatal): a repaired
+    table whose construction conflicts falls back to f.
     """
     start = time.monotonic()
     config, pmf_float = _cached(s.pmf, s.f, s.structure, s.delta)

@@ -116,6 +116,19 @@ def _mass_from_json(values, mode: str) -> np.ndarray:
     raise ProbabilityError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
 
 
+def json_number(d: dict, key: str, default=None, *, integer: bool = False,
+                error: type[Exception] = ProbabilityError):
+    """The JSON number at d[key], or ``default`` when given and the key is absent.
+
+    A bool or a string there raises ``error``, and so does a float when
+    ``integer`` is set; a real comes back as a float.
+    """
+    v = d[key] if default is None else d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise error(f"{key} must be {'an integer' if integer else 'a number'}, not {v!r}")
+    return v if integer else float(v)
+
+
 class Alphabet:
     """Ordered finite alphabet with a stable label <-> index bijection."""
 

@@ -287,18 +287,6 @@ class Tableau:
         return x
 
 
-def solve_lp(A: Sequence[dict], b: Sequence, c: Sequence,
-             maximize: bool = True) -> tuple[Fraction, list[Fraction]]:
-    """Optimize c.x subject to A x = b, x >= 0 (exact, vertex solution).
-
-    A holds sparse rows over the ``len(c)`` variables.
-    """
-    t = Tableau(A, b, len(c))
-    sign = 1 if maximize else -1
-    val = t.maximize([sign * v for v in c])
-    return sign * val, t.solution()
-
-
 def positive_coordinates(tableau: Tableau, coords: Sequence[int],
                          seeds: Sequence[Sequence[Fraction]] = (),
                          ) -> tuple[set[int], dict[int, list[Fraction]]]:

@@ -78,6 +78,11 @@ class AdversaryStructure:
 Collection = tuple[frozenset[int], ...]
 
 
+def canonical_collection(sets: Iterable[Iterable[int]]) -> Collection:
+    """The sets as a collection, members in canonical order (by size, then sorted)."""
+    return tuple(sorted((frozenset(s) for s in sets), key=_set_key))
+
+
 def nonintersecting_collections(structure: AdversaryStructure) -> list[Collection]:
     """All collections of distinct non-empty sets with empty intersection.
 

@@ -234,15 +234,6 @@ class _Region:
         for i, sol in wit_alive.items():
             self._sols[self.alive_vars[i]] = sol
 
-    def solution_for(self, m: int, tx: tuple[int, ...], ux: tuple[int, ...]) -> list[Fraction]:
-        """A feasible full-length solution with W_m(ux|tx) > 0."""
-        self._solve_support()
-        sol_alive = self._sols[self.var(m, tx, ux)]
-        full = [_ZERO] * self.nvar
-        for v, i in self.alive_index.items():
-            full[v] = sol_alive[i]
-        return full
-
     def conflict_vertex(self, var_a: int, var_b: int) -> list[Fraction]:
         """Basic feasible point with both coordinates strictly positive.
 

@@ -348,7 +348,7 @@ class TestCriterion10:
             blk = sample_iid(pf, 300, seed=derive_seed(75_000, t))
             prev: set = set()
             for delta in (0.01, 0.1, 0.6):
-                cfg = DecoderConfig(base=pf, structure=erasure_config.structure,
+                cfg = DecoderConfig(base=erasure_pmf, structure=erasure_config.structure,
                                     f=erasure_f_uv, delta=delta,
                                     g_tables=erasure_config.g_tables)
                 got = set(explanation_set(cfg, blk))

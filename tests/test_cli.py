@@ -244,7 +244,8 @@ class TestMalformedInput:
                                       "gtable-codomain", "gtable-axes", "build-g-conflict",
                                       "gtable-table-short", "gtable-defined-string",
                                       "viable-string", "gtable-twice", "n-float", "n-bool",
-                                      "seed-float"])
+                                      "seed-float", "radius-bool-string",
+                                      "config-delta-string"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -307,6 +308,10 @@ class TestMalformedInput:
             "n-float": lambda: ["simulate", put("s.json", {**scenario, "n": 5000.7})],
             "n-bool": lambda: ["simulate", put("s.json", {**scenario, "n": True})],
             "seed-float": lambda: ["simulate", put("s.json", {**scenario, "seed": 1.5})],
+            "radius-bool-string": lambda: ["simulate", put("s.json", {
+                **scenario, "delta": True, "gamma": "0.5"})],
+            "config-delta-string": lambda: ["decode", "--config", put("c.json", {
+                **config, "delta": "0.1"}), "--block", put("b.json", block)],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

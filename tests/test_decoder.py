@@ -3,13 +3,14 @@
 import dataclasses
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from byzfc import viability
+from byzfc import decoder, viability
 from byzfc.decoder import (DecoderConfig, DecoderConfigError, TrialTruth, Verdict,
                            build_decoder_config, classify_error,
                            config_from_json_dict, config_to_json_dict, decode,
@@ -93,13 +94,17 @@ class TestBranches:
             v = decode(cfg, rep)
             assert not (v.kind == "blame" and v.user == 1)
 
-    def test_missing_gtable_is_config_error(self, erasure_pmf, erasure_f_uv,
-                                            threshold_3_2, erasure_config):
-        tables = dict(erasure_config.g_tables)
-        tables.pop(next(iter(tables)))
-        with pytest.raises(DecoderConfigError):
-            DecoderConfig(base=erasure_pmf.to_float(), structure=threshold_3_2,
-                          f=erasure_f_uv, delta=0.1, g_tables=tables)
+    def test_missing_gtable_is_built_from_the_law(self, erasure_pmf, erasure_config):
+        d = config_to_json_dict(erasure_config)
+        partial = {**d, "g_tables": d["g_tables"][1:]}
+        cfg = config_from_json_dict(partial)
+        assert len(cfg.g_tables) == len(d["g_tables"]) - 1
+        blk = sample_iid(erasure_pmf.to_float(), 500, seed=41)
+        v1, v2 = decode(erasure_config, blk), decode(cfg, blk)
+        assert v1.kind == v2.kind
+        if v1.kind == "estimate":
+            assert np.array_equal(v1.estimate, v2.estimate)
+        assert workloads.digest(config_to_json_dict(cfg)) == workloads.digest(d)
 
     def test_block_axes_validated(self, erasure_config):
         b = Alphabet.binary()
@@ -159,7 +164,7 @@ class TestInvariants:
         blk = sample_iid(pf, 400, seed=23)
         prev: set = set()
         for delta in (0.005, 0.02, 0.1, 0.5):
-            cfg = DecoderConfig(base=pf, structure=threshold_3_2, f=erasure_f_uv,
+            cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
                                 delta=delta, g_tables=erasure_config.g_tables)
             got = set(explanation_set(cfg, blk))
             assert prev <= got
@@ -217,7 +222,8 @@ class TestConfigSerialization:
             config_from_json_dict(d)
 
     @pytest.mark.parametrize("case", ["table-short", "defined-long", "defined-string",
-                                      "viable-string", "collection-twice"])
+                                      "viable-string", "collection-twice", "delta-string",
+                                      "slack-bool"])
     def test_malformed_gtables_rejected(self, case, erasure_config):
         d = config_to_json_dict(erasure_config)
         g0 = d["g_tables"][0]
@@ -229,6 +235,10 @@ class TestConfigSerialization:
             g0["defined"] = ["false", *g0["defined"][1:]]
         elif case == "viable-string":
             d["viable"] = "false"
+        elif case == "delta-string":
+            d["delta"] = "0.1"
+        elif case == "slack-bool":
+            d["slack"] = True
         else:
             d["g_tables"].append({**g0, "collection": g0["collection"][::-1]})
         with pytest.raises(DecoderConfigError):
@@ -259,8 +269,9 @@ def _fresh_tables(p, f, structure):
 
 
 class TestSharedChannelTables:
-    """The config's build_g calls share one channel table per adversary set;
-    the tables and the viable flag match independent per-collection builds."""
+    """The config's tables, built on first use on one channel table per
+    adversary set, and its viable flag match independent per-collection
+    builds."""
 
     @pytest.mark.parametrize("instance", ["uv", "uvw", *range(12)])
     def test_config_matches_fresh_builds(self, instance, erasure_pmf, erasure_f_uv,
@@ -276,14 +287,16 @@ class TestSharedChannelTables:
         assert cfg.viable == viable
         if not isinstance(instance, int):
             assert viable == (instance == "uv")
+        for col in nonintersecting_collections(threshold_3_2):
+            g = cfg.g_table(col)
+            assert g.collection == want[frozenset(col)].collection
+            assert np.array_equal(g.table, want[frozenset(col)].table)
+            assert np.array_equal(g.defined_mask, want[frozenset(col)].defined_mask)
         assert set(cfg.g_tables) == set(want)
-        for key, g in cfg.g_tables.items():
-            assert g.collection == want[key].collection
-            assert np.array_equal(g.table, want[key].table)
-            assert np.array_equal(g.defined_mask, want[key].defined_mask)
 
     def test_uv_config_builds_one_table_per_set(self, erasure_pmf, erasure_f_uv,
                                                 threshold_3_2, monkeypatch):
+        cfg = build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, delta=0.1)
         built = []
         init = ChannelVars.__init__
 
@@ -292,7 +305,7 @@ class TestSharedChannelTables:
             init(self, p, coords)
 
         monkeypatch.setattr(ChannelVars, "__init__", counted)
-        build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, delta=0.1)
+        config_to_json_dict(cfg)       # builds all 45 g-tables
         assert len(built) == len(set(built)) == 6
 
 
@@ -372,21 +385,21 @@ class TestRepairedTableApplied:
         assert g.defined_mask[target] and g.table[target] != f.table[target]
         region = _Region(p, col)
         m, tx = region.explanations(target)[0]
-        sol = region.solution_for(m, tx,
-                                  tuple(target[c] for c in region.members[m].coords))
+        # a feasible point with W_m(target's coordinates | tx) > 0
+        ux = tuple(target[c] for c in region.members[m].coords)
+        alive = region._sols[region.var(m, tx, ux)]
+        sol = [Fraction(0)] * region.nvar
+        for v, i in region.alive_index.items():
+            sol[v] = alive[i]
         chans = region.channels_from(sol)
         view = induce_view(p, col[0], chans[0])
         assert view == induce_view(p, col[1], chans[1])
         assert view.mass[target] > 0
         return p, f, g, view, target
 
-    def test_decoder_applies_repair(self):
-        from fractions import Fraction
-
-        p, f, g, view, target = self.build_instance()
-        st = AdversaryStructure.threshold(2, 1)
-        cfg = build_decoder_config(p, f, st, delta=0.1)
-        # block with empirical type exactly the induced view
+    def repair_block(self, p, view):
+        """n=600 block whose empirical type is exactly the induced view,
+        and its columns."""
         n = 600
         cols = []
         for idx in view.support_idx():
@@ -398,6 +411,13 @@ class TestRepairedTableApplied:
         side = np.array([c[2] for c in cols], dtype=np.int64)
         blk = SampleBlock(p.axes, users, side)
         assert empirical_type(blk) == view
+        return blk, cols
+
+    def test_decoder_applies_repair(self):
+        p, f, g, view, target = self.build_instance()
+        st = AdversaryStructure.threshold(2, 1)
+        cfg = build_decoder_config(p, f, st, delta=0.1)
+        blk, cols = self.repair_block(p, view)
 
         explain = [st.sets[i] for i in explanation_set(cfg, blk)]
         assert frozenset() not in explain
@@ -412,3 +432,47 @@ class TestRepairedTableApplied:
             assert v.estimate[i] == g.table[target] != f.table[target]
         # both admissible truths carry the repaired value
         assert f.table[1, 2, 1] == f.table[0, 0, 1] == g.table[target]
+
+    def test_decode_builds_only_the_table_it_reads(self, monkeypatch):
+        p, f, g, view, target = self.build_instance()
+        built = []
+
+        def counted(p, f, collection, **kwargs):
+            built.append(collection)
+            return viability.build_g(p, f, collection, **kwargs)
+
+        monkeypatch.setattr(decoder, "build_g", counted)
+        cfg = build_decoder_config(p, f, AdversaryStructure.threshold(2, 1), delta=0.1)
+        assert built == []
+        blk, _ = self.repair_block(p, view)
+        decode(cfg, blk)
+        assert built == [(frozenset({0}), frozenset({1}))]
+        got = cfg.g_tables[frozenset(built[0])]
+        assert got.collection == g.collection
+        assert np.array_equal(got.table, g.table)
+        assert np.array_equal(got.defined_mask, g.defined_mask)
+        decode(cfg, blk)
+        assert len(built) == 1
+
+    def test_concurrent_decodes_build_the_table_once(self, monkeypatch):
+        p, f, g, view, target = self.build_instance()
+        built = []
+
+        def counted(p, f, collection, **kwargs):
+            built.append(collection)
+            return viability.build_g(p, f, collection, **kwargs)
+
+        monkeypatch.setattr(decoder, "build_g", counted)
+        cfg = build_decoder_config(p, f, AdversaryStructure.threshold(2, 1), delta=0.1)
+        blk, _ = self.repair_block(p, view)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(decode, cfg, blk) for _ in range(8)]
+                verdicts = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        for v in verdicts:
+            assert np.array_equal(v.estimate, apply_pointwise(g, blk))

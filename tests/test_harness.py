@@ -180,6 +180,19 @@ class TestScenarioJson:
             "structure": st.to_json_dict(), "n": 10, "trials": 1})
         assert s.structure == st
 
+    @pytest.mark.parametrize("radii", [{"delta": True, "gamma": "0.5"}, {"delta": "0.1"},
+                                       {"gamma": False}, {"delta": None}])
+    def test_radius_must_be_a_json_number(self, radii):
+        # float() would read true as 1.0 and "0.5" as 0.5
+        with pytest.raises(ScenarioError, match="must be a number"):
+            scenario_from_json_dict({"example": "example-3-2-erasure:uv", "n": 100,
+                                     "trials": 1, **radii})
+
+    def test_integer_radius_accepted(self):
+        s = scenario_from_json_dict({"example": "example-3-2-erasure:uv", "n": 100,
+                                     "trials": 1, "delta": 1, "gamma": 0.5})
+        assert (s.delta, s.gamma) == (1.0, 0.5) and isinstance(s.delta, float)
+
 
 class TestSweep:
     def test_empty_values_rejected(self):

@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from byzfc.simplex import (Infeasible, LPError, Tableau, Unbounded, positive_coordinates,
-                           solve_lp)
+from byzfc.simplex import Infeasible, LPError, Tableau, Unbounded, positive_coordinates
 
 
 def sparse(A):
     """Dense test matrix -> the solver's {column: coefficient} rows."""
     return [{j: v for j, v in enumerate(row) if v} for row in A]
+
+
+def solve_lp(A, b, c, maximize=True):
+    """Optimum and vertex of c.x subject to A x = b, x >= 0, from phase 1."""
+    t = Tableau(A, b, len(c))
+    sign = 1 if maximize else -1
+    return sign * t.maximize([sign * v for v in c]), t.solution()
 
 
 def test_known_small_lp():
