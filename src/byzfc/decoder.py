@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .polytope import ChannelTables
 from .probability import (FLOAT_NORMALIZATION_TOL, Alphabet, JointPmf, SampleBlock,
                           apply_pointwise, empirical_type, float_type, hamming_distortion,
                           json_number)
@@ -89,7 +90,7 @@ class DecoderConfig:
         self.handles = tuple(ViewSetHandle(base, s) for s in self.structure.sets)
         # own copy: tables built later stay out of the caller's dict
         self.g_tables = dict(self.g_tables)
-        self._channels: dict = {}
+        self._channels = ChannelTables(self.base)
         self._lock = threading.Lock()     # run_scenario may decode from threads
         for g in self.g_tables.values():
             if g.domain_axes != self.base.axes or g.codomain != self.f.codomain:

@@ -4,22 +4,27 @@ Primal simplex with Bland's rule.  The starting basis comes either from
 phase 1 on artificial columns or, when a feasible point is already known,
 from a crash start: the point's nonzero columns are pivoted in directly
 (Bixby 1992), so no phase 1 runs.  All tableau arithmetic stays in Python
-ints through Edmonds-style integer pivoting (Bareiss 1968): the tableau
-carries one shared positive determinant denominator and every pivot update
-divides exactly.  The objective rides along as one more integer row, its
-reduced costs scaled by that denominator, so Fractions appear only in the
-values returned.
+ints through Edmonds-style integer pivoting (Bareiss 1968).  Each tableau
+row is a sparse ``{column: int}`` dict of its nonzeros, and all rows share
+one positive determinant denominator, so every pivot update divides
+exactly and touches only the nonzeros of the rows it changes.  The
+objective rides along as one more sparse integer row, its reduced costs
+scaled by that denominator, so Fractions appear only in the values
+returned.
 
 Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.  Each
-row of A is a sparse ``{column: coefficient}`` dict; rational inputs
-(Fraction / int) are scaled row-wise to integers.  ``unique_point``
-decides, without a tableau, when a known solution is the only one.
+row of A is a sparse ``{column: coefficient}`` dict of ints or other
+``numbers.Rational`` values, scaled row-wise to integers; an all-int row
+is taken as it is, and anything else (a float, say) raises LPError.
+``unique_point`` decides, without a tableau, when a known solution is the
+only one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Sequence
 
 MAX_PIVOTS = 200_000
@@ -41,10 +46,16 @@ class Unbounded(LPError):
 
 
 def _integers(vals: list) -> tuple[list[int], int]:
-    """Rational vals times the least common multiple of their denominators."""
-    mult = lcm(*(v.denominator for v in vals if isinstance(v, Fraction)))
-    return [v.numerator * (mult // v.denominator) if isinstance(v, Fraction)
-            else int(v) * mult for v in vals], mult
+    """Rational vals times the least common multiple of their denominators.
+
+    Anything that is not ``numbers.Rational`` (a float, say) raises LPError.
+    """
+    if all(type(v) is int for v in vals):
+        return vals, 1
+    if not all(isinstance(v, Rational) for v in vals):
+        raise LPError("coefficients must be rational")
+    mult = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (mult // v.denominator) for v in vals], mult
 
 
 def unique_point(A: Sequence[dict], b: Sequence, x: Sequence) -> bool:
@@ -90,6 +101,10 @@ class Tableau:
     basis is then built from it and phase 1 is skipped.  ``maximize(c)``
     optimizes any rational objective from the current basis; repeated calls
     warm-start, which is how the polytope support detection uses it.
+
+    ``rows`` holds one ``{column: int}`` dict of nonzeros per basic row, the
+    right-hand side at column ``width - 1``; every row is over the shared
+    denominator ``den``.
     """
 
     def __init__(self, A: Sequence[dict], b: Sequence, n: int,
@@ -99,16 +114,19 @@ class Tableau:
             raise LPError("constraint rows and right-hand sides differ in count")
         phase1 = start is None
         self.width = width = n + 1 + (m if phase1 else 0)
-        rows: list[list[int]] = []
+        rhs_col = width - 1
+        rows: list[dict[int, int]] = []
         for i, (a, rhs) in enumerate(zip(A, b)):
             vals, _ = _integers([*a.values(), rhs])
             sign = -1 if vals[-1] < 0 else 1
-            row = [0] * width
+            row = {}
             for j, v in zip(a, vals):
                 if not 0 <= j < n:
                     raise LPError(f"column {j} outside the {n} variables")
-                row[j] = sign * v
-            row[-1] = sign * vals[-1]
+                if v:
+                    row[j] = sign * v
+            if vals[-1]:
+                row[rhs_col] = sign * vals[-1]
             if phase1:
                 row[n + i] = 1
             rows.append(row)
@@ -127,57 +145,64 @@ class Tableau:
     # -- pivoting core ---------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
-        """Pivot on (r, c), updating every row, the objective's included."""
+        """Pivot on (r, c), updating every row, the objective's included.
+
+        Only nonzeros are touched: a row without column c is rescaled by
+        p / den, and a row with it is combined with the pivot row over the
+        union of their columns.  Entries that cancel are dropped.
+        """
         rows = self.rows
         prow = rows[r]
-        p = prow[c]
+        p = prow.get(c, 0)
         if p <= 0:
             raise LPError("pivot element must be positive")
         den = self.den
-        width = self.width
         for i, row in enumerate(rows):
             if i == r:
                 continue
-            f = row[c]
-            if f == 0:
-                if p != den:
-                    for j in range(width):
-                        q, rem = divmod(row[j] * p, den)
+            f = row.get(c)
+            if p != den:
+                # entries outside the pivot row's columns only scale
+                for j, v in row.items():
+                    if f is None or j not in prow:
+                        q, rem = divmod(v * p, den)
                         if rem:
                             raise LPError("integer pivot residue")
                         row[j] = q
-            else:
-                for j in range(width):
-                    q, rem = divmod(row[j] * p - f * prow[j], den)
-                    if rem:
-                        raise LPError("integer pivot residue")
+            if f is None:
+                continue
+            for j, pv in prow.items():
+                q, rem = divmod(row.get(j, 0) * p - f * pv, den)
+                if rem:
+                    raise LPError("integer pivot residue")
+                if q:
                     row[j] = q
+                else:
+                    del row[j]
         self.den = p
         self.basis[r] = c
 
     def _bland_step(self) -> bool:
         """One Bland pivot; False at optimality."""
         rows = self.rows
-        obj = rows[self.m]
-        enter = -1
-        for j in range(self.allowed):
-            if obj[j] > 0:
-                enter = j
-                break
+        allowed = self.allowed
+        enter = min((j for j, v in rows[self.m].items() if v > 0 and j < allowed), default=-1)
         if enter < 0:
             return False
-        width = self.width
+        rhs_col = self.width - 1
+        basis = self.basis
         best = -1
+        best_a = best_rhs = 0
         for i in range(self.m):
-            a = rows[i][enter]
+            row = rows[i]
+            a = row.get(enter, 0)
             if a > 0:
-                if best < 0:
-                    best = i
-                else:
-                    lhs = rows[i][width - 1] * rows[best][enter]
-                    rhs = rows[best][width - 1] * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
-                        best = i
+                rhs = row.get(rhs_col, 0)
+                if best >= 0:
+                    lhs, cur = rhs * best_a, best_rhs * a
+                    if lhs > cur or (lhs == cur and basis[i] > basis[best]):
+                        continue
+                best, best_a, best_rhs = i, a, rhs
         if best < 0:
             raise Unbounded("improving direction with no positive entries")
         self._pivot(best, enter)
@@ -191,18 +216,18 @@ class Tableau:
         den times the objective value in the last column.  Pivots keep it
         integral like a constraint row; it is dropped again on return.
         """
-        z = [self.den * v for v in c] + [0]
+        z = {j: self.den * v for j, v in enumerate(c) if v}
         for i in range(self.m):
             cb = c[self.basis[i]]
             if cb:
-                for j, v in enumerate(self.rows[i]):
-                    if v:
-                        z[j] -= cb * v
+                for j, v in self.rows[i].items():
+                    z[j] = z.get(j, 0) - cb * v
+        z = {j: v for j, v in z.items() if v}
         self.rows.append(z)
         try:
             for _ in range(MAX_PIVOTS):
                 if not self._bland_step():
-                    return Fraction(-z[-1], self.den)
+                    return Fraction(-z.get(self.width - 1, 0), self.den)
             raise LPError("pivot limit exceeded")
         finally:
             self.rows.pop()
@@ -228,18 +253,18 @@ class Tableau:
         for c in support + others:
             if not free and x[c] == 0:
                 break
-            r = next((i for i in free if rows[i][c]), -1)
+            r = next((i for i in free if c in rows[i]), -1)
             if r < 0:
                 if x[c] != 0:
                     raise LPError("start point has dependent nonzero columns")
                 continue
             if rows[r][c] < 0:
-                rows[r] = [-v for v in rows[r]]
+                rows[r] = {j: -v for j, v in rows[r].items()}
             self._pivot(r, c)
             free.remove(r)
         # an unassigned row is zero in every column now: pivots only ever
         # combined it with rows that were zero where it was
-        if any(rows[i][n] != 0 for i in free):
+        if any(n in rows[i] for i in free):
             raise LPError("start point violates a dependent row")
         keep = [i for i in range(self.m) if self.basis[i] >= 0]
         self.rows = [rows[i] for i in keep]
@@ -247,25 +272,26 @@ class Tableau:
         self.m = len(keep)
         den = self.den
         for row, j in zip(self.rows, self.basis):
-            if row[n] < 0 or Fraction(row[n], den) != x[j]:
+            rhs = row.get(n, 0)
+            if rhs < 0 or Fraction(rhs, den) != x[j]:
                 raise LPError("start point is not the basic solution of its columns")
 
     def _phase1(self) -> None:
-        self.allowed = self.art0 + self.m
-        if self._optimize([0] * self.art0 + [-1] * self.m) != 0:
+        art0 = self.art0
+        self.allowed = art0 + self.m
+        if self._optimize([0] * art0 + [-1] * self.m) != 0:
             raise Infeasible("phase 1 optimum is nonzero")
         for i in range(self.m):
-            if self.basis[i] >= self.art0:
+            if self.basis[i] >= art0:
                 row = self.rows[i]
-                for j in range(self.art0):
-                    if row[j] != 0:
-                        if row[j] < 0:
-                            self.rows[i] = row = [-v for v in row]
-                        self._pivot(i, j)
-                        break
-                # all-zero row: redundant constraint, artificial stays
+                j = min((j for j in row if j < art0), default=-1)
+                # no such column: redundant constraint, the artificial stays
                 # basic at 0 and its column can never re-enter
-        self.allowed = self.art0
+                if j >= 0:
+                    if row[j] < 0:
+                        self.rows[i] = {jj: -v for jj, v in row.items()}
+                    self._pivot(i, j)
+        self.allowed = art0
 
     # -- public API ----------------------------------------------------------
 
@@ -280,10 +306,10 @@ class Tableau:
     def solution(self) -> list[Fraction]:
         x = [_ZERO] * self.art0
         den = self.den
-        for i in range(self.m):
-            bi = self.basis[i]
+        rhs_col = self.width - 1
+        for row, bi in zip(self.rows, self.basis):
             if bi < self.art0:
-                x[bi] = Fraction(self.rows[i][-1], den)
+                x[bi] = Fraction(row.get(rhs_col, 0), den)
         return x
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polytope import ChannelVars
+from .polytope import ChannelTables, ChannelVars
 from .probability import Alphabet, Channel, JointPmf, zero_mass
 from .simplex import Infeasible, LPError, Tableau, positive_coordinates, unique_point
 from .structures import (AdversaryStructure, Collection, TargetFunction,
@@ -30,7 +30,6 @@ from .structures import (AdversaryStructure, Collection, TargetFunction,
 from .viewsets import induce_view
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ViabilityInputError(ValueError):
@@ -127,41 +126,38 @@ class _Region:
     Variables are the entries W_m(out | row) for every member m, rows
     restricted to the support of P over the member's coordinates; member
     m's channel table is numbered from ``offsets[m]``.  Equalities: each
-    row sums to 1; induced views match between adjacent members.  A
-    zero-fixing presolve removes variables that structurally dead view
-    points force to zero.  ``tables`` maps coordinates to channel tables
-    of P, shared by the regions of a verdict or config and filled as needed.
+    row sums to 1; induced views match between adjacent members, as
+    integer rows over P's common denominator ``den``.  A zero-fixing
+    presolve removes variables that structurally dead view points force to
+    zero.  ``tables`` holds the channel tables of P, shared by the regions
+    of a verdict or config and filled as needed.
     """
 
     def __init__(self, p: JointPmf, collection: Collection,
-                 tables: dict[tuple[int, ...], ChannelVars] | None = None):
+                 tables: ChannelTables | None = None):
         self.p = p
         self.collection = collection
         self.k = p.k - 1
-        tables = {} if tables is None else tables
-        self.members: list[ChannelVars] = []
+        tables = ChannelTables(p) if tables is None else tables
+        self.members: list[ChannelVars] = [tables[tuple(sorted(aset))] for aset in collection]
         self.offsets: list[int] = []
         nvar = 0
-        for aset in collection:
-            coords = tuple(sorted(aset))
-            if coords not in tables:
-                tables[coords] = ChannelVars(p, coords)
-            self.members.append(tables[coords])
+        for w in self.members:
             self.offsets.append(nvar)
-            nvar += tables[coords].size
+            nvar += w.size
         self.nvar = nvar
+        self.den = self.members[0].den
 
         sums = [row for w, off in zip(self.members, self.offsets) for row in w.sum_rows(off)]
         # view-match between adjacent members, as (member m's side, member m+1's side)
         placed = list(zip(self.members, self.offsets))
-        matches = [(w0.view_row(v, 1, off0), w1.view_row(v, -1, off1))
+        matches = [(w0.int_view_row(v, 1, off0), w1.int_view_row(v, -1, off1))
                    for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
         self._presolve(sums, matches)
         self._reach: set[int] | None = None
-        self._sols: dict[int, list[Fraction]] | None = None
 
-    def _presolve(self, sums: list[dict[int, Fraction]],
-                  matches: list[tuple[dict[int, Fraction], dict[int, Fraction]]]) -> None:
+    def _presolve(self, sums: list[dict[int, int]],
+                  matches: list[tuple[dict[int, int], dict[int, int]]]) -> None:
         """Fix what the view-match rows force to zero; drop emptied and repeated rows.
 
         A match row's first side has only positive coefficients, its second
@@ -184,13 +180,13 @@ class _Region:
         self.fixed = fixed
         self.alive_vars = [v for v in range(self.nvar) if v not in fixed]
         self.alive_index = {v: i for i, v in enumerate(self.alive_vars)}
-        self.A: list[dict[int, Fraction]] = []
-        self.b: list[Fraction] = []
+        self.A: list[dict[int, int]] = []
+        self.b: list[int] = []
         seen: set[tuple] = set()
         for i, row in enumerate(sums + [{**pos, **neg} for pos, neg in matches]):
             items = tuple((self.alive_index[v], c) for v, c in sorted(row.items())
                           if v not in fixed)
-            rhs = _ONE if i < len(sums) else _ZERO
+            rhs = 1 if i < len(sums) else 0
             if not items and i < len(sums):
                 raise Infeasible("presolve emptied an inconsistent row")
             if items and (rhs, items) not in seen:
@@ -219,20 +215,15 @@ class _Region:
                 raise LPError("presolve fixed a coordinate of a feasible point")
         id_alive = [identity[v] for v in self.alive_vars]
         if unique_point(self.A, self.b, id_alive):
-            # the identity is the region's only point: it is every witness
+            # the identity is the region's only point
             self._reach = {v for v, x in zip(self.alive_vars, id_alive) if x > 0}
-            sol = list(id_alive)
-            self._sols = dict.fromkeys(self._reach, sol)
             return
         # each identity column sits alone in its own row-sum row, so the
         # point's nonzero columns are independent and start the basis
         tableau = Tableau(self.A, self.b, len(self.alive_vars), start=id_alive)
-        pos_alive, wit_alive = positive_coordinates(
-            tableau, range(len(self.alive_vars)), seeds=[id_alive])
+        pos_alive, _ = positive_coordinates(tableau, range(len(self.alive_vars)),
+                                            seeds=[id_alive])
         self._reach = {self.alive_vars[i] for i in pos_alive}
-        self._sols = {}
-        for i, sol in wit_alive.items():
-            self._sols[self.alive_vars[i]] = sol
 
     def conflict_vertex(self, var_a: int, var_b: int) -> list[Fraction]:
         """Basic feasible point with both coordinates strictly positive.
@@ -241,14 +232,20 @@ class _Region:
         x_b >= t; the optimum is positive whenever both coordinates are
         individually reachable (feasible points average), and the vertex
         of the lifted system is the reproducible witness the reports carry.
+        Phase 1's artificial columns do not scale with their rows, so its
+        path, and the vertex, depend on each row's scale: the rows go in
+        divided by ``den``, as the P-valued Fractions that fix the vertex.
         """
         ia = self.alive_index.get(var_a)
         ib = self.alive_index.get(var_b)
         if ia is None or ib is None:
             raise LPError("conflict coordinate was presolved away")
         nv = len(self.alive_vars)
-        A = self.A + [{ia: 1, nv: -1, nv + 1: -1}, {ib: 1, nv: -1, nv + 2: -1}]
-        t = Tableau(A, self.b + [0, 0], nv + 3)
+        den = self.den
+        A = [{j: Fraction(v, den) for j, v in row.items()} for row in self.A]
+        b = [Fraction(v, den) for v in self.b]
+        A += [{ia: 1, nv: -1, nv + 1: -1}, {ib: 1, nv: -1, nv + 2: -1}]
+        t = Tableau(A, b + [0, 0], nv + 3)
         c = [0] * (nv + 3)
         c[nv] = 1
         opt = t.maximize(c)
@@ -264,7 +261,7 @@ class _Region:
         """Scenario truths (member, tx) that can carry positive mass at view v."""
         self._solve_support()
         return [(m, tx) for m, (w, off) in enumerate(zip(self.members, self.offsets))
-                for tx, var, _ in w.at[v] if off + var in self._reach]
+                for tx, var, _, _ in w.at[v] if off + var in self._reach]
 
     def channels_from(self, sol: Sequence[Fraction]) -> list[Channel]:
         """Member channels of a feasible solution; off-support rows identity."""
@@ -307,7 +304,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
         for w, chan in zip(members, chans):
             ux = tuple(vp[c] for c in w.coords)
             post = []
-            for tx, _, coef in w.at[vp]:
+            for tx, _, coef, _ in w.at[vp]:
                 num = coef * chan.rows[tx + ux]
                 if num > 0:
                     post.append((tx, num / pv))
@@ -329,7 +326,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
             point.extend(b[1])
         else:
             ux = tuple(v[c] for c in w.coords)
-            chosen = next((tx for tx, _, coef in w.at[v] if coef * chan.rows[tx + ux] > 0),
+            chosen = next((tx for tx, _, coef, _ in w.at[v] if coef * chan.rows[tx + ux] > 0),
                           None)
             if chosen is None:
                 raise LPError("view point lost its explanation during averaging")
@@ -382,7 +379,7 @@ def check_viability(p: JointPmf, f: TargetFunction,
     (restricting a matched family to a sub-collection stays feasible).
     """
     _validate(p, f, structure.k)
-    tables: dict[tuple[int, ...], ChannelVars] = {}
+    tables = ChannelTables(p)
     for col in nonintersecting_collections(structure):
         if not _needs_solving(col):
             continue
@@ -407,7 +404,7 @@ def check_s_viability(p: JointPmf, f: TargetFunction, s: int) -> ViabilityReport
 
 
 def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
-            tables: dict[tuple[int, ...], ChannelVars] | None = None) -> GTable:
+            tables: ChannelTables | None = None) -> GTable:
     """Repaired decoding table for one non-intersecting collection.
 
     Pins every view point reachable by some matched channel family to the

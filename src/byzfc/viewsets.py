@@ -63,7 +63,7 @@ class ViewSetHandle:
 
     @cached_property
     def _exact_lp(self):
-        w = ChannelVars(self.base, self.coords)
+        w = ChannelVars(self.base, self.coords, self._integer_base)
         rows, views = _distance_rows(w)
         nvar = w.size + 2 * len(views)
         start = [_ZERO] * nvar

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from byzfc import simplex, viability, viewsets
 from byzfc.examples_lib import random_function, random_pmf
+from byzfc.polytope import ChannelTables
 from byzfc.probability import JointPmf, derive_seed
 from byzfc.simplex import LPError, Tableau, positive_coordinates, unique_point
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
@@ -163,13 +164,15 @@ def _ladder():
 
 def _sign_presolve(region: _Region):
     """The presolve that fixed a zero row's variables when every unfixed
-    coefficient had one sign: (fixed, alive_vars, A, b)."""
+    coefficient had one sign: (fixed, alive_vars, A, b), view-match rows
+    scaled by P's common denominator."""
     rows = [row for w, off in zip(region.members, region.offsets) for row in w.sum_rows(off)]
     rhs = [Fraction(1)] * len(rows)
     placed = list(zip(region.members, region.offsets))
     for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
         for v in w0.at:
-            row = {**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
+            row = {j: c * region.den for j, c in
+                   {**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}.items()}
             if row:
                 rows.append(row)
                 rhs.append(Fraction(0))
@@ -260,7 +263,6 @@ def _certificate_matches_crash_start(region: _Region) -> bool:
     crashed = Tableau(region.A, region.b, len(start), start=start)
     pos, witness = positive_coordinates(crashed, range(len(start)), seeds=[start])
     assert region._reach == {region.alive_vars[i] for i in pos}
-    assert region._sols == {region.alive_vars[i]: sol for i, sol in witness.items()}
     if certified:
         assert all(sol == start for sol in witness.values())
     return certified
@@ -354,7 +356,7 @@ def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
         demoted += 1
         fresh._solve_support()
         assert len(tableaus) == demoted
-        assert fresh._reach == region._reach and fresh._sols == region._sols
+        assert fresh._reach == region._reach
     assert demoted
 
 
@@ -382,7 +384,7 @@ def test_a_region_the_identity_violates_raises():
 
 def test_shared_channel_tables_build_the_same_regions():
     p = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)
-    tables = {}
+    tables = ChannelTables(p)
     for col in nonintersecting_collections(AdversaryStructure.threshold(4, 2)):
         fresh, shared = _Region(p, col), _Region(p, col, tables)
         assert shared.A == fresh.A and shared.b == fresh.b

@@ -300,9 +300,9 @@ class TestSharedChannelTables:
         built = []
         init = ChannelVars.__init__
 
-        def counted(self, p, coords):
+        def counted(self, p, coords, *args):
             built.append(coords)
-            init(self, p, coords)
+            init(self, p, coords, *args)
 
         monkeypatch.setattr(ChannelVars, "__init__", counted)
         config_to_json_dict(cfg)       # builds all 45 g-tables
@@ -387,11 +387,8 @@ class TestRepairedTableApplied:
         m, tx = region.explanations(target)[0]
         # a feasible point with W_m(target's coordinates | tx) > 0
         ux = tuple(target[c] for c in region.members[m].coords)
-        alive = region._sols[region.var(m, tx, ux)]
-        sol = [Fraction(0)] * region.nvar
-        for v, i in region.alive_index.items():
-            sol[v] = alive[i]
-        chans = region.channels_from(sol)
+        var = region.var(m, tx, ux)
+        chans = region.channels_from(region.conflict_vertex(var, var))
         view = induce_view(p, col[0], chans[0])
         assert view == induce_view(p, col[1], chans[1])
         assert view.mass[target] > 0

@@ -7,7 +7,7 @@ import pytest
 
 from byzfc.examples_lib import random_pmf
 from byzfc.polytope import ChannelVars
-from byzfc.probability import Channel
+from byzfc.probability import Channel, integer_mass
 from byzfc.viewsets import induce_view
 
 from test_viewsets import random_channel
@@ -42,6 +42,20 @@ def test_view_rows_match_induced_view(law, threshold_3_2):
                 assert neg == -view.mass[v]
 
 
+def test_integer_view_rows_are_the_view_rows_times_the_denominator(law, threshold_3_2):
+    # the law fixture runs the erasure law and a random_pmf with zero cells
+    for s in threshold_3_2.sets:
+        if not s:
+            continue
+        w = ChannelVars(law, tuple(sorted(s)))
+        assert isinstance(w.den, int) and w.den > 0
+        for v in w.at:
+            for sign in (1, -1):
+                ints = w.int_view_row(v, sign, 5)
+                assert all(type(c) is int for c in ints.values())
+                assert ints == {j: c * w.den for j, c in w.view_row(v, sign, 5).items()}
+
+
 def test_identity_point_is_identity_channel(law, threshold_3_2):
     for s in threshold_3_2.sets:
         if not s:
@@ -56,14 +70,17 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
 
 
 def test_table_matches_definition(law, threshold_3_2):
-    # at[v] lists (tx, var, P(v with coords <- tx)) for every input of
-    # positive coefficient, inputs in product order, P read from the mass
+    # at[v] lists (tx, var, P(v with coords <- tx), its numerator over P's
+    # common denominator) for every input of positive coefficient, inputs
+    # in product order, P read from the mass
     views = list(product(*(range(a.size) for a in law.axes)))
     for s in threshold_3_2.sets:
         if not s:
             continue
         coords = tuple(sorted(s))
         w = ChannelVars(law, coords)
+        nums, den = integer_mass(law.mass)
+        assert w.den == den
         assert list(w.at) == views
         for v in views:
             ux = tuple(v[c] for c in coords)
@@ -74,7 +91,7 @@ def test_table_matches_definition(law, threshold_3_2):
                     full[c] = tx[pos]
                 coef = law.mass[tuple(full)]
                 if coef > 0:
-                    want.append((tx, w.var[(tx, ux)], coef))
+                    want.append((tx, w.var[(tx, ux)], coef, nums[tuple(full)]))
             assert w.at[v] == want
 
 

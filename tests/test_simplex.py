@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from byzfc.simplex import Infeasible, LPError, Tableau, Unbounded, positive_coordinates
+from byzfc.simplex import (Infeasible, LPError, Tableau, Unbounded, positive_coordinates,
+                           unique_point)
 
 
 def sparse(A):
@@ -58,9 +59,11 @@ def test_degenerate_bland_terminates():
     assert val == Fraction(1, 20)
 
 
-def test_random_lps_match_scipy():
+def random_lps():
+    """Bounded integer LPs: a random system through a known point, plus a
+    row capping the total through one slack column, as (A, b, c) lists."""
     rng = np.random.default_rng(123)
-    for trial in range(150):
+    for _ in range(150):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(m, 8))
         A = rng.integers(-3, 4, size=(m, n))
@@ -72,14 +75,40 @@ def test_random_lps_match_scipy():
                         np.ones((1, n + 1), dtype=int)])
         b2 = np.concatenate([b, [int(x0.sum()) + 4]])
         c2 = np.concatenate([c, [0]])
-        ref = linprog(-c2, A_eq=A2, b_eq=b2, bounds=[(0, None)] * (n + 1), method="highs")
+        yield ([[int(v) for v in row] for row in A2], [int(v) for v in b2],
+               [int(v) for v in c2])
+
+
+def fuzz_lps():
+    """Bounded LPs with Fraction coefficients, as (A, b, c) lists."""
+    rng = np.random.default_rng(321)
+    for _ in range(100):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(m + 1, 7))
+        num = rng.integers(-6, 7, size=(m, n))
+        den = rng.integers(1, 5, size=(m, n))
+        A = [[Fraction(int(num[i, j]), int(den[i, j])) for j in range(n)]
+             for i in range(m)]
+        x0 = [Fraction(int(v), 2) for v in rng.integers(0, 5, size=n)]
+        b = [sum(A[i][j] * x0[j] for j in range(n)) for i in range(m)]
+        # cap the total through a slack column so the optimum stays finite
+        A = [row + [Fraction(0)] for row in A]
+        A.append([Fraction(1)] * n + [Fraction(1)])
+        b.append(sum(x0) + 3)
+        c = [Fraction(int(v), 3) for v in rng.integers(-6, 7, size=n)] + [Fraction(0)]
+        yield A, b, c
+
+
+def test_random_lps_match_scipy():
+    for trial, (A, b, c) in enumerate(random_lps()):
+        ref = linprog(-np.array(c), A_eq=np.array(A), b_eq=np.array(b),
+                      bounds=[(0, None)] * len(c), method="highs")
         assert ref.status == 0
-        val, x = solve_lp(sparse([[int(v) for v in row] for row in A2]),
-                          [int(v) for v in b2], [int(v) for v in c2])
+        val, x = solve_lp(sparse(A), b, c)
         assert abs(float(val) + ref.fun) < 1e-7, trial
         # vertex must satisfy the constraints exactly
-        for i in range(m + 1):
-            assert sum(Fraction(int(A2[i, j])) * x[j] for j in range(n + 1)) == int(b2[i])
+        for row, rhs in zip(A, b):
+            assert sum(Fraction(v) * xj for v, xj in zip(row, x)) == rhs
         assert all(v >= 0 for v in x)
 
 
@@ -131,6 +160,16 @@ def test_unbounded_leaves_the_tableau_usable():
     assert x[0] == x[1] == 0 and x[2] == 1 and x[3] == 0
 
 
+def test_a_float_entry_is_refused():
+    # a float is not truncated to an int: max 2 at x = (2, 0) is not lost
+    with pytest.raises(LPError, match="rational"):
+        Tableau([{0: 0.5, 1: 1}], [1], 2).maximize([1, 0])
+    with pytest.raises(LPError, match="rational"):
+        unique_point([{0: 0.5}], [1], [2])
+    with pytest.raises(LPError, match="rational"):
+        Tableau([{0: 1}], [1], 1).maximize([0.5])
+
+
 @pytest.mark.parametrize("A, b, n", [
     ([{0: 1, 2: 1}], [1], 2),      # column past the last variable
     ([{-1: 1}], [1], 2),           # negative column
@@ -143,31 +182,17 @@ def test_malformed_rows_rejected(A, b, n):
 
 
 def test_rational_coefficient_fuzz_vs_scipy():
-    rng = np.random.default_rng(321)
-    for trial in range(100):
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(m + 1, 7))
-        num = rng.integers(-6, 7, size=(m, n))
-        den = rng.integers(1, 5, size=(m, n))
-        A = [[Fraction(int(num[i, j]), int(den[i, j])) for j in range(n)]
-             for i in range(m)]
-        x0 = [Fraction(int(v), 2) for v in rng.integers(0, 5, size=n)]
-        b = [sum(A[i][j] * x0[j] for j in range(n)) for i in range(m)]
-        # cap the total through a slack column so the optimum stays finite
-        A = [row + [Fraction(0)] for row in A]
-        A.append([Fraction(1)] * n + [Fraction(1)])
-        b.append(sum(x0) + 3)
-        c = [Fraction(int(v), 3) for v in rng.integers(-6, 7, size=n)] + [Fraction(0)]
+    for trial, (A, b, c) in enumerate(fuzz_lps()):
         val, x = solve_lp(sparse(A), b, c)
         Af = np.array([[float(v) for v in row] for row in A])
         bf = np.array([float(v) for v in b])
         cf = np.array([float(v) for v in c])
-        ref = linprog(-cf, A_eq=Af, b_eq=bf, bounds=[(0, None)] * (n + 1),
+        ref = linprog(-cf, A_eq=Af, b_eq=bf, bounds=[(0, None)] * len(c),
                       method="highs")
         assert ref.status == 0, trial
         assert abs(float(val) + ref.fun) < 1e-6, trial
-        for i in range(m + 1):
-            assert sum(A[i][j] * x[j] for j in range(n + 1)) == b[i], trial
+        for row, rhs in zip(A, b):
+            assert sum(v * xj for v, xj in zip(row, x)) == rhs, trial
 
 
 def test_degenerate_rhs_zero_blocks():
