@@ -19,7 +19,8 @@ from typing import Union
 
 import numpy as np
 
-from .probability import Alphabet, Channel, SampleBlock, derive_seed, philox, zero_mass
+from .probability import (Alphabet, Channel, SampleBlock, derive_seed, json_number, philox,
+                          zero_mass)
 from .viability import ViolationWitness
 
 
@@ -107,23 +108,18 @@ def resample_w_channel(axes: tuple[Alphabet, Alphabet], exact: bool = True) -> C
     """The erasure-pattern resampling channel on a coordinate pair."""
     if len(axes) != 2:
         raise AttackError("resampler acts on exactly two coordinates")
+    # every symbol but the erasure is a bit, whose label the partner's axis
+    # must also carry
     e1, e2 = _erasure_symbol(axes[0]), _erasure_symbol(axes[1])
     n1, n2 = axes[0].size, axes[1].size
-    bit1 = {axes[0].index(b) for b in (0, 1) if b in axes[0].symbols} | \
-           {axes[0].index(b) for b in ("0", "1") if b in axes[0].symbols}
-    bit2 = {axes[1].index(b) for b in (0, 1) if b in axes[1].symbols} | \
-           {axes[1].index(b) for b in ("0", "1") if b in axes[1].symbols}
     half = Fraction(1, 2)  # stored as 0.5 in a float array
     rows = zero_mass((n1, n2, n1, n2), exact)
-    bitsym = {axes[0].symbols[b]: b for b in bit1}
     for a, b in product(range(n1), range(n2)):
-        if a == e1 and b != e2 and b in bit2:
-            u = axes[1].symbols[b]
+        if a == e1 and b != e2:
             rows[a, b, e1, b] = half
-            rows[a, b, bitsym[u], e2] = half
-        elif b == e2 and a != e1 and a in bit1:
-            u = axes[0].symbols[a]
-            rows[a, b, e1, axes[1].index(u)] = half
+            rows[a, b, axes[0].index(axes[1].symbols[b]), e2] = half
+        elif b == e2 and a != e1:
+            rows[a, b, e1, axes[1].index(axes[0].symbols[a])] = half
             rows[a, b, a, e2] = half
         else:
             rows[a, b, a, b] = 1
@@ -207,9 +203,10 @@ def strategy_from_json(d: dict, witness_lookup=None) -> AttackStrategy:
     if kind == "witness_dmc":
         if witness_lookup is None:
             raise AttackError("witness_dmc needs a witness resolver")
-        return WitnessDMC(witness_lookup(d), int(d["scenario"]))
+        scenario = json_number(d, "scenario", integer=True, error=AttackError)
+        return WitnessDMC(witness_lookup(d), scenario)
     if kind == "block_split":
         return BlockSplit(strategy_from_json(d["first"], witness_lookup),
                           strategy_from_json(d["second"], witness_lookup),
-                          float(d.get("fraction", 0.5)))
+                          json_number(d, "fraction", 0.5, error=AttackError))
     raise AttackError(f"unknown strategy kind {kind!r}")

@@ -3,21 +3,19 @@
 Both LPs are built from per-letter adversary channels W(ux | tx) on the
 coordinates of one adversary set.  ``ChannelVars`` numbers the entries of
 one such channel, tabulates P's coefficient on each variable at each view
-point, emits its sparse constraint rows and turns a solution back into a
-``Channel``.  ``ChannelTables`` builds the tables of one law on first use.
+point as one numerator over a denominator shared by the whole law, emits
+its sparse constraint rows and turns a solution back into a ``Channel``.
+``ChannelTables`` builds the tables of one law on first use.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .probability import Channel, JointPmf, integer_mass, zero_mass
-
-_ONE = Fraction(1)
 
 
 class ChannelVars:
@@ -30,26 +28,26 @@ class ChannelVars:
     identity and channel methods add.
 
     ``at[v]``, for each view point v in ``product`` order over P's axes,
-    holds one ``(tx, var, coef, num)`` per input in ``rows`` order with
-    coef = P(v with ``coords`` replaced by tx) > 0; var is W(v's ``coords`` | tx).
-    For an exact P, num is coef's integer numerator over ``den``, the least
+    holds one ``(tx, var, num)`` per input in ``rows`` order with
+    num / ``den`` = P(v with ``coords`` replaced by tx) > 0; var is
+    W(v's ``coords`` | tx).  For an exact P, num is an int and den the least
     common denominator of P (``ints``, from ``integer_mass``, when the
-    caller has it); for a float P, num is None.
+    caller has it); for a float P, num is the float mass and den is 1.
     """
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
                  ints: tuple[np.ndarray, int] | None = None):
         self.p = p
         self.coords = coords
-        # P(v with coords <- tx) is moved[tx + rest], rest being v's other
-        # coordinates; entries are >= 0, so tx has marginal mass iff one is > 0
-        moved = np.moveaxis(p.mass, coords, range(len(coords)))
-        pos = moved > 0
         if p.exact:
             nums, self.den = integer_mass(p.mass) if ints is None else ints
-            nums = np.moveaxis(nums, coords, range(len(coords)))
         else:
-            nums, self.den = np.full(moved.shape, None), None
+            nums, self.den = p.mass, 1
+        # P(v with coords <- tx) is moved[tx + rest] / den, rest being v's
+        # other coordinates; entries are >= 0, so tx has marginal mass iff
+        # one is > 0
+        moved = np.moveaxis(nums, coords, range(len(coords)))
+        pos = moved > 0
         self.outs = list(product(*(range(p.axes[c].size) for c in coords)))
         self.rows = [tx for tx in self.outs if pos[tx].any()]
         self.var = {key: i for i, key in enumerate(product(self.rows, self.outs))}
@@ -60,18 +58,14 @@ class ChannelVars:
         for v in product(*(range(a.size) for a in p.axes)):
             rest = tuple(v[c] for c in others)
             if rest not in live:
-                live[rest] = [(tx, moved[tx + rest], nums[tx + rest])
-                              for tx in self.rows if pos[tx + rest]]
+                live[rest] = [(tx, moved[tx + rest]) for tx in self.rows if pos[tx + rest]]
             ux = tuple(v[c] for c in coords)
-            self.at[v] = [(tx, self.var[(tx, ux)], coef, num) for tx, coef, num in live[rest]]
+            self.at[v] = [(tx, self.var[(tx, ux)], num) for tx, num in live[rest]]
 
     def view_row(self, v: tuple[int, ...], sign: int = 1, offset: int = 0) -> dict:
-        """The induced view's mass at v, ``sign`` (1 or -1) times, as ``{var: coef}``."""
-        return {offset + var: coef if sign > 0 else -coef for _, var, coef, _ in self.at[v]}
-
-    def int_view_row(self, v: tuple[int, ...], sign: int = 1, offset: int = 0) -> dict:
-        """``view_row`` times ``den``, as ``{var: int}``; exact P only."""
-        return {offset + var: sign * num for _, var, _, num in self.at[v]}
+        """``den`` times the induced view's mass at v, ``sign`` (1 or -1)
+        times, as ``{var: num}``."""
+        return {offset + var: sign * num for _, var, num in self.at[v]}
 
     def sum_rows(self, offset: int = 0) -> list[dict]:
         """One row per input: its outputs' entries sum to one."""
@@ -80,7 +74,7 @@ class ChannelVars:
     def set_identity(self, x: list, offset: int = 0) -> None:
         """Write the identity channel into the solution vector x."""
         for tx in self.rows:
-            x[offset + self.var[(tx, tx)]] = _ONE
+            x[offset + self.var[(tx, tx)]] = 1
 
     def channel(self, sol: Sequence, offset: int = 0) -> Channel:
         """The channel at a solution, exact iff P is; inputs off P's support

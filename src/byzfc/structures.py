@@ -8,12 +8,12 @@ common intersection.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .probability import Alphabet, Label, ProbabilityError
+from .probability import Alphabet, Label, ProbabilityError, json_number
 
 
 def _set_key(s: frozenset[int]) -> tuple:
@@ -70,9 +70,16 @@ class AdversaryStructure:
 
     @staticmethod
     def from_json_dict(d: dict) -> "AdversaryStructure":
+        """Parse ``{"k", "threshold"}`` or ``{"k", "sets"}``; every number
+        must be a JSON integer, so a bool or a float raises ValueError."""
+        k = json_number(d, "k", integer=True, error=ValueError)
         if "threshold" in d:
-            return AdversaryStructure.threshold(d["k"], d["threshold"])
-        return AdversaryStructure(d["k"], [frozenset(s) for s in d["sets"]])
+            return AdversaryStructure.threshold(
+                k, json_number(d, "threshold", integer=True, error=ValueError))
+        for u in chain.from_iterable(d["sets"]):
+            if isinstance(u, bool) or not isinstance(u, int):
+                raise ValueError(f"user ids must be integers, not {u!r}")
+        return AdversaryStructure(k, d["sets"])
 
 
 Collection = tuple[frozenset[int], ...]
@@ -89,15 +96,12 @@ def nonintersecting_collections(structure: AdversaryStructure) -> list[Collectio
     Exhaustive; canonical order is ascending by size then lexicographic on
     the member keys, so downstream verdicts are deterministic.
     """
+    # the sets come sorted by their (injective) keys, so combinations yields
+    # each collection's members sorted and the collections of one size in
+    # lexicographic order
     nonempty = structure.nonempty_sets
-    out: list[Collection] = []
-    for r in range(2, len(nonempty) + 1):
-        for combo in combinations(nonempty, r):
-            inter = frozenset.intersection(*combo)
-            if not inter:
-                out.append(tuple(sorted(combo, key=_set_key)))
-    out.sort(key=lambda col: (len(col), tuple(_set_key(s) for s in col)))
-    return out
+    return [combo for r in range(2, len(nonempty) + 1)
+            for combo in combinations(nonempty, r) if not frozenset.intersection(*combo)]
 
 
 class TargetFunction:

@@ -29,8 +29,6 @@ from .structures import (AdversaryStructure, Collection, TargetFunction,
                          nonintersecting_collections)
 from .viewsets import induce_view
 
-_ZERO = Fraction(0)
-
 
 class ViabilityInputError(ValueError):
     """Bad inputs (float-mode pmf, mismatched axes, ...)."""
@@ -151,7 +149,7 @@ class _Region:
         sums = [row for w, off in zip(self.members, self.offsets) for row in w.sum_rows(off)]
         # view-match between adjacent members, as (member m's side, member m+1's side)
         placed = list(zip(self.members, self.offsets))
-        matches = [(w0.int_view_row(v, 1, off0), w1.int_view_row(v, -1, off1))
+        matches = [(w0.view_row(v, 1, off0), w1.view_row(v, -1, off1))
                    for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
         self._presolve(sums, matches)
         self._reach: set[int] | None = None
@@ -196,8 +194,8 @@ class _Region:
 
     # -- feasibility and support -----------------------------------------
 
-    def identity_solution(self) -> list[Fraction]:
-        sol = [_ZERO] * self.nvar
+    def identity_solution(self) -> list[int]:
+        sol = [0] * self.nvar
         for w, off in zip(self.members, self.offsets):
             w.set_identity(sol, off)
         return sol
@@ -252,7 +250,7 @@ class _Region:
         if opt <= 0:
             raise LPError("conflict coordinates are not simultaneously reachable")
         sol_alive = t.solution()
-        full = [_ZERO] * self.nvar
+        full = [0] * self.nvar
         for v, i in self.alive_index.items():
             full[v] = sol_alive[i]
         return full
@@ -261,7 +259,7 @@ class _Region:
         """Scenario truths (member, tx) that can carry positive mass at view v."""
         self._solve_support()
         return [(m, tx) for m, (w, off) in enumerate(zip(self.members, self.offsets))
-                for tx, var, _, _ in w.at[v] if off + var in self._reach]
+                for tx, var, _ in w.at[v] if off + var in self._reach]
 
     def channels_from(self, sol: Sequence[Fraction]) -> list[Channel]:
         """Member channels of a feasible solution; off-support rows identity."""
@@ -283,6 +281,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
     k = region.k
     collection = region.collection
     members = region.members
+    den = region.den
     wa, wb = members[a[0]], members[b[0]]
     var_a = region.var(a[0], a[1], tuple(v[c] for c in wa.coords))
     var_b = region.var(b[0], b[1], tuple(v[c] for c in wb.coords))
@@ -304,10 +303,10 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
         for w, chan in zip(members, chans):
             ux = tuple(vp[c] for c in w.coords)
             post = []
-            for tx, _, coef, _ in w.at[vp]:
-                num = coef * chan.rows[tx + ux]
-                if num > 0:
-                    post.append((tx, num / pv))
+            for tx, _, num in w.at[vp]:
+                joint_num = num * chan.rows[tx + ux]
+                if joint_num > 0:
+                    post.append((tx, joint_num / (den * pv)))
             posts.append(post)
         for combo in product(*posts):
             weight = pv
@@ -326,8 +325,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
             point.extend(b[1])
         else:
             ux = tuple(v[c] for c in w.coords)
-            chosen = next((tx for tx, _, coef, _ in w.at[v] if coef * chan.rows[tx + ux] > 0),
-                          None)
+            chosen = next((tx for tx, _, num in w.at[v] if num * chan.rows[tx + ux] > 0), None)
             if chosen is None:
                 raise LPError("view point lost its explanation during averaging")
             point.extend(chosen)

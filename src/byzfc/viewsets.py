@@ -23,8 +23,6 @@ from .polytope import ChannelVars
 from .probability import Channel, JointPmf, ProbabilityError, apply_channel, integer_mass
 from .simplex import LPError, Tableau
 
-_ZERO = Fraction(0)
-
 
 def induce_view(p: JointPmf, adversary_set: Iterable[int], w: Channel | None) -> JointPmf:
     """View law induced when the adversary set reports through channel w."""
@@ -66,9 +64,9 @@ class ViewSetHandle:
         w = ChannelVars(self.base, self.coords, self._integer_base)
         rows, views = _distance_rows(w)
         nvar = w.size + 2 * len(views)
-        start = [_ZERO] * nvar
+        start = [0] * nvar
         w.set_identity(start)
-        c = (_ZERO,) * w.size + (Fraction(-1, 2),) * (2 * len(views))
+        c = (0,) * w.size + (Fraction(-1, 2),) * (2 * len(views))
         return w, rows, views, tuple(start), c
 
     @cached_property
@@ -149,18 +147,19 @@ def _distance_rows(w: ChannelVars):
     """Sparse rows of the view-distance LP, and the view points in row order.
 
     Variables are the channel's entries, then the view slacks below q and
-    the view slacks above q, one each per view point.  Rows: the induced
-    view minus q at each view point (right-hand side q there, in ``product``
-    order, which is q's flat order), then the channel's row sums (right-hand
-    side 1).
+    the view slacks above q, one each per view point.  Rows: ``den`` times
+    the induced view minus q at each view point, that is P's numerators on
+    the channel entries and -den, den on the slacks (right-hand side den
+    times q there, in ``product`` order, which is q's flat order), then the
+    channel's row sums (right-hand side 1).
     """
     views = list(w.at)
     nv = len(views)
     rows = []
     for vi, v in enumerate(views):
         row = w.view_row(v)
-        row[w.size + vi] = -1
-        row[w.size + nv + vi] = 1
+        row[w.size + vi] = -w.den
+        row[w.size + nv + vi] = w.den
         rows.append(row)
     rows.extend(w.sum_rows())
     return rows, views
@@ -170,7 +169,7 @@ def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     p = handle.base
     w, rows, views, identity, c = handle._exact_lp
     nv = len(views)
-    b = [q.mass[v] for v in views] + [1] * (len(rows) - nv)
+    b = [w.den * q.mass[v] for v in views] + [1] * (len(rows) - nv)
     # start at the identity channel, whose view is P, with slacks P - q split
     # by sign; each identity column is alone in its row-sum row and each
     # slack alone in its view row, so the start columns are independent

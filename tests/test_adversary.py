@@ -8,10 +8,10 @@ import pytest
 
 from byzfc.adversary import (AttackError, BlockSplit, Honest, MemorylessChannel,
                              ResampleW, WitnessDMC, attack, resample_w_channel,
-                             witness_to_dmc)
+                             strategy_from_json, witness_to_dmc)
 from byzfc.examples_lib import random_function, random_pmf
-from byzfc.probability import (Channel, JointPmf, apply_channel, derive_seed,
-                               empirical_type, philox, sample_iid, tv_distance)
+from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, apply_channel,
+                               derive_seed, empirical_type, philox, sample_iid, tv_distance)
 from byzfc.viability import ViolationWitness, check_s_viability
 from byzfc.viewsets import induce_view
 
@@ -79,6 +79,27 @@ class TestResampleW:
             if tv_distance(empirical_type(rep).to_float(), pf) > 0.05:
                 fails += 1
         assert fails == 0
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_erasure_axes_channel(self, erasure_pmf, exact):
+        # (u, w) with exactly one erasure goes to (erase-first, bit) or
+        # (bit, erase-second), half each; every other pair stays put
+        u_axis, w_axis = erasure_pmf.axes[1], erasure_pmf.axes[2]
+        chan = resample_w_channel((u_axis, w_axis), exact=exact)
+        moves = {(0, "e3"): [(0, "e3"), ("e2", 0)], (1, "e3"): [(1, "e3"), ("e2", 1)],
+                 ("e2", 0): [("e2", 0), (0, "e3")], ("e2", 1): [("e2", 1), (1, "e3")]}
+        want = np.zeros((3, 3, 3, 3), dtype=object)
+        for a, b in np.ndindex(3, 3):
+            pair = (u_axis.symbols[a], w_axis.symbols[b])
+            for x, y in moves.get(pair, [pair]):
+                want[a, b, u_axis.index(x), w_axis.index(y)] = \
+                    Fraction(1, 2) if pair in moves else 1
+        assert chan.exact == exact
+        assert np.array_equal(chan.rows, want if exact else want.astype(float))
+
+    def test_bit_missing_from_the_partner_axis(self):
+        with pytest.raises(ProbabilityError):
+            resample_w_channel((Alphabet((0, "e")), Alphabet((0, 1, "e"))))
 
     def test_needs_two_coordinates(self, erasure_pmf):
         blk = honest_block(erasure_pmf, n=10)
@@ -230,3 +251,29 @@ class TestBlockSplit:
     def test_fraction_bounds(self):
         with pytest.raises(AttackError):
             BlockSplit(Honest(), Honest(), 1.5)
+
+
+class TestStrategyJson:
+    HONEST = {"kind": "honest"}
+
+    def test_numbers_parse(self, uvw_witness):
+        split = strategy_from_json({"kind": "block_split", "first": self.HONEST,
+                                    "second": self.HONEST, "fraction": 0.25})
+        assert split.fraction == 0.25 and type(split.fraction) is float
+        assert strategy_from_json({"kind": "block_split", "first": self.HONEST,
+                                   "second": self.HONEST}).fraction == 0.5
+        dmc = strategy_from_json({"kind": "witness_dmc", "scenario": 1},
+                                 witness_lookup=lambda d: uvw_witness)
+        assert dmc.scenario == 1
+
+    @pytest.mark.parametrize("scenario", [1.7, 1.0, True, "1"])
+    def test_scenario_must_be_an_integer(self, uvw_witness, scenario):
+        with pytest.raises(AttackError):
+            strategy_from_json({"kind": "witness_dmc", "scenario": scenario},
+                               witness_lookup=lambda d: uvw_witness)
+
+    @pytest.mark.parametrize("fraction", ["0.25", True, None])
+    def test_fraction_must_be_a_number(self, fraction):
+        with pytest.raises(AttackError):
+            strategy_from_json({"kind": "block_split", "first": self.HONEST,
+                                "second": self.HONEST, "fraction": fraction})

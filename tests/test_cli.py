@@ -245,7 +245,8 @@ class TestMalformedInput:
                                       "gtable-table-short", "gtable-defined-string",
                                       "viable-string", "gtable-twice", "n-float", "n-bool",
                                       "seed-float", "radius-bool-string",
-                                      "config-delta-string"])
+                                      "config-delta-string", "witness-scenario-float",
+                                      "split-fraction-string", "structure-k-bool"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -312,6 +313,17 @@ class TestMalformedInput:
                 **scenario, "delta": True, "gamma": "0.5"})],
             "config-delta-string": lambda: ["decode", "--config", put("c.json", {
                 **config, "delta": "0.1"}), "--block", put("b.json", block)],
+            "witness-scenario-float": lambda: ["simulate", put("s.json", {
+                **scenario, "adversary_set": [1, 2],
+                "strategy": {"kind": "witness_dmc", "from_example": "example-3-2-erasure:uvw",
+                             "scenario": 1.7}})],
+            "split-fraction-string": lambda: ["simulate", put("s.json", {
+                **scenario, "adversary_set": [1, 2],
+                "strategy": {"kind": "block_split", "first": {"kind": "honest"},
+                             "second": {"kind": "resample_w"}, "fraction": "0.25"}})],
+            "structure-k-bool": lambda: ["check-viability", "--example", "single-user-erasure",
+                                         "--structure", put("st.json", {"k": True,
+                                                                        "threshold": 1})],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

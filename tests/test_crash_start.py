@@ -165,14 +165,13 @@ def _ladder():
 def _sign_presolve(region: _Region):
     """The presolve that fixed a zero row's variables when every unfixed
     coefficient had one sign: (fixed, alive_vars, A, b), view-match rows
-    scaled by P's common denominator."""
+    in P's integer numerators."""
     rows = [row for w, off in zip(region.members, region.offsets) for row in w.sum_rows(off)]
     rhs = [Fraction(1)] * len(rows)
     placed = list(zip(region.members, region.offsets))
     for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
         for v in w0.at:
-            row = {j: c * region.den for j, c in
-                   {**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}.items()}
+            row = {**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
             if row:
                 rows.append(row)
                 rhs.append(Fraction(0))

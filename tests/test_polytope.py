@@ -23,6 +23,8 @@ def law(request, erasure_pmf):
 
 
 def test_view_rows_match_induced_view(law, threshold_3_2):
+    # evaluated at a random exact channel, each row is den times the view's
+    # mass there, for both signs
     views = list(product(*(range(a.size) for a in law.axes)))
     for s in threshold_3_2.sets:
         if not s:
@@ -35,25 +37,57 @@ def test_view_rows_match_induced_view(law, threshold_3_2):
             x = {5 + var: chan.rows[tx + ux] for (tx, ux), var in w.var.items()}
             view = induce_view(law, s, chan)
             for v in views:
-                got = sum((c * x[var] for var, c in w.view_row(v, 1, 5).items()), Fraction(0))
-                assert got == view.mass[v]
-                neg = sum((c * x[var] for var, c in w.view_row(v, -1, 5).items()),
-                          Fraction(0))
-                assert neg == -view.mass[v]
+                for sign in (1, -1):
+                    got = sum((c * x[var] for var, c in w.view_row(v, sign, 5).items()),
+                              Fraction(0))
+                    assert got == sign * w.den * view.mass[v]
 
 
 def test_integer_view_rows_are_the_view_rows_times_the_denominator(law, threshold_3_2):
-    # the law fixture runs the erasure law and a random_pmf with zero cells
+    # the rows of an exact law are ints: den times the P-valued rows, whose
+    # coefficient on W(ux | tx) at v is P(v with coords <- tx)
     for s in threshold_3_2.sets:
         if not s:
             continue
-        w = ChannelVars(law, tuple(sorted(s)))
-        assert isinstance(w.den, int) and w.den > 0
+        coords = tuple(sorted(s))
+        w = ChannelVars(law, coords)
+        assert type(w.den) is int and w.den > 0
         for v in w.at:
+            ux = tuple(v[c] for c in coords)
+            coefs = {}
+            for tx in w.rows:
+                full = list(v)
+                for pos, c in enumerate(coords):
+                    full[c] = tx[pos]
+                if law.mass[tuple(full)] > 0:
+                    coefs[5 + w.var[(tx, ux)]] = law.mass[tuple(full)]
             for sign in (1, -1):
-                ints = w.int_view_row(v, sign, 5)
-                assert all(type(c) is int for c in ints.values())
-                assert ints == {j: c * w.den for j, c in w.view_row(v, sign, 5).items()}
+                row = w.view_row(v, sign, 5)
+                assert all(type(c) is int for c in row.values())
+                assert row == {j: sign * c * w.den for j, c in coefs.items()}
+
+
+def test_float_view_rows_are_the_float_view(law, threshold_3_2):
+    # a float law's table holds the float mass over den = 1, so its rows
+    # evaluate to the float view
+    pf = law.to_float()
+    views = list(product(*(range(a.size) for a in law.axes)))
+    for s in threshold_3_2.sets:
+        if not s:
+            continue
+        coords = tuple(sorted(s))
+        w, exact = ChannelVars(pf, coords), ChannelVars(law, coords)
+        assert w.den == 1
+        assert w.rows == exact.rows
+        axes = tuple(law.axes[c] for c in coords)
+        chan = random_channel(axes, seed=7, exact=False)
+        x = {var: chan.rows[tx + ux] for (tx, ux), var in w.var.items()}
+        view = induce_view(pf, s, chan)
+        for v in views:
+            assert w.view_row(v) == {var: float(Fraction(num, exact.den))
+                                     for _, var, num in exact.at[v]}
+            got = sum(c * x[var] for var, c in w.view_row(v).items())
+            assert got == pytest.approx(view.mass[v], abs=1e-12)
 
 
 def test_identity_point_is_identity_channel(law, threshold_3_2):
@@ -61,8 +95,9 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
         if not s:
             continue
         w = ChannelVars(law, tuple(sorted(s)))
-        x = [Fraction(0)] * w.size
+        x = [0] * w.size
         w.set_identity(x)
+        assert set(x) == {0, 1} and all(type(v) is int for v in x)
         for row in w.sum_rows():
             assert sum(x[var] * c for var, c in row.items()) == 1
         ident = Channel.identity(tuple(law.axes[c] for c in w.coords))
@@ -70,28 +105,29 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
 
 
 def test_table_matches_definition(law, threshold_3_2):
-    # at[v] lists (tx, var, P(v with coords <- tx), its numerator over P's
-    # common denominator) for every input of positive coefficient, inputs
-    # in product order, P read from the mass
+    # at[v] lists (tx, var, num) for every input of positive coefficient,
+    # inputs in product order, with num / den = P(v with coords <- tx): P's
+    # integer numerator over its common denominator, or the float mass
+    # over 1
     views = list(product(*(range(a.size) for a in law.axes)))
-    for s in threshold_3_2.sets:
+    for p, s in product((law, law.to_float()), threshold_3_2.sets):
         if not s:
             continue
+        nums, den = integer_mass(p.mass) if p.exact else (p.mass, 1)
         coords = tuple(sorted(s))
-        w = ChannelVars(law, coords)
-        nums, den = integer_mass(law.mass)
+        w = ChannelVars(p, coords)
         assert w.den == den
         assert list(w.at) == views
         for v in views:
             ux = tuple(v[c] for c in coords)
             want = []
-            for tx in product(*(range(law.axes[c].size) for c in coords)):
+            for tx in product(*(range(p.axes[c].size) for c in coords)):
                 full = list(v)
                 for pos, c in enumerate(coords):
                     full[c] = tx[pos]
-                coef = law.mass[tuple(full)]
-                if coef > 0:
-                    want.append((tx, w.var[(tx, ux)], coef, nums[tuple(full)]))
+                if p.mass[tuple(full)] > 0:
+                    want.append((tx, w.var[(tx, ux)], nums[tuple(full)]))
+                    assert nums[tuple(full)] == den * p.mass[tuple(full)]
             assert w.at[v] == want
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from byzfc.probability import Alphabet
+from byzfc.probability import Alphabet, philox
 from byzfc.structures import (AdversaryStructure, TargetFunction,
                               constant_function, nonintersecting_collections)
 
@@ -27,9 +27,20 @@ class TestAdversaryStructure:
         assert frozenset({0, 1}) in s
         assert frozenset({0, 1, 2}) not in s
 
+    @pytest.mark.parametrize("d", [{"k": True, "threshold": 1}, {"k": 3.0, "threshold": 1},
+                                   {"k": 3, "threshold": 1.0}, {"k": 3, "threshold": False},
+                                   {"k": 3, "sets": [[], [0, True]]},
+                                   {"k": 3, "sets": [[], [0, 1.0]]},
+                                   {"k": 3, "sets": [[], ["0"]]}])
+    def test_json_numbers_must_be_integers(self, d):
+        with pytest.raises(ValueError):
+            AdversaryStructure.from_json_dict(d)
+
     def test_json_roundtrip(self):
         s = AdversaryStructure(3, [set(), {0}, {1, 2}])
         assert AdversaryStructure.from_json_dict(s.to_json_dict()) == s
+        assert AdversaryStructure.from_json_dict({"k": 3, "threshold": 1}) == \
+            AdversaryStructure.threshold(3, 1)
 
 
 def powerset_oracle(structure):
@@ -74,6 +85,22 @@ class TestCollections:
         sizes = [len(c) for c in cols]
         assert sizes == sorted(sizes)
         assert cols[0] == (frozenset({0}), frozenset({1}))
+        # every threshold structure up to k = 4, those of k = 5 up to pairs,
+        # and random structures: members sorted by key, collections by
+        # size and then by their members' keys
+        structures = [AdversaryStructure.threshold(k, t) for k in range(1, 6)
+                      for t in range(k + 1 if k < 5 else 3)]
+        rng = philox(23)
+        for _ in range(200):
+            k = int(rng.integers(2, 6))
+            sets = [[u for u in range(k) if rng.random() < 0.5]
+                    for _ in range(int(rng.integers(1, 11)))]
+            structures.append(AdversaryStructure(k, [[], *sets]))
+        key = lambda s: (len(s), tuple(sorted(s)))
+        for s in structures:
+            cols = nonintersecting_collections(s)
+            members = [tuple(sorted(c, key=key)) for c in cols]
+            assert cols == sorted(members, key=lambda c: (len(c), [key(m) for m in c]))
 
 
 class TestTargetFunction:

@@ -14,9 +14,12 @@ from byzfc import decoder
 from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW, WitnessDMC,
                              attack)
 from byzfc.decoder import DecoderConfig, explanation_set
+from byzfc.examples_lib import random_pmf
+from byzfc.polytope import ChannelVars
 from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, SampleBlock,
                                derive_seed, empirical_type, philox, pmf_from_dict, sample_iid,
                                tv_distance, uniform_pmf)
+from byzfc.simplex import Tableau
 from byzfc.viability import check_s_viability
 from byzfc.viewsets import ViewSetHandle, distance_bounds, distance_to_viewset, induce_view
 
@@ -170,6 +173,69 @@ class TestHandleCache:
                 want = distance_to_viewset(ViewSetHandle(base, frozenset(aset)), q)
                 assert got.distance == want.distance > 0
                 assert np.array_equal(got.nearest_channel.rows, want.nearest_channel.rows)
+
+
+def _fraction_distance_lp(handle: ViewSetHandle):
+    """The view-distance LP with P-valued Fraction rows: P(v with A <- tx)
+    on W(ux | tx), -1 and 1 on the view slacks, then the row sums."""
+    w = ChannelVars(handle.base, handle.coords)
+    nv = len(w.at)
+    rows = []
+    for vi, v in enumerate(w.at):
+        row = {var: Fraction(num, w.den) for _, var, num in w.at[v]}
+        row[w.size + vi], row[w.size + nv + vi] = -1, 1
+        rows.append(row)
+    return w, rows + w.sum_rows()
+
+
+def _fraction_distance(handle: ViewSetHandle, q: JointPmf):
+    """Distance and nearest channel from the Fraction rows (right-hand side
+    q), started at the identity channel with slacks P - q split by sign."""
+    p = handle.base
+    w, rows = _fraction_distance_lp(handle)
+    views = list(w.at)
+    nv = len(views)
+    start = [Fraction(0)] * (w.size + 2 * nv)
+    w.set_identity(start)
+    for vi, v in enumerate(views):
+        gap = p.mass[v] - q.mass[v]
+        start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
+    b = [q.mass[v] for v in views] + [1] * len(w.rows)
+    t = Tableau(rows, b, len(start), start=start)
+    dist = -t.maximize([0] * w.size + [Fraction(-1, 2)] * (2 * nv))
+    return dist, w.channel(t.solution())
+
+
+def test_integer_distance_rows_match_the_fraction_rows(erasure_pmf, threshold_3_2):
+    # each exact row is den times its Fraction row, which moves neither the
+    # crash basis nor Bland's choices: same distance, same nearest channel;
+    # the float matrix, over den = 1, is the Fraction rows' floats
+    laws = [erasure_pmf] + [random_pmf((2, 2, 2, 2), seed=seed) for seed in range(4)]
+    lps = 0
+    for li, law in enumerate(laws):
+        types = [empirical_type(sample_iid(law.to_float(), 60, seed=derive_seed(41, li, t)))
+                 for t in range(3)]
+        for aset in threshold_3_2.sets:
+            handle = ViewSetHandle(law, aset)
+            if aset:
+                _, rows = _fraction_distance_lp(handle)
+                _, A, _, _ = handle._float_lp
+                want = np.zeros(A.shape)
+                for i, row in enumerate(rows):
+                    for j, v in row.items():
+                        want[i, j] = float(v)
+                assert np.array_equal(A, want)
+            for q in types:
+                assert q.exact
+                got = distance_to_viewset(handle, q)
+                if aset:
+                    dist, chan = _fraction_distance(handle, q)
+                    assert got.distance == dist
+                    assert got.nearest_channel.to_json_dict() == chan.to_json_dict()
+                else:
+                    assert got.distance == law.tv_distance(q)
+                lps += 1
+    assert lps == 105
 
 
 class TestMembership:
