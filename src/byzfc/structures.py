@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .probability import Alphabet, Label, ProbabilityError, json_number
+from .probability import Alphabet, Label, ProbabilityError, json_number, json_value
 
 
 def _set_key(s: frozenset[int]) -> tuple:
@@ -77,8 +77,7 @@ class AdversaryStructure:
             return AdversaryStructure.threshold(
                 k, json_number(d, "threshold", integer=True, error=ValueError))
         for u in chain.from_iterable(d["sets"]):
-            if isinstance(u, bool) or not isinstance(u, int):
-                raise ValueError(f"user ids must be integers, not {u!r}")
+            json_value(u, "user id", integer=True, error=ValueError)
         return AdversaryStructure(k, d["sets"])
 
 

@@ -299,6 +299,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
         pv = view.mass[vp]
         if pv == 0:
             continue
+        dpv = den * pv
         posts = []
         for w, chan in zip(members, chans):
             ux = tuple(vp[c] for c in w.coords)
@@ -306,7 +307,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
             for tx, _, num in w.at[vp]:
                 joint_num = num * chan.rows[tx + ux]
                 if joint_num > 0:
-                    post.append((tx, joint_num / (den * pv)))
+                    post.append((tx, joint_num / dpv))
             posts.append(post)
         for combo in product(*posts):
             weight = pv
