@@ -30,8 +30,6 @@ from typing import Sequence
 MAX_PIVOTS = 200_000
 RANK_PRIME = 2_147_483_647  # 2**31 - 1
 
-_ZERO = Fraction(0)
-
 
 class LPError(RuntimeError):
     """Internal solver failure (iteration cap, division residue, ...)."""
@@ -304,7 +302,7 @@ class Tableau:
         return self._optimize(ints + [0] * (self.width - 1 - len(ints))) / mult
 
     def solution(self) -> list[Fraction]:
-        x = [_ZERO] * self.art0
+        x: list = [0] * self.art0
         den = self.den
         rhs_col = self.width - 1
         for row, bi in zip(self.rows, self.basis):
