@@ -11,16 +11,17 @@ decoders that must not assume memoryless attacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Union
 
 import numpy as np
 
-from .probability import (Alphabet, Channel, SampleBlock, derive_seed, json_number, philox,
-                          zero_mass)
+from .probability import (Alphabet, Channel, SampleBlock, cell_table, derive_seed,
+                          flat_cells, json_number, philox, zero_mass)
 from .viability import ViolationWitness
 
 
@@ -36,6 +37,11 @@ class Honest:
 @dataclass(frozen=True)
 class MemorylessChannel:
     channel: Channel
+
+    @cached_property
+    def cdf(self) -> "_ChannelCdf":
+        """The channel's cumulative tables, built on the first attack."""
+        return _ChannelCdf.of(self.channel)
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,11 @@ class WitnessDMC:
     def channel(self) -> Channel:
         """The scenario channel, extracted from the witness joint once."""
         return witness_to_dmc(self.witness, self.scenario)
+
+    @cached_property
+    def cdf(self) -> "_ChannelCdf":
+        """The channel's cumulative tables, built on the first attack."""
+        return _ChannelCdf.of(self.channel)
 
 
 @dataclass(frozen=True)
@@ -126,21 +137,61 @@ def resample_w_channel(axes: tuple[Alphabet, Alphabet], exact: bool = True) -> C
     return Channel(axes, axes, rows)
 
 
-def _apply_memoryless(chan: Channel, coords: tuple[int, ...], block: SampleBlock,
+@dataclass(frozen=True)
+class _ChannelCdf:
+    """A channel's inverse-CDF tables, built once per channel.
+
+    ``cums[i, j]``, input i's cumulative mass up to output cell j, is
+    pinned to 1.0 from the row's last positive entry on, so no uniform
+    lands on a zero-mass cell after it.  A 0 entry counts for every
+    uniform in [0, 1) and a 1 for none, so only the output cells with an
+    entry strictly between depend on the draw: ``columns`` holds their
+    entries, one row per output cell, and ``base[i]`` counts input i's
+    zero entries among the other cells.
+    """
+
+    in_sizes: tuple[int, ...]
+    base: np.ndarray
+    columns: np.ndarray
+    out_cells: np.ndarray
+
+    @staticmethod
+    def of(chan: Channel) -> "_ChannelCdf":
+        in_sizes = tuple(a.size for a in chan.input_axes)
+        rows = np.asarray(chan.rows, dtype=np.float64).reshape(math.prod(in_sizes), -1)
+        cums = np.cumsum(rows, axis=1)
+        last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+        cums[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
+        drawn = ((cums > 0) & (cums < 1)).any(axis=0)
+        return _ChannelCdf(in_sizes, (cums[:, ~drawn] == 0).sum(axis=1),
+                           np.ascontiguousarray(cums[:, drawn].T),
+                           cell_table(tuple(a.size for a in chan.output_axes)))
+
+
+@cache
+def _resample_cdf(axes: tuple[Alphabet, Alphabet]) -> _ChannelCdf:
+    return _ChannelCdf.of(resample_w_channel(axes, exact=False))
+
+
+def _apply_memoryless(cdf: _ChannelCdf, coords: tuple[int, ...], block: SampleBlock,
                       seed: int) -> SampleBlock:
-    sizes_in = tuple(a.size for a in chan.input_axes)
-    n_in = int(np.prod(sizes_in))
-    n_out = int(np.prod([a.size for a in chan.output_axes]))
-    cf = chan.to_float()
-    cums = np.cumsum(cf.rows.reshape(n_in, n_out), axis=1)
-    cums[:, -1] = 1.0
-    in_seq = np.ravel_multi_index(tuple(block.user_seqs[c] for c in coords), sizes_in)
-    rng = philox(seed)
-    u = rng.random(block.n)
-    out_flat = (cums[in_seq] <= u[:, None]).sum(axis=1)
-    out_idx = np.unravel_index(out_flat, tuple(a.size for a in chan.output_axes))
-    return block.replace_users({c: out_idx[pos].astype(np.int64)
-                                for pos, c in enumerate(coords)})
+    """Pass the coordinates through the channel letter by letter.
+
+    Inverse CDF per letter: the reported output cell is the first whose
+    cumulative mass in the true input's row exceeds the letter's
+    ``philox(seed)`` uniform, which is the number of the row's entries
+    <= that uniform.  The count is ``base`` plus one compare per output
+    column that depends on the draw; it equals the count over the whole
+    row, so each letter is the one a search of its input's row gives.
+    Blocks are a pure function of (channel, block, seed), bit-for-bit.
+    """
+    in_seq = flat_cells([block.user_seqs[c] for c in coords], cdf.in_sizes)
+    u = philox(seed).random(block.n)
+    out_flat = np.take(cdf.base, in_seq)
+    for col in cdf.columns:
+        out_flat += np.take(col, in_seq) <= u
+    out_idx = np.take(cdf.out_cells, out_flat, axis=1)
+    return block.replace_users(dict(zip(coords, out_idx)))
 
 
 def attack(strategy: AttackStrategy, adversary_set, true_block: SampleBlock,
@@ -160,18 +211,17 @@ def attack(strategy: AttackStrategy, adversary_set, true_block: SampleBlock,
         chan = strategy.channel
         if tuple(chan.input_axes) != tuple(true_block.axes[c] for c in coords):
             raise AttackError("channel input axes do not match the adversary set")
-        return _apply_memoryless(chan, coords, true_block, seed)
+        return _apply_memoryless(strategy.cdf, coords, true_block, seed)
     if isinstance(strategy, WitnessDMC):
         member_set = strategy.witness.collection[strategy.scenario]
         if frozenset(adversary_set) != member_set:
             raise AttackError("adversary set differs from the witness scenario")
-        return _apply_memoryless(strategy.channel, coords, true_block, seed)
+        return _apply_memoryless(strategy.cdf, coords, true_block, seed)
     if isinstance(strategy, ResampleW):
         if len(coords) != 2:
             raise AttackError("resampler needs a two-coordinate adversary set")
         axes = (true_block.axes[coords[0]], true_block.axes[coords[1]])
-        chan = resample_w_channel(axes, exact=False)
-        return _apply_memoryless(chan, coords, true_block, seed)
+        return _apply_memoryless(_resample_cdf(axes), coords, true_block, seed)
     if isinstance(strategy, BlockSplit):
         n1 = int(np.floor(strategy.fraction * true_block.n))
         first = SampleBlock(true_block.axes, true_block.user_seqs[:, :n1],

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -426,13 +427,36 @@ def tv_distance(p: JointPmf, q: JointPmf):
     return p.tv_distance(q)
 
 
+def flat_cells(seqs: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """Row-major flat cell index of coordinate sequences over ``sizes``.
+
+    Equal to ``np.ravel_multi_index(seqs, sizes)`` for in-range symbols,
+    computed by integer arithmetic without its bounds checks.
+    """
+    flat = np.array(seqs[0], dtype=np.int64)
+    for seq, size in zip(seqs[1:], sizes[1:]):
+        flat *= size
+        flat += seq
+    return flat
+
+
+def cell_table(sizes: Sequence[int]) -> np.ndarray:
+    """The coordinates of every cell over ``sizes``, shape (len(sizes), cells).
+
+    Column c holds ``np.unravel_index(c, sizes)``, so one ``np.take`` along
+    axis 1 maps flat cells to coordinate rows.
+    """
+    return np.indices(sizes).reshape(len(sizes), -1)
+
+
 @dataclass(frozen=True)
 class SampleBlock:
     """n observations for k users plus decoder side information.
 
     ``user_seqs`` is an int array of shape (k, n) of symbol indices;
     ``side_seq`` has shape (n,).  ``axes`` lists the k user alphabets
-    followed by the side-information alphabet.
+    followed by the side-information alphabet.  A block's arrays are not
+    written after construction: ``cells`` is computed from them once.
     """
 
     axes: tuple[Alphabet, ...]
@@ -448,12 +472,19 @@ class SampleBlock:
         n = self.user_seqs.shape[1]
         if self.side_seq.shape != (n,):
             raise ProbabilityError("side_seq length mismatch")
-        for i in range(k):
-            col = self.user_seqs[i]
-            if col.size and (col.min() < 0 or col.max() >= self.axes[i].size):
-                raise ProbabilityError(f"user {i} sequence has out-of-range symbols")
-        if n and (self.side_seq.min() < 0 or self.side_seq.max() >= self.axes[-1].size):
+        if not n:
+            return
+        sizes = np.array([a.size for a in self.axes[:k]])
+        bad = (self.user_seqs.min(axis=1) < 0) | (self.user_seqs.max(axis=1) >= sizes)
+        if bad.any():
+            raise ProbabilityError(f"user {int(np.argmax(bad))} sequence has out-of-range symbols")
+        if self.side_seq.min() < 0 or self.side_seq.max() >= self.axes[-1].size:
             raise ProbabilityError("side sequence has out-of-range symbols")
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Row-major flat index over ``axes`` of every column, shape (n,)."""
+        return flat_cells([*self.user_seqs, self.side_seq], [a.size for a in self.axes])
 
     @property
     def k(self) -> int:
@@ -494,11 +525,7 @@ def _type_counts(block: SampleBlock) -> np.ndarray:
     """How often each symbol tuple occurs in a block, flat in row-major order."""
     if block.n == 0:
         raise ProbabilityError("empty block has no type")
-    shape = tuple(a.size for a in block.axes)
-    flat_idx = np.ravel_multi_index(
-        tuple(block.user_seqs[i] for i in range(block.k)) + (block.side_seq,), shape
-    )
-    return np.bincount(flat_idx, minlength=int(np.prod(shape)))
+    return np.bincount(block.cells, minlength=math.prod(a.size for a in block.axes))
 
 
 def empirical_type(block: SampleBlock) -> JointPmf:
@@ -531,7 +558,16 @@ def derive_seed(master: int, *parts) -> int:
 
 
 def sample_iid(p: JointPmf, n: int, seed: int) -> SampleBlock:
-    """Draw n i.i.d. tuples from a float-mode pmf over k+1 axes."""
+    """Draw n i.i.d. tuples from a float-mode pmf over k+1 axes.
+
+    Inverse CDF over the row-major cells: draw t takes the first cell
+    whose cumulative mass exceeds the t-th ``philox(seed)`` uniform, with
+    the last positive cell's cumulative mass pinned to 1.0.  Zero-mass
+    cells are left out of the search, so a float sum short of 1 cannot
+    hand [sum, 1) to one of them; every other draw is the one the plain
+    cumulative search over all cells gives.  Blocks are a pure function
+    of (p, n, seed), bit-for-bit.
+    """
     if p.exact:
         raise ProbabilityError("sample_iid requires a float-mode pmf; call to_float() explicitly")
     if n < 1:
@@ -539,16 +575,13 @@ def sample_iid(p: JointPmf, n: int, seed: int) -> SampleBlock:
     if p.k < 2:
         raise ProbabilityError("pmf must cover at least one user axis plus side info")
     flat = p.mass.reshape(-1)
-    cum = np.cumsum(flat)
+    support = np.flatnonzero(flat > 0)
+    cum = np.cumsum(flat[support])
     cum[-1] = 1.0
-    rng = philox(seed)
-    u = rng.random(n)
-    flat_idx = np.searchsorted(cum, u, side="right")
-    idx = np.unravel_index(flat_idx, p.mass.shape)
-    k = p.k - 1
-    users = np.stack([idx[i].astype(np.int64) for i in range(k)])
-    side = idx[k].astype(np.int64)
-    return SampleBlock(p.axes, users, side)
+    u = philox(seed).random(n)
+    coords = np.take(cell_table(p.mass.shape)[:, support],
+                     np.searchsorted(cum, u, side="right"), axis=1)
+    return SampleBlock(p.axes, coords[:-1], coords[-1])
 
 
 def apply_pointwise(fn, block: SampleBlock) -> np.ndarray:
@@ -559,8 +592,7 @@ def apply_pointwise(fn, block: SampleBlock) -> np.ndarray:
     """
     if tuple(fn.domain_axes) != block.axes:
         raise ProbabilityError("function domain does not match block axes")
-    coords = tuple(block.user_seqs[i] for i in range(block.k)) + (block.side_seq,)
-    return fn.table[coords]
+    return np.take(fn.table, block.cells)
 
 
 def hamming_distortion(a: Sequence, b: Sequence) -> float:

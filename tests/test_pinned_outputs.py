@@ -1,15 +1,19 @@
-"""The worked example's refutation and decoder config, and every benchmark
-workload's seed-1 outputs, pinned byte for byte.
+"""The worked example's refutation and decoder config, every benchmark
+workload's seed-1 outputs, and the raw blocks of the acceptance
+scenarios, pinned byte for byte.
 
 The benchmark stores digests of the ``uvw`` witness, the ``uv`` decoder
 config and each workload's seed-1 outputs (``bench/expected.json``).
 Checking them here makes a change that alters one fail the test suite,
-not only the benchmark run.
+not only the benchmark run.  Those outputs are decode outcomes; the
+raw-block digest pins the sampled and attacked symbol arrays themselves.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -18,7 +22,12 @@ if str(BENCH) not in sys.path:
 
 import run  # noqa: E402
 import workloads  # noqa: E402
+from byzfc.adversary import BlockSplit, Honest, ResampleW, WitnessDMC, attack  # noqa: E402
 from byzfc.decoder import build_decoder_config, config_to_json_dict  # noqa: E402
+from byzfc.probability import derive_seed, sample_iid  # noqa: E402
+
+# sha256 over dtype, shape and bytes of every user_seqs and side_seq below
+RAW_BLOCKS = "4507613aafb891f5abe6f6ca84abfd085df0b830b2208fb812684e3b9a773020"
 
 
 def test_uvw_witness_and_uv_config_match_the_stored_digests(erasure_pmf, erasure_f_uv):
@@ -37,3 +46,23 @@ def test_seed_1_fingerprint(name):
     stats = run.measure(wl, 0.0, run._no_span)
     assert stats["failed"] == 0, stats["problems"]
     assert workloads.digest(wl.records) == expected["fingerprints"][name]
+
+
+def test_raw_blocks_of_the_acceptance_scenarios(erasure_pmf):
+    """At seeds 1-3: the true block, then the block each acceptance strategy
+    reports from it (honest, ``ResampleW`` and the honest/witness split)."""
+    pf = erasure_pmf.to_float()
+    witness, m = workloads.erasure_witness()
+    both = frozenset({1, 2})
+    scenarios = [("honest", frozenset(), Honest()), ("resample", both, ResampleW()),
+                 ("split", both, BlockSplit(Honest(), WitnessDMC(witness, m), 0.5))]
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        true = sample_iid(pf, workloads.BLOCK_N, derive_seed(seed, "trial", 0))
+        blocks = [true] + [attack(strategy, aset, true, derive_seed(seed, "attack", name))
+                           for name, aset, strategy in scenarios]
+        for block in blocks:
+            for arr in (block.user_seqs, block.side_seq):
+                h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == RAW_BLOCKS

@@ -261,6 +261,33 @@ def block_of(axes, users, side):
                        np.asarray(side, dtype=np.int64))
 
 
+class TestSampleBlockChecks:
+    @pytest.mark.parametrize("users, side, message", [
+        ([[0, 1, 2], [0, 1, 1]], [0, 0, 1], "user 0 sequence"),
+        ([[0, 1, 1], [0, -1, 1]], [0, 0, 1], "user 1 sequence"),
+        ([[0, 3, 1], [0, 1, 2]], [0, 0, 1], "user 0 sequence"),
+        ([[0, 1, 1], [0, 1, 1]], [0, 2, 1], "side sequence"),
+        ([[0, 1, 1], [0, 1, 1]], [-1, 0, 1], "side sequence"),
+    ])
+    def test_out_of_range_symbols(self, users, side, message):
+        axes = [Alphabet.binary(), Alphabet.binary(), Alphabet.binary()]
+        with pytest.raises(ProbabilityError, match=f"{message} has out-of-range symbols"):
+            block_of(axes, users, side)
+
+    def test_shape_checks(self):
+        a = Alphabet.binary()
+        with pytest.raises(ProbabilityError, match="at least one user axis"):
+            block_of([a], np.zeros((0, 2)), [0, 0])
+        with pytest.raises(ProbabilityError, match="wrong number of users"):
+            block_of([a, a, a], [[0, 1]], [0, 1])
+        with pytest.raises(ProbabilityError, match="side_seq length mismatch"):
+            block_of([a, a], [[0, 1]], [0, 1, 1])
+
+    def test_empty_block_passes_the_checks(self):
+        a = Alphabet.binary()
+        assert block_of([a, a], np.zeros((1, 0)), []).n == 0
+
+
 class TestEmpiricalType:
     def test_half_half(self):
         a = Alphabet.binary()
@@ -293,15 +320,16 @@ class TestEmpiricalType:
             assert (v * 7).denominator == 1
 
     def test_float_type_equals_converted_exact_type(self):
+        # k = 1..4 users over mixed alphabet sizes 1..5
         rng = philox(10)
-        for _ in range(40):
-            sizes = [int(s) for s in rng.integers(2, 4, size=3)]
+        for t in range(80):
+            sizes = [int(s) for s in rng.integers(1, 6, size=2 + t % 4)]
             n = int(rng.integers(1, 3000))
             users = np.stack([rng.integers(0, s, n) for s in sizes[:-1]])
             blk = block_of([Alphabet.of_size(s) for s in sizes], users,
                            rng.integers(0, sizes[-1], n))
             ty = float_type(blk)
-            assert not ty.exact
+            assert not ty.exact and ty.axes == blk.axes
             assert np.array_equal(ty.mass, empirical_type(blk).to_float().mass)
 
     def test_count_over_n_is_the_rounded_fraction(self):
