@@ -1,17 +1,16 @@
 """Attack strategies: how a corrupted user set rewrites its reports.
 
-An attack maps the true block to a reported block, altering only the
-coordinates the adversary controls; honest coordinates and the decoder's
-side information pass through bit-identical.  Strategies include the
-identity, arbitrary per-letter channels, channels extracted from
-viability violation witnesses (the converse construction), the worked
-example's erasure-pattern resampler, and a two-regime splice for stressing
-decoders that must not assume memoryless attacks.
+An attack rewrites the rows of the coordinates the adversary controls
+and nothing else: honest coordinates and the decoder's side information
+pass through bit-identical.  Strategies include the identity, arbitrary
+per-letter channels, channels extracted from viability violation
+witnesses (the converse construction), the worked example's
+erasure-pattern resampler, and a two-regime splice for stressing decoders
+that must not assume memoryless attacks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -150,22 +149,22 @@ class _ChannelCdf:
     zero entries among the other cells.
     """
 
-    in_sizes: tuple[int, ...]
+    input_axes: tuple[Alphabet, ...]
+    output_axes: tuple[Alphabet, ...]
     base: np.ndarray
     columns: np.ndarray
     out_cells: np.ndarray
 
     @staticmethod
     def of(chan: Channel) -> "_ChannelCdf":
-        in_sizes = tuple(a.size for a in chan.input_axes)
-        rows = np.asarray(chan.rows, dtype=np.float64).reshape(math.prod(in_sizes), -1)
+        out_cells = cell_table([a.size for a in chan.output_axes])
+        rows = np.asarray(chan.rows, dtype=np.float64).reshape(-1, out_cells.shape[1])
         cums = np.cumsum(rows, axis=1)
         last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
         cums[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
         drawn = ((cums > 0) & (cums < 1)).any(axis=0)
-        return _ChannelCdf(in_sizes, (cums[:, ~drawn] == 0).sum(axis=1),
-                           np.ascontiguousarray(cums[:, drawn].T),
-                           cell_table(tuple(a.size for a in chan.output_axes)))
+        return _ChannelCdf(chan.input_axes, chan.output_axes, (cums[:, ~drawn] == 0).sum(axis=1),
+                           np.ascontiguousarray(cums[:, drawn].T), out_cells)
 
 
 @cache
@@ -173,9 +172,8 @@ def _resample_cdf(axes: tuple[Alphabet, Alphabet]) -> _ChannelCdf:
     return _ChannelCdf.of(resample_w_channel(axes, exact=False))
 
 
-def _apply_memoryless(cdf: _ChannelCdf, coords: tuple[int, ...], block: SampleBlock,
-                      seed: int) -> SampleBlock:
-    """Pass the coordinates through the channel letter by letter.
+def _apply_memoryless(cdf: _ChannelCdf, rows: np.ndarray, seed: int) -> np.ndarray:
+    """Pass the adversary's rows through the channel letter by letter.
 
     Inverse CDF per letter: the reported output cell is the first whose
     cumulative mass in the true input's row exceeds the letter's
@@ -183,15 +181,41 @@ def _apply_memoryless(cdf: _ChannelCdf, coords: tuple[int, ...], block: SampleBl
     <= that uniform.  The count is ``base`` plus one compare per output
     column that depends on the draw; it equals the count over the whole
     row, so each letter is the one a search of its input's row gives.
-    Blocks are a pure function of (channel, block, seed), bit-for-bit.
+    Rows are a pure function of (channel, rows, seed), bit-for-bit.
     """
-    in_seq = flat_cells([block.user_seqs[c] for c in coords], cdf.in_sizes)
-    u = philox(seed).random(block.n)
+    in_seq = flat_cells(rows, [a.size for a in cdf.input_axes])
+    u = philox(seed).random(rows.shape[1])
     out_flat = np.take(cdf.base, in_seq)
     for col in cdf.columns:
         out_flat += np.take(col, in_seq) <= u
-    out_idx = np.take(cdf.out_cells, out_flat, axis=1)
-    return block.replace_users(dict(zip(coords, out_idx)))
+    return np.take(cdf.out_cells, out_flat, axis=1)
+
+
+def _reported(strategy: AttackStrategy, adversary_set: frozenset,
+              axes: tuple[Alphabet, ...], rows: np.ndarray, seed: int) -> np.ndarray:
+    """The adversary's reported rows, one per coordinate of ``axes``.  A
+    split recurses on both column ranges, an empty one included; every other
+    strategy but the identity plays a channel on exactly ``axes``."""
+    if isinstance(strategy, Honest):
+        return rows
+    if isinstance(strategy, BlockSplit):
+        n1 = int(np.floor(strategy.fraction * rows.shape[1]))
+        halves = ((strategy.first, rows[:, :n1]), (strategy.second, rows[:, n1:]))
+        return np.concatenate([_reported(sub, adversary_set, axes, half,
+                                         derive_seed(seed, "split", i))
+                               for i, (sub, half) in enumerate(halves)], axis=1)
+    if (isinstance(strategy, WitnessDMC)
+            and adversary_set != strategy.witness.collection[strategy.scenario]):
+        raise AttackError("adversary set differs from the witness scenario")
+    if isinstance(strategy, (MemorylessChannel, WitnessDMC)):
+        cdf = strategy.cdf
+    elif isinstance(strategy, ResampleW):
+        cdf = _resample_cdf(axes)  # raises AttackError unless two coordinates
+    else:
+        raise AttackError(f"unknown strategy {strategy!r}")
+    if cdf.input_axes != axes or cdf.output_axes != axes:
+        raise AttackError("channel axes do not match the adversary set")
+    return _apply_memoryless(cdf, rows, seed)
 
 
 def attack(strategy: AttackStrategy, adversary_set, true_block: SampleBlock,
@@ -207,38 +231,9 @@ def attack(strategy: AttackStrategy, adversary_set, true_block: SampleBlock,
             raise AttackError(f"adversary coordinate {c} out of range")
     if isinstance(strategy, Honest) or not coords:
         return true_block
-    if isinstance(strategy, MemorylessChannel):
-        chan = strategy.channel
-        if tuple(chan.input_axes) != tuple(true_block.axes[c] for c in coords):
-            raise AttackError("channel input axes do not match the adversary set")
-        return _apply_memoryless(strategy.cdf, coords, true_block, seed)
-    if isinstance(strategy, WitnessDMC):
-        member_set = strategy.witness.collection[strategy.scenario]
-        if frozenset(adversary_set) != member_set:
-            raise AttackError("adversary set differs from the witness scenario")
-        return _apply_memoryless(strategy.cdf, coords, true_block, seed)
-    if isinstance(strategy, ResampleW):
-        if len(coords) != 2:
-            raise AttackError("resampler needs a two-coordinate adversary set")
-        axes = (true_block.axes[coords[0]], true_block.axes[coords[1]])
-        return _apply_memoryless(_resample_cdf(axes), coords, true_block, seed)
-    if isinstance(strategy, BlockSplit):
-        n1 = int(np.floor(strategy.fraction * true_block.n))
-        first = SampleBlock(true_block.axes, true_block.user_seqs[:, :n1],
-                            true_block.side_seq[:n1]) if n1 else None
-        second = SampleBlock(true_block.axes, true_block.user_seqs[:, n1:],
-                             true_block.side_seq[n1:]) if n1 < true_block.n else None
-        parts = []
-        if first is not None:
-            parts.append(attack(strategy.first, adversary_set, first,
-                                derive_seed(seed, "split", 0)))
-        if second is not None:
-            parts.append(attack(strategy.second, adversary_set, second,
-                                derive_seed(seed, "split", 1)))
-        users = np.concatenate([p.user_seqs for p in parts], axis=1)
-        side = np.concatenate([p.side_seq for p in parts])
-        return SampleBlock(true_block.axes, users, side)
-    raise AttackError(f"unknown strategy {strategy!r}")
+    rows = _reported(strategy, frozenset(coords), tuple(true_block.axes[c] for c in coords),
+                     true_block.user_seqs[list(coords)], seed)
+    return true_block.replace_users(dict(zip(coords, rows)))
 
 
 def strategy_from_json(d: dict, witness_lookup=None) -> AttackStrategy:

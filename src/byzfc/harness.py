@@ -71,13 +71,17 @@ def scenario_from_json_dict(d: dict, witness_lookup=None) -> Scenario:
         structure = AdversaryStructure.from_json_dict(d["structure"])
     if "threshold" in d:
         structure = AdversaryStructure.threshold(structure.k, number("threshold", integer=True))
+    # the CLI writes <name>.json and <name>.csv into its output directory
+    name = d.get("name", "scenario")
+    if not isinstance(name, str) or name in ("", ".", "..") or {"/", "\\"} & set(name):
+        raise ScenarioError(f"scenario name {name!r} is not a plain file name")
     return Scenario(
         pmf=pmf, f=f, structure=structure,
         adversary_set=frozenset(d.get("adversary_set", [])),
         strategy=strategy_from_json(d.get("strategy", {"kind": "honest"}), witness_lookup),
         n=number("n", integer=True), trials=number("trials", integer=True),
         delta=number("delta", 0.1), gamma=number("gamma", 0.05),
-        seed=number("seed", 0, integer=True), name=d.get("name", "scenario"),
+        seed=number("seed", 0, integer=True), name=name,
     )
 
 
@@ -137,8 +141,9 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """95% (by default) score interval for a binomial proportion."""
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
+    """95% score interval for a binomial proportion, at z = 1.96."""
+    z = 1.96
     if n == 0:
         return (0.0, 1.0)
     phat = errors / n

@@ -177,9 +177,7 @@ class Alphabet:
         return Alphabet((0, 1))
 
     @staticmethod
-    def of_size(n: int, prefix: str = "") -> "Alphabet":
-        if prefix:
-            return Alphabet(tuple(f"{prefix}{i}" for i in range(n)))
+    def of_size(n: int) -> "Alphabet":
         return Alphabet(tuple(range(n)))
 
 
@@ -498,10 +496,11 @@ class SampleBlock:
         return tuple(int(self.user_seqs[i, t]) for i in range(self.k)) + (int(self.side_seq[t]),)
 
     def replace_users(self, new_seqs: dict[int, np.ndarray]) -> "SampleBlock":
+        """A block with the given user rows replaced and the side sequence shared."""
         seqs = self.user_seqs.copy()
         for i, s in new_seqs.items():
             seqs[i] = s
-        return SampleBlock(self.axes, seqs, self.side_seq.copy())
+        return SampleBlock(self.axes, seqs, self.side_seq)
 
     def to_json_dict(self) -> dict:
         return {

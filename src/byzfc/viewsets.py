@@ -88,7 +88,7 @@ class MembershipResult:
     distance: float | Fraction
     nearest_channel: Channel | None
 
-    def verify(self, handle: ViewSetHandle, q: JointPmf, tol: float = 1e-7) -> None:
+    def verify(self, handle: ViewSetHandle, q: JointPmf) -> None:
         """Re-check that the nearest channel induces a view within distance."""
         if handle.coords:
             assert self.nearest_channel is not None
@@ -99,7 +99,7 @@ class MembershipResult:
         if isinstance(self.distance, Fraction) and isinstance(gap, Fraction):
             assert gap <= self.distance
         else:
-            assert float(gap) <= float(self.distance) + tol
+            assert float(gap) <= float(self.distance) + 1e-7  # float solver tolerance
 
 
 def distance_bounds(handles: Sequence[ViewSetHandle], q: JointPmf) -> list[tuple]:

@@ -10,8 +10,9 @@ from byzfc.adversary import (AttackError, BlockSplit, Honest, MemorylessChannel,
                              ResampleW, WitnessDMC, attack, resample_w_channel,
                              strategy_from_json, witness_to_dmc)
 from byzfc.examples_lib import random_function, random_pmf
-from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, apply_channel,
-                               derive_seed, empirical_type, philox, sample_iid, tv_distance)
+from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, SampleBlock,
+                               apply_channel, derive_seed, empirical_type, philox, sample_iid,
+                               tv_distance)
 from byzfc.viability import ViolationWitness, check_s_viability
 from byzfc.viewsets import induce_view
 
@@ -25,6 +26,12 @@ def uvw_witness(erasure_pmf, erasure_f_uvw):
 
 def honest_block(erasure_pmf, n=2000, seed=0):
     return sample_iid(erasure_pmf.to_float(), n, seed=seed)
+
+
+def uniform_channel(input_axes, output_axes):
+    shape = tuple(a.size for a in input_axes + output_axes)
+    out_cells = np.prod([a.size for a in output_axes])
+    return Channel(input_axes, output_axes, np.full(shape, 1 / out_cells))
 
 
 class TestBasicStrategies:
@@ -63,6 +70,16 @@ class TestBasicStrategies:
         w = Channel.identity((erasure_pmf.axes[0],), exact=False)
         with pytest.raises(AttackError):
             attack(MemorylessChannel(w), frozenset({1}), blk, seed=0)
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 4)])
+    def test_channel_output_axes_must_match(self, erasure_pmf, sizes):
+        # a foreign output alphabet is refused, whether or not its size
+        # matches the adversary's own
+        blk = honest_block(erasure_pmf, n=10)
+        ins = (erasure_pmf.axes[1], erasure_pmf.axes[2])
+        w = uniform_channel(ins, tuple(Alphabet.of_size(s) for s in sizes))
+        with pytest.raises(AttackError, match="axes"):
+            attack(MemorylessChannel(w), frozenset({1, 2}), blk, seed=0)
 
 
 class TestResampleW:
@@ -170,6 +187,14 @@ class TestWitnessDMC:
         with pytest.raises(AttackError):
             attack(WitnessDMC(uvw_witness, 0), frozenset({1, 2}), blk, seed=0)
 
+    def test_channel_axes_must_match_the_block(self, uvw_witness):
+        # the witness's {1, 2} channel reads erasure symbols; this block's
+        # coordinates 1 and 2 are ternary over other labels
+        m = list(uvw_witness.collection).index(frozenset({1, 2}))
+        blk = sample_iid(random_pmf((2, 3, 3, 3), seed=3).to_float(), 1000, seed=0)
+        with pytest.raises(AttackError, match="axes"):
+            attack(WitnessDMC(uvw_witness, m), frozenset({1, 2}), blk, seed=0)
+
     def test_channel_extracted_once(self, uvw_witness, erasure_pmf):
         m = list(uvw_witness.collection).index(frozenset({1, 2}))
         strategy = WitnessDMC(uvw_witness, m)
@@ -233,6 +258,22 @@ class TestConverseAttackOnViableFunction:
         assert ok >= 29
 
 
+def per_half_reference(strategy, aset, blk, seed):
+    """A split assembled from ``attack`` on each non-empty half block, with
+    the seeds derived for its halves."""
+    if not isinstance(strategy, BlockSplit):
+        return attack(strategy, aset, blk, seed)
+    n1 = int(np.floor(strategy.fraction * blk.n))
+    parts = []
+    for i, (sub, cols) in enumerate(((strategy.first, slice(None, n1)),
+                                     (strategy.second, slice(n1, None)))):
+        half = SampleBlock(blk.axes, blk.user_seqs[:, cols], blk.side_seq[cols])
+        parts.append(per_half_reference(sub, aset, half, derive_seed(seed, "split", i))
+                     if half.n else half)
+    return SampleBlock(blk.axes, np.concatenate([p.user_seqs for p in parts], axis=1),
+                       np.concatenate([p.side_seq for p in parts]))
+
+
 class TestBlockSplit:
     def test_honest_halves_identical(self, erasure_pmf):
         blk = honest_block(erasure_pmf, n=101)
@@ -251,6 +292,54 @@ class TestBlockSplit:
     def test_fraction_bounds(self):
         with pytest.raises(AttackError):
             BlockSplit(Honest(), Honest(), 1.5)
+
+    @pytest.mark.parametrize("shape", ["0", "0.3", "1", "nested"])
+    def test_matches_per_half_attacks(self, erasure_pmf, uvw_witness, shape):
+        m = list(uvw_witness.collection).index(frozenset({1, 2}))
+        axes = (erasure_pmf.axes[1], erasure_pmf.axes[2])
+        rows = philox(41).random((9, 9)) + 0.05
+        chan = Channel(axes, axes, (rows / rows.sum(axis=1, keepdims=True)).reshape(3, 3, 3, 3))
+        dmc, mem = WitnessDMC(uvw_witness, m), MemorylessChannel(chan)
+        if shape == "nested":
+            strategy = BlockSplit(BlockSplit(ResampleW(), mem, 0.4),
+                                  BlockSplit(Honest(), dmc, 0.7), 0.3)
+        else:
+            strategy = BlockSplit(dmc, ResampleW(), float(shape))
+        for seed in range(4):
+            blk = honest_block(erasure_pmf, n=1001, seed=derive_seed(42, seed))
+            out = attack(strategy, frozenset({1, 2}), blk, seed=seed)
+            want = per_half_reference(strategy, frozenset({1, 2}), blk, seed)
+            for got, ref in ((out.user_seqs, want.user_seqs), (out.side_seq, want.side_seq)):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert np.array_equal(out.user_seqs[0], blk.user_seqs[0])
+
+    def test_empty_half_is_validated(self, erasure_pmf):
+        blk = honest_block(erasure_pmf, n=10)
+        foreign = uniform_channel((erasure_pmf.axes[0],), (erasure_pmf.axes[0],))
+        for strategy in (BlockSplit(MemorylessChannel(foreign), Honest(), 0.0),
+                         BlockSplit(Honest(), MemorylessChannel(foreign), 1.0)):
+            with pytest.raises(AttackError, match="axes"):
+                attack(strategy, frozenset({1}), blk, seed=0)
+
+    def test_one_block_per_attack(self, erasure_pmf, uvw_witness, monkeypatch):
+        # the acceptance strategies, and a nested split: the reported block
+        # is the only block an attack checks, the true block returned as is
+        m = list(uvw_witness.collection).index(frozenset({1, 2}))
+        dmc, both = WitnessDMC(uvw_witness, m), frozenset({1, 2})
+        blk = honest_block(erasure_pmf, n=300)
+        built, check = [], SampleBlock.__post_init__
+
+        def counted(block):
+            built.append(block)
+            check(block)
+
+        monkeypatch.setattr(SampleBlock, "__post_init__", counted)
+        for aset, strategy in ((frozenset(), Honest()), (both, ResampleW()),
+                               (both, BlockSplit(Honest(), dmc, 0.5)),
+                               (both, BlockSplit(BlockSplit(ResampleW(), dmc), Honest(), 0.3))):
+            built.clear()
+            out = attack(strategy, aset, blk, seed=1)
+            assert len(built) <= 1 and (out is blk or built == [out])
 
 
 class TestStrategyJson:

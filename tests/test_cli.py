@@ -157,6 +157,18 @@ class TestSimulateAndSweep:
         code, _, _ = run_cli(["simulate", str(path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "", ".", "..", 7])
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "n",
+                                                        "--values", "200"]])
+    def test_name_must_be_a_plain_file_name(self, tmp_path, capsys, name, command):
+        results = tmp_path / "results"
+        results.mkdir()
+        path = self.scenario_file(tmp_path, {"name": name})
+        code, _, err = run_cli([command[0], path, *command[1:], "--out", str(results)],
+                               capsys)
+        assert code == 2 and "plain file name" in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["results", "scenario.json"]
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -42,16 +42,17 @@ class TestCatalog:
 class TestWilson:
     def test_against_scipy(self):
         from scipy.stats import norm
-        z975 = float(norm.ppf(0.975))
+        # z = 1.96 is the quantile of this confidence level, a hair above 95%
+        level = float(2 * norm.cdf(1.96) - 1)
         for errors, n in ((0, 100), (3, 100), (17, 400), (400, 400)):
-            lo, hi = wilson_interval(errors, n, z=z975)
-            ref = binomtest(errors, n).proportion_ci(confidence_level=0.95,
+            lo, hi = wilson_interval(errors, n)
+            ref = binomtest(errors, n).proportion_ci(confidence_level=level,
                                                      method="wilson")
             assert abs(lo - ref.low) < 1e-9
             assert abs(hi - ref.high) < 1e-9
-            # the default z=1.96 stays within a hair of the exact quantile
-            lo2, hi2 = wilson_interval(errors, n)
-            assert abs(lo2 - lo) < 1e-4 and abs(hi2 - hi) < 1e-4
+            at95 = binomtest(errors, n).proportion_ci(confidence_level=0.95,
+                                                      method="wilson")
+            assert abs(at95.low - lo) < 1e-4 and abs(at95.high - hi) < 1e-4
 
     def test_bounds_within_unit_interval(self):
         lo, hi = wilson_interval(0, 10)
