@@ -19,9 +19,10 @@ from typing import Union
 
 import numpy as np
 
-from .probability import (Alphabet, Channel, SampleBlock, cell_table, derive_seed,
+from .examples_lib import resolve_example
+from .probability import (MALFORMED, Alphabet, Channel, SampleBlock, cell_table, derive_seed,
                           flat_cells, json_number, philox, zero_mass)
-from .viability import ViolationWitness
+from .viability import ViolationWitness, check_viability
 
 
 class AttackError(ValueError):
@@ -236,8 +237,27 @@ def attack(strategy: AttackStrategy, adversary_set, true_block: SampleBlock,
     return true_block.replace_users(dict(zip(coords, rows)))
 
 
-def strategy_from_json(d: dict, witness_lookup=None) -> AttackStrategy:
-    """Parse a strategy spec; channels inline, witnesses via a resolver."""
+def _example_witness(ref) -> ViolationWitness:
+    """The violation witness of the example function ``ref`` ('name:function').
+
+    The verdict runs while a strategy is parsed but is not parsing, so a
+    type fault inside it is re-raised as an internal error: it keeps its
+    traceback instead of reading as malformed input.
+    """
+    if not ref:
+        raise AttackError("witness_dmc needs from_example: 'name:function'")
+    pmf, f, structure = resolve_example(ref)
+    try:
+        report = check_viability(pmf, f, structure)
+    except MALFORMED as e:
+        raise RuntimeError(f"checking {ref} failed") from e
+    if report.viable:
+        raise AttackError(f"{ref} is viable; no witness to extract")
+    return report.witness
+
+
+def strategy_from_json(d: dict) -> AttackStrategy:
+    """Parse a strategy spec; channels inline, witnesses from their example."""
     kind = d.get("kind")
     if kind == "honest":
         return Honest()
@@ -246,12 +266,9 @@ def strategy_from_json(d: dict, witness_lookup=None) -> AttackStrategy:
     if kind == "resample_w":
         return ResampleW()
     if kind == "witness_dmc":
-        if witness_lookup is None:
-            raise AttackError("witness_dmc needs a witness resolver")
         scenario = json_number(d, "scenario", integer=True, error=AttackError)
-        return WitnessDMC(witness_lookup(d), scenario)
+        return WitnessDMC(_example_witness(d.get("from_example")), scenario)
     if kind == "block_split":
-        return BlockSplit(strategy_from_json(d["first"], witness_lookup),
-                          strategy_from_json(d["second"], witness_lookup),
+        return BlockSplit(strategy_from_json(d["first"]), strategy_from_json(d["second"]),
                           json_number(d, "fraction", 0.5, error=AttackError))
     raise AttackError(f"unknown strategy kind {kind!r}")

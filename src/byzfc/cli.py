@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import AttackError
-from .decoder import (DecoderConfigError, config_from_json_dict,
+from .decoder import (DecoderConfigError, build_decoder_config, config_from_json_dict,
                       config_to_json_dict, decode)
 from .examples_lib import builtin_examples, resolve_example
-from .harness import ScenarioError, run_scenario, scenario_from_json_dict, sweep
+from .harness import Scenario, ScenarioError, run_scenario, scenario_from_json_dict, sweep
 from .mss import common_upgrade, mss_partition, upgrade_to_saturation
-from .probability import JointPmf, ProbabilityError, SampleBlock
+from .probability import MALFORMED, JointPmf, ProbabilityError, SampleBlock
 from .simplex import LPError
 from .structures import AdversaryStructure, TargetFunction, canonical_collection
 from .viability import GBuildConflict, ViabilityInputError, build_g, check_viability
@@ -29,8 +29,6 @@ from .viability import GBuildConflict, ViabilityInputError, build_g, check_viabi
 CONFIG_ERRORS = (ProbabilityError, ViabilityInputError, GBuildConflict, DecoderConfigError,
                  ScenarioError, AttackError, ValueError, KeyError,
                  FileNotFoundError, json.JSONDecodeError)
-# what a JSON-to-object parser raises on a value of the wrong type or shape
-_MALFORMED = (TypeError, IndexError, AttributeError)
 
 
 def _load_json(path: str) -> dict:
@@ -46,7 +44,7 @@ def _parsing():
     """Malformed JSON input inside the block becomes a configuration error."""
     try:
         yield
-    except _MALFORMED as e:
+    except MALFORMED as e:
         raise ScenarioError(f"malformed input: {e}") from e
 
 
@@ -129,8 +127,6 @@ def cmd_decode(args) -> int:
 def cmd_build_config(args) -> int:
     pmf, f, default = _load_pmf_and_function(args)
     structure = _structure_from_args(args, pmf.k - 1, default)
-    from .decoder import build_decoder_config
-
     config = build_decoder_config(pmf, f, structure, args.delta)
     _emit(config_to_json_dict(config), args.out, "decoder_config.json")
     return 0
@@ -162,12 +158,17 @@ def cmd_mss(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def _load_scenario(args) -> Scenario:
+    """The scenario file, its seed replaced by ``--seed`` when given."""
     d = _load_json(args.scenario)
     if args.seed is not None:
         d["seed"] = args.seed
     with _parsing():
-        scenario = scenario_from_json_dict(d, witness_lookup=_witness_resolver)
+        return scenario_from_json_dict(d)
+
+
+def cmd_simulate(args) -> int:
+    scenario = _load_scenario(args)
     report = run_scenario(scenario, threads=args.threads)
     _emit(report.to_json_dict(), args.out, f"{scenario.name}.json")
     if args.out:
@@ -175,32 +176,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _witness_resolver(d: dict):
-    """witness_dmc strategies name the function whose violation to replay.
-
-    Runs while a scenario is parsed, but the verdict is not parsing: a
-    type fault inside check_viability is re-raised as an internal error
-    so that it keeps its traceback instead of reading as malformed input.
-    """
-    ref = d.get("from_example")
-    if not ref:
-        raise ScenarioError("witness_dmc needs from_example: 'name:function'")
-    pmf, f, structure = resolve_example(ref)
-    try:
-        report = check_viability(pmf, f, structure)
-    except _MALFORMED as e:
-        raise RuntimeError(f"checking {ref} failed") from e
-    if report.viable:
-        raise ScenarioError(f"{ref} is viable; no witness to extract")
-    return report.witness
-
-
 def cmd_sweep(args) -> int:
-    d = _load_json(args.scenario)
-    if args.seed is not None:
-        d["seed"] = args.seed
-    with _parsing():
-        base = scenario_from_json_dict(d, witness_lookup=_witness_resolver)
+    base = _load_scenario(args)
     values = [v for v in args.values.split(",") if v]
     reports = sweep(base, args.axis, values, threads=args.threads)
     _emit([r.to_json_dict() for r in reports], args.out, f"{base.name}-sweep.json")

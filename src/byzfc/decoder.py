@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polytope import ChannelTables
-from .probability import (FLOAT_NORMALIZATION_TOL, Alphabet, JointPmf, SampleBlock,
-                          apply_pointwise, empirical_type, float_type, hamming_distortion,
-                          json_number)
+from .probability import (FLOAT_NORMALIZATION_TOL, MALFORMED, Alphabet, JointPmf,
+                          SampleBlock, apply_pointwise, empirical_type, float_type,
+                          hamming_distortion, json_number)
 from .structures import (AdversaryStructure, TargetFunction, canonical_collection,
                          nonintersecting_collections)
 from .viability import GBuildConflict, GTable, build_g, check_viability
@@ -111,9 +111,8 @@ class DecoderConfig:
                 try:
                     g = build_g(self.base, self.f, col, tables=self._channels)
                 except GBuildConflict:
-                    g = GTable(collection=col, domain_axes=self.base.axes,
-                               codomain=self.f.codomain, table=self.f.table.copy(),
-                               defined_mask=np.zeros(self.f.table.shape, dtype=bool))
+                    g = GTable(self.base.axes, self.f.codomain, self.f.table.copy(),
+                               collection=col, defined_mask=np.zeros(self.f.table.shape, bool))
                 self.g_tables[frozenset(col)] = g
         return g
 
@@ -215,10 +214,10 @@ def config_to_json_dict(config: DecoderConfig) -> dict:
 def config_from_json_dict(d: dict) -> DecoderConfig:
     """Parse a config; tables it omits are built from its law on first use.
 
-    Without ``g_tables`` the verdict is computed from the law too.  Fields
-    of the wrong JSON type or length, and a collection listed twice, raise
-    DecoderConfigError; the verdict is not part of the parse, so its own
-    faults propagate unchanged.
+    Without ``g_tables`` or ``viable`` the verdict is computed from the law.
+    Fields of the wrong JSON type or length, a malformed g-table and a
+    collection listed twice raise DecoderConfigError; the verdict is not
+    part of the parse, so its own faults propagate unchanged.
     """
     try:
         p = JointPmf.from_json_dict(d["pmf"])
@@ -227,31 +226,21 @@ def config_from_json_dict(d: dict) -> DecoderConfig:
         delta = json_number(d, "delta", error=DecoderConfigError)
         slack = json_number(d, "slack", 1e-7, error=DecoderConfigError)
         mode = d.get("mode", "float")
-        viable = d.get("viable", True)
-        if not isinstance(viable, bool):
+        viable = d.get("viable")
+        if "viable" in d and not isinstance(viable, bool):
             raise DecoderConfigError(f"viable must be a boolean, not {viable!r}")
-        tables = None
-        if "g_tables" in d:
-            tables = {}
-            for gd in d["g_tables"]:
-                col = canonical_collection(gd["collection"])
-                if frozenset(col) in tables:
-                    raise DecoderConfigError(f"g-table for collection {col} listed twice")
-                axes = tuple(Alphabet(a) for a in gd["axes"])
-                codomain = Alphabet(gd["codomain"])
-                shape = tuple(a.size for a in axes)
-                if not (len(gd["table"]) == len(gd["defined"]) == math.prod(shape)
-                        and all(isinstance(m, bool) for m in gd["defined"])):
-                    raise DecoderConfigError(f"g-table for collection {col} needs one label "
-                                             "and one boolean 'defined' entry per cell")
-                flat = np.array([codomain.index(s) for s in gd["table"]], dtype=np.int64)
-                mask = np.array(gd["defined"], dtype=bool).reshape(shape)
-                tables[frozenset(col)] = GTable(collection=col, domain_axes=axes,
-                                                codomain=codomain, table=flat.reshape(shape),
-                                                defined_mask=mask)
-    except (TypeError, IndexError, AttributeError) as e:
+        tables = {}
+        for i, gd in enumerate(d.get("g_tables", ())):
+            try:
+                g = GTable.from_json_dict(gd)
+            except ValueError as e:
+                raise DecoderConfigError(f"malformed g-table {i}: {e}") from e
+            if frozenset(g.collection) in tables:
+                raise DecoderConfigError(f"g-table for collection {g.collection} listed twice")
+            tables[frozenset(g.collection)] = g
+    except MALFORMED as e:
         raise DecoderConfigError(f"malformed config: {e}") from e
-    if tables is None:
-        return build_decoder_config(p, f, structure, delta, mode=mode, slack=slack)
+    if viable is None or "g_tables" not in d:
+        viable = check_viability(p, f, structure).viable
     return DecoderConfig(base=p, structure=structure, f=f, delta=delta, g_tables=tables,
                          mode=mode, slack=slack, viable=viable)

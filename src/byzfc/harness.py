@@ -57,17 +57,15 @@ class Scenario:
                 raise ScenarioError(f"{name} must be finite and positive, not {value}")
 
 
-def scenario_from_json_dict(d: dict, witness_lookup=None) -> Scenario:
+def scenario_from_json_dict(d: dict) -> Scenario:
     def number(key, default=None, integer=False):
         return json_number(d, key, default, integer=integer, error=ScenarioError)
 
     if "example" in d:
         pmf, f, structure = resolve_example(d["example"])
     else:
-        pmf = JointPmf.from_json_dict(d["pmf"])
-        f = TargetFunction.from_json_dict(d["function"])
-        structure = AdversaryStructure.from_json_dict(d["structure"])
-    if "structure" in d and "example" in d:
+        pmf, f = JointPmf.from_json_dict(d["pmf"]), TargetFunction.from_json_dict(d["function"])
+    if "structure" in d or "example" not in d:
         structure = AdversaryStructure.from_json_dict(d["structure"])
     if "threshold" in d:
         structure = AdversaryStructure.threshold(structure.k, number("threshold", integer=True))
@@ -78,7 +76,7 @@ def scenario_from_json_dict(d: dict, witness_lookup=None) -> Scenario:
     return Scenario(
         pmf=pmf, f=f, structure=structure,
         adversary_set=frozenset(d.get("adversary_set", [])),
-        strategy=strategy_from_json(d.get("strategy", {"kind": "honest"}), witness_lookup),
+        strategy=strategy_from_json(d.get("strategy", {"kind": "honest"})),
         n=number("n", integer=True), trials=number("trials", integer=True),
         delta=number("delta", 0.1), gamma=number("gamma", 0.05),
         seed=number("seed", 0, integer=True), name=name,

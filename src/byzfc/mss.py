@@ -69,6 +69,23 @@ def _canonicalize(raw: Sequence) -> tuple[np.ndarray, int]:
     return out, len(seen)
 
 
+def _roots(n: int, edges) -> list[int]:
+    """Union-find over range(n): each item's root, the least item joined to it."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(a) for a in range(n)]
+
+
 def _partition_rows(joint: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
     """Group row indices of a (n_rows, n_cols) joint-mass matrix by their
     conditional rows; zero-mass rows become singleton classes."""
@@ -86,27 +103,11 @@ def _partition_rows(joint: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
     cond = np.zeros_like(joint, dtype=np.float64)
     alive = totals > 0
     cond[alive] = joint[alive] / totals[alive, None]
-    # union-find with per-entry tolerance; alphabets are tiny
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        if not alive[i]:
-            continue
-        for j in range(i + 1, n):
-            if not alive[j]:
-                continue
-            if np.max(np.abs(cond[i] - cond[j])) <= ROW_TOL:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    keys = [("zero", i) if not alive[i] else ("c", find(i)) for i in range(n)]
-    return _canonicalize(keys)
+    # rows within a per-entry tolerance are joined; alphabets are tiny
+    live = np.flatnonzero(alive).tolist()
+    roots = _roots(n, ((i, j) for i, j in combinations(live, 2)
+                       if np.max(np.abs(cond[i] - cond[j])) <= ROW_TOL))
+    return _canonicalize([("c", roots[i]) if alive[i] else ("zero", i) for i in range(n)])
 
 
 def mss_partition(p: JointPmf) -> Partition:
@@ -185,10 +186,8 @@ def upgrade_to_saturation(p: JointPmf) -> MaxUpgrade:
         rounds.append(UpgradeRound(r, labels, count, psi_u, psi_v, ju, jv))
         if r > 0 and psi_u == rounds[r - 1].psi_u and psi_v == rounds[r - 1].psi_v:
             break
-        keys = []
-        for u, v, w in product(range(nu), range(nv), range(nw)):
-            keys.append((int(labels[u, v, w]), int(cu[u]), int(cv[v])))
-        flat, count = _canonicalize(keys)
+        flat, count = _canonicalize([(int(labels[u, v, w]), int(cu[u]), int(cv[v]))
+                                     for u, v, w in product(range(nu), range(nv), range(nw))])
         new_labels = flat.reshape(nu, nv, nw)
         if np.array_equal(new_labels, labels) and r > 0:
             break
@@ -197,59 +196,47 @@ def upgrade_to_saturation(p: JointPmf) -> MaxUpgrade:
         raise ProbabilityError("upgrading failed to saturate within the |U||V| bound")
 
     psi_u, psi_v = rounds[-1].psi_u, rounds[-1].psi_v
-    keys = []
-    for u, v, w in product(range(nu), range(nv), range(nw)):
-        keys.append((w, int(psi_u.class_of[u]), int(psi_v.class_of[v])))
-    flat, ycount = _canonicalize(keys)
+    flat, ycount = _canonicalize([(w, int(psi_u.class_of[u]), int(psi_v.class_of[v]))
+                                  for u, v, w in product(range(nu), range(nv), range(nw))])
     return MaxUpgrade(rounds=tuple(rounds), ystar_labels=flat.reshape(nu, nv, nw),
                       ystar_count=ycount)
 
 
+def _class_joint(p: JointPmf, up: MaxUpgrade) -> np.ndarray:
+    """Joint mass of (psi_U(U), U, (psi_V(V), W)), the last as psi_V * |W| + w."""
+    nu, nv, nw = p.mass.shape
+    cu, cv = up.psi_u.class_of, up.psi_v.class_of
+    joint = zero_mass((up.psi_u.class_count, nu, up.psi_v.class_count * nw), p.exact)
+    for u, v, w in product(range(nu), range(nv), range(nw)):
+        joint[cu[u], u, cv[v] * nw + w] += p.mass[u, v, w]
+    return joint
+
+
 def markov_residual(p: JointPmf, up: MaxUpgrade) -> float:
     """Conditional mutual information I(U; (psi_V(V), W) | psi_U(U)), nats."""
-    pf = p.to_float()
-    nu, nv, nw = (a.size for a in pf.axes)
-    cu = up.psi_u.class_of
-    cv = up.psi_v.class_of
-    na = up.psi_u.class_count
-    joint = np.zeros((na, nu, up.psi_v.class_count * nw))
-    for u, v, w in product(range(nu), range(nv), range(nw)):
-        joint[cu[u], u, cv[v] * nw + w] += pf.mass[u, v, w]
     total = 0.0
-    for a in range(na):
-        pa = joint[a].sum()
+    for block in _class_joint(p.to_float(), up):
+        pa = block.sum()
         if pa <= 0:
             continue
-        block = joint[a]
         pu = block.sum(axis=1)
         pb = block.sum(axis=0)
-        for i in range(nu):
-            for j in range(block.shape[1]):
-                if block[i, j] > 0:
-                    total += block[i, j] * math.log(block[i, j] * pa / (pu[i] * pb[j]))
+        for i, j in zip(*np.nonzero(block > 0)):
+            total += block[i, j] * math.log(block[i, j] * pa / (pu[i] * pb[j]))
     return max(total, 0.0)
 
 
 def markov_holds_exact(p: JointPmf, up: MaxUpgrade) -> bool:
     """Exact factorization check of U  <->  psi_U(U)  <->  (psi_V(V), W)."""
     p.require_exact("exact Markov check")
-    nu, nv, nw = (a.size for a in p.axes)
-    cu, cv = up.psi_u.class_of, up.psi_v.class_of
-    na, nb = up.psi_u.class_count, up.psi_v.class_count * nw
-    joint = zero_mass((na, nu, nb), True)
-    for u, v, w in product(range(nu), range(nv), range(nw)):
-        joint[cu[u], u, cv[v] * nw + w] += p.mass[u, v, w]
-    for a in range(na):
-        block = joint[a]
+    for block in _class_joint(p, up):
         pa = block.sum()
         if pa == 0:
             continue
         pu = block.sum(axis=1)
         pb = block.sum(axis=0)
-        for i in range(nu):
-            for j in range(nb):
-                if block[i, j] * pa != pu[i] * pb[j]:
-                    return False
+        if any(block[i, j] * pa != pu[i] * pb[j] for i, j in np.ndindex(block.shape)):
+            return False
     return True
 
 
@@ -267,27 +254,32 @@ def decode_21(p: JointPmf, u_seq: np.ndarray, v_seq: np.ndarray, w_seq: np.ndarr
     """
     if p.k != 3:
         raise ProbabilityError("decode_21 expects a three-axis pmf")
-    nu, nv, nw = (a.size for a in p.axes)
-    bound = nu * nv
+    bound = p.axes[0].size * p.axes[1].size
     if len(gammas) != bound + 1:
         raise ProbabilityError(f"need {bound + 1} per-round tolerances, got {len(gammas)}")
     n = len(u_seq)
     if not (len(v_seq) == len(w_seq) == n):
         raise ProbabilityError("sequence lengths differ")
-    up = upgrade_to_saturation(p)
+    return _decode_21(upgrade_to_saturation(p), u_seq, v_seq, w_seq, gammas)
 
-    for r in range(bound + 1):
+
+def _decode_21(up: MaxUpgrade, u_seq: np.ndarray, v_seq: np.ndarray, w_seq: np.ndarray,
+               gammas: Sequence[float]) -> tuple[str, object]:
+    """decode_21 on the saturated upgrade of its law, one gamma per round."""
+    nu, nv = up.psi_u.alphabet.size, up.psi_v.alphabet.size
+    n = len(u_seq)
+    for r, gamma in enumerate(gammas):
         rnd = up.rounds[min(r, len(up.rounds) - 1)]
         lab_seq = rnd.labels[u_seq, v_seq, w_seq]
         ju = rnd.joint_u.astype(np.float64)
         jv = rnd.joint_v.astype(np.float64)
         tu = np.bincount(u_seq * rnd.label_count + lab_seq,
                          minlength=nu * rnd.label_count).reshape(nu, rnd.label_count) / n
-        if 0.5 * np.abs(tu - ju).sum() > gammas[r]:
+        if 0.5 * np.abs(tu - ju).sum() > gamma:
             return ("blame", 0)
         tv_ = np.bincount(v_seq * rnd.label_count + lab_seq,
                           minlength=nv * rnd.label_count).reshape(nv, rnd.label_count) / n
-        if 0.5 * np.abs(tv_ - jv).sum() > gammas[r]:
+        if 0.5 * np.abs(tv_ - jv).sum() > gamma:
             return ("blame", 1)
     return ("labels", up.ystar_labels[u_seq, v_seq, w_seq])
 
@@ -321,11 +313,9 @@ def pair_upgrade(p: JointPmf, i: int, j: int) -> PairUpgrade:
     up = upgrade_to_saturation(pm3)
     k = p.k - 1
     sizes = tuple(a.size for a in p.axes)
-    keys = []
-    for full in product(*(range(s) for s in sizes)):
-        y = full[k]
-        keys.append((y, int(up.psi_u.class_of[full[i]]), int(up.psi_v.class_of[full[j]])))
-    flat, cnt = _canonicalize(keys)
+    flat, cnt = _canonicalize([(full[k], int(up.psi_u.class_of[full[i]]),
+                                int(up.psi_v.class_of[full[j]]))
+                               for full in product(*(range(s) for s in sizes))])
     return PairUpgrade(i=i, j=j, pmf3=pm3, upgrade=up,
                        ystar_full=flat.reshape(sizes), ystar_full_count=cnt)
 
@@ -348,31 +338,20 @@ def common_upgrade(p: JointPmf) -> CommonUpgrade:
     pairs = tuple(pair_upgrade(p, i, j) for i, j in combinations(range(k), 2))
     sizes = tuple(a.size for a in p.axes)
     flat_size = int(np.prod(sizes))
-    parent = list(range(flat_size))
+    supp = [int(np.ravel_multi_index(idx, sizes)) for idx in p.support_idx()]
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def edges():
+        # support cells with one pair's Y* label are joined to the label's first cell
+        for pu in pairs:
+            first: dict[int, int] = {}
+            lab_flat = pu.ystar_full.reshape(-1)
+            for s in supp:
+                yield first.setdefault(int(lab_flat[s]), s), s
 
-    supp = [np.ravel_multi_index(idx, sizes) for idx in p.support_idx()]
-    for pu in pairs:
-        groups: dict[int, int] = {}
-        lab_flat = pu.ystar_full.reshape(-1)
-        for s in supp:
-            lb = int(lab_flat[s])
-            if lb in groups:
-                ra, rb = find(groups[lb]), find(int(s))
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            else:
-                groups[lb] = int(s)
-    keys = []
-    supp_set = set(int(s) for s in supp)
-    for s in range(flat_size):
-        keys.append(("s", find(s)) if s in supp_set else ("off", s))
-    flat, cnt = _canonicalize(keys)
+    roots = _roots(flat_size, edges())
+    supp_set = set(supp)
+    flat, cnt = _canonicalize([("s", roots[s]) if s in supp_set else ("off", s)
+                               for s in range(flat_size)])
     return CommonUpgrade(pairs=pairs, gstar=flat.reshape(sizes), gstar_count=cnt)
 
 
@@ -402,22 +381,18 @@ def _h_map(cu: CommonUpgrade, pu: PairUpgrade, p: JointPmf) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DecodeK1Config:
-    gamma_base: float = 0.1
-
-    def gammas(self, nu: int, nv: int) -> list[float]:
-        return [self.gamma_base] * (nu * nv + 1)
+# decode_k1's TV radius in every round of every pairwise decode
+DECODE_K1_GAMMA = 0.1
 
 
-def decode_k1(p: JointPmf, user_seqs: np.ndarray, side_seq: np.ndarray,
-              config: DecodeK1Config = DecodeK1Config()) -> tuple[str, object]:
+def decode_k1(p: JointPmf, user_seqs: np.ndarray, side_seq: np.ndarray) -> tuple[str, object]:
     """Exoneration-loop decoder for any k with at most one corrupt user.
 
-    Runs the pairwise decoder on the two lowest-indexed unexonerated
-    users, with every other user's report folded into the side
-    information.  A successful pairwise decode yields the common upgraded
-    variable; a blame with only two candidates left is final.
+    Runs the pairwise decoder, on the pair upgrade that ``common_upgrade``
+    saturated, for the two lowest-indexed unexonerated users, with every
+    other user's report folded into the side information.  A successful
+    pairwise decode yields the common upgraded variable; a blame with
+    only two candidates left is final.
     """
     k = p.k - 1
     if k < 2:
@@ -428,16 +403,13 @@ def decode_k1(p: JointPmf, user_seqs: np.ndarray, side_seq: np.ndarray,
         candidates = [u for u in range(k) if u not in trusted]
         i, j = candidates[0], candidates[1]
         pu = next(q for q in cu.pairs if (q.i, q.j) == (i, j))
-        rest = tuple(c for c in range(k) if c not in (i, j))
-        rest_sizes = tuple(p.axes[c].size for c in rest)
-        y_size = p.axes[k].size
-        comp_seq = side_seq.copy()
-        if rest:
-            comp_seq = np.ravel_multi_index(
-                (side_seq,) + tuple(user_seqs[c] for c in rest), (y_size,) + rest_sizes)
+        # the composite side (Y, X_rest), flattened as in _pair_pmf
+        side = (k, *(c for c in range(k) if c not in (i, j)))
+        comp_seq = np.ravel_multi_index([user_seqs[c] if c < k else side_seq for c in side],
+                                        [p.axes[c].size for c in side])
         nu, nv = pu.pmf3.axes[0].size, pu.pmf3.axes[1].size
-        kind, payload = decode_21(pu.pmf3.to_float(), user_seqs[i], user_seqs[j],
-                                  comp_seq, config.gammas(nu, nv))
+        kind, payload = _decode_21(pu.upgrade, user_seqs[i], user_seqs[j], comp_seq,
+                                   [DECODE_K1_GAMMA] * (nu * nv + 1))
         if kind == "labels":
             h = _h_map(cu, pu, p)
             return ("estimate", h[payload])

@@ -117,6 +117,10 @@ def _mass_from_json(values, mode: str) -> np.ndarray:
     raise ProbabilityError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
 
 
+# what a JSON-to-object parser raises on a value of the wrong type or shape
+MALFORMED = (TypeError, IndexError, AttributeError)
+
+
 def json_value(v, what: str, *, integer: bool = False,
                error: type[Exception] = ProbabilityError):
     """The JSON number v, named ``what`` in the error message.

@@ -26,7 +26,7 @@ from .polytope import ChannelTables, ChannelVars
 from .probability import Alphabet, Channel, JointPmf, zero_mass
 from .simplex import Infeasible, LPError, Tableau, positive_coordinates, unique_point
 from .structures import (AdversaryStructure, Collection, TargetFunction,
-                         nonintersecting_collections)
+                         canonical_collection, nonintersecting_collections)
 from .viewsets import induce_view
 
 
@@ -94,28 +94,40 @@ class ViabilityReport:
             raise ValueError("viable report carries no witness")
 
 
-@dataclass(frozen=True)
-class GTable:
+class GTable(TargetFunction):
     """Repaired decoding function for one collection.
 
     Agrees with f on the source support; ``defined_mask`` marks entries
     pinned by the construction (reachable views) versus copied from f.
+    Its JSON is the function's plus ``collection`` and ``defined``.
     """
 
-    collection: Collection
-    domain_axes: tuple[Alphabet, ...]
-    codomain: Alphabet
-    table: np.ndarray
-    defined_mask: np.ndarray
+    __slots__ = ("collection", "defined_mask")
+
+    def __init__(self, domain_axes: Sequence[Alphabet], codomain: Alphabet, table,
+                 collection: Collection, defined_mask):
+        super().__init__(domain_axes, codomain, table)
+        self.collection = tuple(collection)
+        self.defined_mask = np.asarray(defined_mask, dtype=bool).reshape(self.table.shape)
+
+    def __eq__(self, other) -> bool:
+        return (super().__eq__(other) and isinstance(other, GTable)
+                and self.collection == other.collection
+                and bool(np.array_equal(self.defined_mask, other.defined_mask)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "collection": [sorted(s) for s in self.collection],
-            "axes": [list(a.symbols) for a in self.domain_axes],
-            "codomain": list(self.codomain.symbols),
-            "table": [self.codomain.symbols[v] for v in self.table.reshape(-1)],
-            "defined": [bool(v) for v in self.defined_mask.reshape(-1)],
-        }
+        return {"collection": [sorted(s) for s in self.collection], **super().to_json_dict(),
+                "defined": [bool(v) for v in self.defined_mask.reshape(-1)]}
+
+    @staticmethod
+    def from_json_dict(d: dict) -> "GTable":
+        """Parse a g-table, members in canonical order; a ``defined`` list
+        that is not one JSON boolean per cell raises ViabilityInputError."""
+        f, defined = TargetFunction.from_json_dict(d), d["defined"]
+        if len(defined) != f.table.size or not all(isinstance(m, bool) for m in defined):
+            raise ViabilityInputError("a g-table needs one boolean 'defined' entry per cell")
+        return GTable(f.domain_axes, f.codomain, f.table, canonical_collection(d["collection"]),
+                      defined)
 
 
 class _Region:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from byzfc import adversary
 from byzfc.adversary import (AttackError, BlockSplit, Honest, MemorylessChannel,
                              ResampleW, WitnessDMC, attack, resample_w_channel,
                              strategy_from_json, witness_to_dmc)
@@ -344,6 +345,7 @@ class TestBlockSplit:
 
 class TestStrategyJson:
     HONEST = {"kind": "honest"}
+    UVW = "example-3-2-erasure:uvw"
 
     def test_numbers_parse(self, uvw_witness):
         split = strategy_from_json({"kind": "block_split", "first": self.HONEST,
@@ -351,15 +353,22 @@ class TestStrategyJson:
         assert split.fraction == 0.25 and type(split.fraction) is float
         assert strategy_from_json({"kind": "block_split", "first": self.HONEST,
                                    "second": self.HONEST}).fraction == 0.5
-        dmc = strategy_from_json({"kind": "witness_dmc", "scenario": 1},
-                                 witness_lookup=lambda d: uvw_witness)
-        assert dmc.scenario == 1
+        dmc = strategy_from_json({"kind": "witness_dmc", "from_example": self.UVW,
+                                  "scenario": 1})
+        assert dmc.scenario == 1 and dmc.witness == uvw_witness
 
     @pytest.mark.parametrize("scenario", [1.7, 1.0, True, "1"])
-    def test_scenario_must_be_an_integer(self, uvw_witness, scenario):
+    def test_scenario_must_be_an_integer(self, scenario, monkeypatch):
+        # the scenario is checked before the verdict runs
+        monkeypatch.setattr(adversary, "check_viability", None)
         with pytest.raises(AttackError):
-            strategy_from_json({"kind": "witness_dmc", "scenario": scenario},
-                               witness_lookup=lambda d: uvw_witness)
+            strategy_from_json({"kind": "witness_dmc", "from_example": self.UVW,
+                                "scenario": scenario})
+
+    @pytest.mark.parametrize("ref", [None, "", "example-3-2-erasure:uv"])
+    def test_witness_needs_a_non_viable_example(self, ref):
+        with pytest.raises(AttackError):
+            strategy_from_json({"kind": "witness_dmc", "from_example": ref, "scenario": 1})
 
     @pytest.mark.parametrize("fraction", ["0.25", True, None])
     def test_fraction_must_be_a_number(self, fraction):

@@ -342,12 +342,12 @@ class TestMalformedInput:
         assert err.startswith("configuration error:") and len(err.splitlines()) == 1
 
     def test_fault_while_resolving_a_witness_is_internal(self, tmp_path, monkeypatch):
-        import byzfc.cli as cli
+        import byzfc.adversary as adversary
 
         def broken(*args):
             raise TypeError("synthetic fault")
 
-        monkeypatch.setattr(cli, "check_viability", broken)
+        monkeypatch.setattr(adversary, "check_viability", broken)
         path = tmp_path / "s.json"
         path.write_text(json.dumps({**self.SCENARIO, "adversary_set": [1, 2], "strategy": {
             "kind": "witness_dmc", "from_example": "example-3-2-erasure:uvw", "scenario": 1}}))

@@ -211,6 +211,21 @@ class TestConfigSerialization:
             assert np.array_equal(again.g_tables[key].table, g.table)
             assert np.array_equal(again.g_tables[key].defined_mask, g.defined_mask)
 
+    def test_gtable_json_roundtrip(self, erasure_config):
+        g = erasure_config.g_table(nonintersecting_collections(erasure_config.structure)[0])
+        again = viability.GTable.from_json_dict(g.to_json_dict())
+        assert isinstance(again, TargetFunction) and again == g
+        assert again.collection == g.collection and np.array_equal(again.table, g.table)
+        assert np.array_equal(again.defined_mask, g.defined_mask) and g.defined_mask.any()
+        assert again != viability.GTable(g.domain_axes, g.codomain, g.table, g.collection,
+                                         ~g.defined_mask)
+
+    def test_absent_viable_is_computed(self, erasure_pmf, erasure_f_uvw, threshold_3_2):
+        d = config_to_json_dict(build_decoder_config(erasure_pmf, erasure_f_uvw,
+                                                     threshold_3_2, delta=0.1))
+        del d["viable"]
+        assert config_from_json_dict(d).viable is False
+
     @pytest.mark.parametrize("field", ["codomain", "axes"])
     def test_gtable_off_the_law_or_function_rejected(self, field, erasure_config):
         # decode reads a table through the law's axes and f's codomain, so a

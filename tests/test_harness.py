@@ -12,6 +12,7 @@ from byzfc.examples_lib import (builtin_examples, resolve_example,
 from byzfc.harness import (Scenario, ScenarioError, cached_decoder_config, run_scenario,
                            scenario_from_json_dict, sweep, wilson_interval)
 from byzfc.mss import upgrade_to_saturation
+from byzfc.viability import check_viability
 
 
 class TestCatalog:
@@ -188,6 +189,16 @@ class TestScenarioJson:
         with pytest.raises(ScenarioError, match="must be a number"):
             scenario_from_json_dict({"example": "example-3-2-erasure:uv", "n": 100,
                                      "trials": 1, **radii})
+
+    def test_witness_scenario_parses_without_a_resolver(self):
+        s = scenario_from_json_dict({
+            "example": "example-3-2-erasure:uv", "adversary_set": [1, 2], "n": 100,
+            "trials": 1, "strategy": {"kind": "witness_dmc",
+                                      "from_example": "example-3-2-erasure:uvw",
+                                      "scenario": 1}})
+        pmf, f, st = resolve_example("example-3-2-erasure:uvw")
+        assert s.strategy.scenario == 1
+        assert s.strategy.witness == check_viability(pmf, f, st).witness
 
     def test_integer_radius_accepted(self):
         s = scenario_from_json_dict({"example": "example-3-2-erasure:uv", "n": 100,

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from byzfc.examples_lib import random_pmf, two_user_copy_pmf
-from byzfc.mss import (DecodeK1Config, common_upgrade, decode_21, decode_k1,
-                       gstar_sequence, is_function_of_ystar, markov_holds_exact,
+from byzfc.mss import (common_upgrade, decode_21, decode_k1, gstar_sequence, is_function_of_ystar, markov_holds_exact,
                        markov_residual, mss_partition, upgrade_to_saturation)
 from byzfc.probability import (Alphabet, derive_seed, philox, pmf_from_dict,
                                sample_iid, uniform_pmf)
@@ -353,8 +352,7 @@ class TestDecodeK1:
         p = three_class_pmf()
         pf = p.to_float()
         blk = sample_iid(pf, 2000, seed=17)
-        kind_k, out_k = decode_k1(pf, blk.user_seqs, blk.side_seq,
-                                  DecodeK1Config(gamma_base=0.1))
+        kind_k, out_k = decode_k1(pf, blk.user_seqs, blk.side_seq)
         nu, nv = pf.axes[0].size, pf.axes[1].size
         kind_2, out_2 = decode_21(pf, blk.user_seqs[0], blk.user_seqs[1], blk.side_seq,
                                   [0.1] * (nu * nv + 1))
