@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .probability import (Alphabet, Channel, JointPmf, SampleBlock,
                           apply_channel, apply_pointwise, derive_seed,
-                          empirical_type, float_type, hamming_distortion, philox,
-                          pmf_from_dict, sample_iid, tv_distance, uniform_pmf)
+                          empirical_type, hamming_distortion, philox,
+                          pmf_from_dict, sample_iid, tv_distance, type_counts, uniform_pmf)
 from .structures import (AdversaryStructure, TargetFunction, constant_function,
                          nonintersecting_collections)
 from .viability import (GBuildConflict, GTable, ViabilityReport,

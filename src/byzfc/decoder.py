@@ -18,8 +18,8 @@ import numpy as np
 
 from .polytope import ChannelTables
 from .probability import (FLOAT_NORMALIZATION_TOL, MALFORMED, Alphabet, JointPmf,
-                          SampleBlock, apply_pointwise, empirical_type, float_type,
-                          hamming_distortion, json_number)
+                          SampleBlock, apply_pointwise, empirical_type, hamming_distortion,
+                          json_number, type_counts)
 from .structures import (AdversaryStructure, TargetFunction, canonical_collection,
                          nonintersecting_collections)
 from .viability import GBuildConflict, GTable, build_g, check_viability
@@ -135,24 +135,26 @@ def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
 
     Each set is decided by ``distance_bounds`` when they settle it and by
     the view-distance LP only when the threshold falls between them; the
-    bounds of every set come from one P - type difference per block.  In
-    exact mode the bounds are compared exactly with delta, so they decide
-    as the LP would.  In float mode the threshold is delta + slack, and a
-    bound decides only when it clears it by ``FLOAT_NORMALIZATION_TOL``;
-    nearer calls go to the LP.
+    bounds read the block's cell counts, and the type the LP needs is
+    built at most once per block.  In exact mode the bounds are compared
+    exactly with delta, so they decide as the LP would.  In float mode the
+    threshold is delta + slack, and a bound decides only when it clears it
+    by ``FLOAT_NORMALIZATION_TOL``; nearer calls go to the LP.
     """
-    if config.mode == "exact":
-        ty, thresh, margin = empirical_type(reported), config.delta, 0
-    else:
-        ty, thresh = float_type(reported), config.delta + config.slack
-        margin = FLOAT_NORMALIZATION_TOL
-    out = []
-    bounds = distance_bounds(config.handles, ty)
+    exact = config.mode == "exact"
+    thresh = config.delta if exact else config.delta + config.slack
+    margin = 0 if exact else FLOAT_NORMALIZATION_TOL
+    out, ty = [], None
+    bounds = distance_bounds(config.handles, type_counts(reported))
     for i, (h, (lower, upper)) in enumerate(zip(config.handles, bounds)):
         if lower > thresh + margin:
             continue
-        if upper <= thresh - margin or distance_to_viewset(h, ty).distance <= thresh:
-            out.append(i)
+        if upper > thresh - margin:
+            if ty is None:
+                ty = empirical_type(reported) if exact else empirical_type(reported).to_float()
+            if distance_to_viewset(h, ty).distance > thresh:
+                continue
+        out.append(i)
     return out
 
 

@@ -74,8 +74,9 @@ def _checked_mass(values, shape: tuple[int, ...], n_rows: int, what: str) -> np.
     sum within ``FLOAT_NORMALIZATION_TOL`` of 1.
     """
     arr = np.asarray(values)
-    if arr.shape != shape:
-        arr = arr.reshape(shape)
+    if arr.size != math.prod(shape):
+        raise ProbabilityError(f"{what} has {arr.size} entries, not {math.prod(shape)}")
+    arr = arr.reshape(shape)
     if arr.dtype == object:
         flat = np.fromiter(map(_as_fraction, arr.reshape(-1)), dtype=object, count=arr.size)
         if any(v.numerator < 0 for v in flat):
@@ -517,14 +518,15 @@ class SampleBlock:
     def from_json_dict(d: dict) -> "SampleBlock":
         axes = tuple(Alphabet(s) for s in d["axes"])
         k = len(axes) - 1
-        users = np.array(
-            [[axes[i].index(s) for s in d["users"][i]] for i in range(k)], dtype=np.int64
-        ).reshape(k, -1)
         side = np.array([axes[-1].index(s) for s in d["side"]], dtype=np.int64)
+        if any(len(d["users"][i]) != side.size for i in range(k)):
+            raise ProbabilityError("every user row must be as long as the side sequence")
+        users = np.array([[axes[i].index(s) for s in d["users"][i]] for i in range(k)],
+                         dtype=np.int64)
         return SampleBlock(axes, users, side)
 
 
-def _type_counts(block: SampleBlock) -> np.ndarray:
+def type_counts(block: SampleBlock) -> np.ndarray:
     """How often each symbol tuple occurs in a block, flat in row-major order."""
     if block.n == 0:
         raise ProbabilityError("empty block has no type")
@@ -534,17 +536,8 @@ def _type_counts(block: SampleBlock) -> np.ndarray:
 def empirical_type(block: SampleBlock) -> JointPmf:
     """Joint type of a block, exact mode (entries are multiples of 1/n)."""
     n = block.n
-    counts = _type_counts(block)
+    counts = type_counts(block)
     return JointPmf(block.axes, np.array([Fraction(int(c), n) for c in counts], dtype=object))
-
-
-def float_type(block: SampleBlock) -> JointPmf:
-    """Joint type of a block in float mode, without building Fractions.
-
-    Each entry is count / n correctly rounded, so this equals
-    ``empirical_type(block).to_float()`` entry for entry.
-    """
-    return JointPmf(block.axes, _type_counts(block) / block.n)
 
 
 def philox(seed: int) -> np.random.Generator:

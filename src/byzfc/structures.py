@@ -8,6 +8,7 @@ common intersection.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Sequence
 
@@ -118,8 +119,9 @@ class TargetFunction:
         self.codomain = codomain
         shape = tuple(a.size for a in self.domain_axes)
         arr = np.asarray(table, dtype=np.int64)
-        if arr.shape != shape:
-            arr = arr.reshape(shape)
+        if arr.size != math.prod(shape):
+            raise ProbabilityError(f"table has {arr.size} entries, not {math.prod(shape)}")
+        arr = arr.reshape(shape)
         if arr.size and (arr.min() < 0 or arr.max() >= codomain.size):
             raise ProbabilityError("table values outside the codomain")
         self.table = arr
@@ -168,8 +170,7 @@ class TargetFunction:
     def from_json_dict(d: dict) -> "TargetFunction":
         axes = tuple(Alphabet(s) for s in d["axes"])
         codomain = Alphabet(d["codomain"])
-        flat = np.array([codomain.index(s) for s in d["table"]], dtype=np.int64)
-        return TargetFunction(axes, codomain, flat.reshape(tuple(a.size for a in axes)))
+        return TargetFunction(axes, codomain, [codomain.index(s) for s in d["table"]])
 
 
 def constant_function(domain_axes: Sequence[Alphabet], codomain: Alphabet,

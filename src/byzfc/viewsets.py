@@ -102,28 +102,32 @@ class MembershipResult:
             assert float(gap) <= float(self.distance) + 1e-7  # float solver tolerance
 
 
-def distance_bounds(handles: Sequence[ViewSetHandle], q: JointPmf) -> list[tuple]:
-    """Certified ``(lower, upper)`` around ``distance_to_viewset(h, q)`` per handle.
+def distance_bounds(handles: Sequence[ViewSetHandle], counts: np.ndarray) -> list[tuple]:
+    """Certified ``(lower, upper)`` around the view distance of a block's type, per handle.
 
-    The handles share one base law P, and P - q is formed once.  Upper:
-    TV(P, q), the distance at the identity channel, the same for every
-    handle.  Lower: the TV gap between P's and q's marginals outside the
-    adversary set, which no channel on the set can move (data processing);
-    it is read off the marginal of P - q.  For the empty set the two
-    coincide and equal the distance.  Exact (integer numerators over one
-    denominator) iff both pmfs are.
+    ``counts`` are the block's row-major cell counts (``type_counts``), so
+    the type is counts / n.  The handles share one base law P, and P minus
+    the type is formed once in P's mode.  Upper: TV(P, type), the distance
+    at the identity channel.  Lower: the TV gap between the marginals
+    outside the adversary set, which no channel on the set can move (data
+    processing), read off the marginal of the difference.  For the empty
+    set the two coincide and equal the distance.
     """
     if not handles:
         return []
     base = handles[0].base
     if any(h.base is not base for h in handles):
         raise ProbabilityError("bounds need handles over one base law")
-    if base.exact and q.exact:
+    n = int(counts.sum())
+    if counts.size != base.mass.size or n < 1:
+        raise ProbabilityError(f"{counts.size} counts summing to {n}: need one per cell, n >= 1")
+    counts = counts.reshape(base.mass.shape)
+    if base.exact:
         pn, pd = handles[0]._integer_base
-        qn, qd = integer_mass(q.mass)
-        diff, scale = pn * qd - qn * pd, Fraction(1, 2 * pd * qd)
+        # Python ints: an int64 count times pd would wrap silently
+        diff, scale = pn * n - counts.astype(object) * pd, Fraction(1, 2 * pd * n)
     else:
-        diff, scale = base.to_float().mass - q.to_float().mass, 0.5
+        diff, scale = base.mass - counts / n, 0.5
     upper = np.abs(diff).sum() * scale
     return [(np.abs(diff.sum(axis=h.coords)).sum() * scale, upper) for h in handles]
 

@@ -258,7 +258,8 @@ class TestMalformedInput:
                                       "viable-string", "gtable-twice", "n-float", "n-bool",
                                       "seed-float", "radius-bool-string",
                                       "config-delta-string", "witness-scenario-float",
-                                      "split-fraction-string", "structure-k-bool"])
+                                      "split-fraction-string", "structure-k-bool",
+                                      "function-table-short", "ragged-users"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -336,6 +337,13 @@ class TestMalformedInput:
             "structure-k-bool": lambda: ["check-viability", "--example", "single-user-erasure",
                                          "--structure", put("st.json", {"k": True,
                                                                         "threshold": 1})],
+            "function-table-short": lambda: ["decode", "--config", put("c.json", {
+                **config, "function": {**config["function"],
+                                       "table": config["function"]["table"][:-1]}}),
+                                             "--block", put("b.json", block)],
+            "ragged-users": lambda: ["decode", "--config", put("c.json", config),
+                                     "--block", put("b.json", {**block, "users": [
+                                         block["users"][0][:-1], *block["users"][1:]]})],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

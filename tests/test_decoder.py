@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from byzfc import decoder, viability
+from byzfc.adversary import BlockSplit, Honest, ResampleW, WitnessDMC, attack
 from byzfc.decoder import (DecoderConfig, DecoderConfigError, TrialTruth, Verdict,
                            build_decoder_config, classify_error,
                            config_from_json_dict, config_to_json_dict, decode,
                            explanation_set)
 from byzfc.polytope import ChannelVars
-from byzfc.probability import (Alphabet, Channel, SampleBlock, apply_pointwise,
-                               derive_seed, empirical_type, hamming_distortion,
-                               philox, pmf_from_dict, sample_iid)
+from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, SampleBlock,
+                               apply_pointwise, derive_seed, empirical_type,
+                               hamming_distortion, philox, pmf_from_dict, sample_iid)
 from byzfc.structures import AdversaryStructure, TargetFunction, nonintersecting_collections
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -371,6 +372,46 @@ class TestExactModeDecode:
             assert ve.kind == vf.kind
             if ve.kind == "estimate":
                 assert np.array_equal(ve.estimate, vf.estimate)
+
+
+@pytest.fixture(scope="module")
+def acceptance_blocks(erasure_pmf):
+    """20 reported blocks at n=5000 from each acceptance scenario: honest,
+    resample_w on {1, 2}, and the honest/witness split on {1, 2}."""
+    w, m = workloads.erasure_witness()
+    both = frozenset({1, 2})
+    scenarios = [("honest", frozenset(), Honest()), ("resample", both, ResampleW()),
+                 ("split", both, BlockSplit(Honest(), WitnessDMC(w, m), 0.5))]
+    pf = erasure_pmf.to_float()
+    return [attack(strat, aset, sample_iid(pf, 5000, derive_seed(31, "sample", name, i)),
+                   derive_seed(31, "attack", name, i))
+            for name, aset, strat in scenarios for i in range(20)]
+
+
+class TestScreenedDecode:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_acceptance_blocks_build_no_type(self, mode, monkeypatch, acceptance_blocks,
+                                             erasure_config):
+        # the bounds settle every set here, so no block needs a type
+        cfg = dataclasses.replace(erasure_config, mode=mode)
+        built = []
+        init = JointPmf.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(JointPmf, "__init__", counting_init)
+        kinds = {decode(cfg, blk).kind for blk in acceptance_blocks}
+        assert kinds == {"estimate"} and built == []
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_empty_block_raises(self, mode, erasure_pmf, erasure_config):
+        cfg = dataclasses.replace(erasure_config, mode=mode)
+        empty = SampleBlock(erasure_pmf.axes, np.zeros((3, 0), dtype=np.int64),
+                            np.zeros(0, dtype=np.int64))
+        with pytest.raises(ProbabilityError, match="empty block has no type"):
+            decode(cfg, empty)
 
 
 class TestRepairedTableApplied:

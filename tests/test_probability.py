@@ -15,9 +15,9 @@ import pytest
 from byzfc.adversary import resample_w_channel
 from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError,
                                SampleBlock, apply_channel, apply_pointwise,
-                               derive_seed, empirical_type, float_type, hamming_distortion,
+                               derive_seed, empirical_type, hamming_distortion,
                                integer_mass, philox, pmf_from_dict, sample_iid,
-                               tv_distance, uniform_pmf, zero_mass)
+                               tv_distance, type_counts, uniform_pmf, zero_mass)
 
 
 def random_float_pmf(sizes, seed):
@@ -319,7 +319,8 @@ class TestEmpiricalType:
         for v in empirical_type(blk).mass.reshape(-1):
             assert (v * 7).denominator == 1
 
-    def test_float_type_equals_converted_exact_type(self):
+    def test_counts_over_n_equal_converted_exact_type(self):
+        # the float membership bounds read counts / n as the float type;
         # k = 1..4 users over mixed alphabet sizes 1..5
         rng = philox(10)
         for t in range(80):
@@ -328,12 +329,17 @@ class TestEmpiricalType:
             users = np.stack([rng.integers(0, s, n) for s in sizes[:-1]])
             blk = block_of([Alphabet.of_size(s) for s in sizes], users,
                            rng.integers(0, sizes[-1], n))
-            ty = float_type(blk)
-            assert not ty.exact and ty.axes == blk.axes
-            assert np.array_equal(ty.mass, empirical_type(blk).to_float().mass)
+            counts = type_counts(blk)
+            assert counts.shape == (math.prod(sizes),) and counts.sum() == n
+            assert np.array_equal(counts / n, empirical_type(blk).to_float().mass.reshape(-1))
+
+    def test_empty_block_has_no_type(self):
+        a = Alphabet.binary()
+        with pytest.raises(ProbabilityError, match="empty block has no type"):
+            type_counts(block_of([a, a], np.zeros((1, 0)), []))
 
     def test_count_over_n_is_the_rounded_fraction(self):
-        # float_type divides counts by n; float(Fraction) rounds the same ratio
+        # counts / n against float(Fraction), which rounds the same ratio
         rng = philox(11)
         n = rng.integers(1, 10**7, size=16_000)
         c = rng.integers(0, n + 1)
@@ -478,6 +484,24 @@ class TestSerialization:
         w = resample_w_channel((erasure_pmf.axes[1], erasure_pmf.axes[2]))
         with pytest.raises(ProbabilityError, match="unknown mode"):
             Channel.from_json_dict({**w.to_json_dict(), "mode": mode})
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_short_mass_rejected(self, erasure_pmf, exact):
+        d = (erasure_pmf if exact else erasure_pmf.to_float()).to_json_dict()
+        with pytest.raises(ProbabilityError, match="pmf has 53 entries, not 54"):
+            JointPmf.from_json_dict({**d, "mass": d["mass"][:-1]})
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_short_channel_rows_rejected(self, erasure_pmf, exact):
+        d = resample_w_channel(erasure_pmf.axes[1:3], exact=exact).to_json_dict()
+        with pytest.raises(ProbabilityError, match="channel has 80 entries, not 81"):
+            Channel.from_json_dict({**d, "rows": d["rows"][:-1]})
+
+    def test_ragged_block_users_rejected(self, erasure_pmf):
+        d = sample_iid(erasure_pmf.to_float(), 32, seed=5).to_json_dict()
+        users = [d["users"][0], d["users"][1][:-1], d["users"][2]]
+        with pytest.raises(ProbabilityError, match="as long as the side sequence"):
+            SampleBlock.from_json_dict({**d, "users": users})
 
     def test_block_roundtrip(self, erasure_pmf):
         blk = sample_iid(erasure_pmf.to_float(), 32, seed=5)

@@ -5,7 +5,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from byzfc.probability import Alphabet, philox
+from byzfc.decoder import config_from_json_dict, config_to_json_dict
+from byzfc.harness import scenario_from_json_dict
+from byzfc.probability import Alphabet, ProbabilityError, philox
 from byzfc.structures import (AdversaryStructure, TargetFunction,
                               constant_function, nonintersecting_collections)
 
@@ -128,3 +130,15 @@ class TestTargetFunction:
     def test_json_roundtrip(self, erasure_f_uv):
         again = TargetFunction.from_json_dict(erasure_f_uv.to_json_dict())
         assert again == erasure_f_uv
+
+    def test_short_table_rejected(self, erasure_pmf, erasure_f_uv, erasure_config):
+        d = erasure_f_uv.to_json_dict()
+        short = {**d, "table": d["table"][:-1]}
+        scenario = {"pmf": erasure_pmf.to_json_dict(), "function": short,
+                    "structure": {"k": 3, "threshold": 2}, "n": 10, "trials": 1}
+        config = config_to_json_dict(erasure_config)
+        for parse, arg in [(TargetFunction.from_json_dict, short),
+                           (scenario_from_json_dict, scenario),
+                           (config_from_json_dict, {**config, "function": short})]:
+            with pytest.raises(ProbabilityError, match="table has 53 entries, not 54"):
+                parse(arg)

@@ -18,7 +18,7 @@ from byzfc.examples_lib import random_pmf
 from byzfc.polytope import ChannelVars
 from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, SampleBlock,
                                derive_seed, empirical_type, philox, pmf_from_dict, sample_iid,
-                               tv_distance, uniform_pmf)
+                               tv_distance, type_counts, uniform_pmf)
 from byzfc.simplex import Tableau
 from byzfc.viability import check_s_viability
 from byzfc.viewsets import ViewSetHandle, distance_bounds, distance_to_viewset, induce_view
@@ -348,7 +348,7 @@ class TestScreen:
             ty = empirical_type(blk)
             ty = ty if mode == "exact" else ty.to_float()
             lp_only = []
-            bounds = distance_bounds(cfg.handles, ty)
+            bounds = distance_bounds(cfg.handles, type_counts(blk))
             for i, h in enumerate(cfg.handles):
                 lower, upper = bounds[i]
                 dist = distance_to_viewset(h, ty).distance
@@ -361,10 +361,58 @@ class TestScreen:
         assert all(seen.values()), seen
 
     def test_bounds_need_one_base_law(self, erasure_pmf):
-        q = erasure_pmf.to_float()
+        counts = type_counts(exact_type_block(erasure_pmf))
         same = [ViewSetHandle(erasure_pmf, frozenset(s)) for s in ({0}, {1, 2})]
-        assert distance_bounds(same, q) == [(0, 0), (0, 0)]
-        assert distance_bounds([], q) == []
+        assert distance_bounds(same, counts) == [(0, 0), (0, 0)]
+        assert distance_bounds([], counts) == []
         copy = JointPmf(erasure_pmf.axes, erasure_pmf.mass.copy())
         with pytest.raises(ProbabilityError):
-            distance_bounds(same + [ViewSetHandle(copy, frozenset({2}))], q)
+            distance_bounds(same + [ViewSetHandle(copy, frozenset({2}))], counts)
+
+    @pytest.mark.parametrize("counts", [np.arange(53), np.zeros(54, dtype=np.int64)],
+                             ids=["one-short", "empty"])
+    def test_counts_must_be_a_type_of_the_law(self, counts, erasure_pmf):
+        handles = [ViewSetHandle(erasure_pmf, frozenset({0}))]
+        with pytest.raises(ProbabilityError, match="need one per cell, n >= 1"):
+            distance_bounds(handles, counts)
+
+
+def reference_bounds(base: JointPmf, q: JointPmf, aset) -> tuple:
+    """TV(P, Q) outside the adversary set, and TV(P, Q), by the pmf methods."""
+    rest = [c for c in range(base.k) if c not in aset]
+    return base.marginalize(rest).tv_distance(q.marginalize(rest)), base.tv_distance(q)
+
+
+class TestBoundsReference:
+    """``distance_bounds`` on counts against an independent computation on the type."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_screen_blocks(self, mode, screen_blocks, erasure_pmf, threshold_3_2):
+        base = erasure_pmf if mode == "exact" else erasure_pmf.to_float()
+        handles = [ViewSetHandle(base, s) for s in threshold_3_2.sets]
+        for blk in screen_blocks:
+            counts, q = type_counts(blk), empirical_type(blk)
+            if mode == "float":
+                q = q.to_float()
+                assert np.array_equal(counts / blk.n, q.mass.reshape(-1))
+            for h, got in zip(handles, distance_bounds(handles, counts)):
+                want = reference_bounds(base, q, h.adversary_set)
+                if mode == "exact":
+                    assert got == want
+                else:
+                    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_huge_common_denominator(self):
+        # pd = 2**61 + 1 times a count of 4 or more overflows int64
+        den = 2**61 + 1
+        nums = [den // 8] * 7
+        mass = np.array([Fraction(v, den) for v in nums + [den - sum(nums)]], dtype=object)
+        a = Alphabet.binary()
+        base = JointPmf((a, a, a), mass.reshape(2, 2, 2))
+        blk = SampleBlock((a, a, a), np.array([[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 1]]),
+                          np.array([0, 0, 0, 0, 1, 0]))
+        assert type_counts(blk).max() >= 4
+        handles = [ViewSetHandle(base, frozenset(s)) for s in ((), (0,), (1,))]
+        q = empirical_type(blk)
+        for h, got in zip(handles, distance_bounds(handles, type_counts(blk))):
+            assert got == reference_bounds(base, q, h.adversary_set)
