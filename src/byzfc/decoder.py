@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polytope import ChannelTables
-from .probability import (FLOAT_NORMALIZATION_TOL, MALFORMED, Alphabet, JointPmf,
-                          SampleBlock, apply_pointwise, empirical_type, hamming_distortion,
-                          json_number, type_counts)
+from .probability import (MALFORMED, Alphabet, JointPmf, SampleBlock, apply_pointwise,
+                          empirical_type, hamming_distortion, json_number, type_counts)
 from .structures import (AdversaryStructure, TargetFunction, canonical_collection,
                          nonintersecting_collections)
 from .viability import GBuildConflict, GTable, build_g, check_viability
-from .viewsets import ViewSetHandle, distance_bounds, distance_to_viewset
+from .viewsets import DistanceScreen, ViewSetHandle, distance_to_viewset
 
 
 class DecoderConfigError(RuntimeError):
@@ -64,7 +63,8 @@ class DecoderConfig:
     one on first use, on one channel-table dict owned by the config.  The
     law must be exact, since every table is an exact-LP construction; the
     view handles follow ``mode``.  ``delta`` is the membership radius;
-    float-mode membership adds ``slack`` to absorb LP round-off.
+    float-mode membership adds ``slack`` to absorb LP round-off.  ``screen``
+    holds the bound tables and that threshold, built once from the law.
     """
 
     base: JointPmf
@@ -76,6 +76,7 @@ class DecoderConfig:
     slack: float = 1e-7
     viable: bool = True
     handles: tuple[ViewSetHandle, ...] = field(init=False)
+    screen: DistanceScreen = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
@@ -88,6 +89,8 @@ class DecoderConfig:
             raise DecoderConfigError("a decoder config needs an exact law")
         base = self.base if self.mode == "exact" else self.base.to_float()
         self.handles = tuple(ViewSetHandle(base, s) for s in self.structure.sets)
+        self.screen = DistanceScreen(self.base, self.structure.sets,
+                                     self.delta + (self.slack if self.mode == "float" else 0))
         # own copy: tables built later stay out of the caller's dict
         self.g_tables = dict(self.g_tables)
         self._channels = ChannelTables(self.base)
@@ -133,28 +136,22 @@ def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStr
 def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
     """Indices into structure.sets whose view set covers the block's type.
 
-    Each set is decided by ``distance_bounds`` when they settle it and by
-    the view-distance LP only when the threshold falls between them; the
-    bounds read the block's cell counts, and the type the LP needs is
-    built at most once per block.  In exact mode the bounds are compared
-    exactly with delta, so they decide as the LP would.  In float mode the
-    threshold is delta + slack, and a bound decides only when it clears it
-    by ``FLOAT_NORMALIZATION_TOL``; nearer calls go to the LP.
+    ``config.screen`` settles each set it can from the block's cell counts,
+    exactly in either mode: a lower bound above the threshold (delta, plus
+    slack in float mode) rejects, an upper bound at or below it accepts.
+    The view-distance LP decides the rest against the same threshold, on
+    a type built at most once per block; only the LP follows the mode.
     """
-    exact = config.mode == "exact"
-    thresh = config.delta if exact else config.delta + config.slack
-    margin = 0 if exact else FLOAT_NORMALIZATION_TOL
     out, ty = [], None
-    bounds = distance_bounds(config.handles, type_counts(reported))
-    for i, (h, (lower, upper)) in enumerate(zip(config.handles, bounds)):
-        if lower > thresh + margin:
-            continue
-        if upper > thresh - margin:
+    decided = config.screen.decide(type_counts(reported))
+    for i, (h, inside) in enumerate(zip(config.handles, decided)):
+        if inside is None:
             if ty is None:
-                ty = empirical_type(reported) if exact else empirical_type(reported).to_float()
-            if distance_to_viewset(h, ty).distance > thresh:
-                continue
-        out.append(i)
+                ty = empirical_type(reported)
+                ty = ty if config.mode == "exact" else ty.to_float()
+            inside = distance_to_viewset(h, ty).distance <= config.screen.thresh
+        if inside:
+            out.append(i)
     return out
 
 

@@ -39,7 +39,7 @@ class ProbabilityError(ValueError):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
@@ -110,12 +110,15 @@ def _mass_to_json(arr: np.ndarray) -> tuple[list, str]:
 
 
 def _mass_from_json(values, mode: str) -> np.ndarray:
-    """Inverse of ``_mass_to_json``; the caller reshapes and validates."""
+    """Inverse of ``_mass_to_json``: a flat list of "n/d" strings or integers
+    if exact, of JSON numbers if float; the caller reshapes and validates."""
+    if mode not in ("exact", "float"):
+        raise ProbabilityError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
+    if not isinstance(values, list):
+        raise ProbabilityError(f"mass values must be a list, not {values!r}")
     if mode == "exact":
         return np.array([_as_fraction(v) for v in values], dtype=object)
-    if mode == "float":
-        return np.asarray(values, dtype=np.float64)
-    raise ProbabilityError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
+    return np.array([json_value(v, "float mass entry") for v in values], dtype=np.float64)
 
 
 # what a JSON-to-object parser raises on a value of the wrong type or shape
@@ -287,7 +290,8 @@ class JointPmf:
             return NotImplemented
         if self.axes != other.axes or self.exact != other.exact:
             return False
-        return bool(np.all(self.mass == other.mass))
+        # list equality checks identity first: a copy sharing its Fractions is cheap
+        return self.mass.tolist() == other.mass.tolist()
 
     def __hash__(self):
         raise TypeError("JointPmf is not hashable")

@@ -5,13 +5,14 @@ observations and side information reachable by some per-letter channel on
 the A coordinates of the source law.  Membership of an observed type is
 decided through the minimum total-variation distance to the view set,
 computed by one linear program whose optimum serves every radius delta.
-Two certified bounds bracket that distance without any LP
-(``distance_bounds``); the decoder solves the LP only when the radius
-falls between them.
+Two certified bounds bracket that distance without any LP, and
+``DistanceScreen`` compares them with the radius in integers, in either
+mode; the decoder solves the LP only when the radius falls between them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -39,8 +40,7 @@ class ViewSetHandle:
     """The view set of one adversary set over a base law.
 
     What does not depend on the query is built once per handle, on first
-    use: the view-distance LP's channel variables, rows and objective, and
-    for an exact base P's integer numerators for ``distance_bounds``.
+    use: the view-distance LP's channel variables, rows and objective.
     """
 
     base: JointPmf
@@ -56,12 +56,8 @@ class ViewSetHandle:
         return tuple(sorted(self.adversary_set))
 
     @cached_property
-    def _integer_base(self) -> tuple[np.ndarray, int]:
-        return integer_mass(self.base.mass)
-
-    @cached_property
     def _exact_lp(self):
-        w = ChannelVars(self.base, self.coords, self._integer_base)
+        w = ChannelVars(self.base, self.coords)
         rows, views = _distance_rows(w)
         nvar = w.size + 2 * len(views)
         start = [0] * nvar
@@ -102,34 +98,55 @@ class MembershipResult:
             assert float(gap) <= float(self.distance) + 1e-7  # float solver tolerance
 
 
-def distance_bounds(handles: Sequence[ViewSetHandle], counts: np.ndarray) -> list[tuple]:
-    """Certified ``(lower, upper)`` around the view distance of a block's type, per handle.
+class DistanceScreen:
+    """Certified bounds on each view set's distance, decided against one threshold in integers.
 
-    ``counts`` are the block's row-major cell counts (``type_counts``), so
-    the type is counts / n.  The handles share one base law P, and P minus
-    the type is formed once in P's mode.  Upper: TV(P, type), the distance
-    at the identity channel.  Lower: the TV gap between the marginals
-    outside the adversary set, which no channel on the set can move (data
-    processing), read off the marginal of the difference.  For the empty
-    set the two coincide and equal the distance.
+    Built once from an exact law P, the adversary sets and a threshold,
+    taken exactly.  Upper: TV(P, type), the distance at the identity
+    channel.  Lower, per set A: the TV gap between the marginals outside A,
+    which no channel on A can move (data processing); for A = {} it is the
+    distance.  ``m`` maps the cells to every set's marginal cells outside
+    A, then to all cells (the upper bound), in segments at ``starts``;
+    ``pm`` holds P's numerators there, over its common denominator ``pd``.
+    A bound is a segment's sum of ``|pm * n - (counts @ m) * pd|`` over
+    ``2 * pd * n``: the int64 product is exact, and so are the Python ints.
     """
-    if not handles:
-        return []
-    base = handles[0].base
-    if any(h.base is not base for h in handles):
-        raise ProbabilityError("bounds need handles over one base law")
-    n = int(counts.sum())
-    if counts.size != base.mass.size or n < 1:
-        raise ProbabilityError(f"{counts.size} counts summing to {n}: need one per cell, n >= 1")
-    counts = counts.reshape(base.mass.shape)
-    if base.exact:
-        pn, pd = handles[0]._integer_base
-        # Python ints: an int64 count times pd would wrap silently
-        diff, scale = pn * n - counts.astype(object) * pd, Fraction(1, 2 * pd * n)
-    else:
-        diff, scale = base.mass - counts / n, 0.5
-    upper = np.abs(diff).sum() * scale
-    return [(np.abs(diff.sum(axis=h.coords)).sum() * scale, upper) for h in handles]
+
+    def __init__(self, p: JointPmf, sets: Sequence[frozenset[int]], thresh):
+        p.require_exact("the distance screen")
+        shape, grid, maps = p.mass.shape, np.indices(p.mass.shape).reshape(p.k, -1), []
+        for s in (*sets, frozenset()):
+            rest = [c for c in range(p.k) if c not in s]
+            sizes = [shape[c] for c in rest]
+            onehot = np.eye(math.prod(sizes), dtype=np.int64)
+            maps.append(onehot[np.ravel_multi_index(grid[rest], sizes)])
+        self.m, self.starts = np.hstack(maps), np.cumsum([0] + [a.shape[1] for a in maps[:-1]])
+        pn, self.pd = integer_mass(p.mass)
+        self.pm, self.thresh = pn.reshape(-1) @ self.m, thresh
+        self.tn, self.td = Fraction(thresh).as_integer_ratio()
+
+    def _numerators(self, counts: np.ndarray) -> tuple[list[int], int]:
+        """Per set the lower bound's numerator, then the upper bound's, and
+        their denominator, for the block with row-major cell ``counts``."""
+        n = int(counts.sum())
+        if counts.size != len(self.m) or n < 1:
+            raise ProbabilityError(
+                f"{counts.size} counts summing to {n}: need one per cell, n >= 1")
+        gap = self.pm * n - (counts @ self.m).astype(object) * self.pd
+        return np.add.reduceat(np.abs(gap), self.starts).tolist(), 2 * self.pd * n
+
+    def bounds(self, counts: np.ndarray) -> list[tuple[Fraction, Fraction]]:
+        """``(lower, upper)`` around each set's view distance of the block's type."""
+        (*lower, upper), den = self._numerators(counts)
+        return [(Fraction(v, den), Fraction(upper, den)) for v in lower]
+
+    def decide(self, counts: np.ndarray) -> list[bool | None]:
+        """Per set: False if the lower bound exceeds the threshold, True if the
+        upper bound is at or below it, else None (only the LP can tell)."""
+        (*lower, upper), den = self._numerators(counts)
+        cut = self.tn * den
+        accept = True if upper * self.td <= cut else None
+        return [False if v * self.td > cut else accept for v in lower]
 
 
 def distance_to_viewset(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:

@@ -259,7 +259,9 @@ class TestMalformedInput:
                                       "seed-float", "radius-bool-string",
                                       "config-delta-string", "witness-scenario-float",
                                       "split-fraction-string", "structure-k-bool",
-                                      "function-table-short", "ragged-users"])
+                                      "function-table-short", "ragged-users",
+                                      "pmf-mass-bools", "pmf-mass-strings", "pmf-mass-ragged",
+                                      "pmf-exact-bools"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -341,6 +343,15 @@ class TestMalformedInput:
                 **config, "function": {**config["function"],
                                        "table": config["function"]["table"][:-1]}}),
                                              "--block", put("b.json", block)],
+            "pmf-mass-bools": lambda: ["mss", "--pmf", put("p.json", {
+                "axes": [[0, 1], [0, 1]], "mass": [True, False, False, False]})],
+            "pmf-mass-strings": lambda: ["mss", "--pmf", put("p.json", {
+                "axes": [[0, 1], [0, 1]], "mass": ["0.5", "0", "0", "0.5"]})],
+            "pmf-mass-ragged": lambda: ["mss", "--pmf", put("p.json", {
+                "axes": [[0, 1], [0, 1]], "mass": [[0.5, 0, 0], [0.5]]})],
+            "pmf-exact-bools": lambda: ["mss", "--pmf", put("p.json", {
+                "axes": [[0, 1], [0, 1]], "mass": [True, False, False, False],
+                "mode": "exact"})],
             "ragged-users": lambda: ["decode", "--config", put("c.json", config),
                                      "--block", put("b.json", {**block, "users": [
                                          block["users"][0][:-1], *block["users"][1:]]})],

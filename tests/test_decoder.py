@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from byzfc import decoder, viability
+from byzfc import decoder, viability, viewsets
 from byzfc.adversary import BlockSplit, Honest, ResampleW, WitnessDMC, attack
 from byzfc.decoder import (DecoderConfig, DecoderConfigError, TrialTruth, Verdict,
                            build_decoder_config, classify_error,
@@ -404,6 +404,21 @@ class TestScreenedDecode:
         monkeypatch.setattr(JointPmf, "__init__", counting_init)
         kinds = {decode(cfg, blk).kind for blk in acceptance_blocks}
         assert kinds == {"estimate"} and built == []
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_screen_tables_are_built_once_per_config(self, mode, monkeypatch,
+                                                     acceptance_blocks, erasure_pmf,
+                                                     erasure_f_uv, threshold_3_2):
+        # P's integer numerators are read once, when the config is built;
+        # a decode only multiplies counts into the stored tables
+        calls = []
+        real = viewsets.integer_mass
+        monkeypatch.setattr(viewsets, "integer_mass", lambda mass: calls.append(1) or real(mass))
+        cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
+                            delta=0.1, mode=mode)
+        blocks = (acceptance_blocks * 2)[:100]
+        assert {decode(cfg, blk).kind for blk in blocks} == {"estimate"}
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_empty_block_raises(self, mode, erasure_pmf, erasure_config):

@@ -485,6 +485,31 @@ class TestSerialization:
         with pytest.raises(ProbabilityError, match="unknown mode"):
             Channel.from_json_dict({**w.to_json_dict(), "mode": mode})
 
+    @pytest.mark.parametrize("mass, mode, match", [
+        ([True, False], "float", "must be a number"),
+        (["0.5", "0.5"], "float", "must be a number"),
+        ([True, False], "exact", "cannot interpret True"),
+        ([[0.5, 0], [0.5]], "float", "must be a number"),
+        ([["1/2", 0], ["1/2"]], "exact", "cannot interpret"),
+        ("1", "exact", "must be a list"),
+    ], ids=["float-bools", "float-strings", "exact-bools", "float-ragged", "exact-ragged",
+            "exact-string"])
+    def test_malformed_mass_values_rejected(self, mass, mode, match):
+        with pytest.raises(ProbabilityError, match=match):
+            JointPmf.from_json_dict({"axes": [[0, 1]], "mass": mass, "mode": mode})
+        w = {"input_axes": [[0, 1]], "output_axes": [[0, 1]], "rows": mass * 2, "mode": mode}
+        with pytest.raises(ProbabilityError, match=match):
+            Channel.from_json_dict(w)
+
+    def test_equality_compares_every_entry(self, erasure_pmf):
+        same = JointPmf(erasure_pmf.axes, erasure_pmf.mass.copy())
+        assert same == erasure_pmf and same.mass[0, 0, 0, 0] is erasure_pmf.mass[0, 0, 0, 0]
+        assert erasure_pmf.to_float() == same.to_float() and erasure_pmf != same.to_float()
+        moved = erasure_pmf.mass.reshape(-1).copy()
+        moved[[0, 1]] = moved[[1, 0]]     # 1/4 and 0 trade places
+        assert moved[1] > 0
+        assert JointPmf(erasure_pmf.axes, moved.reshape(erasure_pmf.mass.shape)) != erasure_pmf
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_short_mass_rejected(self, erasure_pmf, exact):
         d = (erasure_pmf if exact else erasure_pmf.to_float()).to_json_dict()

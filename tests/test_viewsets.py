@@ -4,6 +4,7 @@ Derived oracles: brute-force channel application by explicit summation,
 and a grid search over binary channels for the minimum-distance value.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -21,7 +22,7 @@ from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, Sa
                                tv_distance, type_counts, uniform_pmf)
 from byzfc.simplex import Tableau
 from byzfc.viability import check_s_viability
-from byzfc.viewsets import ViewSetHandle, distance_bounds, distance_to_viewset, induce_view
+from byzfc.viewsets import DistanceScreen, ViewSetHandle, distance_to_viewset, induce_view
 
 from test_decoder import exact_type_block
 
@@ -342,13 +343,13 @@ class TestScreen:
         cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
                             delta=0.1, g_tables=erasure_config.g_tables, mode=mode)
         thresh = cfg.delta if mode == "exact" else cfg.delta + cfg.slack
-        tol = 0 if mode == "exact" else 1e-9
+        tol = 0 if mode == "exact" else 1e-9    # float LP round-off; the bounds are exact
         seen = {"reject": 0, "accept": 0, "band, in": 0, "band, out": 0}
         for blk in screen_blocks:
             ty = empirical_type(blk)
             ty = ty if mode == "exact" else ty.to_float()
             lp_only = []
-            bounds = distance_bounds(cfg.handles, type_counts(blk))
+            bounds = cfg.screen.bounds(type_counts(blk))
             for i, h in enumerate(cfg.handles):
                 lower, upper = bounds[i]
                 dist = distance_to_viewset(h, ty).distance
@@ -360,21 +361,59 @@ class TestScreen:
             assert explanation_set(cfg, blk) == lp_only
         assert all(seen.values()), seen
 
-    def test_bounds_need_one_base_law(self, erasure_pmf):
+    def test_screen_needs_an_exact_law(self, erasure_pmf):
         counts = type_counts(exact_type_block(erasure_pmf))
-        same = [ViewSetHandle(erasure_pmf, frozenset(s)) for s in ({0}, {1, 2})]
-        assert distance_bounds(same, counts) == [(0, 0), (0, 0)]
-        assert distance_bounds([], counts) == []
-        copy = JointPmf(erasure_pmf.axes, erasure_pmf.mass.copy())
-        with pytest.raises(ProbabilityError):
-            distance_bounds(same + [ViewSetHandle(copy, frozenset({2}))], counts)
+        sets = [frozenset(s) for s in ({0}, {1, 2})]
+        assert DistanceScreen(erasure_pmf, sets, 0.1).bounds(counts) == [(0, 0), (0, 0)]
+        assert DistanceScreen(erasure_pmf, [], 0.1).bounds(counts) == []
+        with pytest.raises(ProbabilityError, match="requires an exact-mode pmf"):
+            DistanceScreen(erasure_pmf.to_float(), sets, 0.1)
 
     @pytest.mark.parametrize("counts", [np.arange(53), np.zeros(54, dtype=np.int64)],
                              ids=["one-short", "empty"])
     def test_counts_must_be_a_type_of_the_law(self, counts, erasure_pmf):
-        handles = [ViewSetHandle(erasure_pmf, frozenset({0}))]
-        with pytest.raises(ProbabilityError, match="need one per cell, n >= 1"):
-            distance_bounds(handles, counts)
+        screen = DistanceScreen(erasure_pmf, [frozenset({0})], 0.1)
+        for read in (screen.bounds, screen.decide):
+            with pytest.raises(ProbabilityError, match="need one per cell, n >= 1"):
+                read(counts)
+
+    def test_decisions_at_a_bound_are_exact(self, screen_blocks, erasure_pmf, threshold_3_2):
+        # a threshold equal to a bound accepts at the upper bound and keeps
+        # the set at the lower one; one unit of 10**-30 below flips both
+        sets = threshold_3_2.sets
+        for blk in screen_blocks[-3:]:
+            counts = type_counts(blk)
+            bounds = DistanceScreen(erasure_pmf, sets, 0.1).bounds(counts)
+            upper = bounds[0][1]
+            assert DistanceScreen(erasure_pmf, sets, upper).decide(counts) == [True] * len(sets)
+            below = DistanceScreen(erasure_pmf, sets, upper - Fraction(1, 10**30))
+            assert below.decide(counts) == [False if lo == upper else None for lo, _ in bounds]
+            for i, (lower, _) in enumerate(bounds):
+                assert DistanceScreen(erasure_pmf, sets, lower).decide(counts)[i] is not False
+                below = DistanceScreen(erasure_pmf, sets, lower - Fraction(1, 10**30))
+                assert below.decide(counts)[i] is False
+
+    def test_float_mode_rejects_just_above_the_threshold_without_an_lp(
+            self, screen_blocks, erasure_pmf, erasure_f_uv, threshold_3_2, monkeypatch):
+        # every lower bound exceeds delta + slack, the nearest by less than
+        # 1e-9: the exact bounds reject every set, and no LP is asked
+        blk = screen_blocks[-1]
+        counts = type_counts(blk)
+        nearest = min(lo for lo, _ in DistanceScreen(erasure_pmf, threshold_3_2.sets, 0.1)
+                      .bounds(counts))
+        slack = 1e-7
+        delta = float(nearest) - slack - 5e-10
+        thresh = Fraction(delta + slack)
+        assert 0 < nearest - thresh < Fraction(1, 10**9)
+
+        def no_lp(h, q):
+            raise AssertionError("the screen should settle every set")
+
+        monkeypatch.setattr(decoder, "distance_to_viewset", no_lp)
+        cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
+                            delta=delta, slack=slack)
+        assert cfg.screen.decide(counts) == [False] * len(threshold_3_2.sets)
+        assert explanation_set(cfg, blk) == []
 
 
 def reference_bounds(base: JointPmf, q: JointPmf, aset) -> tuple:
@@ -384,23 +423,18 @@ def reference_bounds(base: JointPmf, q: JointPmf, aset) -> tuple:
 
 
 class TestBoundsReference:
-    """``distance_bounds`` on counts against an independent computation on the type."""
+    """The screen's bounds on counts against an independent computation on the type."""
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_screen_blocks(self, mode, screen_blocks, erasure_pmf, threshold_3_2):
-        base = erasure_pmf if mode == "exact" else erasure_pmf.to_float()
-        handles = [ViewSetHandle(base, s) for s in threshold_3_2.sets]
+    def test_screen_blocks(self, mode, screen_blocks, erasure_pmf, threshold_3_2,
+                           erasure_config):
+        # a float config screens with the exact law too: its bounds are exact
+        cfg = dataclasses.replace(erasure_config, mode=mode)
         for blk in screen_blocks:
-            counts, q = type_counts(blk), empirical_type(blk)
-            if mode == "float":
-                q = q.to_float()
-                assert np.array_equal(counts / blk.n, q.mass.reshape(-1))
-            for h, got in zip(handles, distance_bounds(handles, counts)):
-                want = reference_bounds(base, q, h.adversary_set)
-                if mode == "exact":
-                    assert got == want
-                else:
-                    assert np.allclose(got, want, rtol=0, atol=1e-12)
+            q = empirical_type(blk)
+            bounds = cfg.screen.bounds(type_counts(blk))
+            for s, got in zip(threshold_3_2.sets, bounds, strict=True):
+                assert got == reference_bounds(erasure_pmf, q, s)
 
     def test_huge_common_denominator(self):
         # pd = 2**61 + 1 times a count of 4 or more overflows int64
@@ -412,7 +446,13 @@ class TestBoundsReference:
         blk = SampleBlock((a, a, a), np.array([[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 1]]),
                           np.array([0, 0, 0, 0, 1, 0]))
         assert type_counts(blk).max() >= 4
-        handles = [ViewSetHandle(base, frozenset(s)) for s in ((), (0,), (1,))]
+        sets = [frozenset(s) for s in ((), (0,), (1,))]
         q = empirical_type(blk)
-        for h, got in zip(handles, distance_bounds(handles, type_counts(blk))):
-            assert got == reference_bounds(base, q, h.adversary_set)
+        counts = type_counts(blk)
+        bounds = DistanceScreen(base, sets, 0.1).bounds(counts)
+        for s, got in zip(sets, bounds):
+            assert got == reference_bounds(base, q, s)
+        upper = bounds[0][1]        # the empty set's bounds coincide
+        assert DistanceScreen(base, sets, upper).decide(counts) == [True] * 3
+        below = DistanceScreen(base, sets, upper - Fraction(1, den**2)).decide(counts)
+        assert below == [False] + [None if lo < upper else False for lo, _ in bounds[1:]]
