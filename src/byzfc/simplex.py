@@ -4,13 +4,14 @@ Primal simplex with Bland's rule.  The starting basis comes either from
 phase 1 on artificial columns or, when a feasible point is already known,
 from a crash start: the point's nonzero columns are pivoted in directly
 (Bixby 1992), so no phase 1 runs.  All tableau arithmetic stays in Python
-ints through Edmonds-style integer pivoting (Bareiss 1968).  Each tableau
-row is a sparse ``{column: int}`` dict of its nonzeros, and all rows share
-one positive determinant denominator, so every pivot update divides
-exactly and touches only the nonzeros of the rows it changes.  The
-objective rides along as one more sparse integer row, its reduced costs
-scaled by that denominator, so Fractions appear only in the values
-returned.
+ints.  Each tableau row is a sparse ``{column: int}`` dict of its nonzeros
+with a scale of its own: it stands for itself divided by its positive
+entry at its basic column, and it is kept primitive, the gcd of its
+entries 1.  So a pivot touches only the rows that hold the pivot column,
+and no entry outgrows the determinants of integer pivoting (Edmonds 1967;
+Bareiss 1968), which carry every row over one shared denominator.  The
+objective rides along as one more sparse integer row with its own scale,
+so Fractions appear only in the values returned.
 
 Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.  Each
 row of A is a sparse ``{column: coefficient}`` dict of ints or other
@@ -23,7 +24,7 @@ only one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import Sequence
 
@@ -32,7 +33,7 @@ RANK_PRIME = 2_147_483_647  # 2**31 - 1
 
 
 class LPError(RuntimeError):
-    """Internal solver failure (iteration cap, division residue, ...)."""
+    """Internal solver failure (iteration cap, non-positive pivot, ...)."""
 
 
 class Infeasible(LPError):
@@ -101,8 +102,9 @@ class Tableau:
     warm-start, which is how the polytope support detection uses it.
 
     ``rows`` holds one ``{column: int}`` dict of nonzeros per basic row, the
-    right-hand side at column ``width - 1``; every row is over the shared
-    denominator ``den``.
+    right-hand side at column ``width - 1``.  Row i stands for
+    ``rows[i]`` divided by ``rows[i][basis[i]]``, which is positive, and the
+    gcd of its entries is 1.
     """
 
     def __init__(self, A: Sequence[dict], b: Sequence, n: int,
@@ -127,10 +129,11 @@ class Tableau:
                 row[rhs_col] = sign * vals[-1]
             if phase1:
                 row[n + i] = 1
+            elif (g := gcd(*row.values())) > 1:
+                row = {j: v // g for j, v in row.items()}
             rows.append(row)
         self.m = m
         self.art0 = n  # first artificial column
-        self.den = 1
         self.allowed = n
         self.rows = rows
         if phase1:
@@ -143,41 +146,29 @@ class Tableau:
     # -- pivoting core ---------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
-        """Pivot on (r, c), updating every row, the objective's included.
-
-        Only nonzeros are touched: a row without column c is rescaled by
-        p / den, and a row with it is combined with the pivot row over the
-        union of their columns.  Entries that cancel are dropped.
-        """
+        """Pivot on (r, c): each other row holding column c, at f, becomes
+        p * row - f * pivot row for the pivot p, divided by the gcd of its
+        entries; entries that cancel are dropped.  No other row changes."""
         rows = self.rows
         prow = rows[r]
         p = prow.get(c, 0)
         if p <= 0:
             raise LPError("pivot element must be positive")
-        den = self.den
         for i, row in enumerate(rows):
-            if i == r:
-                continue
             f = row.get(c)
-            if p != den:
-                # entries outside the pivot row's columns only scale
-                for j, v in row.items():
-                    if f is None or j not in prow:
-                        q, rem = divmod(v * p, den)
-                        if rem:
-                            raise LPError("integer pivot residue")
-                        row[j] = q
-            if f is None:
+            if f is None or i == r:
                 continue
+            if p != 1:
+                for j, v in row.items():
+                    row[j] = v * p
             for j, pv in prow.items():
-                q, rem = divmod(row.get(j, 0) * p - f * pv, den)
-                if rem:
-                    raise LPError("integer pivot residue")
-                if q:
-                    row[j] = q
+                if v := row.get(j, 0) - f * pv:
+                    row[j] = v
                 else:
                     del row[j]
-        self.den = p
+            if (g := gcd(*row.values())) > 1:
+                for j, v in row.items():
+                    row[j] = v // g
         self.basis[r] = c
 
     def _bland_step(self) -> bool:
@@ -209,26 +200,29 @@ class Tableau:
     def _optimize(self, c: list[int]) -> Fraction:
         """Maximize c.x for integer costs c over every column but the last.
 
-        The objective is priced as one more row, den*c_j - sum_i
-        c_B(i)*T[i][j]: den times the reduced cost of column j, and minus
-        den times the objective value in the last column.  Pivots keep it
-        integral like a constraint row; it is dropped again on return.
+        The objective is priced as one more row with a positive scale s in
+        column ``width``, s*c_j - sum_i c_B(i)*s*T[i][j]/T[i][B(i)]: s times
+        the reduced cost of column j, and minus s times the objective value
+        in the last column.  s starts as the lcm of the T[i][B(i)] priced.
+        Pivots update the row like a constraint row; it is dropped on return.
         """
-        z = {j: self.den * v for j, v in enumerate(c) if v}
-        for i in range(self.m):
-            cb = c[self.basis[i]]
-            if cb:
-                for j, v in self.rows[i].items():
-                    z[j] = z.get(j, 0) - cb * v
+        rows = self.rows
+        priced = [(row, c[bi], row[bi]) for row, bi in zip(rows, self.basis) if c[bi]]
+        s = lcm(*(d for *_, d in priced))
+        z = {j: s * v for j, v in enumerate(c) if v}
+        for row, cb, d in priced:
+            for j, v in row.items():
+                z[j] = z.get(j, 0) - cb * (s // d) * v
         z = {j: v for j, v in z.items() if v}
-        self.rows.append(z)
+        z[self.width] = s
+        rows.append(z)
         try:
             for _ in range(MAX_PIVOTS):
                 if not self._bland_step():
-                    return Fraction(-z.get(self.width - 1, 0), self.den)
+                    return Fraction(-z.get(self.width - 1, 0), z[self.width])
             raise LPError("pivot limit exceeded")
         finally:
-            self.rows.pop()
+            rows.pop()
 
     # -- starting bases ----------------------------------------------------
 
@@ -246,9 +240,7 @@ class Tableau:
             raise LPError("start point length differs from the variable count")
         rows = self.rows
         free = list(range(self.m))
-        support = [j for j in range(n) if x[j] != 0]
-        others = [j for j in range(n) if x[j] == 0]
-        for c in support + others:
+        for c in sorted(range(n), key=lambda j: x[j] == 0):  # the support first
             if not free and x[c] == 0:
                 break
             r = next((i for i in free if c in rows[i]), -1)
@@ -268,10 +260,9 @@ class Tableau:
         self.rows = [rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
         self.m = len(keep)
-        den = self.den
         for row, j in zip(self.rows, self.basis):
             rhs = row.get(n, 0)
-            if rhs < 0 or Fraction(rhs, den) != x[j]:
+            if rhs < 0 or Fraction(rhs, row[j]) != x[j]:
                 raise LPError("start point is not the basic solution of its columns")
 
     def _phase1(self) -> None:
@@ -303,11 +294,10 @@ class Tableau:
 
     def solution(self) -> list[Fraction]:
         x: list = [0] * self.art0
-        den = self.den
         rhs_col = self.width - 1
         for row, bi in zip(self.rows, self.basis):
             if bi < self.art0:
-                x[bi] = Fraction(row.get(rhs_col, 0), den)
+                x[bi] = Fraction(row.get(rhs_col, 0), row[bi])
         return x
 
 

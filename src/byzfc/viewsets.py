@@ -105,34 +105,44 @@ class DistanceScreen:
     taken exactly.  Upper: TV(P, type), the distance at the identity
     channel.  Lower, per set A: the TV gap between the marginals outside A,
     which no channel on A can move (data processing); for A = {} it is the
-    distance.  ``m`` maps the cells to every set's marginal cells outside
-    A, then to all cells (the upper bound), in segments at ``starts``;
-    ``pm`` holds P's numerators there, over its common denominator ``pd``.
-    A bound is a segment's sum of ``|pm * n - (counts @ m) * pd|`` over
-    ``2 * pd * n``: the int64 product is exact, and so are the Python ints.
+    distance.  The marginal cells of every set outside A, then all cells
+    (the upper bound), are numbered in segments at ``starts``; ``cells``
+    lists each marginal cell's cells, grouped at ``cuts``, so
+    ``_marginals`` sums counts into them by one gather.  ``pm`` holds P's
+    numerators there, over its common denominator ``pd``.  A bound is a
+    segment's sum of ``|pm * n - marginal counts * pd|`` over ``2 * pd * n``:
+    the int64 sums are exact, and so are the Python ints.
     """
 
     def __init__(self, p: JointPmf, sets: Sequence[frozenset[int]], thresh):
         p.require_exact("the distance screen")
-        shape, grid, maps = p.mass.shape, np.indices(p.mass.shape).reshape(p.k, -1), []
+        shape, grid, cols, widths = p.mass.shape, np.indices(p.mass.shape).reshape(p.k, -1), [], []
         for s in (*sets, frozenset()):
             rest = [c for c in range(p.k) if c not in s]
             sizes = [shape[c] for c in rest]
-            onehot = np.eye(math.prod(sizes), dtype=np.int64)
-            maps.append(onehot[np.ravel_multi_index(grid[rest], sizes)])
-        self.m, self.starts = np.hstack(maps), np.cumsum([0] + [a.shape[1] for a in maps[:-1]])
+            cols.append(sum(widths) + np.ravel_multi_index(grid[rest], sizes))
+            widths.append(math.prod(sizes))
+        col = np.concatenate(cols)
+        order = np.argsort(col, kind="stable")
+        self.size, self.cells = p.mass.size, order % p.mass.size
+        self.cuts = np.searchsorted(col[order], np.arange(sum(widths)))
+        self.starts = np.cumsum([0] + widths[:-1])
         pn, self.pd = integer_mass(p.mass)
-        self.pm, self.thresh = pn.reshape(-1) @ self.m, thresh
+        self.pm, self.thresh = self._marginals(pn.reshape(-1)), thresh
         self.tn, self.td = Fraction(thresh).as_integer_ratio()
+
+    def _marginals(self, cell_values: np.ndarray) -> np.ndarray:
+        """Per-cell values summed into every segment's marginal cells."""
+        return np.add.reduceat(cell_values[self.cells], self.cuts)
 
     def _numerators(self, counts: np.ndarray) -> tuple[list[int], int]:
         """Per set the lower bound's numerator, then the upper bound's, and
         their denominator, for the block with row-major cell ``counts``."""
         n = int(counts.sum())
-        if counts.size != len(self.m) or n < 1:
+        if counts.size != self.size or n < 1:
             raise ProbabilityError(
                 f"{counts.size} counts summing to {n}: need one per cell, n >= 1")
-        gap = self.pm * n - (counts @ self.m).astype(object) * self.pd
+        gap = self.pm * n - self._marginals(counts).astype(object) * self.pd
         return np.add.reduceat(np.abs(gap), self.starts).tolist(), 2 * self.pd * n
 
     def bounds(self, counts: np.ndarray) -> list[tuple[Fraction, Fraction]]:

@@ -77,21 +77,23 @@ def test_generated_regions_match_phase1(sizes, seed, zero_frac, pick, s):
     _compare_starts(_Region(p, cols[pick % len(cols)]), np.random.default_rng(seed))
 
 
-def test_exact_distance_same_without_the_start(erasure_pmf, monkeypatch):
-    queries = [erasure_pmf]
+def distance_queries(p: JointPmf) -> list[tuple[ViewSetHandle, JointPmf]]:
+    """(handle, query) pairs for the exact view-distance LP on the worked
+    example's law p: four adversary sets against p itself, random laws and
+    views p induces through random exact channels."""
+    queries = [p]
     for seed in range(4):
-        queries.append(random_pmf(tuple(a.size for a in erasure_pmf.axes),
+        queries.append(random_pmf(tuple(a.size for a in p.axes),
                                   seed=100 + seed, zero_frac=0.3, max_weight=5))
         aset = (0,) if seed % 2 else (1, 2)
-        axes = tuple(erasure_pmf.axes[c] for c in aset)
-        queries.append(induce_view(erasure_pmf, aset,
-                                   random_channel(axes, seed=seed, exact=True)))
-    cases = []
-    for aset in ({0}, {1}, {1, 2}, {0, 2}):
-        h = ViewSetHandle(erasure_pmf, frozenset(aset))
-        for q in queries:
-            q = JointPmf(erasure_pmf.axes, q.mass)
-            cases.append((h, q, _distance_exact(h, q).distance))
+        axes = tuple(p.axes[c] for c in aset)
+        queries.append(induce_view(p, aset, random_channel(axes, seed=seed, exact=True)))
+    handles = [ViewSetHandle(p, frozenset(aset)) for aset in ({0}, {1}, {1, 2}, {0, 2})]
+    return [(h, JointPmf(p.axes, q.mass)) for h in handles for q in queries]
+
+
+def test_exact_distance_same_without_the_start(erasure_pmf, monkeypatch):
+    cases = [(h, q, _distance_exact(h, q).distance) for h, q in distance_queries(erasure_pmf)]
     monkeypatch.setattr(viewsets, "Tableau", lambda A, b, n, start=None: Tableau(A, b, n))
     for h, q, dist in cases:
         res = _distance_exact(h, q)

@@ -2,31 +2,41 @@
 
 ``DenseTableau`` is the dense Bareiss tableau, kept here as the reference:
 every row a full list of ints and every pivot an update of every entry.
-Both kernels run the same problems, and each run is logged: the (r, c)
-pivot list, the basis and ``solution()`` after construction and after
-every ``maximize``, each optimum, and the class of any exception.  The
-logs must be equal.  The problems are the random and fuzz LPs of
-``test_simplex.py`` (phase 1 and crash-started), every fallback region of
-the verdict ladder through ``positive_coordinates``, and ``conflict_vertex``
-on every non-viable instance of the ladder and on the worked example's
-``uvw``.  The pivot list of the benchmark's seed-1 ``verdict-random`` pass
-is pinned as well.
+``simplex.Tableau`` keeps each sparse row primitive over a scale of its
+own, and a pivot touches only the rows that hold the pivot column.  Both
+kernels run the same problems, and each run is logged: the (r, c) pivot
+list, the basis and ``solution()`` after construction and after every
+``maximize``, each optimum, and the class of any exception.  The logs must
+be equal.  The problems are the random and fuzz LPs of ``test_simplex.py``
+(phase 1 and crash-started), LPs over the common denominator 2**61 + 1,
+every fallback region of the verdict ladder through
+``positive_coordinates``, ``conflict_vertex`` on every non-viable instance
+of the ladder and on the worked example's ``uvw``, and the exact
+view-distance LP on the worked example's queries and on n=5000 types.  The
+pivot list of the benchmark's seed-1 ``verdict-random`` pass is pinned, and
+every pivot of that pass must keep each row primitive, each basic row
+positive at its basic column, and each row without the pivot column as it
+was.
 """
 
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
 import pytest
 
-from byzfc import viability
+from byzfc import viability, viewsets
+from byzfc.probability import Alphabet, JointPmf, derive_seed, empirical_type, sample_iid
 from byzfc.simplex import (MAX_PIVOTS, Infeasible, LPError, Tableau, Unbounded, _integers,
                            positive_coordinates, unique_point)
 from byzfc.structures import nonintersecting_collections
 from byzfc.viability import _needs_solving, _Region, check_viability
+from byzfc.viewsets import ViewSetHandle
 
-from test_crash_start import _identity_start, _ladder
+from test_crash_start import _identity_start, _ladder, distance_queries
 from test_simplex import fuzz_lps, random_lps, sparse
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -304,6 +314,62 @@ def test_simplex_lps(lps):
             same_run(_lp_run(sparse(A), b, [sign * v for v in c]))
 
 
+HUGE_DEN = 2**61 + 1
+
+
+def huge_denominator_lps():
+    """Bounded LPs with coefficients over 2**61 + 1, as (A, b, c) lists."""
+    rng = np.random.default_rng(2**61 + 1)
+    for _ in range(40):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(m + 1, 7))
+        nums = rng.integers(-2**62, 2**62, size=(m + 1, n)) * (rng.random((m + 1, n)) > 0.3)
+        A = [[Fraction(int(v), HUGE_DEN) for v in row] for row in nums[:m]]
+        x0 = [Fraction(int(v), 2) for v in rng.integers(0, 5, size=n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        # cap the total through a slack column so the optimum stays finite
+        A = [row + [0] for row in A] + [[1] * (n + 1)]
+        b.append(sum(x0) + 3)
+        yield A, b, [Fraction(int(v), HUGE_DEN) for v in nums[m]] + [0]
+
+
+def test_huge_denominator_lps():
+    for A, b, c in huge_denominator_lps():
+        for sign in (1, -1):
+            same_run(_lp_run(sparse(A), b, [sign * v for v in c]))
+
+
+def _distance_run(h, q, monkeypatch):
+    def run(kernel):
+        with monkeypatch.context() as m:
+            m.setattr(viewsets, "Tableau", kernel)
+            res = viewsets._distance_exact(h, q)
+        return res.distance, res.nearest_channel.rows.tolist()
+    return run
+
+
+def test_exact_view_distance(erasure_pmf, monkeypatch):
+    cases = distance_queries(erasure_pmf)
+    pf = erasure_pmf.to_float()
+    for seed in range(3):
+        q = empirical_type(sample_iid(pf, 5000, seed=derive_seed(19, seed)))
+        cases += [(ViewSetHandle(erasure_pmf, frozenset(aset)), q) for aset in ({0}, {1, 2})]
+    for h, q in cases:
+        same_run(_distance_run(h, q, monkeypatch))
+
+
+def test_exact_view_distance_over_a_huge_denominator(monkeypatch):
+    # P's common denominator is 2**61 + 1, and so is every view row's scale
+    nums = [HUGE_DEN // 8] * 7
+    mass = np.array([Fraction(v, HUGE_DEN) for v in nums + [HUGE_DEN - sum(nums)]], dtype=object)
+    a = Alphabet.binary()
+    base = JointPmf((a, a, a), mass.reshape(2, 2, 2))
+    for seed in range(3):
+        q = empirical_type(sample_iid(base.to_float(), 500, seed=derive_seed(61, seed)))
+        for aset in ({0}, {1}, {0, 1}):
+            same_run(_distance_run(ViewSetHandle(base, frozenset(aset)), q, monkeypatch))
+
+
 def test_fallback_regions_of_the_ladder():
     fallbacks = 0
     for p, _, structure in _ladder():
@@ -352,13 +418,41 @@ def test_conflict_vertices_on_the_nonviable_instances(monkeypatch, erasure_pmf,
     assert refuted == 20
 
 
+def _seed_1_verdict_random_pass():
+    wl = workloads.VerdictRandom(workloads.DEFAULT_SEED, workloads.load_expected())
+    wl.setup()
+    for op in wl.pass_ops(0):
+        assert op.check(op.run()) is None
+
+
+def test_pivots_touch_only_the_rows_with_the_pivot_column(monkeypatch):
+    """Every pivot of the seed-1 ``verdict-random`` pass (its fallback regions
+    and conflict vertices) leaves each row without the pivot column, and the
+    pivot row, as they were; each row, the objective's included, stays
+    primitive, and each basic row positive at its basic column."""
+    pivot = Tableau._pivot
+    pivots = []
+
+    def checked(self, r, c):
+        before = [dict(row) for row in self.rows]
+        pivot(self, r, c)
+        for i, (old, row) in enumerate(zip(before, self.rows, strict=True)):
+            if i == r or c not in old:
+                assert row == old
+            assert not row or gcd(*row.values()) == 1
+        for row, bi in zip(self.rows, self.basis):
+            assert bi < 0 or row[bi] > 0
+        pivots.append((r, c))
+
+    monkeypatch.setattr(Tableau, "_pivot", checked)
+    _seed_1_verdict_random_pass()
+    assert len(pivots) == 1388
+
+
 PASS_PIVOTS = "e59c8ea0a27d1f6b163b06831f7dee4ae9b49bc1838c4c03df51c48a7472e323"
 
 
 def test_seed_1_verdict_random_pass_pivots(monkeypatch):
-    wl = workloads.VerdictRandom(workloads.DEFAULT_SEED, workloads.load_expected())
-    wl.setup()
-    ops = wl.pass_ops(0)
     pivots = []
     pivot = Tableau._pivot
 
@@ -367,8 +461,7 @@ def test_seed_1_verdict_random_pass_pivots(monkeypatch):
         pivot(self, r, c)
 
     monkeypatch.setattr(Tableau, "_pivot", counted)
-    for op in ops:
-        assert op.check(op.run()) is None
+    _seed_1_verdict_random_pass()
     # the digest is of the (r, c) list the dense kernel made when the
     # region rows were Fractions: integer rows must not move a pivot
     assert len(pivots) == 1388
