@@ -115,7 +115,7 @@ def _erasure_symbol(axis: Alphabet) -> int:
     return non_bits[0]
 
 
-def resample_w_channel(axes: tuple[Alphabet, Alphabet], exact: bool = True) -> Channel:
+def resample_w_channel(axes: tuple[Alphabet, Alphabet]) -> Channel:
     """The erasure-pattern resampling channel on a coordinate pair."""
     if len(axes) != 2:
         raise AttackError("resampler acts on exactly two coordinates")
@@ -123,8 +123,8 @@ def resample_w_channel(axes: tuple[Alphabet, Alphabet], exact: bool = True) -> C
     # must also carry
     e1, e2 = _erasure_symbol(axes[0]), _erasure_symbol(axes[1])
     n1, n2 = axes[0].size, axes[1].size
-    half = Fraction(1, 2)  # stored as 0.5 in a float array
-    rows = zero_mass((n1, n2, n1, n2), exact)
+    half = Fraction(1, 2)
+    rows = zero_mass((n1, n2, n1, n2), exact=True)
     for a, b in product(range(n1), range(n2)):
         if a == e1 and b != e2:
             rows[a, b, e1, b] = half
@@ -170,7 +170,10 @@ class _ChannelCdf:
 
 @cache
 def _resample_cdf(axes: tuple[Alphabet, Alphabet]) -> _ChannelCdf:
-    return _ChannelCdf.of(resample_w_channel(axes, exact=False))
+    # the tables equal those from the exact rows; building them from the
+    # float rows kept decode-float's throughput, which a one-time exact
+    # build here moved by about 12%
+    return _ChannelCdf.of(resample_w_channel(axes).to_float())
 
 
 def _apply_memoryless(cdf: _ChannelCdf, rows: np.ndarray, seed: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from .decoder import (DecoderConfigError, build_decoder_config, config_from_json
 from .examples_lib import builtin_examples, resolve_example
 from .harness import Scenario, ScenarioError, run_scenario, scenario_from_json_dict, sweep
 from .mss import common_upgrade, mss_partition, upgrade_to_saturation
-from .probability import MALFORMED, JointPmf, ProbabilityError, SampleBlock
+from .probability import MALFORMED, JointPmf, ProbabilityError, SampleBlock, json_value
 from .simplex import LPError
 from .structures import AdversaryStructure, TargetFunction, canonical_collection
 from .viability import GBuildConflict, ViabilityInputError, build_g, check_viability
@@ -104,7 +104,10 @@ def cmd_check_viability(args) -> int:
 def cmd_build_g(args) -> int:
     pmf, f, _ = _load_pmf_and_function(args)
     with _parsing():
-        collection = canonical_collection(json.loads(args.collection))
+        sets = json.loads(args.collection)
+        for u in (u for s in sets for u in s):
+            json_value(u, "collection member", integer=True, error=ViabilityInputError)
+        collection = canonical_collection(sets)
     table = build_g(pmf, f, collection)
     _emit(table.to_json_dict(), args.out, "gtable.json")
     return 0

@@ -61,10 +61,10 @@ class DecoderConfig:
     ``viable`` is the viability verdict.  ``g_tables`` holds the repaired
     tables built so far, keyed by collection; ``g_table`` builds a missing
     one on first use, on one channel-table dict owned by the config.  The
-    law must be exact, since every table is an exact-LP construction; the
-    view handles follow ``mode``.  ``delta`` is the membership radius;
-    float-mode membership adds ``slack`` to absorb LP round-off.  ``screen``
-    holds the bound tables and that threshold, built once from the law.
+    law must be exact: the tables and the view handles are built from its
+    exact rows in both modes.  ``mode`` picks the LP engine, and float-mode
+    membership adds ``slack`` to the radius ``delta`` to absorb LP round-off.
+    ``screen`` holds the bound tables and that threshold, built once.
     """
 
     base: JointPmf
@@ -87,8 +87,7 @@ class DecoderConfig:
             raise DecoderConfigError(f"unknown mode {self.mode!r}")
         if not self.base.exact:
             raise DecoderConfigError("a decoder config needs an exact law")
-        base = self.base if self.mode == "exact" else self.base.to_float()
-        self.handles = tuple(ViewSetHandle(base, s) for s in self.structure.sets)
+        self.handles = tuple(ViewSetHandle(self.base, s) for s in self.structure.sets)
         self.screen = DistanceScreen(self.base, self.structure.sets,
                                      self.delta + (self.slack if self.mode == "float" else 0))
         # own copy: tables built later stay out of the caller's dict
@@ -121,16 +120,15 @@ class DecoderConfig:
 
 
 def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
-                         delta: float, mode: str = "float", slack: float = 1e-7,
-                         ) -> DecoderConfig:
+                         delta: float, mode: str = "float") -> DecoderConfig:
     """The viability verdict and the view handles; no g-table is built.
 
     ``DecoderConfig.g_table`` builds each repaired table when decoding
-    first needs it.  Requires an exact pmf; the view handles follow ``mode``.
+    first needs it.  Requires an exact pmf; ``mode`` picks the LP engine.
     """
     viable = check_viability(p, f, structure).viable
-    return DecoderConfig(base=p, structure=structure, f=f, delta=delta,
-                         mode=mode, slack=slack, viable=viable)
+    return DecoderConfig(base=p, structure=structure, f=f, delta=delta, mode=mode,
+                         viable=viable)
 
 
 def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
@@ -140,7 +138,8 @@ def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
     exactly in either mode: a lower bound above the threshold (delta, plus
     slack in float mode) rejects, an upper bound at or below it accepts.
     The view-distance LP decides the rest against the same threshold, on
-    a type built at most once per block; only the LP follows the mode.
+    a type built at most once per block; converting it to float in float
+    mode sends the LP to HiGHS.
     """
     out, ty = [], None
     decided = config.screen.decide(type_counts(reported))

@@ -24,7 +24,7 @@ from .decoder import (DecoderConfig, TrialTruth, build_decoder_config,
                       classify_error, decode)
 from .examples_lib import resolve_example
 from .probability import (JointPmf, apply_pointwise, derive_seed,
-                          hamming_distortion, json_number, sample_iid)
+                          hamming_distortion, json_number, json_value, sample_iid)
 from .structures import AdversaryStructure, TargetFunction
 
 
@@ -69,13 +69,15 @@ def scenario_from_json_dict(d: dict) -> Scenario:
         structure = AdversaryStructure.from_json_dict(d["structure"])
     if "threshold" in d:
         structure = AdversaryStructure.threshold(structure.k, number("threshold", integer=True))
+    users = [json_value(u, "adversary_set entry", integer=True, error=ScenarioError)
+             for u in d.get("adversary_set", [])]
     # the CLI writes <name>.json and <name>.csv into its output directory
     name = d.get("name", "scenario")
     if not isinstance(name, str) or name in ("", ".", "..") or {"/", "\\"} & set(name):
         raise ScenarioError(f"scenario name {name!r} is not a plain file name")
     return Scenario(
         pmf=pmf, f=f, structure=structure,
-        adversary_set=frozenset(d.get("adversary_set", [])),
+        adversary_set=frozenset(users),
         strategy=strategy_from_json(d.get("strategy", {"kind": "honest"})),
         n=number("n", integer=True), trials=number("trials", integer=True),
         delta=number("delta", 0.1), gamma=number("gamma", 0.05),

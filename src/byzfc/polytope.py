@@ -30,19 +30,17 @@ class ChannelVars:
     ``at[v]``, for each view point v in ``product`` order over P's axes,
     holds one ``(tx, var, num)`` per input in ``rows`` order with
     num / ``den`` = P(v with ``coords`` replaced by tx) > 0; var is
-    W(v's ``coords`` | tx).  For an exact P, num is an int and den the least
-    common denominator of P (``ints``, from ``integer_mass``, when the
-    caller has it); for a float P, num is the float mass and den is 1.
+    W(v's ``coords`` | tx).  P must be exact: num is an int and den the
+    least common denominator of P (``ints``, from ``integer_mass``, when
+    the caller has it).
     """
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
                  ints: tuple[np.ndarray, int] | None = None):
+        p.require_exact("a channel table")
         self.p = p
         self.coords = coords
-        if p.exact:
-            nums, self.den = integer_mass(p.mass) if ints is None else ints
-        else:
-            nums, self.den = p.mass, 1
+        nums, self.den = integer_mass(p.mass) if ints is None else ints
         # P(v with coords <- tx) is moved[tx + rest] / den, rest being v's
         # other coordinates; entries are >= 0, so tx has marginal mass iff
         # one is > 0
@@ -77,13 +75,14 @@ class ChannelVars:
             x[offset + self.var[(tx, tx)]] = 1
 
     def channel(self, sol: Sequence, offset: int = 0) -> Channel:
-        """The channel at a solution, exact iff P is; inputs off P's support
-        map to themselves.  Entries are clipped at zero and rows divided by
-        their sums, absorbing float solver round-off.
+        """The channel at a solution, in its arithmetic: exact from the
+        simplex's list, float from a solver's float array.  Inputs off P's
+        support map to themselves.  Entries are clipped at zero and rows
+        divided by their sums, absorbing float solver round-off.
         """
         axes = tuple(self.p.axes[c] for c in self.coords)
         n = len(self.outs)
-        joint = zero_mass((n, n), self.p.exact)
+        joint = zero_mass((n, n), not isinstance(sol, np.ndarray))
         rowset = set(self.rows)
         for i, tx in enumerate(self.outs):
             if tx in rowset:
@@ -100,6 +99,7 @@ class ChannelTables(dict):
 
     def __init__(self, p: JointPmf):
         super().__init__()
+        p.require_exact("a channel table")
         self.p = p
         self._ints: tuple[np.ndarray, int] | None = None
 

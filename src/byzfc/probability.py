@@ -523,6 +523,8 @@ class SampleBlock:
         axes = tuple(Alphabet(s) for s in d["axes"])
         k = len(axes) - 1
         side = np.array([axes[-1].index(s) for s in d["side"]], dtype=np.int64)
+        if len(d["users"]) != k:
+            raise ProbabilityError(f"block has {len(d['users'])} user rows, not {k}")
         if any(len(d["users"][i]) != side.size for i in range(k)):
             raise ProbabilityError("every user row must be as long as the side sequence")
         users = np.array([[axes[i].index(s) for s in d["users"][i]] for i in range(k)],

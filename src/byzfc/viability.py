@@ -430,6 +430,8 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
             or frozenset.intersection(*collection):
         raise ViabilityInputError(
             "collection must be >= 2 distinct non-empty sets with empty intersection")
+    if any(u not in range(p.k - 1) for s in collection for u in s):
+        raise ViabilityInputError(f"collection members must be users 0..{p.k - 2}")
     region = _Region(p, collection, tables)
     hit = _scan_collection(region, f)
     if hit is not None:

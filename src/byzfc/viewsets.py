@@ -37,16 +37,17 @@ def induce_view(p: JointPmf, adversary_set: Iterable[int], w: Channel | None) ->
 
 @dataclass(frozen=True)
 class ViewSetHandle:
-    """The view set of one adversary set over a base law.
+    """The view set of one adversary set over an exact base law.
 
     What does not depend on the query is built once per handle, on first
-    use: the view-distance LP's channel variables, rows and objective.
+    use: the view-distance LP, and its float matrix for float queries.
     """
 
     base: JointPmf
     adversary_set: frozenset[int]
 
     def __post_init__(self):
+        self.base.require_exact("a view-set handle")
         for c in self.adversary_set:
             if not 0 <= c < self.base.k - 1:
                 raise ProbabilityError(f"adversary coordinate {c} out of range")
@@ -57,24 +58,40 @@ class ViewSetHandle:
 
     @cached_property
     def _exact_lp(self):
+        """The exact LP: channel table, sparse rows, view points, start, objective.
+
+        Variables are the channel's entries, then the view slacks below q and
+        the view slacks above q, one each per view point.  Rows: ``den`` times
+        the induced view minus q at each view point, that is P's numerators on
+        the channel entries and -den, den on the slacks (right-hand side den
+        times q there, in ``product`` order, which is q's flat order), then the
+        channel's row sums (right-hand side 1).
+        """
         w = ChannelVars(self.base, self.coords)
-        rows, views = _distance_rows(w)
-        nvar = w.size + 2 * len(views)
-        start = [0] * nvar
+        views = list(w.at)
+        nv = len(views)
+        rows = []
+        for vi, v in enumerate(views):
+            row = w.view_row(v)
+            row[w.size + vi] = -w.den
+            row[w.size + nv + vi] = w.den
+            rows.append(row)
+        rows.extend(w.sum_rows())
+        start = [0] * (w.size + 2 * nv)
         w.set_identity(start)
-        c = (0,) * w.size + (Fraction(-1, 2),) * (2 * len(views))
+        c = (0,) * w.size + (Fraction(-1, 2),) * (2 * nv)
         return w, rows, views, tuple(start), c
 
     @cached_property
     def _float_lp(self):
-        w = ChannelVars(self.base.to_float(), self.coords)
-        rows, views = _distance_rows(w)
-        nvar = w.size + 2 * len(views)
-        A = np.zeros((len(rows), nvar))
+        """The same LP for HiGHS: view rows over ``den``, row sums as they are."""
+        w, rows, views, _, _ = self._exact_lp
+        A = np.zeros((len(rows), w.size + 2 * len(views)))
         for i, row in enumerate(rows):
-            for j, c in row.items():
-                A[i, j] = c
-        c = np.zeros(nvar)
+            den = w.den if i < len(views) else 1
+            for j, num in row.items():
+                A[i, j] = num / den
+        c = np.zeros(A.shape[1])
         c[w.size:] = 0.5
         return w, A, c, np.ones(len(rows) - len(views))
 
@@ -87,8 +104,10 @@ class MembershipResult:
     def verify(self, handle: ViewSetHandle, q: JointPmf) -> None:
         """Re-check that the nearest channel induces a view within distance."""
         if handle.coords:
-            assert self.nearest_channel is not None
-            view = induce_view(handle.base, handle.adversary_set, self.nearest_channel)
+            w = self.nearest_channel
+            assert w is not None
+            base = handle.base if w.exact else handle.base.to_float()
+            view = induce_view(base, handle.adversary_set, w)
         else:
             view = handle.base
         gap = view.tv_distance(q)
@@ -162,38 +181,17 @@ class DistanceScreen:
 def distance_to_viewset(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     """min over channels W of TV(view(W), q), with an optimal channel.
 
-    Exact (rational simplex) iff both pmfs are exact, else float (scipy
-    HiGHS).  One solve serves every radius.
+    q's arithmetic picks the engine, both reading the handle's exact rows:
+    the rational simplex if q is exact, else scipy's HiGHS.  One solve
+    serves every radius.
     """
     if handle.base.axes != q.axes:
         raise ProbabilityError("query pmf axes do not match the base law")
     if not handle.coords:
         return MembershipResult(distance=handle.base.tv_distance(q), nearest_channel=None)
-    if handle.base.exact and q.exact:
+    if q.exact:
         return _distance_exact(handle, q)
     return _distance_float(handle, q)
-
-
-def _distance_rows(w: ChannelVars):
-    """Sparse rows of the view-distance LP, and the view points in row order.
-
-    Variables are the channel's entries, then the view slacks below q and
-    the view slacks above q, one each per view point.  Rows: ``den`` times
-    the induced view minus q at each view point, that is P's numerators on
-    the channel entries and -den, den on the slacks (right-hand side den
-    times q there, in ``product`` order, which is q's flat order), then the
-    channel's row sums (right-hand side 1).
-    """
-    views = list(w.at)
-    nv = len(views)
-    rows = []
-    for vi, v in enumerate(views):
-        row = w.view_row(v)
-        row[w.size + vi] = -w.den
-        row[w.size + nv + vi] = w.den
-        rows.append(row)
-    rows.extend(w.sum_rows())
-    return rows, views
 
 
 def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
@@ -217,7 +215,7 @@ def _distance_float(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
     from scipy.optimize import linprog
 
     w, A, c, ones = handle._float_lp
-    b = np.concatenate([q.to_float().mass.reshape(-1), ones])
+    b = np.concatenate([q.mass.reshape(-1), ones])
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:
         raise LPError(f"view-distance LP failed: {res.message}")

@@ -331,7 +331,7 @@ class TestCriterion10:
 
         # view-geometry: untouched-marginal lower bound on the distance
         pf = erasure_pmf.to_float()
-        handles = {a: ViewSetHandle(pf, frozenset(a)) for a in ((0,), (1, 2))}
+        handles = {a: ViewSetHandle(erasure_pmf, frozenset(a)) for a in ((0,), (1, 2))}
         for t in range(400):
             m = rng.random(pf.mass.shape) + 0.01
             q = JointPmf(pf.axes, m / m.sum())

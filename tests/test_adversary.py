@@ -103,7 +103,8 @@ class TestResampleW:
         # (u, w) with exactly one erasure goes to (erase-first, bit) or
         # (bit, erase-second), half each; every other pair stays put
         u_axis, w_axis = erasure_pmf.axes[1], erasure_pmf.axes[2]
-        chan = resample_w_channel((u_axis, w_axis), exact=exact)
+        chan = resample_w_channel((u_axis, w_axis))
+        chan = chan if exact else chan.to_float()
         moves = {(0, "e3"): [(0, "e3"), ("e2", 0)], (1, "e3"): [(1, "e3"), ("e2", 1)],
                  ("e2", 0): [("e2", 0), (0, "e3")], ("e2", 1): [("e2", 1), (1, "e3")]}
         want = np.zeros((3, 3, 3, 3), dtype=object)
@@ -114,6 +115,13 @@ class TestResampleW:
                     Fraction(1, 2) if pair in moves else 1
         assert chan.exact == exact
         assert np.array_equal(chan.rows, want if exact else want.astype(float))
+
+    def test_cdf_tables_do_not_depend_on_the_arithmetic(self, erasure_pmf):
+        # the attack's inverse-CDF tables read the rows as float64 either way
+        chan = resample_w_channel(erasure_pmf.axes[1:3])
+        got, want = adversary._ChannelCdf.of(chan), adversary._ChannelCdf.of(chan.to_float())
+        for name in ("base", "columns", "out_cells"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_bit_missing_from_the_partner_axis(self):
         with pytest.raises(ProbabilityError):

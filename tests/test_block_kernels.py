@@ -153,7 +153,7 @@ class TestMemoryless:
         for t, p in enumerate(laws):
             pf = p.to_float()
             pair = (pf.k - 3, pf.k - 2)
-            chan = resample_w_channel((pf.axes[pair[0]], pf.axes[pair[1]]), exact=False)
+            chan = resample_w_channel((pf.axes[pair[0]], pf.axes[pair[1]])).to_float()
             for seed in range(5):
                 blk = sample_iid(pf, 2000, derive_seed(507, t, seed))
                 got = attack(ResampleW(), frozenset(pair), blk, derive_seed(508, t, seed))

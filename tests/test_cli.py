@@ -261,7 +261,11 @@ class TestMalformedInput:
                                       "split-fraction-string", "structure-k-bool",
                                       "function-table-short", "ragged-users",
                                       "pmf-mass-bools", "pmf-mass-strings", "pmf-mass-ragged",
-                                      "pmf-exact-bools"])
+                                      "pmf-exact-bools", "build-g-side-axis",
+                                      "build-g-negative-user", "build-g-axis-7",
+                                      "block-extra-users", "adversary-set-bools",
+                                      "adversary-set-floats", "build-g-bool-user",
+                                      "build-g-float-user"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -355,6 +359,23 @@ class TestMalformedInput:
             "ragged-users": lambda: ["decode", "--config", put("c.json", config),
                                      "--block", put("b.json", {**block, "users": [
                                          block["users"][0][:-1], *block["users"][1:]]})],
+            "build-g-side-axis": lambda: ["build-g", "--example", "example-3-2-erasure:uv",
+                                          "--collection", "[[0],[3]]"],
+            "build-g-negative-user": lambda: ["build-g", "--example", "example-3-2-erasure:uv",
+                                              "--collection", "[[0],[-1]]"],
+            "build-g-axis-7": lambda: ["build-g", "--example", "example-3-2-erasure:uv",
+                                       "--collection", "[[0],[7]]"],
+            "build-g-bool-user": lambda: ["build-g", "--example", "example-3-2-erasure:uv",
+                                          "--collection", "[[0],[true]]"],
+            "build-g-float-user": lambda: ["build-g", "--example", "example-3-2-erasure:uv",
+                                           "--collection", "[[0],[1.0]]"],
+            "block-extra-users": lambda: ["decode", "--config", put("c.json", config),
+                                          "--block", put("b.json", {**block, "users": [
+                                              *block["users"], block["users"][0]]})],
+            "adversary-set-bools": lambda: ["simulate", put("s.json", {
+                **scenario, "adversary_set": [True, 2]})],
+            "adversary-set-floats": lambda: ["simulate", put("s.json", {
+                **scenario, "adversary_set": [1.0, 2.0]})],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

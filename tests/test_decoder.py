@@ -338,9 +338,11 @@ class TestExactModeDecode:
 
     def test_replaced_mode_rebuilds_handles(self, erasure_pmf, erasure_f_uv,
                                             erasure_config):
-        # the view handles follow the mode of a config derived by replace
+        # a config derived by replace decodes in its new mode, on the same
+        # exact view handles: the mode picks the LP engine only
         cfg = dataclasses.replace(erasure_config, mode="exact")
-        assert all(h.base.exact for h in cfg.handles)
+        assert cfg.handles == erasure_config.handles
+        assert all(h.base is erasure_pmf for h in cfg.handles)
         blk = exact_type_block(erasure_pmf)
         v = decode(cfg, blk)
         assert v.kind == "estimate"

@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from byzfc.examples_lib import random_pmf
-from byzfc.polytope import ChannelVars
-from byzfc.probability import Channel, integer_mass
-from byzfc.viewsets import induce_view
+from byzfc.polytope import ChannelTables, ChannelVars
+from byzfc.probability import Channel, ProbabilityError, integer_mass
+from byzfc.viewsets import ViewSetHandle, induce_view
 
 from test_viewsets import random_channel
 
@@ -68,26 +68,36 @@ def test_integer_view_rows_are_the_view_rows_times_the_denominator(law, threshol
 
 
 def test_float_view_rows_are_the_float_view(law, threshold_3_2):
-    # a float law's table holds the float mass over den = 1, so its rows
-    # evaluate to the float view
+    # an exact row over den, divided in float, holds the float law's mass,
+    # so it evaluates at a float channel to the float view
     pf = law.to_float()
     views = list(product(*(range(a.size) for a in law.axes)))
     for s in threshold_3_2.sets:
         if not s:
             continue
         coords = tuple(sorted(s))
-        w, exact = ChannelVars(pf, coords), ChannelVars(law, coords)
-        assert w.den == 1
-        assert w.rows == exact.rows
+        w = ChannelVars(law, coords)
         axes = tuple(law.axes[c] for c in coords)
         chan = random_channel(axes, seed=7, exact=False)
         x = {var: chan.rows[tx + ux] for (tx, ux), var in w.var.items()}
         view = induce_view(pf, s, chan)
         for v in views:
-            assert w.view_row(v) == {var: float(Fraction(num, exact.den))
-                                     for _, var, num in exact.at[v]}
-            got = sum(c * x[var] for var, c in w.view_row(v).items())
+            row = {var: num / w.den for var, num in w.view_row(v).items()}
+            for tx, var, _ in w.at[v]:
+                full = list(v)
+                for pos, c in enumerate(coords):
+                    full[c] = tx[pos]
+                assert row[var] == pf.mass[tuple(full)]
+            got = sum(c * x[var] for var, c in row.items())
             assert got == pytest.approx(view.mass[v], abs=1e-12)
+
+
+def test_tables_need_an_exact_law(law):
+    pf = law.to_float()
+    for build in (lambda: ChannelVars(pf, (0,)), lambda: ChannelTables(pf)[(0,)],
+                  lambda: ViewSetHandle(pf, frozenset({0}))):
+        with pytest.raises(ProbabilityError, match="requires an exact-mode pmf"):
+            build()
 
 
 def test_identity_point_is_identity_channel(law, threshold_3_2):
@@ -107,39 +117,39 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
 def test_table_matches_definition(law, threshold_3_2):
     # at[v] lists (tx, var, num) for every input of positive coefficient,
     # inputs in product order, with num / den = P(v with coords <- tx): P's
-    # integer numerator over its common denominator, or the float mass
-    # over 1
+    # integer numerator over its common denominator
     views = list(product(*(range(a.size) for a in law.axes)))
-    for p, s in product((law, law.to_float()), threshold_3_2.sets):
+    nums, den = integer_mass(law.mass)
+    for s in threshold_3_2.sets:
         if not s:
             continue
-        nums, den = integer_mass(p.mass) if p.exact else (p.mass, 1)
         coords = tuple(sorted(s))
-        w = ChannelVars(p, coords)
+        w = ChannelVars(law, coords)
         assert w.den == den
         assert list(w.at) == views
         for v in views:
             ux = tuple(v[c] for c in coords)
             want = []
-            for tx in product(*(range(p.axes[c].size) for c in coords)):
+            for tx in product(*(range(law.axes[c].size) for c in coords)):
                 full = list(v)
                 for pos, c in enumerate(coords):
                     full[c] = tx[pos]
-                if p.mass[tuple(full)] > 0:
+                if law.mass[tuple(full)] > 0:
                     want.append((tx, w.var[(tx, ux)], nums[tuple(full)]))
-                    assert nums[tuple(full)] == den * p.mass[tuple(full)]
+                    assert nums[tuple(full)] == den * law.mass[tuple(full)]
             assert w.at[v] == want
 
 
 @pytest.mark.parametrize("as_float", [False, True])
 def test_rows_are_the_marginal_support(law, threshold_3_2, erasure_pmf, as_float):
+    # as_float: the table the float LP reads, against the float marginal
     p = law.to_float() if as_float else law
     dropped = 0
     for s in threshold_3_2.sets:
         if not s:
             continue
         coords = tuple(sorted(s))
-        w = ChannelVars(p, coords)
+        w = ViewSetHandle(law, s)._float_lp[0] if as_float else ChannelVars(law, coords)
         marg = p.marginalize(coords)
         support = [tx for tx in product(*(range(p.axes[c].size) for c in coords))
                    if marg.mass[tx] > 0]

@@ -238,6 +238,12 @@ class TestValidation:
         with pytest.raises(ViabilityInputError):
             check_s_viability(erasure_pmf, f, 2)
 
+    @pytest.mark.parametrize("user", [3, -1, 7])
+    def test_build_g_members_are_users(self, erasure_pmf, erasure_f_uv, user):
+        # axis 3 is the side information, which no adversary corrupts
+        with pytest.raises(ViabilityInputError, match="users 0..2"):
+            build_g(erasure_pmf, erasure_f_uv, [[0], [user]])
+
 
 class TestDeterminism:
     def test_same_witness_twice(self, erasure_pmf, erasure_f_uvw):

@@ -137,11 +137,14 @@ class TestDistance:
         # normalize exactly
         total = qm_exact.mass.sum()
         qm_exact = JointPmf(q.axes, qm_exact.mass / total)
-        res_f = distance_to_viewset(ViewSetHandle(erasure_pmf.to_float(), frozenset({1, 2})),
-                                    qm)
+        # one exact handle: the query's arithmetic picks the engine
+        res_f = distance_to_viewset(h, qm)
         res_e = distance_to_viewset(h, qm_exact)
+        assert isinstance(res_f.distance, float) and not res_f.nearest_channel.exact
+        assert isinstance(res_e.distance, Fraction) and res_e.nearest_channel.exact
         assert abs(float(res_e.distance) - res_f.distance) < 1e-6
-        res_f.verify(ViewSetHandle(erasure_pmf.to_float(), frozenset({1, 2})), qm)
+        res_f.verify(h, qm)
+        res_e.verify(h, qm_exact)
 
     def test_marginal_gap_lower_bound_exact(self, erasure_pmf):
         # distance >= TV gap of the untouched-coordinate marginal, always
@@ -150,7 +153,7 @@ class TestDistance:
             q = JointPmf(erasure_pmf.axes,
                          (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape) + 0.01))
             for aset in ({0}, {2}, {1, 2}):
-                h = ViewSetHandle(erasure_pmf.to_float(), frozenset(aset))
+                h = ViewSetHandle(erasure_pmf, frozenset(aset))
                 res = distance_to_viewset(h, q)
                 untouched = tuple(c for c in range(4) if c not in aset)
                 gap = erasure_pmf.to_float().marginalize(untouched).tv_distance(
@@ -161,17 +164,18 @@ class TestDistance:
 class TestHandleCache:
     @pytest.mark.parametrize("exact", [True, False])
     def test_reused_handle_matches_a_fresh_one(self, erasure_pmf, exact):
-        # the LP's rows and matrix are built once per handle; only q changes
-        base = erasure_pmf if exact else erasure_pmf.to_float()
+        # the LP's rows and matrix are built once per handle; only q changes,
+        # and its arithmetic picks the engine
         rng = philox(21)
         for aset in ({0}, {1, 2}):
-            shared = ViewSetHandle(base, frozenset(aset))
+            shared = ViewSetHandle(erasure_pmf, frozenset(aset))
             for seed in range(3):
-                law = JointPmf(base.axes, (lambda m: m / m.sum())(rng.random(base.mass.shape)))
+                law = JointPmf(erasure_pmf.axes,
+                               (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape)))
                 q = empirical_type(sample_iid(law, 300, seed=seed))
                 q = q if exact else q.to_float()
                 got = distance_to_viewset(shared, q)
-                want = distance_to_viewset(ViewSetHandle(base, frozenset(aset)), q)
+                want = distance_to_viewset(ViewSetHandle(erasure_pmf, frozenset(aset)), q)
                 assert got.distance == want.distance > 0
                 assert np.array_equal(got.nearest_channel.rows, want.nearest_channel.rows)
 
@@ -210,7 +214,7 @@ def _fraction_distance(handle: ViewSetHandle, q: JointPmf):
 def test_integer_distance_rows_match_the_fraction_rows(erasure_pmf, threshold_3_2):
     # each exact row is den times its Fraction row, which moves neither the
     # crash basis nor Bland's choices: same distance, same nearest channel;
-    # the float matrix, over den = 1, is the Fraction rows' floats
+    # the float matrix is the Fraction rows' floats
     laws = [erasure_pmf] + [random_pmf((2, 2, 2, 2), seed=seed) for seed in range(4)]
     lps = 0
     for li, law in enumerate(laws):
@@ -237,6 +241,89 @@ def test_integer_distance_rows_match_the_fraction_rows(erasure_pmf, threshold_3_
                     assert got.distance == law.tv_distance(q)
                 lps += 1
     assert lps == 105
+
+
+def _float_law_lp(law: JointPmf, aset: frozenset):
+    """The float view-distance LP as a table of the float law built it: the
+    float mass P(v with A <- tx) on W(ux | tx) for inputs tx in the float
+    marginal's support, -1 and 1 on the view slacks, then the row sums.
+    Returns the matrix and a solve of it: HiGHS's distance, and its channel
+    with entries clipped at zero and rows divided by their sums."""
+    from scipy.optimize import linprog
+
+    pf, coords = law.to_float(), tuple(sorted(aset))
+    axes = tuple(pf.axes[c] for c in coords)
+    outs = list(product(*(range(a.size) for a in axes)))
+    marg = pf.marginalize(coords)
+    ins = [tx for tx in outs if marg.mass[tx] > 0]
+    views = list(product(*(range(a.size) for a in pf.axes)))
+    no, nv = len(outs), len(views)
+    nw = len(ins) * no
+    A = np.zeros((nv + len(ins), nw + 2 * nv))
+    for vi, v in enumerate(views):
+        ux = tuple(v[c] for c in coords)
+        for ti, tx in enumerate(ins):
+            full = list(v)
+            for pos, c in enumerate(coords):
+                full[c] = tx[pos]
+            A[vi, ti * no + outs.index(ux)] = pf.mass[tuple(full)]
+        A[vi, nw + vi], A[vi, nw + nv + vi] = -1, 1
+    for ti in range(len(ins)):
+        A[nv + ti, ti * no:(ti + 1) * no] = 1
+
+    def solve(q: JointPmf):
+        c = np.concatenate([np.zeros(nw), np.full(2 * nv, 0.5)])
+        b = np.concatenate([q.mass.reshape(-1), np.ones(len(ins))])
+        res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        joint = np.zeros((no, no))
+        for ti, tx in enumerate(ins):
+            joint[outs.index(tx)] = [0 if v < 0 else v for v in res.x[ti * no:(ti + 1) * no]]
+        return max(float(res.fun), 0.0), Channel.from_joint(axes, axes, joint)
+
+    return A, solve
+
+
+def test_float_lp_matrix_is_the_float_laws(erasure_pmf, threshold_3_2):
+    # num / den in float and the float law's mass are both P's entry
+    # correctly rounded, so reading the exact table moves no bit
+    laws = [erasure_pmf] + [random_pmf(sizes, seed=seed, max_weight=top)
+                            for sizes in ((2, 2, 2, 2), (3, 3, 3, 2), (2, 3, 3, 2))
+                            for seed in range(3) for top in (3, 1000003)]
+    handles = 0
+    for law in laws:
+        for aset in threshold_3_2.sets:
+            if aset:
+                want, _ = _float_law_lp(law, aset)
+                got = ViewSetHandle(law, aset)._float_lp[1]
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+                handles += 1
+    assert handles == 114
+
+
+def test_float_lp_keeps_the_float_laws_answers(screen_blocks, erasure_pmf, threshold_3_2):
+    # on the types the bounds leave to the LP at delta = 0.1, the exact
+    # handle's float LP gives the float law's distance and nearest channel
+    law = random_pmf((2, 2, 2, 2), seed=0)
+    blocks = []
+    for aset in threshold_3_2.sets[1:]:
+        axes = tuple(law.axes[c] for c in sorted(aset))
+        for t in range(3):
+            blk = sample_iid(law.to_float(), 1000, seed=derive_seed(43, sorted(aset), t))
+            blocks.append(attack(MemorylessChannel(random_channel(axes, t)), aset, blk,
+                                 seed=derive_seed(44, sorted(aset), t)))
+    lps = 0
+    for p, blks in ((erasure_pmf, screen_blocks), (law, blocks)):
+        screen = DistanceScreen(p, threshold_3_2.sets, 0.1)
+        for blk in blks:
+            q = empirical_type(blk).to_float()
+            for aset, inside in zip(threshold_3_2.sets, screen.decide(type_counts(blk))):
+                if inside is None:
+                    dist, chan = _float_law_lp(p, aset)[1](q)
+                    got = distance_to_viewset(ViewSetHandle(p, aset), q)
+                    assert got.distance == dist
+                    assert got.nearest_channel.rows.tobytes() == chan.rows.tobytes()
+                    lps += 1
+    assert lps == 65
 
 
 class TestMembership:
@@ -276,7 +363,7 @@ class TestMembership:
 
     def test_triangle_consistency(self, erasure_pmf):
         rng = philox(6)
-        h = ViewSetHandle(erasure_pmf.to_float(), frozenset({1}))
+        h = ViewSetHandle(erasure_pmf, frozenset({1}))
         for seed in range(8):
             q1 = JointPmf(erasure_pmf.axes,
                           (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape) + .01))
@@ -360,6 +447,13 @@ class TestScreen:
                      else "band, in" if dist <= thresh else "band, out"] += 1
             assert explanation_set(cfg, blk) == lp_only
         assert all(seen.values()), seen
+
+    def test_both_modes_explain_alike(self, screen_blocks, erasure_config):
+        # both modes hold the same exact handles; only the LP engine differs
+        exact = dataclasses.replace(erasure_config, mode="exact")
+        assert exact.handles == erasure_config.handles
+        for blk in screen_blocks:
+            assert explanation_set(exact, blk) == explanation_set(erasure_config, blk)
 
     def test_screen_needs_an_exact_law(self, erasure_pmf):
         counts = type_counts(exact_type_block(erasure_pmf))
