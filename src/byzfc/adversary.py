@@ -1,16 +1,19 @@
 """Attack strategies: how a corrupted user set rewrites its reports.
 
-An attack rewrites the rows of the coordinates the adversary controls
-and nothing else: honest coordinates and the decoder's side information
-pass through bit-identical.  Strategies include the identity, arbitrary
-per-letter channels, channels extracted from viability violation
-witnesses (the converse construction), the worked example's
-erasure-pattern resampler, and a two-regime splice for stressing decoders
-that must not assume memoryless attacks.
+An attack rewrites the coordinates the adversary controls and nothing
+else: honest coordinates and the decoder's side information pass through
+bit-identical.  It works on the block's flat cells: each cell's
+adversary input is read off a table, and the reported cell is the cell
+moved by the output's offset minus the input's.  Strategies include the
+identity, arbitrary per-letter channels, channels extracted from
+viability violation witnesses (the converse construction), the worked
+example's erasure-pattern resampler, and a two-regime splice for
+stressing decoders that must not assume memoryless attacks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -21,7 +24,7 @@ import numpy as np
 
 from .examples_lib import resolve_example
 from .probability import (MALFORMED, Alphabet, Channel, SampleBlock, cell_table, derive_seed,
-                          flat_cells, json_number, philox, zero_mass)
+                          json_number, philox, zero_mass)
 from .viability import ViolationWitness, check_viability
 
 
@@ -154,18 +157,17 @@ class _ChannelCdf:
     output_axes: tuple[Alphabet, ...]
     base: np.ndarray
     columns: np.ndarray
-    out_cells: np.ndarray
 
     @staticmethod
     def of(chan: Channel) -> "_ChannelCdf":
-        out_cells = cell_table([a.size for a in chan.output_axes])
-        rows = np.asarray(chan.rows, dtype=np.float64).reshape(-1, out_cells.shape[1])
+        n_out = math.prod(a.size for a in chan.output_axes)
+        rows = np.asarray(chan.rows, dtype=np.float64).reshape(-1, n_out)
         cums = np.cumsum(rows, axis=1)
         last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
         cums[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
         drawn = ((cums > 0) & (cums < 1)).any(axis=0)
         return _ChannelCdf(chan.input_axes, chan.output_axes, (cums[:, ~drawn] == 0).sum(axis=1),
-                           np.ascontiguousarray(cums[:, drawn].T), out_cells)
+                           np.ascontiguousarray(cums[:, drawn].T))
 
 
 @cache
@@ -176,8 +178,8 @@ def _resample_cdf(axes: tuple[Alphabet, Alphabet]) -> _ChannelCdf:
     return _ChannelCdf.of(resample_w_channel(axes).to_float())
 
 
-def _apply_memoryless(cdf: _ChannelCdf, rows: np.ndarray, seed: int) -> np.ndarray:
-    """Pass the adversary's rows through the channel letter by letter.
+def _apply_memoryless(cdf: _ChannelCdf, in_seq: np.ndarray, seed: int) -> np.ndarray:
+    """Pass the adversary's flat input cells through the channel letter by letter.
 
     Inverse CDF per letter: the reported output cell is the first whose
     cumulative mass in the true input's row exceeds the letter's
@@ -185,29 +187,28 @@ def _apply_memoryless(cdf: _ChannelCdf, rows: np.ndarray, seed: int) -> np.ndarr
     <= that uniform.  The count is ``base`` plus one compare per output
     column that depends on the draw; it equals the count over the whole
     row, so each letter is the one a search of its input's row gives.
-    Rows are a pure function of (channel, rows, seed), bit-for-bit.
+    Output cells are a pure function of (channel, in_seq, seed), bit-for-bit.
     """
-    in_seq = flat_cells(rows, [a.size for a in cdf.input_axes])
-    u = philox(seed).random(rows.shape[1])
-    out_flat = np.take(cdf.base, in_seq)
+    u = philox(seed).random(in_seq.shape[0])
+    out_seq = np.take(cdf.base, in_seq)
     for col in cdf.columns:
-        out_flat += np.take(col, in_seq) <= u
-    return np.take(cdf.out_cells, out_flat, axis=1)
+        out_seq += np.take(col, in_seq) <= u
+    return out_seq
 
 
 def _reported(strategy: AttackStrategy, adversary_set: frozenset,
-              axes: tuple[Alphabet, ...], rows: np.ndarray, seed: int) -> np.ndarray:
-    """The adversary's reported rows, one per coordinate of ``axes``.  A
-    split recurses on both column ranges, an empty one included; every other
-    strategy but the identity plays a channel on exactly ``axes``."""
+              axes: tuple[Alphabet, ...], in_seq: np.ndarray, seed: int) -> np.ndarray:
+    """The adversary's reported flat cells over ``axes``.  A split recurses on
+    both letter ranges, an empty one included; every other strategy but the
+    identity plays a channel on exactly ``axes``."""
     if isinstance(strategy, Honest):
-        return rows
+        return in_seq
     if isinstance(strategy, BlockSplit):
-        n1 = int(np.floor(strategy.fraction * rows.shape[1]))
-        halves = ((strategy.first, rows[:, :n1]), (strategy.second, rows[:, n1:]))
+        n1 = int(np.floor(strategy.fraction * in_seq.shape[0]))
+        halves = ((strategy.first, in_seq[:n1]), (strategy.second, in_seq[n1:]))
         return np.concatenate([_reported(sub, adversary_set, axes, half,
                                          derive_seed(seed, "split", i))
-                               for i, (sub, half) in enumerate(halves)], axis=1)
+                               for i, (sub, half) in enumerate(halves)])
     if (isinstance(strategy, WitnessDMC)
             and adversary_set != strategy.witness.collection[strategy.scenario]):
         raise AttackError("adversary set differs from the witness scenario")
@@ -219,7 +220,27 @@ def _reported(strategy: AttackStrategy, adversary_set: frozenset,
         raise AttackError(f"unknown strategy {strategy!r}")
     if cdf.input_axes != axes or cdf.output_axes != axes:
         raise AttackError("channel axes do not match the adversary set")
-    return _apply_memoryless(cdf, rows, seed)
+    return _apply_memoryless(cdf, in_seq, seed)
+
+
+@cache
+def _rewrite_tables(sizes: tuple[int, ...], coords: tuple[int, ...]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``(in_of, off)`` for blocks over ``sizes`` and an adversary on ``coords``.
+
+    ``in_of[cell]`` is the cell's row-major index over the adversary's
+    coordinates, and ``off[a]`` the part of a block cell that adversary
+    index a contributes: sum of x_c * stride_c over the coordinates, x
+    the unravelled a.  A cell whose adversary input is replaced by a is
+    ``cell + off[a] - off[in_of[cell]]``.
+    """
+    adv_sizes = [sizes[c] for c in coords]
+    strides = [math.prod(sizes[c + 1:]) for c in coords]
+    in_of = np.ravel_multi_index(cell_table(sizes)[list(coords)], adv_sizes)
+    off = np.asarray(strides, dtype=np.int64) @ cell_table(adv_sizes)
+    for table in (in_of, off):
+        table.setflags(write=False)
+    return in_of, off
 
 
 def attack(strategy: AttackStrategy, adversary_set, true_block: SampleBlock,
@@ -235,9 +256,12 @@ def attack(strategy: AttackStrategy, adversary_set, true_block: SampleBlock,
             raise AttackError(f"adversary coordinate {c} out of range")
     if isinstance(strategy, Honest) or not coords:
         return true_block
-    rows = _reported(strategy, frozenset(coords), tuple(true_block.axes[c] for c in coords),
-                     true_block.user_seqs[list(coords)], seed)
-    return true_block.replace_users(dict(zip(coords, rows)))
+    in_of, off = _rewrite_tables(tuple(a.size for a in true_block.axes), coords)
+    in_seq = np.take(in_of, true_block.cells)
+    out_seq = _reported(strategy, frozenset(coords), tuple(true_block.axes[c] for c in coords),
+                        in_seq, seed)
+    moved = np.take(off, out_seq) - np.take(off, in_seq)
+    return SampleBlock.from_cells(true_block.axes, true_block.cells + moved)
 
 
 def _example_witness(ref) -> ViolationWitness:

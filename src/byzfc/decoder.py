@@ -179,18 +179,24 @@ class TrialTruth:
     true_z: np.ndarray
 
 
+def score_trial(verdict: Verdict, truth: TrialTruth, gamma: float) -> tuple[str, float | None]:
+    """The trial's ``classify_error`` outcome and, for an estimate, its
+    Hamming distortion from the true function sequence (else None)."""
+    if verdict.kind == "blame":
+        return ("ok" if verdict.user in truth.adversary_set else "E1"), None
+    if verdict.kind == "estimate":
+        d = hamming_distortion(verdict.estimate, truth.true_z)
+        return ("ok" if d <= gamma else "E2"), d
+    return "E2", None
+
+
 def classify_error(verdict: Verdict, truth: TrialTruth, gamma: float) -> str:
     """"ok", "E1" (blamed an honest user) or "E2" (bad or missing estimate).
 
     Refusing to answer counts as E2 for every adversary set, the
     conservative scoring choice.
     """
-    if verdict.kind == "blame":
-        return "ok" if verdict.user in truth.adversary_set else "E1"
-    if verdict.kind == "estimate":
-        d = hamming_distortion(verdict.estimate, truth.true_z)
-        return "ok" if d <= gamma else "E2"
-    return "E2"
+    return score_trial(verdict, truth, gamma)[0]
 
 
 # -- config serialization ------------------------------------------------

@@ -20,11 +20,10 @@ from typing import Sequence
 
 from . import __version__ as _version
 from .adversary import AttackStrategy, attack, strategy_from_json
-from .decoder import (DecoderConfig, TrialTruth, build_decoder_config,
-                      classify_error, decode)
+from .decoder import DecoderConfig, TrialTruth, build_decoder_config, decode, score_trial
 from .examples_lib import resolve_example
-from .probability import (JointPmf, apply_pointwise, derive_seed,
-                          hamming_distortion, json_number, json_value, sample_iid)
+from .probability import (JointPmf, apply_pointwise, derive_seed, json_number, json_value,
+                          sample_iid)
 from .structures import AdversaryStructure, TargetFunction
 
 
@@ -196,10 +195,7 @@ def run_scenario(s: Scenario, threads: int = 1) -> ExperimentReport:
         true_z = apply_pointwise(s.f, true_block)
         truth = TrialTruth(true_block=true_block, adversary_set=s.adversary_set,
                            true_z=true_z)
-        outcome = classify_error(verdict, truth, s.gamma)
-        dist = None
-        if verdict.kind == "estimate":
-            dist = hamming_distortion(verdict.estimate, true_z)
+        outcome, dist = score_trial(verdict, truth, s.gamma)
         return TrialRecord(trial=t, outcome=outcome, verdict_kind=verdict.kind,
                            blamed=verdict.user, distortion=dist)
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -456,42 +454,72 @@ def cell_table(sizes: Sequence[int]) -> np.ndarray:
     return np.indices(sizes).reshape(len(sizes), -1)
 
 
-@dataclass(frozen=True)
 class SampleBlock:
     """n observations for k users plus decoder side information.
 
-    ``user_seqs`` is an int array of shape (k, n) of symbol indices;
-    ``side_seq`` has shape (n,).  ``axes`` lists the k user alphabets
-    followed by the side-information alphabet.  A block's arrays are not
-    written after construction: ``cells`` is computed from them once.
+    ``axes`` lists the k user alphabets followed by the side-information
+    alphabet.  A block is its cell sequence: ``cells``, int64 of shape
+    (n,), holds each observation's row-major flat index over ``axes`` and
+    is the one stored array, not written after construction.  The symbol
+    indices ``user_seqs`` (k, n) and ``side_seq`` (n,) are gathered from
+    it on each access, not cached.
+
+    ``SampleBlock(axes, user_seqs, side_seq)`` checks the rows and flattens
+    them once; ``SampleBlock.from_cells(axes, cells)`` checks the cells.
     """
 
-    axes: tuple[Alphabet, ...]
-    user_seqs: np.ndarray
-    side_seq: np.ndarray
+    __slots__ = ("axes", "cells")
 
-    def __post_init__(self):
-        k = len(self.axes) - 1
+    def __init__(self, axes: Sequence[Alphabet], user_seqs: np.ndarray, side_seq: np.ndarray):
+        axes = tuple(axes)
+        k = len(axes) - 1
         if k < 1:
             raise ProbabilityError("block needs at least one user axis plus side info")
-        if self.user_seqs.shape[0] != k:
+        if user_seqs.shape[0] != k:
             raise ProbabilityError("user_seqs has the wrong number of users")
-        n = self.user_seqs.shape[1]
-        if self.side_seq.shape != (n,):
+        n = user_seqs.shape[1]
+        if side_seq.shape != (n,):
             raise ProbabilityError("side_seq length mismatch")
-        if not n:
-            return
-        sizes = np.array([a.size for a in self.axes[:k]])
-        bad = (self.user_seqs.min(axis=1) < 0) | (self.user_seqs.max(axis=1) >= sizes)
-        if bad.any():
-            raise ProbabilityError(f"user {int(np.argmax(bad))} sequence has out-of-range symbols")
-        if self.side_seq.min() < 0 or self.side_seq.max() >= self.axes[-1].size:
-            raise ProbabilityError("side sequence has out-of-range symbols")
+        if n:
+            sizes = np.array([a.size for a in axes[:k]])
+            bad = (user_seqs.min(axis=1) < 0) | (user_seqs.max(axis=1) >= sizes)
+            if bad.any():
+                raise ProbabilityError(f"user {int(np.argmax(bad))} sequence has "
+                                       "out-of-range symbols")
+            if side_seq.min() < 0 or side_seq.max() >= axes[-1].size:
+                raise ProbabilityError("side sequence has out-of-range symbols")
+        self.axes = axes
+        self.cells = flat_cells([*user_seqs, side_seq], [a.size for a in axes])
 
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """Row-major flat index over ``axes`` of every column, shape (n,)."""
-        return flat_cells([*self.user_seqs, self.side_seq], [a.size for a in self.axes])
+    @classmethod
+    def from_cells(cls, axes: Sequence[Alphabet], cells: np.ndarray) -> "SampleBlock":
+        """The block whose row-major flat cells over ``axes`` are ``cells``."""
+        axes = tuple(axes)
+        if len(axes) < 2:
+            raise ProbabilityError("block needs at least one user axis plus side info")
+        cells = np.asarray(cells, dtype=np.int64)
+        if cells.ndim != 1:
+            raise ProbabilityError("cells must be one flat index per observation")
+        # as unsigned, a negative cell is above every size
+        if cells.size and cells.view(np.uint64).max() >= math.prod(a.size for a in axes):
+            raise ProbabilityError("block has out-of-range cells")
+        block = object.__new__(cls)
+        block.axes, block.cells = axes, cells
+        return block
+
+    def _coordinates(self, which) -> np.ndarray:
+        """Rows ``which`` of the block's coordinate array, by one gather."""
+        return np.take(cell_table([a.size for a in self.axes])[which], self.cells, axis=-1)
+
+    @property
+    def user_seqs(self) -> np.ndarray:
+        """Symbol indices of the k users, shape (k, n)."""
+        return self._coordinates(slice(-1))
+
+    @property
+    def side_seq(self) -> np.ndarray:
+        """Symbol indices of the side information, shape (n,)."""
+        return self._coordinates(-1)
 
     @property
     def k(self) -> int:
@@ -499,23 +527,25 @@ class SampleBlock:
 
     @property
     def n(self) -> int:
-        return int(self.user_seqs.shape[1])
+        return int(self.cells.shape[0])
 
     def column(self, t: int) -> tuple[int, ...]:
-        return tuple(int(self.user_seqs[i, t]) for i in range(self.k)) + (int(self.side_seq[t]),)
+        return tuple(int(i) for i in np.unravel_index(self.cells[t],
+                                                      [a.size for a in self.axes]))
 
     def replace_users(self, new_seqs: dict[int, np.ndarray]) -> "SampleBlock":
-        """A block with the given user rows replaced and the side sequence shared."""
-        seqs = self.user_seqs.copy()
+        """A block with the given user rows replaced and the side sequence kept."""
+        seqs = self.user_seqs
         for i, s in new_seqs.items():
             seqs[i] = s
         return SampleBlock(self.axes, seqs, self.side_seq)
 
     def to_json_dict(self) -> dict:
+        *users, side = self._coordinates(slice(None))
         return {
             "axes": [list(a.symbols) for a in self.axes],
-            "users": [[self.axes[i].symbols[v] for v in self.user_seqs[i]] for i in range(self.k)],
-            "side": [self.axes[-1].symbols[v] for v in self.side_seq],
+            "users": [[self.axes[i].symbols[v] for v in users[i]] for i in range(self.k)],
+            "side": [self.axes[-1].symbols[v] for v in side],
         }
 
     @staticmethod
@@ -581,9 +611,7 @@ def sample_iid(p: JointPmf, n: int, seed: int) -> SampleBlock:
     cum = np.cumsum(flat[support])
     cum[-1] = 1.0
     u = philox(seed).random(n)
-    coords = np.take(cell_table(p.mass.shape)[:, support],
-                     np.searchsorted(cum, u, side="right"), axis=1)
-    return SampleBlock(p.axes, coords[:-1], coords[-1])
+    return SampleBlock.from_cells(p.axes, support[np.searchsorted(cum, u, side="right")])
 
 
 def apply_pointwise(fn, block: SampleBlock) -> np.ndarray:

@@ -424,14 +424,17 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
     scenarios, found by the verdict's own scan, raises GBuildConflict.
     """
     _validate(p, f, p.k - 1)
-    collection = tuple(frozenset(s) for s in collection)
+    # checked before the sets are built, where True would stand for user 1
+    members = [list(s) for s in collection]
+    if any(isinstance(u, bool) or not isinstance(u, (int, np.integer)) or not 0 <= u < p.k - 1
+           for s in members for u in s):
+        raise ViabilityInputError(f"collection members must be users 0..{p.k - 2}")
+    collection = tuple(frozenset(s) for s in members)
     if len(collection) < 2 or len(set(collection)) != len(collection) \
             or any(not s for s in collection) \
             or frozenset.intersection(*collection):
         raise ViabilityInputError(
             "collection must be >= 2 distinct non-empty sets with empty intersection")
-    if any(u not in range(p.k - 1) for s in collection for u in s):
-        raise ViabilityInputError(f"collection members must be users 0..{p.k - 2}")
     region = _Region(p, collection, tables)
     hit = _scan_collection(region, f)
     if hit is not None:

@@ -24,6 +24,8 @@ from .polytope import ChannelVars
 from .probability import Channel, JointPmf, ProbabilityError, apply_channel, integer_mass
 from .simplex import LPError, Tableau
 
+INT64_MAX = np.iinfo(np.int64).max
+
 
 def induce_view(p: JointPmf, adversary_set: Iterable[int], w: Channel | None) -> JointPmf:
     """View law induced when the adversary set reports through channel w."""
@@ -129,8 +131,10 @@ class DistanceScreen:
     lists each marginal cell's cells, grouped at ``cuts``, so
     ``_marginals`` sums counts into them by one gather.  ``pm`` holds P's
     numerators there, over its common denominator ``pd``.  A bound is a
-    segment's sum of ``|pm * n - marginal counts * pd|`` over ``2 * pd * n``:
-    the int64 sums are exact, and so are the Python ints.
+    segment's sum of ``|pm * n - marginal counts * pd|`` over ``2 * pd * n``.
+    Every term and every segment sum is at most ``2 * pd * n`` in absolute
+    value, so the differences are taken in int64 when that fits and in
+    Python ints otherwise: either way the sums are exact.
     """
 
     def __init__(self, p: JointPmf, sets: Sequence[frozenset[int]], thresh):
@@ -148,6 +152,8 @@ class DistanceScreen:
         self.starts = np.cumsum([0] + widths[:-1])
         pn, self.pd = integer_mass(p.mass)
         self.pm, self.thresh = self._marginals(pn.reshape(-1)), thresh
+        # pm <= pd, so P's numerators fit int64 whenever 2 * pd * n does
+        self.pm64 = self.pm.astype(np.int64) if 2 * self.pd <= INT64_MAX else None
         self.tn, self.td = Fraction(thresh).as_integer_ratio()
 
     def _marginals(self, cell_values: np.ndarray) -> np.ndarray:
@@ -161,8 +167,12 @@ class DistanceScreen:
         if counts.size != self.size or n < 1:
             raise ProbabilityError(
                 f"{counts.size} counts summing to {n}: need one per cell, n >= 1")
-        gap = self.pm * n - self._marginals(counts).astype(object) * self.pd
-        return np.add.reduceat(np.abs(gap), self.starts).tolist(), 2 * self.pd * n
+        den, marg = 2 * self.pd * n, self._marginals(counts)
+        if den <= INT64_MAX:
+            gap = self.pm64 * n - marg.astype(np.int64, copy=False) * self.pd
+        else:
+            gap = self.pm * n - marg.astype(object) * self.pd
+        return np.add.reduceat(np.abs(gap), self.starts).tolist(), den
 
     def bounds(self, counts: np.ndarray) -> list[tuple[Fraction, Fraction]]:
         """``(lower, upper)`` around each set's view distance of the block's type."""

@@ -120,7 +120,7 @@ class TestResampleW:
         # the attack's inverse-CDF tables read the rows as float64 either way
         chan = resample_w_channel(erasure_pmf.axes[1:3])
         got, want = adversary._ChannelCdf.of(chan), adversary._ChannelCdf.of(chan.to_float())
-        for name in ("base", "columns", "out_cells"):
+        for name in ("base", "columns"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_bit_missing_from_the_partner_axis(self):
@@ -332,17 +332,23 @@ class TestBlockSplit:
 
     def test_one_block_per_attack(self, erasure_pmf, uvw_witness, monkeypatch):
         # the acceptance strategies, and a nested split: the reported block
-        # is the only block an attack checks, the true block returned as is
+        # is the only block an attack checks, from rows or from cells, the
+        # true block returned as is
         m = list(uvw_witness.collection).index(frozenset({1, 2}))
         dmc, both = WitnessDMC(uvw_witness, m), frozenset({1, 2})
         blk = honest_block(erasure_pmf, n=300)
-        built, check = [], SampleBlock.__post_init__
+        built, from_rows, from_cells = [], SampleBlock.__init__, SampleBlock.from_cells
 
-        def counted(block):
+        def counted_rows(block, *args):
             built.append(block)
-            check(block)
+            from_rows(block, *args)
 
-        monkeypatch.setattr(SampleBlock, "__post_init__", counted)
+        def counted_cells(axes, cells):
+            built.append(from_cells(axes, cells))
+            return built[-1]
+
+        monkeypatch.setattr(SampleBlock, "__init__", counted_rows)
+        monkeypatch.setattr(SampleBlock, "from_cells", counted_cells)
         for aset, strategy in ((frozenset(), Honest()), (both, ResampleW()),
                                (both, BlockSplit(Honest(), dmc, 0.5)),
                                (both, BlockSplit(BlockSplit(ResampleW(), dmc), Honest(), 0.3))):

@@ -7,7 +7,9 @@ The references below are the earlier kernels, kept as oracles:
 * the memoryless channel: each letter's uniform compared with its input's
   whole cumulative row, an n x n_out array, then ``np.unravel_index``;
 * a block's cells: ``np.ravel_multi_index``;
-* ``apply_pointwise``: tuple indexing of the table.
+* ``apply_pointwise``: tuple indexing of the table;
+* an attack: the adversary's coordinate rows, split by columns and passed
+  through the memoryless reference, over blocks built from rows.
 
 Each reference pins its cumulative sums to 1.0 from the row's last
 positive entry on, as the kernels do, so the two must agree draw for
@@ -20,8 +22,8 @@ import numpy as np
 import pytest
 
 from byzfc import adversary, probability
-from byzfc.adversary import (MemorylessChannel, ResampleW, WitnessDMC, attack,
-                             resample_w_channel, witness_to_dmc)
+from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW, WitnessDMC,
+                             attack, resample_w_channel, witness_to_dmc)
 from byzfc.examples_lib import random_function, random_pmf
 from byzfc.probability import (Alphabet, Channel, JointPmf, SampleBlock, apply_pointwise,
                                derive_seed, philox, sample_iid)
@@ -159,6 +161,102 @@ class TestMemoryless:
                 got = attack(ResampleW(), frozenset(pair), blk, derive_seed(508, t, seed))
                 _assert_same(got.user_seqs,
                              ref_memoryless(chan, pair, blk, derive_seed(508, t, seed)))
+
+
+def ref_attack(strategy, aset, block: SampleBlock, seed: int) -> np.ndarray:
+    """The reported user rows, by the row formulas: a split cuts the
+    columns, every channel is the memoryless reference on the rows."""
+    coords = tuple(sorted(aset))
+    if isinstance(strategy, Honest) or not coords:
+        return block.user_seqs
+    if isinstance(strategy, BlockSplit):
+        n1 = int(np.floor(strategy.fraction * block.n))
+        parts = []
+        for i, (sub, cols) in enumerate(((strategy.first, slice(None, n1)),
+                                         (strategy.second, slice(n1, None)))):
+            half = SampleBlock(block.axes, block.user_seqs[:, cols], block.side_seq[cols])
+            parts.append(ref_attack(sub, aset, half, derive_seed(seed, "split", i)))
+        return np.concatenate(parts, axis=1)
+    if isinstance(strategy, WitnessDMC):
+        chan = witness_to_dmc(strategy.witness, strategy.scenario)
+    elif isinstance(strategy, ResampleW):
+        chan = resample_w_channel(tuple(block.axes[c] for c in coords))
+    else:
+        chan = strategy.channel
+    return ref_memoryless(chan, coords, block, seed)
+
+
+ERASURE_AXIS = Alphabet((0, 1, "e"))
+
+
+def cell_path_laws(master: int):
+    """(law, pair, witness) for k = 2..4 users and axis sizes 1..3, some cells
+    zero: the resampler's pair of user axes carries (0, 1, "e").  Per k, three
+    laws, the first non-viable one at threshold 1 with its witness, else None."""
+    rng = philox(master)
+    for k in (2, 3, 4):
+        kept, witnessed = 0, False
+        for t in range(400):
+            sizes = [int(s) for s in rng.integers(1, 4, size=k + 1)]
+            pair = tuple(sorted(int(c) for c in rng.choice(k, size=2, replace=False)))
+            for c in pair:
+                sizes[c] = 3
+            mass = random_pmf(tuple(sizes), seed=derive_seed(master, k, t), zero_frac=0.4).mass
+            axes = [ERASURE_AXIS if c in pair else Alphabet.of_size(s)
+                    for c, s in enumerate(sizes)]
+            law = JointPmf(axes, mass)
+            witness = None
+            if not witnessed:
+                f = random_function(law, 3, seed=derive_seed(master, "f", k, t))
+                witness = check_s_viability(law, f, 1).witness
+            if witness is None and kept >= 2:
+                continue
+            witnessed = witnessed or witness is not None
+            kept += 1
+            yield law, pair, witness
+            if kept == 3 and witnessed:
+                break
+
+
+class TestCellPath:
+    """Every strategy rewrites cells as the row formulas rewrite rows."""
+
+    def strategies(self, law, pair, witness, rng):
+        k = law.k - 1
+        width = int(rng.integers(1, k + 1))
+        wide = frozenset(int(c) for c in rng.choice(k, size=width, replace=False))
+        both = frozenset(pair)
+        mem_wide = MemorylessChannel(random_zero_channel(
+            tuple(law.axes[c] for c in sorted(wide)), rng, exact=False))
+        mem_pair = MemorylessChannel(random_zero_channel((ERASURE_AXIS, ERASURE_AXIS), rng,
+                                                         exact=True))
+        yield frozenset(), Honest()
+        yield wide, Honest()
+        yield wide, mem_wide
+        yield both, ResampleW()
+        yield both, BlockSplit(BlockSplit(ResampleW(), mem_pair, 0.0),
+                               BlockSplit(Honest(), ResampleW(), 1.0), 0.37)
+        yield both, BlockSplit(mem_pair, BlockSplit(ResampleW(), Honest(), 1.0), 1.0)
+        if witness is not None:
+            for m, member in enumerate(witness.collection):
+                dmc = WitnessDMC(witness, m)
+                yield member, dmc
+                yield member, BlockSplit(BlockSplit(dmc, Honest(), 0.0), dmc, 0.5)
+
+    def test_reported_blocks_match_the_row_formulas(self):
+        rng, witnesses = philox(521), 0
+        for t, (law, pair, witness) in enumerate(cell_path_laws(520)):
+            witnesses += witness is not None
+            pf, sizes = law.to_float(), tuple(a.size for a in law.axes)
+            for s, (aset, strategy) in enumerate(self.strategies(law, pair, witness, rng)):
+                blk = sample_iid(pf, int(rng.integers(1, 600)), derive_seed(522, t, s))
+                got = attack(strategy, aset, blk, derive_seed(523, t, s))
+                users = ref_attack(strategy, aset, blk, derive_seed(523, t, s))
+                _assert_same(got.user_seqs, users)
+                _assert_same(got.side_seq, blk.side_seq)
+                _assert_same(got.cells,
+                             np.ravel_multi_index(tuple(users) + (blk.side_seq,), sizes))
+        assert witnesses == 3
 
 
 # float cells summing to 1 - 2**-53, then a zero-mass cell

@@ -286,6 +286,34 @@ class TestSampleBlockChecks:
     def test_empty_block_passes_the_checks(self):
         a = Alphabet.binary()
         assert block_of([a, a], np.zeros((1, 0)), []).n == 0
+        empty = SampleBlock.from_cells((a, a), np.zeros(0, dtype=np.int64))
+        assert empty.n == 0 and empty.user_seqs.shape == (1, 0) and empty.side_seq.shape == (0,)
+
+    @pytest.mark.parametrize("cells", [[0, 6], [-1, 2], [2**62, 0]])
+    def test_out_of_range_cells(self, cells):
+        a, b = Alphabet.binary(), Alphabet.of_size(3)
+        with pytest.raises(ProbabilityError, match="out-of-range cells"):
+            SampleBlock.from_cells((a, b), np.array(cells))
+
+    def test_cell_shape_checks(self):
+        a = Alphabet.binary()
+        with pytest.raises(ProbabilityError, match="at least one user axis"):
+            SampleBlock.from_cells((a,), np.zeros(2, dtype=np.int64))
+        with pytest.raises(ProbabilityError, match="one flat index per observation"):
+            SampleBlock.from_cells((a, a), np.zeros((1, 2), dtype=np.int64))
+
+    def test_rows_and_cells_are_one_block(self):
+        # cells are row-major over the axes; the rows come back from them
+        axes = (Alphabet.of_size(3), Alphabet.binary(), Alphabet.of_size(3))
+        users, side = [[2, 0, 1, 2], [1, 0, 0, 1]], [0, 2, 1, 2]
+        blk = block_of(axes, users, side)
+        assert blk.cells.dtype == np.int64
+        assert blk.cells.tolist() == [15, 2, 7, 17]
+        again = SampleBlock.from_cells(axes, blk.cells)
+        for got in (blk, again):
+            assert got.user_seqs.dtype == np.int64 and got.user_seqs.tolist() == users
+            assert got.side_seq.dtype == np.int64 and got.side_seq.tolist() == side
+            assert got.column(2) == (1, 0, 1)
 
 
 class TestEmpiricalType:

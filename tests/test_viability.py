@@ -238,9 +238,10 @@ class TestValidation:
         with pytest.raises(ViabilityInputError):
             check_s_viability(erasure_pmf, f, 2)
 
-    @pytest.mark.parametrize("user", [3, -1, 7])
+    @pytest.mark.parametrize("user", [3, -1, 7, True, 1.0])
     def test_build_g_members_are_users(self, erasure_pmf, erasure_f_uv, user):
-        # axis 3 is the side information, which no adversary corrupts
+        # axis 3 is the side information, which no adversary corrupts; a
+        # bool or a float is no user index even where it equals one
         with pytest.raises(ViabilityInputError, match="users 0..2"):
             build_g(erasure_pmf, erasure_f_uv, [[0], [user]])
 

@@ -550,3 +550,69 @@ class TestBoundsReference:
         assert DistanceScreen(base, sets, upper).decide(counts) == [True] * 3
         below = DistanceScreen(base, sets, upper - Fraction(1, den**2)).decide(counts)
         assert below == [False] + [None if lo < upper else False for lo, _ in bounds[1:]]
+
+
+def law_over(den: int, seed: int) -> JointPmf:
+    """A law on three binary axes whose numerators have common denominator
+    den, the first cell's numerator 1."""
+    rng = philox(seed)
+    nums = [1] + [int(v) for v in rng.integers(1, den // 8, size=6)]
+    mass = np.array([Fraction(v, den) for v in nums + [den - sum(nums)]], dtype=object)
+    a = Alphabet.binary()
+    return JointPmf((a, a, a), mass.reshape(2, 2, 2))
+
+
+def python_int_numerators(screen: DistanceScreen, counts: np.ndarray):
+    """``DistanceScreen._numerators`` with every product in Python ints."""
+    n = int(counts.sum())
+    marg = np.array(screen._marginals(counts).tolist(), dtype=object)
+    gap = np.array(screen.pm.tolist(), dtype=object) * n - marg * screen.pd
+    return np.add.reduceat(np.abs(gap), screen.starts).tolist(), 2 * screen.pd * n
+
+
+class TestScreenArithmetic:
+    """The int64 differences against the Python-int ones, on random counts."""
+
+    SETS = [frozenset(s) for s in ((), (0,), (1,), (0, 1))]
+    # 2 * pd * n fits int64 up to n = 4194303 at pd = 2**40 + 3
+    BOUNDARY = (2**63 - 1) // (2 * (2**40 + 3))
+
+    def check(self, screen, counts, int64: bool):
+        want = python_int_numerators(screen, counts)
+        assert (want[1] <= np.iinfo(np.int64).max) == int64
+        assert screen._numerators(counts) == want
+
+    def test_random_counts(self, erasure_pmf, threshold_3_2):
+        rng = philox(530)
+        screens = [(DistanceScreen(erasure_pmf, threshold_3_2.sets, 0.1), erasure_pmf)]
+        screens += [(DistanceScreen(law_over(den, den), self.SETS, 0.1), law_over(den, den))
+                    for den in (8 * 9 * 5, 2**31 - 1, 2**40 + 3)]
+        for screen, law in screens:
+            p = law.to_float().mass.reshape(-1)
+            for n in (1, 7, 5000, int(rng.integers(1, 10**6))):
+                self.check(screen, rng.multinomial(n, p), int64=True)
+                # counts unlike the law's: some cells empty, others crowded
+                skew = rng.integers(0, 3, size=p.size) * rng.integers(0, n + 1, size=p.size)
+                skew[int(rng.integers(p.size))] += 1
+                self.check(screen, skew, int64=2 * screen.pd * int(skew.sum()) < 2**63)
+
+    def test_the_int64_path_ends_where_2_pd_n_overflows(self):
+        # all counts on the first cell: the upper bound's sum 2 * n * (pd - 1)
+        # overflows int64 from BOUNDARY + 1 on
+        law = law_over(2**40 + 3, 531)
+        screen, rng = DistanceScreen(law, self.SETS, 0.1), philox(532)
+        p = law.to_float().mass.reshape(-1)
+        for n in range(self.BOUNDARY - 2, self.BOUNDARY + 3):
+            point = np.zeros(p.size, dtype=np.int64)
+            point[0] = n
+            for counts in (rng.multinomial(n, p), point):
+                self.check(screen, counts, int64=n <= self.BOUNDARY)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_huge_denominator_falls_back(self, seed):
+        # every product overflows int64 here, so only the fallback matches
+        law = law_over(2**61 + 1, seed)
+        screen, rng = DistanceScreen(law, self.SETS, 0.1), philox(533 + seed)
+        for n in (4, 5000):
+            self.check(screen, rng.multinomial(n, law.to_float().mass.reshape(-1)),
+                       int64=False)
