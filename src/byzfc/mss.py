@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .probability import Alphabet, JointPmf, ProbabilityError, product_alphabet, zero_mass
+from .probability import (Alphabet, JointPmf, ProbabilityError, SampleBlock, cell_table,
+                          product_alphabet, zero_mass)
 from .structures import TargetFunction
 
 ROW_TOL = 1e-9
@@ -133,6 +134,7 @@ class UpgradeRound:
 
 @dataclass(frozen=True)
 class MaxUpgrade:
+    axes: tuple[Alphabet, ...]   # the law's (U, V, W)
     rounds: tuple[UpgradeRound, ...]
     ystar_labels: np.ndarray     # (|U|,|V|,|W|) -> class of (W, psi*_U, psi*_V)
     ystar_count: int
@@ -198,7 +200,7 @@ def upgrade_to_saturation(p: JointPmf) -> MaxUpgrade:
     psi_u, psi_v = rounds[-1].psi_u, rounds[-1].psi_v
     flat, ycount = _canonicalize([(w, int(psi_u.class_of[u]), int(psi_v.class_of[v]))
                                   for u, v, w in product(range(nu), range(nv), range(nw))])
-    return MaxUpgrade(rounds=tuple(rounds), ystar_labels=flat.reshape(nu, nv, nw),
+    return MaxUpgrade(axes=p.axes, rounds=tuple(rounds), ystar_labels=flat.reshape(nu, nv, nw),
                       ystar_count=ycount)
 
 
@@ -243,34 +245,29 @@ def markov_holds_exact(p: JointPmf, up: MaxUpgrade) -> bool:
 # -- protocols ---------------------------------------------------------------
 
 
-def decode_21(p: JointPmf, u_seq: np.ndarray, v_seq: np.ndarray, w_seq: np.ndarray,
-              gammas: Sequence[float]) -> tuple[str, object]:
+def _check_block(axes: tuple[Alphabet, ...], block: SampleBlock, who: str) -> None:
+    if not isinstance(block, SampleBlock) or block.axes != axes:
+        raise ProbabilityError(f"{who}: the block's axes are not the law's")
+
+
+def decode_21(up: MaxUpgrade, block: SampleBlock, gammas: Sequence[float]) -> tuple[str, object]:
     """Pairwise robust decoding with per-round typicality checks.
 
-    Returns ("blame", 0) / ("blame", 1) naming the first or second sender,
-    or ("labels", array) with the per-letter classes of the maximum
-    upgraded variable.  ``gammas`` holds one TV radius per round,
-    |U||V| + 1 of them.
+    ``up`` is the saturated upgrade of the block's law, computed once by
+    ``upgrade_to_saturation``.  Returns ("blame", 0) / ("blame", 1) naming
+    the first or second sender, or ("labels", array) with the per-letter
+    classes of the maximum upgraded variable.  ``gammas`` holds one TV
+    radius per round, |U||V| + 1 of them.
     """
-    if p.k != 3:
-        raise ProbabilityError("decode_21 expects a three-axis pmf")
-    bound = p.axes[0].size * p.axes[1].size
-    if len(gammas) != bound + 1:
-        raise ProbabilityError(f"need {bound + 1} per-round tolerances, got {len(gammas)}")
-    n = len(u_seq)
-    if not (len(v_seq) == len(w_seq) == n):
-        raise ProbabilityError("sequence lengths differ")
-    return _decode_21(upgrade_to_saturation(p), u_seq, v_seq, w_seq, gammas)
-
-
-def _decode_21(up: MaxUpgrade, u_seq: np.ndarray, v_seq: np.ndarray, w_seq: np.ndarray,
-               gammas: Sequence[float]) -> tuple[str, object]:
-    """decode_21 on the saturated upgrade of its law, one gamma per round."""
-    nu, nv = up.psi_u.alphabet.size, up.psi_v.alphabet.size
-    n = len(u_seq)
+    _check_block(up.axes, block, "decode_21")
+    nu, nv = up.axes[0].size, up.axes[1].size
+    if len(gammas) != nu * nv + 1:
+        raise ProbabilityError(f"need {nu * nv + 1} per-round tolerances, got {len(gammas)}")
+    n = block.n
+    u_seq, v_seq = block.user_seqs
     for r, gamma in enumerate(gammas):
         rnd = up.rounds[min(r, len(up.rounds) - 1)]
-        lab_seq = rnd.labels[u_seq, v_seq, w_seq]
+        lab_seq = np.take(rnd.labels, block.cells)
         ju = rnd.joint_u.astype(np.float64)
         jv = rnd.joint_v.astype(np.float64)
         tu = np.bincount(u_seq * rnd.label_count + lab_seq,
@@ -281,7 +278,7 @@ def _decode_21(up: MaxUpgrade, u_seq: np.ndarray, v_seq: np.ndarray, w_seq: np.n
                           minlength=nv * rnd.label_count).reshape(nv, rnd.label_count) / n
         if 0.5 * np.abs(tv_ - jv).sum() > gamma:
             return ("blame", 1)
-    return ("labels", up.ystar_labels[u_seq, v_seq, w_seq])
+    return ("labels", np.take(up.ystar_labels, block.cells))
 
 
 @dataclass(frozen=True)
@@ -292,31 +289,25 @@ class PairUpgrade:
     j: int
     pmf3: JointPmf
     upgrade: MaxUpgrade
+    pair_cell: np.ndarray    # full cell -> cell of pmf3, coordinates (i, j, Y, rest)
     ystar_full: np.ndarray   # labels over the full (x_[k], y) space
     ystar_full_count: int
 
 
-def _pair_pmf(p: JointPmf, i: int, j: int) -> tuple[JointPmf, tuple[int, ...]]:
-    """P_{X_i, X_j, (Y, X_rest)} with the composite coordinate order recorded."""
-    k = p.k - 1
-    rest = tuple(c for c in range(k) if c not in (i, j))
-    order = (i, j, k) + rest
-    arr = np.transpose(p.mass, axes=order)
-    comp_axes = (p.axes[k],) + tuple(p.axes[c] for c in rest)
-    comp = product_alphabet(comp_axes)
-    new = arr.reshape(p.axes[i].size, p.axes[j].size, comp.size)
-    return JointPmf((p.axes[i], p.axes[j], comp), new), rest
-
-
 def pair_upgrade(p: JointPmf, i: int, j: int) -> PairUpgrade:
-    pm3, rest = _pair_pmf(p, i, j)
-    up = upgrade_to_saturation(pm3)
+    """The pair's law P_{X_i, X_j, (Y, X_rest)}, saturated."""
     k = p.k - 1
     sizes = tuple(a.size for a in p.axes)
+    order = (i, j, k, *(c for c in range(k) if c not in (i, j)))
+    comp = product_alphabet([p.axes[c] for c in order[2:]])
+    pm3 = JointPmf((p.axes[i], p.axes[j], comp),
+                   np.transpose(p.mass, axes=order).reshape(sizes[i], sizes[j], comp.size))
+    up = upgrade_to_saturation(pm3)
+    pair_cell = np.ravel_multi_index(cell_table(sizes)[list(order)], [sizes[c] for c in order])
     flat, cnt = _canonicalize([(full[k], int(up.psi_u.class_of[full[i]]),
                                 int(up.psi_v.class_of[full[j]]))
                                for full in product(*(range(s) for s in sizes))])
-    return PairUpgrade(i=i, j=j, pmf3=pm3, upgrade=up,
+    return PairUpgrade(i=i, j=j, pmf3=pm3, upgrade=up, pair_cell=pair_cell,
                        ystar_full=flat.reshape(sizes), ystar_full_count=cnt)
 
 
@@ -326,6 +317,7 @@ class CommonUpgrade:
     maximum upgrade determines (multi-variable Gacs-Korner common part,
     computed as connected components over the source support)."""
 
+    axes: tuple[Alphabet, ...]   # the law's (X_1, ..., X_k, Y)
     pairs: tuple[PairUpgrade, ...]
     gstar: np.ndarray            # labels over the full (x_[k], y) space
     gstar_count: int
@@ -352,66 +344,44 @@ def common_upgrade(p: JointPmf) -> CommonUpgrade:
     supp_set = set(supp)
     flat, cnt = _canonicalize([("s", roots[s]) if s in supp_set else ("off", s)
                                for s in range(flat_size)])
-    return CommonUpgrade(pairs=pairs, gstar=flat.reshape(sizes), gstar_count=cnt)
+    return CommonUpgrade(axes=p.axes, pairs=pairs, gstar=flat.reshape(sizes), gstar_count=cnt)
 
 
-def gstar_sequence(cu: CommonUpgrade, user_seqs: np.ndarray, side_seq: np.ndarray) -> np.ndarray:
-    coords = tuple(user_seqs[i] for i in range(user_seqs.shape[0])) + (side_seq,)
-    return cu.gstar[coords]
-
-
-def _h_map(cu: CommonUpgrade, pu: PairUpgrade, p: JointPmf) -> np.ndarray:
-    """decode_21 output class -> G* class, via any supporting triple."""
-    nu, nv, nwc = (a.size for a in pu.pmf3.axes)
-    k = p.k - 1
-    rest = tuple(c for c in range(k) if c not in (pu.i, pu.j))
-    rest_sizes = tuple(p.axes[c].size for c in rest)
-    y_size = p.axes[k].size
-    out = np.zeros(pu.upgrade.ystar_count, dtype=np.int64)
-    for u, v, wc in product(range(nu), range(nv), range(nwc)):
-        if pu.pmf3.mass[u, v, wc] <= 0:
-            continue
-        comp = np.unravel_index(wc, (y_size,) + rest_sizes)
-        full = [0] * (k + 1)
-        full[pu.i], full[pu.j], full[k] = u, v, int(comp[0])
-        for pos, c in enumerate(rest):
-            full[c] = int(comp[pos + 1])
-        lab = int(pu.upgrade.ystar_labels[u, v, wc])
-        out[lab] = int(cu.gstar[tuple(full)])
-    return out
+def gstar_sequence(cu: CommonUpgrade, block: SampleBlock) -> np.ndarray:
+    """G* of each observation of a block over the law's axes."""
+    _check_block(cu.axes, block, "gstar_sequence")
+    return np.take(cu.gstar, block.cells)
 
 
 # decode_k1's TV radius in every round of every pairwise decode
 DECODE_K1_GAMMA = 0.1
 
 
-def decode_k1(p: JointPmf, user_seqs: np.ndarray, side_seq: np.ndarray) -> tuple[str, object]:
+def decode_k1(cu: CommonUpgrade, block: SampleBlock) -> tuple[str, object]:
     """Exoneration-loop decoder for any k with at most one corrupt user.
 
-    Runs the pairwise decoder, on the pair upgrade that ``common_upgrade``
-    saturated, for the two lowest-indexed unexonerated users, with every
-    other user's report folded into the side information.  A successful
-    pairwise decode yields the common upgraded variable; a blame with
-    only two candidates left is final.
+    ``cu`` is the block's law's ``common_upgrade``, computed once.  Runs
+    the pairwise decoder, on the pair's saturated upgrade, for the two
+    lowest-indexed unexonerated users, with every other user's report
+    folded into the side information.  A successful pairwise decode yields
+    the common upgraded variable; a blame with only two candidates left is
+    final.
     """
-    k = p.k - 1
-    if k < 2:
-        raise ProbabilityError("decode_k1 needs at least two users")
-    cu = common_upgrade(p)
+    _check_block(cu.axes, block, "decode_k1")
+    k = block.k
     trusted: set[int] = set()
     while True:
-        candidates = [u for u in range(k) if u not in trusted]
-        i, j = candidates[0], candidates[1]
+        i, j = [u for u in range(k) if u not in trusted][:2]
         pu = next(q for q in cu.pairs if (q.i, q.j) == (i, j))
-        # the composite side (Y, X_rest), flattened as in _pair_pmf
-        side = (k, *(c for c in range(k) if c not in (i, j)))
-        comp_seq = np.ravel_multi_index([user_seqs[c] if c < k else side_seq for c in side],
-                                        [p.axes[c].size for c in side])
-        nu, nv = pu.pmf3.axes[0].size, pu.pmf3.axes[1].size
-        kind, payload = _decode_21(pu.upgrade, user_seqs[i], user_seqs[j], comp_seq,
-                                   [DECODE_K1_GAMMA] * (nu * nv + 1))
+        up = pu.upgrade
+        pair_block = SampleBlock.from_cells(up.axes, np.take(pu.pair_cell, block.cells))
+        kind, payload = decode_21(up, pair_block,
+                                  [DECODE_K1_GAMMA] * (up.axes[0].size * up.axes[1].size + 1))
         if kind == "labels":
-            h = _h_map(cu, pu, p)
+            # each Y* class -> G* class; G* is constant on a class over the support
+            supp = np.flatnonzero(np.take(pu.pmf3.mass, pu.pair_cell) > 0)
+            h = np.zeros(up.ystar_count, dtype=np.int64)
+            h[np.take(up.ystar_labels, pu.pair_cell[supp])] = np.take(cu.gstar, supp)
             return ("estimate", h[payload])
         blamed = i if payload == 0 else j
         other = j if payload == 0 else i

@@ -432,19 +432,6 @@ def tv_distance(p: JointPmf, q: JointPmf):
     return p.tv_distance(q)
 
 
-def flat_cells(seqs: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
-    """Row-major flat cell index of coordinate sequences over ``sizes``.
-
-    Equal to ``np.ravel_multi_index(seqs, sizes)`` for in-range symbols,
-    computed by integer arithmetic without its bounds checks.
-    """
-    flat = np.array(seqs[0], dtype=np.int64)
-    for seq, size in zip(seqs[1:], sizes[1:]):
-        flat *= size
-        flat += seq
-    return flat
-
-
 def cell_table(sizes: Sequence[int]) -> np.ndarray:
     """The coordinates of every cell over ``sizes``, shape (len(sizes), cells).
 
@@ -480,6 +467,8 @@ class SampleBlock:
         n = user_seqs.shape[1]
         if side_seq.shape != (n,):
             raise ProbabilityError("side_seq length mismatch")
+        if user_seqs.dtype.kind not in "iu" or side_seq.dtype.kind not in "iu":
+            raise ProbabilityError("block rows must hold integer symbol indices")
         if n:
             sizes = np.array([a.size for a in axes[:k]])
             bad = (user_seqs.min(axis=1) < 0) | (user_seqs.max(axis=1) >= sizes)
@@ -489,7 +478,7 @@ class SampleBlock:
             if side_seq.min() < 0 or side_seq.max() >= axes[-1].size:
                 raise ProbabilityError("side sequence has out-of-range symbols")
         self.axes = axes
-        self.cells = flat_cells([*user_seqs, side_seq], [a.size for a in axes])
+        self.cells = np.ravel_multi_index((*user_seqs, side_seq), [a.size for a in axes])
 
     @classmethod
     def from_cells(cls, axes: Sequence[Alphabet], cells: np.ndarray) -> "SampleBlock":

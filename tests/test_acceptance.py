@@ -231,9 +231,9 @@ class TestCriterion9:
         ok_honest = 0
         for t in range(200):
             blk = sample_iid(pf, 5000, seed=derive_seed(50_000, t))
-            kind, out = decode_k1(pf, blk.user_seqs, blk.side_seq)
+            kind, out = decode_k1(cu, blk)
             if kind == "estimate":
-                truth = gstar_sequence(cu, blk.user_seqs, blk.side_seq)
+                truth = gstar_sequence(cu, blk)
                 if hamming_distortion(out, truth) <= 0.02:
                     ok_honest += 1
 
@@ -243,11 +243,11 @@ class TestCriterion9:
             rng = philox(derive_seed(60_001, t))
             garbage = blk.replace_users(
                 {1: rng.integers(0, 2, size=5000).astype(np.int64)})
-            kind, out = decode_k1(pf, garbage.user_seqs, garbage.side_seq)
+            kind, out = decode_k1(cu, garbage)
             if kind == "blame" and out == 1:
                 ok_attack += 1
             elif kind == "estimate":
-                truth = gstar_sequence(cu, blk.user_seqs, blk.side_seq)
+                truth = gstar_sequence(cu, blk)
                 if hamming_distortion(out, truth) <= 0.02:
                     ok_attack += 1
 

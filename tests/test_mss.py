@@ -3,18 +3,21 @@ protocols.  Independent oracles: an alternative fixed-point refinement for
 the upgrade, a test-local union-find for the common part, and hand-written
 conditional rows."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from byzfc import mss
 from byzfc.examples_lib import random_pmf, two_user_copy_pmf
 from byzfc.mss import (common_upgrade, decode_21, decode_k1, gstar_sequence, is_function_of_ystar, markov_holds_exact,
                        markov_residual, mss_partition, upgrade_to_saturation)
-from byzfc.probability import (Alphabet, derive_seed, philox, pmf_from_dict,
-                               sample_iid, uniform_pmf)
-from byzfc.structures import TargetFunction
+from byzfc.probability import (Alphabet, JointPmf, ProbabilityError, SampleBlock, derive_seed,
+                               philox, pmf_from_dict, sample_iid, uniform_pmf)
+from byzfc.structures import AdversaryStructure, TargetFunction
+from byzfc.viability import check_viability
 
 
 class TestMssPartition:
@@ -201,8 +204,7 @@ class TestDecode21:
         ok = 0
         for seed in range(40):
             blk = sample_iid(pf, 5000, seed=derive_seed(840, seed))
-            kind, out = decode_21(pf, blk.user_seqs[0], blk.user_seqs[1],
-                                  blk.side_seq, self.gammas(pf))
+            kind, out = decode_21(up, blk, self.gammas(pf))
             if kind == "labels":
                 truth = up.ystar_labels[blk.user_seqs[0], blk.user_seqs[1], blk.side_seq]
                 if np.mean(out != truth) <= 0.02:
@@ -213,13 +215,13 @@ class TestDecode21:
         # user 1 reports fresh i.i.d. values independent of everything
         p = three_class_pmf()
         pf = p.to_float()
+        up = upgrade_to_saturation(pf)
         blamed = 0
         for seed in range(40):
             blk = sample_iid(pf, 5000, seed=derive_seed(850, seed))
             rng = philox(derive_seed(851, seed))
             fresh = rng.integers(0, 3, size=5000).astype(np.int64)
-            kind, out = decode_21(pf, fresh, blk.user_seqs[1], blk.side_seq,
-                                  self.gammas(pf))
+            kind, out = decode_21(up, blk.replace_users({0: fresh}), self.gammas(pf))
             if kind == "blame" and out == 0:
                 blamed += 1
         assert blamed >= 38
@@ -232,18 +234,17 @@ class TestDecode21:
         swap = np.array([1, 0, 2])
         for seed in range(10):
             blk = sample_iid(pf, 4000, seed=derive_seed(860, seed))
-            swapped = swap[blk.user_seqs[0]]
-            kind, out = decode_21(pf, swapped, blk.user_seqs[1], blk.side_seq,
-                                  self.gammas(pf))
+            swapped = blk.replace_users({0: swap[blk.user_seqs[0]]})
+            kind, out = decode_21(up, swapped, self.gammas(pf))
             assert kind == "labels"
             truth = up.ystar_labels[blk.user_seqs[0], blk.user_seqs[1], blk.side_seq]
             assert np.array_equal(out, truth)  # labels are class-invariant
 
     def test_gamma_length_validated(self):
         p = three_class_pmf().to_float()
-        with pytest.raises(Exception):
-            decode_21(p, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
-                      np.zeros(3, dtype=np.int64), [0.1, 0.1])
+        blk = SampleBlock.from_cells(p.axes, np.zeros(3, dtype=np.int64))
+        with pytest.raises(ProbabilityError, match="need 7 per-round tolerances, got 2"):
+            decode_21(upgrade_to_saturation(p), blk, [0.1, 0.1])
 
 
 def common_part_oracle(p, pair_labelings):
@@ -321,9 +322,9 @@ class TestDecodeK1:
         ok = 0
         for seed in range(20):
             blk = sample_iid(pf, 3000, seed=derive_seed(880, seed))
-            kind, out = decode_k1(pf, blk.user_seqs, blk.side_seq)
+            kind, out = decode_k1(cu, blk)
             if kind == "estimate":
-                truth = gstar_sequence(cu, blk.user_seqs, blk.side_seq)
+                truth = gstar_sequence(cu, blk)
                 if np.mean(out != truth) <= 0.02:
                     ok += 1
         assert ok >= 19
@@ -339,11 +340,11 @@ class TestDecodeK1:
             blk = sample_iid(pf, 3000, seed=derive_seed(890, seed))
             rng = philox(derive_seed(891, seed))
             garbage = blk.replace_users({1: rng.integers(0, 2, 3000).astype(np.int64)})
-            kind, out = decode_k1(pf, garbage.user_seqs, garbage.side_seq)
+            kind, out = decode_k1(cu, garbage)
             if kind == "blame" and out == 1:
                 good += 1
             elif kind == "estimate":
-                truth = gstar_sequence(cu, blk.user_seqs, blk.side_seq)
+                truth = gstar_sequence(cu, blk)
                 if np.mean(out != truth) <= 0.02:
                     good += 1
         assert good >= 19
@@ -352,10 +353,9 @@ class TestDecodeK1:
         p = three_class_pmf()
         pf = p.to_float()
         blk = sample_iid(pf, 2000, seed=17)
-        kind_k, out_k = decode_k1(pf, blk.user_seqs, blk.side_seq)
+        kind_k, out_k = decode_k1(common_upgrade(pf), blk)
         nu, nv = pf.axes[0].size, pf.axes[1].size
-        kind_2, out_2 = decode_21(pf, blk.user_seqs[0], blk.user_seqs[1], blk.side_seq,
-                                  [0.1] * (nu * nv + 1))
+        kind_2, out_2 = decode_21(upgrade_to_saturation(pf), blk, [0.1] * (nu * nv + 1))
         assert kind_k == "estimate" and kind_2 == "labels"
         # decode_k1 post-maps through h; class structures must agree
         mapping = {}
@@ -390,13 +390,148 @@ class TestBlameTieOrder:
         # first sender is blamed (fixed convention: its check runs first)
         p = three_class_pmf()
         pf = p.to_float()
+        up = upgrade_to_saturation(pf)
         for seed in range(10):
             blk = sample_iid(pf, 3000, seed=derive_seed(930, seed))
-            u = np.zeros(3000, dtype=np.int64)
-            v = np.zeros(3000, dtype=np.int64)
-            kind, out = decode_21(pf, u, v, blk.side_seq, [0.05] * 7)
+            zero = np.zeros(3000, dtype=np.int64)
+            kind, out = decode_21(up, blk.replace_users({0: zero, 1: zero}), [0.05] * 7)
             assert (kind, out) == ("blame", 0)
             # sanity: the same corruption on the second sender alone blames it
-            kind2, out2 = decode_21(pf, blk.user_seqs[0], v, blk.side_seq,
-                                    [0.05] * 7)
+            kind2, out2 = decode_21(up, blk.replace_users({1: zero}), [0.05] * 7)
             assert (kind2, out2) == ("blame", 1)
+
+
+def protocol_laws():
+    """k=2 to k=4 laws, each with an exact and a float upgrade."""
+    from test_acceptance import k3_pmf
+    return [random_pmf((3, 2, 2), seed=71, zero_frac=0.3, max_weight=3),
+            random_pmf((2, 3, 2), seed=72, zero_frac=0.45, max_weight=1),
+            k3_pmf(),
+            random_pmf((2, 2, 2, 3), seed=73, zero_frac=0.5, max_weight=1),
+            random_pmf((2, 2, 2, 2, 2), seed=74, zero_frac=0.6, max_weight=1)]
+
+
+# sha256 of every output below, computed when the protocols took symbol rows
+PROTOCOL_OUTPUTS = "72f0870f784d0b745937ed3bb577a30d459ba07405e3575ecc7ff34de65e79d9"
+
+
+class TestProtocolBlocks:
+    def test_outputs_pinned(self):
+        """Honest and one-user-garbage blocks: decode_21 (k=2), decode_k1
+        and gstar_sequence, each output's kind, dtype, shape and bytes."""
+        h = hashlib.sha256()
+
+        def put(kind, payload):
+            a = np.asarray(payload)
+            h.update(f"{kind}|{a.dtype}|{a.shape}|".encode() + a.tobytes())
+
+        for li, p in enumerate(protocol_laws()):
+            pf = p.to_float()
+            for law in (p, pf):
+                cu = common_upgrade(law)
+                up = upgrade_to_saturation(law) if p.k == 3 else None
+                for seed in (1, 2):
+                    blk = sample_iid(pf, 1500, seed=derive_seed(7100, li, seed))
+                    rng = philox(derive_seed(7200, li, seed))
+                    garbage = blk.replace_users(
+                        {1: rng.integers(0, p.axes[1].size, blk.n).astype(np.int64)})
+                    for b in (blk, garbage):
+                        if up is not None:
+                            put(*decode_21(up, b, [0.1] * (p.axes[0].size * p.axes[1].size + 1)))
+                        put(*decode_k1(cu, b))
+                        put("gstar", gstar_sequence(cu, b))
+        assert h.hexdigest() == PROTOCOL_OUTPUTS
+
+    def test_protocols_do_not_saturate(self, monkeypatch):
+        p = random_pmf((2, 2, 2, 2), seed=73, zero_frac=0.3, max_weight=3).to_float()
+        cu = common_upgrade(p)
+        up = cu.pairs[0].upgrade
+        blk = sample_iid(p, 500, seed=5)
+        pair_blk = SampleBlock.from_cells(up.axes, np.take(cu.pairs[0].pair_cell, blk.cells))
+        calls = []
+        for name in ("upgrade_to_saturation", "common_upgrade"):
+            monkeypatch.setattr(mss, name, lambda *a, name=name: calls.append(name))
+        decode_k1(cu, blk)
+        decode_k1(cu, blk.replace_users({2: np.zeros(blk.n, dtype=np.int64)}))
+        decode_21(up, pair_blk, [0.1] * 5)
+        assert calls == []
+
+    def test_block_axes_checked(self):
+        p = random_pmf((2, 2, 2, 2), seed=73).to_float()
+        cu = common_upgrade(p)
+        other = (Alphabet.of_size(3),) + p.axes[1:]
+        wrong = SampleBlock.from_cells(other, np.zeros(4, dtype=np.int64))
+        with pytest.raises(ProbabilityError, match="decode_k1: the block's axes"):
+            decode_k1(cu, wrong)
+        with pytest.raises(ProbabilityError, match="gstar_sequence: the block's axes"):
+            gstar_sequence(cu, wrong)
+        with pytest.raises(ProbabilityError, match="decode_21: the block's axes"):
+            decode_21(cu.pairs[0].upgrade, wrong, [0.1] * 5)
+        with pytest.raises(ProbabilityError, match="the block's axes"):
+            gstar_sequence(cu, np.zeros(4, dtype=np.int64))
+        # rows name no out-of-range symbol: the block refuses them
+        with pytest.raises(ProbabilityError, match="user 0 sequence has out-of-range"):
+            SampleBlock(p.axes, np.array([[-1], [0], [0]]), np.array([0]))
+
+
+def factor_law(k: int, seed: int):
+    """Binary law a(x_S) * b(x_not S) on a random split S of the k + 1
+    axes, 30% of each integer factor's cells zeroed."""
+    rng = philox(seed)
+    m = k + 1
+    split = np.zeros(m, dtype=bool)
+    while not 0 < split.sum() < m:
+        split = rng.random(m) < 0.5
+    shape = (2,) * m
+    a, b = (rng.integers(1, 5, size=shape) * (rng.random(shape) >= 0.3) for _ in range(2))
+    cells = np.indices(shape).reshape(m, -1)
+    w = (a[tuple(np.where(split[:, None], cells, 0))]
+         * b[tuple(np.where(~split[:, None], cells, 0))])
+    if not w.any():
+        w[0] = 1
+    total = int(w.sum())
+    mass = np.array([Fraction(int(x), total) for x in w], dtype=object)
+    return JointPmf((Alphabet.binary(),) * m, mass.reshape(shape))
+
+
+def joined_support_classes(p, labellings):
+    """Support cells joined when any labelling gives them one label: each
+    cell's class is the least cell of its component."""
+    flat = p.mass.reshape(-1)
+    cls = {s: s for s in range(flat.size) if flat[s] > 0}
+    changed = True
+    while changed:
+        changed = False
+        for lab in labellings:
+            low: dict = {}
+            for s, c in cls.items():
+                low[lab[s]] = min(low.get(lab[s], c), c)
+            for s in cls:
+                if cls[s] != low[lab[s]]:
+                    cls[s], changed = low[lab[s]], True
+    return cls
+
+
+class TestThresholdOneOracle:
+    def test_k3_verdict_is_constancy_on_composite_side_classes(self):
+        """At threshold 1, f is viable iff it is constant on the support
+        classes joined by every pair's Y* over the composite side
+        (Y, X_rest), read through the pair's cell table."""
+        st = AdversaryStructure.threshold(3, 1)
+        both = {True: 0, False: 0}
+        for t in range(60):
+            p = factor_law(3, derive_seed(5000, t))
+            labellings = [np.take(pu.upgrade.ystar_labels, pu.pair_cell)
+                          for pu in common_upgrade(p).pairs]
+            cls = joined_support_classes(p, labellings)
+            rng = philox(derive_seed(5100, t))
+            tables = [rng.integers(0, 2, size=p.mass.shape)] + [lab % 2 for lab in labellings]
+            for table in tables:
+                f = TargetFunction(p.axes, Alphabet.binary(), table.reshape(p.mass.shape))
+                value: dict = {}
+                flat = f.table.reshape(-1)
+                constant = all(value.setdefault(c, flat[s]) == flat[s] for s, c in cls.items())
+                verdict = check_viability(p, f, st).viable
+                assert verdict == constant, t
+                both[verdict] += 1
+        assert both[True] >= 50 and both[False] >= 50

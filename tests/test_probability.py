@@ -315,6 +315,18 @@ class TestSampleBlockChecks:
             assert got.side_seq.dtype == np.int64 and got.side_seq.tolist() == side
             assert got.column(2) == (1, 0, 1)
 
+    @pytest.mark.parametrize("users, side", [
+        (np.array([[0.7, 1.2]]), np.array([0, 1])),
+        (np.array([[0.7, 1.2], [0.0, 1.0]]), np.array([0, 1])),
+        (np.array([[0, 1]]), np.array([0.0, 1.0])),
+        (np.array([[True, False]]), np.array([0, 1])),
+    ])
+    def test_non_integer_rows_rejected(self, users, side):
+        # float rows were truncated to symbols, or failed in numpy's casting
+        axes = [Alphabet.binary()] * (len(users) + 1)
+        with pytest.raises(ProbabilityError, match="integer symbol indices"):
+            SampleBlock(axes, users, side)
+
 
 class TestEmpiricalType:
     def test_half_half(self):

@@ -113,7 +113,7 @@ class TestTargetFunction:
 
     def test_codomain_bounds_checked(self):
         a = Alphabet.binary()
-        with pytest.raises(Exception):
+        with pytest.raises(ProbabilityError, match="table values outside the codomain"):
             TargetFunction((a,), Alphabet((0,)), np.array([0, 5]))
 
     def test_compose(self):

@@ -14,7 +14,7 @@ import pytest
 
 from byzfc.examples_lib import random_function, random_pmf
 from byzfc.mss import is_function_of_ystar
-from byzfc.probability import Alphabet, JointPmf, derive_seed, pmf_from_dict
+from byzfc.probability import Alphabet, JointPmf, ProbabilityError, derive_seed, pmf_from_dict
 from byzfc.structures import (AdversaryStructure, TargetFunction,
                               constant_function)
 from byzfc.viability import (GBuildConflict, ViabilityInputError, _Region,
@@ -52,7 +52,7 @@ class TestCheckViability:
         assert va[:2] == vb[:2] and va[2] != vb[2]
 
     def test_float_mode_rejected(self, erasure_pmf, erasure_f_uv):
-        with pytest.raises(Exception):
+        with pytest.raises(ProbabilityError, match="viability checking requires an exact-mode pmf"):
             check_s_viability(erasure_pmf.to_float(), erasure_f_uv, 2)
 
     def test_k1_mss_function_viable(self):
