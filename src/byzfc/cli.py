@@ -215,11 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="byzfc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, pmf_fn=True):
-        if pmf_fn:
-            p.add_argument("--pmf", help="pmf JSON file")
-            p.add_argument("--function", help="function JSON file")
-            p.add_argument("--example", help="builtin example name[:function]")
+    def add_common(p):
+        p.add_argument("--pmf", help="pmf JSON file")
+        p.add_argument("--function", help="function JSON file")
+        p.add_argument("--example", help="builtin example name[:function]")
         p.add_argument("--out", help="output directory (default: stdout)")
 
     p = sub.add_parser("check-viability", help="decide robust recoverability")

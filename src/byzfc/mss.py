@@ -5,7 +5,8 @@ identical conditional rows toward the receiver, iteratively upgrade the
 receiver's side information with both senders' partitions until the
 process saturates, and run the pairwise / k-user decoding protocols whose
 output is the maximum (resp. common) upgraded variable.  Doubles as the
-independent oracle for the LP viability checker at threshold 1.
+independent oracle for the LP viability checker at threshold 1, so the
+upgrades take exact laws only and compare conditional rows exactly.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .probability import (Alphabet, JointPmf, ProbabilityError, SampleBlock, cell_table,
-                          product_alphabet, zero_mass)
+from .probability import Alphabet, JointPmf, ProbabilityError, SampleBlock, cell_table, zero_mass
 from .structures import TargetFunction
-
-ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,35 +85,22 @@ def _roots(n: int, edges) -> list[int]:
     return [find(a) for a in range(n)]
 
 
-def _partition_rows(joint: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
-    """Group row indices of a (n_rows, n_cols) joint-mass matrix by their
-    conditional rows; zero-mass rows become singleton classes."""
-    n = joint.shape[0]
+def _partition_rows(joint: np.ndarray) -> tuple[np.ndarray, int]:
+    """Group row indices of an exact (n_rows, n_cols) joint-mass matrix by
+    their conditional rows; zero-mass rows become singleton classes."""
     keys: list = []
-    if exact:
-        for i in range(n):
-            tot = joint[i].sum()
-            if tot == 0:
-                keys.append(("zero", i))
-            else:
-                keys.append(tuple(v / tot for v in joint[i]))
-        return _canonicalize(keys)
-    totals = joint.sum(axis=1)
-    cond = np.zeros_like(joint, dtype=np.float64)
-    alive = totals > 0
-    cond[alive] = joint[alive] / totals[alive, None]
-    # rows within a per-entry tolerance are joined; alphabets are tiny
-    live = np.flatnonzero(alive).tolist()
-    roots = _roots(n, ((i, j) for i, j in combinations(live, 2)
-                       if np.max(np.abs(cond[i] - cond[j])) <= ROW_TOL))
-    return _canonicalize([("c", roots[i]) if alive[i] else ("zero", i) for i in range(n)])
+    for i, row in enumerate(joint):
+        tot = row.sum()
+        keys.append(("zero", i) if tot == 0 else tuple(v / tot for v in row))
+    return _canonicalize(keys)
 
 
 def mss_partition(p: JointPmf) -> Partition:
     """Partition of the first axis by identical conditional rows P(V|U=u)."""
     if p.k != 2:
         raise ProbabilityError("mss_partition expects a two-axis pmf")
-    labels, count = _partition_rows(p.mass, p.exact)
+    p.require_exact("mss_partition")
+    labels, count = _partition_rows(p.mass)
     return Partition(p.axes[0], labels, count)
 
 
@@ -153,9 +138,9 @@ class MaxUpgrade:
 
 
 def _joint_with_labels(mass: np.ndarray, labels: np.ndarray, count: int,
-                       axis: int, exact: bool) -> np.ndarray:
-    """Joint mass of (axis variable, label(u,v,w)) as a dense matrix."""
-    out = zero_mass((mass.shape[axis], count), exact)
+                       axis: int) -> np.ndarray:
+    """Exact joint mass of (axis variable, label(u,v,w)) as a dense matrix."""
+    out = zero_mass((mass.shape[axis], count), True)
     it = np.nditer(labels, flags=["multi_index"])
     for lab in it:
         idx = it.multi_index
@@ -171,18 +156,18 @@ def upgrade_to_saturation(p: JointPmf) -> MaxUpgrade:
     """
     if p.k != 3:
         raise ProbabilityError("upgrade_to_saturation expects a three-axis pmf")
+    p.require_exact("upgrade_to_saturation")
     nu, nv, nw = (a.size for a in p.axes)
-    exact = p.exact
     labels = np.empty((nu, nv, nw), dtype=np.int64)
     labels[:, :, :] = np.arange(nw)[None, None, :]
     count = nw
     rounds: list[UpgradeRound] = []
     bound = nu * nv
     for r in range(bound + 1):
-        ju = _joint_with_labels(p.mass, labels, count, 0, exact)
-        jv = _joint_with_labels(p.mass, labels, count, 1, exact)
-        cu, ncu = _partition_rows(ju, exact)
-        cv, ncv = _partition_rows(jv, exact)
+        ju = _joint_with_labels(p.mass, labels, count, 0)
+        jv = _joint_with_labels(p.mass, labels, count, 1)
+        cu, ncu = _partition_rows(ju)
+        cv, ncv = _partition_rows(jv)
         psi_u = Partition(p.axes[0], cu, ncu)
         psi_v = Partition(p.axes[1], cv, ncv)
         rounds.append(UpgradeRound(r, labels, count, psi_u, psi_v, ju, jv))
@@ -190,10 +175,7 @@ def upgrade_to_saturation(p: JointPmf) -> MaxUpgrade:
             break
         flat, count = _canonicalize([(int(labels[u, v, w]), int(cu[u]), int(cv[v]))
                                      for u, v, w in product(range(nu), range(nv), range(nw))])
-        new_labels = flat.reshape(nu, nv, nw)
-        if np.array_equal(new_labels, labels) and r > 0:
-            break
-        labels = new_labels
+        labels = flat.reshape(nu, nv, nw)
     else:
         raise ProbabilityError("upgrading failed to saturate within the |U||V| bound")
 
@@ -265,19 +247,19 @@ def decode_21(up: MaxUpgrade, block: SampleBlock, gammas: Sequence[float]) -> tu
         raise ProbabilityError(f"need {nu * nv + 1} per-round tolerances, got {len(gammas)}")
     n = block.n
     u_seq, v_seq = block.user_seqs
-    for r, gamma in enumerate(gammas):
-        rnd = up.rounds[min(r, len(up.rounds) - 1)]
+    # each round's TV distance of (sender, label) from its law, both senders;
+    # rounds past saturation repeat the last one
+    dists = []
+    for rnd in up.rounds:
         lab_seq = np.take(rnd.labels, block.cells)
-        ju = rnd.joint_u.astype(np.float64)
-        jv = rnd.joint_v.astype(np.float64)
-        tu = np.bincount(u_seq * rnd.label_count + lab_seq,
-                         minlength=nu * rnd.label_count).reshape(nu, rnd.label_count) / n
-        if 0.5 * np.abs(tu - ju).sum() > gamma:
-            return ("blame", 0)
-        tv_ = np.bincount(v_seq * rnd.label_count + lab_seq,
-                          minlength=nv * rnd.label_count).reshape(nv, rnd.label_count) / n
-        if 0.5 * np.abs(tv_ - jv).sum() > gamma:
-            return ("blame", 1)
+        dists.append([0.5 * np.abs(np.bincount(seq * rnd.label_count + lab_seq,
+                                               minlength=joint.size).reshape(joint.shape) / n
+                                   - joint.astype(np.float64)).sum()
+                      for seq, joint in ((u_seq, rnd.joint_u), (v_seq, rnd.joint_v))])
+    for r, gamma in enumerate(gammas):
+        for sender, dist in enumerate(dists[min(r, len(dists) - 1)]):
+            if dist > gamma:
+                return ("blame", sender)
     return ("labels", np.take(up.ystar_labels, block.cells))
 
 
@@ -299,7 +281,8 @@ def pair_upgrade(p: JointPmf, i: int, j: int) -> PairUpgrade:
     k = p.k - 1
     sizes = tuple(a.size for a in p.axes)
     order = (i, j, k, *(c for c in range(k) if c not in (i, j)))
-    comp = product_alphabet([p.axes[c] for c in order[2:]])
+    # the composite (Y, X_rest) axis, numbered in pair_cell order
+    comp = Alphabet.of_size(int(np.prod([sizes[c] for c in order[2:]])))
     pm3 = JointPmf((p.axes[i], p.axes[j], comp),
                    np.transpose(p.mass, axes=order).reshape(sizes[i], sizes[j], comp.size))
     up = upgrade_to_saturation(pm3)

@@ -187,16 +187,6 @@ class Alphabet:
         return Alphabet(tuple(range(n)))
 
 
-def product_alphabet(axes: Sequence[Alphabet]) -> Alphabet:
-    """Alphabet whose symbols are tuples of the component symbols."""
-    shape = [a.size for a in axes]
-    labels = []
-    for flat in range(int(np.prod(shape, dtype=np.int64))):
-        idx = np.unravel_index(flat, shape)
-        labels.append(tuple(axes[j].symbols[idx[j]] for j in range(len(axes))))
-    return Alphabet(labels)
-
-
 class JointPmf:
     """Dense joint pmf over the product of ``axes``.
 

@@ -225,7 +225,7 @@ class TestCriterion9:
     def test_protocol_decode_k1(self):
         p = k3_pmf()
         pf = p.to_float()
-        cu = common_upgrade(pf)
+        cu = common_upgrade(p)
         assert cu.gstar_count >= 3
 
         ok_honest = 0

@@ -265,7 +265,7 @@ class TestMalformedInput:
                                       "build-g-negative-user", "build-g-axis-7",
                                       "block-extra-users", "adversary-set-bools",
                                       "adversary-set-floats", "build-g-bool-user",
-                                      "build-g-float-user"])
+                                      "build-g-float-user", "mss-float-pmf"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -376,6 +376,8 @@ class TestMalformedInput:
                 **scenario, "adversary_set": [True, 2]})],
             "adversary-set-floats": lambda: ["simulate", put("s.json", {
                 **scenario, "adversary_set": [1.0, 2.0]})],
+            "mss-float-pmf": lambda: ["mss", "--pmf", put("p.json", {
+                "axes": [[0, 1], [0, 1], [0, 1]], "mass": [0.5, 0, 0, 0, 0, 0, 0, 0.5]})],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

@@ -57,12 +57,15 @@ class TestMssPartition:
         assert part.class_of[0] == part.class_of[1]
         assert part.class_of[2] != part.class_of[0]
 
-    def test_float_matches_exact(self):
-        for seed in range(15):
-            p = random_pmf((3, 3), seed=seed, zero_frac=0.3, max_weight=2)
-            pe = mss_partition(p)
-            pf = mss_partition(p.to_float())
-            assert np.array_equal(pe.class_of, pf.class_of)
+    def test_float_law_rejected(self):
+        # conditional rows are compared exactly: every entry point refuses a float law
+        p2 = random_pmf((3, 3), seed=1, zero_frac=0.3, max_weight=2).to_float()
+        p3 = random_pmf((2, 3, 2), seed=2, zero_frac=0.3, max_weight=2).to_float()
+        f = TargetFunction(p3.axes, Alphabet.binary(), np.zeros(p3.mass.shape, dtype=np.int64))
+        for call in (lambda: mss_partition(p2), lambda: upgrade_to_saturation(p3),
+                     lambda: common_upgrade(p3), lambda: is_function_of_ystar(p3, f)):
+            with pytest.raises(ProbabilityError, match="requires an exact-mode pmf"):
+                call()
 
 
 def brute_force_upgrade(p):
@@ -200,7 +203,7 @@ class TestDecode21:
     def test_honest_outputs_labels(self):
         p = three_class_pmf()
         pf = p.to_float()
-        up = upgrade_to_saturation(pf)
+        up = upgrade_to_saturation(p)
         ok = 0
         for seed in range(40):
             blk = sample_iid(pf, 5000, seed=derive_seed(840, seed))
@@ -215,7 +218,7 @@ class TestDecode21:
         # user 1 reports fresh i.i.d. values independent of everything
         p = three_class_pmf()
         pf = p.to_float()
-        up = upgrade_to_saturation(pf)
+        up = upgrade_to_saturation(p)
         blamed = 0
         for seed in range(40):
             blk = sample_iid(pf, 5000, seed=derive_seed(850, seed))
@@ -229,7 +232,7 @@ class TestDecode21:
     def test_in_class_permutation_undetected(self):
         p = three_class_pmf()
         pf = p.to_float()
-        up = upgrade_to_saturation(pf)
+        up = upgrade_to_saturation(p)
         assert up.psi_u.class_of[0] == up.psi_u.class_of[1]
         swap = np.array([1, 0, 2])
         for seed in range(10):
@@ -241,7 +244,7 @@ class TestDecode21:
             assert np.array_equal(out, truth)  # labels are class-invariant
 
     def test_gamma_length_validated(self):
-        p = three_class_pmf().to_float()
+        p = three_class_pmf()
         blk = SampleBlock.from_cells(p.axes, np.zeros(3, dtype=np.int64))
         with pytest.raises(ProbabilityError, match="need 7 per-round tolerances, got 2"):
             decode_21(upgrade_to_saturation(p), blk, [0.1, 0.1])
@@ -318,7 +321,7 @@ class TestDecodeK1:
         p = pmf_from_dict((b, b, b, b), {(0, 0, 0, 0): Fraction(1, 2),
                                          (1, 1, 1, 1): Fraction(1, 2)})
         pf = p.to_float()
-        cu = common_upgrade(pf)
+        cu = common_upgrade(p)
         ok = 0
         for seed in range(20):
             blk = sample_iid(pf, 3000, seed=derive_seed(880, seed))
@@ -334,7 +337,7 @@ class TestDecodeK1:
         p = pmf_from_dict((b, b, b, b), {(0, 0, 0, 0): Fraction(1, 2),
                                          (1, 1, 1, 1): Fraction(1, 2)})
         pf = p.to_float()
-        cu = common_upgrade(pf)
+        cu = common_upgrade(p)
         good = 0
         for seed in range(20):
             blk = sample_iid(pf, 3000, seed=derive_seed(890, seed))
@@ -353,9 +356,9 @@ class TestDecodeK1:
         p = three_class_pmf()
         pf = p.to_float()
         blk = sample_iid(pf, 2000, seed=17)
-        kind_k, out_k = decode_k1(common_upgrade(pf), blk)
-        nu, nv = pf.axes[0].size, pf.axes[1].size
-        kind_2, out_2 = decode_21(upgrade_to_saturation(pf), blk, [0.1] * (nu * nv + 1))
+        kind_k, out_k = decode_k1(common_upgrade(p), blk)
+        nu, nv = p.axes[0].size, p.axes[1].size
+        kind_2, out_2 = decode_21(upgrade_to_saturation(p), blk, [0.1] * (nu * nv + 1))
         assert kind_k == "estimate" and kind_2 == "labels"
         # decode_k1 post-maps through h; class structures must agree
         mapping = {}
@@ -390,7 +393,7 @@ class TestBlameTieOrder:
         # first sender is blamed (fixed convention: its check runs first)
         p = three_class_pmf()
         pf = p.to_float()
-        up = upgrade_to_saturation(pf)
+        up = upgrade_to_saturation(p)
         for seed in range(10):
             blk = sample_iid(pf, 3000, seed=derive_seed(930, seed))
             zero = np.zeros(3000, dtype=np.int64)
@@ -402,7 +405,7 @@ class TestBlameTieOrder:
 
 
 def protocol_laws():
-    """k=2 to k=4 laws, each with an exact and a float upgrade."""
+    """k=2 to k=4 exact laws; blocks are sampled from their float copies."""
     from test_acceptance import k3_pmf
     return [random_pmf((3, 2, 2), seed=71, zero_frac=0.3, max_weight=3),
             random_pmf((2, 3, 2), seed=72, zero_frac=0.45, max_weight=1),
@@ -411,42 +414,56 @@ def protocol_laws():
             random_pmf((2, 2, 2, 2, 2), seed=74, zero_frac=0.6, max_weight=1)]
 
 
-# sha256 of every output below, computed when the protocols took symbol rows
-PROTOCOL_OUTPUTS = "72f0870f784d0b745937ed3bb577a30d459ba07405e3575ecc7ff34de65e79d9"
+# sha256 of every output below, computed when mss still took float laws
+PROTOCOL_OUTPUTS = "24d04d4049dc5b41d4650e7429ff5a1298f6219ba0c409cf580e013901f59dd2"
 
 
 class TestProtocolBlocks:
     def test_outputs_pinned(self):
-        """Honest and one-user-garbage blocks: decode_21 (k=2), decode_k1
-        and gstar_sequence, each output's kind, dtype, shape and bytes."""
+        """Honest and one-user-garbage blocks: every pair's round count,
+        decode_21 under constant and decreasing radii (k=2 law, and each
+        pair's block), decode_k1 and gstar_sequence, each output's kind,
+        dtype, shape and bytes."""
         h = hashlib.sha256()
 
         def put(kind, payload):
             a = np.asarray(payload)
             h.update(f"{kind}|{a.dtype}|{a.shape}|".encode() + a.tobytes())
 
+        def radii(up):
+            m = up.axes[0].size * up.axes[1].size + 1
+            return [0.1] * m, [0.25 / (r + 1) for r in range(m)]
+
         for li, p in enumerate(protocol_laws()):
             pf = p.to_float()
-            for law in (p, pf):
-                cu = common_upgrade(law)
-                up = upgrade_to_saturation(law) if p.k == 3 else None
-                for seed in (1, 2):
-                    blk = sample_iid(pf, 1500, seed=derive_seed(7100, li, seed))
-                    rng = philox(derive_seed(7200, li, seed))
-                    garbage = blk.replace_users(
-                        {1: rng.integers(0, p.axes[1].size, blk.n).astype(np.int64)})
-                    for b in (blk, garbage):
-                        if up is not None:
-                            put(*decode_21(up, b, [0.1] * (p.axes[0].size * p.axes[1].size + 1)))
-                        put(*decode_k1(cu, b))
-                        put("gstar", gstar_sequence(cu, b))
+            cu = common_upgrade(p)
+            up = upgrade_to_saturation(p) if p.k == 3 else None
+            for pu in cu.pairs:
+                put("rounds", len(pu.upgrade.rounds))
+            if up is not None:
+                put("rounds", len(up.rounds))
+            for seed in (1, 2):
+                blk = sample_iid(pf, 1500, seed=derive_seed(7100, li, seed))
+                rng = philox(derive_seed(7200, li, seed))
+                garbage = blk.replace_users(
+                    {1: rng.integers(0, p.axes[1].size, blk.n).astype(np.int64)})
+                for b in (blk, garbage):
+                    if up is not None:
+                        for gammas in radii(up):
+                            put(*decode_21(up, b, gammas))
+                    for pu in cu.pairs:
+                        pair_b = SampleBlock.from_cells(pu.upgrade.axes,
+                                                        np.take(pu.pair_cell, b.cells))
+                        put(*decode_21(pu.upgrade, pair_b, radii(pu.upgrade)[1]))
+                    put(*decode_k1(cu, b))
+                    put("gstar", gstar_sequence(cu, b))
         assert h.hexdigest() == PROTOCOL_OUTPUTS
 
     def test_protocols_do_not_saturate(self, monkeypatch):
-        p = random_pmf((2, 2, 2, 2), seed=73, zero_frac=0.3, max_weight=3).to_float()
+        p = random_pmf((2, 2, 2, 2), seed=73, zero_frac=0.3, max_weight=3)
         cu = common_upgrade(p)
         up = cu.pairs[0].upgrade
-        blk = sample_iid(p, 500, seed=5)
+        blk = sample_iid(p.to_float(), 500, seed=5)
         pair_blk = SampleBlock.from_cells(up.axes, np.take(cu.pairs[0].pair_cell, blk.cells))
         calls = []
         for name in ("upgrade_to_saturation", "common_upgrade"):
@@ -457,7 +474,7 @@ class TestProtocolBlocks:
         assert calls == []
 
     def test_block_axes_checked(self):
-        p = random_pmf((2, 2, 2, 2), seed=73).to_float()
+        p = random_pmf((2, 2, 2, 2), seed=73)
         cu = common_upgrade(p)
         other = (Alphabet.of_size(3),) + p.axes[1:]
         wrong = SampleBlock.from_cells(other, np.zeros(4, dtype=np.int64))
