@@ -114,12 +114,7 @@ def cmd_build_g(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    d = _load_json(args.config)
-    if getattr(args, "exact", False):
-        d["mode"] = "exact"
-    elif getattr(args, "float_mode", False):
-        d["mode"] = "float"
-    config = config_from_json_dict(d)
+    config = config_from_json_dict(_load_json(args.config))
     with _parsing():
         block = SampleBlock.from_json_dict(_load_json(args.block))
     verdict = decode(config, block)
@@ -236,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode one reported block")
     p.add_argument("--config", required=True, help="decoder config JSON")
     p.add_argument("--block", required=True, help="block JSON")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help="exact-rational membership tests")
-    mode.add_argument("--float", dest="float_mode", action="store_true",
-                      help="float membership tests with slack (default)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_decode)
 

@@ -62,9 +62,8 @@ class DecoderConfig:
     tables built so far, keyed by collection; ``g_table`` builds a missing
     one on first use, on one channel-table dict owned by the config.  The
     law must be exact: the tables and the view handles are built from its
-    exact rows in both modes.  ``mode`` picks the LP engine, and float-mode
-    membership adds ``slack`` to the radius ``delta`` to absorb LP round-off.
-    ``screen`` holds the bound tables and that threshold, built once.
+    exact rows.  ``screen`` holds the bound tables and the radius ``delta``,
+    built once; every membership decision compares with ``delta`` exactly.
     """
 
     base: JointPmf
@@ -72,8 +71,6 @@ class DecoderConfig:
     f: TargetFunction
     delta: float
     g_tables: dict[frozenset, GTable] = field(default_factory=dict)
-    mode: str = "float"
-    slack: float = 1e-7
     viable: bool = True
     handles: tuple[ViewSetHandle, ...] = field(init=False)
     screen: DistanceScreen = field(init=False, compare=False, repr=False)
@@ -81,15 +78,10 @@ class DecoderConfig:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise DecoderConfigError(f"delta must be finite and positive, not {self.delta}")
-        if not (math.isfinite(self.slack) and self.slack >= 0):
-            raise DecoderConfigError(f"slack must be finite and nonnegative, not {self.slack}")
-        if self.mode not in ("exact", "float"):
-            raise DecoderConfigError(f"unknown mode {self.mode!r}")
         if not self.base.exact:
             raise DecoderConfigError("a decoder config needs an exact law")
         self.handles = tuple(ViewSetHandle(self.base, s) for s in self.structure.sets)
-        self.screen = DistanceScreen(self.base, self.structure.sets,
-                                     self.delta + (self.slack if self.mode == "float" else 0))
+        self.screen = DistanceScreen(self.base, self.structure.sets, self.delta)
         # own copy: tables built later stay out of the caller's dict
         self.g_tables = dict(self.g_tables)
         self._channels = ChannelTables(self.base)
@@ -124,22 +116,22 @@ def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStr
     """The viability verdict and the view handles; no g-table is built.
 
     ``DecoderConfig.g_table`` builds each repaired table when decoding
-    first needs it.  Requires an exact pmf; ``mode`` picks the LP engine.
+    first needs it.  Requires an exact pmf; ``mode`` is checked, not used.
     """
+    if mode not in ("exact", "float"):
+        raise DecoderConfigError(f"unknown mode {mode!r}")
     viable = check_viability(p, f, structure).viable
-    return DecoderConfig(base=p, structure=structure, f=f, delta=delta, mode=mode,
-                         viable=viable)
+    return DecoderConfig(base=p, structure=structure, f=f, delta=delta, viable=viable)
+
 
 
 def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
     """Indices into structure.sets whose view set covers the block's type.
 
     ``config.screen`` settles each set it can from the block's cell counts,
-    exactly in either mode: a lower bound above the threshold (delta, plus
-    slack in float mode) rejects, an upper bound at or below it accepts.
-    The view-distance LP decides the rest against the same threshold, on
-    a type built at most once per block; converting it to float in float
-    mode sends the LP to HiGHS.
+    exactly: a lower bound above delta rejects, an upper bound at or below
+    it accepts.  ``distance_to_viewset`` decides the rest exactly against
+    delta, on a type built at most once per block.
     """
     out, ty = [], None
     decided = config.screen.decide(type_counts(reported))
@@ -147,8 +139,7 @@ def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
         if inside is None:
             if ty is None:
                 ty = empirical_type(reported)
-                ty = ty if config.mode == "exact" else ty.to_float()
-            inside = distance_to_viewset(h, ty).distance <= config.screen.thresh
+            inside = distance_to_viewset(h, ty, config.delta).upper <= config.delta
         if inside:
             out.append(i)
     return out
@@ -207,8 +198,10 @@ def config_to_json_dict(config: DecoderConfig) -> dict:
         "function": config.f.to_json_dict(),
         "structure": config.structure.to_json_dict(),
         "delta": config.delta,
-        "mode": config.mode,
-        "slack": config.slack,
+        # unused, as every membership decision is exact; written so that the
+        # config JSON, and digests of it, keep their form
+        "mode": "float",
+        "slack": 1e-7,
         "viable": config.viable,
         "g_tables": [config.g_table(col).to_json_dict()
                      for col in nonintersecting_collections(config.structure)],
@@ -219,9 +212,10 @@ def config_from_json_dict(d: dict) -> DecoderConfig:
     """Parse a config; tables it omits are built from its law on first use.
 
     Without ``g_tables`` or ``viable`` the verdict is computed from the law.
-    Fields of the wrong JSON type or length, a malformed g-table and a
-    collection listed twice raise DecoderConfigError; the verdict is not
-    part of the parse, so its own faults propagate unchanged.
+    ``mode`` and ``slack`` are checked, not used.  Fields of the wrong JSON
+    type or length, a malformed g-table and a collection listed twice raise
+    DecoderConfigError; the verdict is not part of the parse, so its own
+    faults propagate unchanged.
     """
     try:
         p = JointPmf.from_json_dict(d["pmf"])
@@ -229,7 +223,10 @@ def config_from_json_dict(d: dict) -> DecoderConfig:
         structure = AdversaryStructure.from_json_dict(d["structure"])
         delta = json_number(d, "delta", error=DecoderConfigError)
         slack = json_number(d, "slack", 1e-7, error=DecoderConfigError)
-        mode = d.get("mode", "float")
+        if not (math.isfinite(slack) and slack >= 0):
+            raise DecoderConfigError(f"slack must be finite and nonnegative, not {slack}")
+        if d.get("mode", "float") not in ("exact", "float"):
+            raise DecoderConfigError(f"unknown mode {d['mode']!r}")
         viable = d.get("viable")
         if "viable" in d and not isinstance(viable, bool):
             raise DecoderConfigError(f"viable must be a boolean, not {viable!r}")
@@ -247,4 +244,4 @@ def config_from_json_dict(d: dict) -> DecoderConfig:
     if viable is None or "g_tables" not in d:
         viable = check_viability(p, f, structure).viable
     return DecoderConfig(base=p, structure=structure, f=f, delta=delta, g_tables=tables,
-                         mode=mode, slack=slack, viable=viable)
+                         viable=viable)

@@ -152,24 +152,28 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-# (law, function, structure, delta, config, float law), the law and the
+# (law, function, structure, float law, configs by delta), the law and the
 # function copied so that a caller changing its own in place misses
-_CONFIG_CACHE: list[tuple[JointPmf, TargetFunction, AdversaryStructure, float,
-                          DecoderConfig, JointPmf]] = []
+_CONFIG_CACHE: list[tuple[JointPmf, TargetFunction, AdversaryStructure, JointPmf,
+                          dict[float, DecoderConfig]]] = []
 
 
 def _cached(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
             delta: float) -> tuple[DecoderConfig, JointPmf]:
-    """The float-mode config for the inputs and the law in float mode,
-    built on the first call with equal inputs."""
-    for cp, cf, cs, cd, config, p_float in _CONFIG_CACHE:
-        if cd == delta and cs == structure and cp == p and cf == f:
-            return config, p_float
-    p = JointPmf(p.axes, p.mass.copy())
-    f = TargetFunction(f.domain_axes, f.codomain, f.table.copy())
-    config, p_float = build_decoder_config(p, f, structure, delta), p.to_float()
-    _CONFIG_CACHE.append((p, f, structure, delta, config, p_float))
-    return config, p_float
+    """The config for the inputs and the law in float mode.  A new delta
+    reuses the verdict and tables of the first config for equal inputs."""
+    for cp, cf, cs, p_float, configs in _CONFIG_CACHE:
+        if cs == structure and cp == p and cf == f:
+            break
+    else:
+        cp = JointPmf(p.axes, p.mass.copy())
+        cf = TargetFunction(f.domain_axes, f.codomain, f.table.copy())
+        p_float, configs = cp.to_float(), {}
+        _CONFIG_CACHE.append((cp, cf, structure, p_float, configs))
+    if delta not in configs:
+        configs[delta] = (replace(next(iter(configs.values())), delta=delta) if configs
+                          else build_decoder_config(cp, cf, structure, delta))
+    return configs[delta], p_float
 
 
 def cached_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,

@@ -75,19 +75,15 @@ class ChannelVars:
             x[offset + self.var[(tx, tx)]] = 1
 
     def channel(self, sol: Sequence, offset: int = 0) -> Channel:
-        """The channel at a solution, in its arithmetic: exact from the
-        simplex's list, float from a solver's float array.  Inputs off P's
-        support map to themselves.  Entries are clipped at zero and rows
-        divided by their sums, absorbing float solver round-off.
-        """
+        """The exact channel at a rational solution; inputs off P's support
+        map to themselves."""
         axes = tuple(self.p.axes[c] for c in self.coords)
         n = len(self.outs)
-        joint = zero_mass((n, n), not isinstance(sol, np.ndarray))
+        joint = zero_mass((n, n), True)
         rowset = set(self.rows)
         for i, tx in enumerate(self.outs):
             if tx in rowset:
-                joint[i] = [0 if (v := sol[offset + self.var[(tx, ux)]]) < 0 else v
-                            for ux in self.outs]
+                joint[i] = [sol[offset + self.var[(tx, ux)]] for ux in self.outs]
         return Channel.from_joint(axes, axes, joint)
 
 

@@ -2,12 +2,12 @@
 
 For an adversary set A, the view set is every joint law on the reported
 observations and side information reachable by some per-letter channel on
-the A coordinates of the source law.  Membership of an observed type is
-decided through the minimum total-variation distance to the view set,
-computed by one linear program whose optimum serves every radius delta.
-Two certified bounds bracket that distance without any LP, and
-``DistanceScreen`` compares them with the radius in integers, in either
-mode; the decoder solves the LP only when the radius falls between them.
+the A coordinates of the source law.  An observed type is a member when
+its minimum total-variation distance to the view set is at most a radius
+delta, decided exactly.  Two certified bounds bracket that distance
+without any LP, and ``DistanceScreen`` compares them with the radius in
+integers; the decoder solves the LP only when the radius falls between
+them, and ``distance_to_viewset`` certifies the LP's answer.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import numpy as np
 
 from .polytope import ChannelVars
 from .probability import Channel, JointPmf, ProbabilityError, apply_channel, integer_mass
-from .simplex import LPError, Tableau
+from .simplex import Tableau
 
 INT64_MAX = np.iinfo(np.int64).max
+CERT_BITS = 24     # the certificate's duals and channel are multiples of 2**-CERT_BITS
 
 
 def induce_view(p: JointPmf, adversary_set: Iterable[int], w: Channel | None) -> JointPmf:
@@ -42,7 +43,7 @@ class ViewSetHandle:
     """The view set of one adversary set over an exact base law.
 
     What does not depend on the query is built once per handle, on first
-    use: the view-distance LP, and its float matrix for float queries.
+    use: the view-distance LP, and its float matrix for HiGHS.
     """
 
     base: JointPmf
@@ -100,23 +101,17 @@ class ViewSetHandle:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    distance: float | Fraction
+    """Exact bounds ``lower <= distance <= upper`` on a view-set distance; the
+    view of the rational ``nearest_channel`` (None for A = {}) is at ``upper``."""
+
+    lower: Fraction
+    upper: Fraction
     nearest_channel: Channel | None
 
     def verify(self, handle: ViewSetHandle, q: JointPmf) -> None:
-        """Re-check that the nearest channel induces a view within distance."""
-        if handle.coords:
-            w = self.nearest_channel
-            assert w is not None
-            base = handle.base if w.exact else handle.base.to_float()
-            view = induce_view(base, handle.adversary_set, w)
-        else:
-            view = handle.base
-        gap = view.tv_distance(q)
-        if isinstance(self.distance, Fraction) and isinstance(gap, Fraction):
-            assert gap <= self.distance
-        else:
-            assert float(gap) <= float(self.distance) + 1e-7  # float solver tolerance
+        """Re-check exactly that the nearest channel's view lies at ``upper``."""
+        view = induce_view(handle.base, handle.adversary_set, self.nearest_channel)
+        assert self.lower <= self.upper == view.tv_distance(q)
 
 
 class DistanceScreen:
@@ -188,20 +183,58 @@ class DistanceScreen:
         return [False if v * self.td > cut else accept for v in lower]
 
 
-def distance_to_viewset(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
-    """min over channels W of TV(view(W), q), with an optimal channel.
-
-    q's arithmetic picks the engine, both reading the handle's exact rows:
-    the rational simplex if q is exact, else scipy's HiGHS.  One solve
-    serves every radius.
+def distance_to_viewset(handle: ViewSetHandle, q: JointPmf, thresh) -> MembershipResult:
+    """Exact bounds on min over channels W of TV(view(W), q), for an exact q,
+    that decide it against thresh: the lower one exceeds it or the upper
+    one does not.  HiGHS solves the LP, and ``_certificate`` turns its duals
+    and its channel, rounded to multiples of 2**-CERT_BITS, into the bounds;
+    when thresh lies between them, or HiGHS fails, the rational simplex decides.
     """
     if handle.base.axes != q.axes:
         raise ProbabilityError("query pmf axes do not match the base law")
+    q.require_exact("a view-set query")
     if not handle.coords:
-        return MembershipResult(distance=handle.base.tv_distance(q), nearest_channel=None)
-    if q.exact:
-        return _distance_exact(handle, q)
-    return _distance_float(handle, q)
+        dist = handle.base.tv_distance(q)
+        return MembershipResult(dist, dist, None)
+    from scipy.optimize import linprog   # lazy: scipy's import costs more memory than decoding
+
+    w, A, c, ones = handle._float_lp
+    b = np.concatenate([q.mass.reshape(-1).astype(np.float64), ones])
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    if res.success:
+        one, no = 1 << CERT_BITS, len(w.outs)
+        chan = np.floor(np.clip(res.x[:w.size], 0, 1) * one).astype(np.int64).reshape(-1, no)
+        top = chan.argmax(axis=1)
+        chan[np.arange(len(chan)), top] += one - chan.sum(axis=1)
+        g = np.clip(np.rint(res.eqlin.marginals[:len(w.at)] * one), -one // 2, one // 2)
+        if (chan >= 0).all():
+            result = _certificate(w, q, chan.reshape(-1).tolist(), g.astype(np.int64).tolist())
+            if result.lower > thresh or result.upper <= thresh:
+                return result
+    return _distance_exact(handle, q)
+
+
+def _certificate(w: ChannelVars, q: JointPmf, chan: list[int], g: list[int]) -> MembershipResult:
+    """Bounds from integer view duals g, |g| <= 2**CERT_BITS / 2, and a channel
+    whose rows sum to 2**CERT_BITS, both over 2**CERT_BITS; by weak duality
+    sum_v g(v) q(v) - sum_tx max_ux sum_rest P(tx, rest) g(ux, rest) is at
+    most the distance, and the channel's view is at least it.  The sums are
+    taken in integers: P over ``w.den``, q over its common denominator."""
+    qn, qd = integer_mass(q.mass)
+    one, no = 1 << CERT_BITS, len(w.outs)
+    gq = gap = 0
+    worst = [0] * w.size
+    for vi, (terms, qv) in enumerate(zip(w.at.values(), qn.reshape(-1).tolist())):
+        gq += g[vi] * qv
+        view = 0
+        for _, var, num in terms:
+            worst[var] += num * g[vi]
+            view += num * chan[var]
+        gap += abs(qd * view - w.den * one * qv)
+    best = sum(max(worst[i:i + no]) for i in range(0, w.size, no))
+    lower = Fraction(w.den * gq - qd * best, one * w.den * qd)
+    upper = Fraction(gap, 2 * one * w.den * qd)
+    return MembershipResult(lower, upper, w.channel([Fraction(v, one) for v in chan]))
 
 
 def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
@@ -218,16 +251,4 @@ def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
         start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
     t = Tableau(rows, b, len(start), start=start)
     dist = -t.maximize(c)
-    return MembershipResult(distance=dist, nearest_channel=w.channel(t.solution()))
-
-
-def _distance_float(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
-    from scipy.optimize import linprog
-
-    w, A, c, ones = handle._float_lp
-    b = np.concatenate([q.mass.reshape(-1), ones])
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-    if not res.success:
-        raise LPError(f"view-distance LP failed: {res.message}")
-    dist = max(float(res.fun), 0.0)
-    return MembershipResult(distance=dist, nearest_channel=w.channel(res.x))
+    return MembershipResult(dist, dist, w.channel(t.solution()))

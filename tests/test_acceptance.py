@@ -329,17 +329,19 @@ class TestCriterion10:
             assert np.array_equal(out.side_seq, base_blk.side_seq)
             cases += 1
 
-        # view-geometry: untouched-marginal lower bound on the distance
+        # view-geometry: untouched-marginal lower bound on the distance, on
+        # random rational laws: a radius just below the gap never admits q
         pf = erasure_pmf.to_float()
         handles = {a: ViewSetHandle(erasure_pmf, frozenset(a)) for a in ((0,), (1, 2))}
         for t in range(400):
-            m = rng.random(pf.mass.shape) + 0.01
-            q = JointPmf(pf.axes, m / m.sum())
+            m = rng.integers(1, 1001, size=pf.mass.shape)
+            q = JointPmf(pf.axes, np.array([Fraction(int(v), int(m.sum()))
+                                            for v in m.reshape(-1)]).reshape(m.shape))
             for aset, h in handles.items():
-                d = distance_to_viewset(h, q).distance
                 untouched = tuple(c for c in range(4) if c not in aset)
-                gap = pf.marginalize(untouched).tv_distance(q.marginalize(untouched))
-                assert gap - 1e-7 <= d <= 1 + 1e-9
+                gap = erasure_pmf.marginalize(untouched).tv_distance(q.marginalize(untouched))
+                res = distance_to_viewset(h, q, gap - Fraction(1, 10**12))
+                assert gap - Fraction(1, 10**12) < res.upper <= 1 and res.lower <= res.upper
             cases += 1
 
         # decoder: explanation set monotone in delta

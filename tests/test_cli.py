@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import byzfc
 from byzfc.cli import main
 from byzfc.decoder import config_to_json_dict
-from byzfc.probability import sample_iid
+from byzfc.probability import philox, sample_iid
 
 
 def run_python(args):
@@ -216,21 +217,28 @@ class TestEntryPoint:
         assert code == 3
 
 
-class TestDecodeExactFlag:
-    def test_exact_membership_flag(self, tmp_path, capsys):
+class TestDecodeCertified:
+    def test_flipped_block_decodes_through_the_lp(self, tmp_path, capsys):
+        # user 0 flipping its bit leaves view sets to the certified LP; the
+        # removed --exact flag is a usage error
         code, _, _ = run_cli(["build-config", "--example", "example-3-2-erasure:uv",
                               "--threshold", "2", "--delta", "0.1",
                               "--out", str(tmp_path)], capsys)
         assert code == 0
         from byzfc.examples_lib import three_user_erasure_pmf
-        blk = sample_iid(three_user_erasure_pmf().to_float(), 400, seed=11)
+        blk = sample_iid(three_user_erasure_pmf().to_float(), 5000, seed=1)
+        bits = blk.user_seqs[0]
+        flips = philox(2).random(blk.n) < 0.18
+        blk = blk.replace_users({0: np.where(flips, 1 - bits, bits)})
         (tmp_path / "block.json").write_text(json.dumps(blk.to_json_dict()))
-        code, out, _ = run_cli(["decode", "--config",
-                                str(tmp_path / "decoder_config.json"),
-                                "--block", str(tmp_path / "block.json"),
-                                "--exact"], capsys)
+        args = ["decode", "--config", str(tmp_path / "decoder_config.json"),
+                "--block", str(tmp_path / "block.json")]
+        code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert json.loads(out)["kind"] == "estimate"
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(args + ["--exact"], capsys)
+        assert exit_.value.code == 2
 
 
 class TestSweepCsv:

@@ -93,11 +93,11 @@ def distance_queries(p: JointPmf) -> list[tuple[ViewSetHandle, JointPmf]]:
 
 
 def test_exact_distance_same_without_the_start(erasure_pmf, monkeypatch):
-    cases = [(h, q, _distance_exact(h, q).distance) for h, q in distance_queries(erasure_pmf)]
+    cases = [(h, q, _distance_exact(h, q).lower) for h, q in distance_queries(erasure_pmf)]
     monkeypatch.setattr(viewsets, "Tableau", lambda A, b, n, start=None: Tableau(A, b, n))
     for h, q, dist in cases:
         res = _distance_exact(h, q)
-        assert res.distance == dist
+        assert res.lower == res.upper == dist
         res.verify(h, q)
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from byzfc import decoder, viability, viewsets
-from byzfc.adversary import BlockSplit, Honest, ResampleW, WitnessDMC, attack
+from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW, WitnessDMC,
+                             attack)
 from byzfc.decoder import (DecoderConfig, DecoderConfigError, TrialTruth, Verdict,
                            build_decoder_config, classify_error,
                            config_from_json_dict, config_to_json_dict, decode,
@@ -330,19 +331,20 @@ class TestExactModeDecode:
                                             threshold_3_2, erasure_config):
         cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2,
                             f=erasure_f_uv, delta=0.1,
-                            g_tables=erasure_config.g_tables, mode="exact")
+                            g_tables=erasure_config.g_tables)
         blk = exact_type_block(erasure_pmf)
         v = decode(cfg, blk)
         assert v.kind == "estimate"
         assert np.array_equal(v.estimate, apply_pointwise(erasure_f_uv, blk))
 
-    def test_replaced_mode_rebuilds_handles(self, erasure_pmf, erasure_f_uv,
-                                            erasure_config):
-        # a config derived by replace decodes in its new mode, on the same
-        # exact view handles: the mode picks the LP engine only
-        cfg = dataclasses.replace(erasure_config, mode="exact")
-        assert cfg.handles == erasure_config.handles
+    def test_replaced_delta_rebuilds_the_screen(self, erasure_pmf, erasure_f_uv,
+                                                erasure_config):
+        # a config derived by replace screens at its new radius, on the same
+        # exact view handles and with the tables built so far
+        cfg = dataclasses.replace(erasure_config, delta=0.2)
+        assert cfg.handles == erasure_config.handles and cfg.screen.thresh == 0.2
         assert all(h.base is erasure_pmf for h in cfg.handles)
+        assert cfg.g_tables == erasure_config.g_tables
         blk = exact_type_block(erasure_pmf)
         v = decode(cfg, blk)
         assert v.kind == "estimate"
@@ -350,30 +352,68 @@ class TestExactModeDecode:
 
     @pytest.mark.parametrize("mode, float_law", [("bogus", False), ("exact", True)])
     def test_bad_mode_rejected_at_construction(self, mode, float_law, erasure_pmf,
-                                               erasure_config):
-        base = erasure_pmf.to_float() if float_law else erasure_pmf
+                                               erasure_f_uv, threshold_3_2, erasure_config):
+        # build_decoder_config checks the mode it otherwise ignores; every
+        # config needs an exact law
         with pytest.raises(DecoderConfigError):
-            dataclasses.replace(erasure_config, base=base, mode=mode)
+            if float_law:
+                dataclasses.replace(erasure_config, base=erasure_pmf.to_float())
+            else:
+                build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, 0.1, mode=mode)
 
     @pytest.mark.parametrize("name, value", [("delta", math.nan), ("slack", math.nan),
                                              ("slack", -1e-7)])
     def test_bad_radius_rejected_at_construction(self, name, value, erasure_config):
-        # NaN fails every comparison, so a `<= 0` test lets it through
+        # NaN fails every comparison, so a `<= 0` test lets it through; a
+        # config's slack is checked when read, though nothing uses it
         with pytest.raises(DecoderConfigError):
-            dataclasses.replace(erasure_config, **{name: value})
+            config_from_json_dict({**config_to_json_dict(erasure_config), name: value})
 
-    def test_exact_and_float_agree_on_samples(self, erasure_pmf, erasure_f_uv,
-                                              threshold_3_2, erasure_config):
-        exact_cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2,
-                                  f=erasure_f_uv, delta=0.1,
-                                  g_tables=erasure_config.g_tables, mode="exact")
-        for seed in range(5):
-            blk = sample_iid(erasure_pmf.to_float(), 600, seed=derive_seed(990, seed))
-            ve = decode(exact_cfg, blk)
-            vf = decode(erasure_config, blk)
+    def test_exact_and_float_agree_on_samples(self, erasure_pmf, erasure_config,
+                                              monkeypatch):
+        # the certified HiGHS bounds decide as the rational simplex alone
+        # does; at n = 100 the screen leaves some sets to them
+        blocks = [sample_iid(erasure_pmf.to_float(), n, seed=derive_seed(990, seed))
+                  for n in (100, 600) for seed in range(5)]
+        certified = [decode(erasure_config, blk) for blk in blocks]
+        monkeypatch.setattr(decoder, "distance_to_viewset",
+                            lambda h, q, thresh: viewsets._distance_exact(h, q))
+        for blk, vf in zip(blocks, certified):
+            ve = decode(erasure_config, blk)
             assert ve.kind == vf.kind
             if ve.kind == "estimate":
                 assert np.array_equal(ve.estimate, vf.estimate)
+
+
+class TestCertifiedDecode:
+    def test_user0_flips_reach_the_lp_and_a_gtable(self, erasure_pmf, erasure_config,
+                                                  monkeypatch):
+        # user 0 flipping its bit at rate 0.18 lands each block's type in the
+        # screen's band for some sets: the LP decides them, as the simplex
+        # alone would, and the explaining collection's g-table decodes
+        a = erasure_pmf.axes[0]
+        flip = MemorylessChannel(Channel((a,), (a,), np.array([[0.82, 0.18], [0.18, 0.82]])))
+        blocks = [attack(flip, frozenset({0}),
+                         sample_iid(erasure_pmf.to_float(), 5000, derive_seed(47, "sample", t)),
+                         derive_seed(47, "attack", t)) for t in range(8)]
+        lps, tables = [], []
+        monkeypatch.setattr(decoder, "distance_to_viewset",
+                            lambda h, q, t: lps.append(h) or viewsets.distance_to_viewset(h, q, t))
+        read = DecoderConfig.g_table
+        monkeypatch.setattr(DecoderConfig, "g_table",
+                            lambda self, col: tables.append(col) or read(self, col))
+        certified, kinds = [], []
+        for blk in blocks:
+            lps.clear()
+            tables.clear()
+            certified.append(explanation_set(erasure_config, blk))
+            assert lps
+            kinds.append(decode(erasure_config, blk).kind)
+            assert tables or kinds[-1] != "estimate"
+        assert "estimate" in kinds
+        monkeypatch.setattr(decoder, "distance_to_viewset",
+                            lambda h, q, thresh: viewsets._distance_exact(h, q))
+        assert [explanation_set(erasure_config, blk) for blk in blocks] == certified
 
 
 @pytest.fixture(scope="module")
@@ -391,11 +431,13 @@ def acceptance_blocks(erasure_pmf):
 
 
 class TestScreenedDecode:
+    # either mode that build_decoder_config accepts decodes alike
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_acceptance_blocks_build_no_type(self, mode, monkeypatch, acceptance_blocks,
-                                             erasure_config):
+                                             erasure_pmf, erasure_f_uv, threshold_3_2):
         # the bounds settle every set here, so no block needs a type
-        cfg = dataclasses.replace(erasure_config, mode=mode)
+        cfg = build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, 0.1, mode=mode)
         built = []
         init = JointPmf.__init__
 
@@ -416,15 +458,14 @@ class TestScreenedDecode:
         calls = []
         real = viewsets.integer_mass
         monkeypatch.setattr(viewsets, "integer_mass", lambda mass: calls.append(1) or real(mass))
-        cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
-                            delta=0.1, mode=mode)
+        cfg = build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, 0.1, mode=mode)
         blocks = (acceptance_blocks * 2)[:100]
         assert {decode(cfg, blk).kind for blk in blocks} == {"estimate"}
         assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_empty_block_raises(self, mode, erasure_pmf, erasure_config):
-        cfg = dataclasses.replace(erasure_config, mode=mode)
+    def test_empty_block_raises(self, mode, erasure_pmf, erasure_f_uv, threshold_3_2):
+        cfg = build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, 0.1, mode=mode)
         empty = SampleBlock(erasure_pmf.axes, np.zeros((3, 0), dtype=np.int64),
                             np.zeros(0, dtype=np.int64))
         with pytest.raises(ProbabilityError, match="empty block has no type"):

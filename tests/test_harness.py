@@ -1,11 +1,13 @@
 """Scenario runner: determinism, aggregation, catalog values, sweeps."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from scipy.stats import binomtest
 
+from byzfc import decoder, harness
 from byzfc.adversary import Honest, ResampleW
 from byzfc.examples_lib import (builtin_examples, resolve_example,
                                 three_user_erasure_self_check)
@@ -230,6 +232,22 @@ class TestSweep:
         blames = [sum(r.blame_histogram.values()) for r in reports]
         for a, b in zip(blames, blames[1:]):
             assert b <= a
+
+    def test_delta_sweep_computes_one_verdict(self, monkeypatch):
+        # the verdict does not depend on delta: one per (law, function,
+        # structure), and each report is the one a fresh verdict gives
+        calls = []
+        real = decoder.check_viability
+        monkeypatch.setattr(decoder, "check_viability", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(harness, "_CONFIG_CACHE", [])
+        base = tiny_scenario(trials=3, n=400, strategy=ResampleW(), aset=frozenset({1, 2}))
+        values = [0.02, 0.05, 0.1, 0.2, 0.5]
+        reports = sweep(base, "delta", values)
+        assert len(calls) == 1
+        for v, r in zip(values, reports):
+            harness._CONFIG_CACHE.clear()
+            assert r.core_dict() == run_scenario(replace(base, delta=v, name=r.name)).core_dict()
+        assert len(calls) == 1 + len(values)
 
 
 class TestRandomInstancePipeline:

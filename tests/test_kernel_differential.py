@@ -344,7 +344,7 @@ def _distance_run(h, q, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(viewsets, "Tableau", kernel)
             res = viewsets._distance_exact(h, q)
-        return res.distance, res.nearest_channel.rows.tolist()
+        return res.lower, res.upper, res.nearest_channel.rows.tolist()
     return run
 
 

@@ -4,25 +4,26 @@ Derived oracles: brute-force channel application by explicit summation,
 and a grid search over binary channels for the minimum-distance value.
 """
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from byzfc import decoder
+from byzfc import decoder, viewsets
 from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW, WitnessDMC,
                              attack)
-from byzfc.decoder import DecoderConfig, explanation_set
+from byzfc.decoder import DecoderConfig, build_decoder_config, explanation_set
 from byzfc.examples_lib import random_pmf
 from byzfc.polytope import ChannelVars
 from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, SampleBlock,
                                derive_seed, empirical_type, philox, pmf_from_dict, sample_iid,
                                tv_distance, type_counts, uniform_pmf)
 from byzfc.simplex import Tableau
+from byzfc.structures import AdversaryStructure
 from byzfc.viability import check_s_viability
-from byzfc.viewsets import DistanceScreen, ViewSetHandle, distance_to_viewset, induce_view
+from byzfc.viewsets import (CERT_BITS, DistanceScreen, ViewSetHandle, _certificate,
+                            _distance_exact, distance_to_viewset, induce_view)
 
 from test_decoder import exact_type_block
 
@@ -42,6 +43,13 @@ def random_channel(axes, seed, exact=False):
         rows = rows / rows.sum(axis=1, keepdims=True)
     shape = tuple(a.size for a in axes)
     return Channel(axes, axes, rows.reshape(shape + shape))
+
+
+def rational_pmf(axes, rng) -> JointPmf:
+    """A random exact law on axes with full support."""
+    w = rng.integers(1, 1001, size=[a.size for a in axes])
+    mass = np.array([Fraction(int(v), int(w.sum())) for v in w.reshape(-1)], dtype=object)
+    return JointPmf(axes, mass.reshape(w.shape))
 
 
 class TestInduceView:
@@ -81,8 +89,8 @@ class TestDistance:
     def test_base_law_distance_zero(self, erasure_pmf):
         for aset in ({0}, {1}, {1, 2}, frozenset()):
             h = ViewSetHandle(erasure_pmf, frozenset(aset))
-            res = distance_to_viewset(h, erasure_pmf)
-            assert res.distance == 0
+            res = distance_to_viewset(h, erasure_pmf, 0)
+            assert res.upper == 0
             res.verify(h, erasure_pmf)
 
     def test_altered_untouched_marginal_equals_gap(self):
@@ -95,10 +103,10 @@ class TestDistance:
             (0, 0, 0): Fraction(3, 8), (1, 1, 1): Fraction(3, 8),
             (0, 1, 0): Fraction(1, 8), (1, 0, 1): Fraction(1, 8)})
         h = ViewSetHandle(p, frozenset({0}))
-        res = distance_to_viewset(h, q)
         gap = p.marginalize((1, 2)).tv_distance(q.marginalize((1, 2)))
+        res = distance_to_viewset(h, q, gap)
         assert gap > 0
-        assert res.distance == gap
+        assert res.upper == gap
         # grid oracle over binary channels upper-bounds and approaches it
         best = 1.0
         pf, qf = p.to_float(), q.to_float()
@@ -107,8 +115,8 @@ class TestDistance:
                 w = Channel((b,), (b,), np.array([[a00, 1 - a00], [a10, 1 - a10]]))
                 view = induce_view(pf, {0}, w)
                 best = min(best, tv_distance(view, qf))
-        assert best >= float(res.distance) - 1e-9
-        assert best <= float(res.distance) + 0.05
+        assert best >= float(res.upper) - 1e-9
+        assert best <= float(res.upper) + 0.05
 
     def test_induced_views_have_distance_zero(self, erasure_pmf):
         for seed in range(6):
@@ -117,55 +125,47 @@ class TestDistance:
                 w = random_channel(axes, seed=seed, exact=True)
                 q = induce_view(erasure_pmf, aset, w)
                 h = ViewSetHandle(erasure_pmf, frozenset(aset))
-                res = distance_to_viewset(h, q)
-                assert res.distance == 0
+                res = distance_to_viewset(h, q, 0)
+                assert res.upper == 0
                 res.verify(h, q)
 
     def test_float_matches_exact(self, erasure_pmf):
+        # HiGHS's bounds, made exact, bracket the simplex's distance closely
         q = induce_view(erasure_pmf, {1, 2},
                         random_channel((erasure_pmf.axes[1], erasure_pmf.axes[2]),
                                        seed=9, exact=True))
-        # perturb toward uniform to get a positive distance
-        from byzfc.probability import uniform_pmf
-        u = uniform_pmf(q.axes).to_float()
-        qm = JointPmf(q.axes, 0.7 * q.to_float().mass + 0.3 * u.mass)
+        # mix toward uniform to get a positive distance
+        u = uniform_pmf(q.axes)
+        q = JointPmf(q.axes, Fraction(7, 10) * q.mass + Fraction(3, 10) * u.mass)
         h = ViewSetHandle(erasure_pmf, frozenset({1, 2}))
-        qm_exact = JointPmf.from_json_dict(
-            {"axes": [list(a.symbols) for a in q.axes],
-             "mass": [f"{Fraction(v).limit_denominator(10**6)}" for v in qm.mass.reshape(-1)],
-             "mode": "exact"})
-        # normalize exactly
-        total = qm_exact.mass.sum()
-        qm_exact = JointPmf(q.axes, qm_exact.mass / total)
-        # one exact handle: the query's arithmetic picks the engine
-        res_f = distance_to_viewset(h, qm)
-        res_e = distance_to_viewset(h, qm_exact)
-        assert isinstance(res_f.distance, float) and not res_f.nearest_channel.exact
-        assert isinstance(res_e.distance, Fraction) and res_e.nearest_channel.exact
-        assert abs(float(res_e.distance) - res_f.distance) < 1e-6
-        res_f.verify(h, qm)
-        res_e.verify(h, qm_exact)
+        exact = _distance_exact(h, q)
+        assert exact.lower == exact.upper > 0 and exact.nearest_channel.exact
+        exact.verify(h, q)
+        for thresh in (exact.lower / 2, 2 * exact.lower):
+            res = distance_to_viewset(h, q, thresh)
+            assert res.lower <= exact.lower <= res.upper < res.lower + Fraction(1, 10**6)
+            res.verify(h, q)
 
     def test_marginal_gap_lower_bound_exact(self, erasure_pmf):
-        # distance >= TV gap of the untouched-coordinate marginal, always
+        # distance >= TV gap of the untouched-coordinate marginal, always:
+        # a radius just below the gap never admits the type
         rng = philox(31)
         for seed in range(10):
-            q = JointPmf(erasure_pmf.axes,
-                         (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape) + 0.01))
+            q = rational_pmf(erasure_pmf.axes, rng)
             for aset in ({0}, {2}, {1, 2}):
-                h = ViewSetHandle(erasure_pmf, frozenset(aset))
-                res = distance_to_viewset(h, q)
                 untouched = tuple(c for c in range(4) if c not in aset)
-                gap = erasure_pmf.to_float().marginalize(untouched).tv_distance(
-                    q.marginalize(untouched))
-                assert res.distance >= gap - 1e-7
+                gap = erasure_pmf.marginalize(untouched).tv_distance(q.marginalize(untouched))
+                h = ViewSetHandle(erasure_pmf, frozenset(aset))
+                thresh = gap - Fraction(1, 10**12)
+                res = distance_to_viewset(h, q, thresh)
+                assert res.lower <= res.upper and res.upper > thresh
 
 
 class TestHandleCache:
     @pytest.mark.parametrize("exact", [True, False])
     def test_reused_handle_matches_a_fresh_one(self, erasure_pmf, exact):
-        # the LP's rows and matrix are built once per handle; only q changes,
-        # and its arithmetic picks the engine
+        # the LP's rows and matrix are built once per handle; only q changes.
+        # exact: the rational simplex; else the certified HiGHS bounds
         rng = philox(21)
         for aset in ({0}, {1, 2}):
             shared = ViewSetHandle(erasure_pmf, frozenset(aset))
@@ -173,10 +173,12 @@ class TestHandleCache:
                 law = JointPmf(erasure_pmf.axes,
                                (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape)))
                 q = empirical_type(sample_iid(law, 300, seed=seed))
-                q = q if exact else q.to_float()
-                got = distance_to_viewset(shared, q)
-                want = distance_to_viewset(ViewSetHandle(erasure_pmf, frozenset(aset)), q)
-                assert got.distance == want.distance > 0
+
+                def solve(h):
+                    return _distance_exact(h, q) if exact else distance_to_viewset(h, q, 1)
+
+                got, want = solve(shared), solve(ViewSetHandle(erasure_pmf, frozenset(aset)))
+                assert (got.lower, got.upper) == (want.lower, want.upper) and got.upper > 0
                 assert np.array_equal(got.nearest_channel.rows, want.nearest_channel.rows)
 
 
@@ -232,25 +234,22 @@ def test_integer_distance_rows_match_the_fraction_rows(erasure_pmf, threshold_3_
                 assert np.array_equal(A, want)
             for q in types:
                 assert q.exact
-                got = distance_to_viewset(handle, q)
                 if aset:
+                    got = _distance_exact(handle, q)
                     dist, chan = _fraction_distance(handle, q)
-                    assert got.distance == dist
+                    assert got.lower == got.upper == dist
                     assert got.nearest_channel.to_json_dict() == chan.to_json_dict()
                 else:
-                    assert got.distance == law.tv_distance(q)
+                    got = distance_to_viewset(handle, q, 0)
+                    assert got.lower == got.upper == law.tv_distance(q)
                 lps += 1
     assert lps == 105
 
 
-def _float_law_lp(law: JointPmf, aset: frozenset):
-    """The float view-distance LP as a table of the float law built it: the
-    float mass P(v with A <- tx) on W(ux | tx) for inputs tx in the float
-    marginal's support, -1 and 1 on the view slacks, then the row sums.
-    Returns the matrix and a solve of it: HiGHS's distance, and its channel
-    with entries clipped at zero and rows divided by their sums."""
-    from scipy.optimize import linprog
-
+def _float_law_lp(law: JointPmf, aset: frozenset) -> np.ndarray:
+    """The float view-distance LP's matrix as a table of the float law built
+    it: the float mass P(v with A <- tx) on W(ux | tx) for inputs tx in the
+    float marginal's support, -1 and 1 on the view slacks, then the row sums."""
     pf, coords = law.to_float(), tuple(sorted(aset))
     axes = tuple(pf.axes[c] for c in coords)
     outs = list(product(*(range(a.size) for a in axes)))
@@ -270,17 +269,7 @@ def _float_law_lp(law: JointPmf, aset: frozenset):
         A[vi, nw + vi], A[vi, nw + nv + vi] = -1, 1
     for ti in range(len(ins)):
         A[nv + ti, ti * no:(ti + 1) * no] = 1
-
-    def solve(q: JointPmf):
-        c = np.concatenate([np.zeros(nw), np.full(2 * nv, 0.5)])
-        b = np.concatenate([q.mass.reshape(-1), np.ones(len(ins))])
-        res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        joint = np.zeros((no, no))
-        for ti, tx in enumerate(ins):
-            joint[outs.index(tx)] = [0 if v < 0 else v for v in res.x[ti * no:(ti + 1) * no]]
-        return max(float(res.fun), 0.0), Channel.from_joint(axes, axes, joint)
-
-    return A, solve
+    return A
 
 
 def test_float_lp_matrix_is_the_float_laws(erasure_pmf, threshold_3_2):
@@ -293,37 +282,116 @@ def test_float_lp_matrix_is_the_float_laws(erasure_pmf, threshold_3_2):
     for law in laws:
         for aset in threshold_3_2.sets:
             if aset:
-                want, _ = _float_law_lp(law, aset)
+                want = _float_law_lp(law, aset)
                 got = ViewSetHandle(law, aset)._float_lp[1]
                 assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
                 handles += 1
     assert handles == 114
 
 
-def test_float_lp_keeps_the_float_laws_answers(screen_blocks, erasure_pmf, threshold_3_2):
-    # on the types the bounds leave to the LP at delta = 0.1, the exact
-    # handle's float LP gives the float law's distance and nearest channel
-    law = random_pmf((2, 2, 2, 2), seed=0)
-    blocks = []
-    for aset in threshold_3_2.sets[1:]:
-        axes = tuple(law.axes[c] for c in sorted(aset))
-        for t in range(3):
-            blk = sample_iid(law.to_float(), 1000, seed=derive_seed(43, sorted(aset), t))
-            blocks.append(attack(MemorylessChannel(random_channel(axes, t)), aset, blk,
-                                 seed=derive_seed(44, sorted(aset), t)))
-    lps = 0
-    for p, blks in ((erasure_pmf, screen_blocks), (law, blocks)):
-        screen = DistanceScreen(p, threshold_3_2.sets, 0.1)
+@pytest.fixture(scope="module")
+def band_types(screen_blocks, erasure_pmf, threshold_3_2):
+    """(handle, type) pairs that the bounds leave to the LP at delta = 0.1:
+    the erasure law's screen blocks, and memoryless attacks on every set of
+    random_pmf (2,2,2,2) at threshold 2 of 3 and (2,2,2,2,2) at 2 of 4."""
+    laws = [(erasure_pmf, threshold_3_2, screen_blocks)]
+    for sizes in ((2, 2, 2, 2), (2, 2, 2, 2, 2)):
+        law = random_pmf(sizes, seed=0)
+        structure = AdversaryStructure.threshold(len(sizes) - 1, 2)
+        blocks = []
+        for aset in structure.sets[1:]:
+            axes = tuple(law.axes[c] for c in sorted(aset))
+            for t in range(3):
+                blk = sample_iid(law.to_float(), 1000, seed=derive_seed(43, sorted(aset), t))
+                blocks.append(attack(MemorylessChannel(random_channel(axes, t)), aset, blk,
+                                     seed=derive_seed(44, sorted(aset), t)))
+        laws.append((law, structure, blocks))
+    out = []
+    for p, structure, blks in laws:
+        screen = DistanceScreen(p, structure.sets, 0.1)
         for blk in blks:
-            q = empirical_type(blk).to_float()
-            for aset, inside in zip(threshold_3_2.sets, screen.decide(type_counts(blk))):
+            for aset, inside in zip(structure.sets, screen.decide(type_counts(blk))):
                 if inside is None:
-                    dist, chan = _float_law_lp(p, aset)[1](q)
-                    got = distance_to_viewset(ViewSetHandle(p, aset), q)
-                    assert got.distance == dist
-                    assert got.nearest_channel.rows.tobytes() == chan.rows.tobytes()
-                    lps += 1
-    assert lps == 65
+                    out.append((ViewSetHandle(p, aset), empirical_type(blk)))
+    return out
+
+
+def simplex_only(h, q, thresh):
+    """``distance_to_viewset`` with the rational simplex deciding alone."""
+    return _distance_exact(h, q)
+
+
+def no_fallback(h, q):
+    raise AssertionError("the certificate should decide")
+
+
+class TestCertificate:
+    """The exact bounds that ``distance_to_viewset`` reads off a HiGHS solve."""
+
+    def test_certificate_brackets_the_exact_distance(self, band_types, monkeypatch):
+        # a threshold of 1 is decided by any upper bound, so each call returns
+        # the certificate itself; its gap is float round-off
+        widest = 0
+        for h, q in band_types:
+            dist = _distance_exact(h, q).lower
+            with monkeypatch.context() as m:
+                m.setattr(viewsets, "_distance_exact", no_fallback)
+                res = distance_to_viewset(h, q, 1)
+            assert res.lower <= dist <= res.upper
+            res.verify(h, q)
+            widest = max(widest, res.upper - res.lower)
+        assert len(band_types) == 157 and widest < Fraction(1, 10**6)
+
+    def test_clipped_duals_and_rounded_channels_bound_the_distance(self, band_types):
+        # any duals within 1/2 and any rational channel give valid bounds;
+        # the integer bounds match Fraction sums over the pmf methods
+        from scipy.optimize import linprog
+
+        one, rng = 1 << CERT_BITS, philox(45)
+        for h, q in band_types[::6]:
+            w, A, c, ones = h._float_lp
+            res = linprog(c, A_eq=A, b_eq=np.concatenate([q.mass.reshape(-1).astype(float), ones]),
+                          bounds=(0, None), method="highs")
+            duals = res.eqlin.marginals[:len(w.at)] + rng.normal(0, 0.3, len(w.at))
+            g = np.clip(np.rint(duals * one), -one // 2, one // 2).astype(np.int64).tolist()
+            chan = rng.multinomial(one, np.full(len(w.outs), 1 / len(w.outs)), size=len(w.rows))
+            got = _certificate(w, q, chan.reshape(-1).tolist(), g)
+            dist = _distance_exact(h, q).lower
+            assert got.lower == reference_lower(w, q, g) <= dist <= got.upper
+            got.verify(h, q)
+
+    def test_threshold_at_the_distance_reaches_the_fallback(self, band_types, monkeypatch):
+        exact = []
+        monkeypatch.setattr(viewsets, "_distance_exact",
+                            lambda h, q: exact.append(h) or _distance_exact(h, q))
+        for h, q in band_types[::4]:
+            dist = _distance_exact(h, q).lower
+            exact.clear()
+            res = distance_to_viewset(h, q, dist)
+            assert exact == [h] and res.lower == res.upper == dist
+
+    def test_a_failed_solve_falls_back(self, band_types, monkeypatch):
+        import scipy.optimize
+
+        failed = type("Failed", (), {"success": False, "message": "synthetic failure"})()
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
+        for h, q in band_types[:5]:
+            res, want = distance_to_viewset(h, q, 0.1), _distance_exact(h, q)
+            assert (res.lower, res.upper) == (want.lower, want.upper)
+            assert np.array_equal(res.nearest_channel.rows, want.nearest_channel.rows)
+        with pytest.raises(ProbabilityError, match="requires an exact-mode pmf"):
+            distance_to_viewset(h, q.to_float(), 0.1)
+
+
+def reference_lower(w: ChannelVars, q: JointPmf, g: list[int]) -> Fraction:
+    """sum_v g(v) q(v) - sum_tx max_ux sum_rest P(tx, rest) g(ux, rest), in Fractions."""
+    gv = [Fraction(x, 2**CERT_BITS) for x in g]
+    worst = {key: Fraction(0) for key in w.var}
+    for vi, (v, terms) in enumerate(w.at.items()):
+        for tx, _, num in terms:
+            worst[(tx, tuple(v[c] for c in w.coords))] += Fraction(num, w.den) * gv[vi]
+    return (sum(gv[vi] * q.mass[v] for vi, v in enumerate(w.at))
+            - sum(max(worst[(tx, ux)] for ux in w.outs) for tx in w.rows))
 
 
 class TestMembership:
@@ -332,7 +400,7 @@ class TestMembership:
     def test_base_in_all(self, erasure_pmf, erasure_f_uv, threshold_3_2, erasure_config):
         # the source law is in every view set at distance exactly zero
         cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
-                            delta=1e-12, g_tables=erasure_config.g_tables, mode="exact")
+                            delta=1e-12, g_tables=erasure_config.g_tables)
         blk = exact_type_block(erasure_pmf)
         assert explanation_set(cfg, blk) == list(range(len(threshold_3_2.sets)))
 
@@ -351,7 +419,7 @@ class TestMembership:
         # the bounds settle every honest block, so no LP runs
         lps = []
         monkeypatch.setattr(decoder, "distance_to_viewset",
-                            lambda h, q: lps.append(h) or distance_to_viewset(h, q))
+                            lambda h, q, t: lps.append(h) or distance_to_viewset(h, q, t))
         pf = erasure_pmf.to_float()
         fails = 0
         for seed in range(25):
@@ -362,16 +430,13 @@ class TestMembership:
         assert lps == []
 
     def test_triangle_consistency(self, erasure_pmf):
+        # d1 <= d2 + TV(q1, q2) holds between the exact bounds as well
         rng = philox(6)
         h = ViewSetHandle(erasure_pmf, frozenset({1}))
         for seed in range(8):
-            q1 = JointPmf(erasure_pmf.axes,
-                          (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape) + .01))
-            q2 = JointPmf(erasure_pmf.axes,
-                          (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape) + .01))
-            d1 = distance_to_viewset(h, q1).distance
-            d2 = distance_to_viewset(h, q2).distance
-            assert d1 <= d2 + tv_distance(q1, q2) + 1e-7
+            q1, q2 = rational_pmf(erasure_pmf.axes, rng), rational_pmf(erasure_pmf.axes, rng)
+            r1, r2 = distance_to_viewset(h, q1, 1), distance_to_viewset(h, q2, 1)
+            assert r1.lower <= r2.upper + tv_distance(q1, q2)
 
 
 def splice(a: SampleBlock, b: SampleBlock, m: int) -> SampleBlock:
@@ -425,35 +490,31 @@ class TestScreen:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_bounds_bracket_the_lp_and_keep_every_decision(
-            self, mode, screen_blocks, erasure_pmf, erasure_f_uv, threshold_3_2,
-            erasure_config):
-        cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
-                            delta=0.1, g_tables=erasure_config.g_tables, mode=mode)
-        thresh = cfg.delta if mode == "exact" else cfg.delta + cfg.slack
-        tol = 0 if mode == "exact" else 1e-9    # float LP round-off; the bounds are exact
+            self, mode, screen_blocks, erasure_config, monkeypatch):
+        # exact: the rational simplex decides every set the screen leaves;
+        # float: HiGHS's certified bounds do, falling back to the simplex
+        if mode == "exact":
+            monkeypatch.setattr(decoder, "distance_to_viewset", simplex_only)
         seen = {"reject": 0, "accept": 0, "band, in": 0, "band, out": 0}
         for blk in screen_blocks:
-            ty = empirical_type(blk)
-            ty = ty if mode == "exact" else ty.to_float()
-            lp_only = []
-            bounds = cfg.screen.bounds(type_counts(blk))
-            for i, h in enumerate(cfg.handles):
+            ty, lp_only = empirical_type(blk), []
+            bounds = erasure_config.screen.bounds(type_counts(blk))
+            for i, h in enumerate(erasure_config.handles):
                 lower, upper = bounds[i]
-                dist = distance_to_viewset(h, ty).distance
-                assert lower - tol <= dist <= upper + tol
-                if dist <= thresh:
+                dist = _distance_exact(h, ty).lower if h.coords else h.base.tv_distance(ty)
+                assert lower <= dist <= upper
+                if dist <= 0.1:
                     lp_only.append(i)
-                seen["reject" if lower > thresh else "accept" if upper <= thresh
-                     else "band, in" if dist <= thresh else "band, out"] += 1
-            assert explanation_set(cfg, blk) == lp_only
+                seen["reject" if lower > 0.1 else "accept" if upper <= 0.1
+                     else "band, in" if dist <= 0.1 else "band, out"] += 1
+            assert explanation_set(erasure_config, blk) == lp_only
         assert all(seen.values()), seen
 
-    def test_both_modes_explain_alike(self, screen_blocks, erasure_config):
-        # both modes hold the same exact handles; only the LP engine differs
-        exact = dataclasses.replace(erasure_config, mode="exact")
-        assert exact.handles == erasure_config.handles
-        for blk in screen_blocks:
-            assert explanation_set(exact, blk) == explanation_set(erasure_config, blk)
+    def test_both_modes_explain_alike(self, screen_blocks, erasure_config, monkeypatch):
+        # the certified HiGHS bounds and the rational simplex alone decide alike
+        certified = [explanation_set(erasure_config, blk) for blk in screen_blocks]
+        monkeypatch.setattr(decoder, "distance_to_viewset", simplex_only)
+        assert [explanation_set(erasure_config, blk) for blk in screen_blocks] == certified
 
     def test_screen_needs_an_exact_law(self, erasure_pmf):
         counts = type_counts(exact_type_block(erasure_pmf))
@@ -487,25 +548,23 @@ class TestScreen:
                 below = DistanceScreen(erasure_pmf, sets, lower - Fraction(1, 10**30))
                 assert below.decide(counts)[i] is False
 
-    def test_float_mode_rejects_just_above_the_threshold_without_an_lp(
+    def test_rejects_just_above_the_threshold_without_an_lp(
             self, screen_blocks, erasure_pmf, erasure_f_uv, threshold_3_2, monkeypatch):
-        # every lower bound exceeds delta + slack, the nearest by less than
-        # 1e-9: the exact bounds reject every set, and no LP is asked
+        # every lower bound exceeds delta, the nearest by less than 1e-9:
+        # the exact bounds reject every set, and no LP is asked
         blk = screen_blocks[-1]
         counts = type_counts(blk)
         nearest = min(lo for lo, _ in DistanceScreen(erasure_pmf, threshold_3_2.sets, 0.1)
                       .bounds(counts))
-        slack = 1e-7
-        delta = float(nearest) - slack - 5e-10
-        thresh = Fraction(delta + slack)
-        assert 0 < nearest - thresh < Fraction(1, 10**9)
+        delta = float(nearest) - 5e-10
+        assert 0 < nearest - Fraction(delta) < Fraction(1, 10**9)
 
-        def no_lp(h, q):
+        def no_lp(h, q, thresh):
             raise AssertionError("the screen should settle every set")
 
         monkeypatch.setattr(decoder, "distance_to_viewset", no_lp)
         cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
-                            delta=delta, slack=slack)
+                            delta=delta)
         assert cfg.screen.decide(counts) == [False] * len(threshold_3_2.sets)
         assert explanation_set(cfg, blk) == []
 
@@ -520,10 +579,10 @@ class TestBoundsReference:
     """The screen's bounds on counts against an independent computation on the type."""
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_screen_blocks(self, mode, screen_blocks, erasure_pmf, threshold_3_2,
-                           erasure_config):
-        # a float config screens with the exact law too: its bounds are exact
-        cfg = dataclasses.replace(erasure_config, mode=mode)
+    def test_screen_blocks(self, mode, screen_blocks, erasure_pmf, erasure_f_uv,
+                           threshold_3_2):
+        # either mode build_decoder_config accepts gives the same exact screen
+        cfg = build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, 0.1, mode=mode)
         for blk in screen_blocks:
             q = empirical_type(blk)
             bounds = cfg.screen.bounds(type_counts(blk))
