@@ -8,7 +8,7 @@ simulation against a pluggable attack library.
 
 __version__ = "0.1.0"
 
-from .probability import (Alphabet, Channel, JointPmf, SampleBlock,
+from .probability import (Alphabet, CellSampler, Channel, JointPmf, SampleBlock,
                           apply_channel, apply_pointwise, derive_seed,
                           empirical_type, hamming_distortion, philox,
                           pmf_from_dict, sample_iid, tv_distance, type_counts, uniform_pmf)

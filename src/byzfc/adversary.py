@@ -127,7 +127,7 @@ def resample_w_channel(axes: tuple[Alphabet, Alphabet]) -> Channel:
     e1, e2 = _erasure_symbol(axes[0]), _erasure_symbol(axes[1])
     n1, n2 = axes[0].size, axes[1].size
     half = Fraction(1, 2)
-    rows = zero_mass((n1, n2, n1, n2), exact=True)
+    rows = zero_mass((n1, n2, n1, n2))
     for a, b in product(range(n1), range(n2)):
         if a == e1 and b != e2:
             rows[a, b, e1, b] = half

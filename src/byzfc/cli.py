@@ -167,7 +167,7 @@ def _load_scenario(args) -> Scenario:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    report = run_scenario(scenario, threads=args.threads)
+    report = run_scenario(scenario)
     _emit(report.to_json_dict(), args.out, f"{scenario.name}.json")
     if args.out:
         (Path(args.out) / f"{scenario.name}.csv").write_text(report.records_csv())
@@ -177,7 +177,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     base = _load_scenario(args)
     values = [v for v in args.values.split(",") if v]
-    reports = sweep(base, args.axis, values, threads=args.threads)
+    reports = sweep(base, args.axis, values)
     _emit([r.to_json_dict() for r in reports], args.out, f"{base.name}-sweep.json")
     if args.out:
         for r in reports:
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scenario")
     p.add_argument("scenario")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--axis", required=True, choices=("n", "delta", "gamma"))
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

@@ -11,7 +11,6 @@ collection letter by letter.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +59,8 @@ class DecoderConfig:
 
     ``viable`` is the viability verdict.  ``g_tables`` holds the repaired
     tables built so far, keyed by collection; ``g_table`` builds a missing
-    one on first use, on one channel-table dict owned by the config.  The
-    law must be exact: the tables and the view handles are built from its
-    exact rows.  ``screen`` holds the bound tables and the radius ``delta``,
+    one on first use, on one channel-table dict owned by the config.
+    ``screen`` holds the bound tables and the radius ``delta``,
     built once; every membership decision compares with ``delta`` exactly.
     """
 
@@ -78,14 +76,11 @@ class DecoderConfig:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise DecoderConfigError(f"delta must be finite and positive, not {self.delta}")
-        if not self.base.exact:
-            raise DecoderConfigError("a decoder config needs an exact law")
         self.handles = tuple(ViewSetHandle(self.base, s) for s in self.structure.sets)
         self.screen = DistanceScreen(self.base, self.structure.sets, self.delta)
         # own copy: tables built later stay out of the caller's dict
         self.g_tables = dict(self.g_tables)
         self._channels = ChannelTables(self.base)
-        self._lock = threading.Lock()     # run_scenario may decode from threads
         for g in self.g_tables.values():
             if g.domain_axes != self.base.axes or g.codomain != self.f.codomain:
                 raise DecoderConfigError(
@@ -99,15 +94,14 @@ class DecoderConfig:
         all-false mask, the naive table kept for negative testing.
         """
         col = canonical_collection(collection)
-        with self._lock:
-            g = self.g_tables.get(frozenset(col))
-            if g is None:
-                try:
-                    g = build_g(self.base, self.f, col, tables=self._channels)
-                except GBuildConflict:
-                    g = GTable(self.base.axes, self.f.codomain, self.f.table.copy(),
-                               collection=col, defined_mask=np.zeros(self.f.table.shape, bool))
-                self.g_tables[frozenset(col)] = g
+        g = self.g_tables.get(frozenset(col))
+        if g is None:
+            try:
+                g = build_g(self.base, self.f, col, tables=self._channels)
+            except GBuildConflict:
+                g = GTable(self.base.axes, self.f.codomain, self.f.table.copy(),
+                           collection=col, defined_mask=np.zeros(self.f.table.shape, bool))
+            self.g_tables[frozenset(col)] = g
         return g
 
 

@@ -14,7 +14,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -22,8 +21,8 @@ from . import __version__ as _version
 from .adversary import AttackStrategy, attack, strategy_from_json
 from .decoder import DecoderConfig, TrialTruth, build_decoder_config, decode, score_trial
 from .examples_lib import resolve_example
-from .probability import (JointPmf, apply_pointwise, derive_seed, json_number, json_value,
-                          sample_iid)
+from .probability import (CellSampler, JointPmf, apply_pointwise, derive_seed, json_number,
+                          json_value, sample_iid)
 from .structures import AdversaryStructure, TargetFunction
 
 
@@ -152,28 +151,28 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-# (law, function, structure, float law, configs by delta), the law and the
-# function copied so that a caller changing its own in place misses
-_CONFIG_CACHE: list[tuple[JointPmf, TargetFunction, AdversaryStructure, JointPmf,
+# (law, function, structure, sampling table, configs by delta), the law and
+# the function copied so that a caller changing its own in place misses
+_CONFIG_CACHE: list[tuple[JointPmf, TargetFunction, AdversaryStructure, CellSampler,
                           dict[float, DecoderConfig]]] = []
 
 
 def _cached(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
-            delta: float) -> tuple[DecoderConfig, JointPmf]:
-    """The config for the inputs and the law in float mode.  A new delta
+            delta: float) -> tuple[DecoderConfig, CellSampler]:
+    """The config for the inputs and the law's sampling table.  A new delta
     reuses the verdict and tables of the first config for equal inputs."""
-    for cp, cf, cs, p_float, configs in _CONFIG_CACHE:
+    for cp, cf, cs, table, configs in _CONFIG_CACHE:
         if cs == structure and cp == p and cf == f:
             break
     else:
         cp = JointPmf(p.axes, p.mass.copy())
         cf = TargetFunction(f.domain_axes, f.codomain, f.table.copy())
-        p_float, configs = cp.to_float(), {}
-        _CONFIG_CACHE.append((cp, cf, structure, p_float, configs))
+        table, configs = cp.to_float(), {}
+        _CONFIG_CACHE.append((cp, cf, structure, table, configs))
     if delta not in configs:
         configs[delta] = (replace(next(iter(configs.values())), delta=delta) if configs
                           else build_decoder_config(cp, cf, structure, delta))
-    return configs[delta], p_float
+    return configs[delta], table
 
 
 def cached_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
@@ -186,13 +185,16 @@ def run_scenario(s: Scenario, threads: int = 1) -> ExperimentReport:
 
     ``viable_precheck`` is the config's viability verdict.  A non-viable
     input still runs (negative testing is allowed, not fatal): a repaired
-    table whose construction conflicts falls back to f.
+    table whose construction conflicts falls back to f.  Trials run
+    serially; ``threads`` is checked to be 1, not used.
     """
+    if threads != 1:
+        raise ScenarioError(f"threads must be 1, not {threads}")
     start = time.monotonic()
-    config, pmf_float = _cached(s.pmf, s.f, s.structure, s.delta)
+    config, table = _cached(s.pmf, s.f, s.structure, s.delta)
 
     def one_trial(t: int) -> TrialRecord:
-        true_block = sample_iid(pmf_float, s.n, derive_seed(s.seed, "trial", t))
+        true_block = sample_iid(table, s.n, derive_seed(s.seed, "trial", t))
         reported = attack(s.strategy, s.adversary_set, true_block,
                           derive_seed(s.seed, "attack", t))
         verdict = decode(config, reported)
@@ -203,11 +205,7 @@ def run_scenario(s: Scenario, threads: int = 1) -> ExperimentReport:
         return TrialRecord(trial=t, outcome=outcome, verdict_kind=verdict.kind,
                            blamed=verdict.user, distortion=dist)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_trial, range(s.trials)))
-    else:
-        records = [one_trial(t) for t in range(s.trials)]
+    records = [one_trial(t) for t in range(s.trials)]
 
     counts = {"ok": 0, "E1": 0, "E2": 0}
     blames: dict[int, int] = {}
@@ -232,8 +230,7 @@ def run_scenario(s: Scenario, threads: int = 1) -> ExperimentReport:
     )
 
 
-def sweep(base: Scenario, axis: str, values: Sequence, threads: int = 1,
-          ) -> list[ExperimentReport]:
+def sweep(base: Scenario, axis: str, values: Sequence) -> list[ExperimentReport]:
     """One report per value of the swept axis (n, delta or gamma).
 
     All runs share the base master seed, so per-trial seeds coincide
@@ -247,5 +244,5 @@ def sweep(base: Scenario, axis: str, values: Sequence, threads: int = 1,
     for v in values:
         v = int(v) if axis == "n" else float(v)
         s = replace(base, **{axis: v}, name=f"{base.name}[{axis}={v}]")
-        reports.append(run_scenario(s, threads=threads))
+        reports.append(run_scenario(s))
     return reports

@@ -99,7 +99,6 @@ def mss_partition(p: JointPmf) -> Partition:
     """Partition of the first axis by identical conditional rows P(V|U=u)."""
     if p.k != 2:
         raise ProbabilityError("mss_partition expects a two-axis pmf")
-    p.require_exact("mss_partition")
     labels, count = _partition_rows(p.mass)
     return Partition(p.axes[0], labels, count)
 
@@ -140,7 +139,7 @@ class MaxUpgrade:
 def _joint_with_labels(mass: np.ndarray, labels: np.ndarray, count: int,
                        axis: int) -> np.ndarray:
     """Exact joint mass of (axis variable, label(u,v,w)) as a dense matrix."""
-    out = zero_mass((mass.shape[axis], count), True)
+    out = zero_mass((mass.shape[axis], count))
     it = np.nditer(labels, flags=["multi_index"])
     for lab in it:
         idx = it.multi_index
@@ -156,7 +155,6 @@ def upgrade_to_saturation(p: JointPmf) -> MaxUpgrade:
     """
     if p.k != 3:
         raise ProbabilityError("upgrade_to_saturation expects a three-axis pmf")
-    p.require_exact("upgrade_to_saturation")
     nu, nv, nw = (a.size for a in p.axes)
     labels = np.empty((nu, nv, nw), dtype=np.int64)
     labels[:, :, :] = np.arange(nw)[None, None, :]
@@ -190,7 +188,7 @@ def _class_joint(p: JointPmf, up: MaxUpgrade) -> np.ndarray:
     """Joint mass of (psi_U(U), U, (psi_V(V), W)), the last as psi_V * |W| + w."""
     nu, nv, nw = p.mass.shape
     cu, cv = up.psi_u.class_of, up.psi_v.class_of
-    joint = zero_mass((up.psi_u.class_count, nu, up.psi_v.class_count * nw), p.exact)
+    joint = zero_mass((up.psi_u.class_count, nu, up.psi_v.class_count * nw))
     for u, v, w in product(range(nu), range(nv), range(nw)):
         joint[cu[u], u, cv[v] * nw + w] += p.mass[u, v, w]
     return joint
@@ -199,7 +197,7 @@ def _class_joint(p: JointPmf, up: MaxUpgrade) -> np.ndarray:
 def markov_residual(p: JointPmf, up: MaxUpgrade) -> float:
     """Conditional mutual information I(U; (psi_V(V), W) | psi_U(U)), nats."""
     total = 0.0
-    for block in _class_joint(p.to_float(), up):
+    for block in _class_joint(p, up).astype(np.float64):
         pa = block.sum()
         if pa <= 0:
             continue
@@ -212,7 +210,6 @@ def markov_residual(p: JointPmf, up: MaxUpgrade) -> float:
 
 def markov_holds_exact(p: JointPmf, up: MaxUpgrade) -> bool:
     """Exact factorization check of U  <->  psi_U(U)  <->  (psi_V(V), W)."""
-    p.require_exact("exact Markov check")
     for block in _class_joint(p, up):
         pa = block.sum()
         if pa == 0:

@@ -37,7 +37,6 @@ class ChannelVars:
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
                  ints: tuple[np.ndarray, int] | None = None):
-        p.require_exact("a channel table")
         self.p = p
         self.coords = coords
         nums, self.den = integer_mass(p.mass) if ints is None else ints
@@ -79,7 +78,7 @@ class ChannelVars:
         map to themselves."""
         axes = tuple(self.p.axes[c] for c in self.coords)
         n = len(self.outs)
-        joint = zero_mass((n, n), True)
+        joint = zero_mass((n, n))
         rowset = set(self.rows)
         for i, tx in enumerate(self.outs):
             if tx in rowset:
@@ -95,7 +94,6 @@ class ChannelTables(dict):
 
     def __init__(self, p: JointPmf):
         super().__init__()
-        p.require_exact("a channel table")
         self.p = p
         self._ints: tuple[np.ndarray, int] | None = None
 

@@ -2,15 +2,14 @@
 
 Dense joint pmfs over products of small alphabets, conditional pmfs
 (channels), empirical types, total variation distance and i.i.d. sampling.
-Two arithmetic modes are supported and never mixed implicitly:
 
-* exact  -- entries are ``fractions.Fraction`` held in object ndarrays;
-  sums and equalities are literal,
-* float  -- float64 entries, normalized to within ``FLOAT_NORMALIZATION_TOL``.
-
-Only this module branches on the mode when it builds, checks, converts or
-serializes a mass array: ``zero_mass`` starts one, ``JointPmf`` and
-``Channel`` share one validator and one JSON codec.
+A law (``JointPmf``) is exact: its entries are ``fractions.Fraction``
+held in an object ndarray, and its sums and equalities are literal.  Its
+one float form is ``to_float()``, the inverse-CDF table ``CellSampler``
+that ``sample_iid`` draws from.  A channel's rows may also be float64,
+normalized to within ``FLOAT_NORMALIZATION_TOL``: an attack only draws
+from them.  ``JointPmf`` and ``Channel`` share one validator and one JSON
+codec, so only this module branches on the arithmetic of a mass array.
 
 Sampling uses numpy's counter-based Philox generator so that runs are
 reproducible bit-for-bit from an integer seed.
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -40,17 +40,16 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ProbabilityError(f"{x!r} has a zero denominator") from None
     raise ProbabilityError(f"cannot interpret {x!r} as an exact rational")
 
 
-def zero_mass(shape, exact: bool) -> np.ndarray:
-    """An all-zero mass array: Fraction entries if ``exact``, else float64."""
-    if not exact:
-        return np.zeros(shape)
-    arr = np.empty(shape, dtype=object)
-    arr.fill(Fraction(0))
-    return arr
+def zero_mass(shape) -> np.ndarray:
+    """An all-zero exact mass array: Fraction entries in an object ndarray."""
+    return np.full(shape, Fraction(0), dtype=object)
 
 
 def integer_mass(mass: np.ndarray) -> tuple[np.ndarray, int]:
@@ -188,40 +187,32 @@ class Alphabet:
 
 
 class JointPmf:
-    """Dense joint pmf over the product of ``axes``.
+    """Dense exact joint pmf over the product of ``axes``.
 
-    ``mass`` is an ndarray of shape ``tuple(a.size for a in axes)``;
-    object dtype means exact mode (Fraction entries), float64 means float
-    mode.  Entries must be nonnegative and sum to one (exactly, or within
-    ``FLOAT_NORMALIZATION_TOL`` in float mode).
+    ``mass`` is an object ndarray of shape ``tuple(a.size for a in axes)``
+    holding Fractions; entries must be nonnegative and sum to one exactly.
     """
 
     __slots__ = ("axes", "mass")
 
     def __init__(self, axes: Sequence[Alphabet], mass):
         self.axes = tuple(axes)
+        if np.asarray(mass).dtype != object:
+            raise ProbabilityError("a pmf must be exact")
         self.mass = _checked_mass(mass, tuple(a.size for a in self.axes), 1, "pmf")
-
-    # -- mode handling -------------------------------------------------
-
-    @property
-    def exact(self) -> bool:
-        return self.mass.dtype == object
 
     @property
     def k(self) -> int:
         """Number of coordinates."""
         return len(self.axes)
 
-    def to_float(self) -> "JointPmf":
-        """Explicit conversion to float mode (identity if already float)."""
-        if not self.exact:
-            return self
-        return JointPmf(self.axes, self.mass.astype(np.float64))
-
-    def require_exact(self, what: str = "operation") -> None:
-        if not self.exact:
-            raise ProbabilityError(f"{what} requires an exact-mode pmf; convert explicitly")
+    def to_float(self) -> "CellSampler":
+        """The law's float form: the inverse-CDF table ``sample_iid`` draws from."""
+        flat = self.mass.astype(np.float64).reshape(-1)
+        support = np.flatnonzero(flat > 0)
+        cum = np.cumsum(flat[support])
+        cum[-1] = 1.0
+        return CellSampler(self.axes, support, cum)
 
     # -- basic accessors -----------------------------------------------
 
@@ -265,21 +256,14 @@ class JointPmf:
     def tv_distance(self, other: "JointPmf"):
         if self.axes != other.axes:
             raise ProbabilityError("tv_distance requires identical axes")
-        diff = self.mass.reshape(-1)
-        odiff = other.mass.reshape(-1)
-        if self.exact and other.exact:
-            return sum(abs(a - b) for a, b in zip(diff, odiff)) / 2
-        a = self.to_float().mass.reshape(-1)
-        b = other.to_float().mass.reshape(-1)
-        return float(np.abs(a - b).sum() / 2.0)
+        pairs = zip(self.mass.reshape(-1), other.mass.reshape(-1))
+        return sum(abs(a - b) for a, b in pairs) / 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointPmf):
             return NotImplemented
-        if self.axes != other.axes or self.exact != other.exact:
-            return False
         # list equality checks identity first: a copy sharing its Fractions is cheap
-        return self.mass.tolist() == other.mass.tolist()
+        return self.axes == other.axes and self.mass.tolist() == other.mass.tolist()
 
     def __hash__(self):
         raise TypeError("JointPmf is not hashable")
@@ -293,7 +277,7 @@ class JointPmf:
     @staticmethod
     def from_json_dict(d: dict) -> "JointPmf":
         axes = tuple(Alphabet(sym) for sym in d["axes"])
-        return JointPmf(axes, _mass_from_json(d["mass"], d.get("mode", "float")))
+        return JointPmf(axes, _mass_from_json(d["mass"], d.get("mode", "exact")))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -303,25 +287,25 @@ class JointPmf:
         return JointPmf.from_json_dict(json.loads(s))
 
 
-def pmf_from_dict(axes: Sequence[Alphabet], entries: dict, exact: bool = True) -> JointPmf:
+def pmf_from_dict(axes: Sequence[Alphabet], entries: dict) -> JointPmf:
     """Build a pmf from {label-tuple: mass}; unspecified entries are 0."""
-    arr = zero_mass(tuple(a.size for a in axes), exact)
+    arr = zero_mass(tuple(a.size for a in axes))
     for labels, v in entries.items():
         arr[tuple(a.index(s) for a, s in zip(axes, labels))] = v
     return JointPmf(axes, arr)
 
 
-def uniform_pmf(axes: Sequence[Alphabet], exact: bool = True) -> JointPmf:
-    mass = zero_mass(tuple(a.size for a in axes), exact)
-    mass[...] = Fraction(1, mass.size)  # 1/n correctly rounded in a float array
-    return JointPmf(axes, mass)
+def uniform_pmf(axes: Sequence[Alphabet]) -> JointPmf:
+    shape = tuple(a.size for a in axes)
+    return JointPmf(axes, np.full(shape, Fraction(1, math.prod(shape)), dtype=object))
 
 
 class Channel:
     """Conditional pmf W(output | input) over products of alphabets.
 
     ``rows`` has shape input-sizes + output-sizes; every input row sums
-    to one.
+    to one.  Rows are exact (object dtype) or float64: an attack draws
+    from either, and ``apply_channel`` needs exact rows.
     """
 
     __slots__ = ("input_axes", "output_axes", "rows")
@@ -361,9 +345,9 @@ class Channel:
         return Channel(input_axes, output_axes, rows)
 
     @staticmethod
-    def identity(axes: Sequence[Alphabet], exact: bool = True) -> "Channel":
+    def identity(axes: Sequence[Alphabet]) -> "Channel":
         n = int(np.prod([a.size for a in axes], dtype=np.int64))
-        return Channel.from_joint(axes, axes, zero_mass((n, n), exact))
+        return Channel.from_joint(axes, axes, zero_mass((n, n)))
 
     def to_json_dict(self) -> dict:
         rows, mode = _mass_to_json(self.rows)
@@ -396,8 +380,8 @@ def apply_channel(p: JointPmf, coords: Sequence[int], w: Channel) -> JointPmf:
         raise ProbabilityError("channel input axes do not match the selected coordinates")
     if len(w.output_axes) != len(coords):
         raise ProbabilityError("channel must output one axis per selected coordinate")
-    if p.exact != w.exact:
-        raise ProbabilityError("pmf and channel arithmetic modes differ; convert explicitly")
+    if not w.exact:
+        raise ProbabilityError("apply_channel needs an exact channel")
 
     rest = tuple(c for c in range(p.k) if c not in coords)
     perm = coords + rest
@@ -568,8 +552,22 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def sample_iid(p: JointPmf, n: int, seed: int) -> SampleBlock:
-    """Draw n i.i.d. tuples from a float-mode pmf over k+1 axes.
+@dataclass(frozen=True, eq=False)
+class CellSampler:
+    """A law's inverse-CDF table, built by ``JointPmf.to_float``.
+
+    ``support`` holds the row-major cells of positive float64 mass over
+    ``axes``, and ``cum`` their cumulative mass, the last entry pinned
+    to 1.0.
+    """
+
+    axes: tuple[Alphabet, ...]
+    support: np.ndarray
+    cum: np.ndarray
+
+
+def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
+    """Draw n i.i.d. tuples over k+1 axes from a law's table ``p.to_float()``.
 
     Inverse CDF over the row-major cells: draw t takes the first cell
     whose cumulative mass exceeds the t-th ``philox(seed)`` uniform, with
@@ -579,18 +577,15 @@ def sample_iid(p: JointPmf, n: int, seed: int) -> SampleBlock:
     cumulative search over all cells gives.  Blocks are a pure function
     of (p, n, seed), bit-for-bit.
     """
-    if p.exact:
-        raise ProbabilityError("sample_iid requires a float-mode pmf; call to_float() explicitly")
+    if not isinstance(table, CellSampler):
+        raise ProbabilityError("sample_iid draws from a law's table; call to_float() explicitly")
     if n < 1:
         raise ProbabilityError("block length must be >= 1")
-    if p.k < 2:
+    if len(table.axes) < 2:
         raise ProbabilityError("pmf must cover at least one user axis plus side info")
-    flat = p.mass.reshape(-1)
-    support = np.flatnonzero(flat > 0)
-    cum = np.cumsum(flat[support])
-    cum[-1] = 1.0
     u = philox(seed).random(n)
-    return SampleBlock.from_cells(p.axes, support[np.searchsorted(cum, u, side="right")])
+    return SampleBlock.from_cells(table.axes,
+                                  table.support[np.searchsorted(table.cum, u, side="right")])
 
 
 def apply_pointwise(fn, block: SampleBlock) -> np.ndarray:

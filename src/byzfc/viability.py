@@ -31,7 +31,7 @@ from .viewsets import induce_view
 
 
 class ViabilityInputError(ValueError):
-    """Bad inputs (float-mode pmf, mismatched axes, ...)."""
+    """Bad inputs (mismatched axes, malformed tables, ...)."""
 
 
 class GBuildConflict(RuntimeError):
@@ -305,7 +305,7 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
         member_axes.extend(p.axes[c] for c in w.coords)
     joint_axes = tuple(p.axes) + tuple(member_axes)
     shape = tuple(ax.size for ax in joint_axes)
-    mass = zero_mass(shape, True)
+    mass = zero_mass(shape)
 
     for vp in members[0].at:
         pv = view.mass[vp]
@@ -373,7 +373,6 @@ def _scan_collection(region: _Region, f: TargetFunction,
 def _validate(p: JointPmf, f: TargetFunction, k: int) -> None:
     if p.k != k + 1:
         raise ViabilityInputError(f"pmf covers {p.k} axes, structure expects {k + 1}")
-    p.require_exact("viability checking")
     if tuple(f.domain_axes) != p.axes:
         raise ViabilityInputError("function domain does not match the pmf axes")
 
@@ -470,7 +469,6 @@ def verify_witness(witness: ViolationWitness, p: JointPmf, f: TargetFunction) ->
     joint = witness.joint
     k = witness.k
     kk = k + 1
-    assert joint.exact, "witness joints must be exact"
     assert joint.mass[witness.point] > 0, "conflicting point has zero mass"
 
     va = _f_at(f, witness.view_point(), witness.member_coords(witness.pair[0]),

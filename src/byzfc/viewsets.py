@@ -50,7 +50,6 @@ class ViewSetHandle:
     adversary_set: frozenset[int]
 
     def __post_init__(self):
-        self.base.require_exact("a view-set handle")
         for c in self.adversary_set:
             if not 0 <= c < self.base.k - 1:
                 raise ProbabilityError(f"adversary coordinate {c} out of range")
@@ -133,7 +132,6 @@ class DistanceScreen:
     """
 
     def __init__(self, p: JointPmf, sets: Sequence[frozenset[int]], thresh):
-        p.require_exact("the distance screen")
         shape, grid, cols, widths = p.mass.shape, np.indices(p.mass.shape).reshape(p.k, -1), [], []
         for s in (*sets, frozenset()):
             rest = [c for c in range(p.k) if c not in s]
@@ -192,7 +190,6 @@ def distance_to_viewset(handle: ViewSetHandle, q: JointPmf, thresh) -> Membershi
     """
     if handle.base.axes != q.axes:
         raise ProbabilityError("query pmf axes do not match the base law")
-    q.require_exact("a view-set query")
     if not handle.coords:
         dist = handle.base.tv_distance(q)
         return MembershipResult(dist, dist, None)

@@ -38,7 +38,7 @@ def _pinned_cumsum(rows: np.ndarray) -> np.ndarray:
 
 
 def ref_sample(p: JointPmf, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    cum = _pinned_cumsum(p.mass.reshape(1, -1))[0]
+    cum = _pinned_cumsum(p.mass.astype(np.float64).reshape(1, -1))[0]
     flat_idx = np.searchsorted(cum, philox(seed).random(n), side="right")
     idx = np.unravel_index(flat_idx, p.mass.shape)
     k = p.k - 1
@@ -102,7 +102,7 @@ class TestSampling:
         for p, seed in mixed_laws(60, 501):
             n = int(philox(seed).integers(1, 3000))
             blk = sample_iid(p.to_float(), n, seed)
-            users, side = ref_sample(p.to_float(), n, seed)
+            users, side = ref_sample(p, n, seed)
             _assert_same(blk.user_seqs, users)
             _assert_same(blk.side_seq, side)
 
@@ -150,14 +150,13 @@ class TestMemoryless:
 
     def test_resample_channel_matches_the_row_compare(self, erasure_pmf):
         reordered = (Alphabet((1, "e", 0)), Alphabet(("x", 0, 1)), Alphabet.binary())
-        laws = [erasure_pmf.to_float(),
+        laws = [erasure_pmf,
                 JointPmf(reordered, random_pmf((3, 3, 2), seed=510, zero_frac=0.3).mass)]
         for t, p in enumerate(laws):
-            pf = p.to_float()
-            pair = (pf.k - 3, pf.k - 2)
-            chan = resample_w_channel((pf.axes[pair[0]], pf.axes[pair[1]])).to_float()
+            pair = (p.k - 3, p.k - 2)
+            chan = resample_w_channel((p.axes[pair[0]], p.axes[pair[1]])).to_float()
             for seed in range(5):
-                blk = sample_iid(pf, 2000, derive_seed(507, t, seed))
+                blk = sample_iid(p.to_float(), 2000, derive_seed(507, t, seed))
                 got = attack(ResampleW(), frozenset(pair), blk, derive_seed(508, t, seed))
                 _assert_same(got.user_seqs,
                              ref_memoryless(chan, pair, blk, derive_seed(508, t, seed)))
@@ -259,8 +258,8 @@ class TestCellPath:
         assert witnesses == 3
 
 
-# float cells summing to 1 - 2**-53, then a zero-mass cell
-SHORT_LAW = np.array([7, 5, 6, 3, 6, 0]) / 27
+# cells whose floats sum to 1 - 2**-53, then a zero-mass cell
+SHORT_LAW = [Fraction(w, 27) for w in (7, 5, 6, 3, 6, 0)]
 TOP_U = np.nextafter(1.0, 0.0)   # the largest value Generator.random returns
 
 
@@ -277,14 +276,14 @@ class _Uniforms:
 def _sample_at(monkeypatch, mass, *uniforms) -> np.ndarray:
     monkeypatch.setattr(probability, "philox", lambda seed: _Uniforms(*uniforms))
     p = JointPmf((Alphabet.of_size(len(mass)), Alphabet.of_size(1)), mass)
-    return sample_iid(p, len(uniforms), seed=0).user_seqs[0]
+    return sample_iid(p.to_float(), len(uniforms), seed=0).user_seqs[0]
 
 
 def _channel_at(monkeypatch, mass, *uniforms) -> np.ndarray:
     """Each uniform drives a letter at every input, all rows of the channel ``mass``."""
     monkeypatch.setattr(adversary, "philox", lambda seed: _Uniforms(*uniforms))
     a, side = Alphabet.of_size(len(mass)), Alphabet.of_size(1)
-    chan = Channel((a,), (a,), np.tile(mass, (len(mass), 1)))
+    chan = Channel((a,), (a,), np.tile(np.asarray(mass, dtype=np.float64), (len(mass), 1)))
     users = np.repeat(np.arange(len(mass)), len(uniforms)).reshape(1, -1)
     blk = SampleBlock((a, side), users, np.zeros(users.size, dtype=np.int64))
     out = attack(MemorylessChannel(chan), frozenset({0}), blk, seed=0).user_seqs[0]
@@ -293,7 +292,7 @@ def _channel_at(monkeypatch, mass, *uniforms) -> np.ndarray:
 
 class TestInverseCdfRule:
     def test_the_short_law_sums_short(self):
-        cum = np.cumsum(SHORT_LAW)
+        cum = np.cumsum(np.asarray(SHORT_LAW, dtype=np.float64))
         assert cum[-1] == 1 - 2**-53 and cum[-1] <= TOP_U
         # the pin on the last entry alone hands TOP_U to the zero-mass cell
         cum[-1] = 1.0
@@ -307,7 +306,8 @@ class TestInverseCdfRule:
 
     def test_a_uniform_on_a_cumulative_sum_takes_the_next_cell(self, monkeypatch):
         # the first cell whose cumulative mass exceeds u; zero-mass cells never
-        mass, uniforms = [0, 0.25, 0, 0.25, 0.5], (0.0, 0.25, 0.5, TOP_U)
+        quarter = Fraction(1, 4)
+        mass, uniforms = [0, quarter, 0, quarter, 2 * quarter], (0.0, 0.25, 0.5, TOP_U)
         want = [1, 3, 4, 4]
         assert list(_sample_at(monkeypatch, mass, *uniforms)) == want
         assert np.all(_channel_at(monkeypatch, mass, *uniforms) == want)

@@ -67,14 +67,17 @@ class TestCheckViability:
 
     def test_float_pmf_rejected_exit_2(self, tmp_path, capsys):
         from byzfc.examples_lib import three_user_erasure_pmf, three_user_erasure_f_uv
-        p = three_user_erasure_pmf().to_float()
+        p = three_user_erasure_pmf()
         f = three_user_erasure_f_uv()
-        (tmp_path / "p.json").write_text(json.dumps(p.to_json_dict()))
+        floats = [float(v) for v in p.mass.reshape(-1)]
+        (tmp_path / "p.json").write_text(json.dumps({**p.to_json_dict(), "mass": floats,
+                                                     "mode": "float"}))
         (tmp_path / "f.json").write_text(json.dumps(f.to_json_dict()))
         code, _, err = run_cli(["check-viability", "--pmf", str(tmp_path / "p.json"),
                                 "--function", str(tmp_path / "f.json"),
                                 "--threshold", "2"], capsys)
         assert code == 2
+        assert "a pmf must be exact" in err
 
     def test_missing_inputs_exit_2(self, capsys):
         code, _, _ = run_cli(["check-viability", "--threshold", "2"], capsys)
@@ -273,7 +276,8 @@ class TestMalformedInput:
                                       "build-g-negative-user", "build-g-axis-7",
                                       "block-extra-users", "adversary-set-bools",
                                       "adversary-set-floats", "build-g-bool-user",
-                                      "build-g-float-user", "mss-float-pmf"])
+                                      "build-g-float-user", "mss-float-pmf",
+                                      "pmf-zero-denominator", "channel-zero-denominator"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -313,7 +317,9 @@ class TestMalformedInput:
             "mode-bogus": lambda: ["decode", "--config", put("c.json", {**config, "mode": "bogus"}),
                                    "--block", put("b.json", block)],
             "exact-over-float": lambda: ["decode", "--config", put("c.json", {
-                **config, "mode": "exact", "pmf": erasure_pmf.to_float().to_json_dict()}),
+                **config, "mode": "exact", "pmf": {
+                    **config["pmf"], "mode": "float",
+                    "mass": [float(v) for v in erasure_pmf.mass.reshape(-1)]}}),
                                          "--block", put("b.json", block)],
             "delta-nan": lambda: ["simulate", put("s.json", {**scenario, "delta": float("nan")})],
             "sweep-gamma-nan": lambda: ["sweep", put("s.json", scenario),
@@ -358,7 +364,7 @@ class TestMalformedInput:
             "pmf-mass-bools": lambda: ["mss", "--pmf", put("p.json", {
                 "axes": [[0, 1], [0, 1]], "mass": [True, False, False, False]})],
             "pmf-mass-strings": lambda: ["mss", "--pmf", put("p.json", {
-                "axes": [[0, 1], [0, 1]], "mass": ["0.5", "0", "0", "0.5"]})],
+                "axes": [[0, 1], [0, 1]], "mass": ["half", "0", "0", "1/2"]})],
             "pmf-mass-ragged": lambda: ["mss", "--pmf", put("p.json", {
                 "axes": [[0, 1], [0, 1]], "mass": [[0.5, 0, 0], [0.5]]})],
             "pmf-exact-bools": lambda: ["mss", "--pmf", put("p.json", {
@@ -386,6 +392,15 @@ class TestMalformedInput:
                 **scenario, "adversary_set": [1.0, 2.0]})],
             "mss-float-pmf": lambda: ["mss", "--pmf", put("p.json", {
                 "axes": [[0, 1], [0, 1], [0, 1]], "mass": [0.5, 0, 0, 0, 0, 0, 0, 0.5]})],
+            "pmf-zero-denominator": lambda: ["check-viability", "--threshold", "1",
+                                             "--pmf", put("p.json", {"axes": [[0, 1]],
+                                                                     "mass": ["1/0", "1"],
+                                                                     "mode": "exact"}),
+                                             "--function", put("f.json", {})],
+            "channel-zero-denominator": lambda: ["simulate", put("s.json", {
+                **scenario, "adversary_set": [0], "strategy": {"kind": "memoryless", "channel": {
+                    "input_axes": [[0, 1]], "output_axes": [[0, 1]],
+                    "rows": ["1/0", "1", "0", "1"], "mode": "exact"}}})],
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -353,11 +352,12 @@ class TestExactModeDecode:
     @pytest.mark.parametrize("mode, float_law", [("bogus", False), ("exact", True)])
     def test_bad_mode_rejected_at_construction(self, mode, float_law, erasure_pmf,
                                                erasure_f_uv, threshold_3_2, erasure_config):
-        # build_decoder_config checks the mode it otherwise ignores; every
-        # config needs an exact law
-        with pytest.raises(DecoderConfigError):
+        # build_decoder_config checks the mode it otherwise ignores; a law
+        # with float mass is refused before it reaches a config
+        with pytest.raises(ProbabilityError if float_law else DecoderConfigError):
             if float_law:
-                dataclasses.replace(erasure_config, base=erasure_pmf.to_float())
+                dataclasses.replace(erasure_config, base=JointPmf(
+                    erasure_pmf.axes, erasure_pmf.mass.astype(np.float64)))
             else:
                 build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, 0.1, mode=mode)
 
@@ -564,26 +564,3 @@ class TestRepairedTableApplied:
         assert np.array_equal(got.defined_mask, g.defined_mask)
         decode(cfg, blk)
         assert len(built) == 1
-
-    def test_concurrent_decodes_build_the_table_once(self, monkeypatch):
-        p, f, g, view, target = self.build_instance()
-        built = []
-
-        def counted(p, f, collection, **kwargs):
-            built.append(collection)
-            return viability.build_g(p, f, collection, **kwargs)
-
-        monkeypatch.setattr(decoder, "build_g", counted)
-        cfg = build_decoder_config(p, f, AdversaryStructure.threshold(2, 1), delta=0.1)
-        blk, _ = self.repair_block(p, view)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(decode, cfg, blk) for _ in range(8)]
-                verdicts = [fut.result(timeout=120) for fut in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(built) == 1
-        for v in verdicts:
-            assert np.array_equal(v.estimate, apply_pointwise(g, blk))

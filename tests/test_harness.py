@@ -82,9 +82,10 @@ class TestRunScenario:
         for rec in r.records:
             assert rec.outcome in ("ok", "E1", "E2")
 
-    def test_threads_agree_with_serial(self):
-        s = tiny_scenario(trials=6)
-        assert run_scenario(s, threads=3).core_dict() == run_scenario(s).core_dict()
+    def test_threads_keyword_must_be_one(self):
+        # trials run serially; the keyword stays for callers that pass 1
+        with pytest.raises(ScenarioError, match="threads must be 1"):
+            run_scenario(tiny_scenario(trials=1), threads=3)
 
     def test_honest_eta_small(self):
         r = run_scenario(tiny_scenario(trials=20, n=3000))

@@ -58,20 +58,22 @@ class TestMssPartition:
         assert part.class_of[2] != part.class_of[0]
 
     def test_float_law_rejected(self):
-        # conditional rows are compared exactly: every entry point refuses a float law
-        p2 = random_pmf((3, 3), seed=1, zero_frac=0.3, max_weight=2).to_float()
-        p3 = random_pmf((2, 3, 2), seed=2, zero_frac=0.3, max_weight=2).to_float()
-        f = TargetFunction(p3.axes, Alphabet.binary(), np.zeros(p3.mass.shape, dtype=np.int64))
-        for call in (lambda: mss_partition(p2), lambda: upgrade_to_saturation(p3),
-                     lambda: common_upgrade(p3), lambda: is_function_of_ystar(p3, f)):
-            with pytest.raises(ProbabilityError, match="requires an exact-mode pmf"):
-                call()
+        # conditional rows are compared exactly: a law with float mass, in
+        # memory or in JSON, is refused before it reaches an entry point
+        for sizes, seed in (((3, 3), 1), ((2, 3, 2), 2)):
+            p = random_pmf(sizes, seed=seed, zero_frac=0.3, max_weight=2)
+            floats = p.mass.astype(np.float64)
+            with pytest.raises(ProbabilityError, match="a pmf must be exact"):
+                JointPmf(p.axes, floats)
+            with pytest.raises(ProbabilityError, match="a pmf must be exact"):
+                JointPmf.from_json_dict({**p.to_json_dict(), "mass": floats.reshape(-1).tolist(),
+                                         "mode": "float"})
 
 
 def brute_force_upgrade(p):
     """Independent fixed-point refinement oracle (naive pairwise merging)."""
-    pf = p.to_float()
-    nu, nv, nw = (a.size for a in pf.axes)
+    mass = p.mass.astype(np.float64)
+    nu, nv, nw = mass.shape
     labels = {(u, v, w): w for u, v, w in product(range(nu), range(nv), range(nw))}
 
     def part_by_rows(axis_size, getter):
@@ -82,7 +84,7 @@ def brute_force_upgrade(p):
             row = np.zeros(nlab)
             for (u, v, w), l in labels.items():
                 if getter(u, v) == a:
-                    row[relab[l]] += pf.mass[u, v, w]
+                    row[relab[l]] += mass[u, v, w]
             tot = row.sum()
             rows.append(None if tot == 0 else row / tot)
         classes = list(range(axis_size))

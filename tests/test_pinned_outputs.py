@@ -6,7 +6,9 @@ The benchmark stores digests of the ``uvw`` witness, the ``uv`` decoder
 config and each workload's seed-1 outputs (``bench/expected.json``).
 Checking them here makes a change that alters one fail the test suite,
 not only the benchmark run.  Those outputs are decode outcomes; the
-raw-block digest pins the sampled and attacked symbol arrays themselves.
+raw-block digests pin the sampled and attacked symbol arrays themselves,
+on the erasure law and on laws with zero cells or a float cumulative sum
+short of 1.
 """
 
 import hashlib
@@ -22,12 +24,25 @@ if str(BENCH) not in sys.path:
 
 import run  # noqa: E402
 import workloads  # noqa: E402
-from byzfc.adversary import BlockSplit, Honest, ResampleW, WitnessDMC, attack  # noqa: E402
+from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW,  # noqa: E402
+                             WitnessDMC, attack)
 from byzfc.decoder import build_decoder_config, config_to_json_dict  # noqa: E402
-from byzfc.probability import derive_seed, sample_iid  # noqa: E402
+from byzfc.examples_lib import random_pmf  # noqa: E402
+from byzfc.probability import (Alphabet, Channel, derive_seed, sample_iid,  # noqa: E402
+                               uniform_pmf)
 
 # sha256 over dtype, shape and bytes of every user_seqs and side_seq below
 RAW_BLOCKS = "4507613aafb891f5abe6f6ca84abfd085df0b830b2208fb812684e3b9a773020"
+SAMPLER_BLOCKS = "ac2813ebeef59dba6786e9726e2559cc39db912cbd511f6a2e56c34709b7fcce"
+
+
+def _digest(blocks) -> str:
+    h = hashlib.sha256()
+    for block in blocks:
+        for arr in (block.user_seqs, block.side_seq):
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 def test_uvw_witness_and_uv_config_match_the_stored_digests(erasure_pmf, erasure_f_uv):
@@ -56,13 +71,30 @@ def test_raw_blocks_of_the_acceptance_scenarios(erasure_pmf):
     both = frozenset({1, 2})
     scenarios = [("honest", frozenset(), Honest()), ("resample", both, ResampleW()),
                  ("split", both, BlockSplit(Honest(), WitnessDMC(witness, m), 0.5))]
-    h = hashlib.sha256()
+    blocks = []
     for seed in (1, 2, 3):
         true = sample_iid(pf, workloads.BLOCK_N, derive_seed(seed, "trial", 0))
-        blocks = [true] + [attack(strategy, aset, true, derive_seed(seed, "attack", name))
-                           for name, aset, strategy in scenarios]
-        for block in blocks:
-            for arr in (block.user_seqs, block.side_seq):
-                h.update(f"{arr.dtype.str}{arr.shape}".encode())
-                h.update(np.ascontiguousarray(arr).tobytes())
-    assert h.hexdigest() == RAW_BLOCKS
+        blocks += [true] + [attack(strategy, aset, true, derive_seed(seed, "attack", name))
+                            for name, aset, strategy in scenarios]
+    assert _digest(blocks) == RAW_BLOCKS
+
+
+def test_raw_blocks_of_laws_with_zero_cells_and_a_short_float_sum():
+    """Random laws with k = 2, 3 and 4 users and zero cells, and a law of ten
+    cells of 1/10, whose float cumulative sum is 0.9999999999999999: the
+    blocks each draws, and a float memoryless channel's attack on the k = 2
+    law."""
+    laws = [random_pmf(sizes, seed=derive_seed(70, k), zero_frac=0.3)
+            for k, sizes in enumerate([(2, 3, 2), (3, 2, 2, 2), (2, 2, 3, 2, 2)], start=2)]
+    laws.append(uniform_pmf((Alphabet.of_size(5), Alphabet.binary())))
+    assert all((law.mass == 0).any() for law in laws[:3])
+    assert np.cumsum(laws[3].mass.astype(np.float64).reshape(-1))[-1] < 1.0
+    channel = Channel((laws[0].axes[1],), (laws[0].axes[1],),
+                      [0.9, 0.05, 0.05, 0.1, 0.8, 0.1, 0.0, 0.3, 0.7])
+    blocks = []
+    for seed in (1, 2, 3):
+        for i, law in enumerate(laws):
+            blocks.append(sample_iid(law.to_float(), 997, derive_seed(seed, "law", i)))
+        blocks.append(attack(MemorylessChannel(channel), frozenset({1}), blocks[-4],
+                             derive_seed(seed, "memoryless")))
+    assert _digest(blocks) == SAMPLER_BLOCKS

@@ -3,11 +3,12 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from byzfc.examples_lib import random_pmf
 from byzfc.polytope import ChannelTables, ChannelVars
-from byzfc.probability import Channel, ProbabilityError, integer_mass
+from byzfc.probability import Channel, JointPmf, ProbabilityError, integer_mass
 from byzfc.viewsets import ViewSetHandle, induce_view
 
 from test_viewsets import random_channel
@@ -68,9 +69,9 @@ def test_integer_view_rows_are_the_view_rows_times_the_denominator(law, threshol
 
 
 def test_float_view_rows_are_the_float_view(law, threshold_3_2):
-    # an exact row over den, divided in float, holds the float law's mass,
-    # so it evaluates at a float channel to the float view
-    pf = law.to_float()
+    # an exact row over den, divided in float, holds the law's float mass,
+    # so it evaluates at a channel's float rows to the view, up to rounding
+    pf = law.mass.astype(np.float64)
     views = list(product(*(range(a.size) for a in law.axes)))
     for s in threshold_3_2.sets:
         if not s:
@@ -78,26 +79,27 @@ def test_float_view_rows_are_the_float_view(law, threshold_3_2):
         coords = tuple(sorted(s))
         w = ChannelVars(law, coords)
         axes = tuple(law.axes[c] for c in coords)
-        chan = random_channel(axes, seed=7, exact=False)
-        x = {var: chan.rows[tx + ux] for (tx, ux), var in w.var.items()}
-        view = induce_view(pf, s, chan)
+        chan = random_channel(axes, seed=7, exact=True)
+        x = {var: float(chan.rows[tx + ux]) for (tx, ux), var in w.var.items()}
+        view = induce_view(law, s, chan)
         for v in views:
             row = {var: num / w.den for var, num in w.view_row(v).items()}
             for tx, var, _ in w.at[v]:
                 full = list(v)
                 for pos, c in enumerate(coords):
                     full[c] = tx[pos]
-                assert row[var] == pf.mass[tuple(full)]
+                assert row[var] == pf[tuple(full)]
             got = sum(c * x[var] for var, c in row.items())
-            assert got == pytest.approx(view.mass[v], abs=1e-12)
+            assert got == pytest.approx(float(view.mass[v]), abs=1e-12)
 
 
 def test_tables_need_an_exact_law(law):
-    pf = law.to_float()
-    for build in (lambda: ChannelVars(pf, (0,)), lambda: ChannelTables(pf)[(0,)],
-                  lambda: ViewSetHandle(pf, frozenset({0}))):
-        with pytest.raises(ProbabilityError, match="requires an exact-mode pmf"):
-            build()
+    # a table's coefficients are the law's integer numerators; a law with
+    # float mass is refused before a table can read it
+    table = ChannelTables(law)[(0,)]
+    assert all(type(num) is int for terms in table.at.values() for _, _, num in terms)
+    with pytest.raises(ProbabilityError, match="a pmf must be exact"):
+        JointPmf(law.axes, law.mass.astype(np.float64))
 
 
 def test_identity_point_is_identity_channel(law, threshold_3_2):
@@ -143,16 +145,16 @@ def test_table_matches_definition(law, threshold_3_2):
 @pytest.mark.parametrize("as_float", [False, True])
 def test_rows_are_the_marginal_support(law, threshold_3_2, erasure_pmf, as_float):
     # as_float: the table the float LP reads, against the float marginal
-    p = law.to_float() if as_float else law
+    mass = law.mass.astype(np.float64) if as_float else law.mass
     dropped = 0
     for s in threshold_3_2.sets:
         if not s:
             continue
         coords = tuple(sorted(s))
         w = ViewSetHandle(law, s)._float_lp[0] if as_float else ChannelVars(law, coords)
-        marg = p.marginalize(coords)
-        support = [tx for tx in product(*(range(p.axes[c].size) for c in coords))
-                   if marg.mass[tx] > 0]
+        marg = mass.sum(axis=tuple(c for c in range(law.k) if c not in coords))
+        support = [tx for tx in product(*(range(law.axes[c].size) for c in coords))
+                   if marg[tx] > 0]
         assert w.rows == support
         dropped += len(w.outs) - len(w.rows)
     # the erasure law leaves inputs off its pair marginals' support

@@ -13,17 +13,11 @@ import numpy as np
 import pytest
 
 from byzfc.adversary import resample_w_channel
-from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError,
+from byzfc.probability import (Alphabet, CellSampler, Channel, JointPmf, ProbabilityError,
                                SampleBlock, apply_channel, apply_pointwise,
                                derive_seed, empirical_type, hamming_distortion,
                                integer_mass, philox, pmf_from_dict, sample_iid,
                                tv_distance, type_counts, uniform_pmf, zero_mass)
-
-
-def random_float_pmf(sizes, seed):
-    rng = philox(seed)
-    m = rng.random(sizes) + 1e-3
-    return JointPmf([Alphabet.of_size(s) for s in sizes], m / m.sum())
 
 
 def random_exact_pmf(sizes, seed, max_weight=6):
@@ -53,10 +47,11 @@ class TestAlphabet:
 
 class TestConstruction:
     def test_float_normalization_tolerance(self):
+        # float rows are a channel's: each sums to 1 within the tolerance
         a = Alphabet.binary()
-        JointPmf((a,), [0.5, 0.5 + 1e-10])
-        with pytest.raises(ProbabilityError):
-            JointPmf((a,), [0.5, 0.6])
+        Channel((a,), (a,), [0.5, 0.5 + 1e-10, 1.0, 0.0])
+        with pytest.raises(ProbabilityError, match="float channel row 0 sums to 1.1"):
+            Channel((a,), (a,), [0.5, 0.6, 1.0, 0.0])
 
     def test_exact_must_sum_to_one(self):
         a = Alphabet.binary()
@@ -65,15 +60,17 @@ class TestConstruction:
 
     def test_negative_rejected(self):
         a = Alphabet.binary()
-        with pytest.raises(ProbabilityError):
-            JointPmf((a,), [-0.1, 1.1])
+        with pytest.raises(ProbabilityError, match="negative pmf entry"):
+            JointPmf((a,), [Fraction(-1, 10), Fraction(11, 10)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pmf_rejected(self, bad):
-        # a NaN total passes any |total - 1| > tol test
+        # float mass is refused before any sum, a NaN included
         a = Alphabet.binary()
-        with pytest.raises(ProbabilityError, match="non-finite"):
+        with pytest.raises(ProbabilityError, match="a pmf must be exact"):
             JointPmf((a, a), [bad, 1.0, 0.0, 0.0])
+        with pytest.raises(ProbabilityError, match="a pmf must be exact"):
+            JointPmf((a, a), np.array([0.25, 0.25, 0.25, 0.25]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_channel_rejected(self, bad):
@@ -86,7 +83,7 @@ class TestChannelFromJoint:
     def test_zero_row_maps_to_its_own_input(self):
         a = Alphabet.of_size(3)
         for exact in (True, False):
-            joint = zero_mass((3, 3), exact)
+            joint = zero_mass((3, 3)) if exact else np.zeros((3, 3))
             joint[0, 2] = joint[2, 0] = Fraction(1, 2)
             w = Channel.from_joint((a,), (a,), joint)
             assert w.exact == exact
@@ -116,7 +113,7 @@ class TestChannelFromJoint:
             assert np.allclose(w.rows[i] * joint[i].sum(), joint[i])
 
     def test_input_left_unchanged(self):
-        joint = zero_mass((2, 2), True)
+        joint = zero_mass((2, 2))
         joint[0, 0] = Fraction(2)
         Channel.from_joint((Alphabet.binary(),), (Alphabet.binary(),), joint)
         assert joint.tolist() == [[2, 0], [0, 0]]
@@ -124,7 +121,7 @@ class TestChannelFromJoint:
     @pytest.mark.parametrize("exact", [True, False])
     def test_identity_is_the_identity_matrix(self, exact):
         axes = (Alphabet.binary(), Alphabet.of_size(3))
-        w = Channel.identity(axes, exact=exact)
+        w = Channel.identity(axes) if exact else Channel.identity(axes).to_float()
         assert w.exact == exact
         flat = w.rows.reshape(6, 6)
         for i, j in product(range(6), range(6)):
@@ -144,18 +141,18 @@ class TestMarginalize:
         assert m.prob(("e2",)) == Fraction(1, 4)
 
     def test_against_double_loop_oracle(self):
-        p = random_float_pmf((3, 4, 2), seed=3)
+        p = random_exact_pmf((3, 4, 2), seed=3)
         m = p.marginalize((0, 2))
-        expect = np.zeros((3, 2))
+        expect = zero_mass((3, 2))
         for i, j, k in product(range(3), range(4), range(2)):
             expect[i, k] += p.mass[i, j, k]
-        assert np.allclose(m.mass, expect)
+        assert m.mass.tolist() == expect.tolist()
 
     def test_keep_order_respected(self):
-        p = random_float_pmf((3, 4, 2), seed=4)
+        p = random_exact_pmf((3, 4, 2), seed=4)
         a = p.marginalize((2, 0))
         b = p.marginalize((0, 2))
-        assert np.allclose(a.mass, b.mass.T)
+        assert a.mass.tolist() == b.mass.T.tolist()
 
     def test_composition_law_exact(self):
         for seed in range(25):
@@ -183,17 +180,19 @@ class TestApplyChannel:
         w = resample_w_channel((erasure_pmf.axes[1], erasure_pmf.axes[2]))
         out = apply_channel(erasure_pmf, (1, 2), w)
         assert out.marginalize((0, 3)) == erasure_pmf.marginalize((0, 3))
-        expect = np.zeros((2, 3))
+        expect = zero_mass((2, 3))
         for idx in product(range(2), range(3), range(3), range(3)):
-            expect[idx[0], idx[3]] += float(erasure_pmf.mass[idx])
-        assert np.allclose(out.to_float().marginalize((0, 3)).mass, expect)
+            expect[idx[0], idx[3]] += erasure_pmf.mass[idx]
+        assert out.marginalize((0, 3)).mass.tolist() == expect.tolist()
 
     def test_bsc_half_on_uniform_bit(self):
         a = Alphabet.binary()
         p = uniform_pmf([a, a])
-        w = Channel((a,), (a,), np.full((2, 2), 0.5))
-        out = apply_channel(p.to_float(), (0,), w)
-        assert np.allclose(out.mass, 0.25)
+        w = Channel((a,), (a,), np.full((2, 2), Fraction(1, 2)))
+        out = apply_channel(p, (0,), w)
+        assert out.mass.tolist() == [[Fraction(1, 4)] * 2] * 2
+        with pytest.raises(ProbabilityError, match="needs an exact channel"):
+            apply_channel(p, (0,), w.to_float())
 
     def test_untouched_marginal_preserved_exact(self):
         rng = philox(77)
@@ -227,19 +226,19 @@ class TestTVDistance:
         assert p.tv_distance(q) == 1
 
     def test_half_l1_oracle(self):
-        p = random_float_pmf((4, 3), seed=5)
-        q = random_float_pmf((4, 3), seed=6)
-        direct = 0.0
+        p = random_exact_pmf((4, 3), seed=5)
+        q = random_exact_pmf((4, 3), seed=6)
+        direct = Fraction(0)
         for i, j in product(range(4), range(3)):
             direct += abs(p.mass[i, j] - q.mass[i, j])
-        assert abs(tv_distance(p, q) - direct / 2) < 1e-12
+        assert tv_distance(p, q) == direct / 2
 
     def test_triangle_inequality(self):
         for seed in range(40):
-            p = random_float_pmf((3, 3), seed=seed)
-            q = random_float_pmf((3, 3), seed=seed + 100)
-            r = random_float_pmf((3, 3), seed=seed + 200)
-            assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r) + 1e-12
+            p = random_exact_pmf((3, 3), seed=seed)
+            q = random_exact_pmf((3, 3), seed=seed + 100)
+            r = random_exact_pmf((3, 3), seed=seed + 200)
+            assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r)
 
     def test_axis_mismatch(self):
         p = uniform_pmf([Alphabet.binary()])
@@ -371,7 +370,8 @@ class TestEmpiricalType:
                            rng.integers(0, sizes[-1], n))
             counts = type_counts(blk)
             assert counts.shape == (math.prod(sizes),) and counts.sum() == n
-            assert np.array_equal(counts / n, empirical_type(blk).to_float().mass.reshape(-1))
+            assert np.array_equal(counts / n,
+                                  empirical_type(blk).mass.reshape(-1).astype(np.float64))
 
     def test_empty_block_has_no_type(self):
         a = Alphabet.binary()
@@ -389,12 +389,12 @@ class TestEmpiricalType:
 class TestSampleIid:
     def test_point_mass_constant_block(self):
         a = Alphabet.of_size(3)
-        p = pmf_from_dict((a, a), {(2, 1): 1.0}, exact=False)
-        blk = sample_iid(p, 50, seed=0)
+        p = pmf_from_dict((a, a), {(2, 1): 1})
+        blk = sample_iid(p.to_float(), 50, seed=0)
         assert np.all(blk.user_seqs[0] == 2) and np.all(blk.side_seq == 1)
 
     def test_deterministic_given_seed(self):
-        p = random_float_pmf((2, 3), seed=2)
+        p = random_exact_pmf((2, 3), seed=2).to_float()
         b1 = sample_iid(p, 100, seed=123)
         b2 = sample_iid(p, 100, seed=123)
         assert np.array_equal(b1.user_seqs, b2.user_seqs)
@@ -404,17 +404,29 @@ class TestSampleIid:
 
     def test_exact_mode_rejected(self):
         p = random_exact_pmf((2, 2), seed=0)
-        with pytest.raises(ProbabilityError):
+        with pytest.raises(ProbabilityError, match="call to_float"):
             sample_iid(p, 10, seed=0)
+
+    def test_table_is_the_support_and_its_pinned_cumulative_sum(self):
+        # ten cells of 1/10 sum to 0.9999999999999999 in float; the last
+        # entry is pinned to 1.0 and zero cells are left out
+        a = Alphabet.of_size(11)
+        mass = zero_mass((11, 2))
+        mass[1:, 0] = Fraction(1, 10)
+        table = JointPmf((a, Alphabet.binary()), mass).to_float()
+        assert isinstance(table, CellSampler) and table.axes[0] is a
+        assert table.support.tolist() == list(range(2, 22, 2))
+        assert table.cum.tolist() == np.cumsum([0.1] * 9).tolist() + [1.0]
+        assert np.cumsum([0.1] * 10)[-1] < 1.0
 
     def test_uniform_bit_type_concentrates(self):
         a = Alphabet.binary()
-        p = uniform_pmf([a, a], exact=False)
+        p = uniform_pmf([a, a])
+        table = p.to_float()
         fails = 0
         for seed in range(200):
-            blk = sample_iid(p, 10_000, seed=derive_seed(42, seed))
-            ty = empirical_type(blk).to_float()
-            if tv_distance(ty, p) > 0.05:
+            blk = sample_iid(table, 10_000, seed=derive_seed(42, seed))
+            if tv_distance(empirical_type(blk), p) > 0.05:
                 fails += 1
         assert fails <= 2  # >= 99% of seeds
 
@@ -488,12 +500,7 @@ class TestHamming:
 class TestSerialization:
     def test_exact_roundtrip(self, erasure_pmf):
         again = JointPmf.loads(erasure_pmf.dumps())
-        assert again == erasure_pmf and again.exact
-
-    def test_float_roundtrip(self):
-        p = random_float_pmf((2, 3), seed=11)
-        again = JointPmf.from_json_dict(p.to_json_dict())
-        assert np.allclose(again.mass, p.mass) and not again.exact
+        assert again == erasure_pmf and again.mass.dtype == object
 
     def test_rationals_as_strings(self, erasure_pmf):
         d = erasure_pmf.to_json_dict()
@@ -512,9 +519,11 @@ class TestSerialization:
         again = Channel.from_json_dict(d)
         assert not again.exact and np.array_equal(again.rows, w.rows)
 
-    def test_absent_mode_means_float(self):
-        p = JointPmf.from_json_dict({"axes": [[0, 1]], "mass": [0.5, 0.5]})
-        assert not p.exact
+    def test_absent_mode_means_exact(self):
+        p = JointPmf.from_json_dict({"axes": [[0, 1]], "mass": ["1/2", "1/2"]})
+        assert p == uniform_pmf((Alphabet.binary(),))
+        with pytest.raises(ProbabilityError, match="a pmf must be exact"):
+            JointPmf.from_json_dict({"axes": [[0, 1]], "mass": [0.5, 0.5], "mode": "float"})
 
     @pytest.mark.parametrize("mode", ["exakt", "Exact", None, 1])
     def test_unknown_mode_rejected(self, erasure_pmf, mode):
@@ -532,8 +541,9 @@ class TestSerialization:
         ([[0.5, 0], [0.5]], "float", "must be a number"),
         ([["1/2", 0], ["1/2"]], "exact", "cannot interpret"),
         ("1", "exact", "must be a list"),
+        (["1/0", "1"], "exact", "'1/0' has a zero denominator"),
     ], ids=["float-bools", "float-strings", "exact-bools", "float-ragged", "exact-ragged",
-            "exact-string"])
+            "exact-string", "exact-zero-denominator"])
     def test_malformed_mass_values_rejected(self, mass, mode, match):
         with pytest.raises(ProbabilityError, match=match):
             JointPmf.from_json_dict({"axes": [[0, 1]], "mass": mass, "mode": mode})
@@ -544,7 +554,6 @@ class TestSerialization:
     def test_equality_compares_every_entry(self, erasure_pmf):
         same = JointPmf(erasure_pmf.axes, erasure_pmf.mass.copy())
         assert same == erasure_pmf and same.mass[0, 0, 0, 0] is erasure_pmf.mass[0, 0, 0, 0]
-        assert erasure_pmf.to_float() == same.to_float() and erasure_pmf != same.to_float()
         moved = erasure_pmf.mass.reshape(-1).copy()
         moved[[0, 1]] = moved[[1, 0]]     # 1/4 and 0 trade places
         assert moved[1] > 0
@@ -552,9 +561,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_short_mass_rejected(self, erasure_pmf, exact):
-        d = (erasure_pmf if exact else erasure_pmf.to_float()).to_json_dict()
+        # exact: "n/d" strings; not exact: the integer numerators over 8
+        d = erasure_pmf.to_json_dict()
+        mass = d["mass"] if exact else [int(v * 8) for v in erasure_pmf.mass.reshape(-1)]
         with pytest.raises(ProbabilityError, match="pmf has 53 entries, not 54"):
-            JointPmf.from_json_dict({**d, "mass": d["mass"][:-1]})
+            JointPmf.from_json_dict({**d, "mass": mass[:-1]})
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_short_channel_rows_rejected(self, erasure_pmf, exact):

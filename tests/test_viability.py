@@ -51,9 +51,10 @@ class TestCheckViability:
         va, vb = w.f_values
         assert va[:2] == vb[:2] and va[2] != vb[2]
 
-    def test_float_mode_rejected(self, erasure_pmf, erasure_f_uv):
-        with pytest.raises(ProbabilityError, match="viability checking requires an exact-mode pmf"):
-            check_s_viability(erasure_pmf.to_float(), erasure_f_uv, 2)
+    def test_float_mode_rejected(self, erasure_pmf):
+        # the verdict is exact: a law with float mass cannot be built to reach it
+        with pytest.raises(ProbabilityError, match="a pmf must be exact"):
+            JointPmf(erasure_pmf.axes, erasure_pmf.mass.astype(np.float64))
 
     def test_k1_mss_function_viable(self):
         from byzfc.examples_lib import single_user_erasure_f, single_user_erasure_pmf

@@ -108,15 +108,13 @@ class TestDistance:
         assert gap > 0
         assert res.upper == gap
         # grid oracle over binary channels upper-bounds and approaches it
-        best = 1.0
-        pf, qf = p.to_float(), q.to_float()
-        for a00 in np.linspace(0, 1, 21):
-            for a10 in np.linspace(0, 1, 21):
+        best = 1
+        grid = [Fraction(i, 20) for i in range(21)]
+        for a00 in grid:
+            for a10 in grid:
                 w = Channel((b,), (b,), np.array([[a00, 1 - a00], [a10, 1 - a10]]))
-                view = induce_view(pf, {0}, w)
-                best = min(best, tv_distance(view, qf))
-        assert best >= float(res.upper) - 1e-9
-        assert best <= float(res.upper) + 0.05
+                best = min(best, tv_distance(induce_view(p, {0}, w), q))
+        assert res.upper <= best <= res.upper + Fraction(1, 20)
 
     def test_induced_views_have_distance_zero(self, erasure_pmf):
         for seed in range(6):
@@ -170,9 +168,8 @@ class TestHandleCache:
         for aset in ({0}, {1, 2}):
             shared = ViewSetHandle(erasure_pmf, frozenset(aset))
             for seed in range(3):
-                law = JointPmf(erasure_pmf.axes,
-                               (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape)))
-                q = empirical_type(sample_iid(law, 300, seed=seed))
+                law = rational_pmf(erasure_pmf.axes, rng)
+                q = empirical_type(sample_iid(law.to_float(), 300, seed=seed))
 
                 def solve(h):
                     return _distance_exact(h, q) if exact else distance_to_viewset(h, q, 1)
@@ -233,7 +230,6 @@ def test_integer_distance_rows_match_the_fraction_rows(erasure_pmf, threshold_3_
                         want[i, j] = float(v)
                 assert np.array_equal(A, want)
             for q in types:
-                assert q.exact
                 if aset:
                     got = _distance_exact(handle, q)
                     dist, chan = _fraction_distance(handle, q)
@@ -247,15 +243,15 @@ def test_integer_distance_rows_match_the_fraction_rows(erasure_pmf, threshold_3_
 
 
 def _float_law_lp(law: JointPmf, aset: frozenset) -> np.ndarray:
-    """The float view-distance LP's matrix as a table of the float law built
-    it: the float mass P(v with A <- tx) on W(ux | tx) for inputs tx in the
-    float marginal's support, -1 and 1 on the view slacks, then the row sums."""
-    pf, coords = law.to_float(), tuple(sorted(aset))
-    axes = tuple(pf.axes[c] for c in coords)
+    """The float view-distance LP's matrix as a table of the law's float mass
+    built it: the float mass P(v with A <- tx) on W(ux | tx) for inputs tx in
+    the float marginal's support, -1 and 1 on the view slacks, then the row sums."""
+    pf, coords = law.mass.astype(np.float64), tuple(sorted(aset))
+    axes = tuple(law.axes[c] for c in coords)
     outs = list(product(*(range(a.size) for a in axes)))
-    marg = pf.marginalize(coords)
-    ins = [tx for tx in outs if marg.mass[tx] > 0]
-    views = list(product(*(range(a.size) for a in pf.axes)))
+    marg = pf.sum(axis=tuple(c for c in range(law.k) if c not in coords))
+    ins = [tx for tx in outs if marg[tx] > 0]
+    views = list(product(*(range(a.size) for a in law.axes)))
     no, nv = len(outs), len(views)
     nw = len(ins) * no
     A = np.zeros((nv + len(ins), nw + 2 * nv))
@@ -265,7 +261,7 @@ def _float_law_lp(law: JointPmf, aset: frozenset) -> np.ndarray:
             full = list(v)
             for pos, c in enumerate(coords):
                 full[c] = tx[pos]
-            A[vi, ti * no + outs.index(ux)] = pf.mass[tuple(full)]
+            A[vi, ti * no + outs.index(ux)] = pf[tuple(full)]
         A[vi, nw + vi], A[vi, nw + nv + vi] = -1, 1
     for ti in range(len(ins)):
         A[nv + ti, ti * no:(ti + 1) * no] = 1
@@ -273,7 +269,7 @@ def _float_law_lp(law: JointPmf, aset: frozenset) -> np.ndarray:
 
 
 def test_float_lp_matrix_is_the_float_laws(erasure_pmf, threshold_3_2):
-    # num / den in float and the float law's mass are both P's entry
+    # num / den in float and the law's float mass are both P's entry
     # correctly rounded, so reading the exact table moves no bit
     laws = [erasure_pmf] + [random_pmf(sizes, seed=seed, max_weight=top)
                             for sizes in ((2, 2, 2, 2), (3, 3, 3, 2), (2, 3, 3, 2))
@@ -379,8 +375,6 @@ class TestCertificate:
             res, want = distance_to_viewset(h, q, 0.1), _distance_exact(h, q)
             assert (res.lower, res.upper) == (want.lower, want.upper)
             assert np.array_equal(res.nearest_channel.rows, want.nearest_channel.rows)
-        with pytest.raises(ProbabilityError, match="requires an exact-mode pmf"):
-            distance_to_viewset(h, q.to_float(), 0.1)
 
 
 def reference_lower(w: ChannelVars, q: JointPmf, g: list[int]) -> Fraction:
@@ -406,12 +400,10 @@ class TestMembership:
 
     def test_delta_one_contains_everything(self, erasure_pmf, erasure_f_uv, threshold_3_2,
                                            erasure_config):
-        rng = philox(4)
-        q = JointPmf(erasure_pmf.axes,
-                     (lambda m: m / m.sum())(rng.random(erasure_pmf.mass.shape)))
+        q = rational_pmf(erasure_pmf.axes, philox(4))
         cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
                             delta=1.0, g_tables=erasure_config.g_tables)
-        blk = sample_iid(q, 500, seed=4)
+        blk = sample_iid(q.to_float(), 500, seed=4)
         assert explanation_set(cfg, blk) == list(range(len(threshold_3_2.sets)))
 
     def test_honest_type_in_all_viewsets(self, erasure_pmf, threshold_3_2, erasure_config,
@@ -479,7 +471,7 @@ def screen_blocks(erasure_pmf, erasure_f_uvw):
               attacked("split", both, BlockSplit(Honest(), WitnessDMC(witness, m)))]
     far = [attacked("w0", frozenset({0}), MemorylessChannel(random_channel(axes[:1], 1))),
            attacked("w12", both, MemorylessChannel(random_channel(axes[1:3], 2))),
-           flip, attacked("uniform", frozenset(), Honest(), uniform_pmf(axes, exact=False))]
+           flip, attacked("uniform", frozenset(), Honest(), uniform_pmf(axes).to_float())]
     for r in far:
         blocks += [splice(honest, r, int(t * n)) for t in (0.25, 0.5, 1.0)]
     return blocks
@@ -521,8 +513,8 @@ class TestScreen:
         sets = [frozenset(s) for s in ({0}, {1, 2})]
         assert DistanceScreen(erasure_pmf, sets, 0.1).bounds(counts) == [(0, 0), (0, 0)]
         assert DistanceScreen(erasure_pmf, [], 0.1).bounds(counts) == []
-        with pytest.raises(ProbabilityError, match="requires an exact-mode pmf"):
-            DistanceScreen(erasure_pmf.to_float(), sets, 0.1)
+        with pytest.raises(ProbabilityError, match="a pmf must be exact"):
+            JointPmf(erasure_pmf.axes, erasure_pmf.mass.astype(np.float64))
 
     @pytest.mark.parametrize("counts", [np.arange(53), np.zeros(54, dtype=np.int64)],
                              ids=["one-short", "empty"])
@@ -647,7 +639,7 @@ class TestScreenArithmetic:
         screens += [(DistanceScreen(law_over(den, den), self.SETS, 0.1), law_over(den, den))
                     for den in (8 * 9 * 5, 2**31 - 1, 2**40 + 3)]
         for screen, law in screens:
-            p = law.to_float().mass.reshape(-1)
+            p = law.mass.reshape(-1).astype(np.float64)
             for n in (1, 7, 5000, int(rng.integers(1, 10**6))):
                 self.check(screen, rng.multinomial(n, p), int64=True)
                 # counts unlike the law's: some cells empty, others crowded
@@ -660,7 +652,7 @@ class TestScreenArithmetic:
         # overflows int64 from BOUNDARY + 1 on
         law = law_over(2**40 + 3, 531)
         screen, rng = DistanceScreen(law, self.SETS, 0.1), philox(532)
-        p = law.to_float().mass.reshape(-1)
+        p = law.mass.reshape(-1).astype(np.float64)
         for n in range(self.BOUNDARY - 2, self.BOUNDARY + 3):
             point = np.zeros(p.size, dtype=np.int64)
             point[0] = n
@@ -673,5 +665,5 @@ class TestScreenArithmetic:
         law = law_over(2**61 + 1, seed)
         screen, rng = DistanceScreen(law, self.SETS, 0.1), philox(533 + seed)
         for n in (4, 5000):
-            self.check(screen, rng.multinomial(n, law.to_float().mass.reshape(-1)),
+            self.check(screen, rng.multinomial(n, law.mass.reshape(-1).astype(np.float64)),
                        int64=False)
