@@ -24,7 +24,7 @@ import numpy as np
 
 from .examples_lib import resolve_example
 from .probability import (MALFORMED, Alphabet, Channel, SampleBlock, cell_table, derive_seed,
-                          json_number, philox, zero_mass)
+                          guide_table, inverse_cdf, json_number, philox, zero_mass)
 from .viability import ViolationWitness, check_viability
 
 
@@ -146,17 +146,14 @@ class _ChannelCdf:
 
     ``cums[i, j]``, input i's cumulative mass up to output cell j, is
     pinned to 1.0 from the row's last positive entry on, so no uniform
-    lands on a zero-mass cell after it.  A 0 entry counts for every
-    uniform in [0, 1) and a 1 for none, so only the output cells with an
-    entry strictly between depend on the draw: ``columns`` holds their
-    entries, one row per output cell, and ``base[i]`` counts input i's
-    zero entries among the other cells.
+    lands on a zero-mass cell after it.  ``guide`` is their
+    ``guide_table``, one row per input cell.
     """
 
     input_axes: tuple[Alphabet, ...]
     output_axes: tuple[Alphabet, ...]
-    base: np.ndarray
-    columns: np.ndarray
+    cums: np.ndarray
+    guide: np.ndarray
 
     @staticmethod
     def of(chan: Channel) -> "_ChannelCdf":
@@ -165,9 +162,7 @@ class _ChannelCdf:
         cums = np.cumsum(rows, axis=1)
         last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
         cums[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
-        drawn = ((cums > 0) & (cums < 1)).any(axis=0)
-        return _ChannelCdf(chan.input_axes, chan.output_axes, (cums[:, ~drawn] == 0).sum(axis=1),
-                           np.ascontiguousarray(cums[:, drawn].T))
+        return _ChannelCdf(chan.input_axes, chan.output_axes, cums, guide_table(cums))
 
 
 @cache
@@ -184,16 +179,11 @@ def _apply_memoryless(cdf: _ChannelCdf, in_seq: np.ndarray, seed: int) -> np.nda
     Inverse CDF per letter: the reported output cell is the first whose
     cumulative mass in the true input's row exceeds the letter's
     ``philox(seed)`` uniform, which is the number of the row's entries
-    <= that uniform.  The count is ``base`` plus one compare per output
-    column that depends on the draw; it equals the count over the whole
-    row, so each letter is the one a search of its input's row gives.
-    Output cells are a pure function of (channel, in_seq, seed), bit-for-bit.
+    <= that uniform.  ``inverse_cdf`` counts them through the guide, the
+    count a search of the input's row gives, letter for letter.  Output
+    cells are a pure function of (channel, in_seq, seed), bit-for-bit.
     """
-    u = philox(seed).random(in_seq.shape[0])
-    out_seq = np.take(cdf.base, in_seq)
-    for col in cdf.columns:
-        out_seq += np.take(col, in_seq) <= u
-    return out_seq
+    return inverse_cdf(cdf.cums, cdf.guide, philox(seed).random(in_seq.shape[0]), in_seq)
 
 
 def _reported(strategy: AttackStrategy, adversary_set: frozenset,

@@ -12,7 +12,8 @@ from them.  ``JointPmf`` and ``Channel`` share one validator and one JSON
 codec, so only this module branches on the arithmetic of a mass array.
 
 Sampling uses numpy's counter-based Philox generator so that runs are
-reproducible bit-for-bit from an integer seed.
+reproducible bit-for-bit from an integer seed.  Laws and attack channels
+draw letters by one guide-table routine, ``inverse_cdf``, equal to a binary search.
 """
 
 from __future__ import annotations
@@ -207,12 +208,12 @@ class JointPmf:
         return len(self.axes)
 
     def to_float(self) -> "CellSampler":
-        """The law's float form: the inverse-CDF table ``sample_iid`` draws from."""
+        """The law's float form: the inverse-CDF table and guide ``sample_iid`` draws from."""
         flat = self.mass.astype(np.float64).reshape(-1)
         support = np.flatnonzero(flat > 0)
         cum = np.cumsum(flat[support])
         cum[-1] = 1.0
-        return CellSampler(self.axes, support, cum)
+        return CellSampler(self.axes, support, cum, guide_table(cum))
 
     # -- basic accessors -----------------------------------------------
 
@@ -552,18 +553,50 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
+def guide_table(cums: np.ndarray) -> np.ndarray:
+    """``guide[..., b]`` = ``np.searchsorted(row, b / K, side="right")`` for each
+    cumulative row of ``cums`` (last axis), K the least power of two >= its width."""
+    buckets = 1 << (cums.shape[-1] - 1).bit_length()
+    edges = np.arange(buckets) / buckets
+    guide = [np.searchsorted(row, edges, side="right") for row in cums.reshape(-1, cums.shape[-1])]
+    return np.array(guide).reshape(cums.shape[:-1] + (buckets,))
+
+
+def inverse_cdf(cums: np.ndarray, guide: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
+    """``np.searchsorted(cums[rows[t]], u[t], side="right")`` for each letter t.
+
+    ``cums`` holds nondecreasing rows ending in 1.0 (a law's one row may be
+    1-D), ``guide`` is their ``guide_table``, ``rows`` each letter's row or
+    one row for all, and u lies in [0, 1).  A guide table (Chen and Asau
+    1974; Devroye 1986, III.2.4): K is a power of two, so u * K is exact
+    and the guide at its floor counts the entries <= that bucket's edge.
+    One compare with the next entry settles each letter with no entry in
+    (edge, u]; the rest are searched, one call per distinct row.
+    """
+    width, buckets = cums.shape[-1], guide.shape[-1]
+    count = np.take(guide, (u * buckets).astype(np.intp) + rows * buckets)
+    late = np.flatnonzero(np.take(cums, count + rows * width) <= u)
+    if late.size:
+        table, late_rows = cums.reshape(-1, width), np.broadcast_to(rows, u.shape)[late]
+        for r in np.unique(late_rows):
+            sel = late[late_rows == r]
+            count[sel] = np.searchsorted(table[r], u[sel], side="right")
+    return count
+
+
 @dataclass(frozen=True, eq=False)
 class CellSampler:
     """A law's inverse-CDF table, built by ``JointPmf.to_float``.
 
     ``support`` holds the row-major cells of positive float64 mass over
-    ``axes``, and ``cum`` their cumulative mass, the last entry pinned
-    to 1.0.
+    ``axes``, ``cum`` their cumulative mass, the last entry pinned to 1.0,
+    and ``guide`` its ``guide_table`` for ``inverse_cdf``.
     """
 
     axes: tuple[Alphabet, ...]
     support: np.ndarray
     cum: np.ndarray
+    guide: np.ndarray
 
 
 def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
@@ -574,8 +607,8 @@ def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
     the last positive cell's cumulative mass pinned to 1.0.  Zero-mass
     cells are left out of the search, so a float sum short of 1 cannot
     hand [sum, 1) to one of them; every other draw is the one the plain
-    cumulative search over all cells gives.  Blocks are a pure function
-    of (p, n, seed), bit-for-bit.
+    cumulative search over all cells gives, found by ``inverse_cdf``.
+    Blocks are a pure function of (p, n, seed), bit-for-bit.
     """
     if not isinstance(table, CellSampler):
         raise ProbabilityError("sample_iid draws from a law's table; call to_float() explicitly")
@@ -585,7 +618,7 @@ def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
         raise ProbabilityError("pmf must cover at least one user axis plus side info")
     u = philox(seed).random(n)
     return SampleBlock.from_cells(table.axes,
-                                  table.support[np.searchsorted(table.cum, u, side="right")])
+                                  table.support[inverse_cdf(table.cum, table.guide, u)])
 
 
 def apply_pointwise(fn, block: SampleBlock) -> np.ndarray:
@@ -606,4 +639,4 @@ def hamming_distortion(a: Sequence, b: Sequence) -> float:
         raise ProbabilityError("sequences must have equal length")
     if a.size == 0:
         raise ProbabilityError("empty sequences")
-    return float(np.mean(a != b))
+    return np.count_nonzero(a != b) / a.size

@@ -120,7 +120,7 @@ class TestResampleW:
         # the attack's inverse-CDF tables read the rows as float64 either way
         chan = resample_w_channel(erasure_pmf.axes[1:3])
         got, want = adversary._ChannelCdf.of(chan), adversary._ChannelCdf.of(chan.to_float())
-        for name in ("base", "columns"):
+        for name in ("cums", "guide"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_bit_missing_from_the_partner_axis(self):

@@ -14,12 +14,22 @@ The references below are the earlier kernels, kept as oracles:
 Each reference pins its cumulative sums to 1.0 from the row's last
 positive entry on, as the kernels do, so the two must agree draw for
 draw.  The zero-mass draws that pin rules out are tested on their own.
+
+Laws and channels draw through one guide-table routine,
+``probability.inverse_cdf``.  It is tested against
+``np.searchsorted(row, u, side="right")`` on its own: on rows with runs
+of equal entries and entries on the guide's bucket edges, at the
+uniforms on and next to every edge and entry.  A law of 4000 cells of
+mass 10^-9 puts thousands of cells in one bucket; its blocks must equal
+the reference, and a draw must search each row at most once.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzfc import adversary, probability
 from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW, WitnessDMC,
@@ -311,3 +321,132 @@ class TestInverseCdfRule:
         want = [1, 3, 4, 4]
         assert list(_sample_at(monkeypatch, mass, *uniforms)) == want
         assert np.all(_channel_at(monkeypatch, mass, *uniforms) == want)
+
+
+@st.composite
+def cumulative_rows(draw, count: int):
+    """``count`` nondecreasing rows pinned to 1.0, of one width 1, 2, 2^j or
+    2^j + 1, with runs of equal entries and entries on the guide's edges."""
+    j = draw(st.integers(1, 6))
+    width = draw(st.sampled_from([1, 2, 2**j, 2**j + 1]))
+    buckets = 1 << (width - 1).bit_length()
+    edges = [b / buckets for b in range(buckets + 1)]
+    entry = st.one_of(st.floats(0.0, 1.0), st.sampled_from(edges))
+    rows = []
+    for _ in range(count):
+        inner = sorted(draw(st.lists(entry, min_size=width - 1, max_size=width - 1)))
+        if inner and draw(st.booleans()):
+            # a zero-mass run: one entry repeated
+            at, run = sorted(draw(st.lists(st.integers(0, width - 2), min_size=2, max_size=2)))
+            inner[at:run + 1] = [inner[at]] * (run + 1 - at)
+        rows.append(inner + [1.0])
+    return np.array(rows)
+
+
+def edge_uniforms(cums: np.ndarray) -> np.ndarray:
+    """0.0, every guide edge b/K, every entry and its float neighbours, and
+    ``TOP_U``: all of them in [0, 1)."""
+    buckets = 1 << (cums.shape[-1] - 1).bit_length()
+    entries = np.unique(cums)
+    u = np.concatenate([[0.0, TOP_U], np.arange(buckets) / buckets, entries,
+                        np.nextafter(entries, 0.0), np.nextafter(entries, 1.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuideDraw:
+    """``inverse_cdf`` against ``np.searchsorted(row, u, side="right")``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cumulative_rows(1), st.lists(st.floats(0.0, TOP_U), max_size=20))
+    def test_a_law_row_counts_as_the_search(self, cums, extra):
+        cum = cums[0]
+        guide = probability.guide_table(cum)
+        buckets = guide.shape[0]
+        assert buckets >= cum.size and buckets & (buckets - 1) == 0 and buckets < 2 * cum.size
+        assert np.array_equal(guide, np.searchsorted(cum, np.arange(buckets) / buckets,
+                                                     side="right"))
+        u = np.concatenate([edge_uniforms(cums), extra])
+        _assert_same(probability.inverse_cdf(cum, guide, u), np.searchsorted(cum, u, side="right"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(cumulative_rows), st.data())
+    def test_channel_rows_count_as_the_search(self, cums, data):
+        guide = probability.guide_table(cums)
+        u = edge_uniforms(cums)
+        rows = np.array(data.draw(st.lists(st.integers(0, len(cums) - 1), min_size=u.size,
+                                           max_size=u.size)), dtype=np.int64)
+        want = np.array([np.searchsorted(cums[r], x, side="right") for r, x in zip(rows, u)],
+                        dtype=np.intp)
+        _assert_same(probability.inverse_cdf(cums, guide, u, rows), want)
+        # every uniform in every row
+        every = np.repeat(np.arange(len(cums)), u.size)
+        _assert_same(probability.inverse_cdf(cums, guide, np.tile(u, len(cums)), every),
+                     np.concatenate([np.searchsorted(row, u, side="right") for row in cums]))
+        # an empty half of a split draws nothing (TestCellPath plays the
+        # splits at fractions 0 and 1 end to end)
+        _assert_same(probability.inverse_cdf(cums, guide, u[:0], rows[:0]),
+                     np.zeros(0, dtype=np.intp))
+
+
+def clustered_law(big: int) -> JointPmf:
+    """4000 cells of mass 10^-9 and, at index ``big``, one cell of the rest."""
+    mass = [Fraction(1, 10**9)] * 4000
+    mass.insert(big, 1 - sum(mass))
+    return JointPmf((Alphabet.of_size(4001), Alphabet.of_size(1)), mass)
+
+
+class _CountingSearch:
+    """Stands in for ``np.searchsorted`` and counts its calls."""
+
+    def __init__(self):
+        self.calls, self.search = 0, np.searchsorted
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.search(*args, **kwargs)
+
+
+class TestClusteredLaw:
+    """Thousands of cells in one bucket: each draw is still exact, and the
+    cells past the guide are searched once, not walked one entry a pass."""
+
+    @pytest.mark.parametrize("big", [0, 2000, 4000])
+    def test_blocks_match_the_reference(self, big):
+        p = clustered_law(big)
+        table = p.to_float()
+        for seed in range(5):
+            users, side = ref_sample(p, 5000, derive_seed(540, big, seed))
+            blk = sample_iid(table, 5000, derive_seed(540, big, seed))
+            _assert_same(blk.user_seqs, users)
+            _assert_same(blk.side_seq, side)
+
+    @pytest.mark.parametrize("big", [0, 4000])
+    def test_the_crowded_bucket_takes_one_search(self, monkeypatch, big):
+        p = clustered_law(big)
+        cum = _pinned_cumsum(p.mass.astype(np.float64).reshape(1, -1))[0]
+        # every letter in the bucket of the 4000 small cells
+        lo = 0.0 if big == 4000 else cum[0]
+        u = np.linspace(lo, min(lo + 4.1e-6, TOP_U), 5000)
+        want = np.searchsorted(cum, u, side="right")
+        table = p.to_float()
+        search = _CountingSearch()
+        monkeypatch.setattr(np, "searchsorted", search)
+        monkeypatch.setattr(probability, "philox", lambda seed: _Uniforms(*u))
+        _assert_same(sample_iid(table, u.size, seed=0).user_seqs[0], want)
+        assert search.calls == 1
+
+    def test_channel_rows_take_one_search_per_row(self, monkeypatch):
+        rows = np.array([clustered_law(big).mass.astype(np.float64).reshape(-1)
+                         for big in (0, 4000, 0)])
+        cums = _pinned_cumsum(rows)
+        guide = probability.guide_table(cums)
+        # row 1's small cells sit in its first bucket, row 0's in its last;
+        # row 2's letters all stop at its first entry, past no guide
+        u = np.concatenate([np.linspace(0.0, 4.1e-6, 100), np.linspace(cums[0, 0], TOP_U, 100),
+                            np.linspace(0.0, 0.5, 100)])
+        in_rows = np.repeat([1, 0, 2], 100)
+        want = np.array([np.searchsorted(cums[r], x, side="right") for r, x in zip(in_rows, u)])
+        search = _CountingSearch()
+        monkeypatch.setattr(np, "searchsorted", search)
+        _assert_same(probability.inverse_cdf(cums, guide, u, in_rows), want)
+        assert search.calls == 2

@@ -487,6 +487,14 @@ class TestHamming:
         direct = sum(1 for x, y in zip(a, b) if x != y) / 500
         assert hamming_distortion(a, b) == direct
 
+    def test_the_count_over_n_is_the_mean(self):
+        # an integer count divided by n is the double np.mean rounds to
+        rng = philox(11)
+        for t in range(2000):
+            n = int(rng.integers(1, 6000))
+            a, b = rng.integers(0, 3, size=n), rng.integers(0, 3, size=n)
+            assert hamming_distortion(a, b) == float(np.mean(a != b))
+
     def test_pointwise_self_distortion_zero(self, erasure_pmf, erasure_f_uv):
         blk = sample_iid(erasure_pmf.to_float(), 64, seed=4)
         out = apply_pointwise(erasure_f_uv, blk)
