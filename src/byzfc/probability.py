@@ -3,13 +3,13 @@
 Dense joint pmfs over products of small alphabets, conditional pmfs
 (channels), empirical types, total variation distance and i.i.d. sampling.
 
-A law (``JointPmf``) is exact: its entries are ``fractions.Fraction``
-held in an object ndarray, and its sums and equalities are literal.  Its
-one float form is ``to_float()``, the inverse-CDF table ``CellSampler``
-that ``sample_iid`` draws from.  A channel's rows may also be float64,
-normalized to within ``FLOAT_NORMALIZATION_TOL``: an attack only draws
-from them.  ``JointPmf`` and ``Channel`` share one validator and one JSON
-codec, so only this module branches on the arithmetic of a mass array.
+Laws (``JointPmf``) and channels (``Channel``) are exact: their entries
+are ``fractions.Fraction`` held in an object ndarray, and their sums and
+equalities are literal.  They share one validator and one JSON parser,
+so one entry rule holds for both.  Float arithmetic lives only in the
+tables that samples are drawn from: a law's ``to_float()``, the
+inverse-CDF table ``CellSampler`` that ``sample_iid`` draws from, and an
+attack channel's cumulative table (``adversary._ChannelCdf``).
 
 Sampling uses numpy's counter-based Philox generator so that runs are
 reproducible bit-for-bit from an integer seed.  Laws and attack channels
@@ -22,11 +22,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
-
-FLOAT_NORMALIZATION_TOL = 1e-9
 
 Label = str | int
 
@@ -35,17 +34,24 @@ class ProbabilityError(ValueError):
     """Invalid distribution, channel or block."""
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x, what: str) -> Fraction:
+    """One mass entry as a Fraction.  Entries are Fractions, integers,
+    ``"p/q"`` or decimal strings and finite reals; a real is read as the
+    decimal it prints as (0.9 is 9/10), whose float is the real again."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
+    if isinstance(x, float) and math.isfinite(x):
+        return Fraction(repr(float(x)))
     if isinstance(x, str):
         try:
             return Fraction(x)
         except ZeroDivisionError:
-            raise ProbabilityError(f"{x!r} has a zero denominator") from None
-    raise ProbabilityError(f"cannot interpret {x!r} as an exact rational")
+            raise ProbabilityError(f"{what} entry {x!r} has a zero denominator") from None
+        except ValueError:
+            pass
+    raise ProbabilityError(f"cannot interpret {x!r} as an exact {what} entry")
 
 
 def zero_mass(shape) -> np.ndarray:
@@ -66,57 +72,43 @@ def integer_mass(mass: np.ndarray) -> tuple[np.ndarray, int]:
 def _checked_mass(values, shape: tuple[int, ...], n_rows: int, what: str) -> np.ndarray:
     """``values`` reshaped to ``shape`` and checked as ``n_rows`` pmfs, one per row.
 
-    Object dtype is exact mode: entries become Fractions, must be
-    nonnegative, and every row must sum to 1 literally.  Any other dtype
-    is float mode: entries must be finite and nonnegative, and every row
-    sum within ``FLOAT_NORMALIZATION_TOL`` of 1.
+    ``values`` must be an object array or list (a float array is refused
+    whole, before any entry is read); entries become Fractions by
+    ``_as_fraction``, must be nonnegative, and every row sums to 1 exactly.
     """
     arr = np.asarray(values)
+    if arr.dtype != object:
+        raise ProbabilityError(f"a {what} must be exact")
     if arr.size != math.prod(shape):
         raise ProbabilityError(f"{what} has {arr.size} entries, not {math.prod(shape)}")
-    arr = arr.reshape(shape)
-    if arr.dtype == object:
-        flat = np.fromiter(map(_as_fraction, arr.reshape(-1)), dtype=object, count=arr.size)
-        if any(v.numerator < 0 for v in flat):
-            raise ProbabilityError(f"negative {what} entry")
-        # summed as integers over the row's common denominator: Fraction
-        # additions would dominate the cost of every exact marginal
-        for i, row in enumerate(flat.reshape(n_rows, -1).tolist()):
-            den = math.lcm(*(v.denominator for v in row))
-            if sum(v.numerator * (den // v.denominator) for v in row) != den:
-                raise ProbabilityError(f"exact {what} row {i} sums to {sum(row)}, not 1")
-        return flat.reshape(shape)
-    arr = arr.astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ProbabilityError(f"non-finite {what} entry")
-    if np.any(arr < 0):
+    flat = np.fromiter(map(_as_fraction, arr.reshape(-1), repeat(what)), dtype=object,
+                       count=arr.size)
+    if any(v.numerator < 0 for v in flat):
         raise ProbabilityError(f"negative {what} entry")
-    sums = arr.reshape(n_rows, -1).sum(axis=1)
-    for i, total in enumerate(sums):
-        if abs(total - 1.0) > FLOAT_NORMALIZATION_TOL:
-            raise ProbabilityError(f"float {what} row {i} sums to {total:.12g}, "
-                                   f"outside tolerance {FLOAT_NORMALIZATION_TOL}")
-    return arr
+    # summed as integers over the row's common denominator: Fraction
+    # additions would dominate the cost of every exact marginal
+    for i, row in enumerate(flat.reshape(n_rows, -1).tolist()):
+        den = math.lcm(*(v.denominator for v in row))
+        if sum(v.numerator * (den // v.denominator) for v in row) != den:
+            raise ProbabilityError(f"{what} row {i} sums to {sum(row)}, not 1")
+    return flat.reshape(shape)
 
 
-def _mass_to_json(arr: np.ndarray) -> tuple[list, str]:
-    """Flat JSON values and mode of a mass array: "n/d" strings if exact."""
-    flat = arr.reshape(-1)
-    if arr.dtype == object:
-        return [f"{v.numerator}/{v.denominator}" for v in flat], "exact"
-    return flat.tolist(), "float"
+def _mass_to_json(arr: np.ndarray) -> list[str]:
+    """Flat JSON values of a mass array: "n/d" strings."""
+    return [f"{v.numerator}/{v.denominator}" for v in arr.reshape(-1)]
 
 
-def _mass_from_json(values, mode: str) -> np.ndarray:
-    """Inverse of ``_mass_to_json``: a flat list of "n/d" strings or integers
-    if exact, of JSON numbers if float; the caller reshapes and validates."""
-    if mode not in ("exact", "float"):
-        raise ProbabilityError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
+def _mass_from_json(d: dict, key: str, what: str) -> np.ndarray:
+    """The flat object array of d[key], a list of mass entries, for a document
+    whose ``mode`` is absent or "exact"; the caller reshapes and validates."""
+    mode = d.get("mode", "exact")
+    if mode != "exact":
+        raise ProbabilityError(f"a {what} must be exact: unknown mode {mode!r}")
+    values = d[key]
     if not isinstance(values, list):
-        raise ProbabilityError(f"mass values must be a list, not {values!r}")
-    if mode == "exact":
-        return np.array([_as_fraction(v) for v in values], dtype=object)
-    return np.array([json_value(v, "float mass entry") for v in values], dtype=np.float64)
+        raise ProbabilityError(f"{what} values must be a list, not {values!r}")
+    return np.array([_as_fraction(v, what) for v in values], dtype=object)
 
 
 # what a JSON-to-object parser raises on a value of the wrong type or shape
@@ -198,8 +190,6 @@ class JointPmf:
 
     def __init__(self, axes: Sequence[Alphabet], mass):
         self.axes = tuple(axes)
-        if np.asarray(mass).dtype != object:
-            raise ProbabilityError("a pmf must be exact")
         self.mass = _checked_mass(mass, tuple(a.size for a in self.axes), 1, "pmf")
 
     @property
@@ -272,13 +262,13 @@ class JointPmf:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        mass, mode = _mass_to_json(self.mass)
-        return {"axes": [list(a.symbols) for a in self.axes], "mass": mass, "mode": mode}
+        return {"axes": [list(a.symbols) for a in self.axes], "mass": _mass_to_json(self.mass),
+                "mode": "exact"}
 
     @staticmethod
     def from_json_dict(d: dict) -> "JointPmf":
         axes = tuple(Alphabet(sym) for sym in d["axes"])
-        return JointPmf(axes, _mass_from_json(d["mass"], d.get("mode", "exact")))
+        return JointPmf(axes, _mass_from_json(d, "mass", "pmf"))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -302,11 +292,11 @@ def uniform_pmf(axes: Sequence[Alphabet]) -> JointPmf:
 
 
 class Channel:
-    """Conditional pmf W(output | input) over products of alphabets.
+    """Exact conditional pmf W(output | input) over products of alphabets.
 
-    ``rows`` has shape input-sizes + output-sizes; every input row sums
-    to one.  Rows are exact (object dtype) or float64: an attack draws
-    from either, and ``apply_channel`` needs exact rows.
+    ``rows`` is an object ndarray of Fractions, shape input-sizes +
+    output-sizes; every input row sums to one exactly.  Its one float form
+    is an attack's cumulative table, ``adversary._ChannelCdf``.
     """
 
     __slots__ = ("input_axes", "output_axes", "rows")
@@ -318,15 +308,6 @@ class Channel:
         out_shape = tuple(a.size for a in self.output_axes)
         self.rows = _checked_mass(rows, in_shape + out_shape,
                                   int(np.prod(in_shape, dtype=np.int64)), "channel")
-
-    @property
-    def exact(self) -> bool:
-        return self.rows.dtype == object
-
-    def to_float(self) -> "Channel":
-        if not self.exact:
-            return self
-        return Channel(self.input_axes, self.output_axes, self.rows.astype(np.float64))
 
     @staticmethod
     def from_joint(input_axes: Sequence[Alphabet], output_axes: Sequence[Alphabet],
@@ -351,19 +332,18 @@ class Channel:
         return Channel.from_joint(axes, axes, zero_mass((n, n)))
 
     def to_json_dict(self) -> dict:
-        rows, mode = _mass_to_json(self.rows)
         return {
             "input_axes": [list(a.symbols) for a in self.input_axes],
             "output_axes": [list(a.symbols) for a in self.output_axes],
-            "rows": rows,
-            "mode": mode,
+            "rows": _mass_to_json(self.rows),
+            "mode": "exact",
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "Channel":
         return Channel(tuple(Alphabet(s) for s in d["input_axes"]),
                        tuple(Alphabet(s) for s in d["output_axes"]),
-                       _mass_from_json(d["rows"], d.get("mode", "float")))
+                       _mass_from_json(d, "rows", "channel"))
 
 
 def apply_channel(p: JointPmf, coords: Sequence[int], w: Channel) -> JointPmf:
@@ -381,8 +361,6 @@ def apply_channel(p: JointPmf, coords: Sequence[int], w: Channel) -> JointPmf:
         raise ProbabilityError("channel input axes do not match the selected coordinates")
     if len(w.output_axes) != len(coords):
         raise ProbabilityError("channel must output one axis per selected coordinate")
-    if not w.exact:
-        raise ProbabilityError("apply_channel needs an exact channel")
 
     rest = tuple(c for c in range(p.k) if c not in coords)
     perm = coords + rest

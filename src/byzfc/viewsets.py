@@ -101,11 +101,23 @@ class ViewSetHandle:
 @dataclass(frozen=True)
 class MembershipResult:
     """Exact bounds ``lower <= distance <= upper`` on a view-set distance; the
-    view of the rational ``nearest_channel`` (None for A = {}) is at ``upper``."""
+    view of the rational ``nearest_channel`` (None for A = {}) is at ``upper``.
+
+    The channel is kept as the LP's solution, its entries over ``den`` on
+    the variables of ``table``, and built only when asked for.
+    """
 
     lower: Fraction
     upper: Fraction
-    nearest_channel: Channel | None
+    table: ChannelVars | None = None
+    solution: Sequence = ()
+    den: int = 1
+
+    @property
+    def nearest_channel(self) -> Channel | None:
+        if self.table is None:
+            return None
+        return self.table.channel([Fraction(v, self.den) for v in self.solution])
 
     def verify(self, handle: ViewSetHandle, q: JointPmf) -> None:
         """Re-check exactly that the nearest channel's view lies at ``upper``."""
@@ -192,7 +204,7 @@ def distance_to_viewset(handle: ViewSetHandle, q: JointPmf, thresh) -> Membershi
         raise ProbabilityError("query pmf axes do not match the base law")
     if not handle.coords:
         dist = handle.base.tv_distance(q)
-        return MembershipResult(dist, dist, None)
+        return MembershipResult(dist, dist)
     from scipy.optimize import linprog   # lazy: scipy's import costs more memory than decoding
 
     w, A, c, ones = handle._float_lp
@@ -231,7 +243,7 @@ def _certificate(w: ChannelVars, q: JointPmf, chan: list[int], g: list[int]) -> 
     best = sum(max(worst[i:i + no]) for i in range(0, w.size, no))
     lower = Fraction(w.den * gq - qd * best, one * w.den * qd)
     upper = Fraction(gap, 2 * one * w.den * qd)
-    return MembershipResult(lower, upper, w.channel([Fraction(v, one) for v in chan]))
+    return MembershipResult(lower, upper, w, chan, one)
 
 
 def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
@@ -248,4 +260,4 @@ def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
         start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
     t = Tableau(rows, b, len(start), start=start)
     dist = -t.maximize(c)
-    return MembershipResult(dist, dist, w.channel(t.solution()))
+    return MembershipResult(dist, dist, w, t.solution())

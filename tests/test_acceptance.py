@@ -320,7 +320,7 @@ class TestCriterion10:
         # adversary: honest coordinates never mutated (bitwise)
         strategies = [ResampleW(),
                       MemorylessChannel(Channel.identity(
-                          (erasure_pmf.axes[1], erasure_pmf.axes[2])).to_float()),
+                          (erasure_pmf.axes[1], erasure_pmf.axes[2]))),
                       BlockSplit(Honest(), ResampleW(), 0.5)]
         base_blk = sample_iid(erasure_pmf.to_float(), 200, seed=777)
         for t in range(1500):

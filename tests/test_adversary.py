@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from byzfc import adversary
+from byzfc import adversary, probability
 from byzfc.adversary import (AttackError, BlockSplit, Honest, MemorylessChannel,
                              ResampleW, WitnessDMC, attack, resample_w_channel,
                              strategy_from_json, witness_to_dmc)
@@ -16,6 +16,8 @@ from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, Sa
                                tv_distance)
 from byzfc.viability import ViolationWitness, check_s_viability
 from byzfc.viewsets import induce_view
+
+from test_viewsets import random_channel
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +33,8 @@ def honest_block(erasure_pmf, n=2000, seed=0):
 
 def uniform_channel(input_axes, output_axes):
     shape = tuple(a.size for a in input_axes + output_axes)
-    out_cells = np.prod([a.size for a in output_axes])
-    return Channel(input_axes, output_axes, np.full(shape, 1 / out_cells))
+    out_cells = int(np.prod([a.size for a in output_axes]))
+    return Channel(input_axes, output_axes, np.full(shape, Fraction(1, out_cells), dtype=object))
 
 
 class TestBasicStrategies:
@@ -43,7 +45,7 @@ class TestBasicStrategies:
 
     def test_memoryless_identity_channel(self, erasure_pmf):
         blk = honest_block(erasure_pmf)
-        w = Channel.identity((erasure_pmf.axes[1], erasure_pmf.axes[2])).to_float()
+        w = Channel.identity((erasure_pmf.axes[1], erasure_pmf.axes[2]))
         out = attack(MemorylessChannel(w), frozenset({1, 2}), blk, seed=2)
         assert np.array_equal(out.user_seqs, blk.user_seqs)
         assert np.array_equal(out.side_seq, blk.side_seq)
@@ -59,7 +61,7 @@ class TestBasicStrategies:
     def test_honest_coordinates_never_mutated(self, erasure_pmf):
         blk = honest_block(erasure_pmf, n=500)
         strategies = [ResampleW(), MemorylessChannel(
-            Channel.identity((erasure_pmf.axes[1], erasure_pmf.axes[2])).to_float())]
+            Channel.identity((erasure_pmf.axes[1], erasure_pmf.axes[2])))]
         for s in strategies:
             for seed in range(25):
                 out = attack(s, frozenset({1, 2}), blk, seed=seed)
@@ -68,7 +70,7 @@ class TestBasicStrategies:
 
     def test_channel_axis_mismatch(self, erasure_pmf):
         blk = honest_block(erasure_pmf, n=10)
-        w = Channel.identity((erasure_pmf.axes[0],)).to_float()
+        w = Channel.identity((erasure_pmf.axes[0],))
         with pytest.raises(AttackError):
             attack(MemorylessChannel(w), frozenset({1}), blk, seed=0)
 
@@ -98,13 +100,15 @@ class TestResampleW:
                 fails += 1
         assert fails == 0
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_erasure_axes_channel(self, erasure_pmf, exact):
+    @pytest.mark.parametrize("strings", [True, False])
+    def test_erasure_axes_channel(self, erasure_pmf, strings):
         # (u, w) with exactly one erasure goes to (erase-first, bit) or
-        # (bit, erase-second), half each; every other pair stays put
+        # (bit, erase-second), half each; every other pair stays put.  The
+        # channel reads back from its JSON rows as "n/d" strings or as reals
         u_axis, w_axis = erasure_pmf.axes[1], erasure_pmf.axes[2]
-        chan = resample_w_channel((u_axis, w_axis))
-        chan = chan if exact else chan.to_float()
+        d = resample_w_channel((u_axis, w_axis)).to_json_dict()
+        rows = d["rows"] if strings else [float(Fraction(v)) for v in d["rows"]]
+        chan = Channel.from_json_dict({**d, "rows": rows})
         moves = {(0, "e3"): [(0, "e3"), ("e2", 0)], (1, "e3"): [(1, "e3"), ("e2", 1)],
                  ("e2", 0): [("e2", 0), (0, "e3")], ("e2", 1): [("e2", 1), (1, "e3")]}
         want = np.zeros((3, 3, 3, 3), dtype=object)
@@ -113,15 +117,20 @@ class TestResampleW:
             for x, y in moves.get(pair, [pair]):
                 want[a, b, u_axis.index(x), w_axis.index(y)] = \
                     Fraction(1, 2) if pair in moves else 1
-        assert chan.exact == exact
-        assert np.array_equal(chan.rows, want if exact else want.astype(float))
+        assert chan.rows.tolist() == want.tolist()
+        assert all(isinstance(v, Fraction) for v in chan.rows.reshape(-1))
 
     def test_cdf_tables_do_not_depend_on_the_arithmetic(self, erasure_pmf):
-        # the attack's inverse-CDF tables read the rows as float64 either way
+        # the attack's tables from the exact rows are those of their float64
+        # rows: the cumulative sum pinned to 1.0 from the last positive entry
         chan = resample_w_channel(erasure_pmf.axes[1:3])
-        got, want = adversary._ChannelCdf.of(chan), adversary._ChannelCdf.of(chan.to_float())
-        for name in ("cums", "guide"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        rows = chan.rows.astype(np.float64).reshape(9, 9)
+        cums = np.cumsum(rows, axis=1)
+        for cum, row in zip(cums, rows):
+            cum[np.flatnonzero(row > 0)[-1]:] = 1.0
+        got = adversary._resample_cdf(tuple(erasure_pmf.axes[1:3]))
+        assert got.cums.tobytes() == cums.tobytes()
+        assert np.array_equal(got.guide, probability.guide_table(cums))
 
     def test_bit_missing_from_the_partner_axis(self):
         with pytest.raises(ProbabilityError):
@@ -147,7 +156,7 @@ class TestMemorylessTypeConvergence:
         fails = 0
         for seed in range(50):
             blk = sample_iid(table, 10_000, seed=derive_seed(31, seed))
-            rep = attack(MemorylessChannel(w.to_float()), frozenset({1, 2}), blk,
+            rep = attack(MemorylessChannel(w), frozenset({1, 2}), blk,
                          seed=derive_seed(32, seed))
             if tv_distance(empirical_type(rep), target) > 0.05:
                 fails += 1
@@ -308,9 +317,7 @@ class TestBlockSplit:
     def test_matches_per_half_attacks(self, erasure_pmf, uvw_witness, shape):
         m = list(uvw_witness.collection).index(frozenset({1, 2}))
         axes = (erasure_pmf.axes[1], erasure_pmf.axes[2])
-        rows = philox(41).random((9, 9)) + 0.05
-        chan = Channel(axes, axes, (rows / rows.sum(axis=1, keepdims=True)).reshape(3, 3, 3, 3))
-        dmc, mem = WitnessDMC(uvw_witness, m), MemorylessChannel(chan)
+        dmc, mem = WitnessDMC(uvw_witness, m), MemorylessChannel(random_channel(axes, 41))
         if shape == "nested":
             strategy = BlockSplit(BlockSplit(ResampleW(), mem, 0.4),
                                   BlockSplit(Honest(), dmc, 0.7), 0.3)

@@ -58,7 +58,7 @@ def ref_sample(p: JointPmf, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def ref_memoryless(chan: Channel, coords, block: SampleBlock, seed: int) -> np.ndarray:
     sizes_in = tuple(a.size for a in chan.input_axes)
     sizes_out = tuple(a.size for a in chan.output_axes)
-    rows = chan.to_float().rows.reshape(int(np.prod(sizes_in)), int(np.prod(sizes_out)))
+    rows = chan.rows.astype(np.float64).reshape(int(np.prod(sizes_in)), int(np.prod(sizes_out)))
     cums = _pinned_cumsum(rows)
     in_seq = np.ravel_multi_index(tuple(block.user_seqs[c] for c in coords), sizes_in)
     u = philox(seed).random(block.n)
@@ -94,16 +94,12 @@ def mixed_laws(count: int, master: int):
         yield law, derive_seed(master, "s", t)
 
 
-def random_zero_channel(axes, rng, exact: bool) -> Channel:
+def random_zero_channel(axes, rng) -> Channel:
     """Rows with some zero entries and some all-zero (identity) rows."""
     n = int(np.prod([a.size for a in axes]))
     weights = rng.integers(0, 4, size=(n, n))
     weights[rng.random((n, n)) < 0.4] = 0
-    if exact:
-        joint = np.array([[Fraction(int(w)) for w in row] for row in weights],
-                         dtype=object)
-    else:
-        joint = weights.astype(np.float64)
+    joint = np.array([[Fraction(int(w)) for w in row] for row in weights], dtype=object)
     return Channel.from_joint(axes, axes, joint)
 
 
@@ -125,15 +121,14 @@ class TestSampling:
 
 
 class TestMemoryless:
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_random_channels_match_the_row_compare(self, exact):
-        rng = philox(503 + exact)
-        for p, seed in mixed_laws(40, 504 + exact):
+    def test_random_channels_match_the_row_compare(self):
+        rng = philox(504)
+        for p, seed in mixed_laws(40, 505):
             blk = sample_iid(p.to_float(), 900, seed)
             k = blk.k
             width = int(rng.integers(1, min(k, 2) + 1))
             coords = tuple(sorted(int(c) for c in rng.choice(k, size=width, replace=False)))
-            chan = random_zero_channel(tuple(blk.axes[c] for c in coords), rng, exact)
+            chan = random_zero_channel(tuple(blk.axes[c] for c in coords), rng)
             got = attack(MemorylessChannel(chan), frozenset(coords), blk, seed + 1)
             _assert_same(got.user_seqs, ref_memoryless(chan, coords, blk, seed + 1))
             _assert_same(got.cells, ref_cells(got))
@@ -164,7 +159,7 @@ class TestMemoryless:
                 JointPmf(reordered, random_pmf((3, 3, 2), seed=510, zero_frac=0.3).mass)]
         for t, p in enumerate(laws):
             pair = (p.k - 3, p.k - 2)
-            chan = resample_w_channel((p.axes[pair[0]], p.axes[pair[1]])).to_float()
+            chan = resample_w_channel((p.axes[pair[0]], p.axes[pair[1]]))
             for seed in range(5):
                 blk = sample_iid(p.to_float(), 2000, derive_seed(507, t, seed))
                 got = attack(ResampleW(), frozenset(pair), blk, derive_seed(508, t, seed))
@@ -236,9 +231,8 @@ class TestCellPath:
         wide = frozenset(int(c) for c in rng.choice(k, size=width, replace=False))
         both = frozenset(pair)
         mem_wide = MemorylessChannel(random_zero_channel(
-            tuple(law.axes[c] for c in sorted(wide)), rng, exact=False))
-        mem_pair = MemorylessChannel(random_zero_channel((ERASURE_AXIS, ERASURE_AXIS), rng,
-                                                         exact=True))
+            tuple(law.axes[c] for c in sorted(wide)), rng))
+        mem_pair = MemorylessChannel(random_zero_channel((ERASURE_AXIS, ERASURE_AXIS), rng))
         yield frozenset(), Honest()
         yield wide, Honest()
         yield wide, mem_wide
@@ -293,7 +287,7 @@ def _channel_at(monkeypatch, mass, *uniforms) -> np.ndarray:
     """Each uniform drives a letter at every input, all rows of the channel ``mass``."""
     monkeypatch.setattr(adversary, "philox", lambda seed: _Uniforms(*uniforms))
     a, side = Alphabet.of_size(len(mass)), Alphabet.of_size(1)
-    chan = Channel((a,), (a,), np.tile(np.asarray(mass, dtype=np.float64), (len(mass), 1)))
+    chan = Channel((a,), (a,), np.tile(np.array(mass, dtype=object), (len(mass), 1)))
     users = np.repeat(np.arange(len(mass)), len(uniforms)).reshape(1, -1)
     blk = SampleBlock((a, side), users, np.zeros(users.size, dtype=np.int64))
     out = attack(MemorylessChannel(chan), frozenset({0}), blk, seed=0).user_seqs[0]
@@ -386,6 +380,37 @@ class TestGuideDraw:
         # splits at fractions 0 and 1 end to end)
         _assert_same(probability.inverse_cdf(cums, guide, u[:0], rows[:0]),
                      np.zeros(0, dtype=np.intp))
+
+
+@st.composite
+def decimal_rows(draw):
+    """A channel's JSON rows: short decimals (digits 1 to 4) that sum to 1."""
+    width, scale = draw(st.integers(1, 6)), 10 ** draw(st.integers(1, 4))
+    rows = []
+    for _ in range(width):
+        cuts = sorted(draw(st.lists(st.integers(0, scale), min_size=width - 1,
+                                    max_size=width - 1)))
+        rows.append([(b - a) / scale for a, b in zip([0, *cuts], [*cuts, scale])])
+    return rows
+
+
+class TestExactChannelTables:
+    """An exact channel's float form is the float64 table of its decimals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(decimal_rows())
+    def test_tables_equal_the_float_rows(self, rows):
+        axis = Alphabet.of_size(len(rows))
+        chan = Channel.from_json_dict({"input_axes": [axis.symbols], "output_axes": [axis.symbols],
+                                       "rows": [x for row in rows for x in row]})
+        cdf = adversary._ChannelCdf.of(chan)
+        cums = _pinned_cumsum(np.array(rows, dtype=np.float64))
+        buckets = 1 << (len(rows) - 1).bit_length()
+        guide = np.array([np.searchsorted(row, np.arange(buckets) / buckets, side="right")
+                          for row in cums])
+        for got, want in ((cdf.cums, cums), (cdf.guide, guide)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def clustered_law(big: int) -> JointPmf:

@@ -147,6 +147,15 @@ class TestSimulateAndSweep:
         code, out, _ = run_cli(["simulate", path], capsys)
         assert code == 0
 
+    def test_simulate_with_a_channel_of_strings(self, tmp_path, capsys):
+        # a channel, like a pmf, is exact when its mode is absent
+        channel = {"input_axes": [[0, 1]], "output_axes": [[0, 1]],
+                   "rows": ["9/10", "1/10", "1/10", "9/10"]}
+        path = self.scenario_file(tmp_path, {"adversary_set": [0], "strategy": {
+            "kind": "memoryless", "channel": channel}})
+        code, out, _ = run_cli(["simulate", path], capsys)
+        assert code == 0 and sum(json.loads(out)["counts"].values()) == 3
+
     def test_sweep(self, tmp_path, capsys):
         code, out, _ = run_cli(["sweep", self.scenario_file(tmp_path),
                                 "--axis", "n", "--values", "200,400"], capsys)
@@ -277,7 +286,9 @@ class TestMalformedInput:
                                       "block-extra-users", "adversary-set-bools",
                                       "adversary-set-floats", "build-g-bool-user",
                                       "build-g-float-user", "mss-float-pmf",
-                                      "pmf-zero-denominator", "channel-zero-denominator"])
+                                      "pmf-zero-denominator", "channel-zero-denominator",
+                                      "nan-channel", "channel-mode-float",
+                                      "channel-row-near-one"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -289,6 +300,12 @@ class TestMalformedInput:
         block = sample_iid(erasure_pmf.to_float(), 20, seed=1).to_json_dict()
         config = config_to_json_dict(erasure_config)
         g0 = config["g_tables"][0]
+
+        def memoryless(rows, *mode):
+            channel = {"input_axes": [[0, 1]], "output_axes": [[0, 1]], "rows": rows,
+                       **{"mode": m for m in mode}}
+            return ["simulate", put("s.json", {**scenario, "adversary_set": [0], "strategy": {
+                "kind": "memoryless", "channel": channel}})]
 
         def decode_with_g0(g):
             return ["decode", "--config", put("c.json", {
@@ -391,7 +408,8 @@ class TestMalformedInput:
             "adversary-set-floats": lambda: ["simulate", put("s.json", {
                 **scenario, "adversary_set": [1.0, 2.0]})],
             "mss-float-pmf": lambda: ["mss", "--pmf", put("p.json", {
-                "axes": [[0, 1], [0, 1], [0, 1]], "mass": [0.5, 0, 0, 0, 0, 0, 0, 0.5]})],
+                "axes": [[0, 1], [0, 1], [0, 1]], "mass": [0.5, 0, 0, 0, 0, 0, 0, 0.5],
+                "mode": "float"})],
             "pmf-zero-denominator": lambda: ["check-viability", "--threshold", "1",
                                              "--pmf", put("p.json", {"axes": [[0, 1]],
                                                                      "mass": ["1/0", "1"],
@@ -401,6 +419,9 @@ class TestMalformedInput:
                 **scenario, "adversary_set": [0], "strategy": {"kind": "memoryless", "channel": {
                     "input_axes": [[0, 1]], "output_axes": [[0, 1]],
                     "rows": ["1/0", "1", "0", "1"], "mode": "exact"}}})],
+            "nan-channel": lambda: memoryless([float("nan"), 1, 0, 1]),
+            "channel-mode-float": lambda: memoryless([0.9, 0.1, 0.1, 0.9], "float"),
+            "channel-row-near-one": lambda: memoryless([0.9, 0.1, 0.1, 0.9000000001]),
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

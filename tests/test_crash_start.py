@@ -87,7 +87,7 @@ def distance_queries(p: JointPmf) -> list[tuple[ViewSetHandle, JointPmf]]:
                                   seed=100 + seed, zero_frac=0.3, max_weight=5))
         aset = (0,) if seed % 2 else (1, 2)
         axes = tuple(p.axes[c] for c in aset)
-        queries.append(induce_view(p, aset, random_channel(axes, seed=seed, exact=True)))
+        queries.append(induce_view(p, aset, random_channel(axes, seed=seed, small=True)))
     handles = [ViewSetHandle(p, frozenset(aset)) for aset in ({0}, {1}, {1, 2}, {0, 2})]
     return [(h, JointPmf(p.axes, q.mass)) for h in handles for q in queries]
 

@@ -385,17 +385,24 @@ class TestExactModeDecode:
                 assert np.array_equal(ve.estimate, vf.estimate)
 
 
+@pytest.fixture(scope="module")
+def flipped_blocks(erasure_pmf):
+    """Eight n=5000 erasure blocks in which user 0 flips its bit at rate 0.18."""
+    a = erasure_pmf.axes[0]
+    rows = np.array([[Fraction(41, 50), Fraction(9, 50)], [Fraction(9, 50), Fraction(41, 50)]])
+    flip = MemorylessChannel(Channel((a,), (a,), rows))
+    return [attack(flip, frozenset({0}),
+                   sample_iid(erasure_pmf.to_float(), 5000, derive_seed(47, "sample", t)),
+                   derive_seed(47, "attack", t)) for t in range(8)]
+
+
 class TestCertifiedDecode:
-    def test_user0_flips_reach_the_lp_and_a_gtable(self, erasure_pmf, erasure_config,
+    def test_user0_flips_reach_the_lp_and_a_gtable(self, flipped_blocks, erasure_config,
                                                   monkeypatch):
         # user 0 flipping its bit at rate 0.18 lands each block's type in the
         # screen's band for some sets: the LP decides them, as the simplex
         # alone would, and the explaining collection's g-table decodes
-        a = erasure_pmf.axes[0]
-        flip = MemorylessChannel(Channel((a,), (a,), np.array([[0.82, 0.18], [0.18, 0.82]])))
-        blocks = [attack(flip, frozenset({0}),
-                         sample_iid(erasure_pmf.to_float(), 5000, derive_seed(47, "sample", t)),
-                         derive_seed(47, "attack", t)) for t in range(8)]
+        blocks = flipped_blocks
         lps, tables = [], []
         monkeypatch.setattr(decoder, "distance_to_viewset",
                             lambda h, q, t: lps.append(h) or viewsets.distance_to_viewset(h, q, t))
@@ -414,6 +421,27 @@ class TestCertifiedDecode:
         monkeypatch.setattr(decoder, "distance_to_viewset",
                             lambda h, q, thresh: viewsets._distance_exact(h, q))
         assert [explanation_set(erasure_config, blk) for blk in blocks] == certified
+
+    def test_decoding_builds_no_channel(self, flipped_blocks, erasure_config, monkeypatch):
+        # the nearest channel is built only when asked for: decoding reads
+        # the bounds alone, and every LP's channel still verifies
+        results, built = [], []
+
+        def solve(h, q, thresh):
+            res = viewsets.distance_to_viewset(h, q, thresh)
+            results.append((h, q, res))
+            return res
+
+        init = Channel.__init__
+        monkeypatch.setattr(decoder, "distance_to_viewset", solve)
+        monkeypatch.setattr(Channel, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        for blk in flipped_blocks:
+            decode(erasure_config, blk)
+        assert results and not built
+        for h, q, res in results:
+            res.verify(h, q)
+        assert len(built) == len(results)
 
 
 @pytest.fixture(scope="module")

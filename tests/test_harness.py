@@ -286,6 +286,8 @@ class TestRandomInstancePipeline:
         rng = philox(31)
         rows = rng.random((2, 2)) + 0.1
         rows = rows / rows.sum(axis=1, keepdims=True)
+        # exact rows with those first entries: the attack's whole table
+        rows = np.array([[Fraction(a), 1 - Fraction(a)] for a in rows[:, 0]], dtype=object)
         attacked = Scenario(pmf=p, f=f, structure=st,
                             adversary_set=frozenset({0}),
                             strategy=MemorylessChannel(Channel(

@@ -13,6 +13,7 @@ short of 1.
 
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +83,14 @@ def test_raw_blocks_of_the_acceptance_scenarios(erasure_pmf):
 def test_raw_blocks_of_laws_with_zero_cells_and_a_short_float_sum():
     """Random laws with k = 2, 3 and 4 users and zero cells, and a law of ten
     cells of 1/10, whose float cumulative sum is 0.9999999999999999: the
-    blocks each draws, and a float memoryless channel's attack on the k = 2
-    law."""
+    blocks each draws, and a memoryless channel's attack on the k = 2 law."""
     laws = [random_pmf(sizes, seed=derive_seed(70, k), zero_frac=0.3)
             for k, sizes in enumerate([(2, 3, 2), (3, 2, 2, 2), (2, 2, 3, 2, 2)], start=2)]
     laws.append(uniform_pmf((Alphabet.of_size(5), Alphabet.binary())))
     assert all((law.mass == 0).any() for law in laws[:3])
     assert np.cumsum(laws[3].mass.astype(np.float64).reshape(-1))[-1] < 1.0
-    channel = Channel((laws[0].axes[1],), (laws[0].axes[1],),
-                      [0.9, 0.05, 0.05, 0.1, 0.8, 0.1, 0.0, 0.3, 0.7])
+    rows = ["9/10", "1/20", "1/20", "1/10", "4/5", "1/10", "0", "3/10", "7/10"]
+    channel = Channel((laws[0].axes[1],), (laws[0].axes[1],), [Fraction(v) for v in rows])
     blocks = []
     for seed in (1, 2, 3):
         for i, law in enumerate(laws):

@@ -34,7 +34,7 @@ def test_view_rows_match_induced_view(law, threshold_3_2):
         w = ChannelVars(law, coords)
         axes = tuple(law.axes[c] for c in coords)
         for seed in range(3):
-            chan = random_channel(axes, seed=seed, exact=True)
+            chan = random_channel(axes, seed=seed, small=True)
             x = {5 + var: chan.rows[tx + ux] for (tx, ux), var in w.var.items()}
             view = induce_view(law, s, chan)
             for v in views:
@@ -79,7 +79,7 @@ def test_float_view_rows_are_the_float_view(law, threshold_3_2):
         coords = tuple(sorted(s))
         w = ChannelVars(law, coords)
         axes = tuple(law.axes[c] for c in coords)
-        chan = random_channel(axes, seed=7, exact=True)
+        chan = random_channel(axes, seed=7, small=True)
         x = {var: float(chan.rows[tx + ux]) for (tx, ux), var in w.var.items()}
         view = induce_view(law, s, chan)
         for v in views:

@@ -47,11 +47,14 @@ class TestAlphabet:
 
 class TestConstruction:
     def test_float_normalization_tolerance(self):
-        # float rows are a channel's: each sums to 1 within the tolerance
-        a = Alphabet.binary()
-        Channel((a,), (a,), [0.5, 0.5 + 1e-10, 1.0, 0.0])
-        with pytest.raises(ProbabilityError, match="float channel row 0 sums to 1.1"):
-            Channel((a,), (a,), [0.5, 0.6, 1.0, 0.0])
+        # there is none: a row of decimals sums to 1 exactly or is refused
+        d = {"input_axes": [[0, 1]], "output_axes": [[0, 1]]}
+        Channel.from_json_dict({**d, "rows": [0.5, 0.5, 1.0, 0.0]})
+        with pytest.raises(ProbabilityError,
+                           match="channel row 0 sums to 10000000001/10000000000, not 1"):
+            Channel.from_json_dict({**d, "rows": [0.5, 0.5 + 1e-10, 1.0, 0.0]})
+        with pytest.raises(ProbabilityError, match="channel row 0 sums to 11/10, not 1"):
+            Channel.from_json_dict({**d, "rows": [0.5, 0.6, 1.0, 0.0]})
 
     def test_exact_must_sum_to_one(self):
         a = Alphabet.binary()
@@ -74,43 +77,34 @@ class TestConstruction:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_channel_rejected(self, bad):
+        # a float array is refused whole; a non-finite JSON real is named
         a = Alphabet.binary()
-        with pytest.raises(ProbabilityError, match="non-finite"):
+        with pytest.raises(ProbabilityError, match="a channel must be exact"):
             Channel((a,), (a,), np.array([[bad, 1.0], [0.0, 1.0]]))
+        d = {"input_axes": [[0, 1]], "output_axes": [[0, 1]], "rows": [bad, 1.0, 0.0, 1.0]}
+        with pytest.raises(ProbabilityError, match=f"cannot interpret {bad!r} as an exact "
+                                                   "channel entry"):
+            Channel.from_json_dict(d)
 
 
 class TestChannelFromJoint:
     def test_zero_row_maps_to_its_own_input(self):
         a = Alphabet.of_size(3)
-        for exact in (True, False):
-            joint = zero_mass((3, 3)) if exact else np.zeros((3, 3))
-            joint[0, 2] = joint[2, 0] = Fraction(1, 2)
-            w = Channel.from_joint((a,), (a,), joint)
-            assert w.exact == exact
-            assert w.rows[1].tolist() == [0, 1, 0]
-            assert w.rows[0].tolist() == [0, 0, 1] and w.rows[2].tolist() == [1, 0, 0]
+        joint = zero_mass((3, 3))
+        joint[0, 2] = joint[2, 0] = Fraction(1, 2)
+        w = Channel.from_joint((a,), (a,), joint)
+        assert w.rows[1].tolist() == [0, 1, 0]
+        assert w.rows[0].tolist() == [0, 0, 1] and w.rows[2].tolist() == [1, 0, 0]
 
     def test_exact_rows_equal_the_conditional(self):
         for seed in range(20):
             p = random_exact_pmf((4, 4), seed=seed, max_weight=2)
             w = Channel.from_joint(p.axes[:1], p.axes[1:], p.mass)
-            assert w.exact
             for i in range(4):
                 total = sum(p.mass[i, j] for j in range(4))
                 for j in range(4):
                     want = p.mass[i, j] / total if total else Fraction(int(i == j))
                     assert w.rows[i, j] == want and isinstance(w.rows[i, j], Fraction)
-
-    def test_float_rows_sum_to_one(self):
-        rng = philox(7)
-        joint = rng.random((5, 5)) * 3.0
-        joint[3] = 0.0
-        w = Channel.from_joint((Alphabet.of_size(5),), (Alphabet.of_size(5),), joint)
-        assert not w.exact
-        assert np.allclose(w.rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert w.rows[3].tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
-        for i in (0, 1, 2, 4):
-            assert np.allclose(w.rows[i] * joint[i].sum(), joint[i])
 
     def test_input_left_unchanged(self):
         joint = zero_mass((2, 2))
@@ -118,15 +112,12 @@ class TestChannelFromJoint:
         Channel.from_joint((Alphabet.binary(),), (Alphabet.binary(),), joint)
         assert joint.tolist() == [[2, 0], [0, 0]]
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_identity_is_the_identity_matrix(self, exact):
+    def test_identity_is_the_identity_matrix(self):
         axes = (Alphabet.binary(), Alphabet.of_size(3))
-        w = Channel.identity(axes) if exact else Channel.identity(axes).to_float()
-        assert w.exact == exact
-        flat = w.rows.reshape(6, 6)
+        flat = Channel.identity(axes).rows.reshape(6, 6)
         for i, j in product(range(6), range(6)):
             assert flat[i, j] == int(i == j)
-            assert isinstance(flat[i, j], Fraction if exact else np.floating)
+            assert isinstance(flat[i, j], Fraction)
 
 
 class TestMarginalize:
@@ -191,8 +182,6 @@ class TestApplyChannel:
         w = Channel((a,), (a,), np.full((2, 2), Fraction(1, 2)))
         out = apply_channel(p, (0,), w)
         assert out.mass.tolist() == [[Fraction(1, 4)] * 2] * 2
-        with pytest.raises(ProbabilityError, match="needs an exact channel"):
-            apply_channel(p, (0,), w.to_float())
 
     def test_untouched_marginal_preserved_exact(self):
         rng = philox(77)
@@ -520,18 +509,29 @@ class TestSerialization:
         again = Channel.from_json_dict(w.to_json_dict())
         assert np.array_equal(again.rows, w.rows)
 
-    def test_float_channel_roundtrip(self, erasure_pmf):
-        w = resample_w_channel((erasure_pmf.axes[1], erasure_pmf.axes[2])).to_float()
-        d = w.to_json_dict()
-        assert d["mode"] == "float"
-        again = Channel.from_json_dict(d)
-        assert not again.exact and np.array_equal(again.rows, w.rows)
-
     def test_absent_mode_means_exact(self):
         p = JointPmf.from_json_dict({"axes": [[0, 1]], "mass": ["1/2", "1/2"]})
         assert p == uniform_pmf((Alphabet.binary(),))
+        w = Channel.from_json_dict({"input_axes": [[0, 1]], "output_axes": [[0, 1]],
+                                    "rows": ["9/10", "1/10", "1/10", "9/10"]})
+        assert w.rows.tolist() == [[Fraction(9, 10), Fraction(1, 10)],
+                                   [Fraction(1, 10), Fraction(9, 10)]]
         with pytest.raises(ProbabilityError, match="a pmf must be exact"):
             JointPmf.from_json_dict({"axes": [[0, 1]], "mass": [0.5, 0.5], "mode": "float"})
+        with pytest.raises(ProbabilityError, match="a channel must be exact"):
+            Channel.from_json_dict({**w.to_json_dict(), "mode": "float"})
+
+    def test_reals_are_read_as_their_decimals(self):
+        # 0.9 is 9/10, and its float is 0.9 again: a pmf and a channel of
+        # JSON reals are the exact law and channel those decimals write
+        p = JointPmf.from_json_dict({"axes": [[0, 1], [0, 1]], "mass": [0.5, 0, 0, 0.5]})
+        assert p.mass.tolist() == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+        d = {"input_axes": [[0, 1]], "output_axes": [[0, 1]], "rows": [0.9, 0.1, "1/10", 0.9]}
+        w = Channel.from_json_dict(d)
+        assert w.rows.tolist() == [[Fraction(9, 10), Fraction(1, 10)],
+                                   [Fraction(1, 10), Fraction(9, 10)]]
+        assert w.rows.astype(np.float64).tolist() == [[0.9, 0.1], [0.1, 0.9]]
+        assert Channel.from_json_dict(w.to_json_dict()).rows.tolist() == w.rows.tolist()
 
     @pytest.mark.parametrize("mode", ["exakt", "Exact", None, 1])
     def test_unknown_mode_rejected(self, erasure_pmf, mode):
@@ -543,16 +543,25 @@ class TestSerialization:
             Channel.from_json_dict({**w.to_json_dict(), "mode": mode})
 
     @pytest.mark.parametrize("mass, mode, match", [
-        ([True, False], "float", "must be a number"),
-        (["0.5", "0.5"], "float", "must be a number"),
+        ([True, False], "float", "must be exact: unknown mode 'float'"),
+        (["0.5", "0.5"], "float", "must be exact: unknown mode 'float'"),
         ([True, False], "exact", "cannot interpret True"),
-        ([[0.5, 0], [0.5]], "float", "must be a number"),
+        ([[0.5, 0], [0.5]], "float", "must be exact: unknown mode 'float'"),
         ([["1/2", 0], ["1/2"]], "exact", "cannot interpret"),
         ("1", "exact", "must be a list"),
         (["1/0", "1"], "exact", "'1/0' has a zero denominator"),
+        ([float("nan"), 1], "exact", "cannot interpret nan as an exact"),
+        ([float("inf"), 0], "exact", "cannot interpret inf as an exact"),
+        ([float("-inf"), 1], "exact", "cannot interpret -inf as an exact"),
+        ([[0.5], 0.5], "exact", r"cannot interpret \[0.5\] as an exact"),
+        (["1//2", "1/2"], "exact", "cannot interpret '1//2' as an exact"),
+        (["nan", 1], "exact", "cannot interpret 'nan' as an exact"),
+        ([None, 1], "exact", "cannot interpret None as an exact"),
     ], ids=["float-bools", "float-strings", "exact-bools", "float-ragged", "exact-ragged",
-            "exact-string", "exact-zero-denominator"])
+            "exact-string", "exact-zero-denominator", "nan", "inf", "-inf", "nested",
+            "bad-string", "nan-string", "null"])
     def test_malformed_mass_values_rejected(self, mass, mode, match):
+        # one entry rule for laws and channels, which names a refused entry
         with pytest.raises(ProbabilityError, match=match):
             JointPmf.from_json_dict({"axes": [[0, 1]], "mass": mass, "mode": mode})
         w = {"input_axes": [[0, 1]], "output_axes": [[0, 1]], "rows": mass * 2, "mode": mode}
@@ -575,12 +584,13 @@ class TestSerialization:
         with pytest.raises(ProbabilityError, match="pmf has 53 entries, not 54"):
             JointPmf.from_json_dict({**d, "mass": mass[:-1]})
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_short_channel_rows_rejected(self, erasure_pmf, exact):
-        w = resample_w_channel(erasure_pmf.axes[1:3])
-        d = (w if exact else w.to_float()).to_json_dict()
+    @pytest.mark.parametrize("strings", [True, False])
+    def test_short_channel_rows_rejected(self, erasure_pmf, strings):
+        # "n/d" strings, or the same rows as JSON reals (0, 0.5 and 1)
+        d = resample_w_channel(erasure_pmf.axes[1:3]).to_json_dict()
+        rows = d["rows"] if strings else [float(Fraction(v)) for v in d["rows"]]
         with pytest.raises(ProbabilityError, match="channel has 80 entries, not 81"):
-            Channel.from_json_dict({**d, "rows": d["rows"][:-1]})
+            Channel.from_json_dict({**d, "rows": rows[:-1]})
 
     def test_ragged_block_users_rejected(self, erasure_pmf):
         d = sample_iid(erasure_pmf.to_float(), 32, seed=5).to_json_dict()
