@@ -24,7 +24,8 @@ import numpy as np
 
 from .examples_lib import resolve_example
 from .probability import (MALFORMED, Alphabet, Channel, SampleBlock, cell_table, derive_seed,
-                          guide_table, inverse_cdf, json_number, philox, zero_mass)
+                          guide_table, inverse_cdf, is_on_grid, json_number, philox,
+                          zero_mass)
 from .viability import ViolationWitness, check_viability
 
 
@@ -147,13 +148,15 @@ class _ChannelCdf:
     ``cums[i, j]``, input i's cumulative mass up to output cell j, is
     pinned to 1.0 from the row's last positive entry on, so no uniform
     lands on a zero-mass cell after it.  ``guide`` is their
-    ``guide_table``, one row per input cell.
+    ``guide_table``, one row per input cell, and ``on_grid`` their
+    ``is_on_grid``.
     """
 
     input_axes: tuple[Alphabet, ...]
     output_axes: tuple[Alphabet, ...]
     cums: np.ndarray
     guide: np.ndarray
+    on_grid: bool
 
     @staticmethod
     def of(chan: Channel) -> "_ChannelCdf":
@@ -162,7 +165,8 @@ class _ChannelCdf:
         cums = np.cumsum(rows, axis=1)
         last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
         cums[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
-        return _ChannelCdf(chan.input_axes, chan.output_axes, cums, guide_table(cums))
+        guide = guide_table(cums)
+        return _ChannelCdf(chan.input_axes, chan.output_axes, cums, guide, is_on_grid(cums, guide))
 
 
 @cache
@@ -180,7 +184,8 @@ def _apply_memoryless(cdf: _ChannelCdf, in_seq: np.ndarray, seed: int) -> np.nda
     count a search of the input's row gives, letter for letter.  Output
     cells are a pure function of (channel, in_seq, seed), bit-for-bit.
     """
-    return inverse_cdf(cdf.cums, cdf.guide, philox(seed).random(in_seq.shape[0]), in_seq)
+    return inverse_cdf(cdf.cums, cdf.guide, philox(seed).random(in_seq.shape[0]), in_seq,
+                       cdf.on_grid)
 
 
 def _reported(strategy: AttackStrategy, adversary_set: frozenset,

@@ -89,8 +89,11 @@ def _checked_mass(values, shape: tuple[int, ...], n_rows: int, what: str) -> np.
     # additions would dominate the cost of every exact marginal
     for i, row in enumerate(flat.reshape(n_rows, -1).tolist()):
         den = math.lcm(*(v.denominator for v in row))
-        if sum(v.numerator * (den // v.denominator) for v in row) != den:
-            raise ProbabilityError(f"{what} row {i} sums to {sum(row)}, not 1")
+        if (num := sum(v.numerator * (den // v.denominator) for v in row)) != den:
+            # str() refuses an int of more than 4300 digits: such a sum is not shown
+            shown = (f"sums to {Fraction(num, den)}, not 1"
+                     if max(num, den).bit_length() <= 4096 else "does not sum to 1")
+            raise ProbabilityError(f"{what} row {i} {shown}")
     return flat.reshape(shape)
 
 
@@ -203,7 +206,8 @@ class JointPmf:
         support = np.flatnonzero(flat > 0)
         cum = np.cumsum(flat[support])
         cum[-1] = 1.0
-        return CellSampler(self.axes, support, cum, guide_table(cum))
+        guide = guide_table(cum)
+        return CellSampler(self.axes, support, cum, guide, is_on_grid(cum, guide))
 
     # -- basic accessors -----------------------------------------------
 
@@ -540,7 +544,15 @@ def guide_table(cums: np.ndarray) -> np.ndarray:
     return np.array(guide).reshape(cums.shape[:-1] + (buckets,))
 
 
-def inverse_cdf(cums: np.ndarray, guide: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
+def is_on_grid(cums: np.ndarray, guide: np.ndarray) -> bool:
+    """Whether every entry of ``cums`` is a multiple of 1/K, K the bucket
+    count of its ``guide``: no entry then lies inside a bucket."""
+    scaled = cums * guide.shape[-1]
+    return bool(np.array_equal(scaled, np.floor(scaled)))
+
+
+def inverse_cdf(cums: np.ndarray, guide: np.ndarray, u: np.ndarray, rows=0,
+                on_grid: bool = False) -> np.ndarray:
     """``np.searchsorted(cums[rows[t]], u[t], side="right")`` for each letter t.
 
     ``cums`` holds nondecreasing rows ending in 1.0 (a law's one row may be
@@ -548,11 +560,15 @@ def inverse_cdf(cums: np.ndarray, guide: np.ndarray, u: np.ndarray, rows=0) -> n
     one row for all, and u lies in [0, 1).  A guide table (Chen and Asau
     1974; Devroye 1986, III.2.4): K is a power of two, so u * K is exact
     and the guide at its floor counts the entries <= that bucket's edge.
-    One compare with the next entry settles each letter with no entry in
-    (edge, u]; the rest are searched, one call per distinct row.
+    ``on_grid``, the table's ``is_on_grid``, says that no entry lies in
+    (edge, u], so the guide alone is the count.  Otherwise one compare with
+    the next entry settles each letter with no entry there; the rest are
+    searched, one call per distinct row.
     """
     width, buckets = cums.shape[-1], guide.shape[-1]
     count = np.take(guide, (u * buckets).astype(np.intp) + rows * buckets)
+    if on_grid:
+        return count
     late = np.flatnonzero(np.take(cums, count + rows * width) <= u)
     if late.size:
         table, late_rows = cums.reshape(-1, width), np.broadcast_to(rows, u.shape)[late]
@@ -568,13 +584,15 @@ class CellSampler:
 
     ``support`` holds the row-major cells of positive float64 mass over
     ``axes``, ``cum`` their cumulative mass, the last entry pinned to 1.0,
-    and ``guide`` its ``guide_table`` for ``inverse_cdf``.
+    ``guide`` its ``guide_table`` and ``on_grid`` its ``is_on_grid``, for
+    ``inverse_cdf``.
     """
 
     axes: tuple[Alphabet, ...]
     support: np.ndarray
     cum: np.ndarray
     guide: np.ndarray
+    on_grid: bool
 
 
 def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
@@ -596,7 +614,8 @@ def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
         raise ProbabilityError("pmf must cover at least one user axis plus side info")
     u = philox(seed).random(n)
     return SampleBlock.from_cells(table.axes,
-                                  table.support[inverse_cdf(table.cum, table.guide, u)])
+                                  table.support[inverse_cdf(table.cum, table.guide, u,
+                                                            on_grid=table.on_grid)])
 
 
 def apply_pointwise(fn, block: SampleBlock) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -189,13 +190,16 @@ class _Region:
             pending = rest
         self.fixed = fixed
         self.alive_vars = [v for v in range(self.nvar) if v not in fixed]
-        self.alive_index = {v: i for i, v in enumerate(self.alive_vars)}
+        self.alive_index = index = [-1] * self.nvar
+        for i, v in enumerate(self.alive_vars):
+            index[v] = i
         self.A: list[dict[int, int]] = []
         self.b: list[int] = []
         seen: set[tuple] = set()
+        # every row lists its variables in increasing order: a sum row walks
+        # one input's outputs, and a match row member m's side, then m+1's
         for i, row in enumerate(sums + [{**pos, **neg} for pos, neg in matches]):
-            items = tuple((self.alive_index[v], c) for v, c in sorted(row.items())
-                          if v not in fixed)
+            items = tuple((j, c) for v, c in row.items() if (j := index[v]) >= 0)
             rhs = 1 if i < len(sums) else 0
             if not items and i < len(sums):
                 raise Infeasible("presolve emptied an inconsistent row")
@@ -217,6 +221,8 @@ class _Region:
         return self.offsets[m] + self.members[m].var[(tx, ux)]
 
     def _solve_support(self) -> None:
+        """Fill ``_reach``, the variables positive somewhere in the region,
+        and ``pinned``, whether the identity is the region's only point."""
         if self._reach is not None:
             return
         identity = self.identity_solution()
@@ -224,8 +230,8 @@ class _Region:
             if identity[v] != 0:
                 raise LPError("presolve fixed a coordinate of a feasible point")
         id_alive = [identity[v] for v in self.alive_vars]
-        if unique_point(self.A, self.b, id_alive):
-            # the identity is the region's only point
+        self.pinned = unique_point(self.A, self.b, id_alive)
+        if self.pinned:
             self._reach = {v for v, x in zip(self.alive_vars, id_alive) if x > 0}
             return
         # each identity column sits alone in its own row-sum row, so the
@@ -243,17 +249,20 @@ class _Region:
         individually reachable (feasible points average), and the vertex
         of the lifted system is the reproducible witness the reports carry.
         Phase 1's artificial columns do not scale with their rows, so its
-        path, and the vertex, depend on each row's scale: the rows go in
-        divided by ``den``, as the P-valued Fractions that fix the vertex.
+        path, and the vertex, depend on each row's scale: each row goes in
+        as the least integer multiple of its P-valued form (the row over
+        ``den``), the row divided by the gcd of ``den`` and its entries.
         """
-        ia = self.alive_index.get(var_a)
-        ib = self.alive_index.get(var_b)
-        if ia is None or ib is None:
+        ia = self.alive_index[var_a]
+        ib = self.alive_index[var_b]
+        if ia < 0 or ib < 0:
             raise LPError("conflict coordinate was presolved away")
         nv = len(self.alive_vars)
-        den = self.den
-        A = [{j: Fraction(v, den) for j, v in row.items()} for row in self.A]
-        b = [Fraction(v, den) for v in self.b]
+        A, b = [], []
+        for row, rhs in zip(self.A, self.b):
+            g = gcd(self.den, rhs, *row.values())
+            A.append({j: v // g for j, v in row.items()})
+            b.append(rhs // g)
         A += [{ia: 1, nv: -1, nv + 1: -1}, {ib: 1, nv: -1, nv + 2: -1}]
         t = Tableau(A, b + [0, 0], nv + 3)
         c = [0] * (nv + 3)
@@ -263,8 +272,8 @@ class _Region:
             raise LPError("conflict coordinates are not simultaneously reachable")
         sol_alive = t.solution()
         full = [0] * self.nvar
-        for v, i in self.alive_index.items():
-            full[v] = sol_alive[i]
+        for v, x in zip(self.alive_vars, sol_alive):
+            full[v] = x
         return full
 
     def explanations(self, v: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -351,7 +360,13 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
 
 def _scan_collection(region: _Region, f: TargetFunction,
                      ) -> tuple[int, tuple, int, tuple, tuple] | None:
-    """First f-conflict between two scenarios of the collection, or None."""
+    """First f-conflict between two scenarios of the collection, or None.
+
+    None at once when the identity is the region's only point: every
+    explanation at a view v is then the truth v itself, one f-value."""
+    region._solve_support()
+    if region.pinned:
+        return None
     for v in region.members[0].at:
         expl = region.explanations(v)
         if len(expl) < 2:

@@ -18,8 +18,9 @@ draw.  The zero-mass draws that pin rules out are tested on their own.
 Laws and channels draw through one guide-table routine,
 ``probability.inverse_cdf``.  It is tested against
 ``np.searchsorted(row, u, side="right")`` on its own: on rows with runs
-of equal entries and entries on the guide's bucket edges, at the
-uniforms on and next to every edge and entry.  A law of 4000 cells of
+of equal entries and entries on the guide's bucket edges, and on rows
+whose every entry is on an edge, where the guide alone is the count, at
+the uniforms on and next to every edge and entry.  A law of 4000 cells of
 mass 10^-9 puts thousands of cells in one bucket; its blocks must equal
 the reference, and a draw must search each row at most once.
 """
@@ -320,12 +321,15 @@ class TestInverseCdfRule:
 @st.composite
 def cumulative_rows(draw, count: int):
     """``count`` nondecreasing rows pinned to 1.0, of one width 1, 2, 2^j or
-    2^j + 1, with runs of equal entries and entries on the guide's edges."""
+    2^j + 1, with runs of equal entries and entries on the guide's edges;
+    in about half the draws every entry is on an edge (on the grid)."""
     j = draw(st.integers(1, 6))
     width = draw(st.sampled_from([1, 2, 2**j, 2**j + 1]))
     buckets = 1 << (width - 1).bit_length()
     edges = [b / buckets for b in range(buckets + 1)]
-    entry = st.one_of(st.floats(0.0, 1.0), st.sampled_from(edges))
+    entry = st.sampled_from(edges)
+    if not draw(st.booleans()):
+        entry = st.one_of(st.floats(0.0, 1.0), entry)
     rows = []
     for _ in range(count):
         inner = sorted(draw(st.lists(entry, min_size=width - 1, max_size=width - 1)))
@@ -360,7 +364,11 @@ class TestGuideDraw:
         assert np.array_equal(guide, np.searchsorted(cum, np.arange(buckets) / buckets,
                                                      side="right"))
         u = np.concatenate([edge_uniforms(cums), extra])
-        _assert_same(probability.inverse_cdf(cum, guide, u), np.searchsorted(cum, u, side="right"))
+        want = np.searchsorted(cum, u, side="right")
+        _assert_same(probability.inverse_cdf(cum, guide, u), want)
+        on_grid = probability.is_on_grid(cum, guide)
+        assert on_grid == (set((cum * buckets).tolist()) <= set(range(buckets + 1)))
+        _assert_same(probability.inverse_cdf(cum, guide, u, on_grid=on_grid), want)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(cumulative_rows), st.data())
@@ -371,15 +379,20 @@ class TestGuideDraw:
                                            max_size=u.size)), dtype=np.int64)
         want = np.array([np.searchsorted(cums[r], x, side="right") for r, x in zip(rows, u)],
                         dtype=np.intp)
-        _assert_same(probability.inverse_cdf(cums, guide, u, rows), want)
-        # every uniform in every row
-        every = np.repeat(np.arange(len(cums)), u.size)
-        _assert_same(probability.inverse_cdf(cums, guide, np.tile(u, len(cums)), every),
-                     np.concatenate([np.searchsorted(row, u, side="right") for row in cums]))
-        # an empty half of a split draws nothing (TestCellPath plays the
-        # splits at fractions 0 and 1 end to end)
-        _assert_same(probability.inverse_cdf(cums, guide, u[:0], rows[:0]),
-                     np.zeros(0, dtype=np.intp))
+        buckets = guide.shape[-1]
+        on_grid = probability.is_on_grid(cums, guide)
+        assert on_grid == (set((cums * buckets).reshape(-1).tolist())
+                           <= set(range(buckets + 1)))
+        for grid in {False, on_grid}:
+            _assert_same(probability.inverse_cdf(cums, guide, u, rows, grid), want)
+            # every uniform in every row
+            every = np.repeat(np.arange(len(cums)), u.size)
+            _assert_same(probability.inverse_cdf(cums, guide, np.tile(u, len(cums)), every, grid),
+                         np.concatenate([np.searchsorted(row, u, side="right") for row in cums]))
+            # an empty half of a split draws nothing (TestCellPath plays the
+            # splits at fractions 0 and 1 end to end)
+            _assert_same(probability.inverse_cdf(cums, guide, u[:0], rows[:0], grid),
+                         np.zeros(0, dtype=np.intp))
 
 
 @st.composite

@@ -1,14 +1,15 @@
 """Verdict shortcuts agree with the routines they replaced.
 
 The exact checker decides a region whose only point is the identity
-channel with a rank certificate mod a prime, and starts every other
-region tableau at the identity-channel point instead of running phase 1.
-These tests compare the certificate with the crash start and the crash
-start with phase 1 on the regions the checker builds, compare the two
-starts on the exact view-distance LP, and check collection pruning
-against the unpruned scan at k=4.  The stateless collection filter, the
-row-side presolve and build_g's conflict rule are each checked against
-the routine they replaced, kept here as the reference.
+channel with a rank certificate mod a prime, and then scans none of its
+views; it starts every other region tableau at the identity-channel
+point instead of running phase 1.  These tests compare the certificate
+with the crash start and the crash start with phase 1 on the regions the
+checker builds, compare the two starts on the exact view-distance LP, and
+check collection pruning against the unpruned scan at k=4.  The
+stateless collection filter, the row-side presolve, build_g's conflict
+rule, the certificate's elimination and the scan of every view are each
+checked against the routine they replaced, kept here as the reference.
 """
 
 from collections import Counter
@@ -238,6 +239,44 @@ def _g_matches_the_grouping(p, f, col, monkeypatch) -> bool:
     return True
 
 
+def _scan_every_view(region: _Region, f):
+    """The scan without the shortcut for regions pinned to the identity: the
+    explanations of every view, grouped by member, first f-conflict or None."""
+    for v in region.members[0].at:
+        expl = region.explanations(v)
+        if len(expl) < 2:
+            continue
+        by_member: dict[int, list] = {}
+        for m, tx in expl:
+            by_member.setdefault(m, []).append((tx, _f_at(f, v, region.members[m].coords, tx)))
+        members = sorted(by_member)
+        for ai in range(len(members)):
+            for bi in range(ai + 1, len(members)):
+                ma, mb = members[ai], members[bi]
+                for tx_a, fa in by_member[ma]:
+                    for tx_b, fb in by_member[mb]:
+                        if fa != fb:
+                            return (ma, tx_a, mb, tx_b, v)
+    return None
+
+
+def test_the_pinned_shortcut_matches_the_full_scan(erasure_pmf, erasure_f_uv, erasure_f_uvw,
+                                                   threshold_3_2):
+    # every region of the ladder (the threshold-1 pool, the k=3 instances
+    # and the k=4 rung) and of the worked example
+    instances = [*_ladder(), (erasure_pmf, erasure_f_uv, threshold_3_2),
+                 (erasure_pmf, erasure_f_uvw, threshold_3_2)]
+    outcomes = Counter()
+    for p, f, structure in instances:
+        for col in filter(_needs_solving, nonintersecting_collections(structure)):
+            region = _Region(p, col)
+            hit = _scan_collection(region, f)
+            assert hit == _scan_every_view(region, f)
+            outcomes[region.pinned, hit is None] += 1
+    assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False], outcomes
+    assert not outcomes[True, False]
+
+
 def test_build_g_conflicts_iff_the_scan_hits(monkeypatch):
     # the k=4 rung's 969 collections run in test_k4_pruning_matches_the_unpruned_scan
     outcomes = Counter()
@@ -318,6 +357,81 @@ def test_certificate_matches_the_crash_start_on_generated_regions(sizes, seed, z
     cols = nonintersecting_collections(AdversaryStructure.threshold(k, min(s, k - 1)))
     if cols:
         _certificate_matches_crash_start(_Region(p, cols[pick % len(cols)]))
+
+
+def _unique_point_by_least_column(A, b, x) -> bool:
+    """The certificate's sparse elimination that ``unique_point`` replaced:
+    each row a dict mod the prime, reduced at its least column by the pivot
+    row keyed there; the same checks and the same rank."""
+    n = len(x)
+    xs, xm = simplex._integers(list(x))
+    prime = simplex.RANK_PRIME
+    pivots: dict[int, dict[int, int]] = {}
+    for a, rhs in zip(A, b):
+        vals, _ = simplex._integers([*a.values(), rhs])
+        if sum(v * xs[j] for j, v in zip(a, vals)) != vals[-1] * xm:
+            raise LPError("point violates a constraint row")
+        if len(pivots) == n:
+            continue
+        row = {j: r for j, v in zip(a, vals) if (r := v % prime)}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, prime)
+                pivots[c] = {j: v * inv % prime for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in piv.items():
+                if r := (row.get(j, 0) - f * v) % prime:
+                    row[j] = r
+                else:
+                    row.pop(j, None)
+    return len(pivots) == n
+
+
+def _certificate_or_error(certify, A, b, x):
+    try:
+        return certify(A, b, x)
+    except LPError as exc:
+        return type(exc)
+
+
+def random_systems(seed: int, count: int):
+    """(A, b, x): sparse integer or rational rows through a nonnegative
+    point x, some of them dependent, some right-hand sides moved off x."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        dense = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.6)
+        if m > 1 and rng.random() < 0.3:
+            dense[-1] = dense[0] * 2 - dense[-2]    # a dependent row
+        x = [int(v) for v in rng.integers(0, 3, size=n)]
+        den = int(rng.integers(1, 4))
+        A = [{j: Fraction(int(v), den) for j, v in enumerate(row) if v} for row in dense]
+        b = [sum(v * x[j] for j, v in row.items()) for row in A]
+        if rng.random() < 0.1:
+            b[int(rng.integers(m))] += 1
+        yield A, b, x
+
+
+def test_certificate_matches_the_least_column_elimination(monkeypatch):
+    outcomes = Counter()
+    for p, _, structure in _ladder():
+        for col in filter(_needs_solving, nonintersecting_collections(structure)):
+            region = _Region(p, col)
+            start = _identity_start(region)
+            got = unique_point(region.A, region.b, start)
+            assert got == _unique_point_by_least_column(region.A, region.b, start)
+            outcomes[got] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+    for prime in (simplex.RANK_PRIME, 2, 3):
+        monkeypatch.setattr(simplex, "RANK_PRIME", prime)
+        for A, b, x in random_systems(prime, 400):
+            got = _certificate_or_error(unique_point, A, b, x)
+            assert got == _certificate_or_error(_unique_point_by_least_column, A, b, x)
+            outcomes[got] += 1
+    assert outcomes[LPError], outcomes
 
 
 def test_rank_deficient_mod_the_prime_is_not_certified(monkeypatch):

@@ -1,15 +1,16 @@
-"""The sparse integer simplex kernel against the dense one it replaced.
+"""The integer simplex kernel against the dense one it replaced.
 
 ``DenseTableau`` is the dense Bareiss tableau, kept here as the reference:
 every row a full list of ints and every pivot an update of every entry.
-``simplex.Tableau`` keeps each sparse row primitive over a scale of its
-own, and a pivot touches only the rows that hold the pivot column.  Both
-kernels run the same problems, and each run is logged: the (r, c) pivot
-list, the basis and ``solution()`` after construction and after every
-``maximize``, each optimum, and the class of any exception.  The logs must
-be equal.  The problems are the random and fuzz LPs of ``test_simplex.py``
-(phase 1 and crash-started), LPs over the common denominator 2**61 + 1,
-every fallback region of the verdict ladder through
+``simplex.Tableau`` keeps each row of its int64 (or Python-int) array
+primitive over a scale of its own, and a pivot updates only the rows that
+hold the pivot column.  Both kernels run the same problems, and each run
+is logged: the (r, c) pivot list, the basis and ``solution()`` after
+construction and after every ``maximize``, each optimum, and the class of
+any exception.  The logs must be equal.  The problems are the random and
+fuzz LPs of ``test_simplex.py`` (phase 1 and crash-started), LPs over the
+common denominator 2**61 + 1, LPs whose entries pass the int64 bound in
+mid-run, every fallback region of the verdict ladder through
 ``positive_coordinates``, ``conflict_vertex`` on every non-viable instance
 of the ladder and on the worked example's ``uvw``, and the exact
 view-distance LP on the worked example's queries and on n=5000 types.  The
@@ -30,8 +31,8 @@ import pytest
 
 from byzfc import viability, viewsets
 from byzfc.probability import Alphabet, JointPmf, derive_seed, empirical_type, sample_iid
-from byzfc.simplex import (MAX_PIVOTS, Infeasible, LPError, Tableau, Unbounded, _integers,
-                           positive_coordinates, unique_point)
+from byzfc.simplex import (ENTRY_BOUND, MAX_PIVOTS, Infeasible, LPError, Tableau, Unbounded,
+                           _integers, positive_coordinates, unique_point)
 from byzfc.structures import nonintersecting_collections
 from byzfc.viability import _needs_solving, _Region, check_viability
 from byzfc.viewsets import ViewSetHandle
@@ -292,10 +293,10 @@ def both_logs(run):
 
 def same_run(run):
     """Both kernels log the same run and return the same; returns that."""
-    (sparse_log, sparse_out), (dense_log, dense_out) = both_logs(run)
-    assert sparse_log == dense_log
-    assert sparse_out == dense_out
-    return sparse_out
+    (array_log, array_out), (dense_log, dense_out) = both_logs(run)
+    assert array_log == dense_log
+    assert array_out == dense_out
+    return array_out
 
 
 def _lp_run(A, b, c):
@@ -337,6 +338,41 @@ def test_huge_denominator_lps():
     for A, b, c in huge_denominator_lps():
         for sign in (1, -1):
             same_run(_lp_run(sparse(A), b, [sign * v for v in c]))
+
+
+def growing_lps():
+    """Bounded LPs with entries below 2**16 whose pivots soon make entries
+    past ``ENTRY_BOUND``, as (A, b, c) lists."""
+    rng = np.random.default_rng(2**31)
+    for _ in range(30):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m + 1, 8))
+        A = rng.integers(-2**16, 2**16, size=(m, n))
+        x0 = rng.integers(0, 3, size=n)
+        A2 = [[int(v) for v in row] + [0] for row in A] + [[1] * (n + 1)]
+        b = [int(v) for v in A @ x0] + [int(x0.sum()) + 3]
+        yield A2, b, [int(v) for v in rng.integers(-2**16, 2**16, size=n)] + [0]
+
+
+def test_entries_past_the_int64_bound(monkeypatch):
+    # the array starts as int64 and turns to Python ints at the first pivot
+    # that leaves an entry past ENTRY_BOUND; the log is the dense kernel's
+    pivot = Tableau._pivot
+    kinds: list = []
+
+    def watched(self, r, c):
+        kinds.append(self.rows.dtype)
+        pivot(self, r, c)
+
+    monkeypatch.setattr(Tableau, "_pivot", watched)
+    switched = 0
+    for A, b, c in growing_lps():
+        assert max(abs(v) for row in A for v in row) <= ENTRY_BOUND
+        for sign in (1, -1):
+            kinds.clear()
+            same_run(_lp_run(sparse(A), b, [sign * v for v in c]))
+            switched += kinds[0] == np.int64 and object in kinds
+    assert switched == 60, switched
 
 
 def _distance_run(h, q, monkeypatch):
@@ -434,12 +470,12 @@ def test_pivots_touch_only_the_rows_with_the_pivot_column(monkeypatch):
     pivots = []
 
     def checked(self, r, c):
-        before = [dict(row) for row in self.rows]
+        before = self.rows.copy()
         pivot(self, r, c)
         for i, (old, row) in enumerate(zip(before, self.rows, strict=True)):
-            if i == r or c not in old:
-                assert row == old
-            assert not row or gcd(*row.values()) == 1
+            if i == r or not old[c]:
+                assert np.array_equal(row, old)
+            assert not row.any() or gcd(*row.tolist()) == 1
         for row, bi in zip(self.rows, self.basis):
             assert bi < 0 or row[bi] > 0
         pivots.append((r, c))

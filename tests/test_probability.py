@@ -557,9 +557,11 @@ class TestSerialization:
         (["1//2", "1/2"], "exact", "cannot interpret '1//2' as an exact"),
         (["nan", 1], "exact", "cannot interpret 'nan' as an exact"),
         ([None, 1], "exact", "cannot interpret None as an exact"),
+        # a sum of over 4300 digits, which str() refuses, is not printed
+        (["1e-5000", 1], "exact", "row 0 does not sum to 1"),
     ], ids=["float-bools", "float-strings", "exact-bools", "float-ragged", "exact-ragged",
             "exact-string", "exact-zero-denominator", "nan", "inf", "-inf", "nested",
-            "bad-string", "nan-string", "null"])
+            "bad-string", "nan-string", "null", "long-sum"])
     def test_malformed_mass_values_rejected(self, mass, mode, match):
         # one entry rule for laws and channels, which names a refused entry
         with pytest.raises(ProbabilityError, match=match):

@@ -212,8 +212,8 @@ class TestBuildG:
             t.maximize(c)
             sol_alive = t.solution()
             sol = [Fraction(0)] * region.nvar
-            for var, i in region.alive_index.items():
-                sol[var] = sol_alive[i]
+            for var, x in zip(region.alive_vars, sol_alive):
+                sol[var] = x
             for v in product(*(range(s) for s in sizes)):
                 for m, chan_vars in enumerate(region.members):
                     coords = chan_vars.coords
