@@ -4,7 +4,9 @@ An attack rewrites the coordinates the adversary controls and nothing
 else: honest coordinates and the decoder's side information pass through
 bit-identical.  It works on the block's flat cells: each cell's
 adversary input is read off a table, and the reported cell is the cell
-moved by the output's offset minus the input's.  Strategies include the
+moved by the output's offset minus the input's; a channel's output is
+drawn per letter from its float form, ``Channel.to_float()``, the
+``CdfTable`` type that laws are sampled from too.  Strategies include the
 identity, arbitrary per-letter channels, channels extracted from
 viability violation witnesses (the converse construction), the worked
 example's erasure-pattern resampler, and a two-regime splice for
@@ -23,9 +25,8 @@ from typing import Union
 import numpy as np
 
 from .examples_lib import resolve_example
-from .probability import (MALFORMED, Alphabet, Channel, SampleBlock, cell_table, derive_seed,
-                          guide_table, inverse_cdf, is_on_grid, json_number, philox,
-                          zero_mass)
+from .probability import (MALFORMED, Alphabet, CdfTable, Channel, SampleBlock, cell_table,
+                          derive_seed, json_number, philox, zero_mass)
 from .viability import ViolationWitness, check_viability
 
 
@@ -43,9 +44,9 @@ class MemorylessChannel:
     channel: Channel
 
     @cached_property
-    def cdf(self) -> "_ChannelCdf":
+    def cdf(self) -> CdfTable:
         """The channel's cumulative tables, built on the first attack."""
-        return _ChannelCdf.of(self.channel)
+        return self.channel.to_float()
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ class WitnessDMC:
         return witness_to_dmc(self.witness, self.scenario)
 
     @cached_property
-    def cdf(self) -> "_ChannelCdf":
+    def cdf(self) -> CdfTable:
         """The channel's cumulative tables, built on the first attack."""
-        return _ChannelCdf.of(self.channel)
+        return self.channel.to_float()
 
 
 @dataclass(frozen=True)
@@ -141,58 +142,20 @@ def resample_w_channel(axes: tuple[Alphabet, Alphabet]) -> Channel:
     return Channel(axes, axes, rows)
 
 
-@dataclass(frozen=True)
-class _ChannelCdf:
-    """A channel's inverse-CDF tables, built once per channel: its one float form.
-
-    ``cums[i, j]``, input i's cumulative mass up to output cell j, is
-    pinned to 1.0 from the row's last positive entry on, so no uniform
-    lands on a zero-mass cell after it.  ``guide`` is their
-    ``guide_table``, one row per input cell, and ``on_grid`` their
-    ``is_on_grid``.
-    """
-
-    input_axes: tuple[Alphabet, ...]
-    output_axes: tuple[Alphabet, ...]
-    cums: np.ndarray
-    guide: np.ndarray
-    on_grid: bool
-
-    @staticmethod
-    def of(chan: Channel) -> "_ChannelCdf":
-        n_out = math.prod(a.size for a in chan.output_axes)
-        rows = np.asarray(chan.rows, dtype=np.float64).reshape(-1, n_out)
-        cums = np.cumsum(rows, axis=1)
-        last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
-        cums[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
-        guide = guide_table(cums)
-        return _ChannelCdf(chan.input_axes, chan.output_axes, cums, guide, is_on_grid(cums, guide))
-
-
 @cache
-def _resample_cdf(axes: tuple[Alphabet, Alphabet]) -> _ChannelCdf:
-    return _ChannelCdf.of(resample_w_channel(axes))
-
-
-def _apply_memoryless(cdf: _ChannelCdf, in_seq: np.ndarray, seed: int) -> np.ndarray:
-    """Pass the adversary's flat input cells through the channel letter by letter.
-
-    Inverse CDF per letter: the reported output cell is the first whose
-    cumulative mass in the true input's row exceeds the letter's
-    ``philox(seed)`` uniform, which is the number of the row's entries
-    <= that uniform.  ``inverse_cdf`` counts them through the guide, the
-    count a search of the input's row gives, letter for letter.  Output
-    cells are a pure function of (channel, in_seq, seed), bit-for-bit.
-    """
-    return inverse_cdf(cdf.cums, cdf.guide, philox(seed).random(in_seq.shape[0]), in_seq,
-                       cdf.on_grid)
+def _resample_cdf(axes: tuple[Alphabet, Alphabet]) -> CdfTable:
+    return resample_w_channel(axes).to_float()
 
 
 def _reported(strategy: AttackStrategy, adversary_set: frozenset,
               axes: tuple[Alphabet, ...], in_seq: np.ndarray, seed: int) -> np.ndarray:
     """The adversary's reported flat cells over ``axes``.  A split recurses on
     both letter ranges, an empty one included; every other strategy but the
-    identity plays a channel on exactly ``axes``."""
+    identity plays a channel on exactly ``axes``: a letter's output cell is
+    the first whose cumulative mass in the true input's row exceeds the
+    letter's ``philox(seed)`` uniform, found by ``CdfTable.draw``.  Output
+    cells are a pure function of (channel, in_seq, seed), bit-for-bit.
+    """
     if isinstance(strategy, Honest):
         return in_seq
     if isinstance(strategy, BlockSplit):
@@ -205,14 +168,14 @@ def _reported(strategy: AttackStrategy, adversary_set: frozenset,
             and adversary_set != strategy.witness.collection[strategy.scenario]):
         raise AttackError("adversary set differs from the witness scenario")
     if isinstance(strategy, (MemorylessChannel, WitnessDMC)):
+        if (strategy.channel.input_axes, strategy.channel.output_axes) != (axes, axes):
+            raise AttackError("channel axes do not match the adversary set")
         cdf = strategy.cdf
     elif isinstance(strategy, ResampleW):
         cdf = _resample_cdf(axes)  # raises AttackError unless two coordinates
     else:
         raise AttackError(f"unknown strategy {strategy!r}")
-    if cdf.input_axes != axes or cdf.output_axes != axes:
-        raise AttackError("channel axes do not match the adversary set")
-    return _apply_memoryless(cdf, in_seq, seed)
+    return cdf.draw(philox(seed).random(in_seq.shape[0]), in_seq)
 
 
 @cache

@@ -19,7 +19,7 @@ from .polytope import ChannelTables
 from .probability import (MALFORMED, Alphabet, JointPmf, SampleBlock, apply_pointwise,
                           empirical_type, hamming_distortion, json_number, type_counts)
 from .structures import (AdversaryStructure, TargetFunction, canonical_collection,
-                         nonintersecting_collections)
+                         is_nonintersecting, nonintersecting_collections)
 from .viability import GBuildConflict, GTable, build_g, check_viability
 from .viewsets import DistanceScreen, ViewSetHandle, distance_to_viewset
 
@@ -86,6 +86,10 @@ class DecoderConfig:
                 raise DecoderConfigError(
                     f"g-table for collection {g.collection} does not match the law's axes "
                     "or the function's codomain")
+            if not (is_nonintersecting(g.collection)
+                    and all(s in self.structure for s in g.collection)):
+                raise DecoderConfigError(f"g-table collection {g.collection} is not a "
+                                         "non-intersecting collection of the structure")
 
     def g_table(self, collection) -> GTable:
         """The repaired table of a non-intersecting collection, built on first use.

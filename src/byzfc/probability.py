@@ -7,20 +7,21 @@ Laws (``JointPmf``) and channels (``Channel``) are exact: their entries
 are ``fractions.Fraction`` held in an object ndarray, and their sums and
 equalities are literal.  They share one validator and one JSON parser,
 so one entry rule holds for both.  Float arithmetic lives only in the
-tables that samples are drawn from: a law's ``to_float()``, the
-inverse-CDF table ``CellSampler`` that ``sample_iid`` draws from, and an
-attack channel's cumulative table (``adversary._ChannelCdf``).
+tables that samples are drawn from, all of one type, ``CdfTable``: a
+law's ``to_float()`` (the ``CellSampler`` ``sample_iid`` draws from)
+holds one, and a channel's ``to_float()``, an attack's table, is one.
 
 Sampling uses numpy's counter-based Philox generator so that runs are
 reproducible bit-for-bit from an integer seed.  Laws and attack channels
-draw letters by one guide-table routine, ``inverse_cdf``, equal to a binary search.
+draw letters by one guide-table routine, ``CdfTable.draw``, equal to a
+binary search.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -108,10 +109,8 @@ def _mass_from_json(d: dict, key: str, what: str) -> np.ndarray:
     mode = d.get("mode", "exact")
     if mode != "exact":
         raise ProbabilityError(f"a {what} must be exact: unknown mode {mode!r}")
-    values = d[key]
-    if not isinstance(values, list):
-        raise ProbabilityError(f"{what} values must be a list, not {values!r}")
-    return np.array([_as_fraction(v, what) for v in values], dtype=object)
+    return np.array([_as_fraction(v, what) for v in json_list(d[key], f"{what} values")],
+                    dtype=object)
 
 
 # what a JSON-to-object parser raises on a value of the wrong type or shape
@@ -128,6 +127,19 @@ def json_value(v, what: str, *, integer: bool = False,
     if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
         raise error(f"{what} must be {'an integer' if integer else 'a number'}, not {v!r}")
     return v if integer else float(v)
+
+
+def json_list(v, what: str) -> list | tuple:
+    """The JSON list (or tuple) v, named ``what`` in the error message; a
+    string or any other value raises ProbabilityError, not being iterated."""
+    if not isinstance(v, (list, tuple)):
+        raise ProbabilityError(f"{what} must be a list, not {type(v).__name__}")
+    return v
+
+
+def alphabets_from_json(v) -> tuple["Alphabet", ...]:
+    """The alphabets of a JSON list of symbol lists."""
+    return tuple(Alphabet(json_list(s, "alphabet")) for s in json_list(v, "axes"))
 
 
 def json_number(d: dict, key: str, default=None, *, integer: bool = False,
@@ -201,13 +213,10 @@ class JointPmf:
         return len(self.axes)
 
     def to_float(self) -> "CellSampler":
-        """The law's float form: the inverse-CDF table and guide ``sample_iid`` draws from."""
+        """The law's float form: the inverse-CDF table ``sample_iid`` draws from."""
         flat = self.mass.astype(np.float64).reshape(-1)
         support = np.flatnonzero(flat > 0)
-        cum = np.cumsum(flat[support])
-        cum[-1] = 1.0
-        guide = guide_table(cum)
-        return CellSampler(self.axes, support, cum, guide, is_on_grid(cum, guide))
+        return CellSampler(self.axes, support, CdfTable.of(flat[support]))
 
     # -- basic accessors -----------------------------------------------
 
@@ -217,13 +226,7 @@ class JointPmf:
 
     def support_idx(self) -> list[tuple[int, ...]]:
         """Index tuples with positive mass, row-major order."""
-        out = []
-        it = np.nditer(np.arange(self.mass.size).reshape(self.mass.shape), flags=["multi_index"])
-        flat = self.mass.reshape(-1)
-        for nit in it:
-            if flat[int(nit)] > 0:
-                out.append(it.multi_index)
-        return out
+        return [tuple(map(int, idx)) for idx in np.argwhere(self.mass > 0)]
 
     # -- operations ----------------------------------------------------
 
@@ -236,17 +239,12 @@ class JointPmf:
         for c in keep:
             if not 0 <= c < self.k:
                 raise ProbabilityError(f"coordinate {c} out of range for {self.k} axes")
-        keep_sorted = tuple(sorted(keep))
+        keep_sorted = sorted(keep)
         drop = tuple(c for c in range(self.k) if c not in keep_sorted)
-        arr = self.mass.sum(axis=drop) if drop else self.mass.copy()
-        if keep != keep_sorted:
-            # position of each requested coordinate inside the sorted result
-            perm = tuple(keep_sorted.index(c) for c in keep)
-            arr = np.transpose(arr, axes=perm)
-            axes = tuple(self.axes[c] for c in keep)
-        else:
-            axes = tuple(self.axes[c] for c in keep_sorted)
-        return JointPmf(axes, arr)
+        arr = self.mass.sum(axis=drop) if drop else self.mass
+        # position of each requested coordinate inside the sorted result
+        arr = np.transpose(arr, [keep_sorted.index(c) for c in keep])
+        return JointPmf([self.axes[c] for c in keep], arr)
 
     def tv_distance(self, other: "JointPmf"):
         if self.axes != other.axes:
@@ -271,8 +269,7 @@ class JointPmf:
 
     @staticmethod
     def from_json_dict(d: dict) -> "JointPmf":
-        axes = tuple(Alphabet(sym) for sym in d["axes"])
-        return JointPmf(axes, _mass_from_json(d, "mass", "pmf"))
+        return JointPmf(alphabets_from_json(d["axes"]), _mass_from_json(d, "mass", "pmf"))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -299,8 +296,8 @@ class Channel:
     """Exact conditional pmf W(output | input) over products of alphabets.
 
     ``rows`` is an object ndarray of Fractions, shape input-sizes +
-    output-sizes; every input row sums to one exactly.  Its one float form
-    is an attack's cumulative table, ``adversary._ChannelCdf``.
+    output-sizes; every input row sums to one exactly.  Its one float form,
+    ``to_float()``, is the table an attack draws from.
     """
 
     __slots__ = ("input_axes", "output_axes", "rows")
@@ -335,6 +332,11 @@ class Channel:
         n = int(np.prod([a.size for a in axes], dtype=np.int64))
         return Channel.from_joint(axes, axes, zero_mass((n, n)))
 
+    def to_float(self) -> "CdfTable":
+        """The channel's float form: one cumulative row per input cell."""
+        n_out = math.prod(a.size for a in self.output_axes)
+        return CdfTable.of(self.rows.astype(np.float64).reshape(-1, n_out))
+
     def to_json_dict(self) -> dict:
         return {
             "input_axes": [list(a.symbols) for a in self.input_axes],
@@ -345,8 +347,8 @@ class Channel:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Channel":
-        return Channel(tuple(Alphabet(s) for s in d["input_axes"]),
-                       tuple(Alphabet(s) for s in d["output_axes"]),
+        return Channel(alphabets_from_json(d["input_axes"]),
+                       alphabets_from_json(d["output_axes"]),
                        _mass_from_json(d, "rows", "channel"))
 
 
@@ -367,22 +369,13 @@ def apply_channel(p: JointPmf, coords: Sequence[int], w: Channel) -> JointPmf:
         raise ProbabilityError("channel must output one axis per selected coordinate")
 
     rest = tuple(c for c in range(p.k) if c not in coords)
-    perm = coords + rest
-    moved = np.transpose(p.mass, axes=perm)
-    n_in = int(np.prod([p.axes[c].size for c in coords])) if coords else 1
-    n_rest = int(np.prod([p.axes[c].size for c in rest])) if rest else 1
-    n_out = int(np.prod([a.size for a in w.output_axes])) if w.output_axes else 1
-    mat = moved.reshape(n_in, n_rest)
-    wmat = w.rows.reshape(n_in, n_out)
-    out = wmat.T @ mat  # (n_out, n_rest); works for object dtype too
-    out_shape = tuple(a.size for a in w.output_axes) + tuple(p.axes[c].size for c in rest)
-    out = out.reshape(out_shape)
-    inv = tuple(np.argsort(perm))
-    out = np.transpose(out, axes=inv)
-    new_axes = list(p.axes)
-    for pos, c in enumerate(coords):
-        new_axes[c] = w.output_axes[pos]
-    return JointPmf(new_axes, out)
+    # the selected coordinates first, flattened: (n_in, n_rest)
+    mat = np.transpose(p.mass, coords + rest).reshape(math.prod(a.size for a in w.input_axes), -1)
+    out = w.rows.reshape(mat.shape[0], -1).T @ mat  # (n_out, n_rest); works for object dtype
+    moved_axes = w.output_axes + tuple(p.axes[c] for c in rest)
+    inv = np.argsort(coords + rest)
+    out = out.reshape([a.size for a in moved_axes]).transpose(inv)
+    return JointPmf([moved_axes[i] for i in inv], out)
 
 
 def tv_distance(p: JointPmf, q: JointPmf):
@@ -496,14 +489,16 @@ class SampleBlock:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SampleBlock":
-        axes = tuple(Alphabet(s) for s in d["axes"])
+        axes = alphabets_from_json(d["axes"])
         k = len(axes) - 1
-        side = np.array([axes[-1].index(s) for s in d["side"]], dtype=np.int64)
-        if len(d["users"]) != k:
-            raise ProbabilityError(f"block has {len(d['users'])} user rows, not {k}")
-        if any(len(d["users"][i]) != side.size for i in range(k)):
+        side = np.array([axes[-1].index(s) for s in json_list(d["side"], "side")],
+                        dtype=np.int64)
+        rows = [json_list(row, "user row") for row in json_list(d["users"], "users")]
+        if len(rows) != k:
+            raise ProbabilityError(f"block has {len(rows)} user rows, not {k}")
+        if any(len(row) != side.size for row in rows):
             raise ProbabilityError("every user row must be as long as the side sequence")
-        users = np.array([[axes[i].index(s) for s in d["users"][i]] for i in range(k)],
+        users = np.array([[axes[i].index(s) for s in rows[i]] for i in range(k)],
                          dtype=np.int64)
         return SampleBlock(axes, users, side)
 
@@ -535,64 +530,74 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def guide_table(cums: np.ndarray) -> np.ndarray:
-    """``guide[..., b]`` = ``np.searchsorted(row, b / K, side="right")`` for each
-    cumulative row of ``cums`` (last axis), K the least power of two >= its width."""
-    buckets = 1 << (cums.shape[-1] - 1).bit_length()
-    edges = np.arange(buckets) / buckets
-    guide = [np.searchsorted(row, edges, side="right") for row in cums.reshape(-1, cums.shape[-1])]
-    return np.array(guide).reshape(cums.shape[:-1] + (buckets,))
+@dataclass(frozen=True, eq=False)
+class CdfTable:
+    """An inverse-CDF table: the float form of a law's row or a channel's rows.
 
-
-def is_on_grid(cums: np.ndarray, guide: np.ndarray) -> bool:
-    """Whether every entry of ``cums`` is a multiple of 1/K, K the bucket
-    count of its ``guide``: no entry then lies inside a bucket."""
-    scaled = cums * guide.shape[-1]
-    return bool(np.array_equal(scaled, np.floor(scaled)))
-
-
-def inverse_cdf(cums: np.ndarray, guide: np.ndarray, u: np.ndarray, rows=0,
-                on_grid: bool = False) -> np.ndarray:
-    """``np.searchsorted(cums[rows[t]], u[t], side="right")`` for each letter t.
-
-    ``cums`` holds nondecreasing rows ending in 1.0 (a law's one row may be
-    1-D), ``guide`` is their ``guide_table``, ``rows`` each letter's row or
-    one row for all, and u lies in [0, 1).  A guide table (Chen and Asau
-    1974; Devroye 1986, III.2.4): K is a power of two, so u * K is exact
-    and the guide at its floor counts the entries <= that bucket's edge.
-    ``on_grid``, the table's ``is_on_grid``, says that no entry lies in
-    (edge, u], so the guide alone is the count.  Otherwise one compare with
-    the next entry settles each letter with no entry there; the rest are
-    searched, one call per distinct row.
+    ``cums`` holds nondecreasing cumulative rows (last axis) ending in 1.0;
+    a law's one row may be 1-D.  ``guide[..., b]`` counts each row's
+    entries <= b / K, K the least power of two >= the width, and
+    ``on_grid`` says that every entry is a multiple of 1/K.  Both are
+    computed here from ``cums``; ``of`` builds the table of float rows.
     """
-    width, buckets = cums.shape[-1], guide.shape[-1]
-    count = np.take(guide, (u * buckets).astype(np.intp) + rows * buckets)
-    if on_grid:
+
+    cums: np.ndarray
+    guide: np.ndarray = field(init=False)
+    on_grid: bool = field(init=False)
+
+    def __post_init__(self):
+        width = self.cums.shape[-1]
+        buckets = 1 << (width - 1).bit_length()
+        edges = np.arange(buckets) / buckets
+        guide = np.array([np.searchsorted(row, edges, side="right")
+                          for row in self.cums.reshape(-1, width)])
+        scaled = self.cums * buckets
+        object.__setattr__(self, "guide", guide.reshape(self.cums.shape[:-1] + (buckets,)))
+        object.__setattr__(self, "on_grid", bool(np.array_equal(scaled, np.floor(scaled))))
+
+    @staticmethod
+    def of(rows: np.ndarray) -> "CdfTable":
+        """The table of float pmf rows: each cumulative sum is pinned to 1.0
+        from the row's last positive entry on, so no uniform lands on a
+        zero-mass entry after it."""
+        cums = np.cumsum(rows, axis=-1)
+        last = rows.shape[-1] - 1 - np.argmax(rows[..., ::-1] > 0, axis=-1)
+        cums[np.arange(rows.shape[-1]) >= last[..., None]] = 1.0
+        return CdfTable(cums)
+
+    def draw(self, u: np.ndarray, rows=0) -> np.ndarray:
+        """``np.searchsorted(cums[rows[t]], u[t], side="right")`` for each letter t.
+
+        ``rows`` is each letter's row or one row for all, and u lies in
+        [0, 1).  A guide table (Chen and Asau 1974; Devroye 1986, III.2.4):
+        K is a power of two, so u * K is exact and the guide at its floor
+        counts the entries <= that bucket's edge.  On the grid no entry lies
+        in (edge, u], so the guide alone is the count.  Otherwise one
+        compare with the next entry settles each letter with no entry
+        there; the rest are searched, one call per distinct row.
+        """
+        width, buckets = self.cums.shape[-1], self.guide.shape[-1]
+        count = np.take(self.guide, (u * buckets).astype(np.intp) + rows * buckets)
+        if self.on_grid:
+            return count
+        late = np.flatnonzero(np.take(self.cums, count + rows * width) <= u)
+        if late.size:
+            table, late_rows = self.cums.reshape(-1, width), np.broadcast_to(rows, u.shape)[late]
+            for r in np.unique(late_rows):
+                sel = late[late_rows == r]
+                count[sel] = np.searchsorted(table[r], u[sel], side="right")
         return count
-    late = np.flatnonzero(np.take(cums, count + rows * width) <= u)
-    if late.size:
-        table, late_rows = cums.reshape(-1, width), np.broadcast_to(rows, u.shape)[late]
-        for r in np.unique(late_rows):
-            sel = late[late_rows == r]
-            count[sel] = np.searchsorted(table[r], u[sel], side="right")
-    return count
 
 
 @dataclass(frozen=True, eq=False)
 class CellSampler:
-    """A law's inverse-CDF table, built by ``JointPmf.to_float``.
-
-    ``support`` holds the row-major cells of positive float64 mass over
-    ``axes``, ``cum`` their cumulative mass, the last entry pinned to 1.0,
-    ``guide`` its ``guide_table`` and ``on_grid`` its ``is_on_grid``, for
-    ``inverse_cdf``.
-    """
+    """A law's float form, built by ``JointPmf.to_float``: ``support`` holds
+    the row-major cells of positive float64 mass over ``axes``, and ``cdf``
+    the table of their masses, one row."""
 
     axes: tuple[Alphabet, ...]
     support: np.ndarray
-    cum: np.ndarray
-    guide: np.ndarray
-    on_grid: bool
+    cdf: CdfTable
 
 
 def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
@@ -601,9 +606,10 @@ def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
     Inverse CDF over the row-major cells: draw t takes the first cell
     whose cumulative mass exceeds the t-th ``philox(seed)`` uniform, with
     the last positive cell's cumulative mass pinned to 1.0.  Zero-mass
-    cells are left out of the search, so a float sum short of 1 cannot
-    hand [sum, 1) to one of them; every other draw is the one the plain
-    cumulative search over all cells gives, found by ``inverse_cdf``.
+    cells are left out of the table, so a float sum short of 1 cannot
+    hand [sum, 1) to one of them, and a sparse law's guide is as wide as
+    its support; every other draw is the one the plain cumulative search
+    over all cells gives, found by ``CdfTable.draw``.
     Blocks are a pure function of (p, n, seed), bit-for-bit.
     """
     if not isinstance(table, CellSampler):
@@ -613,9 +619,7 @@ def sample_iid(table: CellSampler, n: int, seed: int) -> SampleBlock:
     if len(table.axes) < 2:
         raise ProbabilityError("pmf must cover at least one user axis plus side info")
     u = philox(seed).random(n)
-    return SampleBlock.from_cells(table.axes,
-                                  table.support[inverse_cdf(table.cum, table.guide, u,
-                                                            on_grid=table.on_grid)])
+    return SampleBlock.from_cells(table.axes, table.support[table.cdf.draw(u)])
 
 
 def apply_pointwise(fn, block: SampleBlock) -> np.ndarray:

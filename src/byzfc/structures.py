@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .probability import Alphabet, Label, ProbabilityError, json_number, json_value
+from .probability import (Alphabet, Label, ProbabilityError, alphabets_from_json, json_list,
+                          json_number, json_value)
 
 
 def _set_key(s: frozenset[int]) -> tuple:
@@ -88,6 +89,12 @@ Collection = tuple[frozenset[int], ...]
 def canonical_collection(sets: Iterable[Iterable[int]]) -> Collection:
     """The sets as a collection, members in canonical order (by size, then sorted)."""
     return tuple(sorted((frozenset(s) for s in sets), key=_set_key))
+
+
+def is_nonintersecting(collection: Collection) -> bool:
+    """Whether the sets are >= 2 distinct non-empty sets with empty intersection."""
+    return (len(collection) >= 2 and len(set(collection)) == len(collection)
+            and all(collection) and not frozenset.intersection(*collection))
 
 
 def nonintersecting_collections(structure: AdversaryStructure) -> list[Collection]:
@@ -168,9 +175,9 @@ class TargetFunction:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TargetFunction":
-        axes = tuple(Alphabet(s) for s in d["axes"])
-        codomain = Alphabet(d["codomain"])
-        return TargetFunction(axes, codomain, [codomain.index(s) for s in d["table"]])
+        codomain = Alphabet(json_list(d["codomain"], "codomain"))
+        return TargetFunction(alphabets_from_json(d["axes"]), codomain,
+                              [codomain.index(s) for s in json_list(d["table"], "table")])
 
 
 def constant_function(domain_axes: Sequence[Alphabet], codomain: Alphabet,

@@ -27,7 +27,7 @@ from .polytope import ChannelTables, ChannelVars
 from .probability import Alphabet, Channel, JointPmf, zero_mass
 from .simplex import Infeasible, LPError, Tableau, positive_coordinates, unique_point
 from .structures import (AdversaryStructure, Collection, TargetFunction,
-                         canonical_collection, nonintersecting_collections)
+                         canonical_collection, is_nonintersecting, nonintersecting_collections)
 from .viewsets import induce_view
 
 
@@ -444,9 +444,7 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
            for s in members for u in s):
         raise ViabilityInputError(f"collection members must be users 0..{p.k - 2}")
     collection = tuple(frozenset(s) for s in members)
-    if len(collection) < 2 or len(set(collection)) != len(collection) \
-            or any(not s for s in collection) \
-            or frozenset.intersection(*collection):
+    if not is_nonintersecting(collection):
         raise ViabilityInputError(
             "collection must be >= 2 distinct non-empty sets with empty intersection")
     region = _Region(p, collection, tables)

@@ -16,7 +16,7 @@ positive entry on, as the kernels do, so the two must agree draw for
 draw.  The zero-mass draws that pin rules out are tested on their own.
 
 Laws and channels draw through one guide-table routine,
-``probability.inverse_cdf``.  It is tested against
+``probability.CdfTable.draw``.  It is tested against
 ``np.searchsorted(row, u, side="right")`` on its own: on rows with runs
 of equal entries and entries on the guide's bucket edges, and on rows
 whose every entry is on an edge, where the guide alone is the count, at
@@ -25,6 +25,7 @@ mass 10^-9 puts thousands of cells in one bucket; its blocks must equal
 the reference, and a draw must search each row at most once.
 """
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -36,8 +37,8 @@ from byzfc import adversary, probability
 from byzfc.adversary import (BlockSplit, Honest, MemorylessChannel, ResampleW, WitnessDMC,
                              attack, resample_w_channel, witness_to_dmc)
 from byzfc.examples_lib import random_function, random_pmf
-from byzfc.probability import (Alphabet, Channel, JointPmf, SampleBlock, apply_pointwise,
-                               derive_seed, philox, sample_iid)
+from byzfc.probability import (Alphabet, CdfTable, Channel, JointPmf, SampleBlock,
+                               apply_pointwise, derive_seed, philox, sample_iid)
 from byzfc.viability import check_s_viability
 
 
@@ -351,48 +352,58 @@ def edge_uniforms(cums: np.ndarray) -> np.ndarray:
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+def both_ways(table: CdfTable) -> list[CdfTable]:
+    """The table, and when it is on the grid also a copy flagged off the
+    grid, whose draw takes the compare-and-search path."""
+    if not table.on_grid:
+        return [table]
+    off = copy.copy(table)
+    object.__setattr__(off, "on_grid", False)
+    return [off, table]
+
+
 class TestGuideDraw:
-    """``inverse_cdf`` against ``np.searchsorted(row, u, side="right")``."""
+    """``CdfTable.draw`` against ``np.searchsorted(row, u, side="right")``."""
 
     @settings(max_examples=150, deadline=None)
     @given(cumulative_rows(1), st.lists(st.floats(0.0, TOP_U), max_size=20))
     def test_a_law_row_counts_as_the_search(self, cums, extra):
         cum = cums[0]
-        guide = probability.guide_table(cum)
+        table = CdfTable(cum)
+        guide = table.guide
         buckets = guide.shape[0]
         assert buckets >= cum.size and buckets & (buckets - 1) == 0 and buckets < 2 * cum.size
         assert np.array_equal(guide, np.searchsorted(cum, np.arange(buckets) / buckets,
                                                      side="right"))
         u = np.concatenate([edge_uniforms(cums), extra])
         want = np.searchsorted(cum, u, side="right")
-        _assert_same(probability.inverse_cdf(cum, guide, u), want)
-        on_grid = probability.is_on_grid(cum, guide)
-        assert on_grid == (set((cum * buckets).tolist()) <= set(range(buckets + 1)))
-        _assert_same(probability.inverse_cdf(cum, guide, u, on_grid=on_grid), want)
+        assert table.on_grid == (set((cum * buckets).tolist()) <= set(range(buckets + 1)))
+        for way in both_ways(table):
+            _assert_same(way.draw(u), want)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(cumulative_rows), st.data())
     def test_channel_rows_count_as_the_search(self, cums, data):
-        guide = probability.guide_table(cums)
+        table = CdfTable(cums)
         u = edge_uniforms(cums)
         rows = np.array(data.draw(st.lists(st.integers(0, len(cums) - 1), min_size=u.size,
                                            max_size=u.size)), dtype=np.int64)
         want = np.array([np.searchsorted(cums[r], x, side="right") for r, x in zip(rows, u)],
                         dtype=np.intp)
-        buckets = guide.shape[-1]
-        on_grid = probability.is_on_grid(cums, guide)
-        assert on_grid == (set((cums * buckets).reshape(-1).tolist())
-                           <= set(range(buckets + 1)))
-        for grid in {False, on_grid}:
-            _assert_same(probability.inverse_cdf(cums, guide, u, rows, grid), want)
+        buckets = table.guide.shape[-1]
+        assert np.array_equal(table.guide, [np.searchsorted(row, np.arange(buckets) / buckets,
+                                                            side="right") for row in cums])
+        assert table.on_grid == (set((cums * buckets).reshape(-1).tolist())
+                                 <= set(range(buckets + 1)))
+        for way in both_ways(table):
+            _assert_same(way.draw(u, rows), want)
             # every uniform in every row
             every = np.repeat(np.arange(len(cums)), u.size)
-            _assert_same(probability.inverse_cdf(cums, guide, np.tile(u, len(cums)), every, grid),
+            _assert_same(way.draw(np.tile(u, len(cums)), every),
                          np.concatenate([np.searchsorted(row, u, side="right") for row in cums]))
             # an empty half of a split draws nothing (TestCellPath plays the
             # splits at fractions 0 and 1 end to end)
-            _assert_same(probability.inverse_cdf(cums, guide, u[:0], rows[:0], grid),
-                         np.zeros(0, dtype=np.intp))
+            _assert_same(way.draw(u[:0], rows[:0]), np.zeros(0, dtype=np.intp))
 
 
 @st.composite
@@ -416,7 +427,7 @@ class TestExactChannelTables:
         axis = Alphabet.of_size(len(rows))
         chan = Channel.from_json_dict({"input_axes": [axis.symbols], "output_axes": [axis.symbols],
                                        "rows": [x for row in rows for x in row]})
-        cdf = adversary._ChannelCdf.of(chan)
+        cdf = chan.to_float()
         cums = _pinned_cumsum(np.array(rows, dtype=np.float64))
         buckets = 1 << (len(rows) - 1).bit_length()
         guide = np.array([np.searchsorted(row, np.arange(buckets) / buckets, side="right")
@@ -477,7 +488,7 @@ class TestClusteredLaw:
         rows = np.array([clustered_law(big).mass.astype(np.float64).reshape(-1)
                          for big in (0, 4000, 0)])
         cums = _pinned_cumsum(rows)
-        guide = probability.guide_table(cums)
+        table = CdfTable(cums)
         # row 1's small cells sit in its first bucket, row 0's in its last;
         # row 2's letters all stop at its first entry, past no guide
         u = np.concatenate([np.linspace(0.0, 4.1e-6, 100), np.linspace(cums[0, 0], TOP_U, 100),
@@ -486,5 +497,5 @@ class TestClusteredLaw:
         want = np.array([np.searchsorted(cums[r], x, side="right") for r, x in zip(in_rows, u)])
         search = _CountingSearch()
         monkeypatch.setattr(np, "searchsorted", search)
-        _assert_same(probability.inverse_cdf(cums, guide, u, in_rows), want)
+        _assert_same(table.draw(u, in_rows), want)
         assert search.calls == 2

@@ -288,7 +288,11 @@ class TestMalformedInput:
                                       "build-g-float-user", "mss-float-pmf",
                                       "pmf-zero-denominator", "channel-zero-denominator",
                                       "nan-channel", "channel-mode-float",
-                                      "channel-row-near-one"])
+                                      "channel-row-near-one", "pmf-axes-strings",
+                                      "pmf-axes-string", "function-table-string",
+                                      "function-codomain-string", "block-side-string",
+                                      "block-user-row-string", "block-users-string",
+                                      "channel-axes-strings", "gtable-collection-foreign"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -306,6 +310,14 @@ class TestMalformedInput:
                        **{"mode": m for m in mode}}
             return ["simulate", put("s.json", {**scenario, "adversary_set": [0], "strategy": {
                 "kind": "memoryless", "channel": channel}})]
+
+        def viability(pmf, function):
+            return ["check-viability", "--threshold", "1", "--pmf", put("p.json", pmf),
+                    "--function", put("f.json", function)]
+
+        # a JSON string where a list belongs is refused, not read as its characters
+        ab_law = {"axes": [[0, 1], ["a", "b"]], "mass": ["1/4"] * 4}
+        abba = {"axes": [[0, 1], ["a", "b"]], "codomain": ["a", "b"], "table": list("abba")}
 
         def decode_with_g0(g):
             return ["decode", "--config", put("c.json", {
@@ -422,6 +434,26 @@ class TestMalformedInput:
             "nan-channel": lambda: memoryless([float("nan"), 1, 0, 1]),
             "channel-mode-float": lambda: memoryless([0.9, 0.1, 0.1, 0.9], "float"),
             "channel-row-near-one": lambda: memoryless([0.9, 0.1, 0.1, 0.9000000001]),
+            "pmf-axes-strings": lambda: viability({**ab_law, "axes": ["ab", "xy"]},
+                                                  {**abba, "axes": [["a", "b"], ["x", "y"]]}),
+            "pmf-axes-string": lambda: viability({**ab_law, "axes": "ab"}, abba),
+            "function-table-string": lambda: viability(ab_law, {**abba, "table": "abba"}),
+            "function-codomain-string": lambda: viability(ab_law, {**abba, "codomain": "ab"}),
+            "block-side-string": lambda: ["decode", "--config", put("c.json", config),
+                                          "--block", put("b.json", {
+                                              **block, "side": "e" * len(block["side"])})],
+            "block-user-row-string": lambda: ["decode", "--config", put("c.json", config),
+                                              "--block", put("b.json", {**block, "users": [
+                                                  "0" * len(block["side"]),
+                                                  *block["users"][1:]]})],
+            "block-users-string": lambda: ["decode", "--config", put("c.json", config),
+                                           "--block", put("b.json", {**block, "users": "abc"})],
+            "channel-axes-strings": lambda: ["simulate", put("s.json", {
+                **scenario, "adversary_set": [0], "strategy": {"kind": "memoryless", "channel": {
+                    "input_axes": ["01"], "output_axes": ["01"],
+                    "rows": [1, 0, 0, 1]}}})],
+            "gtable-collection-foreign": lambda: decode_with_g0(
+                {**g0, "collection": [["x"], [7, 9]]}),
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

@@ -237,6 +237,22 @@ class TestConfigSerialization:
         with pytest.raises(DecoderConfigError, match="does not match"):
             config_from_json_dict(d)
 
+    @pytest.mark.parametrize("collection", [
+        [[0]],              # one set
+        [[0], [0]],         # a set listed twice
+        [[], [0]],          # the empty set is no member
+        [[0, 1], [0, 2]],   # a common user
+        [[0], [1, 2, 3]],   # user 3 is outside the structure
+        [["x"], [7, 9]],    # not sets of the structure at all
+        "01",               # a string is not a list of sets
+    ])
+    def test_gtable_for_a_foreign_collection_rejected(self, collection, erasure_config):
+        # no decode ever reads such a table, and config_to_json_dict would drop it
+        d = config_to_json_dict(erasure_config)
+        d["g_tables"][0]["collection"] = collection
+        with pytest.raises(DecoderConfigError, match="non-intersecting collection"):
+            config_from_json_dict(d)
+
     @pytest.mark.parametrize("case", ["table-short", "defined-long", "defined-string",
                                       "viable-string", "collection-twice", "delta-string",
                                       "slack-bool"])

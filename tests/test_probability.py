@@ -405,7 +405,7 @@ class TestSampleIid:
         table = JointPmf((a, Alphabet.binary()), mass).to_float()
         assert isinstance(table, CellSampler) and table.axes[0] is a
         assert table.support.tolist() == list(range(2, 22, 2))
-        assert table.cum.tolist() == np.cumsum([0.1] * 9).tolist() + [1.0]
+        assert table.cdf.cums.tolist() == np.cumsum([0.1] * 9).tolist() + [1.0]
         assert np.cumsum([0.1] * 10)[-1] < 1.0
 
     def test_uniform_bit_type_concentrates(self):
