@@ -4,7 +4,8 @@ Both LPs are built from per-letter adversary channels W(ux | tx) on the
 coordinates of one adversary set.  ``ChannelVars`` numbers the entries of
 one such channel, tabulates P's coefficient on each variable at each view
 point as one numerator over a denominator shared by the whole law, emits
-its sparse constraint rows and turns a solution back into a ``Channel``.
+its sparse constraint rows and their mod-2 bit rows, and turns a solution
+back into a ``Channel``.
 ``ChannelTables`` builds the tables of one law on first use.
 """
 
@@ -32,7 +33,14 @@ class ChannelVars:
     num / ``den`` = P(v with ``coords`` replaced by tx) > 0; var is
     W(v's ``coords`` | tx).  P must be exact: num is an int and den the
     least common denominator of P (``ints``, from ``integer_mass``, when
-    the caller has it).
+    the caller has it).  The identity channel's view at each v, its one
+    entry with tx = v's ``coords``, must be P(v) over den, or ValueError.
+
+    The same rows as bits of Python ints, bit var for variable var, for
+    mod-2 work without dicts: ``view_bits`` and ``odd_bits``, in ``at``
+    order, hold each view's variables and those of them with an odd num;
+    ``sum_bits`` holds each input's variables in ``rows`` order and
+    ``identity_bits`` the identity's.
     """
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
@@ -50,14 +58,35 @@ class ChannelVars:
         self.var = {key: i for i, key in enumerate(product(self.rows, self.outs))}
         self.size = len(self.var)
         others = [c for c in range(p.k) if c not in coords]
-        live: dict[tuple[int, ...], list] = {}
+        # W(ux | tx) is variable first[tx] + out[ux]; the inputs with mass at
+        # each rest, with their variables' bits at ux's index 0, are shared
+        # by the view points that differ from one another only in ux
+        width = len(self.outs)
+        first = {tx: i * width for i, tx in enumerate(self.rows)}
+        out = {ux: i for i, ux in enumerate(self.outs)}
+        live: dict[tuple[int, ...], tuple[list, int, int]] = {}
         self.at: dict[tuple[int, ...], list] = {}
-        for v in product(*(range(a.size) for a in p.axes)):
+        self.view_bits: list[int] = []
+        self.odd_bits: list[int] = []
+        # P in product order, the order of v below
+        law = p.mass.reshape(-1).tolist()
+        for v, mass in zip(product(*(range(a.size) for a in p.axes)), law):
             rest = tuple(v[c] for c in others)
             if rest not in live:
-                live[rest] = [(tx, moved[tx + rest]) for tx in self.rows if pos[tx + rest]]
+                group = [(tx, first[tx], moved[tx + rest]) for tx in self.rows if pos[tx + rest]]
+                live[rest] = (group, sum(1 << var for _, var, _ in group),
+                              sum(1 << var for _, var, num in group if num & 1))
+            group, bits, odd = live[rest]
             ux = tuple(v[c] for c in coords)
-            self.at[v] = [(tx, self.var[(tx, ux)], num) for tx, num in live[rest]]
+            shift = out[ux]
+            self.at[v] = [(tx, var + shift, num) for tx, var, num in group]
+            self.view_bits.append(bits << shift)
+            self.odd_bits.append(odd << shift)
+            ident = sum(num for tx, _, num in group if tx == ux)
+            if ident * mass.denominator != mass.numerator * self.den:
+                raise ValueError("the identity channel's view is not the law")
+        self.sum_bits = [((1 << width) - 1) << var for var in first.values()]
+        self.identity_bits = sum(1 << self.var[(tx, tx)] for tx in self.rows)
 
     def view_row(self, v: tuple[int, ...], sign: int = 1, offset: int = 0) -> dict:
         """``den`` times the induced view's mass at v, ``sign`` (1 or -1)

@@ -35,13 +35,18 @@ class ProbabilityError(ValueError):
     """Invalid distribution, channel or block."""
 
 
+def is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is neither."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_fraction(x, what: str) -> Fraction:
     """One mass entry as a Fraction.  Entries are Fractions, integers,
     ``"p/q"`` or decimal strings and finite reals; a real is read as the
     decimal it prints as (0.9 is 9/10), whose float is the real again."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+    if is_integer(x):
         return Fraction(int(x))
     if isinstance(x, float) and math.isfinite(x):
         return Fraction(repr(float(x)))

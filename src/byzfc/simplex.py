@@ -22,7 +22,8 @@ row of A is a sparse ``{column: coefficient}`` dict of ints or other
 ``numbers.Rational`` values, scaled row-wise to integers; an all-int row
 is taken as it is, and anything else (a float, say) raises LPError.
 ``unique_point`` decides, without a tableau, when a known solution is the
-only one.
+only one, and ``full_rank_mod_2`` proves full column rank on rows packed
+into the bits of Python ints.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import chain
 from math import lcm
 from numbers import Rational
 from operator import mul, neg
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,6 +123,32 @@ def unique_point(A: Sequence[dict], b: Sequence, x: Sequence) -> bool:
                 insort(pivots, q)
                 break
     return len(pivots) == n
+
+
+def full_rank_mod_2(rows: Iterable[int], cols: int) -> bool:
+    """Whether bit rows, read on the columns set in ``cols``, have rank
+    ``cols.bit_count()`` mod 2.
+
+    Bit j of a row is column j's entry mod 2.  An integer matrix's rank
+    mod 2 is at most its rank over Q (Dixon 1982), so True proves full
+    column rank on ``cols`` when each row holds the odd entries of an
+    integer row.  Each pivot row is kept at its lowest column, so XOR with
+    it clears that column and sets none below it.
+    """
+    need = cols.bit_count()
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row &= cols
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+        if len(pivots) == need:
+            break
+    return len(pivots) == need
 
 
 def _fitted(T: np.ndarray) -> np.ndarray:

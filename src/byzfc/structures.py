@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .probability import (Alphabet, Label, ProbabilityError, alphabets_from_json, json_list,
-                          json_number, json_value)
+from .probability import (Alphabet, Label, ProbabilityError, alphabets_from_json, is_integer,
+                          json_list, json_number)
 
 
 def _set_key(s: frozenset[int]) -> tuple:
@@ -23,18 +23,26 @@ def _set_key(s: frozenset[int]) -> tuple:
 
 
 class AdversaryStructure:
-    """The collection of user subsets an adversary may control."""
+    """The collection of user subsets an adversary may control.
+
+    ``k`` and every user must be an int or a numpy integer, stored as int;
+    a bool, a float or anything else raises ValueError, checked before the
+    sets are built, where True would be user 1.
+    """
 
     __slots__ = ("k", "sets")
 
     def __init__(self, k: int, sets: Iterable[Iterable[int]]):
+        if not is_integer(k):
+            raise ValueError(f"the user count must be an integer, not {k!r}")
+        k = int(k)
         if k < 1:
             raise ValueError("need at least one user")
-        canon = {frozenset(s) for s in sets}
-        for s in canon:
-            for u in s:
-                if not 0 <= u < k:
-                    raise ValueError(f"user {u} outside range(0, {k})")
+        members = [list(s) for s in sets]
+        for u in chain.from_iterable(members):
+            if not is_integer(u) or not 0 <= u < k:
+                raise ValueError(f"user {u!r} is not an integer in range(0, {k})")
+        canon = {frozenset(map(int, s)) for s in members}
         if frozenset() not in canon:
             raise ValueError("adversary structure must contain the empty set")
         self.k = k
@@ -43,8 +51,8 @@ class AdversaryStructure:
     @staticmethod
     def threshold(k: int, s: int) -> "AdversaryStructure":
         """All subsets of cardinality at most s, plus the empty set."""
-        if not 0 <= s <= k:
-            raise ValueError("threshold must satisfy 0 <= s <= k")
+        if not (is_integer(k) and is_integer(s) and 0 <= s <= k):
+            raise ValueError("threshold must be an integer s with 0 <= s <= k, k an integer")
         sets = [frozenset()]
         for size in range(1, s + 1):
             sets.extend(frozenset(c) for c in combinations(range(k), size))
@@ -78,8 +86,6 @@ class AdversaryStructure:
         if "threshold" in d:
             return AdversaryStructure.threshold(
                 k, json_number(d, "threshold", integer=True, error=ValueError))
-        for u in chain.from_iterable(d["sets"]):
-            json_value(u, "user id", integer=True, error=ValueError)
         return AdversaryStructure(k, d["sets"])
 
 

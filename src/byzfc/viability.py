@@ -8,8 +8,8 @@ collection is parametrized by one row-stochastic channel per member with
 pairwise equal induced views; constraints (a) and (b) of the underlying
 definition force every scenario marginal into exactly this form, and any
 family of such marginals extends to a full joint by conditional-product
-coupling.  Verdicts are decided with the exact rational simplex;
-violations are returned as fully materialized joints that an independent
+coupling.  Verdicts are decided by rank certificates, mod 2 then mod a
+prime, and otherwise by the exact rational simplex; violations are returned as fully materialized joints that an independent
 verifier re-checks against the definition directly.
 """
 
@@ -24,8 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .polytope import ChannelTables, ChannelVars
-from .probability import Alphabet, Channel, JointPmf, zero_mass
-from .simplex import Infeasible, LPError, Tableau, positive_coordinates, unique_point
+from .probability import Alphabet, Channel, JointPmf, is_integer, zero_mass
+from .simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
+                      unique_point)
 from .structures import (AdversaryStructure, Collection, TargetFunction,
                          canonical_collection, is_nonintersecting, nonintersecting_collections)
 from .viewsets import induce_view
@@ -138,11 +139,21 @@ class _Region:
     restricted to the support of P over the member's coordinates; member
     m's channel table is numbered from ``offsets[m]``.  Equalities: each
     row sums to 1; induced views match between adjacent members, as
-    integer rows over P's common denominator ``den``.  A zero-fixing
-    presolve removes variables that structurally dead view points force to
-    zero.  ``tables`` holds the channel tables of P, shared by the regions
-    of a verdict or config and filled as needed.
+    integer rows over P's common denominator ``den``.  ``tables`` holds the
+    channel tables of P, shared by the regions of a verdict or config and
+    filled as needed.
+
+    Construction works on the tables' bit rows alone.  A zero-fixing
+    presolve fixes the variables that structurally dead view points force
+    to zero (LPError if it fixes one of the identity's), and ``pinned`` is
+    True when the row sums and the view-match rows have full rank mod 2 on
+    the other columns: the identity, a point of every region, is then its
+    only one.  The dict rows ``A``, ``b`` over the unfixed ``alive_vars``
+    (``alive_index`` maps back, -1 for ``fixed`` ones) are built on first
+    read, for the prime certificate, the crash start and witness vertices.
     """
+
+    _ROWS = frozenset({"A", "b", "alive_vars", "alive_index", "fixed"})
 
     def __init__(self, p: JointPmf, collection: Collection,
                  tables: ChannelTables | None = None):
@@ -158,51 +169,69 @@ class _Region:
             nvar += w.size
         self.nvar = nvar
         self.den = self.members[0].den
-
-        sums = [row for w, off in zip(self.members, self.offsets) for row in w.sum_rows(off)]
-        # view-match between adjacent members, as (member m's side, member m+1's side)
         placed = list(zip(self.members, self.offsets))
-        matches = [(w0.view_row(v, 1, off0), w1.view_row(v, -1, off1))
-                   for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
-        self._presolve(sums, matches)
+        pairs = list(zip(placed, placed[1:]))
+        self._fixed_bits = fixed = self._presolve(
+            [(b0 << off0, b1 << off1) for (w0, off0), (w1, off1) in pairs
+             for b0, b1 in zip(w0.view_bits, w1.view_bits)])
+        identity = sum(w.identity_bits << off for w, off in placed)
+        if identity & fixed:
+            raise LPError("presolve fixed a coordinate of a feasible point")
+        # a match row's two sides, mod 2, are the odd entries of both members
+        rows = [bits << off for w, off in placed for bits in w.sum_bits]
+        rows += [o0 << off0 | o1 << off1 for (w0, off0), (w1, off1) in pairs
+                 for o0, o1 in zip(w0.odd_bits, w1.odd_bits)]
+        self.pinned = full_rank_mod_2(rows, ((1 << nvar) - 1) & ~fixed)
         self._reach: set[int] | None = None
 
-    def _presolve(self, sums: list[dict[int, int]],
-                  matches: list[tuple[dict[int, int], dict[int, int]]]) -> None:
-        """Fix what the view-match rows force to zero; drop emptied and repeated rows.
+    @staticmethod
+    def _presolve(matches: list[tuple[int, int]]) -> int:
+        """The variables the view-match rows force to zero, as bits.
 
         A match row's first side has only positive coefficients, its second
         only negative ones, so once one side is fixed the other is too.
         """
-        fixed: set[int] = set()
-        pending = [(pos.keys(), neg.keys()) for pos, neg in matches]
+        fixed = 0
         while True:
             rest = []
-            for pos, neg in pending:
-                if fixed.issuperset(pos):
-                    fixed.update(neg)
-                elif fixed.issuperset(neg):
-                    fixed.update(pos)
+            for pos, neg in matches:
+                if not pos & ~fixed:
+                    fixed |= neg
+                elif not neg & ~fixed:
+                    fixed |= pos
                 else:
                     rest.append((pos, neg))
-            if len(rest) == len(pending):
-                break
-            pending = rest
-        self.fixed = fixed
-        self.alive_vars = [v for v in range(self.nvar) if v not in fixed]
+            if len(rest) == len(matches):
+                return fixed
+            matches = rest
+
+    def __getattr__(self, name: str):
+        if name not in _Region._ROWS:
+            raise AttributeError(name)
+        self._build_rows()
+        return self.__dict__[name]
+
+    def _build_rows(self) -> None:
+        """The dict rows over the unfixed variables; emptied and repeated rows dropped."""
+        fixed = self._fixed_bits
+        self.fixed = {v for v in range(self.nvar) if fixed >> v & 1}
+        self.alive_vars = [v for v in range(self.nvar) if not fixed >> v & 1]
         self.alive_index = index = [-1] * self.nvar
         for i, v in enumerate(self.alive_vars):
             index[v] = i
+        placed = list(zip(self.members, self.offsets))
+        sums = [row for w, off in placed for row in w.sum_rows(off)]
+        matches = [{**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
+                   for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
         self.A: list[dict[int, int]] = []
         self.b: list[int] = []
         seen: set[tuple] = set()
         # every row lists its variables in increasing order: a sum row walks
-        # one input's outputs, and a match row member m's side, then m+1's
-        for i, row in enumerate(sums + [{**pos, **neg} for pos, neg in matches]):
+        # one input's outputs, and a match row member m's side, then m+1's;
+        # no sum row is emptied, as each holds an unfixed identity coordinate
+        for i, row in enumerate(sums + matches):
             items = tuple((j, c) for v, c in row.items() if (j := index[v]) >= 0)
             rhs = 1 if i < len(sums) else 0
-            if not items and i < len(sums):
-                raise Infeasible("presolve emptied an inconsistent row")
             if items and (rhs, items) not in seen:
                 seen.add((rhs, items))
                 self.A.append(dict(items))
@@ -221,18 +250,17 @@ class _Region:
         return self.offsets[m] + self.members[m].var[(tx, ux)]
 
     def _solve_support(self) -> None:
-        """Fill ``_reach``, the variables positive somewhere in the region,
-        and ``pinned``, whether the identity is the region's only point."""
+        """Fill ``_reach``, the variables positive somewhere in the region;
+        ``pinned``, left False by the bits, is settled by the prime
+        certificate on the dict rows."""
         if self._reach is not None:
             return
         identity = self.identity_solution()
-        for v in self.fixed:
-            if identity[v] != 0:
-                raise LPError("presolve fixed a coordinate of a feasible point")
-        id_alive = [identity[v] for v in self.alive_vars]
-        self.pinned = unique_point(self.A, self.b, id_alive)
+        if not self.pinned:
+            id_alive = [identity[v] for v in self.alive_vars]
+            self.pinned = unique_point(self.A, self.b, id_alive)
         if self.pinned:
-            self._reach = {v for v, x in zip(self.alive_vars, id_alive) if x > 0}
+            self._reach = {v for v, x in enumerate(identity) if x > 0}
             return
         # each identity column sits alone in its own row-sum row, so the
         # point's nonzero columns are independent and start the basis
@@ -440,8 +468,7 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
     _validate(p, f, p.k - 1)
     # checked before the sets are built, where True would stand for user 1
     members = [list(s) for s in collection]
-    if any(isinstance(u, bool) or not isinstance(u, (int, np.integer)) or not 0 <= u < p.k - 1
-           for s in members for u in s):
+    if any(not is_integer(u) or not 0 <= u < p.k - 1 for s in members for u in s):
         raise ViabilityInputError(f"collection members must be users 0..{p.k - 2}")
     collection = tuple(frozenset(s) for s in members)
     if not is_nonintersecting(collection):

@@ -1,15 +1,17 @@
 """Verdict shortcuts agree with the routines they replaced.
 
 The exact checker decides a region whose only point is the identity
-channel with a rank certificate mod a prime, and then scans none of its
-views; it starts every other region tableau at the identity-channel
-point instead of running phase 1.  These tests compare the certificate
-with the crash start and the crash start with phase 1 on the regions the
-checker builds, compare the two starts on the exact view-distance LP, and
-check collection pruning against the unpruned scan at k=4.  The
-stateless collection filter, the row-side presolve, build_g's conflict
-rule, the certificate's elimination and the scan of every view are each
-checked against the routine they replaced, kept here as the reference.
+channel with a rank certificate, mod 2 on bit rows or else mod a prime
+on dict rows, and then scans none of its views; it starts every other
+region tableau at the identity-channel point instead of running phase 1.
+These tests compare the certificates with the crash start and the crash
+start with phase 1 on the regions the checker builds, compare the two
+starts on the exact view-distance LP, and check collection pruning
+against the unpruned scan at k=4.  The stateless collection filter, the
+bit presolve, build_g's conflict rule, the certificate's elimination and
+the scan of every view are each checked against the routine they
+replaced, kept here as the reference, and the mod-2 certificate against
+ranks over Q.
 """
 
 from collections import Counter
@@ -25,7 +27,8 @@ from byzfc import simplex, viability, viewsets
 from byzfc.examples_lib import random_function, random_pmf
 from byzfc.polytope import ChannelTables
 from byzfc.probability import JointPmf, derive_seed
-from byzfc.simplex import LPError, Tableau, positive_coordinates, unique_point
+from byzfc.simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
+                           unique_point)
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
 from byzfc.viability import (GBuildConflict, _f_at, _needs_solving, _Region,
                              _scan_collection, build_g, check_viability)
@@ -205,14 +208,26 @@ def _sign_presolve(region: _Region):
     return fixed, alive_vars, A, b_out
 
 
-def test_side_presolve_matches_the_sign_presolve():
-    regions = 0
+def _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2, monkeypatch):
+    """Every region of the ladder, then those the worked example's uv and
+    uvw verdicts build, each fresh, its support not yet solved."""
     for p, _, structure in _ladder():
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
-            region = _Region(p, col)
-            assert (region.fixed, region.alive_vars, region.A, region.b) == _sign_presolve(region)
-            regions += 1
-    assert regions == 200 + 12 * 22 + 115
+            yield _Region(p, col)
+    for f in (erasure_f_uv, erasure_f_uvw):
+        for region in _verdict_regions(erasure_pmf, threshold_3_2, monkeypatch, f):
+            yield _Region(erasure_pmf, region.collection)
+
+
+def test_side_presolve_matches_the_sign_presolve(erasure_pmf, erasure_f_uv, erasure_f_uvw,
+                                                 threshold_3_2, monkeypatch):
+    regions = 0
+    for region in _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2,
+                               monkeypatch):
+        assert (region.fixed, region.alive_vars, region.A, region.b) == _sign_presolve(region)
+        regions += 1
+    # the ladder's regions, then uv's 22 and the 3 uvw builds up to its witness
+    assert regions == 200 + 12 * 22 + 115 + 22 + 3
 
 
 def _g_matches_the_grouping(p, f, col, monkeypatch) -> bool:
@@ -308,8 +323,9 @@ def _certificate_matches_crash_start(region: _Region) -> bool:
     return certified
 
 
-def _verdict_regions(p, structure, monkeypatch) -> list[_Region]:
-    """The regions ``check_viability`` builds for a constant function."""
+def _verdict_regions(p, structure, monkeypatch, f=None) -> list[_Region]:
+    """The regions ``check_viability`` builds for f, by default a constant
+    function, whose verdict is then viable."""
     built = []
 
     class Recorded(_Region):
@@ -318,8 +334,9 @@ def _verdict_regions(p, structure, monkeypatch) -> list[_Region]:
             built.append(self)
 
     monkeypatch.setattr(viability, "_Region", Recorded)
-    f = random_function(p, 1, seed=0)
-    assert check_viability(p, f, structure).viable
+    viable = check_viability(p, random_function(p, 1, seed=0) if f is None else f,
+                             structure).viable
+    assert viable or f is not None
     monkeypatch.undo()
     return built
 
@@ -487,12 +504,91 @@ def test_a_row_the_point_violates_raises():
 
 
 def test_a_region_the_identity_violates_raises():
+    # a region its bits leave open, so _solve_support reads its dict rows
     p, _ = t1_instance(0)
     region = next(r for col in nonintersecting_collections(AdversaryStructure.threshold(2, 1))
-                  if unique_point((r := _Region(p, col)).A, r.b, _identity_start(r)))
+                  if not (r := _Region(p, col)).pinned
+                  and unique_point(r.A, r.b, _identity_start(r)))
     region.b[0] += 1
     with pytest.raises(LPError):
         region._solve_support()
+
+
+# -- the mod-2 certificate on bit rows -----------------------------------------
+
+def test_bit_pinned_regions_are_pinned_mod_the_prime(erasure_pmf, erasure_f_uv, erasure_f_uvw,
+                                                     threshold_3_2, monkeypatch):
+    # the bits pin a region iff its dict rows have full column rank mod 2;
+    # a pinned region's rows hold the identity and no other point
+    outcomes = Counter()
+    for region in _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2,
+                               monkeypatch):
+        bits = region.pinned
+        start = _identity_start(region)
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "RANK_PRIME", 2)
+            assert unique_point(region.A, region.b, start) == bits
+        if bits:
+            assert unique_point(region.A, region.b, start)
+            crashed = Tableau(region.A, region.b, len(start), start=start)
+            pos, _ = positive_coordinates(crashed, range(len(start)), seeds=[start])
+            assert pos == {i for i, x in enumerate(start) if x}
+        outcomes[bits] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_a_presolve_that_fixes_the_identity_raises(monkeypatch):
+    p, _ = t1_instance(0)
+    col = nonintersecting_collections(AdversaryStructure.threshold(2, 1))[0]
+    monkeypatch.setattr(_Region, "_presolve", staticmethod(lambda matches: -1))
+    with pytest.raises(LPError, match="presolve fixed"):
+        _Region(p, col)
+
+
+def _rank(rows: list[list[int]], mod_2: bool) -> int:
+    """Rank by Gauss-Jordan elimination, mod 2 or over Q in Fractions."""
+    rows = [[v % 2 if mod_2 else Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = 1 if mod_2 else row[c] / top[c]
+                rows[i] = [(a - f * b) % 2 if mod_2 else a - f * b for a, b in zip(row, top)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, cols): integer rows with entries -3..3, most of them zero,
+    some sums or differences of two others, and a column mask."""
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=9))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        sign = draw(st.sampled_from([1, -1]))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [x + sign * y for x, y in zip(rows[a], rows[b])])
+    cols = draw(st.integers(1, 2**n - 1))
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=sparse_systems())
+def test_full_rank_of_the_odd_entries_is_full_rank_over_q(system):
+    rows, cols = system
+    on = [j for j in range(len(rows[0])) if cols >> j & 1]
+    sub = [[row[j] for j in on] for row in rows]
+    odd = [sum(1 << j for j, v in enumerate(row) if v % 2) for row in rows]
+    rank_2 = _rank(sub, mod_2=True)
+    assert full_rank_mod_2(odd, cols) == (rank_2 == len(on))
+    assert rank_2 <= _rank(sub, mod_2=False)
 
 
 # -- shared channel tables ------------------------------------------------------

@@ -14,13 +14,15 @@ mid-run, every fallback region of the verdict ladder through
 ``positive_coordinates``, ``conflict_vertex`` on every non-viable instance
 of the ladder and on the worked example's ``uvw``, and the exact
 view-distance LP on the worked example's queries and on n=5000 types.  The
-pivot list of the benchmark's seed-1 ``verdict-random`` pass is pinned, and
+pivot list of the benchmark's seed-1 ``verdict-random`` pass is pinned, as
+is the route (bits, prime or tableau) that settles each of its regions, and
 every pivot of that pass must keep each row primitive, each basic row
 positive at its basic column, and each row without the pivot column as it
 was.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -502,3 +504,24 @@ def test_seed_1_verdict_random_pass_pivots(monkeypatch):
     # region rows were Fractions: integer rows must not move a pivot
     assert len(pivots) == 1388
     assert workloads.digest(pivots) == PASS_PIVOTS
+
+
+def test_seed_1_verdict_random_pass_routes(monkeypatch):
+    # each region is settled by its rank mod 2 on bit rows, else by its rank
+    # mod the prime on dict rows, else by the crash-started tableau; the
+    # bits build no dict row
+    routes = Counter()
+    built = []
+
+    class Routed(_Region):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.by_bits = self.pinned
+            built.append(self)
+
+    monkeypatch.setattr(viability, "_Region", Routed)
+    _seed_1_verdict_random_pass()
+    for region in built:
+        routes["bits" if region.by_bits else "prime" if region.pinned else "tableau"] += 1
+        assert region.by_bits == ("A" not in vars(region))
+    assert routes == {"bits": 202, "prime": 90, "tableau": 33}

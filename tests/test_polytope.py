@@ -159,3 +159,35 @@ def test_rows_are_the_marginal_support(law, threshold_3_2, erasure_pmf, as_float
         dropped += len(w.outs) - len(w.rows)
     # the erasure law leaves inputs off its pair marginals' support
     assert dropped or law is not erasure_pmf
+
+
+def _bits(variables) -> int:
+    return sum(1 << var for var in variables)
+
+
+def test_bit_rows_are_the_dict_rows(law, threshold_3_2):
+    # a view's bits are its row's variables, its odd bits those with an odd
+    # coefficient; the sum bits are the sum rows and the identity's bits
+    # its point
+    for s in threshold_3_2.nonempty_sets:
+        w = ChannelVars(law, tuple(sorted(s)))
+        assert len(w.view_bits) == len(w.odd_bits) == len(w.at)
+        for v, view, odd in zip(w.at, w.view_bits, w.odd_bits):
+            row = w.view_row(v)
+            assert view == _bits(row)
+            assert odd == _bits(var for var, num in row.items() if num % 2)
+        assert w.sum_bits == [_bits(row) for row in w.sum_rows()]
+        x = [0] * w.size
+        w.set_identity(x)
+        assert w.identity_bits == _bits(var for var, one in enumerate(x) if one)
+
+
+def test_a_table_whose_identity_view_is_not_the_law_is_refused(law):
+    # the identity's view, read off the table, must be P's numerators over
+    # den: numerators of another scale, another denominator or the law
+    # reflected on an axis are refused
+    nums, den = integer_mass(law.mass)
+    ChannelVars(law, (0,), (nums, den))
+    for ints in ((nums * 2, den), (nums, den * 2), (nums[::-1], den)):
+        with pytest.raises(ValueError, match="identity channel's view"):
+            ChannelVars(law, (0,), ints)

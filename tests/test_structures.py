@@ -38,6 +38,26 @@ class TestAdversaryStructure:
         with pytest.raises(ValueError):
             AdversaryStructure.from_json_dict(d)
 
+    @pytest.mark.parametrize("k, sets", [(3, [[], [0.5], [1]]), (3, [[], [True], [2]]),
+                                         (3, [[], [1.0]]), (3, [[], ["0"]]),
+                                         (3.0, [[]]), (True, [[]]), ("3", [[]])])
+    def test_users_and_k_must_be_integers(self, k, sets):
+        # checked before the sets are built, where True would be user 1
+        with pytest.raises(ValueError, match="integer"):
+            AdversaryStructure(k, sets)
+
+    @pytest.mark.parametrize("k, s", [(3.0, 1), (3, 1.0), (True, 1), (3, True), (3, 4)])
+    def test_threshold_needs_integers(self, k, s):
+        with pytest.raises(ValueError, match="integer"):
+            AdversaryStructure.threshold(k, s)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        s = AdversaryStructure(np.int64(3), [[], [np.int32(1)], (np.int64(0), 2)])
+        assert type(s.k) is int
+        assert all(type(u) is int for member in s.sets for u in member)
+        assert s == AdversaryStructure(3, [set(), {1}, {0, 2}])
+        assert AdversaryStructure.from_json_dict(s.to_json_dict()) == s
+
     def test_json_roundtrip(self):
         s = AdversaryStructure(3, [set(), {0}, {1, 2}])
         assert AdversaryStructure.from_json_dict(s.to_json_dict()) == s
