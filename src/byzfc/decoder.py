@@ -76,6 +76,8 @@ class DecoderConfig:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise DecoderConfigError(f"delta must be finite and positive, not {self.delta}")
+        if self.structure.k != self.base.k - 1 or self.f.domain_axes != self.base.axes:
+            raise DecoderConfigError("structure or function does not match the law's users or axes")
         self.handles = tuple(ViewSetHandle(self.base, s) for s in self.structure.sets)
         self.screen = DistanceScreen(self.base, self.structure.sets, self.delta)
         # own copy: tables built later stay out of the caller's dict

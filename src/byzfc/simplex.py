@@ -369,38 +369,28 @@ class Tableau:
 
 
 def positive_coordinates(tableau: Tableau, coords: Sequence[int],
-                         seeds: Sequence[Sequence[Fraction]] = (),
-                         ) -> tuple[set[int], dict[int, list[Fraction]]]:
+                         seeds: Sequence[Sequence[Fraction]] = ()) -> set[int]:
     """Which of the given coordinates can be strictly positive over the region.
 
     Iteratively maximizes the sum of still-undetermined coordinates; a zero
     optimum certifies the remainder is identically zero over the polytope
-    (coordinates are nonnegative and feasible points average).  Returns the
-    positive set and a feasible witness solution for each member.  ``seeds``
-    are known feasible points used to mark coordinates without LP work.
+    (coordinates are nonnegative and feasible points average).  ``seeds``
+    are known feasible points whose positive coordinates are marked
+    without LP work.
     """
     coords = list(coords)
-    positive: set[int] = set()
-    witness: dict[int, list[Fraction]] = {}
-    for sol in seeds:
-        for j in coords:
-            if j not in positive and sol[j] > 0:
-                positive.add(j)
-                witness[j] = list(sol)
+    positive = {j for sol in seeds for j in coords if sol[j] > 0}
     remaining = [j for j in coords if j not in positive]
     while remaining:
         c = [0] * tableau.art0
         for j in remaining:
             c[j] = 1
-        val = tableau.maximize(c)
-        if val == 0:
+        if tableau.maximize(c) == 0:
             break
         sol = tableau.solution()
-        newly = [j for j in remaining if sol[j] > 0]
+        newly = {j for j in remaining if sol[j] > 0}
         if not newly:
             raise LPError("positive optimum without positive coordinates")
-        for j in newly:
-            positive.add(j)
-            witness[j] = sol
-        remaining = [j for j in remaining if j not in positive]
-    return positive, witness
+        positive |= newly
+        remaining = [j for j in remaining if j not in newly]
+    return positive

@@ -24,12 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .polytope import ChannelTables, ChannelVars
-from .probability import Alphabet, Channel, JointPmf, is_integer, zero_mass
+from .probability import Alphabet, JointPmf, is_integer, zero_mass
 from .simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
                       unique_point)
 from .structures import (AdversaryStructure, Collection, TargetFunction,
                          canonical_collection, is_nonintersecting, nonintersecting_collections)
-from .viewsets import induce_view
 
 
 class ViabilityInputError(ValueError):
@@ -133,7 +132,8 @@ class GTable(TargetFunction):
 
 
 class _Region:
-    """Channel-parametrized feasibility region for one collection.
+    """Channel-parametrized feasibility region for one collection, settled
+    where it is built.
 
     Variables are the entries W_m(out | row) for every member m, rows
     restricted to the support of P over the member's coordinates; member
@@ -143,17 +143,18 @@ class _Region:
     channel tables of P, shared by the regions of a verdict or config and
     filled as needed.
 
-    Construction works on the tables' bit rows alone.  A zero-fixing
-    presolve fixes the variables that structurally dead view points force
-    to zero (LPError if it fixes one of the identity's), and ``pinned`` is
-    True when the row sums and the view-match rows have full rank mod 2 on
-    the other columns: the identity, a point of every region, is then its
-    only one.  The dict rows ``A``, ``b`` over the unfixed ``alive_vars``
-    (``alive_index`` maps back, -1 for ``fixed`` ones) are built on first
-    read, for the prime certificate, the crash start and witness vertices.
+    Construction settles ``reach``, the variables positive at some point
+    of the region; the identity is a point of every region.  A zero-fixing
+    presolve on the tables' bit rows fixes the variables that structurally
+    dead view points force to zero (LPError if it fixes one of the
+    identity's).  The region is ``pinned``, its reach the identity's
+    entries, when the row sums and the view-match rows have full rank mod 2
+    on the other columns, or else when the dict rows ``A``, ``b`` over the
+    unfixed ``alive_vars`` (``alive_index`` maps back, -1 for ``fixed``
+    ones) have full rank mod a prime (LPError if the identity violates a
+    row).  Any other region is solved by the tableau started at the
+    identity.  Only the regions the bits leave open build dict rows.
     """
-
-    _ROWS = frozenset({"A", "b", "alive_vars", "alive_index", "fixed"})
 
     def __init__(self, p: JointPmf, collection: Collection,
                  tables: ChannelTables | None = None):
@@ -174,15 +175,26 @@ class _Region:
         self._fixed_bits = fixed = self._presolve(
             [(b0 << off0, b1 << off1) for (w0, off0), (w1, off1) in pairs
              for b0, b1 in zip(w0.view_bits, w1.view_bits)])
-        identity = sum(w.identity_bits << off for w, off in placed)
-        if identity & fixed:
+        if sum(w.identity_bits << off for w, off in placed) & fixed:
             raise LPError("presolve fixed a coordinate of a feasible point")
         # a match row's two sides, mod 2, are the odd entries of both members
         rows = [bits << off for w, off in placed for bits in w.sum_bits]
         rows += [o0 << off0 | o1 << off1 for (w0, off0), (w1, off1) in pairs
                  for o0, o1 in zip(w0.odd_bits, w1.odd_bits)]
         self.pinned = full_rank_mod_2(rows, ((1 << nvar) - 1) & ~fixed)
-        self._reach: set[int] | None = None
+        identity = self.identity_solution()
+        if not self.pinned:
+            self._build_rows()
+            id_alive = [identity[v] for v in self.alive_vars]
+            self.pinned = unique_point(self.A, self.b, id_alive)
+        if self.pinned:
+            self.reach = {v for v, x in enumerate(identity) if x > 0}
+        else:
+            # each identity column sits alone in its own row-sum row, so the
+            # point's nonzero columns are independent and start the basis
+            tableau = Tableau(self.A, self.b, len(self.alive_vars), start=id_alive)
+            self.reach = {self.alive_vars[i] for i in positive_coordinates(
+                tableau, range(len(self.alive_vars)), seeds=[id_alive])}
 
     @staticmethod
     def _presolve(matches: list[tuple[int, int]]) -> int:
@@ -204,12 +216,6 @@ class _Region:
             if len(rest) == len(matches):
                 return fixed
             matches = rest
-
-    def __getattr__(self, name: str):
-        if name not in _Region._ROWS:
-            raise AttributeError(name)
-        self._build_rows()
-        return self.__dict__[name]
 
     def _build_rows(self) -> None:
         """The dict rows over the unfixed variables; emptied and repeated rows dropped."""
@@ -249,26 +255,6 @@ class _Region:
         """The region's variable W_m(ux | tx)."""
         return self.offsets[m] + self.members[m].var[(tx, ux)]
 
-    def _solve_support(self) -> None:
-        """Fill ``_reach``, the variables positive somewhere in the region;
-        ``pinned``, left False by the bits, is settled by the prime
-        certificate on the dict rows."""
-        if self._reach is not None:
-            return
-        identity = self.identity_solution()
-        if not self.pinned:
-            id_alive = [identity[v] for v in self.alive_vars]
-            self.pinned = unique_point(self.A, self.b, id_alive)
-        if self.pinned:
-            self._reach = {v for v, x in enumerate(identity) if x > 0}
-            return
-        # each identity column sits alone in its own row-sum row, so the
-        # point's nonzero columns are independent and start the basis
-        tableau = Tableau(self.A, self.b, len(self.alive_vars), start=id_alive)
-        pos_alive, _ = positive_coordinates(tableau, range(len(self.alive_vars)),
-                                            seeds=[id_alive])
-        self._reach = {self.alive_vars[i] for i in pos_alive}
-
     def conflict_vertex(self, var_a: int, var_b: int) -> list[Fraction]:
         """Basic feasible point with both coordinates strictly positive.
 
@@ -280,6 +266,8 @@ class _Region:
         path, and the vertex, depend on each row's scale: each row goes in
         as the least integer multiple of its P-valued form (the row over
         ``den``), the row divided by the gcd of ``den`` and its entries.
+        Runs only on a region the bits leave open, whose dict rows exist: a
+        region the bits pin has no conflict.
         """
         ia = self.alive_index[var_a]
         ib = self.alive_index[var_b]
@@ -306,13 +294,8 @@ class _Region:
 
     def explanations(self, v: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """Scenario truths (member, tx) that can carry positive mass at view v."""
-        self._solve_support()
         return [(m, tx) for m, (w, off) in enumerate(zip(self.members, self.offsets))
-                for tx, var, _ in w.at[v] if off + var in self._reach]
-
-    def channels_from(self, sol: Sequence[Fraction]) -> list[Channel]:
-        """Member channels of a feasible solution; off-support rows identity."""
-        return [w.channel(sol, off) for w, off in zip(self.members, self.offsets)]
+                for tx, var, _ in w.at[v] if off + var in self.reach]
 
 
 def _f_at(f: TargetFunction, v: tuple[int, ...], coords: tuple[int, ...],
@@ -334,27 +317,24 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
     wa, wb = members[a[0]], members[b[0]]
     var_a = region.var(a[0], a[1], tuple(v[c] for c in wa.coords))
     var_b = region.var(b[0], b[1], tuple(v[c] for c in wb.coords))
-    chans = region.channels_from(region.conflict_vertex(var_a, var_b))
-    view = induce_view(p, collection[0], chans[0])
+    sol = region.conflict_vertex(var_a, var_b)
+    # member m's joint numerator at view vp and input tx is num * W_m(vp | tx),
+    # and den * P_view(vp) is member 0's sum of them (its offset is 0)
+    placed = list(zip(members, region.offsets))
 
-    member_axes: list[Alphabet] = []
-    for w in members:
-        member_axes.extend(p.axes[c] for c in w.coords)
-    joint_axes = tuple(p.axes) + tuple(member_axes)
-    shape = tuple(ax.size for ax in joint_axes)
-    mass = zero_mass(shape)
+    joint_axes = tuple(p.axes) + tuple(p.axes[c] for w in members for c in w.coords)
+    mass = zero_mass(tuple(ax.size for ax in joint_axes))
 
-    for vp in members[0].at:
-        pv = view.mass[vp]
-        if pv == 0:
+    for vp, at0 in members[0].at.items():
+        dpv = sum(num * sol[var] for _, var, num in at0)
+        if dpv == 0:
             continue
-        dpv = den * pv
+        pv = Fraction(dpv, den)
         posts = []
-        for w, chan in zip(members, chans):
-            ux = tuple(vp[c] for c in w.coords)
+        for w, off in placed:
             post = []
-            for tx, _, num in w.at[vp]:
-                joint_num = num * chan.rows[tx + ux]
+            for tx, var, num in w.at[vp]:
+                joint_num = num * sol[off + var]
                 if joint_num > 0:
                     post.append((tx, joint_num / dpv))
             posts.append(post)
@@ -368,14 +348,13 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
     joint = JointPmf(joint_axes, mass)
 
     point: list[int] = list(v)
-    for m, (w, chan) in enumerate(zip(members, chans)):
+    for m, (w, off) in enumerate(placed):
         if m == a[0]:
             point.extend(a[1])
         elif m == b[0]:
             point.extend(b[1])
         else:
-            ux = tuple(v[c] for c in w.coords)
-            chosen = next((tx for tx, _, num in w.at[v] if num * chan.rows[tx + ux] > 0), None)
+            chosen = next((tx for tx, var, num in w.at[v] if num * sol[off + var] > 0), None)
             if chosen is None:
                 raise LPError("view point lost its explanation during averaging")
             point.extend(chosen)
@@ -392,7 +371,6 @@ def _scan_collection(region: _Region, f: TargetFunction,
 
     None at once when the identity is the region's only point: every
     explanation at a view v is then the truth v itself, one f-value."""
-    region._solve_support()
     if region.pinned:
         return None
     for v in region.members[0].at:

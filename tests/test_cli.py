@@ -292,7 +292,9 @@ class TestMalformedInput:
                                       "pmf-axes-string", "function-table-string",
                                       "function-codomain-string", "block-side-string",
                                       "block-user-row-string", "block-users-string",
-                                      "channel-axes-strings", "gtable-collection-foreign"])
+                                      "channel-axes-strings", "gtable-collection-foreign",
+                                      "config-structure-k-2", "config-structure-k-4",
+                                      "config-function-side-axis"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -322,6 +324,11 @@ class TestMalformedInput:
         def decode_with_g0(g):
             return ["decode", "--config", put("c.json", {
                 **config, "g_tables": [g, *config["g_tables"][1:]]}),
+                    "--block", put("b.json", block)]
+
+        def decode_with_config(**fields):
+            # the config carries its verdict, so nothing recomputes it
+            return ["decode", "--config", put("c.json", {**config, **fields, "g_tables": []}),
                     "--block", put("b.json", block)]
 
         args = {
@@ -454,6 +461,12 @@ class TestMalformedInput:
                     "rows": [1, 0, 0, 1]}}})],
             "gtable-collection-foreign": lambda: decode_with_g0(
                 {**g0, "collection": [["x"], [7, 9]]}),
+            "config-structure-k-2": lambda: decode_with_config(
+                structure={"k": 2, "threshold": 1}),
+            "config-structure-k-4": lambda: decode_with_config(
+                structure={"k": 4, "threshold": 1}),
+            "config-function-side-axis": lambda: decode_with_config(function={
+                **config["function"], "axes": [*config["function"]["axes"][:-1], [0, 1, "z"]]}),
         }[case]()
         code, _, err = run_cli(args, capsys)
         assert code == 2

@@ -8,15 +8,20 @@ These tests compare the certificates with the crash start and the crash
 start with phase 1 on the regions the checker builds, compare the two
 starts on the exact view-distance LP, and check collection pruning
 against the unpruned scan at k=4.  The stateless collection filter, the
-bit presolve, build_g's conflict rule, the certificate's elimination and
-the scan of every view are each checked against the routine they
-replaced, kept here as the reference, and the mod-2 certificate against
-ranks over Q.
+bit presolve, build_g's conflict rule, the certificate's elimination, the
+scan of every view and the witness joint read off the conflict vertex are
+each checked against the routine they replaced, kept here as the
+reference, and the mod-2 certificate against ranks over Q.  A region is
+settled when it is built; a test that reads the dict rows of a region the
+bits pinned builds them itself.
 """
 
+import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from hypothesis import strategies as st
 from byzfc import simplex, viability, viewsets
 from byzfc.examples_lib import random_function, random_pmf
 from byzfc.polytope import ChannelTables
-from byzfc.probability import JointPmf, derive_seed
+from byzfc.probability import JointPmf, derive_seed, zero_mass
 from byzfc.simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
                            unique_point)
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
@@ -37,18 +42,27 @@ from byzfc.viewsets import ViewSetHandle, _distance_exact, induce_view
 from test_acceptance import t1_instance
 from test_viewsets import random_channel
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.append(str(BENCH))
+
+from workloads import witness_digest  # noqa: E402
+
+
+def _rows(region: _Region) -> _Region:
+    """The region with its dict rows, built here for a region the bits pinned."""
+    if "A" not in vars(region):
+        region._build_rows()
+    return region
+
 
 def _compare_starts(region: _Region, rng: np.random.Generator, objectives: int = 3) -> None:
-    identity = region.identity_solution()
-    start = [identity[v] for v in region.alive_vars]
+    start = _identity_start(_rows(region))
     crashed = Tableau(region.A, region.b, len(start), start=start)
     assert crashed.solution() == start
     coords = range(len(region.alive_vars))
     phase1 = Tableau(region.A, region.b, len(start))
-    pos_crashed, witness = positive_coordinates(crashed, coords)
-    assert pos_crashed == positive_coordinates(phase1, coords)[0]
-    for j, sol in witness.items():
-        assert sol[j] > 0
+    assert positive_coordinates(crashed, coords) == positive_coordinates(phase1, coords)
     for _ in range(objectives):
         c = [Fraction(int(v), int(d)) for v, d in
              zip(rng.integers(-9, 10, len(start)), rng.integers(1, 6, len(start)))]
@@ -210,7 +224,7 @@ def _sign_presolve(region: _Region):
 
 def _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2, monkeypatch):
     """Every region of the ladder, then those the worked example's uv and
-    uvw verdicts build, each fresh, its support not yet solved."""
+    uvw verdicts build, each fresh."""
     for p, _, structure in _ladder():
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
             yield _Region(p, col)
@@ -224,6 +238,7 @@ def test_side_presolve_matches_the_sign_presolve(erasure_pmf, erasure_f_uv, eras
     regions = 0
     for region in _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2,
                                monkeypatch):
+        _rows(region)
         assert (region.fixed, region.alive_vars, region.A, region.b) == _sign_presolve(region)
         regions += 1
     # the ladder's regions, then uv's 22 and the 3 uvw builds up to its witness
@@ -302,6 +317,66 @@ def test_build_g_conflicts_iff_the_scan_hits(monkeypatch):
     assert outcomes[True] and outcomes[False], outcomes
 
 
+# -- the witness read off the conflict vertex -------------------------------------
+
+def _channel_witness(region: _Region, v, a, b) -> tuple[JointPmf, tuple[int, ...]]:
+    """The witness joint and point built from the conflict vertex's member
+    channels and the view member 0's channel induces, the construction that
+    reading them off the vertex replaced."""
+    p, members = region.p, region.members
+    var_a, var_b = (region.var(m, tx, tuple(v[c] for c in members[m].coords))
+                    for m, tx in (a, b))
+    sol = region.conflict_vertex(var_a, var_b)
+    chans = [w.channel(sol, off) for w, off in zip(members, region.offsets)]
+    view = induce_view(p, region.collection[0], chans[0])
+    joint_axes = tuple(p.axes) + tuple(p.axes[c] for w in members for c in w.coords)
+    mass = zero_mass(tuple(ax.size for ax in joint_axes))
+
+    def carried(w, chan, vp):
+        ux = tuple(vp[c] for c in w.coords)
+        return [(tx, joint_num) for tx, _, num in w.at[vp]
+                if (joint_num := num * chan.rows[tx + ux]) > 0]
+
+    for vp in members[0].at:
+        pv = view.mass[vp]
+        if pv == 0:
+            continue
+        posts = [[(tx, joint_num / (region.den * pv)) for tx, joint_num in carried(w, chan, vp)]
+                 for w, chan in zip(members, chans)]
+        for combo in product(*posts):
+            weight, idx = pv, list(vp)
+            for tx, pr in combo:
+                weight *= pr
+                idx.extend(tx)
+            mass[tuple(idx)] = mass[tuple(idx)] + weight
+    point = list(v)
+    for m, (w, chan) in enumerate(zip(members, chans)):
+        point.extend(a[1] if m == a[0] else b[1] if m == b[0] else carried(w, chan, v)[0][0])
+    return JointPmf(joint_axes, mass), tuple(point)
+
+
+def test_the_vertex_witness_matches_the_channel_construction(monkeypatch, erasure_pmf,
+                                                             erasure_f_uvw, threshold_3_2):
+    materialize = viability._materialize_witness
+    checked = []
+
+    def compared(region, f, v, a, b):
+        witness = materialize(region, f, v, a, b)
+        joint, point = _channel_witness(region, v, a, b)
+        assert witness.joint == joint and witness.point == point
+        assert (witness_digest(witness)
+                == witness_digest(replace(witness, joint=joint, point=point)))
+        checked.append(witness)
+        return witness
+
+    monkeypatch.setattr(viability, "_materialize_witness", compared)
+    for p, f, structure in [*_ladder(), (erasure_pmf, erasure_f_uvw, threshold_3_2)]:
+        check_viability(p, f, structure)
+    # the ladder's 19 refuted instances, then the worked example's uvw
+    assert len(checked) == 20
+    assert frozenset({1, 2}) in checked[-1].collection
+
+
 # -- the rank certificate ---------------------------------------------------
 
 def _identity_start(region: _Region) -> list[Fraction]:
@@ -310,16 +385,15 @@ def _identity_start(region: _Region) -> list[Fraction]:
 
 
 def _certificate_matches_crash_start(region: _Region) -> bool:
-    """Solve the region's support, compare it with a crash-started
+    """Compare the region's reach with a crash-started
     ``positive_coordinates``, and say whether the certificate decided it."""
-    start = _identity_start(region)
+    start = _identity_start(_rows(region))
     certified = unique_point(region.A, region.b, start)
-    region._solve_support()
     crashed = Tableau(region.A, region.b, len(start), start=start)
-    pos, witness = positive_coordinates(crashed, range(len(start)), seeds=[start])
-    assert region._reach == {region.alive_vars[i] for i in pos}
+    pos = positive_coordinates(crashed, range(len(start)), seeds=[start])
+    assert region.reach == {region.alive_vars[i] for i in pos}
     if certified:
-        assert all(sol == start for sol in witness.values())
+        assert pos == {i for i, x in enumerate(start) if x}
     return certified
 
 
@@ -436,7 +510,7 @@ def test_certificate_matches_the_least_column_elimination(monkeypatch):
     outcomes = Counter()
     for p, _, structure in _ladder():
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
-            region = _Region(p, col)
+            region = _rows(_Region(p, col))
             start = _identity_start(region)
             got = unique_point(region.A, region.b, start)
             assert got == _unique_point_by_least_column(region.A, region.b, start)
@@ -465,12 +539,8 @@ def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
     # the same reach and witnesses through the fallback
     p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", 0),
                    zero_frac=0.3, max_weight=3)
-    certified = []
-    for col in nonintersecting_collections(AdversaryStructure.threshold(3, 2)):
-        region = _Region(p, col)
-        if unique_point(region.A, region.b, _identity_start(region)):
-            region._solve_support()
-            certified.append(region)
+    certified = [region for col in nonintersecting_collections(AdversaryStructure.threshold(3, 2))
+                 if (region := _Region(p, col)).pinned]
     tableaus = []
 
     class Counted(Tableau):
@@ -483,12 +553,11 @@ def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
     demoted = 0
     for region in certified:
         fresh = _Region(p, region.collection)
-        if unique_point(fresh.A, fresh.b, _identity_start(fresh)):
+        if fresh.pinned:
             continue
         demoted += 1
-        fresh._solve_support()
         assert len(tableaus) == demoted
-        assert fresh._reach == region._reach
+        assert fresh.reach == region.reach
     assert demoted
 
 
@@ -503,15 +572,21 @@ def test_a_row_the_point_violates_raises():
         unique_point([{0: 1}, {1: 1}, {0: 1, 1: 1}], [1, 0, 2], x)
 
 
-def test_a_region_the_identity_violates_raises():
-    # a region its bits leave open, so _solve_support reads its dict rows
+def test_a_region_the_identity_violates_raises(monkeypatch):
+    # a region the bits leave open and the prime pins, so construction
+    # checks the identity against its dict rows
     p, _ = t1_instance(0)
-    region = next(r for col in nonintersecting_collections(AdversaryStructure.threshold(2, 1))
-                  if not (r := _Region(p, col)).pinned
-                  and unique_point(r.A, r.b, _identity_start(r)))
-    region.b[0] += 1
+    col = next(col for col in nonintersecting_collections(AdversaryStructure.threshold(2, 1))
+               if "A" in vars(r := _Region(p, col)) and r.pinned)
+    build = _Region._build_rows
+
+    def violated(self):
+        build(self)
+        self.b[0] += 1
+
+    monkeypatch.setattr(_Region, "_build_rows", violated)
     with pytest.raises(LPError):
-        region._solve_support()
+        _Region(p, col)
 
 
 # -- the mod-2 certificate on bit rows -----------------------------------------
@@ -523,15 +598,16 @@ def test_bit_pinned_regions_are_pinned_mod_the_prime(erasure_pmf, erasure_f_uv, 
     outcomes = Counter()
     for region in _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2,
                                monkeypatch):
-        bits = region.pinned
-        start = _identity_start(region)
+        bits = "A" not in vars(region)
+        assert region.pinned or not bits
+        start = _identity_start(_rows(region))
         with monkeypatch.context() as m:
             m.setattr(simplex, "RANK_PRIME", 2)
             assert unique_point(region.A, region.b, start) == bits
         if bits:
             assert unique_point(region.A, region.b, start)
             crashed = Tableau(region.A, region.b, len(start), start=start)
-            pos, _ = positive_coordinates(crashed, range(len(start)), seeds=[start])
+            pos = positive_coordinates(crashed, range(len(start)), seeds=[start])
             assert pos == {i for i, x in enumerate(start) if x}
         outcomes[bits] += 1
     assert outcomes[True] and outcomes[False], outcomes
@@ -597,7 +673,7 @@ def test_shared_channel_tables_build_the_same_regions():
     p = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)
     tables = ChannelTables(p)
     for col in nonintersecting_collections(AdversaryStructure.threshold(4, 2)):
-        fresh, shared = _Region(p, col), _Region(p, col, tables)
+        fresh, shared = _rows(_Region(p, col)), _rows(_Region(p, col, tables))
         assert shared.A == fresh.A and shared.b == fresh.b
         assert shared.alive_vars == fresh.alive_vars and shared.fixed == fresh.fixed
         for v in fresh.members[0].at:

@@ -276,6 +276,27 @@ class TestConfigSerialization:
         with pytest.raises(DecoderConfigError):
             config_from_json_dict(d)
 
+    @pytest.mark.parametrize("case", ["k-2", "k-4", "side-axis"])
+    def test_structure_or_function_off_the_law_rejected(self, case, erasure_config):
+        # a config that carries its verdict is not re-checked against the law,
+        # so the config itself must refuse a structure over the wrong number
+        # of users or a function over other axes
+        d = {**config_to_json_dict(erasure_config), "g_tables": []}
+        if case == "side-axis":
+            d["function"]["axes"][-1] = [0, 1, "z"]
+        else:
+            d["structure"] = {"k": int(case[-1]), "threshold": 1}
+        with pytest.raises(DecoderConfigError, match="users or axes"):
+            config_from_json_dict(d)
+
+    def test_replaced_structure_or_function_rejected(self, erasure_config):
+        f = erasure_config.f
+        axes = (*f.domain_axes[:-1], Alphabet((0, 1, "z")))
+        for changes in ({"structure": AdversaryStructure.threshold(2, 1)},
+                        {"f": TargetFunction(axes, f.codomain, f.table)}):
+            with pytest.raises(DecoderConfigError, match="users or axes"):
+                dataclasses.replace(erasure_config, **changes)
+
     def test_roundtrip_decodes_identically(self, erasure_pmf, erasure_config):
         again = config_from_json_dict(config_to_json_dict(erasure_config))
         blk = sample_iid(erasure_pmf.to_float(), 500, seed=41)
@@ -546,7 +567,8 @@ class TestRepairedTableApplied:
         # a feasible point with W_m(target's coordinates | tx) > 0
         ux = tuple(target[c] for c in region.members[m].coords)
         var = region.var(m, tx, ux)
-        chans = region.channels_from(region.conflict_vertex(var, var))
+        sol = region.conflict_vertex(var, var)
+        chans = [w.channel(sol, off) for w, off in zip(region.members, region.offsets)]
         view = induce_view(p, col[0], chans[0])
         assert view == induce_view(p, col[1], chans[1])
         assert view.mass[target] > 0

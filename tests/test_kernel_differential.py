@@ -34,7 +34,7 @@ import pytest
 from byzfc import viability, viewsets
 from byzfc.probability import Alphabet, JointPmf, derive_seed, empirical_type, sample_iid
 from byzfc.simplex import (ENTRY_BOUND, MAX_PIVOTS, Infeasible, LPError, Tableau, Unbounded,
-                           _integers, positive_coordinates, unique_point)
+                           _integers, positive_coordinates)
 from byzfc.structures import nonintersecting_collections
 from byzfc.viability import _needs_solving, _Region, check_viability
 from byzfc.viewsets import ViewSetHandle
@@ -413,9 +413,9 @@ def test_fallback_regions_of_the_ladder():
     for p, _, structure in _ladder():
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
             region = _Region(p, col)
-            start = _identity_start(region)
-            if unique_point(region.A, region.b, start):
+            if region.pinned:
                 continue
+            start = _identity_start(region)
 
             def run(kernel):
                 t = kernel(region.A, region.b, len(start), start=start)
@@ -507,21 +507,32 @@ def test_seed_1_verdict_random_pass_pivots(monkeypatch):
 
 
 def test_seed_1_verdict_random_pass_routes(monkeypatch):
-    # each region is settled by its rank mod 2 on bit rows, else by its rank
-    # mod the prime on dict rows, else by the crash-started tableau; the
-    # bits build no dict row
+    # each region is settled by its rank mod 2 on bit rows, building no dict
+    # row, else by its rank mod the prime on dict rows, else by the
+    # crash-started tableau, one per region
     routes = Counter()
     built = []
+    tableaus = []
 
     class Routed(_Region):
         def __init__(self, *args):
+            before = len(tableaus)
             super().__init__(*args)
-            self.by_bits = self.pinned
+            self.tableaus = len(tableaus) - before
             built.append(self)
 
+    class Counted(Tableau):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tableaus.append(self)
+
     monkeypatch.setattr(viability, "_Region", Routed)
+    monkeypatch.setattr(viability, "Tableau", Counted)
     _seed_1_verdict_random_pass()
     for region in built:
-        routes["bits" if region.by_bits else "prime" if region.pinned else "tableau"] += 1
-        assert region.by_bits == ("A" not in vars(region))
+        route = ("bits" if "A" not in vars(region) else "prime" if region.pinned
+                 else "tableau")
+        routes[route] += 1
+        assert region.pinned == (route != "tableau")
+        assert region.tableaus == (route == "tableau")
     assert routes == {"bits": 202, "prime": 90, "tableau": 33}

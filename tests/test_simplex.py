@@ -123,18 +123,16 @@ def test_warm_restart_multiple_objectives():
 def test_positive_coordinates_forced_zero():
     # x3 = 0 forced; x1, x2 free over the simplex
     t = Tableau(sparse([[1, 1, 0], [0, 0, 1]]), [1, 0], 3)
-    pos, wit = positive_coordinates(t, [0, 1, 2])
-    assert pos == {0, 1}
-    for j, sol in wit.items():
-        assert sol[j] > 0
-        assert sol[0] + sol[1] == 1 and sol[2] == 0
+    assert positive_coordinates(t, [0, 1, 2]) == {0, 1}
 
 
 def test_positive_coordinates_seeds_short_circuit():
     t = Tableau(sparse([[1, 1]]), [1], 2)
     seed = [Fraction(1, 2), Fraction(1, 2)]
-    pos, wit = positive_coordinates(t, [0, 1], seeds=[seed])
-    assert pos == {0, 1} and wit[0] == seed
+    calls = []
+    maximize = t.maximize
+    t.maximize = lambda c: calls.append(c) or maximize(c)
+    assert positive_coordinates(t, [0, 1], seeds=[seed]) == {0, 1} and calls == []
 
 
 def test_redundant_rows_handled():
@@ -248,8 +246,7 @@ def test_crash_start_full_column_rank_needs_no_pivots(monkeypatch):
     assert t.m == 4
     calls = []
     monkeypatch.setattr(Tableau, "_pivot", lambda self, r, c: calls.append((r, c)))
-    pos, _ = positive_coordinates(t, range(4), seeds=[x])
-    assert pos == {0, 2} and calls == []
+    assert positive_coordinates(t, range(4), seeds=[x]) == {0, 2} and calls == []
 
 
 def test_crash_start_matches_phase1_on_random_lps():
@@ -268,10 +265,8 @@ def test_crash_start_matches_phase1_on_random_lps():
         crashed = Tableau(A, b, n + 1, start=vertex)
         assert crashed.solution() == vertex, trial
         phase1 = Tableau(A, b, n + 1)
-        pos_c, wit = positive_coordinates(crashed, range(n + 1))
-        assert pos_c == positive_coordinates(phase1, range(n + 1))[0], trial
-        for j, sol in wit.items():
-            assert sol[j] > 0
+        pos_c = positive_coordinates(crashed, range(n + 1))
+        assert pos_c == positive_coordinates(phase1, range(n + 1)), trial
         for _ in range(3):
             c = [Fraction(int(v), int(d)) for v, d in
                  zip(rng.integers(-5, 6, n + 1), rng.integers(1, 4, n + 1))]
