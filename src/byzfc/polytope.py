@@ -2,15 +2,17 @@
 
 Both LPs are built from per-letter adversary channels W(ux | tx) on the
 coordinates of one adversary set.  ``ChannelVars`` numbers the entries of
-one such channel, tabulates P's coefficient on each variable at each view
-point as one numerator over a denominator shared by the whole law, emits
-its sparse constraint rows and their mod-2 bit rows, and turns a solution
-back into a ``Channel``.
+one such channel, reads P's coefficients on them from one table of P's
+numerators over a denominator shared by the whole law, builds their mod-2
+bit rows at once and their per-view lists and sparse rows when read, and
+turns a solution back into a ``Channel``.
 ``ChannelTables`` builds the tables of one law on first use.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -26,21 +28,20 @@ class ChannelVars:
     (``rows``), outputs ux over every symbol tuple (``outs``).  Variables
     are numbered from 0 in (tx, ux) lexicographic order; a system holding
     several channels places this one at an ``offset`` that the row,
-    identity and channel methods add.
+    identity and channel methods add.  P must be exact, its numerators ints
+    over ``den``, its least common denominator (``ints``, from
+    ``integer_mass``, when the caller has it); the identity channel's view,
+    those numerators over den, must be P, or ValueError.
 
-    ``at[v]``, for each view point v in ``product`` order over P's axes,
-    holds one ``(tx, var, num)`` per input in ``rows`` order with
-    num / ``den`` = P(v with ``coords`` replaced by tx) > 0; var is
-    W(v's ``coords`` | tx).  P must be exact: num is an int and den the
-    least common denominator of P (``ints``, from ``integer_mass``, when
-    the caller has it).  The identity channel's view at each v, its one
-    entry with tx = v's ``coords``, must be P(v) over den, or ValueError.
-
-    The same rows as bits of Python ints, bit var for variable var, for
-    mod-2 work without dicts: ``view_bits`` and ``odd_bits``, in ``at``
-    order, hold each view's variables and those of them with an odd num;
-    ``sum_bits`` holds each input's variables in ``rows`` order and
-    ``identity_bits`` the identity's.
+    W(ux | tx)'s coefficient at view point v is P(v with ``coords``
+    replaced by tx): it depends on tx and v's rest (its other coordinates)
+    only, so one table by (tx, rest) serves every view.  Built at
+    construction, as bits of Python ints (bit var for variable var):
+    ``view_bits`` and ``odd_bits``, in ``product`` order over P's axes,
+    hold each view's variables and those of them with an odd numerator;
+    ``sum_bits`` each input's variables in ``rows`` order and
+    ``identity_bits`` the identity's.  ``at``, the views' coefficient
+    lists, is built on first read.
     """
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
@@ -48,45 +49,45 @@ class ChannelVars:
         self.p = p
         self.coords = coords
         nums, self.den = integer_mass(p.mass) if ints is None else ints
-        # P(v with coords <- tx) is moved[tx + rest] / den, rest being v's
-        # other coordinates; entries are >= 0, so tx has marginal mass iff
-        # one is > 0
-        moved = np.moveaxis(nums, coords, range(len(coords)))
-        pos = moved > 0
-        self.outs = list(product(*(range(p.axes[c].size) for c in coords)))
-        self.rows = [tx for tx in self.outs if pos[tx].any()]
+        if any(n * d != m * self.den for n, (m, d) in
+               zip(nums.reshape(-1).tolist(), map(Fraction.as_integer_ratio, p.mass.flat))):
+            raise ValueError("the identity channel's view is not the law")
+        sizes = [a.size for a in p.axes]
+        self.outs = list(product(*(range(sizes[c]) for c in coords)))
+        width = len(self.outs)
+        # P(v with coords <- tx) is table[tx's index, index of v's rest] / den;
+        # entries are >= 0, so tx has marginal mass iff one is > 0
+        order = [*coords, *(c for c in range(p.k) if c not in coords)]
+        table = nums.transpose(order).reshape(width, -1)
+        live = (table > 0).any(axis=1)
+        self.rows = [tx for tx, on in zip(self.outs, live.tolist()) if on]
         self.var = {key: i for i, key in enumerate(product(self.rows, self.outs))}
         self.size = len(self.var)
-        others = [c for c in range(p.k) if c not in coords]
-        # W(ux | tx) is variable first[tx] + out[ux]; the inputs with mass at
-        # each rest, with their variables' bits at ux's index 0, are shared
-        # by the view points that differ from one another only in ux
-        width = len(self.outs)
-        first = {tx: i * width for i, tx in enumerate(self.rows)}
-        out = {ux: i for i, ux in enumerate(self.outs)}
-        live: dict[tuple[int, ...], tuple[list, int, int]] = {}
-        self.at: dict[tuple[int, ...], list] = {}
-        self.view_bits: list[int] = []
-        self.odd_bits: list[int] = []
-        # P in product order, the order of v below
-        law = p.mass.reshape(-1).tolist()
-        for v, mass in zip(product(*(range(a.size) for a in p.axes)), law):
-            rest = tuple(v[c] for c in others)
-            if rest not in live:
-                group = [(tx, first[tx], moved[tx + rest]) for tx in self.rows if pos[tx + rest]]
-                live[rest] = (group, sum(1 << var for _, var, _ in group),
-                              sum(1 << var for _, var, num in group if num & 1))
-            group, bits, odd = live[rest]
-            ux = tuple(v[c] for c in coords)
-            shift = out[ux]
-            self.at[v] = [(tx, var + shift, num) for tx, var, num in group]
-            self.view_bits.append(bits << shift)
-            self.odd_bits.append(odd << shift)
-            ident = sum(num for tx, _, num in group if tx == ux)
-            if ident * mass.denominator != mass.numerator * self.den:
-                raise ValueError("the identity channel's view is not the law")
-        self.sum_bits = [((1 << width) - 1) << var for var in first.values()]
+        # each rest's numerators on the inputs in rows, and their variables'
+        # bits at ux's index 0; view v, at table index i in product order,
+        # has ux's index i // nrest and the rest's i % nrest
+        self._rests = table[live].T.tolist()
+        self._views = np.arange(table.size).reshape([sizes[c] for c in order]).transpose(
+            [order.index(c) for c in range(p.k)]).reshape(-1).tolist()
+        firsts, nrest = range(0, self.size, width), len(self._rests)
+        bits = [sum(1 << f for f, n in zip(firsts, col) if n > 0) for col in self._rests]
+        odd = [sum(1 << f for f, n in zip(firsts, col) if n & 1) for col in self._rests]
+        self.view_bits = [bits[i % nrest] << i // nrest for i in self._views]
+        self.odd_bits = [odd[i % nrest] << i // nrest for i in self._views]
+        self.sum_bits = [((1 << width) - 1) << f for f in firsts]
         self.identity_bits = sum(1 << self.var[(tx, tx)] for tx in self.rows)
+
+    @cached_property
+    def at(self) -> dict[tuple[int, ...], list]:
+        """For each view point v, in ``product`` order over P's axes, one
+        ``(tx, var, num)`` per input in ``rows`` order with num / ``den`` =
+        P(v with ``coords`` replaced by tx) > 0; var is W(v's ``coords`` | tx)."""
+        width, nrest = len(self.outs), len(self._rests)
+        groups = [[(tx, f, n) for tx, f, n in zip(self.rows, range(0, self.size, width), col)
+                   if n > 0] for col in self._rests]
+        views = product(*(range(a.size) for a in self.p.axes))
+        return {v: [(tx, var + i // nrest, n) for tx, var, n in groups[i % nrest]]
+                for v, i in zip(views, self._views)}
 
     def view_row(self, v: tuple[int, ...], sign: int = 1, offset: int = 0) -> dict:
         """``den`` times the induced view's mass at v, ``sign`` (1 or -1)

@@ -77,7 +77,8 @@ def unique_point(A: Sequence[dict], b: Sequence, x: Sequence) -> bool:
     Checks in integers that x satisfies every row, raising LPError if not,
     and eliminates the rows mod ``RANK_PRIME``.  The rank of an integer
     matrix mod a prime is at most its rank over Q (Dixon 1982), so a rank
-    of ``len(x)`` proves full column rank; False proves nothing.
+    of ``len(x)`` proves full column rank; False proves nothing.  With
+    fewer rows than columns the rank falls short, so nothing is eliminated.
 
     The rank does not depend on the order of elimination, so the columns
     go in the order that keeps the pivot rows short: fewest nonzeros in A
@@ -93,6 +94,8 @@ def unique_point(A: Sequence[dict], b: Sequence, x: Sequence) -> bool:
         if sum(map(mul, vals, map(xs.__getitem__, a))) != vals[-1] * xm:
             raise LPError("point violates a constraint row")
         rows.append((a, vals))
+    if len(rows) < n:
+        return False
     count = Counter(chain.from_iterable(A))
     prime = RANK_PRIME
     pos = [0] * n

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .polytope import ChannelTables, ChannelVars
-from .probability import Alphabet, JointPmf, is_integer, zero_mass
+from .probability import Alphabet, JointPmf, integer_mass, is_integer, zero_mass
 from .simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
                       unique_point)
 from .structures import (AdversaryStructure, Collection, TargetFunction,
@@ -153,7 +153,7 @@ class _Region:
     unfixed ``alive_vars`` (``alive_index`` maps back, -1 for ``fixed``
     ones) have full rank mod a prime (LPError if the identity violates a
     row).  Any other region is solved by the tableau started at the
-    identity.  Only the regions the bits leave open build dict rows.
+    identity.  Only regions the bits leave open read ``at``, for dict rows.
     """
 
     def __init__(self, p: JointPmf, collection: Collection,
@@ -226,18 +226,20 @@ class _Region:
         for i, v in enumerate(self.alive_vars):
             index[v] = i
         placed = list(zip(self.members, self.offsets))
-        sums = [row for w, off in placed for row in w.sum_rows(off)]
-        matches = [{**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
-                   for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
+        # every row lists its variables in increasing order: a sum row is one
+        # input's range, and a match row member m's side, then m+1's; no sum
+        # row is emptied, as each holds an unfixed identity coordinate
+        rows = [(1, tuple((j, 1) for j in index[first:first + len(w.outs)] if j >= 0))
+                for w, off in placed for first in range(off, off + w.size, len(w.outs))]
+        for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
+            i0, i1 = index[off0:off0 + w0.size], index[off1:off1 + w1.size]
+            rows += [(0, tuple((j, n) for _, var, n in at0 if (j := i0[var]) >= 0)
+                      + tuple((j, -n) for _, var, n in at1 if (j := i1[var]) >= 0))
+                     for at0, at1 in zip(w0.at.values(), w1.at.values())]
         self.A: list[dict[int, int]] = []
         self.b: list[int] = []
         seen: set[tuple] = set()
-        # every row lists its variables in increasing order: a sum row walks
-        # one input's outputs, and a match row member m's side, then m+1's;
-        # no sum row is emptied, as each holds an unfixed identity coordinate
-        for i, row in enumerate(sums + matches):
-            items = tuple((j, c) for v, c in row.items() if (j := index[v]) >= 0)
-            rhs = 1 if i < len(sums) else 0
+        for rhs, items in rows:
             if items and (rhs, items) not in seen:
                 seen.add((rhs, items))
                 self.A.append(dict(items))
@@ -476,7 +478,7 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
 def verify_witness(witness: ViolationWitness, p: JointPmf, f: TargetFunction) -> None:
     """Re-verify a witness directly against the viability definition.
 
-    Checks, in exact arithmetic: (a) each scenario's
+    Checks, in ints over Q's and P's own denominators: (a) each scenario's
     (truth, honest-reports, side-info) marginal equals P; (b) the Markov
     constraint in cross-multiplied form
     Q(ux_A, tx_A, ux_rest, y) * P_A(tx_A) = Q(ux_A, tx_A) * P(<tx_A, ux_rest>, y);
@@ -495,27 +497,31 @@ def verify_witness(witness: ViolationWitness, p: JointPmf, f: TargetFunction) ->
                witness.scenario_truth(witness.pair[1]))
     assert va != vb, "witness point does not conflict"
 
+    qn, qd = integer_mass(joint.mass)
+    pn, pd = integer_mass(p.mass)
     for m in range(len(witness.collection)):
         coords = witness.member_coords(m)
         block = witness.member_block(m)
         rest = tuple(c for c in range(kk) if c not in coords)
+        # summing these out leaves the kept axes in increasing order
+        other_blocks = tuple(a for a in range(kk, qn.ndim) if a not in block)
         # (a): marginal over <tx_A, ux_rest, y> equals P
-        marg = joint.marginalize(rest + block)
+        marg = qn.sum(axis=coords + other_blocks)
         for full_idx in product(*(range(a.size) for a in p.axes)):
             tx = tuple(full_idx[c] for c in coords)
             others = tuple(full_idx[c] for c in rest)
-            assert marg.mass[others + tx] == p.mass[full_idx], \
+            assert marg[others + tx] * pd == pn[full_idx] * qd, \
                 f"scenario {m} constraint (a) fails at {full_idx}"
-        # (b): cross-multiplied Markov constraint
-        q4 = joint.marginalize(tuple(range(kk)) + block)
-        q2 = joint.marginalize(coords + block)
-        p_a = p.marginalize(coords)
+        # (b): cross-multiplied Markov constraint; both sides are over qd * pd
+        q4 = qn.sum(axis=other_blocks)
+        q2 = qn.sum(axis=rest + other_blocks)
+        p_a = pn.sum(axis=rest)
         for full_idx in product(*(range(a.size) for a in p.axes)):
             ux_a = tuple(full_idx[c] for c in coords)
             for tx in product(*(range(p.axes[c].size) for c in coords)):
-                lhs = q4.mass[full_idx + tx] * p_a.mass[tx]
+                lhs = q4[full_idx + tx] * p_a[tx]
                 src = list(full_idx)
                 for pos, c in enumerate(coords):
                     src[c] = tx[pos]
-                rhs = q2.mass[ux_a + tx] * p.mass[tuple(src)]
+                rhs = q2[ux_a + tx] * pn[tuple(src)]
                 assert lhs == rhs, f"scenario {m} constraint (b) fails at {full_idx}, {tx}"

@@ -1,16 +1,22 @@
-"""The channel-variable builder against the independent view oracle."""
+"""The channel-variable builder against the independent view oracle, and
+against the per-view loop it replaced, kept here as the reference."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from byzfc.examples_lib import random_pmf
+from byzfc import viability
+from byzfc.examples_lib import random_function, random_pmf
 from byzfc.polytope import ChannelTables, ChannelVars
-from byzfc.probability import Channel, JointPmf, ProbabilityError, integer_mass
+from byzfc.probability import Alphabet, Channel, JointPmf, ProbabilityError, derive_seed, integer_mass
+from byzfc.structures import AdversaryStructure
+from byzfc.viability import _Region, check_viability
 from byzfc.viewsets import ViewSetHandle, induce_view
 
+from test_acceptance import t1_instance
 from test_viewsets import random_channel
 
 
@@ -191,3 +197,97 @@ def test_a_table_whose_identity_view_is_not_the_law_is_refused(law):
     for ints in ((nums * 2, den), (nums, den * 2), (nums[::-1], den)):
         with pytest.raises(ValueError, match="identity channel's view"):
             ChannelVars(law, (0,), ints)
+
+
+def reference_channel_vars(p: JointPmf, coords: tuple[int, ...], ints=None) -> SimpleNamespace:
+    """The builder that walked every view point, making each view's
+    ``(tx, var, num)`` list and its bits from its rest's inputs."""
+    t = SimpleNamespace(p=p, coords=coords)
+    nums, t.den = integer_mass(p.mass) if ints is None else ints
+    moved = np.moveaxis(nums, coords, range(len(coords)))
+    pos = moved > 0
+    t.outs = list(product(*(range(p.axes[c].size) for c in coords)))
+    t.rows = [tx for tx in t.outs if pos[tx].any()]
+    t.var = {key: i for i, key in enumerate(product(t.rows, t.outs))}
+    t.size = len(t.var)
+    others = [c for c in range(p.k) if c not in coords]
+    width = len(t.outs)
+    first = {tx: i * width for i, tx in enumerate(t.rows)}
+    out = {ux: i for i, ux in enumerate(t.outs)}
+    live = {}
+    t.at, t.view_bits, t.odd_bits = {}, [], []
+    law = p.mass.reshape(-1).tolist()
+    for v, mass in zip(product(*(range(a.size) for a in p.axes)), law):
+        rest = tuple(v[c] for c in others)
+        if rest not in live:
+            group = [(tx, first[tx], moved[tx + rest]) for tx in t.rows if pos[tx + rest]]
+            live[rest] = (group, sum(1 << var for _, var, _ in group),
+                          sum(1 << var for _, var, num in group if num & 1))
+        group, bits, odd = live[rest]
+        ux = tuple(v[c] for c in coords)
+        shift = out[ux]
+        t.at[v] = [(tx, var + shift, num) for tx, var, num in group]
+        t.view_bits.append(bits << shift)
+        t.odd_bits.append(odd << shift)
+        ident = sum(num for tx, _, num in group if tx == ux)
+        if ident * mass.denominator != mass.numerator * t.den:
+            raise ValueError("the identity channel's view is not the law")
+    t.sum_bits = [((1 << width) - 1) << var for var in first.values()]
+    t.identity_bits = sum(1 << t.var[(tx, tx)] for tx in t.rows)
+    return t
+
+
+def _zero_input_law() -> JointPmf:
+    # user 0's symbol 2 and user 1's symbol 0 carry no mass
+    mass = np.zeros((3, 2, 2), dtype=object)
+    for idx, num in (((0, 1, 0), 3), ((1, 1, 1), 2), ((0, 1, 1), 1), ((1, 1, 0), 1)):
+        mass[idx] = Fraction(num, 7)
+    return JointPmf([Alphabet(tuple(range(n))) for n in mass.shape], mass)
+
+
+def test_the_table_builder_matches_the_per_view_loop(erasure_pmf):
+    laws = [erasure_pmf, *(t1_instance(t)[0] for t in range(40)),
+            *(random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", i),
+                         zero_frac=0.3, max_weight=3) for i in range(12)),
+            random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3),
+            random_pmf((3, 3, 3, 3), seed=2, zero_frac=0.3, max_weight=3),
+            _zero_input_law()]
+    dropped = 0
+    for p in laws:
+        tables = ChannelTables(p)
+        for r in range(1, p.k):
+            for coords in combinations(range(p.k - 1), r):
+                want = reference_channel_vars(p, coords)
+                for w in (ChannelVars(p, coords), tables[coords]):
+                    assert "at" not in vars(w)
+                    for attr in ("outs", "rows", "var", "size", "den", "view_bits", "odd_bits",
+                                 "sum_bits", "identity_bits"):
+                        assert getattr(w, attr) == getattr(want, attr), attr
+                    assert list(w.at.items()) == list(want.at.items())
+                    assert all(type(num) is int for terms in w.at.values() for *_, num in terms)
+                dropped += len(want.outs) - len(want.rows)
+    assert dropped
+
+
+def test_a_bit_pinned_verdict_builds_no_view_lists(monkeypatch):
+    # a threshold-1 verdict builds one region; when its bit rows pin it, no
+    # table's per-view lists are read
+    built = []
+
+    class Recorded(_Region):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(viability, "_Region", Recorded)
+    pinned = 0
+    for t in range(200):
+        p, f = t1_instance(t)
+        built.clear()
+        check_viability(p, f, AdversaryStructure.threshold(p.k - 1, 1))
+        (region,) = built
+        if "A" not in vars(region):
+            assert region.pinned
+            assert not any("at" in vars(w) for w in region.members)
+            pinned += 1
+    assert pinned == 129

@@ -168,6 +168,17 @@ def test_a_float_entry_is_refused():
         Tableau([{0: 1}], [1], 1).maximize([0.5])
 
 
+def test_unique_point_with_fewer_rows_than_columns():
+    # two rows in three columns have rank at most 2: no certificate, but a
+    # point that breaks a row is still refused before the row count is read
+    A, b = [{0: 1, 1: 1}, {2: 1}], [1, 1]
+    assert unique_point(A, b, [1, 0, 1]) is False
+    with pytest.raises(LPError, match="violates"):
+        unique_point(A, b, [1, 1, 1])
+    # one row more pins the point
+    assert unique_point(A + [{1: 1}], b + [0], [1, 0, 1]) is True
+
+
 @pytest.mark.parametrize("A, b, n", [
     ([{0: 1, 2: 1}], [1], 2),      # column past the last variable
     ([{-1: 1}], [1], 2),           # negative column

@@ -14,7 +14,8 @@ import pytest
 
 from byzfc.examples_lib import random_function, random_pmf
 from byzfc.mss import is_function_of_ystar
-from byzfc.probability import Alphabet, JointPmf, ProbabilityError, derive_seed, pmf_from_dict
+from byzfc.probability import (Alphabet, JointPmf, ProbabilityError, derive_seed, integer_mass,
+                               pmf_from_dict)
 from byzfc.structures import (AdversaryStructure, TargetFunction,
                               constant_function)
 from byzfc.viability import (GBuildConflict, ViabilityInputError, _Region,
@@ -277,6 +278,30 @@ class TestVerifierNegativeControls:
         bad = replace(w, joint=JointPmf(w.joint.axes, mass))
         with pytest.raises(AssertionError):
             verify_witness(bad, erasure_pmf, erasure_f_uvw)
+
+    def test_one_numerator_unit_moved_is_rejected(self, erasure_pmf, erasure_f_uvw):
+        # the smallest change the integer check can see: one unit of the
+        # joint's common denominator, from each positive cell to the next
+        # cell and to the cell one block further on
+        from dataclasses import replace
+
+        w = check_s_viability(erasure_pmf, erasure_f_uvw, 2).witness
+        nums, den = integer_mass(w.joint.mass)
+        flat = nums.reshape(-1)
+        moves = 0
+        for src in np.flatnonzero(flat > 0).tolist():
+            for dst in ((src + 1) % flat.size, (src + flat.size // 2) % flat.size):
+                moved = flat.copy()
+                moved[src] -= 1
+                moved[dst] += 1
+                mass = np.array([Fraction(n, den) for n in moved], dtype=object)
+                bad = replace(w, joint=JointPmf(w.joint.axes, mass.reshape(nums.shape)))
+                if bad.joint.mass[bad.point] == 0:
+                    continue
+                with pytest.raises(AssertionError, match=r"constraint \((a|b)\) fails"):
+                    verify_witness(bad, erasure_pmf, erasure_f_uvw)
+                moves += 1
+        assert moves >= 10
 
     def test_nonconflicting_point_rejected(self, erasure_pmf, erasure_f_uvw,
                                            erasure_f_uv):
