@@ -57,7 +57,8 @@ class Verdict:
 class DecoderConfig:
     """Decoding state for one (law, function, structure).
 
-    ``viable`` is the viability verdict.  ``g_tables`` holds the repaired
+    ``viable`` is the viability verdict, decided from the law when it is
+    None, once, after the axis checks.  ``g_tables`` holds the repaired
     tables built so far, keyed by collection; ``g_table`` builds a missing
     one on first use, on one channel-table dict owned by the config.
     ``screen`` holds the bound tables and the radius ``delta``,
@@ -69,7 +70,7 @@ class DecoderConfig:
     f: TargetFunction
     delta: float
     g_tables: dict[frozenset, GTable] = field(default_factory=dict)
-    viable: bool = True
+    viable: bool | None = None
     handles: tuple[ViewSetHandle, ...] = field(init=False)
     screen: DistanceScreen = field(init=False, compare=False, repr=False)
 
@@ -88,13 +89,19 @@ class DecoderConfig:
                 raise DecoderConfigError(
                     f"g-table for collection {g.collection} does not match the law's axes "
                     "or the function's codomain")
-            if not (is_nonintersecting(g.collection)
-                    and all(s in self.structure for s in g.collection)):
-                raise DecoderConfigError(f"g-table collection {g.collection} is not a "
-                                         "non-intersecting collection of the structure")
+            self._check_collection(g.collection)
+        if self.viable is None:
+            self.viable = check_viability(self.base, self.f, self.structure).viable
+
+    def _check_collection(self, col) -> None:
+        if not (is_nonintersecting(col) and all(s in self.structure for s in col)):
+            raise DecoderConfigError(f"g-table collection {col} is not a "
+                                     "non-intersecting collection of the structure")
 
     def g_table(self, collection) -> GTable:
-        """The repaired table of a non-intersecting collection, built on first use.
+        """The repaired table of a non-intersecting collection of the
+        structure, built on first use (any other collection raises
+        DecoderConfigError).
 
         A construction conflict (f non-viable) stores f itself with an
         all-false mask, the naive table kept for negative testing.
@@ -102,6 +109,7 @@ class DecoderConfig:
         col = canonical_collection(collection)
         g = self.g_tables.get(frozenset(col))
         if g is None:
+            self._check_collection(col)
             try:
                 g = build_g(self.base, self.f, col, tables=self._channels)
             except GBuildConflict:
@@ -120,9 +128,7 @@ def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStr
     """
     if mode not in ("exact", "float"):
         raise DecoderConfigError(f"unknown mode {mode!r}")
-    viable = check_viability(p, f, structure).viable
-    return DecoderConfig(base=p, structure=structure, f=f, delta=delta, viable=viable)
-
+    return DecoderConfig(base=p, structure=structure, f=f, delta=delta)
 
 
 def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
@@ -241,7 +247,5 @@ def config_from_json_dict(d: dict) -> DecoderConfig:
             tables[frozenset(g.collection)] = g
     except MALFORMED as e:
         raise DecoderConfigError(f"malformed config: {e}") from e
-    if viable is None or "g_tables" not in d:
-        viable = check_viability(p, f, structure).viable
     return DecoderConfig(base=p, structure=structure, f=f, delta=delta, g_tables=tables,
-                         viable=viable)
+                         viable=viable if "g_tables" in d else None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
@@ -36,10 +36,10 @@ class ViabilityInputError(ValueError):
 
 
 class GBuildConflict(RuntimeError):
-    """build_g found two feasible explanations with different f-values.
+    """Two feasible explanations of one view with different f-values.
 
-    Signals a non-viable input; carries the conflicting pair for
-    diagnosis.
+    Signals a non-viable input; carries the conflicting pair, each as
+    ((member, tx), f-value), for diagnosis and for the witness.
     """
 
     def __init__(self, view, detail_a, detail_b):
@@ -294,11 +294,6 @@ class _Region:
             full[v] = x
         return full
 
-    def explanations(self, v: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """Scenario truths (member, tx) that can carry positive mass at view v."""
-        return [(m, tx) for m, (w, off) in enumerate(zip(self.members, self.offsets))
-                for tx, var, _ in w.at[v] if off + var in self.reach]
-
 
 def _f_at(f: TargetFunction, v: tuple[int, ...], coords: tuple[int, ...],
           tx: tuple[int, ...]) -> int:
@@ -308,9 +303,10 @@ def _f_at(f: TargetFunction, v: tuple[int, ...], coords: tuple[int, ...],
     return int(f.table[tuple(full)])
 
 
-def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
-                         a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]],
-                         ) -> ViolationWitness:
+def _materialize_witness(region: _Region, conflict: GBuildConflict) -> ViolationWitness:
+    """The witness of a conflict: its joint read off the region's conflict vertex."""
+    v = conflict.view
+    (a, fa), (b, fb) = conflict.details
     p = region.p
     k = region.k
     collection = region.collection
@@ -361,36 +357,40 @@ def _materialize_witness(region: _Region, f: TargetFunction, v: tuple[int, ...],
                 raise LPError("view point lost its explanation during averaging")
             point.extend(chosen)
 
-    fa = f.codomain.symbols[_f_at(f, v, wa.coords, a[1])]
-    fb = f.codomain.symbols[_f_at(f, v, wb.coords, b[1])]
     return ViolationWitness(collection=collection, joint=joint, point=tuple(point),
                             pair=(a[0], b[0]), f_values=(fa, fb), k=k)
 
 
-def _scan_collection(region: _Region, f: TargetFunction,
-                     ) -> tuple[int, tuple, int, tuple, tuple] | None:
-    """First f-conflict between two scenarios of the collection, or None.
+def _repaired(region: _Region, f: TargetFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The repaired table of one collection and the views it pins, or
+    GBuildConflict at the first f-conflict between two scenarios.
 
-    None at once when the identity is the region's only point: every
-    explanation at a view v is then the truth v itself, one f-value."""
+    Walks the views in product order and pins each to the f-value of its
+    first explanation, a scenario truth (member, tx) that can carry positive
+    mass there.  A conflict is a pair of explanations of a lower and a
+    higher member with different f-values, the first by member pair and
+    then by each member's input order.  A region whose only point is the
+    identity explains each view on P's support by itself alone, so its
+    table is f's, pinned on the support.
+    """
+    table = f.table.copy()
     if region.pinned:
-        return None
+        return table, region.p.mass.astype(bool)
+    mask = np.zeros(table.shape, dtype=bool)
+    placed = list(enumerate(zip(region.members, region.offsets)))
+    symbols = f.codomain.symbols
     for v in region.members[0].at:
-        expl = region.explanations(v)
-        if len(expl) < 2:
+        expl = [(m, tx, _f_at(f, v, w.coords, tx)) for m, (w, off) in placed
+                for tx, var, _ in w.at[v] if off + var in region.reach]
+        if not expl:
             continue
-        by_member: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        for m, tx in expl:
-            by_member.setdefault(m, []).append((tx, _f_at(f, v, region.members[m].coords, tx)))
-        members = sorted(by_member)
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                ma, mb = members[ai], members[bi]
-                for tx_a, fa in by_member[ma]:
-                    for tx_b, fb in by_member[mb]:
-                        if fa != fb:
-                            return (ma, tx_a, mb, tx_b, v)
-    return None
+        hits = [(a, b) for a, b in combinations(expl, 2) if a[0] < b[0] and a[2] != b[2]]
+        if hits:
+            # min keeps the first of a member pair's hits, in input order
+            (ma, tx_a, fa), (mb, tx_b, fb) = min(hits, key=lambda h: (h[0][0], h[1][0]))
+            raise GBuildConflict(v, ((ma, tx_a), symbols[fa]), ((mb, tx_b), symbols[fb]))
+        table[v], mask[v] = expl[0][2], True
+    return table, mask
 
 
 def _validate(p: JointPmf, f: TargetFunction, k: int) -> None:
@@ -417,11 +417,10 @@ def check_viability(p: JointPmf, f: TargetFunction,
         if not _needs_solving(col):
             continue
         region = _Region(p, col, tables)
-        hit = _scan_collection(region, f)
-        if hit is not None:
-            ma, tx_a, mb, tx_b, v = hit
-            witness = _materialize_witness(region, f, v, (ma, tx_a), (mb, tx_b))
-            return ViabilityReport(viable=False, witness=witness)
+        try:
+            _repaired(region, f)
+        except GBuildConflict as conflict:
+            return ViabilityReport(viable=False, witness=_materialize_witness(region, conflict))
     return ViabilityReport(viable=True)
 
 
@@ -442,8 +441,9 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
 
     Pins every view point reachable by some matched channel family to the
     (unique, when f is viable) function value of a positive-posterior
-    scenario truth; unreachable points copy f.  An f-conflict between two
-    scenarios, found by the verdict's own scan, raises GBuildConflict.
+    scenario truth; unreachable points copy f.  The verdict's own walk
+    builds it, and raises GBuildConflict at an f-conflict between two
+    scenarios.
     """
     _validate(p, f, p.k - 1)
     # checked before the sets are built, where True would stand for user 1
@@ -454,21 +454,7 @@ def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
     if not is_nonintersecting(collection):
         raise ViabilityInputError(
             "collection must be >= 2 distinct non-empty sets with empty intersection")
-    region = _Region(p, collection, tables)
-    hit = _scan_collection(region, f)
-    if hit is not None:
-        ma, tx_a, mb, tx_b, v = hit
-        fa, fb = (f.codomain.symbols[_f_at(f, v, region.members[m].coords, tx)]
-                  for m, tx in ((ma, tx_a), (mb, tx_b)))
-        raise GBuildConflict(v, ((ma, tx_a), fa), ((mb, tx_b), fb))
-    table = f.table.copy()
-    mask = np.zeros(table.shape, dtype=bool)
-    for v in region.members[0].at:
-        expl = region.explanations(v)
-        if expl:
-            m, tx = expl[0]
-            table[v] = _f_at(f, v, region.members[m].coords, tx)
-            mask[v] = True
+    table, mask = _repaired(_Region(p, collection, tables), f)
     return GTable(collection=collection, domain_axes=tuple(p.axes),
                   codomain=f.codomain, table=table, defined_mask=mask)
 

@@ -294,7 +294,8 @@ class TestMalformedInput:
                                       "block-user-row-string", "block-users-string",
                                       "channel-axes-strings", "gtable-collection-foreign",
                                       "config-structure-k-2", "config-structure-k-4",
-                                      "config-function-side-axis"])
+                                      "config-function-side-axis",
+                                      "structure-threshold-and-sets"])
     def test_exits_2_with_one_line(self, case, tmp_path, capsys, erasure_pmf,
                                    erasure_config):
         def put(name, obj):
@@ -393,6 +394,10 @@ class TestMalformedInput:
             "structure-k-bool": lambda: ["check-viability", "--example", "single-user-erasure",
                                          "--structure", put("st.json", {"k": True,
                                                                         "threshold": 1})],
+            # the sets would give a viable verdict, the threshold a non-viable one
+            "structure-threshold-and-sets": lambda: [
+                "check-viability", "--example", "example-3-2-erasure:uvw", "--structure",
+                put("st.json", {"k": 3, "threshold": 2, "sets": [[], [0]]})],
             "function-table-short": lambda: ["decode", "--config", put("c.json", {
                 **config, "function": {**config["function"],
                                        "table": config["function"]["table"][:-1]}}),

@@ -9,11 +9,13 @@ start with phase 1 on the regions the checker builds, compare the two
 starts on the exact view-distance LP, and check collection pruning
 against the unpruned scan at k=4.  The stateless collection filter, the
 bit presolve, the dict rows read off the tables, build_g's conflict rule,
-the certificate's elimination, the scan of every view and the witness
-joint read off the conflict vertex are each checked against the routine
-they replaced, kept here as the reference, and the mod-2 certificate
-against ranks over Q.  A region is settled when it is built; a test that
-reads the dict rows of a region the bits pinned builds them itself.
+the certificate's elimination, the one walk that decides a collection and
+builds its repaired table (against the verdict's scan, the scan of every
+view and build_g's table loop) and the witness joint read off the
+conflict vertex are each checked against the routine they replaced, kept
+here as the reference, and the mod-2 certificate against ranks over Q.
+A region is settled when it is built; a test that reads the dict rows of
+a region the bits pinned builds them itself.
 """
 
 import sys
@@ -35,8 +37,8 @@ from byzfc.probability import JointPmf, derive_seed, zero_mass
 from byzfc.simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
                            unique_point)
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
-from byzfc.viability import (GBuildConflict, _f_at, _needs_solving, _Region,
-                             _scan_collection, build_g, check_viability)
+from byzfc.viability import (GBuildConflict, _f_at, _needs_solving, _Region, _repaired,
+                             build_g, check_viability)
 from byzfc.viewsets import ViewSetHandle, _distance_exact, induce_view
 
 from test_acceptance import t1_instance
@@ -291,35 +293,17 @@ def test_rows_read_off_the_tables_match_the_merged_view_rows(erasure_pmf, erasur
     assert len(opened) == 90 + 33 + 13
 
 
-def _g_matches_the_grouping(p, f, col, monkeypatch) -> bool:
-    """Check build_g on one collection against the f-value grouping loop it
-    replaced, which raised when one view's explanations held two values.
-    Both see one region; returns whether the collection is conflict-free."""
-    region = _Region(p, col)
-    table, mask, grouped = f.table.copy(), np.zeros(f.table.shape, dtype=bool), True
-    for v in region.members[0].at:
-        values = {_f_at(f, v, region.members[m].coords, tx) for m, tx in region.explanations(v)}
-        grouped = grouped and len(values) < 2
-        if values:
-            table[v], mask[v] = min(values), True
-    clean = _scan_collection(region, f) is None
-    assert clean == grouped
-    with monkeypatch.context() as m:
-        m.setattr(viability, "_Region", lambda *args: region)
-        if not clean:
-            with pytest.raises(GBuildConflict):
-                build_g(p, f, col)
-            return False
-        g = build_g(p, f, col)
-    assert np.array_equal(g.table, table) and np.array_equal(g.defined_mask, mask)
-    return True
+def _explanations(region: _Region, v) -> list[tuple[int, tuple[int, ...]]]:
+    """Scenario truths (member, tx) that can carry positive mass at view v."""
+    return [(m, tx) for m, (w, off) in enumerate(zip(region.members, region.offsets))
+            for tx, var, _ in w.at[v] if off + var in region.reach]
 
 
 def _scan_every_view(region: _Region, f):
     """The scan without the shortcut for regions pinned to the identity: the
     explanations of every view, grouped by member, first f-conflict or None."""
     for v in region.members[0].at:
-        expl = region.explanations(v)
+        expl = _explanations(region, v)
         if len(expl) < 2:
             continue
         by_member: dict[int, list] = {}
@@ -336,6 +320,72 @@ def _scan_every_view(region: _Region, f):
     return None
 
 
+def _scan_collection(region: _Region, f):
+    """The verdict's scan before one walk decided a collection: None at once
+    for a region pinned to the identity, else the first f-conflict
+    (ma, tx_a, mb, tx_b, v) or None."""
+    return None if region.pinned else _scan_every_view(region, f)
+
+
+def _reference_repair(region: _Region, f):
+    """What the verdict's scan and build_g's second view loop gave: the
+    conflict as GBuildConflict's (view, details), or else (table, mask)."""
+    hit = _scan_collection(region, f)
+    if hit is not None:
+        ma, tx_a, mb, tx_b, v = hit
+        fa, fb = (f.codomain.symbols[_f_at(f, v, region.members[m].coords, tx)]
+                  for m, tx in ((ma, tx_a), (mb, tx_b)))
+        return v, (((ma, tx_a), fa), ((mb, tx_b), fb))
+    table, mask = f.table.copy(), np.zeros(f.table.shape, dtype=bool)
+    for v in region.members[0].at:
+        expl = _explanations(region, v)
+        if expl:
+            m, tx = expl[0]
+            table[v], mask[v] = _f_at(f, v, region.members[m].coords, tx), True
+    return table, mask
+
+
+def _repair(region: _Region, f):
+    """The one walk's outcome in ``_reference_repair``'s form."""
+    try:
+        return _repaired(region, f)
+    except GBuildConflict as conflict:
+        return conflict.view, conflict.details
+
+
+def _same_repair(got, want) -> bool:
+    if isinstance(want[0], np.ndarray):
+        return (isinstance(got[0], np.ndarray) and np.array_equal(got[0], want[0])
+                and np.array_equal(got[1], want[1]))
+    return got == want
+
+
+def _g_matches_the_grouping(p, f, col, monkeypatch) -> bool:
+    """Check build_g on one collection against the f-value grouping loop that
+    raised when one view's explanations held two values, and the one walk
+    against the scan and the table loop it replaced.  All see one region;
+    returns whether the collection is conflict-free."""
+    region = _Region(p, col)
+    table, mask, grouped = f.table.copy(), np.zeros(f.table.shape, dtype=bool), True
+    for v in region.members[0].at:
+        values = {_f_at(f, v, region.members[m].coords, tx) for m, tx in _explanations(region, v)}
+        grouped = grouped and len(values) < 2
+        if values:
+            table[v], mask[v] = min(values), True
+    clean = _scan_collection(region, f) is None
+    assert clean == grouped
+    assert _same_repair(_repair(region, f), _reference_repair(region, f))
+    with monkeypatch.context() as m:
+        m.setattr(viability, "_Region", lambda *args: region)
+        if not clean:
+            with pytest.raises(GBuildConflict):
+                build_g(p, f, col)
+            return False
+        g = build_g(p, f, col)
+    assert np.array_equal(g.table, table) and np.array_equal(g.defined_mask, mask)
+    return True
+
+
 def test_the_pinned_shortcut_matches_the_full_scan(erasure_pmf, erasure_f_uv, erasure_f_uvw,
                                                    threshold_3_2):
     # every region of the ladder (the threshold-1 pool, the k=3 instances
@@ -348,6 +398,7 @@ def test_the_pinned_shortcut_matches_the_full_scan(erasure_pmf, erasure_f_uv, er
             region = _Region(p, col)
             hit = _scan_collection(region, f)
             assert hit == _scan_every_view(region, f)
+            assert _same_repair(_repair(region, f), _reference_repair(region, f))
             outcomes[region.pinned, hit is None] += 1
     assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False], outcomes
     assert not outcomes[True, False]
@@ -361,6 +412,31 @@ def test_build_g_conflicts_iff_the_scan_hits(monkeypatch):
             for col in nonintersecting_collections(structure):
                 outcomes[_g_matches_the_grouping(p, f, col, monkeypatch)] += 1
     assert outcomes[True] and outcomes[False], outcomes
+
+
+@pytest.mark.parametrize("fname", ["erasure_f_uv", "erasure_f_uvw"])
+def test_build_g_on_the_worked_example_matches_the_scan(fname, request, erasure_pmf,
+                                                        threshold_3_2, monkeypatch):
+    f = request.getfixturevalue(fname)
+    outcomes = Counter(_g_matches_the_grouping(erasure_pmf, f, col, monkeypatch)
+                       for col in nonintersecting_collections(threshold_3_2))
+    assert sum(outcomes.values()) == 45
+    assert not outcomes[False] if fname == "erasure_f_uv" else outcomes[False], outcomes
+
+
+def test_build_g_on_a_bit_pinned_region_reads_no_view_list(erasure_pmf, erasure_f_uv,
+                                                          threshold_3_2):
+    pinned = 0
+    for col in nonintersecting_collections(threshold_3_2):
+        tables = ChannelTables(erasure_pmf)
+        region = _Region(erasure_pmf, col, tables)
+        if region.pinned and "A" not in vars(region):
+            g = build_g(erasure_pmf, erasure_f_uv, col, tables=tables)
+            assert not any("at" in vars(w) for w in tables.values())
+            assert np.array_equal(g.table, erasure_f_uv.table)
+            assert np.array_equal(g.defined_mask, erasure_pmf.mass > 0)
+            pinned += 1
+    assert pinned == 16
 
 
 # -- the witness read off the conflict vertex -------------------------------------
@@ -406,9 +482,10 @@ def test_the_vertex_witness_matches_the_channel_construction(monkeypatch, erasur
     materialize = viability._materialize_witness
     checked = []
 
-    def compared(region, f, v, a, b):
-        witness = materialize(region, f, v, a, b)
-        joint, point = _channel_witness(region, v, a, b)
+    def compared(region, conflict):
+        witness = materialize(region, conflict)
+        (a, _), (b, _) = conflict.details
+        joint, point = _channel_witness(region, conflict.view, a, b)
         assert witness.joint == joint and witness.point == point
         assert (witness_digest(witness)
                 == witness_digest(replace(witness, joint=joint, point=point)))
@@ -723,5 +800,5 @@ def test_shared_channel_tables_build_the_same_regions():
         assert shared.A == fresh.A and shared.b == fresh.b
         assert shared.alive_vars == fresh.alive_vars and shared.fixed == fresh.fixed
         for v in fresh.members[0].at:
-            assert shared.explanations(v) == fresh.explanations(v)
+            assert _explanations(shared, v) == _explanations(fresh, v)
     assert len(tables) == 10

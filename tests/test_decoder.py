@@ -289,6 +289,30 @@ class TestConfigSerialization:
         with pytest.raises(DecoderConfigError, match="users or axes"):
             config_from_json_dict(d)
 
+    def test_a_direct_config_decides_its_verdict(self, erasure_pmf, erasure_f_uv,
+                                                 erasure_f_uvw, threshold_3_2, monkeypatch):
+        cfg = DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uvw,
+                            delta=0.1)
+        assert cfg.viable is False
+        assert DecoderConfig(base=erasure_pmf, structure=threshold_3_2, f=erasure_f_uv,
+                             delta=0.1).viable is True
+        # a replaced config carries its verdict, decided once
+        monkeypatch.setattr(decoder, "check_viability", None)
+        assert dataclasses.replace(cfg, delta=0.2).viable is False
+
+    def test_g_table_refuses_a_collection_off_the_structure(self, erasure_pmf, erasure_f_uv,
+                                                            monkeypatch):
+        cfg = DecoderConfig(base=erasure_pmf, structure=AdversaryStructure.threshold(3, 1),
+                            f=erasure_f_uv, delta=0.1)
+        for col in ([[0, 1], [2]], [[0], [0]], [[0]]):
+            with pytest.raises(DecoderConfigError, match="non-intersecting collection"):
+                cfg.g_table(col)
+        assert not cfg.g_tables
+        g = cfg.g_table([[0], [1]])
+        # a cached table is returned without checking its collection again
+        monkeypatch.setattr(decoder, "is_nonintersecting", None)
+        assert cfg.g_table([[1], [0]]) is g
+
     def test_replaced_structure_or_function_rejected(self, erasure_config):
         f = erasure_config.f
         axes = (*f.domain_axes[:-1], Alphabet((0, 1, "z")))
@@ -553,6 +577,7 @@ class TestRepairedTableApplied:
         from byzfc.examples_lib import random_function, random_pmf
         from byzfc.viability import _Region, build_g
         from byzfc.viewsets import induce_view
+        from test_crash_start import _explanations
 
         t = 178
         p = random_pmf((2, 3, 2), seed=derive_seed(3000, t), zero_frac=0.45,
@@ -563,7 +588,7 @@ class TestRepairedTableApplied:
         target = (0, 2, 1)
         assert g.defined_mask[target] and g.table[target] != f.table[target]
         region = _Region(p, col)
-        m, tx = region.explanations(target)[0]
+        m, tx = _explanations(region, target)[0]
         # a feasible point with W_m(target's coordinates | tx) > 0
         ux = tuple(target[c] for c in region.members[m].coords)
         var = region.var(m, tx, ux)

@@ -58,6 +58,10 @@ class TestAdversaryStructure:
         assert s == AdversaryStructure(3, [set(), {1}, {0, 2}])
         assert AdversaryStructure.from_json_dict(s.to_json_dict()) == s
 
+    def test_threshold_and_sets_are_exclusive(self):
+        with pytest.raises(ValueError, match="not both"):
+            AdversaryStructure.from_json_dict({"k": 3, "threshold": 2, "sets": [[], [0]]})
+
     def test_json_roundtrip(self):
         s = AdversaryStructure(3, [set(), {0}, {1, 2}])
         assert AdversaryStructure.from_json_dict(s.to_json_dict()) == s
