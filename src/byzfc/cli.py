@@ -23,7 +23,7 @@ from .harness import Scenario, ScenarioError, run_scenario, scenario_from_json_d
 from .mss import common_upgrade, mss_partition, upgrade_to_saturation
 from .probability import MALFORMED, JointPmf, ProbabilityError, SampleBlock, json_value
 from .simplex import LPError
-from .structures import AdversaryStructure, TargetFunction, canonical_collection
+from .structures import AdversaryStructure, TargetFunction
 from .viability import GBuildConflict, ViabilityInputError, build_g, check_viability
 
 CONFIG_ERRORS = (ProbabilityError, ViabilityInputError, GBuildConflict, DecoderConfigError,
@@ -107,8 +107,7 @@ def cmd_build_g(args) -> int:
         sets = json.loads(args.collection)
         for u in (u for s in sets for u in s):
             json_value(u, "collection member", integer=True, error=ViabilityInputError)
-        collection = canonical_collection(sets)
-    table = build_g(pmf, f, collection)
+    table = build_g(pmf, f, sets)
     _emit(table.to_json_dict(), args.out, "gtable.json")
     return 0
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polytope import ChannelTables
 from .probability import (MALFORMED, Alphabet, JointPmf, SampleBlock, apply_pointwise,
                           empirical_type, hamming_distortion, json_number, type_counts)
 from .structures import (AdversaryStructure, TargetFunction, canonical_collection,
                          is_nonintersecting, nonintersecting_collections)
-from .viability import GBuildConflict, GTable, build_g, check_viability
+from .viability import GBuildConflict, GTable, Regions, build_g, check_viability
 from .viewsets import DistanceScreen, ViewSetHandle, distance_to_viewset
 
 
@@ -59,8 +58,10 @@ class DecoderConfig:
 
     ``viable`` is the viability verdict, decided from the law when it is
     None, once, after the axis checks.  ``g_tables`` holds the repaired
-    tables built so far, keyed by collection; ``g_table`` builds a missing
-    one on first use, on one channel-table dict owned by the config.
+    tables built so far, keyed by the frozenset of each one's collection;
+    ``g_table`` builds a missing one on first use.  The verdict and every
+    table read one region store owned by the config, so each collection's
+    region is settled once, and dropped once its table is built.
     ``screen`` holds the bound tables and the radius ``delta``,
     built once; every membership decision compares with ``delta`` exactly.
     """
@@ -83,15 +84,17 @@ class DecoderConfig:
         self.screen = DistanceScreen(self.base, self.structure.sets, self.delta)
         # own copy: tables built later stay out of the caller's dict
         self.g_tables = dict(self.g_tables)
-        self._channels = ChannelTables(self.base)
-        for g in self.g_tables.values():
-            if g.domain_axes != self.base.axes or g.codomain != self.f.codomain:
+        self._regions = Regions(self.base)
+        for key, g in self.g_tables.items():
+            if (g.domain_axes != self.base.axes or g.codomain != self.f.codomain
+                    or key != frozenset(g.collection)):
                 raise DecoderConfigError(
-                    f"g-table for collection {g.collection} does not match the law's axes "
-                    "or the function's codomain")
+                    f"g-table for collection {g.collection} does not match the law's axes, "
+                    "the function's codomain or the collection it is filed under")
             self._check_collection(g.collection)
         if self.viable is None:
-            self.viable = check_viability(self.base, self.f, self.structure).viable
+            self.viable = check_viability(self.base, self.f, self.structure,
+                                          regions=self._regions).viable
 
     def _check_collection(self, col) -> None:
         if not (is_nonintersecting(col) and all(s in self.structure for s in col)):
@@ -111,11 +114,12 @@ class DecoderConfig:
         if g is None:
             self._check_collection(col)
             try:
-                g = build_g(self.base, self.f, col, tables=self._channels)
+                g = build_g(self.base, self.f, col, regions=self._regions)
             except GBuildConflict:
                 g = GTable(self.base.axes, self.f.codomain, self.f.table.copy(),
                            collection=col, defined_mask=np.zeros(self.f.table.shape, bool))
             self.g_tables[frozenset(col)] = g
+            del self._regions[col]     # the table is all the config reads of it again
         return g
 
 

@@ -6,7 +6,6 @@ one such channel, reads P's coefficients on them from one table of P's
 numerators over a denominator shared by the whole law, builds their mod-2
 bit rows at once and their per-view lists and sparse rows when read, and
 turns a solution back into a ``Channel``.
-``ChannelTables`` builds the tables of one law on first use.
 """
 
 from __future__ import annotations
@@ -114,21 +113,3 @@ class ChannelVars:
             if tx in rowset:
                 joint[i] = [sol[offset + self.var[(tx, ux)]] for ux in self.outs]
         return Channel.from_joint(axes, axes, joint)
-
-
-class ChannelTables(dict):
-    """The channel tables of one exact law, by coordinates, built on first use.
-
-    P's integer numerators are computed once, for all of its tables.
-    """
-
-    def __init__(self, p: JointPmf):
-        super().__init__()
-        self.p = p
-        self._ints: tuple[np.ndarray, int] | None = None
-
-    def __missing__(self, coords: tuple[int, ...]) -> ChannelVars:
-        if self._ints is None:
-            self._ints = integer_mass(self.p.mass)
-        table = self[coords] = ChannelVars(self.p, coords, self._ints)
-        return table

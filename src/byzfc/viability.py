@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polytope import ChannelTables, ChannelVars
+from .polytope import ChannelVars
 from .probability import Alphabet, JointPmf, integer_mass, is_integer, zero_mass
 from .simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
                       unique_point)
@@ -139,9 +139,8 @@ class _Region:
     restricted to the support of P over the member's coordinates; member
     m's channel table is numbered from ``offsets[m]``.  Equalities: each
     row sums to 1; induced views match between adjacent members, as
-    integer rows over P's common denominator ``den``.  ``tables`` holds the
-    channel tables of P, shared by the regions of a verdict or config and
-    filled as needed.
+    integer rows over P's common denominator ``den``.  The member tables
+    are the store's, shared by every region of the law.
 
     Construction settles ``reach``, the variables positive at some point
     of the region; the identity is a point of every region.  A zero-fixing
@@ -156,13 +155,11 @@ class _Region:
     identity.  Only regions the bits leave open read ``at``, for dict rows.
     """
 
-    def __init__(self, p: JointPmf, collection: Collection,
-                 tables: ChannelTables | None = None):
-        self.p = p
+    def __init__(self, regions: Regions, collection: Collection):
+        self.p = p = regions.p
         self.collection = collection
         self.k = p.k - 1
-        tables = ChannelTables(p) if tables is None else tables
-        self.members: list[ChannelVars] = [tables[tuple(sorted(aset))] for aset in collection]
+        self.members: list[ChannelVars] = [regions.channel(tuple(sorted(s))) for s in collection]
         self.offsets: list[int] = []
         nvar = 0
         for w in self.members:
@@ -295,6 +292,28 @@ class _Region:
         return full
 
 
+class Regions(dict):
+    """One exact law's settled regions by canonical collection, and the
+    channel tables they share by coordinates on P's integer numerators, each
+    built on first use: a region depends on the law and collection only.
+    """
+
+    def __init__(self, p: JointPmf):
+        super().__init__()
+        self.p = p
+        self._ints = integer_mass(p.mass)
+        self.channels: dict[tuple[int, ...], ChannelVars] = {}
+
+    def __missing__(self, collection: Collection) -> _Region:
+        region = self[collection] = _Region(self, collection)
+        return region
+
+    def channel(self, coords: tuple[int, ...]) -> ChannelVars:
+        if coords not in self.channels:
+            self.channels[coords] = ChannelVars(self.p, coords, self._ints)
+        return self.channels[coords]
+
+
 def _f_at(f: TargetFunction, v: tuple[int, ...], coords: tuple[int, ...],
           tx: tuple[int, ...]) -> int:
     full = list(v)
@@ -400,8 +419,8 @@ def _validate(p: JointPmf, f: TargetFunction, k: int) -> None:
         raise ViabilityInputError("function domain does not match the pmf axes")
 
 
-def check_viability(p: JointPmf, f: TargetFunction,
-                    structure: AdversaryStructure) -> ViabilityReport:
+def check_viability(p: JointPmf, f: TargetFunction, structure: AdversaryStructure, *,
+                    regions: Regions | None = None) -> ViabilityReport:
     """Decide whether f is robustly recoverable under the structure.
 
     Exhaustive over non-intersecting collections in canonical order; the
@@ -410,13 +429,14 @@ def check_viability(p: JointPmf, f: TargetFunction,
     is skipped: each pair of its scenarios lies in an earlier, smaller such
     collection, and conflicts only shrink when members are added
     (restricting a matched family to a sub-collection stays feasible).
+    The regions are read from ``regions``, P's store, or a fresh one.
     """
     _validate(p, f, structure.k)
-    tables = ChannelTables(p)
+    regions = Regions(p) if regions is None else regions
     for col in nonintersecting_collections(structure):
         if not _needs_solving(col):
             continue
-        region = _Region(p, col, tables)
+        region = regions[col]
         try:
             _repaired(region, f)
         except GBuildConflict as conflict:
@@ -436,25 +456,26 @@ def check_s_viability(p: JointPmf, f: TargetFunction, s: int) -> ViabilityReport
 
 
 def build_g(p: JointPmf, f: TargetFunction, collection: Collection, *,
-            tables: ChannelTables | None = None) -> GTable:
+            regions: Regions | None = None) -> GTable:
     """Repaired decoding table for one non-intersecting collection.
 
     Pins every view point reachable by some matched channel family to the
     (unique, when f is viable) function value of a positive-posterior
-    scenario truth; unreachable points copy f.  The verdict's own walk
-    builds it, and raises GBuildConflict at an f-conflict between two
-    scenarios.
+    scenario truth; unreachable points copy f.  The verdict's own walk builds
+    it on the collection's region, members in canonical order, in ``regions``
+    or a fresh store, and raises GBuildConflict at an f-conflict.
     """
     _validate(p, f, p.k - 1)
     # checked before the sets are built, where True would stand for user 1
     members = [list(s) for s in collection]
     if any(not is_integer(u) or not 0 <= u < p.k - 1 for s in members for u in s):
         raise ViabilityInputError(f"collection members must be users 0..{p.k - 2}")
-    collection = tuple(frozenset(s) for s in members)
+    collection = canonical_collection(members)
     if not is_nonintersecting(collection):
         raise ViabilityInputError(
             "collection must be >= 2 distinct non-empty sets with empty intersection")
-    table, mask = _repaired(_Region(p, collection, tables), f)
+    regions = Regions(p) if regions is None else regions
+    table, mask = _repaired(regions[collection], f)
     return GTable(collection=collection, domain_axes=tuple(p.axes),
                   codomain=f.codomain, table=table, defined_mask=mask)
 

@@ -32,13 +32,12 @@ from hypothesis import strategies as st
 
 from byzfc import simplex, viability, viewsets
 from byzfc.examples_lib import random_function, random_pmf
-from byzfc.polytope import ChannelTables
 from byzfc.probability import JointPmf, derive_seed, zero_mass
 from byzfc.simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
                            unique_point)
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
-from byzfc.viability import (GBuildConflict, _f_at, _needs_solving, _Region, _repaired,
-                             build_g, check_viability)
+from byzfc.viability import (GBuildConflict, Regions, _f_at, _needs_solving, _Region,
+                             _repaired, build_g, check_viability)
 from byzfc.viewsets import ViewSetHandle, _distance_exact, induce_view
 
 from test_acceptance import t1_instance
@@ -77,7 +76,7 @@ def test_threshold1_pool_regions_match_phase1():
     for t in range(200):
         p, _ = t1_instance(t)
         for col in nonintersecting_collections(AdversaryStructure.threshold(p.k - 1, 1)):
-            _compare_starts(_Region(p, col), rng)
+            _compare_starts(Regions(p)[col], rng)
             regions += 1
     assert regions >= 200
 
@@ -94,7 +93,7 @@ def test_generated_regions_match_phase1(sizes, seed, zero_frac, pick, s):
     cols = nonintersecting_collections(AdversaryStructure.threshold(k, min(s, k - 1)))
     if not cols:
         return
-    _compare_starts(_Region(p, cols[pick % len(cols)]), np.random.default_rng(seed))
+    _compare_starts(Regions(p)[cols[pick % len(cols)]], np.random.default_rng(seed))
 
 
 def distance_queries(p: JointPmf) -> list[tuple[ViewSetHandle, JointPmf]]:
@@ -229,10 +228,10 @@ def _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2, monkey
     uvw verdicts build, each fresh."""
     for p, _, structure in _ladder():
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
-            yield _Region(p, col)
+            yield Regions(p)[col]
     for f in (erasure_f_uv, erasure_f_uvw):
         for region in _verdict_regions(erasure_pmf, threshold_3_2, monkeypatch, f):
-            yield _Region(erasure_pmf, region.collection)
+            yield Regions(erasure_pmf)[region.collection]
 
 
 def test_side_presolve_matches_the_sign_presolve(erasure_pmf, erasure_f_uv, erasure_f_uvw,
@@ -365,7 +364,7 @@ def _g_matches_the_grouping(p, f, col, monkeypatch) -> bool:
     raised when one view's explanations held two values, and the one walk
     against the scan and the table loop it replaced.  All see one region;
     returns whether the collection is conflict-free."""
-    region = _Region(p, col)
+    region = Regions(p)[col]
     table, mask, grouped = f.table.copy(), np.zeros(f.table.shape, dtype=bool), True
     for v in region.members[0].at:
         values = {_f_at(f, v, region.members[m].coords, tx) for m, tx in _explanations(region, v)}
@@ -395,7 +394,7 @@ def test_the_pinned_shortcut_matches_the_full_scan(erasure_pmf, erasure_f_uv, er
     outcomes = Counter()
     for p, f, structure in instances:
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
-            region = _Region(p, col)
+            region = Regions(p)[col]
             hit = _scan_collection(region, f)
             assert hit == _scan_every_view(region, f)
             assert _same_repair(_repair(region, f), _reference_repair(region, f))
@@ -428,11 +427,11 @@ def test_build_g_on_a_bit_pinned_region_reads_no_view_list(erasure_pmf, erasure_
                                                           threshold_3_2):
     pinned = 0
     for col in nonintersecting_collections(threshold_3_2):
-        tables = ChannelTables(erasure_pmf)
-        region = _Region(erasure_pmf, col, tables)
+        regions = Regions(erasure_pmf)
+        region = regions[col]
         if region.pinned and "A" not in vars(region):
-            g = build_g(erasure_pmf, erasure_f_uv, col, tables=tables)
-            assert not any("at" in vars(w) for w in tables.values())
+            g = build_g(erasure_pmf, erasure_f_uv, col, regions=regions)
+            assert not any("at" in vars(w) for w in regions.channels.values())
             assert np.array_equal(g.table, erasure_f_uv.table)
             assert np.array_equal(g.defined_mask, erasure_pmf.mass > 0)
             pinned += 1
@@ -543,7 +542,7 @@ def test_certificate_matches_the_crash_start_on_the_ladder(monkeypatch):
     for t in range(200):
         p, _ = t1_instance(t)
         for col in nonintersecting_collections(AdversaryStructure.threshold(p.k - 1, 1)):
-            outcomes[_certificate_matches_crash_start(_Region(p, col))] += 1
+            outcomes[_certificate_matches_crash_start(Regions(p)[col])] += 1
     t32 = AdversaryStructure.threshold(3, 2)
     for i in range(12):
         p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", i),
@@ -570,7 +569,7 @@ def test_certificate_matches_the_crash_start_on_generated_regions(sizes, seed, z
     k = p.k - 1
     cols = nonintersecting_collections(AdversaryStructure.threshold(k, min(s, k - 1)))
     if cols:
-        _certificate_matches_crash_start(_Region(p, cols[pick % len(cols)]))
+        _certificate_matches_crash_start(Regions(p)[cols[pick % len(cols)]])
 
 
 def _unique_point_by_least_column(A, b, x) -> bool:
@@ -633,7 +632,7 @@ def test_certificate_matches_the_least_column_elimination(monkeypatch):
     outcomes = Counter()
     for p, _, structure in _ladder():
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
-            region = _rows(_Region(p, col))
+            region = _rows(Regions(p)[col])
             start = _identity_start(region)
             got = unique_point(region.A, region.b, start)
             assert got == _unique_point_by_least_column(region.A, region.b, start)
@@ -663,7 +662,7 @@ def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
     p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", 0),
                    zero_frac=0.3, max_weight=3)
     certified = [region for col in nonintersecting_collections(AdversaryStructure.threshold(3, 2))
-                 if (region := _Region(p, col)).pinned]
+                 if (region := Regions(p)[col]).pinned]
     tableaus = []
 
     class Counted(Tableau):
@@ -675,7 +674,7 @@ def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
     monkeypatch.setattr(viability, "Tableau", Counted)
     demoted = 0
     for region in certified:
-        fresh = _Region(p, region.collection)
+        fresh = Regions(p)[region.collection]
         if fresh.pinned:
             continue
         demoted += 1
@@ -700,7 +699,7 @@ def test_a_region_the_identity_violates_raises(monkeypatch):
     # checks the identity against its dict rows
     p, _ = t1_instance(0)
     col = next(col for col in nonintersecting_collections(AdversaryStructure.threshold(2, 1))
-               if "A" in vars(r := _Region(p, col)) and r.pinned)
+               if "A" in vars(r := Regions(p)[col]) and r.pinned)
     build = _Region._build_rows
 
     def violated(self):
@@ -709,7 +708,7 @@ def test_a_region_the_identity_violates_raises(monkeypatch):
 
     monkeypatch.setattr(_Region, "_build_rows", violated)
     with pytest.raises(LPError):
-        _Region(p, col)
+        Regions(p)[col]
 
 
 # -- the mod-2 certificate on bit rows -----------------------------------------
@@ -741,7 +740,7 @@ def test_a_presolve_that_fixes_the_identity_raises(monkeypatch):
     col = nonintersecting_collections(AdversaryStructure.threshold(2, 1))[0]
     monkeypatch.setattr(_Region, "_presolve", staticmethod(lambda matches: -1))
     with pytest.raises(LPError, match="presolve fixed"):
-        _Region(p, col)
+        Regions(p)[col]
 
 
 def _rank(rows: list[list[int]], mod_2: bool) -> int:
@@ -794,11 +793,11 @@ def test_full_rank_of_the_odd_entries_is_full_rank_over_q(system):
 
 def test_shared_channel_tables_build_the_same_regions():
     p = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)
-    tables = ChannelTables(p)
+    regions = Regions(p)
     for col in nonintersecting_collections(AdversaryStructure.threshold(4, 2)):
-        fresh, shared = _rows(_Region(p, col)), _rows(_Region(p, col, tables))
+        fresh, shared = _rows(Regions(p)[col]), _rows(regions[col])
         assert shared.A == fresh.A and shared.b == fresh.b
         assert shared.alive_vars == fresh.alive_vars and shared.fixed == fresh.fixed
         for v in fresh.members[0].at:
             assert _explanations(shared, v) == _explanations(fresh, v)
-    assert len(tables) == 10
+    assert len(regions) == 969 and len(regions.channels) == 10

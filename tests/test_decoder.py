@@ -300,6 +300,15 @@ class TestConfigSerialization:
         monkeypatch.setattr(decoder, "check_viability", None)
         assert dataclasses.replace(cfg, delta=0.2).viable is False
 
+    def test_a_table_filed_under_another_collection_rejected(self, erasure_config):
+        # g_table would return it for the key's collection, and the config's
+        # JSON would list the table's own collection twice
+        g = erasure_config.g_table([[2], [0, 1]])
+        key = frozenset(map(frozenset, ([0], [1, 2])))
+        with pytest.raises(DecoderConfigError, match="filed under"):
+            dataclasses.replace(erasure_config, g_tables={key: g})
+        assert dataclasses.replace(erasure_config, g_tables={frozenset(g.collection): g})
+
     def test_g_table_refuses_a_collection_off_the_structure(self, erasure_pmf, erasure_f_uv,
                                                             monkeypatch):
         cfg = DecoderConfig(base=erasure_pmf, structure=AdversaryStructure.threshold(3, 1),
@@ -346,9 +355,9 @@ def _fresh_tables(p, f, structure):
 
 
 class TestSharedChannelTables:
-    """The config's tables, built on first use on one channel table per
-    adversary set, and its viable flag match independent per-collection
-    builds."""
+    """The config's tables, built on first use from its one region store
+    (one region per collection, one channel table per adversary set), and
+    its viable flag match independent per-collection builds."""
 
     @pytest.mark.parametrize("instance", ["uv", "uvw", *range(12)])
     def test_config_matches_fresh_builds(self, instance, erasure_pmf, erasure_f_uv,
@@ -371,19 +380,45 @@ class TestSharedChannelTables:
             assert np.array_equal(g.defined_mask, want[frozenset(col)].defined_mask)
         assert set(cfg.g_tables) == set(want)
 
-    def test_uv_config_builds_one_table_per_set(self, erasure_pmf, erasure_f_uv,
-                                                threshold_3_2, monkeypatch):
-        cfg = build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, delta=0.1)
-        built = []
+    @staticmethod
+    def _builds(p, f, structure, monkeypatch):
+        """The collections of the regions and the coordinates of the channel
+        tables built from a config's build through its serialization, which
+        builds every collection's g-table and so drops every region."""
+        regions, tables = [], []
+
+        class Recorded(viability._Region):
+            def __init__(self, *args):
+                super().__init__(*args)
+                regions.append(self.collection)
+
         init = ChannelVars.__init__
 
         def counted(self, p, coords, *args):
-            built.append(coords)
+            tables.append(coords)
             init(self, p, coords, *args)
 
+        monkeypatch.setattr(viability, "_Region", Recorded)
         monkeypatch.setattr(ChannelVars, "__init__", counted)
-        config_to_json_dict(cfg)       # builds all 45 g-tables
-        assert len(built) == len(set(built)) == 6
+        cfg = build_decoder_config(p, f, structure, delta=0.1)
+        config_to_json_dict(cfg)
+        # a region is dropped once its table is built
+        assert not cfg._regions and len(cfg._regions.channels) == len(set(tables))
+        return regions, tables
+
+    def test_uv_config_builds_one_table_per_set(self, erasure_pmf, erasure_f_uv,
+                                                threshold_3_2, monkeypatch):
+        # the verdict's 22 regions are among the 45 the g-tables read
+        regions, tables = self._builds(erasure_pmf, erasure_f_uv, threshold_3_2, monkeypatch)
+        assert len(regions) == len(set(regions)) == 45
+        assert len(tables) == len(set(tables)) == 6
+
+    def test_k4_config_settles_each_collection_once(self, monkeypatch):
+        # the verdict's 115 regions are among the 969 the g-tables read
+        p, f = workloads.k4_instance()
+        regions, tables = self._builds(p, f, AdversaryStructure.threshold(4, 2), monkeypatch)
+        assert len(regions) == len(set(regions)) == 969
+        assert len(tables) == len(set(tables)) == 10
 
 
 class TestExactModeDecode:
@@ -575,7 +610,7 @@ class TestRepairedTableApplied:
 
     def build_instance(self):
         from byzfc.examples_lib import random_function, random_pmf
-        from byzfc.viability import _Region, build_g
+        from byzfc.viability import Regions, build_g
         from byzfc.viewsets import induce_view
         from test_crash_start import _explanations
 
@@ -587,7 +622,7 @@ class TestRepairedTableApplied:
         g = build_g(p, f, col)
         target = (0, 2, 1)
         assert g.defined_mask[target] and g.table[target] != f.table[target]
-        region = _Region(p, col)
+        region = Regions(p)[col]
         m, tx = _explanations(region, target)[0]
         # a feasible point with W_m(target's coordinates | tx) > 0
         ux = tuple(target[c] for c in region.members[m].coords)

@@ -239,7 +239,8 @@ class TestSweep:
         # structure), and each report is the one a fresh verdict gives
         calls = []
         real = decoder.check_viability
-        monkeypatch.setattr(decoder, "check_viability", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(decoder, "check_viability",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
         monkeypatch.setattr(harness, "_CONFIG_CACHE", [])
         base = tiny_scenario(trials=3, n=400, strategy=ResampleW(), aset=frozenset({1, 2}))
         values = [0.02, 0.05, 0.1, 0.2, 0.5]

@@ -36,7 +36,7 @@ from byzfc.probability import Alphabet, JointPmf, derive_seed, empirical_type, s
 from byzfc.simplex import (ENTRY_BOUND, MAX_PIVOTS, Infeasible, LPError, Tableau, Unbounded,
                            _integers, positive_coordinates)
 from byzfc.structures import nonintersecting_collections
-from byzfc.viability import _needs_solving, _Region, check_viability
+from byzfc.viability import Regions, _needs_solving, _Region, check_viability
 from byzfc.viewsets import ViewSetHandle
 
 from test_crash_start import _identity_start, _ladder, distance_queries
@@ -412,7 +412,7 @@ def test_fallback_regions_of_the_ladder():
     fallbacks = 0
     for p, _, structure in _ladder():
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
-            region = _Region(p, col)
+            region = Regions(p)[col]
             if region.pinned:
                 continue
             start = _identity_start(region)

@@ -10,10 +10,10 @@ import pytest
 
 from byzfc import viability
 from byzfc.examples_lib import random_function, random_pmf
-from byzfc.polytope import ChannelTables, ChannelVars
+from byzfc.polytope import ChannelVars
 from byzfc.probability import Alphabet, Channel, JointPmf, ProbabilityError, derive_seed, integer_mass
 from byzfc.structures import AdversaryStructure
-from byzfc.viability import _Region, check_viability
+from byzfc.viability import Regions, _Region, check_viability
 from byzfc.viewsets import ViewSetHandle, induce_view
 
 from test_acceptance import t1_instance
@@ -102,7 +102,7 @@ def test_float_view_rows_are_the_float_view(law, threshold_3_2):
 def test_tables_need_an_exact_law(law):
     # a table's coefficients are the law's integer numerators; a law with
     # float mass is refused before a table can read it
-    table = ChannelTables(law)[(0,)]
+    table = Regions(law).channel((0,))
     assert all(type(num) is int for terms in table.at.values() for _, _, num in terms)
     with pytest.raises(ProbabilityError, match="a pmf must be exact"):
         JointPmf(law.axes, law.mass.astype(np.float64))
@@ -254,11 +254,11 @@ def test_the_table_builder_matches_the_per_view_loop(erasure_pmf):
             _zero_input_law()]
     dropped = 0
     for p in laws:
-        tables = ChannelTables(p)
+        regions = Regions(p)
         for r in range(1, p.k):
             for coords in combinations(range(p.k - 1), r):
                 want = reference_channel_vars(p, coords)
-                for w in (ChannelVars(p, coords), tables[coords]):
+                for w in (ChannelVars(p, coords), regions.channel(coords)):
                     assert "at" not in vars(w)
                     for attr in ("outs", "rows", "var", "size", "den", "view_bits", "odd_bits",
                                  "sum_bits", "identity_bits"):

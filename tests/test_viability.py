@@ -18,7 +18,7 @@ from byzfc.probability import (Alphabet, JointPmf, ProbabilityError, derive_seed
                                pmf_from_dict)
 from byzfc.structures import (AdversaryStructure, TargetFunction,
                               constant_function)
-from byzfc.viability import (GBuildConflict, ViabilityInputError, _Region,
+from byzfc.viability import (GBuildConflict, GTable, Regions, ViabilityInputError,
                              build_g, check_s_viability, check_viability,
                              verify_witness)
 
@@ -187,6 +187,16 @@ class TestBuildG:
             assert g.table[idx] == erasure_f_uv.table[idx]
             assert g.defined_mask[idx]
 
+    def test_member_order_is_canonical(self, erasure_pmf, erasure_f_uv):
+        # both orders give one table, on one region of a shared store, and
+        # the table reads back equal from its JSON
+        regions = Regions(erasure_pmf)
+        g = build_g(erasure_pmf, erasure_f_uv, [[1, 2], [0]], regions=regions)
+        assert g.collection == (frozenset({0}), frozenset({1, 2}))
+        assert g == build_g(erasure_pmf, erasure_f_uv, [[0], [1, 2]], regions=regions)
+        assert list(regions) == [g.collection]
+        assert GTable.from_json_dict(g.to_json_dict()) == g
+
     def test_conflict_diagnosed_for_nonviable(self):
         for t in range(80):
             p, f = structured_instance(t)
@@ -203,7 +213,7 @@ class TestBuildG:
         # objective LP must agree with the pinned g value
         col = (frozenset({0}), frozenset({1, 2}))
         g = build_g(erasure_pmf, erasure_f_uv, col)
-        region = _Region(erasure_pmf, col)
+        region = Regions(erasure_pmf)[col]
         from byzfc.simplex import Tableau
         t = Tableau(region.A, region.b, len(region.alive_vars))
         rng = np.random.default_rng(5)
