@@ -20,17 +20,26 @@ import numpy as np
 from .probability import Channel, JointPmf, integer_mass, zero_mass
 
 
+def law_ints(p: JointPmf) -> tuple[np.ndarray, int]:
+    """P's numerators as ints over their least common denominator; ValueError
+    unless the identity channel's view, those numerators over it, is P."""
+    nums, den = integer_mass(p.mass)
+    if any(n * d != m * den for n, (m, d) in
+           zip(nums.reshape(-1).tolist(), map(Fraction.as_integer_ratio, p.mass.flat))):
+        raise ValueError("the identity channel's view is not the law")
+    return nums, den
+
+
 class ChannelVars:
     """The entries W(ux | tx) of one channel on ``coords``, as LP variables.
 
     Inputs tx range over the support of P's marginal on ``coords``
     (``rows``), outputs ux over every symbol tuple (``outs``).  Variables
     are numbered from 0 in (tx, ux) lexicographic order; a system holding
-    several channels places this one at an ``offset`` that the row,
-    identity and channel methods add.  P must be exact, its numerators ints
-    over ``den``, its least common denominator (``ints``, from
-    ``integer_mass``, when the caller has it); the identity channel's view,
-    those numerators over den, must be P, or ValueError.
+    several channels places this one at an ``offset`` that the row and
+    channel methods add.  P must be exact, its numerators ints over
+    ``den``, its least common denominator: ``ints``, from ``law_ints``
+    (which checks them, once per law), when the caller has them.
 
     W(ux | tx)'s coefficient at view point v is P(v with ``coords``
     replaced by tx): it depends on tx and v's rest (its other coordinates)
@@ -40,17 +49,15 @@ class ChannelVars:
     hold each view's variables and those of them with an odd numerator;
     ``sum_bits`` each input's variables in ``rows`` order and
     ``identity_bits`` the identity's.  ``at``, the views' coefficient
-    lists, is built on first read.
+    lists, and ``reduced``, their rows without the identity's entries, are
+    built on first read.
     """
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
                  ints: tuple[np.ndarray, int] | None = None):
         self.p = p
         self.coords = coords
-        nums, self.den = integer_mass(p.mass) if ints is None else ints
-        if any(n * d != m * self.den for n, (m, d) in
-               zip(nums.reshape(-1).tolist(), map(Fraction.as_integer_ratio, p.mass.flat))):
-            raise ValueError("the identity channel's view is not the law")
+        nums, self.den = law_ints(p) if ints is None else ints
         sizes = [a.size for a in p.axes]
         self.outs = list(product(*(range(sizes[c]) for c in coords)))
         width = len(self.outs)
@@ -77,6 +84,18 @@ class ChannelVars:
         self.identity_bits = sum(1 << self.var[(tx, tx)] for tx in self.rows)
 
     @cached_property
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each view's row, in ``product`` order, with W(tx | tx) replaced by 1
+        minus tx's other entries: the ``size`` coefficients left, and the
+        constant moved out, the identity's coefficient, as integer arrays."""
+        rests = np.array(self._rests)
+        # by (v's index a in outs, rest r, input t, output u): rests[r, t] if u is a
+        view = rests[None, :, :, None] * np.eye(len(self.outs), dtype=rests.dtype)[:, None, None]
+        ident = view[:, :, range(len(self.rows)), [self.outs.index(tx) for tx in self.rows]]
+        rows = (view - ident[..., None]).reshape(-1, self.size)
+        return rows[self._views], ident.sum(axis=2).reshape(-1)[self._views]
+
+    @cached_property
     def at(self) -> dict[tuple[int, ...], list]:
         """For each view point v, in ``product`` order over P's axes, one
         ``(tx, var, num)`` per input in ``rows`` order with num / ``den`` =
@@ -96,11 +115,6 @@ class ChannelVars:
     def sum_rows(self, offset: int = 0) -> list[dict]:
         """One row per input: its outputs' entries sum to one."""
         return [{offset + self.var[(tx, ux)]: 1 for ux in self.outs} for tx in self.rows]
-
-    def set_identity(self, x: list, offset: int = 0) -> None:
-        """Write the identity channel into the solution vector x."""
-        for tx in self.rows:
-            x[offset + self.var[(tx, tx)]] = 1
 
     def channel(self, sol: Sequence, offset: int = 0) -> Channel:
         """The exact channel at a rational solution; inputs off P's support

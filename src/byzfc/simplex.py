@@ -21,26 +21,22 @@ Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.  Each
 row of A is a sparse ``{column: coefficient}`` dict of ints or other
 ``numbers.Rational`` values, scaled row-wise to integers; an all-int row
 is taken as it is, and anything else (a float, say) raises LPError.
-``unique_point`` decides, without a tableau, when a known solution is the
-only one, and ``full_rank_mod_2`` proves full column rank on rows packed
-into the bits of Python ints.
+``full_rank_mod_2`` proves full column rank on bit rows, and
+``dual_certificate`` finds the integer multipliers that prove a known
+solution the only one; neither builds a tableau.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from numbers import Rational
-from operator import mul, neg
+from operator import neg
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_PIVOTS = 200_000
-RANK_PRIME = 2_147_483_647  # 2**31 - 1
 # a pivot forms p * v - f * w from entries of at most this size, which is
 # at most 2 * (2**31 - 1)**2 < 2**63 in absolute value: exact in int64
 ENTRY_BOUND = 2**31 - 1
@@ -71,61 +67,63 @@ def _integers(vals: list) -> tuple[list[int], int]:
     return [v.numerator * (mult // v.denominator) for v in vals], mult
 
 
-def unique_point(A: Sequence[dict], b: Sequence, x: Sequence) -> bool:
-    """Whether x is the only solution of A x = b, certified by a rank mod a prime.
+# OpenBLAS runs a LAPACK solve of at most this order on one thread; above
+# it, threads start, and on a loaded host one solve can take 100 times longer
+BLOCK = 64
 
-    Checks in integers that x satisfies every row, raising LPError if not,
-    and eliminates the rows mod ``RANK_PRIME``.  The rank of an integer
-    matrix mod a prime is at most its rank over Q (Dixon 1982), so a rank
-    of ``len(x)`` proves full column rank; False proves nothing.  With
-    fewer rows than columns the rank falls short, so nothing is eliminated.
 
-    The rank does not depend on the order of elimination, so the columns
-    go in the order that keeps the pivot rows short: fewest nonzeros in A
-    first, the point's nonzero columns first among equals.  Each row is
-    swept as a dense list against the pivot rows found so far, each stored
-    as the sparse tail after its pivot, normalized to 1 there.
+def _solve(G: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """y with G y = t for a positive definite G: LAPACK on a leading block of
+    ``BLOCK`` columns, the rest on its Schur complement, formed by ``einsum``."""
+    if len(G) <= BLOCK:
+        return np.linalg.solve(G, t)
+    X = np.linalg.solve(G[:BLOCK, :BLOCK], np.column_stack([G[:BLOCK, BLOCK:], t[:BLOCK]]))
+    low = G[BLOCK:, :BLOCK]
+    y = _solve(G[BLOCK:, BLOCK:] - np.einsum("ij,jk->ik", low, X[:, :-1]),
+               t[BLOCK:] - low @ X[:, -1])
+    return np.concatenate([X[:, -1] - X[:, :-1] @ y, y])
+
+
+def dual_certificate(M: np.ndarray) -> np.ndarray | None:
+    """An integer w with w.M_j > 0 at every column j of the integer matrix
+    M, or None when M has columns but no rows or the float candidate is not
+    one; anything but integers in M (a float, say) raises LPError.
+
+    The candidate is w = M y for (M^T M + e I) y = s * 1, ridge normal
+    equations for M^T w = s * 1 with e a 1e-9 share of the mean diagonal:
+    s, the largest column sum of |M|, is twice what rounding w can move a
+    w.M_j by.  Only a rounded candidate that ``certifies`` is trusted.
     """
-    n = len(x)
-    xs, xm = _integers(list(x))
-    rows = []
-    for a, rhs in zip(A, b):
-        vals, _ = _integers([*a.values(), rhs])
-        if sum(map(mul, vals, map(xs.__getitem__, a))) != vals[-1] * xm:
-            raise LPError("point violates a constraint row")
-        rows.append((a, vals))
-    if len(rows) < n:
-        return False
-    count = Counter(chain.from_iterable(A))
-    prime = RANK_PRIME
-    pos = [0] * n
-    for k, j in enumerate(sorted(range(n), key=lambda j: (count[j], not xs[j]))):
-        pos[j] = k
-    tails: list[list[tuple[int, int]] | None] = [None] * n  # by position
-    pivots: list[int] = []  # positions, ascending
-    for a, vals in rows:
-        if len(pivots) == n:
-            break
-        at = list(map(pos.__getitem__, a))
-        if not at:
-            continue
-        row = [0] * n
-        for q, v in zip(at, vals):
-            row[q] = v
-        lo = min(at)
-        for k in pivots[bisect_left(pivots, lo):]:
-            if (f := row[k]) and (f := f % prime):
-                row[k] = 0
-                for j, t in tails[k]:
-                    row[j] -= f * t
-        for q in range(lo, n):
-            if (r := row[q]) and (r := r % prime) and tails[q] is None:
-                inv = pow(r, -1, prime)
-                tails[q] = [(j, v * inv % prime)
-                            for j, v in enumerate(row[q + 1:], q + 1) if v and v % prime]
-                insort(pivots, q)
-                break
-    return len(pivots) == n
+    if M.dtype.kind != "i" and not all(type(v) is int for v in M.flat):
+        raise LPError("coefficients must be integers")
+    if not M.shape[1]:
+        return np.zeros(len(M), dtype=np.int64)
+    if not len(M):
+        return None
+    try:
+        F = M.astype(float)
+    except OverflowError:  # an entry past float range
+        return None
+    with np.errstate(all="ignore"):  # a candidate that is not finite is refused below
+        s = np.abs(F).sum(axis=0).max()
+        G = np.einsum("ij,ik->jk", F, F)  # calls no BLAS, so starts no threads
+        G.flat[::len(G) + 1] += 1e-9 * G.trace() / len(G)
+        try:
+            w = np.rint(F @ _solve(G, np.full(len(G), s)))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(w).all() or np.abs(w).max() >= 2**53:
+            return None
+    w = w.astype(np.int64)
+    return w if certifies(M, w) else None
+
+
+def certifies(M: np.ndarray, w: np.ndarray) -> bool:
+    """Whether w.M_j > 0 at every column j of the integer matrix M, for
+    integers w: in int64 while rows * max |M| * max |w| < 2**63, else in ints."""
+    small = M.dtype != object and len(M) * int(np.abs(M).max()) * int(np.abs(w).max()) < 2**63
+    z = w @ M if small else w.astype(object) @ M.astype(object)
+    return bool((z > 0).all())
 
 
 def full_rank_mod_2(rows: Iterable[int], cols: int) -> bool:

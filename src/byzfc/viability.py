@@ -8,8 +8,9 @@ collection is parametrized by one row-stochastic channel per member with
 pairwise equal induced views; constraints (a) and (b) of the underlying
 definition force every scenario marginal into exactly this form, and any
 family of such marginals extends to a full joint by conditional-product
-coupling.  Verdicts are decided by rank certificates, mod 2 then mod a
-prime, and otherwise by the exact rational simplex; violations are returned as fully materialized joints that an independent
+coupling.  Verdicts are decided by a rank certificate mod 2, then by an
+integer dual certificate, and otherwise by the exact rational simplex;
+violations are returned as fully materialized joints that an independent
 verifier re-checks against the definition directly.
 """
 
@@ -23,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .polytope import ChannelVars
+from .polytope import ChannelVars, law_ints
 from .probability import Alphabet, JointPmf, integer_mass, is_integer, zero_mass
-from .simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
-                      unique_point)
+from .simplex import (LPError, Tableau, dual_certificate, full_rank_mod_2,
+                      positive_coordinates)
 from .structures import (AdversaryStructure, Collection, TargetFunction,
                          canonical_collection, is_nonintersecting, nonintersecting_collections)
 
@@ -148,11 +149,16 @@ class _Region:
     dead view points force to zero (LPError if it fixes one of the
     identity's).  The region is ``pinned``, its reach the identity's
     entries, when the row sums and the view-match rows have full rank mod 2
-    on the other columns, or else when the dict rows ``A``, ``b`` over the
-    unfixed ``alive_vars`` (``alive_index`` maps back, -1 for ``fixed``
-    ones) have full rank mod a prime (LPError if the identity violates a
-    row).  Any other region is solved by the tableau started at the
-    identity.  Only regions the bits leave open read ``at``, for dict rows.
+    on the other columns, or else when ``dual_certificate`` finds integers
+    w for the view-match rows M, identity entries eliminated through their
+    row sums (LPError if the identity violates a row), with w.M > 0 on the
+    unfixed columns D off the identity: w.M is a combination of the rows,
+    zero on the identity's columns and right-hand side, so 0 = w.M x >= the
+    sum of x over D at each point x.  Any other region gets dict rows ``A``,
+    ``b`` over the unfixed ``alive_vars`` (``alive_index`` maps back, -1 for
+    ``fixed`` ones), read off ``at``, and the tableau started at the
+    identity.  ``_route`` names the step that settled it: "bits", "dual" or
+    "tableau".
     """
 
     def __init__(self, regions: Regions, collection: Collection):
@@ -172,21 +178,26 @@ class _Region:
         self._fixed_bits = fixed = self._presolve(
             [(b0 << off0, b1 << off1) for (w0, off0), (w1, off1) in pairs
              for b0, b1 in zip(w0.view_bits, w1.view_bits)])
-        if sum(w.identity_bits << off for w, off in placed) & fixed:
+        ident = sum(w.identity_bits << off for w, off in placed)
+        if ident & fixed:
             raise LPError("presolve fixed a coordinate of a feasible point")
         # a match row's two sides, mod 2, are the odd entries of both members
         rows = [bits << off for w, off in placed for bits in w.sum_bits]
         rows += [o0 << off0 | o1 << off1 for (w0, off0), (w1, off1) in pairs
                  for o0, o1 in zip(w0.odd_bits, w1.odd_bits)]
-        self.pinned = full_rank_mod_2(rows, ((1 << nvar) - 1) & ~fixed)
-        identity = self.identity_solution()
-        if not self.pinned:
-            self._build_rows()
-            id_alive = [identity[v] for v in self.alive_vars]
-            self.pinned = unique_point(self.A, self.b, id_alive)
-        if self.pinned:
-            self.reach = {v for v, x in enumerate(identity) if x > 0}
+        alive = ((1 << nvar) - 1) & ~fixed
+        if full_rank_mod_2(rows, alive):
+            self._route = "bits"
+        elif dual_certificate(self._reduced_rows(pairs, alive & ~ident)) is not None:
+            self._route = "dual"
         else:
+            self._route = "tableau"
+        self.pinned = self._route != "tableau"
+        if self.pinned:
+            self.reach = {v for v in range(nvar) if ident >> v & 1}
+        else:
+            self._build_rows()
+            id_alive = [ident >> v & 1 for v in self.alive_vars]
             # each identity column sits alone in its own row-sum row, so the
             # point's nonzero columns are independent and start the basis
             tableau = Tableau(self.A, self.b, len(self.alive_vars), start=id_alive)
@@ -213,6 +224,20 @@ class _Region:
             if len(rest) == len(matches):
                 return fixed
             matches = rest
+
+    def _reduced_rows(self, pairs: list, free: int) -> np.ndarray:
+        """The view-match rows, identity entries eliminated, on the ``free``
+        columns, zero rows dropped; LPError if the identity violates a row."""
+        blocks = []
+        for (w0, off0), (w1, off1) in pairs:
+            (r0, c0), (r1, c1) = w0.reduced, w1.reduced
+            if (c0 != c1).any():
+                raise LPError("the identity violates a view-match row")
+            block = np.zeros((len(c0), self.nvar), dtype=np.result_type(r0, r1))
+            block[:, off0:off0 + w0.size], block[:, off1:off1 + w1.size] = r0, -r1
+            blocks.append(block)
+        M = np.concatenate(blocks)[:, [v for v in range(self.nvar) if free >> v & 1]]
+        return M[M.any(axis=1)]
 
     def _build_rows(self) -> None:
         """The dict rows over the unfixed variables; emptied and repeated rows dropped."""
@@ -244,12 +269,6 @@ class _Region:
 
     # -- feasibility and support -----------------------------------------
 
-    def identity_solution(self) -> list[int]:
-        sol = [0] * self.nvar
-        for w, off in zip(self.members, self.offsets):
-            w.set_identity(sol, off)
-        return sol
-
     def var(self, m: int, tx: tuple[int, ...], ux: tuple[int, ...]) -> int:
         """The region's variable W_m(ux | tx)."""
         return self.offsets[m] + self.members[m].var[(tx, ux)]
@@ -265,8 +284,8 @@ class _Region:
         path, and the vertex, depend on each row's scale: each row goes in
         as the least integer multiple of its P-valued form (the row over
         ``den``), the row divided by the gcd of ``den`` and its entries.
-        Runs only on a region the bits leave open, whose dict rows exist: a
-        region the bits pin has no conflict.
+        Runs only on a region the tableau settled, whose dict rows exist: a
+        pinned region has no conflict.
         """
         ia = self.alive_index[var_a]
         ib = self.alive_index[var_b]
@@ -301,7 +320,7 @@ class Regions(dict):
     def __init__(self, p: JointPmf):
         super().__init__()
         self.p = p
-        self._ints = integer_mass(p.mass)
+        self._ints = law_ints(p)
         self.channels: dict[tuple[int, ...], ChannelVars] = {}
 
     def __missing__(self, collection: Collection) -> _Region:

@@ -79,8 +79,7 @@ class ViewSetHandle:
             row[w.size + nv + vi] = w.den
             rows.append(row)
         rows.extend(w.sum_rows())
-        start = [0] * (w.size + 2 * nv)
-        w.set_identity(start)
+        start = [w.identity_bits >> j & 1 for j in range(w.size)] + [0] * (2 * nv)
         c = (0,) * w.size + (Fraction(-1, 2),) * (2 * nv)
         return w, rows, views, tuple(start), c
 

@@ -206,6 +206,24 @@ class TestEntryPoint:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
+    def test_a_verdict_never_imports_scipy(self):
+        # the dual's float step runs on numpy alone: scipy.linalg, and more so
+        # scipy.optimize, would double a verdict's memory
+        script = "\n".join([
+            "import sys",
+            "from byzfc import AdversaryStructure, check_viability, viability",
+            "from byzfc.examples_lib import random_function, random_pmf",
+            "p = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)",
+            "regions = viability.Regions(p)",
+            "t42 = AdversaryStructure.threshold(4, 2)",
+            "assert check_viability(p, random_function(p, 2, seed=6), t42, regions=regions).viable",
+            "assert any(r._route == 'dual' for r in regions.values())",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        ])
+        out = run_python(["-c", script])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     def test_lp_error_maps_to_3(self, monkeypatch, capsys):
         import byzfc.cli as cli
         from byzfc.simplex import LPError

@@ -1,21 +1,23 @@
 """Verdict shortcuts agree with the routines they replaced.
 
 The exact checker decides a region whose only point is the identity
-channel with a rank certificate, mod 2 on bit rows or else mod a prime
-on dict rows, and then scans none of its views; it starts every other
-region tableau at the identity-channel point instead of running phase 1.
-These tests compare the certificates with the crash start and the crash
-start with phase 1 on the regions the checker builds, compare the two
-starts on the exact view-distance LP, and check collection pruning
-against the unpruned scan at k=4.  The stateless collection filter, the
-bit presolve, the dict rows read off the tables, build_g's conflict rule,
-the certificate's elimination, the one walk that decides a collection and
-builds its repaired table (against the verdict's scan, the scan of every
-view and build_g's table loop) and the witness joint read off the
-conflict vertex are each checked against the routine they replaced, kept
-here as the reference, and the mod-2 certificate against ranks over Q.
-A region is settled when it is built; a test that reads the dict rows of
-a region the bits pinned builds them itself.
+channel with a certificate, a rank mod 2 on bit rows or else an integer
+dual on the view-match rows with the identity's entries eliminated, and
+then scans none of its views; it starts every other region tableau at the
+identity-channel point instead of running phase 1.  These tests compare
+the certificates with the crash start and the crash start with phase 1
+on the regions the checker builds, compare the two starts on the exact
+view-distance LP, and check collection pruning against the unpruned scan
+at k=4.  The stateless collection filter, the bit presolve, the dict rows
+read off the tables, build_g's conflict rule, the one walk that decides a
+collection and builds its repaired table (against the verdict's scan, the
+scan of every view and build_g's table loop) and the witness joint read
+off the conflict vertex are each checked against the routine they
+replaced, kept here as the reference; the mod-2 certificate is checked
+against ranks over Q, and the reduced rows against a loop that eliminates
+the identity's entries from the dict rows.  A region is settled when it
+is built; a test that reads the dict rows of a region a certificate
+pinned builds them itself.
 """
 
 import sys
@@ -33,8 +35,8 @@ from hypothesis import strategies as st
 from byzfc import simplex, viability, viewsets
 from byzfc.examples_lib import random_function, random_pmf
 from byzfc.probability import JointPmf, derive_seed, zero_mass
-from byzfc.simplex import (LPError, Tableau, full_rank_mod_2, positive_coordinates,
-                           unique_point)
+from byzfc.simplex import (LPError, Tableau, certifies, dual_certificate, full_rank_mod_2,
+                           positive_coordinates)
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
 from byzfc.viability import (GBuildConflict, Regions, _f_at, _needs_solving, _Region,
                              _repaired, build_g, check_viability)
@@ -51,7 +53,7 @@ from workloads import DEFAULT_SEED, VerdictRandom, load_expected, witness_digest
 
 
 def _rows(region: _Region) -> _Region:
-    """The region with its dict rows, built here for a region the bits pinned."""
+    """The region with its dict rows, built here for a region a certificate pinned."""
     if "A" not in vars(region):
         region._build_rows()
     return region
@@ -286,7 +288,7 @@ def test_rows_read_off_the_tables_match_the_merged_view_rows(erasure_pmf, erasur
     for op in wl.pass_ops(0):
         assert op.check(op.run()) is None
     check_viability(erasure_pmf, erasure_f_uv, threshold_3_2)
-    opened = [region for region in built if "A" in vars(region)]
+    opened = [_rows(region) for region in built if region._route != "bits"]
     for region in opened:
         assert (region.fixed, region.alive_vars, region.A, region.b) == _merged_rows(region)
     assert len(opened) == 90 + 33 + 13
@@ -429,7 +431,7 @@ def test_build_g_on_a_bit_pinned_region_reads_no_view_list(erasure_pmf, erasure_
     for col in nonintersecting_collections(threshold_3_2):
         regions = Regions(erasure_pmf)
         region = regions[col]
-        if region.pinned and "A" not in vars(region):
+        if region._route == "bits":
             g = build_g(erasure_pmf, erasure_f_uv, col, regions=regions)
             assert not any("at" in vars(w) for w in regions.channels.values())
             assert np.array_equal(g.table, erasure_f_uv.table)
@@ -499,24 +501,65 @@ def test_the_vertex_witness_matches_the_channel_construction(monkeypatch, erasur
     assert frozenset({1, 2}) in checked[-1].collection
 
 
-# -- the rank certificate ---------------------------------------------------
+# -- the dual certificate ---------------------------------------------------
 
-def _identity_start(region: _Region) -> list[Fraction]:
-    identity = region.identity_solution()
-    return [identity[v] for v in region.alive_vars]
+def _identity_start(region: _Region) -> list[int]:
+    ident = sum(w.identity_bits << off for w, off in zip(region.members, region.offsets))
+    return [ident >> v & 1 for v in region.alive_vars]
+
+
+def _region_reduced_rows(region: _Region) -> np.ndarray:
+    """The reduced rows the region's construction hands the dual."""
+    placed = list(zip(region.members, region.offsets))
+    ident = sum(w.identity_bits << off for w, off in placed)
+    free = ((1 << region.nvar) - 1) & ~region._fixed_bits & ~ident
+    return region._reduced_rows(list(zip(placed, placed[1:])), free)
+
+
+def _loop_reduced_rows(region: _Region) -> set[tuple[int, ...]]:
+    """The view-match dict rows with each identity column eliminated, one
+    entry at a time, through the row-sum row that holds it, on the alive
+    columns off the identity: the rows left nonzero, as tuples.  A row's
+    constant must be its right-hand side, 0, or the identity violates it."""
+    start = _identity_start(_rows(region))
+    sums = {j: row for row, rhs in zip(region.A, region.b) if rhs == 1 for j in row if start[j]}
+    assert len(sums) == sum(start)
+    out = set()
+    for row, rhs in zip(region.A, region.b):
+        if rhs == 1:
+            continue
+        reduced, const = {}, 0
+        for j, v in row.items():
+            if start[j]:
+                # x_j = 1 - the sum of its row's other entries
+                const += v
+                for i in sums[j]:
+                    if i != j:
+                        reduced[i] = reduced.get(i, 0) - v
+            else:
+                reduced[j] = reduced.get(j, 0) + v
+        assert const == rhs == 0
+        vec = tuple(reduced.get(j, 0) for j, on in enumerate(start) if not on)
+        if any(vec):
+            out.add(vec)
+    return out
 
 
 def _certificate_matches_crash_start(region: _Region) -> bool:
     """Compare the region's reach with a crash-started
-    ``positive_coordinates``, and say whether the certificate decided it."""
+    ``positive_coordinates`` run on it anyway and its reduced rows with the
+    loop's, and say whether the dual decided it."""
     start = _identity_start(_rows(region))
-    certified = unique_point(region.A, region.b, start)
     crashed = Tableau(region.A, region.b, len(start), start=start)
     pos = positive_coordinates(crashed, range(len(start)), seeds=[start])
     assert region.reach == {region.alive_vars[i] for i in pos}
-    if certified:
+    M = _region_reduced_rows(region)
+    assert set(map(tuple, M.tolist())) == _loop_reduced_rows(region)
+    if region._route == "dual":
         assert pos == {i for i, x in enumerate(start) if x}
-    return certified
+        w = dual_certificate(M)
+        assert all(v > 0 for v in np.array(w.tolist(), dtype=object) @ M.astype(object))
+    return region._route == "dual"
 
 
 def _verdict_regions(p, structure, monkeypatch, f=None) -> list[_Region]:
@@ -572,97 +615,122 @@ def test_certificate_matches_the_crash_start_on_generated_regions(sizes, seed, z
         _certificate_matches_crash_start(Regions(p)[cols[pick % len(cols)]])
 
 
-def _unique_point_by_least_column(A, b, x) -> bool:
-    """The certificate's sparse elimination that ``unique_point`` replaced:
-    each row a dict mod the prime, reduced at its least column by the pivot
-    row keyed there; the same checks and the same rank."""
-    n = len(x)
-    xs, xm = simplex._integers(list(x))
-    prime = simplex.RANK_PRIME
-    pivots: dict[int, dict[int, int]] = {}
-    for a, rhs in zip(A, b):
-        vals, _ = simplex._integers([*a.values(), rhs])
-        if sum(v * xs[j] for j, v in zip(a, vals)) != vals[-1] * xm:
-            raise LPError("point violates a constraint row")
-        if len(pivots) == n:
-            continue
-        row = {j: r for j, v in zip(a, vals) if (r := v % prime)}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(row[c], -1, prime)
-                pivots[c] = {j: v * inv % prime for j, v in row.items()}
-                break
-            f = row[c]
-            for j, v in piv.items():
-                if r := (row.get(j, 0) - f * v) % prime:
-                    row[j] = r
-                else:
-                    row.pop(j, None)
-    return len(pivots) == n
+def test_certificate_matches_the_crash_start_on_the_benchmark_passes(erasure_pmf, erasure_f_uv,
+                                                                   erasure_f_uvw, threshold_3_2,
+                                                                   monkeypatch):
+    # every region the bits leave open in the seed-1 verdict-random pass and
+    # in the worked example's verdicts
+    built = []
+
+    class Recorded(_Region):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(viability, "_Region", Recorded)
+    wl = VerdictRandom(DEFAULT_SEED, load_expected())
+    wl.setup()
+    for op in wl.pass_ops(0):
+        assert op.check(op.run()) is None
+    for f in (erasure_f_uv, erasure_f_uvw):
+        check_viability(erasure_pmf, f, threshold_3_2)
+    outcomes = Counter(_certificate_matches_crash_start(region)
+                       for region in built if region._route != "bits")
+    assert outcomes == {True: 108 + 4, False: 15 + 10}, outcomes
 
 
-def _certificate_or_error(certify, A, b, x):
-    try:
-        return certify(A, b, x)
-    except LPError as exc:
-        return type(exc)
-
-
-def random_systems(seed: int, count: int):
-    """(A, b, x): sparse integer or rational rows through a nonnegative
-    point x, some of them dependent, some right-hand sides moved off x."""
+def random_matrices(seed: int, count: int):
+    """Integer matrices with entries -3..3, most of them zero, some with a
+    row that is a sum of two others, some with a column of one sign."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         m, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
-        dense = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.6)
-        if m > 1 and rng.random() < 0.3:
-            dense[-1] = dense[0] * 2 - dense[-2]    # a dependent row
-        x = [int(v) for v in rng.integers(0, 3, size=n)]
-        den = int(rng.integers(1, 4))
-        A = [{j: Fraction(int(v), den) for j, v in enumerate(row) if v} for row in dense]
-        b = [sum(v * x[j] for j, v in row.items()) for row in A]
-        if rng.random() < 0.1:
-            b[int(rng.integers(m))] += 1
-        yield A, b, x
+        M = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.6)
+        if m > 2 and rng.random() < 0.3:
+            M[-1] = M[0] + M[1]
+        if rng.random() < 0.5:
+            M[:, 0] = np.abs(M[:, 0])
+        yield M
 
 
-def test_certificate_matches_the_least_column_elimination(monkeypatch):
+def test_a_dual_certificate_pins_the_zero_point():
+    # w.M > 0 on every column leaves M x = 0, x >= 0 only x = 0: the sum of
+    # x, maximized over M x = 0 and sum x <= 1, is 0
+    outcomes = Counter()
+    for M in random_matrices(7, 400):
+        w = dual_certificate(M)
+        m, n = M.shape
+        rows = [{j: int(v) for j, v in enumerate(row) if v} for row in M.tolist()]
+        t = Tableau([row for row in rows if row] + [{**{j: 1 for j in range(n)}, n: 1}],
+                    [0] * sum(map(bool, rows)) + [1], n + 1)
+        top = t.maximize([1] * n)
+        if w is not None:
+            assert len(w) == m and all(v > 0 for v in np.array(w.tolist(), dtype=object) @ M)
+            assert top == 0
+        outcomes[w is not None, top == 0] += 1
+    # systems certified and systems with a nonzero point both occur
+    assert outcomes[True, True] and outcomes[False, False], outcomes
+
+
+def test_a_flipped_or_zeroed_certificate_is_refused():
+    # on the identity each entry alone makes its column positive
+    eye = np.eye(4, dtype=np.int64)
+    assert certifies(eye, np.ones(4, dtype=np.int64))
+    for i in range(4):
+        for v in (-1, 0):
+            w = np.ones(4, dtype=np.int64)
+            w[i] = v
+            assert not certifies(eye, w)
+    # on the regions' reduced rows the check agrees with Python ints, and
+    # refuses some of the flipped and zeroed certificates
     outcomes = Counter()
     for p, _, structure in _ladder():
+        if structure.k != 3:
+            continue
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
-            region = _rows(Regions(p)[col])
-            start = _identity_start(region)
-            got = unique_point(region.A, region.b, start)
-            assert got == _unique_point_by_least_column(region.A, region.b, start)
-            outcomes[got] += 1
+            region = Regions(p)[col]
+            if region._route != "dual":
+                continue
+            M = _region_reduced_rows(region)
+            w = dual_certificate(M)
+            for i in range(len(w)):
+                for v in (-w[i], 0):
+                    bad = w.copy()
+                    bad[i] = v
+                    exact = all(z > 0 for z in np.array(bad.tolist(), dtype=object) @ M)
+                    assert certifies(M, bad) == exact
+                    outcomes[exact] += 1
     assert outcomes[True] and outcomes[False], outcomes
-    for prime in (simplex.RANK_PRIME, 2, 3):
-        monkeypatch.setattr(simplex, "RANK_PRIME", prime)
-        for A, b, x in random_systems(prime, 400):
-            got = _certificate_or_error(unique_point, A, b, x)
-            assert got == _certificate_or_error(_unique_point_by_least_column, A, b, x)
-            outcomes[got] += 1
-    assert outcomes[LPError], outcomes
+    # past int64 the check runs in Python ints
+    big = np.array([[2**62, -1], [2**62, 3]], dtype=object)
+    assert certifies(big, np.array([1, 1])) and not certifies(big, np.array([1, -1]))
 
 
-def test_rank_deficient_mod_the_prime_is_not_certified(monkeypatch):
-    # full rank over Q (determinant -2), rank 1 mod 2
-    A, b, x = [{0: 1, 1: 1}, {0: 1, 1: -1}], [1, 1], [Fraction(1), Fraction(0)]
-    assert unique_point(A, b, x)
-    monkeypatch.setattr(simplex, "RANK_PRIME", 2)
-    assert not unique_point(A, b, x)
-    assert not unique_point([{0: 1, 1: 1}], [1], x)
+def test_degenerate_reduced_rows_raise_no_warning():
+    # pyproject.toml turns a RuntimeWarning into an error
+    assert dual_certificate(np.zeros((0, 3), dtype=np.int64)) is None
+    # with no columns any w holds
+    assert dual_certificate(np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+    assert dual_certificate(np.zeros((0, 0), dtype=np.int64)).tolist() == []
+    # numerators past float range, and columns whose Gram overflows floats
+    assert dual_certificate(np.array([[10**400, 1]], dtype=object)) is None
+    huge = np.array([[10**200, 1], [1, 10**200]], dtype=object)
+    assert dual_certificate(huge) is None
+    assert dual_certificate(np.zeros((2, 2), dtype=np.int64)) is None
+    assert dual_certificate(np.array([[2**62, 1], [1, 2**62]])) is not None
 
 
 def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
-    # regions certified mod the default prime but rank-deficient mod 2 get
-    # the same reach and witnesses through the fallback
+    # a float candidate of NaN, inf or zeros sends each region the dual
+    # pinned to the crash-started tableau, with the same reach and verdict
     p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", 0),
                    zero_frac=0.3, max_weight=3)
-    certified = [region for col in nonintersecting_collections(AdversaryStructure.threshold(3, 2))
-                 if (region := Regions(p)[col]).pinned]
+    f = random_function(p, 2, seed=derive_seed(20261017, "f", 0))
+    t32 = AdversaryStructure.threshold(3, 2)
+    certified = [region for col in nonintersecting_collections(t32)
+                 if (region := Regions(p)[col])._route == "dual"]
+    verdict = check_viability(p, f, t32)
+    assert certified
     tableaus = []
 
     class Counted(Tableau):
@@ -670,64 +738,100 @@ def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
             super().__init__(*args, **kwargs)
             tableaus.append(self)
 
-    monkeypatch.setattr(simplex, "RANK_PRIME", 2)
     monkeypatch.setattr(viability, "Tableau", Counted)
-    demoted = 0
-    for region in certified:
-        fresh = Regions(p)[region.collection]
-        if fresh.pinned:
-            continue
-        demoted += 1
-        assert len(tableaus) == demoted
-        assert fresh.reach == region.reach
-    assert demoted
+    for candidate in (np.nan, np.inf, 0.0):
+        tableaus.clear()
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_solve", lambda G, t, c=candidate: np.full(len(G), c))
+            for demoted, region in enumerate(certified, 1):
+                fresh = Regions(p)[region.collection]
+                assert fresh._route == "tableau" and not fresh.pinned
+                assert len(tableaus) == demoted
+                assert fresh.reach == region.reach
+            assert check_viability(p, f, t32) == verdict
+
+
+def test_rank_deficient_mod_2_is_certified_by_the_dual():
+    # full rank over Q (determinant -2) but rank 1 mod 2: w = (1, 0) pins
+    # both columns; the first row alone pins them too, the second alone
+    # neither
+    M = np.array([[1, 1], [1, -1]])
+    assert not full_rank_mod_2([3, 3], 3)
+    assert certifies(M, dual_certificate(M))
+    assert dual_certificate(M[:1]) is not None and dual_certificate(M[1:]) is None
 
 
 def test_a_row_the_point_violates_raises():
-    x = [Fraction(1), Fraction(0)]
-    with pytest.raises(LPError):
-        unique_point([{0: 1, 1: 1}, {0: 1, 1: -1}], [1, 0], x)
-    with pytest.raises(LPError):
-        unique_point([{0: Fraction(1, 3), 1: 1}], [Fraction(1, 2)], x)
-    # a row after full rank is reached is still checked
-    with pytest.raises(LPError):
-        unique_point([{0: 1}, {1: 1}, {0: 1, 1: 1}], [1, 0, 2], x)
+    # each view-match row's constant, the identity's coefficient on one side
+    # less the other's, must be zero, in the first pair's rows as in the
+    # last's; a float is not truncated to an int
+    p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", 0),
+                   zero_frac=0.3, max_weight=3)
+    col = next(col for col in nonintersecting_collections(AdversaryStructure.threshold(3, 2))
+               if len(col) == 3)
+    region = Regions(p)[col]
+    placed = list(zip(region.members, region.offsets))
+    pairs = list(zip(placed, placed[1:]))
+    assert len(pairs) == 2
+    for pair in pairs:
+        for w, _ in pair:
+            rows, const = w.reduced
+            bad = const.copy()
+            bad[-1] += 1
+            w.reduced = rows, bad
+            with pytest.raises(LPError, match="identity violates"):
+                region._reduced_rows(pairs, (1 << region.nvar) - 1)
+            w.reduced = rows, const
+    with pytest.raises(LPError, match="integers"):
+        dual_certificate(np.array([[1.0, 2.0]]))
 
 
-def test_a_region_the_identity_violates_raises(monkeypatch):
-    # a region the bits leave open and the prime pins, so construction
-    # checks the identity against its dict rows
+def test_a_region_the_identity_violates_raises():
+    # a region the bits leave open and the dual pins: construction checks
+    # each reduced row's constant, the identity's coefficient on both sides
     p, _ = t1_instance(0)
     col = next(col for col in nonintersecting_collections(AdversaryStructure.threshold(2, 1))
-               if "A" in vars(r := Regions(p)[col]) and r.pinned)
-    build = _Region._build_rows
-
-    def violated(self):
-        build(self)
-        self.b[0] += 1
-
-    monkeypatch.setattr(_Region, "_build_rows", violated)
-    with pytest.raises(LPError):
-        Regions(p)[col]
+               if Regions(p)[col]._route == "dual")
+    for member in (0, -1):
+        regions = Regions(p)
+        w = regions.channel(tuple(sorted(col[member])))
+        rows, const = w.reduced
+        const = const.copy()
+        const[np.flatnonzero(const)[0]] += 1
+        w.reduced = rows, const
+        with pytest.raises(LPError, match="identity violates"):
+            regions[col]
 
 
 # -- the mod-2 certificate on bit rows -----------------------------------------
 
-def test_bit_pinned_regions_are_pinned_mod_the_prime(erasure_pmf, erasure_f_uv, erasure_f_uvw,
-                                                     threshold_3_2, monkeypatch):
+def _rank_of_odd_entries(A: list[dict[int, int]]) -> int:
+    """The rank mod 2 of dict rows, by a basis of bit rows that each reduce
+    a row at their highest bit."""
+    basis: list[int] = []
+    for row in A:
+        bits = sum(1 << j for j, v in row.items() if v % 2)
+        for b in basis:
+            bits = min(bits, bits ^ b)
+        if bits:
+            basis = sorted(basis + [bits], reverse=True)
+    return len(basis)
+
+
+def test_bit_pinned_regions_have_full_rank_mod_2(erasure_pmf, erasure_f_uv, erasure_f_uvw,
+                                                 threshold_3_2, monkeypatch):
     # the bits pin a region iff its dict rows have full column rank mod 2;
-    # a pinned region's rows hold the identity and no other point
+    # a region they pin holds the identity and no other point
     outcomes = Counter()
     for region in _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2,
                                monkeypatch):
-        bits = "A" not in vars(region)
+        bits = region._route == "bits"
         assert region.pinned or not bits
         start = _identity_start(_rows(region))
-        with monkeypatch.context() as m:
-            m.setattr(simplex, "RANK_PRIME", 2)
-            assert unique_point(region.A, region.b, start) == bits
+        assert (_rank_of_odd_entries(region.A) == len(start)) == bits
         if bits:
-            assert unique_point(region.A, region.b, start)
+            # full column rank leaves the dual solvable, so it pins them too
+            assert dual_certificate(_region_reduced_rows(region)) is not None
             crashed = Tableau(region.A, region.b, len(start), start=start)
             pos = positive_coordinates(crashed, range(len(start)), seeds=[start])
             assert pos == {i for i, x in enumerate(start) if x}

@@ -15,7 +15,7 @@ mid-run, every fallback region of the verdict ladder through
 of the ladder and on the worked example's ``uvw``, and the exact
 view-distance LP on the worked example's queries and on n=5000 types.  The
 pivot list of the benchmark's seed-1 ``verdict-random`` pass is pinned, as
-is the route (bits, prime or tableau) that settles each of its regions, and
+is the route (bits, dual or tableau) that settles each of its regions, and
 every pivot of that pass must keep each row primitive, each basic row
 positive at its basic column, and each row without the pivot column as it
 was.
@@ -423,7 +423,7 @@ def test_fallback_regions_of_the_ladder():
 
             same_run(run)
             fallbacks += 1
-    assert fallbacks == 96
+    assert fallbacks == 70
 
 
 def _conflict_vertices(p, f, structure, kernel, monkeypatch):
@@ -484,10 +484,10 @@ def test_pivots_touch_only_the_rows_with_the_pivot_column(monkeypatch):
 
     monkeypatch.setattr(Tableau, "_pivot", checked)
     _seed_1_verdict_random_pass()
-    assert len(pivots) == 1388
+    assert len(pivots) == 905
 
 
-PASS_PIVOTS = "e59c8ea0a27d1f6b163b06831f7dee4ae9b49bc1838c4c03df51c48a7472e323"
+PASS_PIVOTS = "84cdb35d2b1364a4a0b3cbc62b33dfe5cdadd040adc5d09377712f91fae227d4"
 
 
 def test_seed_1_verdict_random_pass_pivots(monkeypatch):
@@ -500,16 +500,17 @@ def test_seed_1_verdict_random_pass_pivots(monkeypatch):
 
     monkeypatch.setattr(Tableau, "_pivot", counted)
     _seed_1_verdict_random_pass()
-    # the digest is of the (r, c) list the dense kernel made when the
-    # region rows were Fractions: integer rows must not move a pivot
-    assert len(pivots) == 1388
+    # the (r, c) list of the tableaux left where the dual pins no region:
+    # each pivots as the dense kernel did when the region rows were
+    # Fractions, so integer rows must not move a pivot
+    assert len(pivots) == 905
     assert workloads.digest(pivots) == PASS_PIVOTS
 
 
 def test_seed_1_verdict_random_pass_routes(monkeypatch):
-    # each region is settled by its rank mod 2 on bit rows, building no dict
-    # row, else by its rank mod the prime on dict rows, else by the
-    # crash-started tableau, one per region
+    # each region is settled by its rank mod 2 on bit rows, else by an
+    # integer dual on its reduced rows, neither building a dict row, else by
+    # the crash-started tableau, one per region
     routes = Counter()
     built = []
     tableaus = []
@@ -530,9 +531,8 @@ def test_seed_1_verdict_random_pass_routes(monkeypatch):
     monkeypatch.setattr(viability, "Tableau", Counted)
     _seed_1_verdict_random_pass()
     for region in built:
-        route = ("bits" if "A" not in vars(region) else "prime" if region.pinned
-                 else "tableau")
+        route = region._route
         routes[route] += 1
-        assert region.pinned == (route != "tableau")
+        assert region.pinned == (route != "tableau") == ("A" not in vars(region))
         assert region.tableaus == (route == "tableau")
-    assert routes == {"bits": 202, "prime": 90, "tableau": 33}
+    assert routes == {"bits": 202, "dual": 108, "tableau": 15}

@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from byzfc import viability
+from byzfc import polytope, viability
 from byzfc.examples_lib import random_function, random_pmf
-from byzfc.polytope import ChannelVars
+from byzfc.polytope import ChannelVars, law_ints
 from byzfc.probability import Alphabet, Channel, JointPmf, ProbabilityError, derive_seed, integer_mass
 from byzfc.structures import AdversaryStructure
 from byzfc.viability import Regions, _Region, check_viability
@@ -113,8 +113,7 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
         if not s:
             continue
         w = ChannelVars(law, tuple(sorted(s)))
-        x = [0] * w.size
-        w.set_identity(x)
+        x = [w.identity_bits >> var & 1 for var in range(w.size)]
         assert set(x) == {0, 1} and all(type(v) is int for v in x)
         for row in w.sum_rows():
             assert sum(x[var] * c for var, c in row.items()) == 1
@@ -183,20 +182,45 @@ def test_bit_rows_are_the_dict_rows(law, threshold_3_2):
             assert view == _bits(row)
             assert odd == _bits(var for var, num in row.items() if num % 2)
         assert w.sum_bits == [_bits(row) for row in w.sum_rows()]
-        x = [0] * w.size
-        w.set_identity(x)
-        assert w.identity_bits == _bits(var for var, one in enumerate(x) if one)
+        assert w.identity_bits == _bits(w.var[(tx, tx)] for tx in w.rows)
 
 
-def test_a_table_whose_identity_view_is_not_the_law_is_refused(law):
-    # the identity's view, read off the table, must be P's numerators over
-    # den: numerators of another scale, another denominator or the law
-    # reflected on an axis are refused
+def test_a_table_whose_identity_view_is_not_the_law_is_refused(law, monkeypatch):
+    # the identity's view, P's numerators over den, must be P: they are
+    # checked once per law, where they are computed, in the region store and
+    # in a table built without them (a view-set handle's); numerators of
+    # another scale, another denominator or the law reflected on an axis are
+    # refused
     nums, den = integer_mass(law.mass)
-    ChannelVars(law, (0,), (nums, den))
+    got = law_ints(law)
+    assert got[1] == den and np.array_equal(got[0], nums)
     for ints in ((nums * 2, den), (nums, den * 2), (nums[::-1], den)):
-        with pytest.raises(ValueError, match="identity channel's view"):
-            ChannelVars(law, (0,), ints)
+        monkeypatch.setattr(polytope, "integer_mass", lambda mass, ints=ints: ints)
+        for build in (lambda: law_ints(law), lambda: Regions(law),
+                      lambda: ChannelVars(law, (0,)),
+                      lambda: ViewSetHandle(law, frozenset({0}))._exact_lp):
+            with pytest.raises(ValueError, match="identity channel's view"):
+                build()
+
+
+def _reduced_by_view(t: SimpleNamespace) -> tuple[list[list[int]], list[int]]:
+    """Each view's row read off ``at`` with W(tx | tx) replaced by 1 minus
+    its input's other entries, one entry at a time, and the constant moved
+    out."""
+    width = len(t.outs)
+    rows, consts = [], []
+    for v, terms in t.at.items():
+        row, const = [0] * t.size, 0
+        for tx, var, num in terms:
+            row[var] += num
+            if tx == tuple(v[c] for c in t.coords):
+                const += num
+                first = t.var[(tx, t.outs[0])]
+                for j in range(first, first + width):
+                    row[j] -= num
+        rows.append(row)
+        consts.append(const)
+    return rows, consts
 
 
 def reference_channel_vars(p: JointPmf, coords: tuple[int, ...], ints=None) -> SimpleNamespace:
@@ -264,6 +288,8 @@ def test_the_table_builder_matches_the_per_view_loop(erasure_pmf):
                                  "sum_bits", "identity_bits"):
                         assert getattr(w, attr) == getattr(want, attr), attr
                     assert list(w.at.items()) == list(want.at.items())
+                    rows, const = w.reduced
+                    assert (rows.tolist(), const.tolist()) == _reduced_by_view(want)
                     assert all(type(num) is int for terms in w.at.values() for *_, num in terms)
                 dropped += len(want.outs) - len(want.rows)
     assert dropped
@@ -286,7 +312,7 @@ def test_a_bit_pinned_verdict_builds_no_view_lists(monkeypatch):
         built.clear()
         check_viability(p, f, AdversaryStructure.threshold(p.k - 1, 1))
         (region,) = built
-        if "A" not in vars(region):
+        if region._route == "bits":
             assert region.pinned
             assert not any("at" in vars(w) for w in region.members)
             pinned += 1

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from byzfc.simplex import (Infeasible, LPError, Tableau, Unbounded, positive_coordinates,
-                           unique_point)
+from byzfc import simplex
+from byzfc.simplex import (Infeasible, LPError, Tableau, Unbounded, dual_certificate,
+                           positive_coordinates)
 
 
 def sparse(A):
@@ -162,21 +163,36 @@ def test_a_float_entry_is_refused():
     # a float is not truncated to an int: max 2 at x = (2, 0) is not lost
     with pytest.raises(LPError, match="rational"):
         Tableau([{0: 0.5, 1: 1}], [1], 2).maximize([1, 0])
-    with pytest.raises(LPError, match="rational"):
-        unique_point([{0: 0.5}], [1], [2])
+    with pytest.raises(LPError, match="integers"):
+        dual_certificate(np.array([[0.5]]))
+    with pytest.raises(LPError, match="integers"):
+        dual_certificate(np.array([[Fraction(1, 2)]], dtype=object))
     with pytest.raises(LPError, match="rational"):
         Tableau([{0: 1}], [1], 1).maximize([0.5])
 
 
-def test_unique_point_with_fewer_rows_than_columns():
-    # two rows in three columns have rank at most 2: no certificate, but a
-    # point that breaks a row is still refused before the row count is read
-    A, b = [{0: 1, 1: 1}, {2: 1}], [1, 1]
-    assert unique_point(A, b, [1, 0, 1]) is False
-    with pytest.raises(LPError, match="violates"):
-        unique_point(A, b, [1, 1, 1])
-    # one row more pins the point
-    assert unique_point(A + [{1: 1}], b + [0], [1, 0, 1]) is True
+@pytest.mark.parametrize("n", [1, simplex.BLOCK, simplex.BLOCK + 1, 3 * simplex.BLOCK + 5])
+def test_the_blocked_solve_matches_one_lapack_solve(n):
+    # past BLOCK columns the solve goes through Schur complements
+    rng = np.random.default_rng(n)
+    F = rng.integers(-3, 4, size=(n + 7, n)).astype(float)
+    G = F.T @ F + np.eye(n)
+    t = rng.random(n)
+    assert np.allclose(simplex._solve(G, t), np.linalg.solve(G, t), rtol=1e-9, atol=1e-12)
+
+
+def test_the_dual_certificate_with_fewer_rows_than_columns():
+    # x0 + x1 = 1, x2 = 1 through x = (1, 0, 1): eliminating the point's
+    # columns through their rows leaves no row on column 1, so nothing pins
+    # x1 (a rank certificate needs as many rows as columns)
+    assert dual_certificate(np.zeros((0, 1), dtype=np.int64)) is None
+    # the row x1 = 0 more pins the point
+    assert dual_certificate(np.array([[1]])).tolist() == [1]
+    # one row can pin two columns where no rank can, and a row of both
+    # signs pins neither
+    w = dual_certificate(np.array([[1, 2]]))
+    assert w is not None and w[0] > 0
+    assert dual_certificate(np.array([[1, -1]])) is None
 
 
 @pytest.mark.parametrize("A, b, n", [

@@ -205,7 +205,8 @@ def _fraction_distance(handle: ViewSetHandle, q: JointPmf):
     views = list(w.at)
     nv = len(views)
     start = [Fraction(0)] * (w.size + 2 * nv)
-    w.set_identity(start)
+    for tx in w.rows:
+        start[w.var[(tx, tx)]] = Fraction(1)
     for vi, v in enumerate(views):
         gap = p.mass[v] - q.mass[v]
         start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
