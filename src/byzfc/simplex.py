@@ -23,7 +23,8 @@ row of A is a sparse ``{column: coefficient}`` dict of ints or other
 is taken as it is, and anything else (a float, say) raises LPError.
 ``full_rank_mod_2`` proves full column rank on bit rows, and
 ``dual_certificate`` finds the integer multipliers that prove a known
-solution the only one; neither builds a tableau.
+solution the only one, by a least-distance search in floats whose
+rounded candidates are checked exactly; neither builds a tableau.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,6 +73,11 @@ def _integers(vals: list) -> tuple[list[int], int]:
 BLOCK = 64
 
 
+def _dot(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x by ``einsum``, which calls no BLAS and so starts no threads."""
+    return np.einsum("ij,j->i", A, x)
+
+
 def _solve(G: np.ndarray, t: np.ndarray) -> np.ndarray:
     """y with G y = t for a positive definite G: LAPACK on a leading block of
     ``BLOCK`` columns, the rest on its Schur complement, formed by ``einsum``."""
@@ -80,19 +86,16 @@ def _solve(G: np.ndarray, t: np.ndarray) -> np.ndarray:
     X = np.linalg.solve(G[:BLOCK, :BLOCK], np.column_stack([G[:BLOCK, BLOCK:], t[:BLOCK]]))
     low = G[BLOCK:, :BLOCK]
     y = _solve(G[BLOCK:, BLOCK:] - np.einsum("ij,jk->ik", low, X[:, :-1]),
-               t[BLOCK:] - low @ X[:, -1])
-    return np.concatenate([X[:, -1] - X[:, :-1] @ y, y])
+               t[BLOCK:] - _dot(low, X[:, -1]))
+    return np.concatenate([X[:, -1] - _dot(X[:, :-1], y), y])
 
 
 def dual_certificate(M: np.ndarray) -> np.ndarray | None:
     """An integer w with w.M_j > 0 at every column j of the integer matrix
-    M, or None when M has columns but no rows or the float candidate is not
-    one; anything but integers in M (a float, say) raises LPError.
-
-    The candidate is w = M y for (M^T M + e I) y = s * 1, ridge normal
-    equations for M^T w = s * 1 with e a 1e-9 share of the mean diagonal:
-    s, the largest column sum of |M|, is twice what rounding w can move a
-    w.M_j by.  Only a rounded candidate that ``certifies`` is trusted.
+    M, or None when M has columns but no rows or no float candidate of
+    ``_least_distance`` is one; anything but integers in M (a float, say)
+    raises LPError.  Each candidate is rounded, and only one that
+    ``certifies`` is trusted.
     """
     if M.dtype.kind != "i" and not all(type(v) is int for v in M.flat):
         raise LPError("coefficients must be integers")
@@ -105,17 +108,113 @@ def dual_certificate(M: np.ndarray) -> np.ndarray | None:
     except OverflowError:  # an entry past float range
         return None
     with np.errstate(all="ignore"):  # a candidate that is not finite is refused below
-        s = np.abs(F).sum(axis=0).max()
-        G = np.einsum("ij,ik->jk", F, F)  # calls no BLAS, so starts no threads
-        G.flat[::len(G) + 1] += 1e-9 * G.trace() / len(G)
         try:
-            w = np.rint(F @ _solve(G, np.full(len(G), s)))
+            for w in _least_distance(F):
+                w = np.rint(w)
+                if not np.isfinite(w).all() or np.abs(w).max() >= 2**53:
+                    return None
+                w = w.astype(np.int64)
+                if certifies(M, w):
+                    return w
         except np.linalg.LinAlgError:
             return None
-        if not np.isfinite(w).all() or np.abs(w).max() >= 2**53:
-            return None
-    w = w.astype(np.int64)
-    return w if certifies(M, w) else None
+    return None
+
+
+# block exchanges allowed without fewer wrong signs before Lawson-Hanson
+# takes over (Kim & Park 2011), and float solves per column of a search
+BACKUPS = 3
+SOLVES_PER_COLUMN = 3
+
+
+def _least_distance(F: np.ndarray) -> Iterator[np.ndarray]:
+    """Float candidates w for F^T w >= s * 1, s the largest column sum of
+    |F|, twice what rounding w can move a w.F_j by.
+
+    The least-distance problem min |w| s.t. F^T w >= s * 1 is solved through
+    its dual, min 1/2 l.G l - s * 1.l over l >= 0, G = F^T F plus a ridge of
+    a 1e-9 share of its mean diagonal, w = F l.  The first candidate frees
+    every column: ridge normal equations for F^T w = s * 1.  Then columns
+    whose l or slack G l - s has the wrong sign are exchanged as one block
+    (Kim & Park, SIAM J. Sci. Comput. 33(6), 2011) while that lowers their
+    count or ``BACKUPS`` allow; after that Lawson-Hanson NNLS on
+    E = [F; 1^T], f = e_last, whose zero residual says no w exists (Lawson
+    & Hanson 1974, ch. 23), started from the positive part of the block
+    iterate with the fewest wrong signs, its nonpositive columns dropped
+    until a solve is positive.  The search stops at an optimum, after
+    ``SOLVES_PER_COLUMN`` solves per column, and at an iterate whose
+    positive part l+ is nearly a nonnegative null direction,
+    |F l+| <= 1e-6 |F|_F |l+|: a free direction that rules out any w.
+    """
+    n = F.shape[1]
+    s = np.abs(F).sum(axis=0).max()
+    G = np.einsum("ij,ik->jk", F, F)  # calls no BLAS, so starts no threads
+    trace = G.trace()
+    scale = 1e-6 * np.sqrt(trace)
+    G.flat[::n + 1] += 1e-9 * trace / n
+    budget = SOLVES_PER_COLUMN * n
+
+    def solved(H: np.ndarray, on: np.ndarray, t: float) -> np.ndarray:
+        nonlocal budget
+        budget -= 1
+        if on.all():
+            return _solve(H, np.full(n, t))
+        x = np.zeros(n)
+        if on.any():
+            x[on] = _solve(H[np.ix_(on, on)], np.full(int(on.sum()), t))
+        return x
+
+    def null(x: np.ndarray) -> bool:
+        x = np.maximum(x, 0)
+        return x.any() and np.linalg.norm(_dot(F, x)) <= scale * np.linalg.norm(x)
+
+    free = np.ones(n, dtype=bool)
+    fewest, backups = n + 1, BACKUPS
+    while budget:
+        lam = solved(G, free, s)
+        yield _dot(F, lam)
+        if null(lam):
+            return
+        wrong = free & (lam < 0) | ~free & (_dot(G, lam) < (1 - 1e-9) * s)
+        count = int(wrong.sum())
+        if not count:
+            return
+        if count < fewest:
+            fewest, backups = count, BACKUPS
+            passive = free & (lam > 0)
+        elif not backups:
+            break
+        else:
+            backups -= 1
+        free ^= wrong
+    # Lawson-Hanson on min |E u - f|, u >= 0: E^T E = G + 1 1^T, E^T f = 1
+    H = G + 1
+    u = np.zeros(n)
+    while budget and passive.any():
+        z = solved(H, passive, 1.0)
+        if (z[passive] > 0).all():
+            u = z
+            break
+        passive &= z > 0
+    while budget:
+        gain = np.where(passive, -np.inf, 1 - _dot(H, u))
+        if gain.max() <= 1e-12:
+            break
+        passive[gain.argmax()] = True
+        while budget:
+            z = solved(H, passive, 1.0)
+            if (z[passive] > 0).all():
+                u = z
+                break
+            cut = passive & ~(z > 0)
+            u += (u[cut] / (u[cut] - z[cut])).min() * (z - u)
+            passive &= u > 1e-15
+            u[~passive] = 0
+        if null(u):
+            return
+    # the residual's last entry 1 - 1.u is |E u - f|^2 at the optimum
+    if 1 - u.sum() > 1e-12:
+        yield s * _dot(F, u) / (1 - u.sum())
 
 
 def certifies(M: np.ndarray, w: np.ndarray) -> bool:

@@ -154,7 +154,10 @@ class _Region:
     row sums (LPError if the identity violates a row), with w.M > 0 on the
     unfixed columns D off the identity: w.M is a combination of the rows,
     zero on the identity's columns and right-hand side, so 0 = w.M x >= the
-    sum of x over D at each point x.  Any other region gets dict rows ``A``,
+    sum of x over D at each point x.  Such a w exists exactly when the
+    identity is the region's only point (Gordan), so the tableau is left
+    to regions with free directions and to any single point the dual's
+    float search misses.  Any other region gets dict rows ``A``,
     ``b`` over the unfixed ``alive_vars`` (``alive_index`` maps back, -1 for
     ``fixed`` ones), read off ``at``, and the tableau started at the
     identity.  ``_route`` names the step that settled it: "bits", "dual" or

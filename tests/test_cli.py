@@ -224,6 +224,28 @@ class TestEntryPoint:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
+    def test_ternary_verdicts_build_no_tableau(self):
+        # the ternary (3,3,3,3) threshold-2 rungs: every region the bits leave
+        # open is a single point, and the dual pins each one, those whose
+        # reduced rows have dependent columns included
+        script = "\n".join([
+            "import sys",
+            "from byzfc import (Alphabet, AdversaryStructure, check_viability,",
+            "                   constant_function, viability)",
+            "from byzfc.examples_lib import random_pmf",
+            "def refused(*args, **kwargs):",
+            "    raise AssertionError('a tableau was built')",
+            "viability.Tableau = refused",
+            "for seed in (2, 5):",
+            "    p = random_pmf((3, 3, 3, 3), seed=seed, zero_frac=0.3, max_weight=3)",
+            "    f = constant_function(p.axes, Alphabet.binary(), 0)",
+            "    assert check_viability(p, f, AdversaryStructure.threshold(3, 2)).viable",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        ])
+        out = run_python(["-c", script])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     def test_lp_error_maps_to_3(self, monkeypatch, capsys):
         import byzfc.cli as cli
         from byzfc.simplex import LPError

@@ -21,6 +21,7 @@ pinned builds them itself.
 """
 
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -636,7 +637,7 @@ def test_certificate_matches_the_crash_start_on_the_benchmark_passes(erasure_pmf
         check_viability(erasure_pmf, f, threshold_3_2)
     outcomes = Counter(_certificate_matches_crash_start(region)
                        for region in built if region._route != "bits")
-    assert outcomes == {True: 108 + 4, False: 15 + 10}, outcomes
+    assert outcomes == {True: 119 + 4, False: 4 + 10}, outcomes
 
 
 def random_matrices(seed: int, count: int):
@@ -653,23 +654,63 @@ def random_matrices(seed: int, count: int):
         yield M
 
 
+def _only_zero(M: np.ndarray) -> bool:
+    """Whether M x = 0, x >= 0 leaves only x = 0, by the tableau: the sum
+    of x, maximized over M x = 0 and sum x <= 1, is 0."""
+    m, n = M.shape
+    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in M.tolist()]
+    t = Tableau([row for row in rows if row] + [{**{j: 1 for j in range(n)}, n: 1}],
+                [0] * sum(map(bool, rows)) + [1], n + 1)
+    return t.maximize([1] * n) == 0
+
+
+def planted_null_matrices(seed: int, count: int):
+    """``random_matrices`` with the first column set so that M x = 0 at an
+    integer x >= 0 with x_0 = 1: no w makes every w.M_j positive."""
+    rng = np.random.default_rng(seed)
+    for M in random_matrices(seed, count):
+        x = rng.integers(0, 4, M.shape[1])
+        M[:, 0] = -(M[:, 1:] @ x[1:])
+        yield M
+
+
 def test_a_dual_certificate_pins_the_zero_point():
-    # w.M > 0 on every column leaves M x = 0, x >= 0 only x = 0: the sum of
-    # x, maximized over M x = 0 and sum x <= 1, is 0
+    # a certificate, exactly checked, exists iff x = 0 is the only point
+    # (Gordan), and the search finds one whenever the tableau says so
     outcomes = Counter()
     for M in random_matrices(7, 400):
         w = dual_certificate(M)
-        m, n = M.shape
-        rows = [{j: int(v) for j, v in enumerate(row) if v} for row in M.tolist()]
-        t = Tableau([row for row in rows if row] + [{**{j: 1 for j in range(n)}, n: 1}],
-                    [0] * sum(map(bool, rows)) + [1], n + 1)
-        top = t.maximize([1] * n)
         if w is not None:
-            assert len(w) == m and all(v > 0 for v in np.array(w.tolist(), dtype=object) @ M)
-            assert top == 0
-        outcomes[w is not None, top == 0] += 1
+            assert len(w) == len(M) and all(v > 0 for v in np.array(w.tolist(), dtype=object) @ M)
+        assert (w is not None) == _only_zero(M)
+        outcomes[w is not None] += 1
     # systems certified and systems with a nonzero point both occur
-    assert outcomes[True, True] and outcomes[False, False], outcomes
+    assert outcomes[True] and outcomes[False], outcomes
+    # a planted nonnegative null vector is refused without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in planted_null_matrices(11, 200):
+            assert dual_certificate(M) is None and not _only_zero(M)
+
+
+def test_the_search_stops_within_its_solve_bound(monkeypatch):
+    # a float solve that never converges, on systems that have certificates:
+    # the block exchanges stall, Lawson-Hanson never reaches an optimum, and
+    # only the bound of SOLVES_PER_COLUMN solves per column stops the search
+    systems = [M for M in random_matrices(7, 400)
+               if M.shape[1] > 1 and dual_certificate(M) is not None][:20]
+    assert len(systems) == 20
+    calls = []
+
+    def stuck(G, t):
+        calls.append(len(G))
+        return -np.ones(len(G))
+
+    monkeypatch.setattr(simplex, "_solve", stuck)
+    for M in systems:
+        calls.clear()
+        assert dual_certificate(M) is None
+        assert M.shape[1] < len(calls) <= simplex.SOLVES_PER_COLUMN * M.shape[1]
 
 
 def test_a_flipped_or_zeroed_certificate_is_refused():
@@ -721,8 +762,10 @@ def test_degenerate_reduced_rows_raise_no_warning():
 
 
 def test_an_uncertified_region_is_solved_by_the_crash_start(monkeypatch):
-    # a float candidate of NaN, inf or zeros sends each region the dual
-    # pinned to the crash-started tableau, with the same reach and verdict
+    # a float solve that returns NaN, inf or zeros ends the dual's search
+    # without a certificate (not finite, or l = 0 with no sign wrong) and sends
+    # each region the dual pinned to the crash-started tableau, with the
+    # same reach and verdict
     p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", 0),
                    zero_frac=0.3, max_weight=3)
     f = random_function(p, 2, seed=derive_seed(20261017, "f", 0))
