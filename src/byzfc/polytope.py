@@ -4,8 +4,8 @@ Both LPs are built from per-letter adversary channels W(ux | tx) on the
 coordinates of one adversary set.  ``ChannelVars`` numbers the entries of
 one such channel, reads P's coefficients on them from one table of P's
 numerators over a denominator shared by the whole law, builds their mod-2
-bit rows at once and their per-view lists and sparse rows when read, and
-turns a solution back into a ``Channel``.
+bit rows at once and their per-view lists and integer view rows when read,
+and turns a solution back into a ``Channel``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class ChannelVars:
     hold each view's variables and those of them with an odd numerator;
     ``sum_bits`` each input's variables in ``rows`` order and
     ``identity_bits`` the identity's.  ``at``, the views' coefficient
-    lists, and ``reduced``, their rows without the identity's entries, are
-    built on first read.
+    lists, and ``view_rows``, the same coefficients as one integer array,
+    are built on first read.
     """
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
@@ -84,16 +84,13 @@ class ChannelVars:
         self.identity_bits = sum(1 << self.var[(tx, tx)] for tx in self.rows)
 
     @cached_property
-    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each view's row, in ``product`` order, with W(tx | tx) replaced by 1
-        minus tx's other entries: the ``size`` coefficients left, and the
-        constant moved out, the identity's coefficient, as integer arrays."""
+    def view_rows(self) -> np.ndarray:
+        """``den`` times each view's mass over the ``size`` variables, one row
+        per view point in ``product`` order, as an integer array."""
         rests = np.array(self._rests)
         # by (v's index a in outs, rest r, input t, output u): rests[r, t] if u is a
         view = rests[None, :, :, None] * np.eye(len(self.outs), dtype=rests.dtype)[:, None, None]
-        ident = view[:, :, range(len(self.rows)), [self.outs.index(tx) for tx in self.rows]]
-        rows = (view - ident[..., None]).reshape(-1, self.size)
-        return rows[self._views], ident.sum(axis=2).reshape(-1)[self._views]
+        return view.reshape(-1, self.size)[self._views]
 
     @cached_property
     def at(self) -> dict[tuple[int, ...], list]:
@@ -106,15 +103,6 @@ class ChannelVars:
         views = product(*(range(a.size) for a in self.p.axes))
         return {v: [(tx, var + i // nrest, n) for tx, var, n in groups[i % nrest]]
                 for v, i in zip(views, self._views)}
-
-    def view_row(self, v: tuple[int, ...], sign: int = 1, offset: int = 0) -> dict:
-        """``den`` times the induced view's mass at v, ``sign`` (1 or -1)
-        times, as ``{var: num}``."""
-        return {offset + var: sign * num for _, var, num in self.at[v]}
-
-    def sum_rows(self, offset: int = 0) -> list[dict]:
-        """One row per input: its outputs' entries sum to one."""
-        return [{offset + self.var[(tx, ux)]: 1 for ux in self.outs} for tx in self.rows]
 
     def channel(self, sol: Sequence, offset: int = 0) -> Channel:
         """The exact channel at a rational solution; inputs off P's support

@@ -17,10 +17,10 @@ pivot that leaves a larger entry.  The objective rides along as one more
 integer row with its own scale, so Fractions appear only in the values
 returned.
 
-Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.  Each
-row of A is a sparse ``{column: coefficient}`` dict of ints or other
-``numbers.Rational`` values, scaled row-wise to integers; an all-int row
-is taken as it is, and anything else (a float, say) raises LPError.
+Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.  A is
+one 2-D integer numpy array, int64 or Python ints, and anything else (a
+float, say) raises LPError; b is rational, and a row whose right-hand side
+is a fraction is scaled by its denominator.
 ``full_rank_mod_2`` proves full column rank on bit rows, and
 ``dual_certificate`` finds the integer multipliers that prove a known
 solution the only one, by a least-distance search in floats whose
@@ -32,7 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -220,6 +219,10 @@ def _least_distance(F: np.ndarray) -> Iterator[np.ndarray]:
 def certifies(M: np.ndarray, w: np.ndarray) -> bool:
     """Whether w.M_j > 0 at every column j of the integer matrix M, for
     integers w: in int64 while rows * max |M| * max |w| < 2**63, else in ints."""
+    if not M.shape[1]:
+        return True
+    if not len(M):
+        return False
     small = M.dtype != object and len(M) * int(np.abs(M).max()) * int(np.abs(w).max()) < 2**63
     z = w @ M if small else w.astype(object) @ M.astype(object)
     return bool((z > 0).all())
@@ -258,7 +261,7 @@ def _fitted(T: np.ndarray) -> np.ndarray:
 
 
 class Tableau:
-    """Feasible simplex tableau for A x = b, x >= 0 over ``n`` columns.
+    """Feasible simplex tableau for A x = b, x >= 0 over A's columns.
 
     Without ``start``, construction runs phase 1 and raises Infeasible when
     the region is empty.  ``start`` is a known feasible point; the starting
@@ -273,26 +276,23 @@ class Tableau:
     positive, and the gcd of its entries is 1.
     """
 
-    def __init__(self, A: Sequence[dict], b: Sequence, n: int,
-                 start: Sequence | None = None):
-        m = len(A)
+    def __init__(self, A: np.ndarray, b: Sequence, start: Sequence | None = None):
+        m, n = A.shape
         if len(b) != m:
             raise LPError("constraint rows and right-hand sides differ in count")
+        if A.dtype.kind != "i" and not all(type(v) is int for v in A.flat):
+            raise LPError("coefficients must be integers")
+        if not all(isinstance(v, Rational) for v in b):
+            raise LPError("right-hand sides must be rational")
+        # each row times its right-hand side's denominator, negated where that is negative
+        scale = [-v.denominator if v < 0 else v.denominator for v in b]
+        if any(s != 1 for s in scale):
+            A = A.astype(object) * np.array(scale, dtype=object)[:, None]
+        A, rhs = _fitted(A), _fitted(np.array([abs(int(v.numerator)) for v in b], dtype=object))
         phase1 = start is None
         self.width = width = n + 1 + (m if phase1 else 0)
-        cells: list[int] = []  # flat positions of the nonzero entries
-        vals_all: list[int] = []
-        for i, (a, rhs) in enumerate(zip(A, b)):
-            vals, _ = _integers([*a.values(), rhs])
-            if a and (min(a) < 0 or max(a) >= n):
-                raise LPError(f"a column of {sorted(a)} is outside the {n} variables")
-            at = i * (width + 1)
-            cells.extend(map(at.__add__, a))
-            cells.append(at + width - 1)
-            vals_all.extend(map(neg, vals) if vals[-1] < 0 else vals)
-        big = max(map(abs, vals_all), default=0) > ENTRY_BOUND
-        rows = np.zeros((m, width + 1), dtype=object if big else np.int64)
-        rows.flat[cells] = vals_all
+        rows = np.zeros((m, width + 1), dtype=np.result_type(A, rhs))
+        rows[:, :n], rows[:, width - 1] = A, rhs
         if phase1:
             rows[range(m), range(n, n + m)] = 1
         elif m and (g := np.gcd.reduce(rows, axis=1)).max() > 1:
@@ -300,7 +300,7 @@ class Tableau:
         self.m = m
         self.art0 = n  # first artificial column
         self.allowed = n
-        self.rows = _fitted(rows) if big else rows
+        self.rows = _fitted(rows) if rows.dtype == object else rows
         if phase1:
             self.basis = list(range(n, n + m))
             self._phase1()

@@ -144,24 +144,24 @@ class _Region:
     are the store's, shared by every region of the law.
 
     Construction settles ``reach``, the variables positive at some point
-    of the region; the identity is a point of every region.  A zero-fixing
-    presolve on the tables' bit rows fixes the variables that structurally
-    dead view points force to zero (LPError if it fixes one of the
-    identity's).  The region is ``pinned``, its reach the identity's
-    entries, when the row sums and the view-match rows have full rank mod 2
-    on the other columns, or else when ``dual_certificate`` finds integers
-    w for the view-match rows M, identity entries eliminated through their
-    row sums (LPError if the identity violates a row), with w.M > 0 on the
-    unfixed columns D off the identity: w.M is a combination of the rows,
-    zero on the identity's columns and right-hand side, so 0 = w.M x >= the
-    sum of x over D at each point x.  Such a w exists exactly when the
-    identity is the region's only point (Gordan), so the tableau is left
-    to regions with free directions and to any single point the dual's
-    float search misses.  Any other region gets dict rows ``A``,
-    ``b`` over the unfixed ``alive_vars`` (``alive_index`` maps back, -1 for
-    ``fixed`` ones), read off ``at``, and the tableau started at the
-    identity.  ``_route`` names the step that settled it: "bits", "dual" or
-    "tableau".
+    of the region; the identity, whose entries are ``identity``, is a point
+    of every region.  A zero-fixing presolve on the tables' bit rows fixes
+    the variables that structurally dead view points force to zero (LPError
+    if it fixes one of the identity's).  The region is ``pinned``, its reach
+    the identity's entries, when the row sums and the view-match rows have
+    full rank mod 2 on the other columns, or else when ``dual_certificate``
+    finds integers w for the view-match matrix M with each identity entry
+    eliminated through its row sum, its column subtracted from the other
+    columns of its input (LPError if the identity violates a row), with
+    w.M > 0 on the unfixed columns D off the identity: w.M is a combination
+    of the rows, zero on the identity's columns and right-hand side, so
+    0 = w.M x >= the sum of x over D at each point x.  Such a w exists
+    exactly when the identity is the region's only point (Gordan), so the
+    tableau is left to regions with free directions and to any single point
+    the dual's float search misses.  Any other region gets ``A``, ``b``, the
+    row sums and the view-match rows as one integer array on the unfixed
+    ``alive_vars``, and the tableau started at the identity.  ``_route``
+    names the step that settled it: "bits", "dual" or "tableau".
     """
 
     def __init__(self, regions: Regions, collection: Collection):
@@ -184,6 +184,9 @@ class _Region:
         ident = sum(w.identity_bits << off for w, off in placed)
         if ident & fixed:
             raise LPError("presolve fixed a coordinate of a feasible point")
+        self.identity = [v for v in range(nvar) if ident >> v & 1]
+        # each input's outputs are one run of columns, holding its identity entry
+        self._runs = [len(w.outs) for w in self.members for _ in w.rows]
         # a match row's two sides, mod 2, are the odd entries of both members
         rows = [bits << off for w, off in placed for bits in w.sum_bits]
         rows += [o0 << off0 | o1 << off1 for (w0, off0), (w1, off1) in pairs
@@ -191,19 +194,20 @@ class _Region:
         alive = ((1 << nvar) - 1) & ~fixed
         if full_rank_mod_2(rows, alive):
             self._route = "bits"
-        elif dual_certificate(self._reduced_rows(pairs, alive & ~ident)) is not None:
-            self._route = "dual"
         else:
-            self._route = "tableau"
+            match, off_identity = self._view_match(), alive & ~ident
+            free = [v for v in range(nvar) if off_identity >> v & 1]
+            M = match[:, free] - match[:, np.repeat(self.identity, self._runs)[free]]
+            self._route = "dual" if dual_certificate(M[M.any(axis=1)]) is not None else "tableau"
         self.pinned = self._route != "tableau"
         if self.pinned:
-            self.reach = {v for v in range(nvar) if ident >> v & 1}
+            self.reach = set(self.identity)
         else:
-            self._build_rows()
+            self._build_rows(match)
             id_alive = [ident >> v & 1 for v in self.alive_vars]
             # each identity column sits alone in its own row-sum row, so the
             # point's nonzero columns are independent and start the basis
-            tableau = Tableau(self.A, self.b, len(self.alive_vars), start=id_alive)
+            tableau = Tableau(self.A, self.b, start=id_alive)
             self.reach = {self.alive_vars[i] for i in positive_coordinates(
                 tableau, range(len(self.alive_vars)), seeds=[id_alive])}
 
@@ -228,47 +232,36 @@ class _Region:
                 return fixed
             matches = rest
 
-    def _reduced_rows(self, pairs: list, free: int) -> np.ndarray:
-        """The view-match rows, identity entries eliminated, on the ``free``
-        columns, zero rows dropped; LPError if the identity violates a row."""
+    def _view_match(self) -> np.ndarray:
+        """The view-match rows on every variable: for each pair of adjacent
+        members, one row per view point, the first's view rows less the
+        second's; LPError if the identity violates a row."""
+        placed = list(zip(self.members, self.offsets))
         blocks = []
-        for (w0, off0), (w1, off1) in pairs:
-            (r0, c0), (r1, c1) = w0.reduced, w1.reduced
-            if (c0 != c1).any():
-                raise LPError("the identity violates a view-match row")
-            block = np.zeros((len(c0), self.nvar), dtype=np.result_type(r0, r1))
+        for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
+            r0, r1 = w0.view_rows, w1.view_rows
+            block = np.zeros((len(r0), self.nvar), dtype=np.result_type(r0, r1))
             block[:, off0:off0 + w0.size], block[:, off1:off1 + w1.size] = r0, -r1
             blocks.append(block)
-        M = np.concatenate(blocks)[:, [v for v in range(self.nvar) if free >> v & 1]]
-        return M[M.any(axis=1)]
+        match = np.concatenate(blocks)
+        if match[:, self.identity].sum(axis=1).any():
+            raise LPError("the identity violates a view-match row")
+        return match
 
-    def _build_rows(self) -> None:
-        """The dict rows over the unfixed variables; emptied and repeated rows dropped."""
+    def _build_rows(self, match: np.ndarray) -> None:
+        """``A``, ``b``: the row sums, then the view-match rows, on the unfixed
+        ``alive_vars``; emptied and repeated rows dropped, the first kept."""
         fixed = self._fixed_bits
-        self.fixed = {v for v in range(self.nvar) if fixed >> v & 1}
         self.alive_vars = [v for v in range(self.nvar) if not fixed >> v & 1]
-        self.alive_index = index = [-1] * self.nvar
-        for i, v in enumerate(self.alive_vars):
-            index[v] = i
-        placed = list(zip(self.members, self.offsets))
-        # every row lists its variables in increasing order: a sum row is one
-        # input's range, and a match row member m's side, then m+1's; no sum
-        # row is emptied, as each holds an unfixed identity coordinate
-        rows = [(1, tuple((j, 1) for j in index[first:first + len(w.outs)] if j >= 0))
-                for w, off in placed for first in range(off, off + w.size, len(w.outs))]
-        for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
-            i0, i1 = index[off0:off0 + w0.size], index[off1:off1 + w1.size]
-            rows += [(0, tuple((j, n) for _, var, n in at0 if (j := i0[var]) >= 0)
-                      + tuple((j, -n) for _, var, n in at1 if (j := i1[var]) >= 0))
-                     for at0, at1 in zip(w0.at.values(), w1.at.values())]
-        self.A: list[dict[int, int]] = []
-        self.b: list[int] = []
-        seen: set[tuple] = set()
-        for rhs, items in rows:
-            if items and (rhs, items) not in seen:
-                seen.add((rhs, items))
-                self.A.append(dict(items))
-                self.b.append(rhs)
+        sums = np.repeat(np.eye(len(self._runs), dtype=match.dtype), self._runs, axis=1)
+        rows = np.concatenate([sums, match])[:, self.alive_vars]
+        b = [1] * len(sums) + [0] * len(match)
+        first: dict[tuple, int] = {}
+        for i, row in enumerate(rows.tolist()):
+            if any(row):
+                first.setdefault((b[i], *row), i)
+        keep = list(first.values())
+        self.A, self.b = rows[keep], [b[i] for i in keep]
 
     # -- feasibility and support -----------------------------------------
 
@@ -287,21 +280,19 @@ class _Region:
         path, and the vertex, depend on each row's scale: each row goes in
         as the least integer multiple of its P-valued form (the row over
         ``den``), the row divided by the gcd of ``den`` and its entries.
-        Runs only on a region the tableau settled, whose dict rows exist: a
+        Runs only on a region the tableau settled, whose rows exist: a
         pinned region has no conflict.
         """
-        ia = self.alive_index[var_a]
-        ib = self.alive_index[var_b]
-        if ia < 0 or ib < 0:
+        alive = self.alive_vars
+        if var_a not in alive or var_b not in alive:
             raise LPError("conflict coordinate was presolved away")
-        nv = len(self.alive_vars)
-        A, b = [], []
-        for row, rhs in zip(self.A, self.b):
-            g = gcd(self.den, rhs, *row.values())
-            A.append({j: v // g for j, v in row.items()})
-            b.append(rhs // g)
-        A += [{ia: 1, nv: -1, nv + 1: -1}, {ib: 1, nv: -1, nv + 2: -1}]
-        t = Tableau(A, b + [0, 0], nv + 3)
+        m, nv = self.A.shape
+        g = [gcd(self.den, rhs, *row) for row, rhs in zip(self.A.tolist(), self.b)]
+        lifted = np.zeros((m + 2, nv + 3), dtype=self.A.dtype)
+        lifted[:m, :nv] = self.A // np.array(g, dtype=self.A.dtype)[:, None]
+        lifted[m, [alive.index(var_a), nv, nv + 1]] = 1, -1, -1
+        lifted[m + 1, [alive.index(var_b), nv, nv + 2]] = 1, -1, -1
+        t = Tableau(lifted, [rhs // gi for rhs, gi in zip(self.b, g)] + [0, 0])
         c = [0] * (nv + 3)
         c[nv] = 1
         opt = t.maximize(c)
@@ -309,7 +300,7 @@ class _Region:
             raise LPError("conflict coordinates are not simultaneously reachable")
         sol_alive = t.solution()
         full = [0] * self.nvar
-        for v, x in zip(self.alive_vars, sol_alive):
+        for v, x in zip(alive, sol_alive):
             full[v] = x
         return full
 

@@ -60,41 +60,39 @@ class ViewSetHandle:
 
     @cached_property
     def _exact_lp(self):
-        """The exact LP: channel table, sparse rows, view points, start, objective.
+        """The exact LP: channel table, integer matrix, start, objective.
 
         Variables are the channel's entries, then the view slacks below q and
         the view slacks above q, one each per view point.  Rows: ``den`` times
-        the induced view minus q at each view point, that is P's numerators on
+        the induced view minus q at each view point, that is ``view_rows`` on
         the channel entries and -den, den on the slacks (right-hand side den
         times q there, in ``product`` order, which is q's flat order), then the
         channel's row sums (right-hand side 1).
         """
         w = ChannelVars(self.base, self.coords)
-        views = list(w.at)
-        nv = len(views)
-        rows = []
-        for vi, v in enumerate(views):
-            row = w.view_row(v)
-            row[w.size + vi] = -w.den
-            row[w.size + nv + vi] = w.den
-            rows.append(row)
-        rows.extend(w.sum_rows())
-        start = [w.identity_bits >> j & 1 for j in range(w.size)] + [0] * (2 * nv)
-        c = (0,) * w.size + (Fraction(-1, 2),) * (2 * nv)
-        return w, rows, views, tuple(start), c
+        nv, size = len(w.view_rows), w.size
+        # every numerator is at most den
+        A = np.zeros((nv + len(w.rows), size + 2 * nv),
+                     dtype=object if w.den > INT64_MAX else np.int64)
+        A[:nv, :size] = w.view_rows
+        A[range(nv), range(size, size + nv)] = -w.den
+        A[range(nv), range(size + nv, size + 2 * nv)] = w.den
+        A[nv:, :size] = np.repeat(np.eye(len(w.rows), dtype=np.int64), len(w.outs), axis=1)
+        start = [w.identity_bits >> j & 1 for j in range(size)] + [0] * (2 * nv)
+        c = (0,) * size + (Fraction(-1, 2),) * (2 * nv)
+        return w, A, tuple(start), c
 
     @cached_property
     def _float_lp(self):
         """The same LP for HiGHS: view rows over ``den``, row sums as they are."""
-        w, rows, views, _, _ = self._exact_lp
-        A = np.zeros((len(rows), w.size + 2 * len(views)))
-        for i, row in enumerate(rows):
-            den = w.den if i < len(views) else 1
-            for j, num in row.items():
-                A[i, j] = num / den
+        w, A, _, _ = self._exact_lp
+        nv = len(w.view_rows)
+        rows = A.tolist()
+        F = np.array([[num / w.den for num in row] for row in rows[:nv]] + rows[nv:],
+                     dtype=np.float64)
         c = np.zeros(A.shape[1])
         c[w.size:] = 0.5
-        return w, A, c, np.ones(len(rows) - len(views))
+        return w, F, c, np.ones(len(w.rows))
 
 
 @dataclass(frozen=True)
@@ -246,17 +244,17 @@ def _certificate(w: ChannelVars, q: JointPmf, chan: list[int], g: list[int]) -> 
 
 
 def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
-    p = handle.base
-    w, rows, views, identity, c = handle._exact_lp
-    nv = len(views)
-    b = [w.den * q.mass[v] for v in views] + [1] * (len(rows) - nv)
+    w, A, identity, c = handle._exact_lp
+    nv = len(w.view_rows)
+    qs, ps = q.mass.reshape(-1).tolist(), handle.base.mass.reshape(-1).tolist()
+    b = [w.den * x for x in qs] + [1] * len(w.rows)
     # start at the identity channel, whose view is P, with slacks P - q split
     # by sign; each identity column is alone in its row-sum row and each
     # slack alone in its view row, so the start columns are independent
     start = list(identity)
-    for vi, v in enumerate(views):
-        gap = p.mass[v] - q.mass[v]
+    for vi, (pv, qv) in enumerate(zip(ps, qs)):
+        gap = pv - qv
         start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
-    t = Tableau(rows, b, len(start), start=start)
+    t = Tableau(A, b, start=start)
     dist = -t.maximize(c)
     return MembershipResult(dist, dist, w, t.solution())

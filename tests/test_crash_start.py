@@ -8,15 +8,15 @@ identity-channel point instead of running phase 1.  These tests compare
 the certificates with the crash start and the crash start with phase 1
 on the regions the checker builds, compare the two starts on the exact
 view-distance LP, and check collection pruning against the unpruned scan
-at k=4.  The stateless collection filter, the bit presolve, the dict rows
+at k=4.  The stateless collection filter, the bit presolve, the rows
 read off the tables, build_g's conflict rule, the one walk that decides a
 collection and builds its repaired table (against the verdict's scan, the
 scan of every view and build_g's table loop) and the witness joint read
 off the conflict vertex are each checked against the routine they
 replaced, kept here as the reference; the mod-2 certificate is checked
 against ranks over Q, and the reduced rows against a loop that eliminates
-the identity's entries from the dict rows.  A region is settled when it
-is built; a test that reads the dict rows of a region a certificate
+the identity's entries from the tableau rows.  A region is settled when
+it is built; a test that reads the tableau rows of a region a certificate
 pinned builds them itself.
 """
 
@@ -54,18 +54,25 @@ from workloads import DEFAULT_SEED, VerdictRandom, load_expected, witness_digest
 
 
 def _rows(region: _Region) -> _Region:
-    """The region with its dict rows, built here for a region a certificate pinned."""
+    """The region with its rows ``A``, ``b``, built here for a region a
+    certificate pinned."""
     if "A" not in vars(region):
-        region._build_rows()
+        region._build_rows(region._view_match())
     return region
+
+
+def _dense(rows: list[dict], n: int) -> np.ndarray:
+    """``{column: coefficient}`` rows as one array of n columns."""
+    return np.array([[row.get(j, 0) for j in range(n)] for row in rows],
+                    dtype=object).reshape(len(rows), n)
 
 
 def _compare_starts(region: _Region, rng: np.random.Generator, objectives: int = 3) -> None:
     start = _identity_start(_rows(region))
-    crashed = Tableau(region.A, region.b, len(start), start=start)
+    crashed = Tableau(region.A, region.b, start=start)
     assert crashed.solution() == start
     coords = range(len(region.alive_vars))
-    phase1 = Tableau(region.A, region.b, len(start))
+    phase1 = Tableau(region.A, region.b)
     assert positive_coordinates(crashed, coords) == positive_coordinates(phase1, coords)
     for _ in range(objectives):
         c = [Fraction(int(v), int(d)) for v, d in
@@ -116,7 +123,7 @@ def distance_queries(p: JointPmf) -> list[tuple[ViewSetHandle, JointPmf]]:
 
 def test_exact_distance_same_without_the_start(erasure_pmf, monkeypatch):
     cases = [(h, q, _distance_exact(h, q).lower) for h, q in distance_queries(erasure_pmf)]
-    monkeypatch.setattr(viewsets, "Tableau", lambda A, b, n, start=None: Tableau(A, b, n))
+    monkeypatch.setattr(viewsets, "Tableau", lambda A, b, start=None: Tableau(A, b))
     for h, q, dist in cases:
         res = _distance_exact(h, q)
         assert res.lower == res.upper == dist
@@ -186,19 +193,31 @@ def _ladder():
     yield p, random_function(p, 2, seed=6), AdversaryStructure.threshold(4, 2)
 
 
+def _sum_rows(region: _Region) -> list[dict]:
+    """One ``{variable: 1}`` row per member and input: its outputs' entries."""
+    return [{off + w.var[(tx, ux)]: 1 for ux in w.outs}
+            for w, off in zip(region.members, region.offsets) for tx in w.rows]
+
+
+def _match_rows(region: _Region) -> list[dict]:
+    """The view-match rows read off ``at``: per adjacent pair and view,
+    the first member's numerators less the second's."""
+    placed = list(zip(region.members, region.offsets))
+    return [{**{off0 + var: num for _, var, num in w0.at[v]},
+             **{off1 + var: -num for _, var, num in w1.at[v]}}
+            for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
+
+
 def _sign_presolve(region: _Region):
     """The presolve that fixed a zero row's variables when every unfixed
-    coefficient had one sign: (fixed, alive_vars, A, b), view-match rows
-    in P's integer numerators."""
-    rows = [row for w, off in zip(region.members, region.offsets) for row in w.sum_rows(off)]
+    coefficient had one sign: (alive_vars, A, b), view-match rows in P's
+    integer numerators."""
+    rows = _sum_rows(region)
     rhs = [Fraction(1)] * len(rows)
-    placed = list(zip(region.members, region.offsets))
-    for (w0, off0), (w1, off1) in zip(placed, placed[1:]):
-        for v in w0.at:
-            row = {**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
-            if row:
-                rows.append(row)
-                rhs.append(Fraction(0))
+    for row in _match_rows(region):
+        if row:
+            rows.append(row)
+            rhs.append(Fraction(0))
     fixed: set[int] = set()
     changed = True
     while changed:
@@ -223,7 +242,7 @@ def _sign_presolve(region: _Region):
             seen.add((b, items))
             A.append(dict(items))
             b_out.append(b)
-    return fixed, alive_vars, A, b_out
+    return alive_vars, _dense(A, len(alive_vars)), b_out
 
 
 def _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2, monkeypatch):
@@ -242,25 +261,23 @@ def test_side_presolve_matches_the_sign_presolve(erasure_pmf, erasure_f_uv, eras
     regions = 0
     for region in _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2,
                                monkeypatch):
-        _rows(region)
-        assert (region.fixed, region.alive_vars, region.A, region.b) == _sign_presolve(region)
+        alive_vars, A, b = _sign_presolve(_rows(region))
+        assert region.alive_vars == alive_vars and region.b == b
+        assert np.array_equal(region.A, A)
         regions += 1
     # the ladder's regions, then uv's 22 and the 3 uvw builds up to its witness
     assert regions == 200 + 12 * 22 + 115 + 22 + 3
 
 
 def _merged_rows(region: _Region):
-    """The row builder that merged two ``view_row`` dicts per view:
-    (fixed, alive_vars, A, b) over the region's presolve."""
+    """The row builder that merged two view rows read off ``at`` per view:
+    (alive_vars, A, b) over the region's presolve."""
     fixed = {v for v in range(region.nvar) if region._fixed_bits >> v & 1}
     alive_vars = [v for v in range(region.nvar) if v not in fixed]
     index = [-1] * region.nvar
     for i, v in enumerate(alive_vars):
         index[v] = i
-    placed = list(zip(region.members, region.offsets))
-    sums = [row for w, off in placed for row in w.sum_rows(off)]
-    matches = [{**w0.view_row(v, 1, off0), **w1.view_row(v, -1, off1)}
-               for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
+    sums, matches = _sum_rows(region), _match_rows(region)
     A, b, seen = [], [], set()
     for i, row in enumerate(sums + matches):
         items = tuple((j, c) for v, c in row.items() if (j := index[v]) >= 0)
@@ -269,7 +286,7 @@ def _merged_rows(region: _Region):
             seen.add((rhs, items))
             A.append(dict(items))
             b.append(rhs)
-    return fixed, alive_vars, A, b
+    return alive_vars, _dense(A, len(alive_vars)), b
 
 
 def test_rows_read_off_the_tables_match_the_merged_view_rows(erasure_pmf, erasure_f_uv,
@@ -291,7 +308,9 @@ def test_rows_read_off_the_tables_match_the_merged_view_rows(erasure_pmf, erasur
     check_viability(erasure_pmf, erasure_f_uv, threshold_3_2)
     opened = [_rows(region) for region in built if region._route != "bits"]
     for region in opened:
-        assert (region.fixed, region.alive_vars, region.A, region.b) == _merged_rows(region)
+        alive_vars, A, b = _merged_rows(region)
+        assert region.alive_vars == alive_vars and region.b == b
+        assert np.array_equal(region.A, A)
     assert len(opened) == 90 + 33 + 13
 
 
@@ -510,23 +529,27 @@ def _identity_start(region: _Region) -> list[int]:
 
 
 def _region_reduced_rows(region: _Region) -> np.ndarray:
-    """The reduced rows the region's construction hands the dual."""
-    placed = list(zip(region.members, region.offsets))
-    ident = sum(w.identity_bits << off for w, off in placed)
-    free = ((1 << region.nvar) - 1) & ~region._fixed_bits & ~ident
-    return region._reduced_rows(list(zip(placed, placed[1:])), free)
+    """The reduced rows the region's construction hands the dual: each free
+    column of its view-match rows less the identity column of its input,
+    zero rows dropped."""
+    match, identity = region._view_match(), np.repeat(region.identity, region._runs)
+    free = [v for v in range(region.nvar)
+            if not region._fixed_bits >> v & 1 and v not in region.identity]
+    M = match[:, free] - match[:, identity[free]]
+    return M[M.any(axis=1)]
 
 
 def _loop_reduced_rows(region: _Region) -> set[tuple[int, ...]]:
-    """The view-match dict rows with each identity column eliminated, one
+    """The view-match rows of ``A`` with each identity column eliminated, one
     entry at a time, through the row-sum row that holds it, on the alive
     columns off the identity: the rows left nonzero, as tuples.  A row's
     constant must be its right-hand side, 0, or the identity violates it."""
     start = _identity_start(_rows(region))
-    sums = {j: row for row, rhs in zip(region.A, region.b) if rhs == 1 for j in row if start[j]}
+    rows = [{j: v for j, v in enumerate(row) if v} for row in region.A.tolist()]
+    sums = {j: row for row, rhs in zip(rows, region.b) if rhs == 1 for j in row if start[j]}
     assert len(sums) == sum(start)
     out = set()
-    for row, rhs in zip(region.A, region.b):
+    for row, rhs in zip(rows, region.b):
         if rhs == 1:
             continue
         reduced, const = {}, 0
@@ -551,7 +574,7 @@ def _certificate_matches_crash_start(region: _Region) -> bool:
     ``positive_coordinates`` run on it anyway and its reduced rows with the
     loop's, and say whether the dual decided it."""
     start = _identity_start(_rows(region))
-    crashed = Tableau(region.A, region.b, len(start), start=start)
+    crashed = Tableau(region.A, region.b, start=start)
     pos = positive_coordinates(crashed, range(len(start)), seeds=[start])
     assert region.reach == {region.alive_vars[i] for i in pos}
     M = _region_reduced_rows(region)
@@ -657,11 +680,11 @@ def random_matrices(seed: int, count: int):
 def _only_zero(M: np.ndarray) -> bool:
     """Whether M x = 0, x >= 0 leaves only x = 0, by the tableau: the sum
     of x, maximized over M x = 0 and sum x <= 1, is 0."""
-    m, n = M.shape
-    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in M.tolist()]
-    t = Tableau([row for row in rows if row] + [{**{j: 1 for j in range(n)}, n: 1}],
-                [0] * sum(map(bool, rows)) + [1], n + 1)
-    return t.maximize([1] * n) == 0
+    rows = M[M.any(axis=1)]
+    A = np.block([[rows, np.zeros((len(rows), 1), dtype=rows.dtype)],
+                  [np.ones((1, M.shape[1] + 1), dtype=rows.dtype)]])
+    t = Tableau(A, [0] * len(rows) + [1])
+    return t.maximize([1] * M.shape[1]) == 0
 
 
 def planted_null_matrices(seed: int, count: int):
@@ -747,6 +770,15 @@ def test_a_flipped_or_zeroed_certificate_is_refused():
     assert certifies(big, np.array([1, 1])) and not certifies(big, np.array([1, -1]))
 
 
+def test_an_empty_matrix_is_answered_by_the_definition():
+    # w.M_j > 0 at every column holds vacuously without columns, and fails
+    # at each column of a matrix without rows, where w.M is 0
+    assert certifies(np.zeros((3, 0), dtype=np.int64), np.ones(3, dtype=np.int64))
+    assert certifies(np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert not certifies(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert not certifies(np.zeros((0, 1), dtype=object), np.zeros(0, dtype=np.int64))
+
+
 def test_degenerate_reduced_rows_raise_no_warning():
     # pyproject.toml turns a RuntimeWarning into an error
     assert dual_certificate(np.zeros((0, 3), dtype=np.int64)) is None
@@ -805,9 +837,9 @@ def test_rank_deficient_mod_2_is_certified_by_the_dual():
 
 
 def test_a_row_the_point_violates_raises():
-    # each view-match row's constant, the identity's coefficient on one side
-    # less the other's, must be zero, in the first pair's rows as in the
-    # last's; a float is not truncated to an int
+    # each view-match row's sum over the identity's columns, its coefficient
+    # on one side less the other's, must be zero, in the first pair's rows as
+    # in the last's; a float is not truncated to an int
     p = random_pmf((2, 2, 2, 2), seed=derive_seed(20261017, "p", 0),
                    zero_frac=0.3, max_weight=3)
     col = next(col for col in nonintersecting_collections(AdversaryStructure.threshold(3, 2))
@@ -818,42 +850,41 @@ def test_a_row_the_point_violates_raises():
     assert len(pairs) == 2
     for pair in pairs:
         for w, _ in pair:
-            rows, const = w.reduced
-            bad = const.copy()
-            bad[-1] += 1
-            w.reduced = rows, bad
+            rows = w.view_rows
+            bad = rows.copy()
+            bad[-1, (w.identity_bits & -w.identity_bits).bit_length() - 1] += 1
+            w.view_rows = bad
             with pytest.raises(LPError, match="identity violates"):
-                region._reduced_rows(pairs, (1 << region.nvar) - 1)
-            w.reduced = rows, const
+                region._view_match()
+            w.view_rows = rows
     with pytest.raises(LPError, match="integers"):
         dual_certificate(np.array([[1.0, 2.0]]))
 
 
 def test_a_region_the_identity_violates_raises():
     # a region the bits leave open and the dual pins: construction checks
-    # each reduced row's constant, the identity's coefficient on both sides
+    # each view-match row's sum over the identity's columns
     p, _ = t1_instance(0)
     col = next(col for col in nonintersecting_collections(AdversaryStructure.threshold(2, 1))
                if Regions(p)[col]._route == "dual")
     for member in (0, -1):
         regions = Regions(p)
         w = regions.channel(tuple(sorted(col[member])))
-        rows, const = w.reduced
-        const = const.copy()
-        const[np.flatnonzero(const)[0]] += 1
-        w.reduced = rows, const
+        bad = w.view_rows.copy()
+        bad[0, (w.identity_bits & -w.identity_bits).bit_length() - 1] += 1
+        w.view_rows = bad
         with pytest.raises(LPError, match="identity violates"):
             regions[col]
 
 
 # -- the mod-2 certificate on bit rows -----------------------------------------
 
-def _rank_of_odd_entries(A: list[dict[int, int]]) -> int:
-    """The rank mod 2 of dict rows, by a basis of bit rows that each reduce
-    a row at their highest bit."""
+def _rank_of_odd_entries(A: np.ndarray) -> int:
+    """The rank mod 2 of integer rows, by a basis of bit rows that each
+    reduce a row at their highest bit."""
     basis: list[int] = []
-    for row in A:
-        bits = sum(1 << j for j, v in row.items() if v % 2)
+    for row in A.tolist():
+        bits = sum(1 << j for j, v in enumerate(row) if v % 2)
         for b in basis:
             bits = min(bits, bits ^ b)
         if bits:
@@ -863,7 +894,7 @@ def _rank_of_odd_entries(A: list[dict[int, int]]) -> int:
 
 def test_bit_pinned_regions_have_full_rank_mod_2(erasure_pmf, erasure_f_uv, erasure_f_uvw,
                                                  threshold_3_2, monkeypatch):
-    # the bits pin a region iff its dict rows have full column rank mod 2;
+    # the bits pin a region iff its rows have full column rank mod 2;
     # a region they pin holds the identity and no other point
     outcomes = Counter()
     for region in _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2,
@@ -875,7 +906,7 @@ def test_bit_pinned_regions_have_full_rank_mod_2(erasure_pmf, erasure_f_uv, eras
         if bits:
             # full column rank leaves the dual solvable, so it pins them too
             assert dual_certificate(_region_reduced_rows(region)) is not None
-            crashed = Tableau(region.A, region.b, len(start), start=start)
+            crashed = Tableau(region.A, region.b, start=start)
             pos = positive_coordinates(crashed, range(len(start)), seeds=[start])
             assert pos == {i for i, x in enumerate(start) if x}
         outcomes[bits] += 1
@@ -943,8 +974,8 @@ def test_shared_channel_tables_build_the_same_regions():
     regions = Regions(p)
     for col in nonintersecting_collections(AdversaryStructure.threshold(4, 2)):
         fresh, shared = _rows(Regions(p)[col]), _rows(regions[col])
-        assert shared.A == fresh.A and shared.b == fresh.b
-        assert shared.alive_vars == fresh.alive_vars and shared.fixed == fresh.fixed
+        assert np.array_equal(shared.A, fresh.A) and shared.b == fresh.b
+        assert shared.alive_vars == fresh.alive_vars
         for v in fresh.members[0].at:
             assert _explanations(shared, v) == _explanations(fresh, v)
     assert len(regions) == 969 and len(regions.channels) == 10

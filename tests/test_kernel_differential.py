@@ -40,7 +40,7 @@ from byzfc.viability import Regions, _needs_solving, _Region, check_viability
 from byzfc.viewsets import ViewSetHandle
 
 from test_crash_start import _identity_start, _ladder, distance_queries
-from test_simplex import fuzz_lps, random_lps, sparse
+from test_simplex import fuzz_lps, integer_rows, random_lps
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -55,22 +55,17 @@ class DenseTableau:
     """The dense Bareiss tableau that ``simplex.Tableau`` replaced: every
     row a full list of ``width`` ints, every pivot updating every entry."""
 
-    def __init__(self, A: Sequence[dict], b: Sequence, n: int,
-                 start: Sequence | None = None):
-        m = len(A)
+    def __init__(self, A: np.ndarray, b: Sequence, start: Sequence | None = None):
+        m, n = A.shape
         if len(b) != m:
             raise LPError("constraint rows and right-hand sides differ in count")
         phase1 = start is None
         self.width = width = n + 1 + (m if phase1 else 0)
         rows: list[list[int]] = []
-        for i, (a, rhs) in enumerate(zip(A, b)):
-            vals, _ = _integers([*a.values(), rhs])
+        for i, (a, rhs) in enumerate(zip(A.tolist(), b)):
+            vals, _ = _integers([*a, rhs])
             sign = -1 if vals[-1] < 0 else 1
-            row = [0] * width
-            for j, v in zip(a, vals):
-                if not 0 <= j < n:
-                    raise LPError(f"column {j} outside the {n} variables")
-                row[j] = sign * v
+            row = [sign * v for v in vals[:-1]] + [0] * (width - n)
             row[-1] = sign * vals[-1]
             if phase1:
                 row[n + i] = 1
@@ -303,9 +298,9 @@ def same_run(run):
 
 def _lp_run(A, b, c):
     def run(kernel):
-        t = kernel(A, b, len(c))
+        t = kernel(A, b)
         opt = t.maximize(c)
-        crashed = kernel(A, b, len(c), start=t.solution())
+        crashed = kernel(A, b, start=t.solution())
         return opt, crashed.maximize(c), positive_coordinates(crashed, range(len(c)))
     return run
 
@@ -314,7 +309,7 @@ def _lp_run(A, b, c):
 def test_simplex_lps(lps):
     for A, b, c in lps():
         for sign in (1, -1):
-            same_run(_lp_run(sparse(A), b, [sign * v for v in c]))
+            same_run(_lp_run(*integer_rows(A, b), [sign * v for v in c]))
 
 
 HUGE_DEN = 2**61 + 1
@@ -339,7 +334,7 @@ def huge_denominator_lps():
 def test_huge_denominator_lps():
     for A, b, c in huge_denominator_lps():
         for sign in (1, -1):
-            same_run(_lp_run(sparse(A), b, [sign * v for v in c]))
+            same_run(_lp_run(*integer_rows(A, b), [sign * v for v in c]))
 
 
 def growing_lps():
@@ -372,7 +367,7 @@ def test_entries_past_the_int64_bound(monkeypatch):
         assert max(abs(v) for row in A for v in row) <= ENTRY_BOUND
         for sign in (1, -1):
             kinds.clear()
-            same_run(_lp_run(sparse(A), b, [sign * v for v in c]))
+            same_run(_lp_run(*integer_rows(A, b), [sign * v for v in c]))
             switched += kinds[0] == np.int64 and object in kinds
     assert switched == 60, switched
 
@@ -418,7 +413,7 @@ def test_fallback_regions_of_the_ladder():
             start = _identity_start(region)
 
             def run(kernel):
-                t = kernel(region.A, region.b, len(start), start=start)
+                t = kernel(region.A, region.b, start=start)
                 return positive_coordinates(t, range(len(start)), seeds=[start])
 
             same_run(run)
@@ -509,7 +504,7 @@ def test_seed_1_verdict_random_pass_pivots(monkeypatch):
 
 def test_seed_1_verdict_random_pass_routes(monkeypatch):
     # each region is settled by its rank mod 2 on bit rows, else by an
-    # integer dual on its reduced rows, neither building a dict row, else by
+    # integer dual on its reduced rows, neither building the tableau rows, else by
     # the crash-started tableau, one per region; the dual pins every single
     # point, so only regions with free directions, their reach past the
     # identity's entries, reach the tableau

@@ -23,6 +23,8 @@ from byzfc.simplex import Tableau
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
 from byzfc.viability import check_s_viability, check_viability
 
+from test_simplex import integer_rows
+
 _ZERO = Fraction(0)
 
 
@@ -93,7 +95,7 @@ def qspace_max_conflict(p, f, collection):
                     if row:
                         rows.append(row)
                         rhs.append(_ZERO)
-    t = Tableau(rows, rhs, nvar)
+    t = Tableau(*integer_rows([[row.get(j, _ZERO) for j in range(nvar)] for row in rows], rhs))
     c = [_ZERO] * nvar
     for pt in points:
         view, blocks = split(pt)

@@ -30,8 +30,8 @@ def law(request, erasure_pmf):
 
 
 def test_view_rows_match_induced_view(law, threshold_3_2):
-    # evaluated at a random exact channel, each row is den times the view's
-    # mass there, for both signs
+    # evaluated at a random exact channel, each row read off ``at`` is den
+    # times the view's mass there, and so is each row of ``view_rows``
     views = list(product(*(range(a.size) for a in law.axes)))
     for s in threshold_3_2.sets:
         if not s:
@@ -41,13 +41,15 @@ def test_view_rows_match_induced_view(law, threshold_3_2):
         axes = tuple(law.axes[c] for c in coords)
         for seed in range(3):
             chan = random_channel(axes, seed=seed, small=True)
-            x = {5 + var: chan.rows[tx + ux] for (tx, ux), var in w.var.items()}
+            x = [Fraction(0)] * w.size
+            for (tx, ux), var in w.var.items():
+                x[var] = chan.rows[tx + ux]
             view = induce_view(law, s, chan)
-            for v in views:
-                for sign in (1, -1):
-                    got = sum((c * x[var] for var, c in w.view_row(v, sign, 5).items()),
-                              Fraction(0))
-                    assert got == sign * w.den * view.mass[v]
+            dense = w.view_rows.astype(object) @ np.array(x, dtype=object)
+            for v, got in zip(views, dense.tolist()):
+                row = {var: num for _, var, num in w.at[v]}
+                assert sum((c * x[var] for var, c in row.items()), Fraction(0)) == got
+                assert got == w.den * view.mass[v]
 
 
 def test_integer_view_rows_are_the_view_rows_times_the_denominator(law, threshold_3_2):
@@ -59,44 +61,44 @@ def test_integer_view_rows_are_the_view_rows_times_the_denominator(law, threshol
         coords = tuple(sorted(s))
         w = ChannelVars(law, coords)
         assert type(w.den) is int and w.den > 0
-        for v in w.at:
+        assert w.view_rows.dtype == np.int64 and w.view_rows.shape == (len(w.at), w.size)
+        for v, row in zip(w.at, w.view_rows.tolist()):
             ux = tuple(v[c] for c in coords)
-            coefs = {}
+            want = [0] * w.size
             for tx in w.rows:
                 full = list(v)
                 for pos, c in enumerate(coords):
                     full[c] = tx[pos]
-                if law.mass[tuple(full)] > 0:
-                    coefs[5 + w.var[(tx, ux)]] = law.mass[tuple(full)]
-            for sign in (1, -1):
-                row = w.view_row(v, sign, 5)
-                assert all(type(c) is int for c in row.values())
-                assert row == {j: sign * c * w.den for j, c in coefs.items()}
+                want[w.var[(tx, ux)]] = law.mass[tuple(full)] * w.den
+            assert row == want
 
 
 def test_float_view_rows_are_the_float_view(law, threshold_3_2):
-    # an exact row over den, divided in float, holds the law's float mass,
-    # so it evaluates at a channel's float rows to the view, up to rounding
+    # the float LP's view rows, exact rows over den divided in float, hold
+    # the law's float mass, so they evaluate at a channel's float rows to
+    # the view, up to rounding
     pf = law.mass.astype(np.float64)
     views = list(product(*(range(a.size) for a in law.axes)))
     for s in threshold_3_2.sets:
         if not s:
             continue
         coords = tuple(sorted(s))
-        w = ChannelVars(law, coords)
+        w, A, _, _ = ViewSetHandle(law, s)._float_lp
         axes = tuple(law.axes[c] for c in coords)
         chan = random_channel(axes, seed=7, small=True)
-        x = {var: float(chan.rows[tx + ux]) for (tx, ux), var in w.var.items()}
+        x = np.zeros(w.size)
+        for (tx, ux), var in w.var.items():
+            x[var] = float(chan.rows[tx + ux])
         view = induce_view(law, s, chan)
-        for v in views:
-            row = {var: num / w.den for var, num in w.view_row(v).items()}
+        for v, row in zip(views, A[:, :w.size]):
+            want = np.zeros(w.size)
             for tx, var, _ in w.at[v]:
                 full = list(v)
                 for pos, c in enumerate(coords):
                     full[c] = tx[pos]
-                assert row[var] == pf[tuple(full)]
-            got = sum(c * x[var] for var, c in row.items())
-            assert got == pytest.approx(float(view.mass[v]), abs=1e-12)
+                want[var] = pf[tuple(full)]
+            assert np.array_equal(row, want)
+            assert float(row @ x) == pytest.approx(float(view.mass[v]), abs=1e-12)
 
 
 def test_tables_need_an_exact_law(law):
@@ -115,8 +117,8 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
         w = ChannelVars(law, tuple(sorted(s)))
         x = [w.identity_bits >> var & 1 for var in range(w.size)]
         assert set(x) == {0, 1} and all(type(v) is int for v in x)
-        for row in w.sum_rows():
-            assert sum(x[var] * c for var, c in row.items()) == 1
+        for tx in w.rows:
+            assert sum(x[w.var[(tx, ux)]] for ux in w.outs) == 1
         ident = Channel.identity(tuple(law.axes[c] for c in w.coords))
         assert (w.channel(x).rows == ident.rows).all()
 
@@ -172,16 +174,19 @@ def _bits(variables) -> int:
 
 def test_bit_rows_are_the_dict_rows(law, threshold_3_2):
     # a view's bits are its row's variables, its odd bits those with an odd
-    # coefficient; the sum bits are the sum rows and the identity's bits
-    # its point
+    # coefficient, and its integer row that row's numerators; the sum bits
+    # are each input's outputs and the identity's bits its point
     for s in threshold_3_2.nonempty_sets:
         w = ChannelVars(law, tuple(sorted(s)))
         assert len(w.view_bits) == len(w.odd_bits) == len(w.at)
-        for v, view, odd in zip(w.at, w.view_bits, w.odd_bits):
-            row = w.view_row(v)
+        dense = np.zeros((len(w.at), w.size), dtype=np.int64)
+        for i, (v, view, odd) in enumerate(zip(w.at, w.view_bits, w.odd_bits)):
+            row = {var: num for _, var, num in w.at[v]}
             assert view == _bits(row)
             assert odd == _bits(var for var, num in row.items() if num % 2)
-        assert w.sum_bits == [_bits(row) for row in w.sum_rows()]
+            dense[i, list(row)] = list(row.values())
+        assert np.array_equal(w.view_rows, dense)
+        assert w.sum_bits == [_bits(w.var[(tx, ux)] for ux in w.outs) for tx in w.rows]
         assert w.identity_bits == _bits(w.var[(tx, tx)] for tx in w.rows)
 
 
@@ -203,24 +208,15 @@ def test_a_table_whose_identity_view_is_not_the_law_is_refused(law, monkeypatch)
                 build()
 
 
-def _reduced_by_view(t: SimpleNamespace) -> tuple[list[list[int]], list[int]]:
-    """Each view's row read off ``at`` with W(tx | tx) replaced by 1 minus
-    its input's other entries, one entry at a time, and the constant moved
-    out."""
-    width = len(t.outs)
-    rows, consts = [], []
-    for v, terms in t.at.items():
-        row, const = [0] * t.size, 0
-        for tx, var, num in terms:
+def _rows_by_view(t: SimpleNamespace) -> list[list[int]]:
+    """Each view's row read off ``at``, one entry at a time."""
+    rows = []
+    for terms in t.at.values():
+        row = [0] * t.size
+        for _, var, num in terms:
             row[var] += num
-            if tx == tuple(v[c] for c in t.coords):
-                const += num
-                first = t.var[(tx, t.outs[0])]
-                for j in range(first, first + width):
-                    row[j] -= num
         rows.append(row)
-        consts.append(const)
-    return rows, consts
+    return rows
 
 
 def reference_channel_vars(p: JointPmf, coords: tuple[int, ...], ints=None) -> SimpleNamespace:
@@ -288,8 +284,7 @@ def test_the_table_builder_matches_the_per_view_loop(erasure_pmf):
                                  "sum_bits", "identity_bits"):
                         assert getattr(w, attr) == getattr(want, attr), attr
                     assert list(w.at.items()) == list(want.at.items())
-                    rows, const = w.reduced
-                    assert (rows.tolist(), const.tolist()) == _reduced_by_view(want)
+                    assert w.view_rows.tolist() == _rows_by_view(want)
                     assert all(type(num) is int for terms in w.at.values() for *_, num in terms)
                 dropped += len(want.outs) - len(want.rows)
     assert dropped

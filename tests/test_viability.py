@@ -215,7 +215,7 @@ class TestBuildG:
         g = build_g(erasure_pmf, erasure_f_uv, col)
         region = Regions(erasure_pmf)[col]
         from byzfc.simplex import Tableau
-        t = Tableau(region.A, region.b, len(region.alive_vars))
+        t = Tableau(region.A, region.b)
         rng = np.random.default_rng(5)
         sizes = tuple(a.size for a in erasure_pmf.axes)
         for _ in range(12):

@@ -26,6 +26,7 @@ from byzfc.viewsets import (CERT_BITS, DistanceScreen, ViewSetHandle, _certifica
                             _distance_exact, distance_to_viewset, induce_view)
 
 from test_decoder import exact_type_block
+from test_simplex import integer_rows
 
 
 def random_channel(axes, seed, small=False):
@@ -189,12 +190,15 @@ def _fraction_distance_lp(handle: ViewSetHandle):
     on W(ux | tx), -1 and 1 on the view slacks, then the row sums."""
     w = ChannelVars(handle.base, handle.coords)
     nv = len(w.at)
-    rows = []
+    rows = [[Fraction(0)] * (w.size + 2 * nv) for _ in range(nv + len(w.rows))]
     for vi, v in enumerate(w.at):
-        row = {var: Fraction(num, w.den) for _, var, num in w.at[v]}
-        row[w.size + vi], row[w.size + nv + vi] = -1, 1
-        rows.append(row)
-    return w, rows + w.sum_rows()
+        for _, var, num in w.at[v]:
+            rows[vi][var] = Fraction(num, w.den)
+        rows[vi][w.size + vi], rows[vi][w.size + nv + vi] = -1, 1
+    for ti, tx in enumerate(w.rows):
+        for ux in w.outs:
+            rows[nv + ti][w.var[(tx, ux)]] = 1
+    return w, rows
 
 
 def _fraction_distance(handle: ViewSetHandle, q: JointPmf):
@@ -211,7 +215,7 @@ def _fraction_distance(handle: ViewSetHandle, q: JointPmf):
         gap = p.mass[v] - q.mass[v]
         start[w.size + vi if gap > 0 else w.size + nv + vi] = abs(gap)
     b = [q.mass[v] for v in views] + [1] * len(w.rows)
-    t = Tableau(rows, b, len(start), start=start)
+    t = Tableau(*integer_rows(rows, b), start=start)
     dist = -t.maximize([0] * w.size + [Fraction(-1, 2)] * (2 * nv))
     return dist, w.channel(t.solution())
 
@@ -230,11 +234,7 @@ def test_integer_distance_rows_match_the_fraction_rows(erasure_pmf, threshold_3_
             if aset:
                 _, rows = _fraction_distance_lp(handle)
                 _, A, _, _ = handle._float_lp
-                want = np.zeros(A.shape)
-                for i, row in enumerate(rows):
-                    for j, v in row.items():
-                        want[i, j] = float(v)
-                assert np.array_equal(A, want)
+                assert np.array_equal(A, np.array(rows, dtype=float))
             for q in types:
                 if aset:
                     got = _distance_exact(handle, q)
