@@ -4,8 +4,8 @@ Both LPs are built from per-letter adversary channels W(ux | tx) on the
 coordinates of one adversary set.  ``ChannelVars`` numbers the entries of
 one such channel, reads P's coefficients on them from one table of P's
 numerators over a denominator shared by the whole law, builds their mod-2
-bit rows at once and their per-view lists and integer view rows when read,
-and turns a solution back into a ``Channel``.
+bit rows at once and their integer view rows, the one table of those
+coefficients, when read, and turns a solution back into a ``Channel``.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ class ChannelVars:
     ``view_bits`` and ``odd_bits``, in ``product`` order over P's axes,
     hold each view's variables and those of them with an odd numerator;
     ``sum_bits`` each input's variables in ``rows`` order and
-    ``identity_bits`` the identity's.  ``at``, the views' coefficient
-    lists, and ``view_rows``, the same coefficients as one integer array,
-    are built on first read.
+    ``identity_bits`` the identity's; ``inputs`` is each variable's tx.
+    ``view_rows``, the coefficients as one integer array, is built on first
+    read: row v's nonzero entries are the inputs of positive coefficient, at
+    most one each, in ``rows`` order.
     """
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
@@ -69,6 +70,7 @@ class ChannelVars:
         self.rows = [tx for tx, on in zip(self.outs, live.tolist()) if on]
         self.var = {key: i for i, key in enumerate(product(self.rows, self.outs))}
         self.size = len(self.var)
+        self.inputs = [tx for tx in self.rows for _ in self.outs]
         # each rest's numerators on the inputs in rows, and their variables'
         # bits at ux's index 0; view v, at table index i in product order,
         # has ux's index i // nrest and the rest's i % nrest
@@ -91,18 +93,6 @@ class ChannelVars:
         # by (v's index a in outs, rest r, input t, output u): rests[r, t] if u is a
         view = rests[None, :, :, None] * np.eye(len(self.outs), dtype=rests.dtype)[:, None, None]
         return view.reshape(-1, self.size)[self._views]
-
-    @cached_property
-    def at(self) -> dict[tuple[int, ...], list]:
-        """For each view point v, in ``product`` order over P's axes, one
-        ``(tx, var, num)`` per input in ``rows`` order with num / ``den`` =
-        P(v with ``coords`` replaced by tx) > 0; var is W(v's ``coords`` | tx)."""
-        width, nrest = len(self.outs), len(self._rests)
-        groups = [[(tx, f, n) for tx, f, n in zip(self.rows, range(0, self.size, width), col)
-                   if n > 0] for col in self._rests]
-        views = product(*(range(a.size) for a in self.p.axes))
-        return {v: [(tx, var + i // nrest, n) for tx, var, n in groups[i % nrest]]
-                for v, i in zip(views, self._views)}
 
     def channel(self, sol: Sequence, offset: int = 0) -> Channel:
         """The exact channel at a rational solution; inputs off P's support

@@ -340,34 +340,30 @@ def _materialize_witness(region: _Region, conflict: GBuildConflict) -> Violation
     v = conflict.view
     (a, fa), (b, fb) = conflict.details
     p = region.p
-    k = region.k
-    collection = region.collection
     members = region.members
-    den = region.den
     wa, wb = members[a[0]], members[b[0]]
     var_a = region.var(a[0], a[1], tuple(v[c] for c in wa.coords))
     var_b = region.var(b[0], b[1], tuple(v[c] for c in wb.coords))
     sol = region.conflict_vertex(var_a, var_b)
-    # member m's joint numerator at view vp and input tx is num * W_m(vp | tx),
-    # and den * P_view(vp) is member 0's sum of them (its offset is 0)
-    placed = list(zip(members, region.offsets))
+    # member m's joint numerators at view vp, num * W_m(vp | tx), are row vp of
+    # its view rows times the vertex, kept on the columns the vertex uses;
+    # den * P_view(vp) is member 0's sum of them
+    joints = []
+    for w, off in zip(members, region.offsets):
+        x = np.array(sol[off:off + w.size], dtype=object)
+        cols = np.flatnonzero(x).tolist()
+        joints.append(([w.inputs[c] for c in cols], (w.view_rows[:, cols] * x[cols]).tolist()))
 
     joint_axes = tuple(p.axes) + tuple(p.axes[c] for w in members for c in w.coords)
     mass = zero_mass(tuple(ax.size for ax in joint_axes))
 
-    for vp, at0 in members[0].at.items():
-        dpv = sum(num * sol[var] for _, var, num in at0)
+    for vi, vp in enumerate(np.ndindex(p.mass.shape)):
+        dpv = sum(joints[0][1][vi])
         if dpv == 0:
             continue
-        pv = Fraction(dpv, den)
-        posts = []
-        for w, off in placed:
-            post = []
-            for tx, var, num in w.at[vp]:
-                joint_num = num * sol[off + var]
-                if joint_num > 0:
-                    post.append((tx, joint_num / dpv))
-            posts.append(post)
+        pv = Fraction(dpv, region.den)
+        posts = [[(tx, num / dpv) for tx, num in zip(ins, rows[vi]) if num]
+                 for ins, rows in joints]
         for combo in product(*posts):
             weight = pv
             idx: list[int] = list(vp)
@@ -378,19 +374,20 @@ def _materialize_witness(region: _Region, conflict: GBuildConflict) -> Violation
     joint = JointPmf(joint_axes, mass)
 
     point: list[int] = list(v)
-    for m, (w, off) in enumerate(placed):
+    vi = int(np.ravel_multi_index(v, p.mass.shape))
+    for m, (ins, rows) in enumerate(joints):
         if m == a[0]:
             point.extend(a[1])
         elif m == b[0]:
             point.extend(b[1])
         else:
-            chosen = next((tx for tx, var, num in w.at[v] if num * sol[off + var] > 0), None)
+            chosen = next((tx for tx, num in zip(ins, rows[vi]) if num), None)
             if chosen is None:
                 raise LPError("view point lost its explanation during averaging")
             point.extend(chosen)
 
-    return ViolationWitness(collection=collection, joint=joint, point=tuple(point),
-                            pair=(a[0], b[0]), f_values=(fa, fb), k=k)
+    return ViolationWitness(collection=region.collection, joint=joint, point=tuple(point),
+                            pair=(a[0], b[0]), f_values=(fa, fb), k=region.k)
 
 
 def _repaired(region: _Region, f: TargetFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -399,9 +396,10 @@ def _repaired(region: _Region, f: TargetFunction) -> tuple[np.ndarray, np.ndarra
 
     Walks the views in product order and pins each to the f-value of its
     first explanation, a scenario truth (member, tx) that can carry positive
-    mass there.  A conflict is a pair of explanations of a lower and a
-    higher member with different f-values, the first by member pair and
-    then by each member's input order.  A region whose only point is the
+    mass there: a nonzero, reached column of the member's view row.  A
+    conflict is a pair of explanations of a lower and a higher member with
+    different f-values, the first by member pair and then by each member's
+    input order, which is column order.  A region whose only point is the
     identity explains each view on P's support by itself alone, so its
     table is f's, pinned on the support.
     """
@@ -409,19 +407,24 @@ def _repaired(region: _Region, f: TargetFunction) -> tuple[np.ndarray, np.ndarra
     if region.pinned:
         return table, region.p.mass.astype(bool)
     mask = np.zeros(table.shape, dtype=bool)
-    placed = list(enumerate(zip(region.members, region.offsets)))
+    reached = np.zeros(region.nvar, dtype=bool)
+    reached[list(region.reach)] = True
+    expl: list[list] = [[] for _ in range(table.size)]
+    for m, (w, off) in enumerate(zip(region.members, region.offsets)):
+        views, cols = np.nonzero((w.view_rows != 0) & reached[off:off + w.size])
+        for vi, col in zip(views.tolist(), cols.tolist()):
+            expl[vi].append((m, w.inputs[col]))
     symbols = f.codomain.symbols
-    for v in region.members[0].at:
-        expl = [(m, tx, _f_at(f, v, w.coords, tx)) for m, (w, off) in placed
-                for tx, var, _ in w.at[v] if off + var in region.reach]
-        if not expl:
+    for v, here in zip(np.ndindex(table.shape), expl):
+        if not here:
             continue
-        hits = [(a, b) for a, b in combinations(expl, 2) if a[0] < b[0] and a[2] != b[2]]
+        here = [(m, tx, _f_at(f, v, region.members[m].coords, tx)) for m, tx in here]
+        hits = [(a, b) for a, b in combinations(here, 2) if a[0] < b[0] and a[2] != b[2]]
         if hits:
             # min keeps the first of a member pair's hits, in input order
             (ma, tx_a, fa), (mb, tx_b, fb) = min(hits, key=lambda h: (h[0][0], h[1][0]))
             raise GBuildConflict(v, ((ma, tx_a), symbols[fa]), ((mb, tx_b), symbols[fb]))
-        table[v], mask[v] = expl[0][2], True
+        table[v], mask[v] = here[0][2], True
     return table, mask
 
 
@@ -509,13 +512,15 @@ def verify_witness(witness: ViolationWitness, p: JointPmf, f: TargetFunction) ->
     joint = witness.joint
     k = witness.k
     kk = k + 1
-    assert joint.mass[witness.point] > 0, "conflicting point has zero mass"
+    if not joint.mass[witness.point] > 0:
+        raise AssertionError("conflicting point has zero mass")
 
     va = _f_at(f, witness.view_point(), witness.member_coords(witness.pair[0]),
                witness.scenario_truth(witness.pair[0]))
     vb = _f_at(f, witness.view_point(), witness.member_coords(witness.pair[1]),
                witness.scenario_truth(witness.pair[1]))
-    assert va != vb, "witness point does not conflict"
+    if va == vb:
+        raise AssertionError("witness point does not conflict")
 
     qn, qd = integer_mass(joint.mass)
     pn, pd = integer_mass(p.mass)
@@ -530,8 +535,8 @@ def verify_witness(witness: ViolationWitness, p: JointPmf, f: TargetFunction) ->
         for full_idx in product(*(range(a.size) for a in p.axes)):
             tx = tuple(full_idx[c] for c in coords)
             others = tuple(full_idx[c] for c in rest)
-            assert marg[others + tx] * pd == pn[full_idx] * qd, \
-                f"scenario {m} constraint (a) fails at {full_idx}"
+            if marg[others + tx] * pd != pn[full_idx] * qd:
+                raise AssertionError(f"scenario {m} constraint (a) fails at {full_idx}")
         # (b): cross-multiplied Markov constraint; both sides are over qd * pd
         q4 = qn.sum(axis=other_blocks)
         q2 = qn.sum(axis=rest + other_blocks)
@@ -544,4 +549,5 @@ def verify_witness(witness: ViolationWitness, p: JointPmf, f: TargetFunction) ->
                 for pos, c in enumerate(coords):
                     src[c] = tx[pos]
                 rhs = q2[ux_a + tx] * pn[tuple(src)]
-                assert lhs == rhs, f"scenario {m} constraint (b) fails at {full_idx}, {tx}"
+                if lhs != rhs:
+                    raise AssertionError(f"scenario {m} constraint (b) fails at {full_idx}, {tx}")

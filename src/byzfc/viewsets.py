@@ -119,7 +119,8 @@ class MembershipResult:
     def verify(self, handle: ViewSetHandle, q: JointPmf) -> None:
         """Re-check exactly that the nearest channel's view lies at ``upper``."""
         view = induce_view(handle.base, handle.adversary_set, self.nearest_channel)
-        assert self.lower <= self.upper == view.tv_distance(q)
+        if not self.lower <= self.upper == view.tv_distance(q):
+            raise AssertionError("the nearest channel's view is not at the upper bound")
 
 
 class DistanceScreen:
@@ -212,7 +213,7 @@ def distance_to_viewset(handle: ViewSetHandle, q: JointPmf, thresh) -> Membershi
         chan = np.floor(np.clip(res.x[:w.size], 0, 1) * one).astype(np.int64).reshape(-1, no)
         top = chan.argmax(axis=1)
         chan[np.arange(len(chan)), top] += one - chan.sum(axis=1)
-        g = np.clip(np.rint(res.eqlin.marginals[:len(w.at)] * one), -one // 2, one // 2)
+        g = np.clip(np.rint(res.eqlin.marginals[:len(w.view_rows)] * one), -one // 2, one // 2)
         if (chan >= 0).all():
             result = _certificate(w, q, chan.reshape(-1).tolist(), g.astype(np.int64).tolist())
             if result.lower > thresh or result.upper <= thresh:
@@ -225,19 +226,19 @@ def _certificate(w: ChannelVars, q: JointPmf, chan: list[int], g: list[int]) -> 
     whose rows sum to 2**CERT_BITS, both over 2**CERT_BITS; by weak duality
     sum_v g(v) q(v) - sum_tx max_ux sum_rest P(tx, rest) g(ux, rest) is at
     most the distance, and the channel's view is at least it.  The sums are
-    taken in integers: P over ``w.den``, q over its common denominator."""
+    taken in integers: P over ``w.den``, q over its common denominator.
+    Every row and column sum of ``view_rows`` is at most ``den``, so g and
+    the channel meet it in int64 when ``den << CERT_BITS`` fits, and in
+    Python ints otherwise."""
     qn, qd = integer_mass(q.mass)
     one, no = 1 << CERT_BITS, len(w.outs)
-    gq = gap = 0
-    worst = [0] * w.size
-    for vi, (terms, qv) in enumerate(zip(w.at.values(), qn.reshape(-1).tolist())):
-        gq += g[vi] * qv
-        view = 0
-        for _, var, num in terms:
-            worst[var] += num * g[vi]
-            view += num * chan[var]
-        gap += abs(qd * view - w.den * one * qv)
-    best = sum(max(worst[i:i + no]) for i in range(0, w.size, no))
+    wide = np.int64 if w.den << CERT_BITS <= INT64_MAX else object
+    rows, qs = w.view_rows.astype(wide, copy=False), qn.reshape(-1).tolist()
+    worst = np.array(g, dtype=wide) @ rows
+    view = (rows @ np.array(chan, dtype=wide)).tolist()
+    gq = sum(gv * qv for gv, qv in zip(g, qs))
+    gap = sum(abs(qd * x - w.den * one * qv) for x, qv in zip(view, qs))
+    best = sum(worst.reshape(-1, no).max(axis=1).tolist())
     lower = Fraction(w.den * gq - qd * best, one * w.den * qd)
     upper = Fraction(gap, 2 * one * w.den * qd)
     return MembershipResult(lower, upper, w, chan, one)

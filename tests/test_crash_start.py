@@ -44,7 +44,7 @@ from byzfc.viability import (GBuildConflict, Regions, _f_at, _needs_solving, _Re
 from byzfc.viewsets import ViewSetHandle, _distance_exact, induce_view
 
 from test_acceptance import t1_instance
-from test_viewsets import random_channel
+from test_viewsets import coefficients, random_channel
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -200,12 +200,13 @@ def _sum_rows(region: _Region) -> list[dict]:
 
 
 def _match_rows(region: _Region) -> list[dict]:
-    """The view-match rows read off ``at``: per adjacent pair and view,
+    """The view-match rows read off P by index: per adjacent pair and view,
     the first member's numerators less the second's."""
     placed = list(zip(region.members, region.offsets))
-    return [{**{off0 + var: num for _, var, num in w0.at[v]},
-             **{off1 + var: -num for _, var, num in w1.at[v]}}
-            for (w0, off0), (w1, off1) in zip(placed, placed[1:]) for v in w0.at]
+    return [{**{off0 + var: num for _, var, num in coefficients(w0, v)},
+             **{off1 + var: -num for _, var, num in coefficients(w1, v)}}
+            for (w0, off0), (w1, off1) in zip(placed, placed[1:])
+            for v in np.ndindex(region.p.mass.shape)]
 
 
 def _sign_presolve(region: _Region):
@@ -270,7 +271,7 @@ def test_side_presolve_matches_the_sign_presolve(erasure_pmf, erasure_f_uv, eras
 
 
 def _merged_rows(region: _Region):
-    """The row builder that merged two view rows read off ``at`` per view:
+    """The row builder that merged two view rows read off P per view:
     (alive_vars, A, b) over the region's presolve."""
     fixed = {v for v in range(region.nvar) if region._fixed_bits >> v & 1}
     alive_vars = [v for v in range(region.nvar) if v not in fixed]
@@ -317,13 +318,13 @@ def test_rows_read_off_the_tables_match_the_merged_view_rows(erasure_pmf, erasur
 def _explanations(region: _Region, v) -> list[tuple[int, tuple[int, ...]]]:
     """Scenario truths (member, tx) that can carry positive mass at view v."""
     return [(m, tx) for m, (w, off) in enumerate(zip(region.members, region.offsets))
-            for tx, var, _ in w.at[v] if off + var in region.reach]
+            for tx, var, _ in coefficients(w, v) if off + var in region.reach]
 
 
 def _scan_every_view(region: _Region, f):
     """The scan without the shortcut for regions pinned to the identity: the
     explanations of every view, grouped by member, first f-conflict or None."""
-    for v in region.members[0].at:
+    for v in np.ndindex(region.p.mass.shape):
         expl = _explanations(region, v)
         if len(expl) < 2:
             continue
@@ -358,7 +359,7 @@ def _reference_repair(region: _Region, f):
                   for m, tx in ((ma, tx_a), (mb, tx_b)))
         return v, (((ma, tx_a), fa), ((mb, tx_b), fb))
     table, mask = f.table.copy(), np.zeros(f.table.shape, dtype=bool)
-    for v in region.members[0].at:
+    for v in np.ndindex(region.p.mass.shape):
         expl = _explanations(region, v)
         if expl:
             m, tx = expl[0]
@@ -388,7 +389,7 @@ def _g_matches_the_grouping(p, f, col, monkeypatch) -> bool:
     returns whether the collection is conflict-free."""
     region = Regions(p)[col]
     table, mask, grouped = f.table.copy(), np.zeros(f.table.shape, dtype=bool), True
-    for v in region.members[0].at:
+    for v in np.ndindex(region.p.mass.shape):
         values = {_f_at(f, v, region.members[m].coords, tx) for m, tx in _explanations(region, v)}
         grouped = grouped and len(values) < 2
         if values:
@@ -453,7 +454,7 @@ def test_build_g_on_a_bit_pinned_region_reads_no_view_list(erasure_pmf, erasure_
         region = regions[col]
         if region._route == "bits":
             g = build_g(erasure_pmf, erasure_f_uv, col, regions=regions)
-            assert not any("at" in vars(w) for w in regions.channels.values())
+            assert not any("view_rows" in vars(w) for w in regions.channels.values())
             assert np.array_equal(g.table, erasure_f_uv.table)
             assert np.array_equal(g.defined_mask, erasure_pmf.mass > 0)
             pinned += 1
@@ -477,10 +478,10 @@ def _channel_witness(region: _Region, v, a, b) -> tuple[JointPmf, tuple[int, ...
 
     def carried(w, chan, vp):
         ux = tuple(vp[c] for c in w.coords)
-        return [(tx, joint_num) for tx, _, num in w.at[vp]
+        return [(tx, joint_num) for tx, _, num in coefficients(w, vp)
                 if (joint_num := num * chan.rows[tx + ux]) > 0]
 
-    for vp in members[0].at:
+    for vp in np.ndindex(p.mass.shape):
         pv = view.mass[vp]
         if pv == 0:
             continue
@@ -976,6 +977,6 @@ def test_shared_channel_tables_build_the_same_regions():
         fresh, shared = _rows(Regions(p)[col]), _rows(regions[col])
         assert np.array_equal(shared.A, fresh.A) and shared.b == fresh.b
         assert shared.alive_vars == fresh.alive_vars
-        for v in fresh.members[0].at:
+        for v in np.ndindex(p.mass.shape):
             assert _explanations(shared, v) == _explanations(fresh, v)
     assert len(regions) == 969 and len(regions.channels) == 10

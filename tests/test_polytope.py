@@ -17,7 +17,7 @@ from byzfc.viability import Regions, _Region, check_viability
 from byzfc.viewsets import ViewSetHandle, induce_view
 
 from test_acceptance import t1_instance
-from test_viewsets import random_channel
+from test_viewsets import coefficients, random_channel
 
 
 @pytest.fixture(params=["erasure", "random"])
@@ -30,8 +30,8 @@ def law(request, erasure_pmf):
 
 
 def test_view_rows_match_induced_view(law, threshold_3_2):
-    # evaluated at a random exact channel, each row read off ``at`` is den
-    # times the view's mass there, and so is each row of ``view_rows``
+    # evaluated at a random exact channel, each row of ``view_rows`` is den
+    # times the view's mass there
     views = list(product(*(range(a.size) for a in law.axes)))
     for s in threshold_3_2.sets:
         if not s:
@@ -47,8 +47,6 @@ def test_view_rows_match_induced_view(law, threshold_3_2):
             view = induce_view(law, s, chan)
             dense = w.view_rows.astype(object) @ np.array(x, dtype=object)
             for v, got in zip(views, dense.tolist()):
-                row = {var: num for _, var, num in w.at[v]}
-                assert sum((c * x[var] for var, c in row.items()), Fraction(0)) == got
                 assert got == w.den * view.mass[v]
 
 
@@ -61,8 +59,8 @@ def test_integer_view_rows_are_the_view_rows_times_the_denominator(law, threshol
         coords = tuple(sorted(s))
         w = ChannelVars(law, coords)
         assert type(w.den) is int and w.den > 0
-        assert w.view_rows.dtype == np.int64 and w.view_rows.shape == (len(w.at), w.size)
-        for v, row in zip(w.at, w.view_rows.tolist()):
+        assert w.view_rows.dtype == np.int64 and w.view_rows.shape == (law.mass.size, w.size)
+        for v, row in zip(np.ndindex(law.mass.shape), w.view_rows.tolist()):
             ux = tuple(v[c] for c in coords)
             want = [0] * w.size
             for tx in w.rows:
@@ -92,11 +90,11 @@ def test_float_view_rows_are_the_float_view(law, threshold_3_2):
         view = induce_view(law, s, chan)
         for v, row in zip(views, A[:, :w.size]):
             want = np.zeros(w.size)
-            for tx, var, _ in w.at[v]:
+            for tx in w.rows:
                 full = list(v)
                 for pos, c in enumerate(coords):
                     full[c] = tx[pos]
-                want[var] = pf[tuple(full)]
+                want[w.var[(tx, tuple(v[c] for c in coords))]] = pf[tuple(full)]
             assert np.array_equal(row, want)
             assert float(row @ x) == pytest.approx(float(view.mass[v]), abs=1e-12)
 
@@ -105,7 +103,7 @@ def test_tables_need_an_exact_law(law):
     # a table's coefficients are the law's integer numerators; a law with
     # float mass is refused before a table can read it
     table = Regions(law).channel((0,))
-    assert all(type(num) is int for terms in table.at.values() for _, _, num in terms)
+    assert all(type(num) is int for num in table.view_rows.reshape(-1).tolist())
     with pytest.raises(ProbabilityError, match="a pmf must be exact"):
         JointPmf(law.axes, law.mass.astype(np.float64))
 
@@ -121,32 +119,6 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
             assert sum(x[w.var[(tx, ux)]] for ux in w.outs) == 1
         ident = Channel.identity(tuple(law.axes[c] for c in w.coords))
         assert (w.channel(x).rows == ident.rows).all()
-
-
-def test_table_matches_definition(law, threshold_3_2):
-    # at[v] lists (tx, var, num) for every input of positive coefficient,
-    # inputs in product order, with num / den = P(v with coords <- tx): P's
-    # integer numerator over its common denominator
-    views = list(product(*(range(a.size) for a in law.axes)))
-    nums, den = integer_mass(law.mass)
-    for s in threshold_3_2.sets:
-        if not s:
-            continue
-        coords = tuple(sorted(s))
-        w = ChannelVars(law, coords)
-        assert w.den == den
-        assert list(w.at) == views
-        for v in views:
-            ux = tuple(v[c] for c in coords)
-            want = []
-            for tx in product(*(range(law.axes[c].size) for c in coords)):
-                full = list(v)
-                for pos, c in enumerate(coords):
-                    full[c] = tx[pos]
-                if law.mass[tuple(full)] > 0:
-                    want.append((tx, w.var[(tx, ux)], nums[tuple(full)]))
-                    assert nums[tuple(full)] == den * law.mass[tuple(full)]
-            assert w.at[v] == want
 
 
 @pytest.mark.parametrize("as_float", [False, True])
@@ -174,14 +146,16 @@ def _bits(variables) -> int:
 
 def test_bit_rows_are_the_dict_rows(law, threshold_3_2):
     # a view's bits are its row's variables, its odd bits those with an odd
-    # coefficient, and its integer row that row's numerators; the sum bits
-    # are each input's outputs and the identity's bits its point
+    # coefficient, and its integer row that row's numerators, each read off
+    # P by index; the sum bits are each input's outputs and the identity's
+    # bits its point
+    views = list(np.ndindex(law.mass.shape))
     for s in threshold_3_2.nonempty_sets:
         w = ChannelVars(law, tuple(sorted(s)))
-        assert len(w.view_bits) == len(w.odd_bits) == len(w.at)
-        dense = np.zeros((len(w.at), w.size), dtype=np.int64)
-        for i, (v, view, odd) in enumerate(zip(w.at, w.view_bits, w.odd_bits)):
-            row = {var: num for _, var, num in w.at[v]}
+        assert len(w.view_bits) == len(w.odd_bits) == len(views)
+        dense = np.zeros((len(views), w.size), dtype=np.int64)
+        for i, (v, view, odd) in enumerate(zip(views, w.view_bits, w.odd_bits)):
+            row = {var: num for _, var, num in coefficients(w, v)}
             assert view == _bits(row)
             assert odd == _bits(var for var, num in row.items() if num % 2)
             dense[i, list(row)] = list(row.values())
@@ -208,20 +182,9 @@ def test_a_table_whose_identity_view_is_not_the_law_is_refused(law, monkeypatch)
                 build()
 
 
-def _rows_by_view(t: SimpleNamespace) -> list[list[int]]:
-    """Each view's row read off ``at``, one entry at a time."""
-    rows = []
-    for terms in t.at.values():
-        row = [0] * t.size
-        for _, var, num in terms:
-            row[var] += num
-        rows.append(row)
-    return rows
-
-
 def reference_channel_vars(p: JointPmf, coords: tuple[int, ...], ints=None) -> SimpleNamespace:
-    """The builder that walked every view point, making each view's
-    ``(tx, var, num)`` list and its bits from its rest's inputs."""
+    """The builder that walked every view point, making each view's row,
+    one entry at a time, and its bits from its rest's inputs."""
     t = SimpleNamespace(p=p, coords=coords)
     nums, t.den = integer_mass(p.mass) if ints is None else ints
     moved = np.moveaxis(nums, coords, range(len(coords)))
@@ -235,7 +198,7 @@ def reference_channel_vars(p: JointPmf, coords: tuple[int, ...], ints=None) -> S
     first = {tx: i * width for i, tx in enumerate(t.rows)}
     out = {ux: i for i, ux in enumerate(t.outs)}
     live = {}
-    t.at, t.view_bits, t.odd_bits = {}, [], []
+    t.view_rows, t.view_bits, t.odd_bits = [], [], []
     law = p.mass.reshape(-1).tolist()
     for v, mass in zip(product(*(range(a.size) for a in p.axes)), law):
         rest = tuple(v[c] for c in others)
@@ -246,7 +209,10 @@ def reference_channel_vars(p: JointPmf, coords: tuple[int, ...], ints=None) -> S
         group, bits, odd = live[rest]
         ux = tuple(v[c] for c in coords)
         shift = out[ux]
-        t.at[v] = [(tx, var + shift, num) for tx, var, num in group]
+        row = [0] * t.size
+        for _, var, num in group:
+            row[var + shift] += num
+        t.view_rows.append(row)
         t.view_bits.append(bits << shift)
         t.odd_bits.append(odd << shift)
         ident = sum(num for tx, _, num in group if tx == ux)
@@ -279,20 +245,18 @@ def test_the_table_builder_matches_the_per_view_loop(erasure_pmf):
             for coords in combinations(range(p.k - 1), r):
                 want = reference_channel_vars(p, coords)
                 for w in (ChannelVars(p, coords), regions.channel(coords)):
-                    assert "at" not in vars(w)
+                    assert "view_rows" not in vars(w)
                     for attr in ("outs", "rows", "var", "size", "den", "view_bits", "odd_bits",
                                  "sum_bits", "identity_bits"):
                         assert getattr(w, attr) == getattr(want, attr), attr
-                    assert list(w.at.items()) == list(want.at.items())
-                    assert w.view_rows.tolist() == _rows_by_view(want)
-                    assert all(type(num) is int for terms in w.at.values() for *_, num in terms)
+                    assert w.view_rows.tolist() == want.view_rows
                 dropped += len(want.outs) - len(want.rows)
     assert dropped
 
 
 def test_a_bit_pinned_verdict_builds_no_view_lists(monkeypatch):
     # a threshold-1 verdict builds one region; when its bit rows pin it, no
-    # table's per-view lists are read
+    # table's view rows are built
     built = []
 
     class Recorded(_Region):
@@ -309,6 +273,6 @@ def test_a_bit_pinned_verdict_builds_no_view_lists(monkeypatch):
         (region,) = built
         if region._route == "bits":
             assert region.pinned
-            assert not any("at" in vars(w) for w in region.members)
+            assert not any("view_rows" in vars(w) for w in region.members)
             pinned += 1
     assert pinned == 129

@@ -58,6 +58,22 @@ def rational_pmf(axes, rng) -> JointPmf:
     return JointPmf(axes, mass.reshape(w.shape))
 
 
+def coefficients(w: ChannelVars, v) -> list[tuple[tuple[int, ...], int, int]]:
+    """View v's ``(tx, var, num)`` read off P by index: one per input tx in
+    ``w.rows`` with num / den = P(v with w's coords <- tx) > 0, in that
+    order; var is W(v's coords | tx)."""
+    ux, out = tuple(v[c] for c in w.coords), []
+    for tx in w.rows:
+        full = list(v)
+        for pos, c in enumerate(w.coords):
+            full[c] = tx[pos]
+        num = Fraction(w.p.mass[tuple(full)]) * w.den
+        assert num.denominator == 1
+        if num > 0:
+            out.append((tx, w.var[(tx, ux)], num.numerator))
+    return out
+
+
 class TestInduceView:
     def test_identity_gives_base_law(self, erasure_pmf):
         for aset in ({0}, {1, 2}, {0, 2}):
@@ -189,10 +205,11 @@ def _fraction_distance_lp(handle: ViewSetHandle):
     """The view-distance LP with P-valued Fraction rows: P(v with A <- tx)
     on W(ux | tx), -1 and 1 on the view slacks, then the row sums."""
     w = ChannelVars(handle.base, handle.coords)
-    nv = len(w.at)
+    views = list(np.ndindex(handle.base.mass.shape))
+    nv = len(views)
     rows = [[Fraction(0)] * (w.size + 2 * nv) for _ in range(nv + len(w.rows))]
-    for vi, v in enumerate(w.at):
-        for _, var, num in w.at[v]:
+    for vi, v in enumerate(views):
+        for _, var, num in coefficients(w, v):
             rows[vi][var] = Fraction(num, w.den)
         rows[vi][w.size + vi], rows[vi][w.size + nv + vi] = -1, 1
     for ti, tx in enumerate(w.rows):
@@ -206,7 +223,7 @@ def _fraction_distance(handle: ViewSetHandle, q: JointPmf):
     q), started at the identity channel with slacks P - q split by sign."""
     p = handle.base
     w, rows = _fraction_distance_lp(handle)
-    views = list(w.at)
+    views = list(np.ndindex(p.mass.shape))
     nv = len(views)
     start = [Fraction(0)] * (w.size + 2 * nv)
     for tx in w.rows:
@@ -354,13 +371,41 @@ class TestCertificate:
             w, A, c, ones = h._float_lp
             res = linprog(c, A_eq=A, b_eq=np.concatenate([q.mass.reshape(-1).astype(float), ones]),
                           bounds=(0, None), method="highs")
-            duals = res.eqlin.marginals[:len(w.at)] + rng.normal(0, 0.3, len(w.at))
+            duals = res.eqlin.marginals[:q.mass.size] + rng.normal(0, 0.3, q.mass.size)
             g = np.clip(np.rint(duals * one), -one // 2, one // 2).astype(np.int64).tolist()
             chan = rng.multinomial(one, np.full(len(w.outs), 1 / len(w.outs)), size=len(w.rows))
             got = _certificate(w, q, chan.reshape(-1).tolist(), g)
             dist = _distance_exact(h, q).lower
             assert got.lower == reference_lower(w, q, g) <= dist <= got.upper
             got.verify(h, q)
+
+    @pytest.mark.parametrize("law", ["huge", "ternary"])
+    def test_bounds_past_int64_match_the_fractions(self, law):
+        # den << CERT_BITS passes 2**63 - 1 on the 2**61 + 1 law, so the duals
+        # and the channel meet the view rows in Python ints; on the ternary
+        # law they fit int64.  Lower: the Fraction sums; upper: half the L1
+        # gap between the rational channel's view and q
+        if law == "huge":
+            den = 2**61 + 1
+            nums = [den // 8] * 7
+            mass = np.array([Fraction(v, den) for v in nums + [den - sum(nums)]], dtype=object)
+            p, sets = JointPmf((Alphabet.binary(),) * 3, mass.reshape(2, 2, 2)), ({0}, {1}, {0, 1})
+        else:
+            p, sets = random_pmf((3, 3, 3, 3), seed=11), ({0}, {2}, {0, 1}, {1, 2})
+        one, rng = 1 << CERT_BITS, philox(47)
+        for aset in sets:
+            w = ViewSetHandle(p, frozenset(aset))._exact_lp[0]
+            assert (w.den << CERT_BITS > viewsets.INT64_MAX) == (law == "huge")
+            for seed in range(3):
+                q = empirical_type(sample_iid(p.to_float(), 500, seed=derive_seed(48, seed)))
+                g = np.clip(np.rint(rng.normal(0, 0.3, q.mass.size) * one), -one // 2, one // 2)
+                g = g.astype(np.int64).tolist()
+                chan = rng.multinomial(one, np.full(len(w.outs), 1 / len(w.outs)),
+                                       size=len(w.rows)).reshape(-1).tolist()
+                got = _certificate(w, q, chan, g)
+                view = induce_view(p, aset, w.channel([Fraction(c, one) for c in chan]))
+                assert got.lower == reference_lower(w, q, g)
+                assert got.upper == view.tv_distance(q)
 
     def test_threshold_at_the_distance_reaches_the_fallback(self, band_types, monkeypatch):
         exact = []
@@ -387,10 +432,11 @@ def reference_lower(w: ChannelVars, q: JointPmf, g: list[int]) -> Fraction:
     """sum_v g(v) q(v) - sum_tx max_ux sum_rest P(tx, rest) g(ux, rest), in Fractions."""
     gv = [Fraction(x, 2**CERT_BITS) for x in g]
     worst = {key: Fraction(0) for key in w.var}
-    for vi, (v, terms) in enumerate(w.at.items()):
-        for tx, _, num in terms:
+    views = list(np.ndindex(q.mass.shape))
+    for vi, v in enumerate(views):
+        for tx, _, num in coefficients(w, v):
             worst[(tx, tuple(v[c] for c in w.coords))] += Fraction(num, w.den) * gv[vi]
-    return (sum(gv[vi] * q.mass[v] for vi, v in enumerate(w.at))
+    return (sum(gv[vi] * q.mass[v] for vi, v in enumerate(views))
             - sum(max(worst[(tx, ux)] for ux in w.outs) for tx in w.rows))
 
 
