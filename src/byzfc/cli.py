@@ -21,7 +21,8 @@ from .decoder import (DecoderConfigError, build_decoder_config, config_from_json
 from .examples_lib import builtin_examples, resolve_example
 from .harness import Scenario, ScenarioError, run_scenario, scenario_from_json_dict, sweep
 from .mss import common_upgrade, mss_partition, upgrade_to_saturation
-from .probability import MALFORMED, JointPmf, ProbabilityError, SampleBlock, json_value
+from .probability import (MALFORMED, JointPmf, ProbabilityError, SampleBlock, json_list,
+                          json_value)
 from .simplex import LPError
 from .structures import AdversaryStructure, TargetFunction
 from .viability import GBuildConflict, ViabilityInputError, build_g, check_viability
@@ -104,7 +105,8 @@ def cmd_check_viability(args) -> int:
 def cmd_build_g(args) -> int:
     pmf, f, _ = _load_pmf_and_function(args)
     with _parsing():
-        sets = json.loads(args.collection)
+        sets = [json_list(s, "adversary set")
+                for s in json_list(json.loads(args.collection), "collection")]
         for u in (u for s in sets for u in s):
             json_value(u, "collection member", integer=True, error=ViabilityInputError)
     table = build_g(pmf, f, sets)

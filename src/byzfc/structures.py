@@ -81,15 +81,16 @@ class AdversaryStructure:
     @staticmethod
     def from_json_dict(d: dict) -> "AdversaryStructure":
         """Parse ``{"k", "threshold"}`` or ``{"k", "sets"}``; every number
-        must be a JSON integer, so a bool or a float raises ValueError, and
-        so do both keys at once."""
+        must be a JSON integer and ``sets`` a list of lists, so a bool, a
+        float or a string raises ValueError, and so do both keys at once."""
         k = json_number(d, "k", integer=True, error=ValueError)
         if "threshold" in d and "sets" in d:
             raise ValueError("a structure has 'threshold' or 'sets', not both")
         if "threshold" in d:
             return AdversaryStructure.threshold(
                 k, json_number(d, "threshold", integer=True, error=ValueError))
-        return AdversaryStructure(k, d["sets"])
+        return AdversaryStructure(k, [json_list(s, "adversary set")
+                                      for s in json_list(d["sets"], "sets")])
 
 
 Collection = tuple[frozenset[int], ...]

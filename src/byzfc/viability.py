@@ -8,8 +8,9 @@ collection is parametrized by one row-stochastic channel per member with
 pairwise equal induced views; constraints (a) and (b) of the underlying
 definition force every scenario marginal into exactly this form, and any
 family of such marginals extends to a full joint by conditional-product
-coupling.  Verdicts are decided by a rank certificate mod 2, then by an
-integer dual certificate, and otherwise by the exact rational simplex;
+coupling.  Verdicts are decided from the regions already pinned, by a
+rank certificate mod 2, then by an integer dual certificate, and otherwise
+by the exact rational simplex;
 violations are returned as fully materialized joints that an independent
 verifier re-checks against the definition directly.
 """
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .polytope import ChannelVars, law_ints
-from .probability import Alphabet, JointPmf, integer_mass, is_integer, zero_mass
+from .probability import Alphabet, JointPmf, integer_mass, is_integer, json_list, zero_mass
 from .simplex import (LPError, Tableau, dual_certificate, full_rank_mod_2,
                       positive_coordinates)
 from .structures import (AdversaryStructure, Collection, TargetFunction,
@@ -124,12 +125,14 @@ class GTable(TargetFunction):
     @staticmethod
     def from_json_dict(d: dict) -> "GTable":
         """Parse a g-table, members in canonical order; a ``defined`` list
-        that is not one JSON boolean per cell raises ViabilityInputError."""
+        that is not one JSON boolean per cell raises ViabilityInputError, and
+        a ``collection`` that is not a list of lists ProbabilityError."""
         f, defined = TargetFunction.from_json_dict(d), d["defined"]
         if len(defined) != f.table.size or not all(isinstance(m, bool) for m in defined):
             raise ViabilityInputError("a g-table needs one boolean 'defined' entry per cell")
-        return GTable(f.domain_axes, f.codomain, f.table, canonical_collection(d["collection"]),
-                      defined)
+        collection = canonical_collection(json_list(s, "adversary set") for s in
+                                          json_list(d["collection"], "g-table collection"))
+        return GTable(f.domain_axes, f.codomain, f.table, collection, defined)
 
 
 class _Region:
@@ -145,23 +148,37 @@ class _Region:
 
     Construction settles ``reach``, the variables positive at some point
     of the region; the identity, whose entries are ``identity``, is a point
-    of every region.  A zero-fixing presolve on the tables' bit rows fixes
-    the variables that structurally dead view points force to zero (LPError
-    if it fixes one of the identity's).  The region is ``pinned``, its reach
-    the identity's entries, when the row sums and the view-match rows have
-    full rank mod 2 on the other columns, or else when ``dual_certificate``
-    finds integers w for the view-match matrix M with each identity entry
-    eliminated through its row sum, its column subtracted from the other
-    columns of its input (LPError if the identity violates a row), with
-    w.M > 0 on the unfixed columns D off the identity: w.M is a combination
-    of the rows, zero on the identity's columns and right-hand side, so
-    0 = w.M x >= the sum of x over D at each point x.  Such a w exists
-    exactly when the identity is the region's only point (Gordan), so the
-    tableau is left to regions with free directions and to any single point
-    the dual's float search misses.  Any other region gets ``A``, ``b``, the
-    row sums and the view-match rows as one integer array on the unfixed
-    ``alive_vars``, and the tableau started at the identity.  ``_route``
-    names the step that settled it: "bits", "dual" or "tableau".
+    of every region.  A collection C of three or more members is ``pinned``,
+    route "pairs", by the store's records alone when two of its members,
+    S_a and S_b, form a pair whose region the store pinned and each member
+    belongs to some region the store pinned.  At a point of R(C), C's
+    region, every member's view is one view; (W_a, W_b) is then a point of
+    R({S_a, S_b}), on the same tables and constraints, so both are the
+    identity and that view is P.  Each other member m then has a channel W_m
+    whose view is P; with the identity on the other members of a pinned
+    region C' that holds S_m, all views are P, a point of R(C'), so W_m is
+    the identity too.  So R(C) is the identity alone: the bits or the dual
+    would say so when they succeed and the tableau's reach when they do
+    not, ``_repaired`` gives the same table and mask, and a witness comes
+    from an unpinned region only.  No presolve, rank, dual or tableau runs.
+    Any other region is settled in order.  A zero-fixing presolve on the
+    tables' bit rows fixes the variables that structurally dead view points
+    force to zero (LPError if it fixes one of the identity's).  The region
+    is ``pinned``, its reach the identity's entries, when the row sums and
+    the view-match rows have full rank mod 2 on the other columns, or else
+    when ``dual_certificate`` finds integers w for the view-match matrix M
+    with each identity entry eliminated through its row sum, its column
+    subtracted from the other columns of its input (LPError if the identity
+    violates a row), with w.M > 0 on the unfixed columns D off the
+    identity: w.M is a combination of the rows, zero on the identity's
+    columns and right-hand side, so 0 = w.M x >= the sum of x over D at
+    each point x.  Such a w exists exactly when the identity is the
+    region's only point (Gordan), so the tableau is left to regions with
+    free directions and to any single point the dual's float search misses.
+    Any other region gets ``A``, ``b``, the row sums and the view-match
+    rows as one integer array on the unfixed ``alive_vars``, and the
+    tableau started at the identity.  ``_route`` names the step that
+    settled it: "pairs", "bits", "dual" or "tableau".
     """
 
     def __init__(self, regions: Regions, collection: Collection):
@@ -177,14 +194,20 @@ class _Region:
         self.nvar = nvar
         self.den = self.members[0].den
         placed = list(zip(self.members, self.offsets))
+        ident = sum(w.identity_bits << off for w, off in placed)
+        self.identity = [v for v in range(nvar) if ident >> v & 1]
+        coords = [w.coords for w in self.members]
+        if (len(coords) > 2 and regions.fixed_view.issuperset(coords)
+                and any(frozenset(pair) in regions.pinned_pairs
+                        for pair in combinations(coords, 2))):
+            self._route, self.pinned, self.reach = "pairs", True, set(self.identity)
+            return
         pairs = list(zip(placed, placed[1:]))
         self._fixed_bits = fixed = self._presolve(
             [(b0 << off0, b1 << off1) for (w0, off0), (w1, off1) in pairs
              for b0, b1 in zip(w0.view_bits, w1.view_bits)])
-        ident = sum(w.identity_bits << off for w, off in placed)
         if ident & fixed:
             raise LPError("presolve fixed a coordinate of a feasible point")
-        self.identity = [v for v in range(nvar) if ident >> v & 1]
         # each input's outputs are one run of columns, holding its identity entry
         self._runs = [len(w.outs) for w in self.members for _ in w.rows]
         # a match row's two sides, mod 2, are the odd entries of both members
@@ -309,6 +332,14 @@ class Regions(dict):
     """One exact law's settled regions by canonical collection, and the
     channel tables they share by coordinates on P's integer numerators, each
     built on first use: a region depends on the law and collection only.
+
+    For each region it settles pinned, by any route, the store records its
+    members' coordinates in ``fixed_view`` (a channel on such a set whose
+    view is P is the identity: the identity elsewhere in that region makes a
+    point of it) and, for two members, the pair in ``pinned_pairs``; a
+    region of three or more members reads them (``_Region``).  They are kept
+    apart from the entries, which ``DecoderConfig.g_table`` deletes once a
+    table is built; a fresh store has none.
     """
 
     def __init__(self, p: JointPmf):
@@ -316,9 +347,16 @@ class Regions(dict):
         self.p = p
         self._ints = law_ints(p)
         self.channels: dict[tuple[int, ...], ChannelVars] = {}
+        self.fixed_view: set[tuple[int, ...]] = set()
+        self.pinned_pairs: set[frozenset[tuple[int, ...]]] = set()
 
     def __missing__(self, collection: Collection) -> _Region:
         region = self[collection] = _Region(self, collection)
+        if region.pinned:
+            coords = [w.coords for w in region.members]
+            self.fixed_view.update(coords)
+            if len(coords) == 2:
+                self.pinned_pairs.add(frozenset(coords))
         return region
 
     def channel(self, coords: tuple[int, ...]) -> ChannelVars:
@@ -445,7 +483,10 @@ def check_viability(p: JointPmf, f: TargetFunction, structure: AdversaryStructur
     is skipped: each pair of its scenarios lies in an earlier, smaller such
     collection, and conflicts only shrink when members are added
     (restricting a matched family to a sub-collection stays feasible).
-    The regions are read from ``regions``, P's store, or a fresh one.
+    The regions are read from ``regions``, P's store, or a fresh one; the
+    walk's pairs come first, so a larger collection holding a pair the store
+    pinned, its members each in a pinned region, is pinned from those
+    records alone, with no presolve, rank, dual or tableau.
     """
     _validate(p, f, structure.k)
     regions = Regions(p) if regions is None else regions

@@ -517,6 +517,40 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("configuration error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("case, kind", [("structure-set-string", "str"),
+                                            ("structure-sets-string", "str"),
+                                            ("gtable-collection-strings", "str"),
+                                            ("build-g-set-string", "str"),
+                                            ("build-g-set-int", "int")])
+    def test_a_string_is_not_read_as_a_set_of_users(self, case, kind, tmp_path, capsys,
+                                                    erasure_config):
+        def put(name, obj):
+            path = tmp_path / name
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        def structure(sets):
+            return ["check-viability", "--example", "example-3-2-erasure:uv",
+                    "--structure", put("st.json", {"k": 3, "sets": sets})]
+
+        def build_g(collection):
+            return ["build-g", "--example", "example-3-2-erasure:uv", "--collection", collection]
+
+        config = config_to_json_dict(erasure_config)
+        config["g_tables"][0]["collection"] = ["0", "12"]
+        block = sample_iid(erasure_config.base.to_float(), 20, seed=1).to_json_dict()
+        args = {
+            "structure-set-string": lambda: structure(["12", [0]]),
+            "structure-sets-string": lambda: structure("12"),
+            "gtable-collection-strings": lambda: ["decode", "--config", put("c.json", config),
+                                                  "--block", put("b.json", block)],
+            "build-g-set-string": lambda: build_g('[[0],"12"]'),
+            "build-g-set-int": lambda: build_g("[0,1]"),
+        }[case]()
+        code, _, err = run_cli(args, capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert f"must be a list, not {kind}" in err
+
     def test_fault_while_resolving_a_witness_is_internal(self, tmp_path, monkeypatch):
         import byzfc.adversary as adversary
 

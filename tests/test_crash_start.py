@@ -17,7 +17,9 @@ replaced, kept here as the reference; the mod-2 certificate is checked
 against ranks over Q, and the reduced rows against a loop that eliminates
 the identity's entries from the tableau rows.  A region is settled when
 it is built; a test that reads the tableau rows of a region a certificate
-pinned builds them itself.
+pinned builds them itself.  A verdict's regions are checked rebuilt on a
+fresh store, which settles none from the pinned pairs of the others, and
+the regions that rule settles are checked against those fresh builds.
 """
 
 import sys
@@ -50,12 +52,14 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
     sys.path.append(str(BENCH))
 
-from workloads import DEFAULT_SEED, VerdictRandom, load_expected, witness_digest  # noqa: E402
+from workloads import (DEFAULT_SEED, VerdictRandom, VerdictWitness, load_expected,  # noqa: E402
+                       witness_digest)
 
 
 def _rows(region: _Region) -> _Region:
     """The region with its rows ``A``, ``b``, built here for a region a
-    certificate pinned."""
+    certificate pinned; a region the pinned-pair rule settled ran no
+    presolve, so it is built again fresh first."""
     if "A" not in vars(region):
         region._build_rows(region._view_match())
     return region
@@ -253,8 +257,7 @@ def _bit_regions(erasure_pmf, erasure_f_uv, erasure_f_uvw, threshold_3_2, monkey
         for col in filter(_needs_solving, nonintersecting_collections(structure)):
             yield Regions(p)[col]
     for f in (erasure_f_uv, erasure_f_uvw):
-        for region in _verdict_regions(erasure_pmf, threshold_3_2, monkeypatch, f):
-            yield Regions(erasure_pmf)[region.collection]
+        yield from _verdict_regions(erasure_pmf, threshold_3_2, monkeypatch, f)
 
 
 def test_side_presolve_matches_the_sign_presolve(erasure_pmf, erasure_f_uv, erasure_f_uvw,
@@ -292,22 +295,12 @@ def _merged_rows(region: _Region):
 
 def test_rows_read_off_the_tables_match_the_merged_view_rows(erasure_pmf, erasure_f_uv,
                                                              threshold_3_2, monkeypatch):
-    # every region the bits leave open in the benchmark's seed-1
-    # verdict-random pass and in the worked example's uv verdict
-    built = []
-
-    class Recorded(_Region):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(viability, "_Region", Recorded)
-    wl = VerdictRandom(DEFAULT_SEED, load_expected())
-    wl.setup()
-    for op in wl.pass_ops(0):
-        assert op.check(op.run()) is None
-    check_viability(erasure_pmf, erasure_f_uv, threshold_3_2)
-    opened = [_rows(region) for region in built if region._route != "bits"]
+    # every region the bits leave open, built fresh, in the benchmark's
+    # seed-1 verdict-random pass and in the worked example's uv verdict
+    built = _built_regions(lambda: (_bench_pass(VerdictRandom),
+                                    _verdict(erasure_pmf, threshold_3_2, erasure_f_uv)),
+                           monkeypatch)
+    opened = [_rows(region) for region in _fresh(built) if region._route != "bits"]
     for region in opened:
         alive_vars, A, b = _merged_rows(region)
         assert region.alive_vars == alive_vars and region.b == b
@@ -587,9 +580,8 @@ def _certificate_matches_crash_start(region: _Region) -> bool:
     return region._route == "dual"
 
 
-def _verdict_regions(p, structure, monkeypatch, f=None) -> list[_Region]:
-    """The regions ``check_viability`` builds for f, by default a constant
-    function, whose verdict is then viable."""
+def _built_regions(run, monkeypatch) -> list[_Region]:
+    """The regions ``run()`` builds, as its stores built them."""
     built = []
 
     class Recorded(_Region):
@@ -597,12 +589,38 @@ def _verdict_regions(p, structure, monkeypatch, f=None) -> list[_Region]:
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(viability, "_Region", Recorded)
+    with monkeypatch.context() as m:
+        m.setattr(viability, "_Region", Recorded)
+        run()
+    return built
+
+
+def _fresh(regions: list[_Region]) -> list[_Region]:
+    """Each region's collection built again on a fresh store, which has
+    settled no other region: so by the presolve, the bits, the dual or the
+    tableau, never from the regions a shared store already pinned."""
+    return [Regions(region.p)[region.collection] for region in regions]
+
+
+def _bench_pass(workload) -> None:
+    """The seed-1 pass 0 of a verdict workload, each operation checked."""
+    wl = workload(DEFAULT_SEED, load_expected())
+    wl.setup()
+    for op in wl.pass_ops(0):
+        assert op.check(op.run()) is None
+
+
+def _verdict(p, structure, f=None) -> None:
+    """``check_viability`` for f, by default a constant function, whose
+    verdict is then viable."""
     viable = check_viability(p, random_function(p, 1, seed=0) if f is None else f,
                              structure).viable
     assert viable or f is not None
-    monkeypatch.undo()
-    return built
+
+
+def _verdict_regions(p, structure, monkeypatch, f=None) -> list[_Region]:
+    """The regions ``_verdict`` builds for f, each built again fresh."""
+    return _fresh(_built_regions(lambda: _verdict(p, structure, f), monkeypatch))
 
 
 def test_certificate_matches_the_crash_start_on_the_ladder(monkeypatch):
@@ -643,24 +661,14 @@ def test_certificate_matches_the_crash_start_on_generated_regions(sizes, seed, z
 def test_certificate_matches_the_crash_start_on_the_benchmark_passes(erasure_pmf, erasure_f_uv,
                                                                    erasure_f_uvw, threshold_3_2,
                                                                    monkeypatch):
-    # every region the bits leave open in the seed-1 verdict-random pass and
-    # in the worked example's verdicts
-    built = []
-
-    class Recorded(_Region):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(viability, "_Region", Recorded)
-    wl = VerdictRandom(DEFAULT_SEED, load_expected())
-    wl.setup()
-    for op in wl.pass_ops(0):
-        assert op.check(op.run()) is None
-    for f in (erasure_f_uv, erasure_f_uvw):
-        check_viability(erasure_pmf, f, threshold_3_2)
+    # every region the bits leave open, built fresh, in the seed-1
+    # verdict-random pass and in the worked example's verdicts
+    built = _built_regions(lambda: (_bench_pass(VerdictRandom),
+                                    *(_verdict(erasure_pmf, threshold_3_2, f)
+                                      for f in (erasure_f_uv, erasure_f_uvw))),
+                           monkeypatch)
     outcomes = Counter(_certificate_matches_crash_start(region)
-                       for region in built if region._route != "bits")
+                       for region in _fresh(built) if region._route != "bits")
     assert outcomes == {True: 119 + 4, False: 4 + 10}, outcomes
 
 
@@ -970,13 +978,50 @@ def test_full_rank_of_the_odd_entries_is_full_rank_over_q(system):
 
 # -- shared channel tables ------------------------------------------------------
 
+def _same_as_fresh(shared: list[_Region]) -> Counter:
+    """Check regions built on shared stores against their collections'
+    regions built fresh: the same pin, reach and explanations, and the same
+    rows where both have them, which is wherever the pinned-pair rule did
+    not settle the shared one.  A region the rule settled has the
+    identity's entries as its reach, so its fresh region must be pinned by
+    bits or by the dual, or else reach only those entries by the tableau.
+    Counts the (shared, fresh) routes."""
+    routes = Counter()
+    for region, fresh in zip(shared, _fresh(shared)):
+        assert region.reach == fresh.reach
+        assert region.pinned == fresh.pinned or fresh.reach == set(fresh.identity)
+        for v in np.ndindex(region.p.mass.shape):
+            assert _explanations(region, v) == _explanations(fresh, v)
+        if region._route != "pairs":
+            assert region._route == fresh._route
+            _rows(region), _rows(fresh)
+            assert np.array_equal(region.A, fresh.A) and region.b == fresh.b
+            assert region.alive_vars == fresh.alive_vars
+        routes[region._route, fresh._route] += 1
+    return routes
+
+
+def _pairs(routes: Counter) -> int:
+    return sum(n for (shared, _), n in routes.items() if shared == "pairs")
+
+
 def test_shared_channel_tables_build_the_same_regions():
     p = random_pmf((2, 2, 2, 2, 2), seed=5, zero_frac=0.3, max_weight=3)
     regions = Regions(p)
-    for col in nonintersecting_collections(AdversaryStructure.threshold(4, 2)):
-        fresh, shared = _rows(Regions(p)[col]), _rows(regions[col])
-        assert np.array_equal(shared.A, fresh.A) and shared.b == fresh.b
-        assert shared.alive_vars == fresh.alive_vars
-        for v in np.ndindex(p.mass.shape):
-            assert _explanations(shared, v) == _explanations(fresh, v)
+    cols = nonintersecting_collections(AdversaryStructure.threshold(4, 2))
+    routes = _same_as_fresh([regions[col] for col in cols])
     assert len(regions) == 969 and len(regions.channels) == 10
+    assert _pairs(routes) == 944, routes
+
+
+def test_pinned_pairs_settle_only_what_a_fresh_store_pins(monkeypatch):
+    # the seed-1 passes of both verdict workloads, the ternary threshold-2
+    # verdicts and the binary k=5 one, on the stores their verdicts share
+    runs = [lambda: _bench_pass(VerdictRandom), lambda: _bench_pass(VerdictWitness)]
+    for seed in (2, 5):
+        p = random_pmf((3, 3, 3, 3), seed=seed, zero_frac=0.3, max_weight=3)
+        runs.append(lambda p=p: _verdict(p, AdversaryStructure.threshold(3, 2)))
+    p = random_pmf((2,) * 6, seed=1, zero_frac=0.3, max_weight=3)
+    runs.append(lambda: _verdict(p, AdversaryStructure.threshold(5, 2)))
+    pairs = [_pairs(_same_as_fresh(_built_regions(run, monkeypatch))) for run in runs]
+    assert pairs == [225, 23, 15, 15, 340]

@@ -244,13 +244,24 @@ class TestConfigSerialization:
         [[0, 1], [0, 2]],   # a common user
         [[0], [1, 2, 3]],   # user 3 is outside the structure
         [["x"], [7, 9]],    # not sets of the structure at all
-        "01",               # a string is not a list of sets
+        "01",               # a string is not a list of sets: refused as it is parsed
     ])
     def test_gtable_for_a_foreign_collection_rejected(self, collection, erasure_config):
         # no decode ever reads such a table, and config_to_json_dict would drop it
         d = config_to_json_dict(erasure_config)
         d["g_tables"][0]["collection"] = collection
-        with pytest.raises(DecoderConfigError, match="non-intersecting collection"):
+        refusal = ("must be a list, not str" if isinstance(collection, str)
+                   else "non-intersecting collection")
+        with pytest.raises(DecoderConfigError, match=refusal):
+            config_from_json_dict(d)
+
+    @pytest.mark.parametrize("collection, kind", [(["0", "12"], "str"), ([[0], "12"], "str"),
+                                                  ([0, [1, 2]], "int")])
+    def test_gtable_members_must_be_lists(self, collection, kind, erasure_config):
+        # a string member is not read as a set of its characters
+        d = config_to_json_dict(erasure_config)
+        d["g_tables"][0]["collection"] = collection
+        with pytest.raises(DecoderConfigError, match=f"adversary set must be a list, not {kind}"):
             config_from_json_dict(d)
 
     @pytest.mark.parametrize("case", ["table-short", "defined-long", "defined-string",

@@ -503,11 +503,13 @@ def test_seed_1_verdict_random_pass_pivots(monkeypatch):
 
 
 def test_seed_1_verdict_random_pass_routes(monkeypatch):
-    # each region is settled by its rank mod 2 on bit rows, else by an
-    # integer dual on its reduced rows, neither building the tableau rows, else by
-    # the crash-started tableau, one per region; the dual pins every single
-    # point, so only regions with free directions, their reach past the
-    # identity's entries, reach the tableau
+    # a collection holding a pair whose region the verdict pinned, its other
+    # members each in some pinned region, is pinned by that rule alone; any
+    # other region is settled by its rank mod 2 on bit rows, else by an
+    # integer dual on its reduced rows, none of these building the tableau
+    # rows, else by the crash-started tableau, one per region; the dual pins
+    # every single point, so only regions with free directions, their reach
+    # past the identity's entries, reach the tableau
     routes = Counter()
     built = []
     tableaus = []
@@ -535,4 +537,4 @@ def test_seed_1_verdict_random_pass_routes(monkeypatch):
         ident = sum(w.identity_bits << off for w, off in zip(region.members, region.offsets))
         identity = {v for v in range(region.nvar) if ident >> v & 1}
         assert region.reach > identity if route == "tableau" else region.reach == identity
-    assert routes == {"bits": 202, "dual": 119, "tableau": 4}
+    assert routes == {"pairs": 225, "bits": 61, "dual": 35, "tableau": 4}

@@ -58,6 +58,14 @@ class TestAdversaryStructure:
         assert s == AdversaryStructure(3, [set(), {1}, {0, 2}])
         assert AdversaryStructure.from_json_dict(s.to_json_dict()) == s
 
+    @pytest.mark.parametrize("sets, kind", [(["12", [0]], "str"), ("12", "str"),
+                                            ([[], 0], "int")])
+    def test_sets_must_be_lists(self, sets, kind):
+        # a string is not read as a set of its characters, nor a number
+        # iterated
+        with pytest.raises(ValueError, match=f"must be a list, not {kind}"):
+            AdversaryStructure.from_json_dict({"k": 3, "sets": sets})
+
     def test_threshold_and_sets_are_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
             AdversaryStructure.from_json_dict({"k": 3, "threshold": 2, "sets": [[], [0]]})
