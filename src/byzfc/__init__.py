@@ -17,8 +17,7 @@ from .structures import (AdversaryStructure, TargetFunction, constant_function,
 from .viability import (GBuildConflict, GTable, ViabilityReport,
                         ViolationWitness, build_g, check_s_viability,
                         check_viability, verify_witness)
-from .viewsets import (DistanceScreen, MembershipResult, ViewSetHandle, distance_to_viewset,
-                       induce_view)
+from .viewsets import DistanceScreen, MembershipResult, distance_to_viewset, induce_view
 from .adversary import (AttackStrategy, BlockSplit, Honest, MemorylessChannel,
                         ResampleW, WitnessDMC, attack, resample_w_channel,
                         witness_to_dmc)

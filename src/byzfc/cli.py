@@ -29,7 +29,7 @@ from .viability import GBuildConflict, ViabilityInputError, build_g, check_viabi
 
 CONFIG_ERRORS = (ProbabilityError, ViabilityInputError, GBuildConflict, DecoderConfigError,
                  ScenarioError, AttackError, ValueError, KeyError,
-                 FileNotFoundError, json.JSONDecodeError)
+                 OSError, json.JSONDecodeError)
 
 
 def _load_json(path: str) -> dict:

@@ -20,7 +20,7 @@ from .probability import (MALFORMED, Alphabet, JointPmf, SampleBlock, apply_poin
 from .structures import (AdversaryStructure, TargetFunction, canonical_collection,
                          is_nonintersecting, nonintersecting_collections)
 from .viability import GBuildConflict, GTable, Regions, build_g, check_viability
-from .viewsets import DistanceScreen, ViewSetHandle, distance_to_viewset
+from .viewsets import DistanceScreen, distance_to_viewset
 
 
 class DecoderConfigError(RuntimeError):
@@ -59,11 +59,13 @@ class DecoderConfig:
     ``viable`` is the viability verdict, decided from the law when it is
     None, once, after the axis checks.  ``g_tables`` holds the repaired
     tables built so far, keyed by the frozenset of each one's collection;
-    ``g_table`` builds a missing one on first use.  The verdict and every
-    table read one region store owned by the config, so each collection's
-    region is settled once, and dropped once its table is built.
-    ``screen`` holds the bound tables and the radius ``delta``,
-    built once; every membership decision compares with ``delta`` exactly.
+    ``g_table`` builds a missing one on first use.  The verdict, every
+    table and every membership LP read one region store owned by the
+    config: each collection's region is settled once, and dropped once its
+    table is built, and each adversary set has one channel table, which
+    its regions and its view-distance LP share.  ``screen`` holds the bound
+    tables and the radius ``delta``, built once; every membership decision
+    compares with ``delta`` exactly.
     """
 
     base: JointPmf
@@ -72,7 +74,6 @@ class DecoderConfig:
     delta: float
     g_tables: dict[frozenset, GTable] = field(default_factory=dict)
     viable: bool | None = None
-    handles: tuple[ViewSetHandle, ...] = field(init=False)
     screen: DistanceScreen = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -80,7 +81,6 @@ class DecoderConfig:
             raise DecoderConfigError(f"delta must be finite and positive, not {self.delta}")
         if self.structure.k != self.base.k - 1 or self.f.domain_axes != self.base.axes:
             raise DecoderConfigError("structure or function does not match the law's users or axes")
-        self.handles = tuple(ViewSetHandle(self.base, s) for s in self.structure.sets)
         self.screen = DistanceScreen(self.base, self.structure.sets, self.delta)
         # own copy: tables built later stay out of the caller's dict
         self.g_tables = dict(self.g_tables)
@@ -125,10 +125,12 @@ class DecoderConfig:
 
 def build_decoder_config(p: JointPmf, f: TargetFunction, structure: AdversaryStructure,
                          delta: float, mode: str = "float") -> DecoderConfig:
-    """The viability verdict and the view handles; no g-table is built.
+    """The viability verdict and the membership screen; no g-table is built.
 
-    ``DecoderConfig.g_table`` builds each repaired table when decoding
-    first needs it.  Requires an exact pmf; ``mode`` is checked, not used.
+    ``DecoderConfig.g_table`` builds each repaired table, and a membership
+    LP reads its set's channel table from the config's region store, when
+    decoding first needs it.  Requires an exact pmf; ``mode`` is checked,
+    not used.
     """
     if mode not in ("exact", "float"):
         raise DecoderConfigError(f"unknown mode {mode!r}")
@@ -141,15 +143,17 @@ def explanation_set(config: DecoderConfig, reported: SampleBlock) -> list[int]:
     ``config.screen`` settles each set it can from the block's cell counts,
     exactly: a lower bound above delta rejects, an upper bound at or below
     it accepts.  ``distance_to_viewset`` decides the rest exactly against
-    delta, on a type built at most once per block.
+    delta, on the store's channel table of the set and a type built at
+    most once per block.
     """
     out, ty = [], None
     decided = config.screen.decide(type_counts(reported))
-    for i, (h, inside) in enumerate(zip(config.handles, decided)):
+    for i, (s, inside) in enumerate(zip(config.structure.sets, decided)):
         if inside is None:
             if ty is None:
                 ty = empirical_type(reported)
-            inside = distance_to_viewset(h, ty, config.delta).upper <= config.delta
+            w = config._regions.channel(tuple(sorted(s)))
+            inside = distance_to_viewset(w, ty, config.delta).upper <= config.delta
         if inside:
             out.append(i)
     return out

@@ -5,7 +5,8 @@ coordinates of one adversary set.  ``ChannelVars`` numbers the entries of
 one such channel, reads P's coefficients on them from one table of P's
 numerators over a denominator shared by the whole law, builds their mod-2
 bit rows at once and their integer view rows, the one table of those
-coefficients, when read, and turns a solution back into a ``Channel``.
+coefficients, when read, as well as the view-distance LP on them, and
+turns a solution back into a ``Channel``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .probability import Channel, JointPmf, integer_mass, zero_mass
+from .probability import Channel, JointPmf, ProbabilityError, integer_mass, is_integer, zero_mass
+
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def law_ints(p: JointPmf) -> tuple[np.ndarray, int]:
@@ -33,6 +36,8 @@ def law_ints(p: JointPmf) -> tuple[np.ndarray, int]:
 class ChannelVars:
     """The entries W(ux | tx) of one channel on ``coords``, as LP variables.
 
+    ``coords`` are users of P, ints or numpy integers below ``p.k - 1``
+    (the side information is no user's): any other raises ProbabilityError.
     Inputs tx range over the support of P's marginal on ``coords``
     (``rows``), outputs ux over every symbol tuple (``outs``).  Variables
     are numbered from 0 in (tx, ux) lexicographic order; a system holding
@@ -56,6 +61,9 @@ class ChannelVars:
 
     def __init__(self, p: JointPmf, coords: tuple[int, ...],
                  ints: tuple[np.ndarray, int] | None = None):
+        for c in coords:
+            if not (is_integer(c) and 0 <= c < p.k - 1):
+                raise ProbabilityError(f"adversary coordinate {c!r} out of range")
         self.p = p
         self.coords = coords
         nums, self.den = law_ints(p) if ints is None else ints
@@ -93,6 +101,39 @@ class ChannelVars:
         # by (v's index a in outs, rest r, input t, output u): rests[r, t] if u is a
         view = rests[None, :, :, None] * np.eye(len(self.outs), dtype=rests.dtype)[:, None, None]
         return view.reshape(-1, self.size)[self._views]
+
+    @cached_property
+    def _exact_lp(self):
+        """The view-distance LP: integer matrix, start, objective.
+
+        Variables are the channel's entries, then the view slacks below q and
+        the view slacks above q, one each per view point.  Rows: ``den`` times
+        the induced view minus q at each view point, that is ``view_rows`` on
+        the channel entries and -den, den on the slacks (right-hand side den
+        times q there, in ``product`` order, which is q's flat order), then the
+        channel's row sums (right-hand side 1).
+        """
+        nv, size = len(self.view_rows), self.size
+        # every numerator is at most den
+        A = np.zeros((nv + len(self.rows), size + 2 * nv),
+                     dtype=object if self.den > INT64_MAX else np.int64)
+        A[:nv, :size] = self.view_rows
+        A[range(nv), range(size, size + nv)] = -self.den
+        A[range(nv), range(size + nv, size + 2 * nv)] = self.den
+        A[nv:, :size] = np.repeat(np.eye(len(self.rows), dtype=np.int64), len(self.outs), axis=1)
+        start = [self.identity_bits >> j & 1 for j in range(size)] + [0] * (2 * nv)
+        return A, tuple(start), (0,) * size + (Fraction(-1, 2),) * (2 * nv)
+
+    @cached_property
+    def _float_lp(self):
+        """The same LP for HiGHS: view rows over ``den``, row sums as they are;
+        objective, then the row sums' right-hand side."""
+        rows, nv = self._exact_lp[0].tolist(), len(self.view_rows)
+        F = np.array([[num / self.den for num in row] for row in rows[:nv]] + rows[nv:],
+                     dtype=np.float64)
+        c = np.zeros(F.shape[1])
+        c[self.size:] = 0.5
+        return F, c, np.ones(len(self.rows))
 
     def channel(self, sol: Sequence, offset: int = 0) -> Channel:
         """The exact channel at a rational solution; inputs off P's support

@@ -330,8 +330,9 @@ class _Region:
 
 class Regions(dict):
     """One exact law's settled regions by canonical collection, and the
-    channel tables they share by coordinates on P's integer numerators, each
-    built on first use: a region depends on the law and collection only.
+    channel tables they and the view-distance LPs share by coordinates on
+    P's integer numerators, each built on first use: a region depends on
+    the law and collection only.
 
     For each region it settles pinned, by any route, the store records its
     members' coordinates in ``fixed_view`` (a channel on such a set whose

@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .polytope import ChannelVars
+from .polytope import INT64_MAX, ChannelVars
 from .probability import Channel, JointPmf, ProbabilityError, apply_channel, integer_mass
 from .simplex import Tableau
 
-INT64_MAX = np.iinfo(np.int64).max
 CERT_BITS = 24     # the certificate's duals and channel are multiples of 2**-CERT_BITS
 
 
@@ -36,63 +34,6 @@ def induce_view(p: JointPmf, adversary_set: Iterable[int], w: Channel | None) ->
     if w is None:
         raise ProbabilityError("non-empty adversary set needs a channel")
     return apply_channel(p, coords, w)
-
-
-@dataclass(frozen=True)
-class ViewSetHandle:
-    """The view set of one adversary set over an exact base law.
-
-    What does not depend on the query is built once per handle, on first
-    use: the view-distance LP, and its float matrix for HiGHS.
-    """
-
-    base: JointPmf
-    adversary_set: frozenset[int]
-
-    def __post_init__(self):
-        for c in self.adversary_set:
-            if not 0 <= c < self.base.k - 1:
-                raise ProbabilityError(f"adversary coordinate {c} out of range")
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple(sorted(self.adversary_set))
-
-    @cached_property
-    def _exact_lp(self):
-        """The exact LP: channel table, integer matrix, start, objective.
-
-        Variables are the channel's entries, then the view slacks below q and
-        the view slacks above q, one each per view point.  Rows: ``den`` times
-        the induced view minus q at each view point, that is ``view_rows`` on
-        the channel entries and -den, den on the slacks (right-hand side den
-        times q there, in ``product`` order, which is q's flat order), then the
-        channel's row sums (right-hand side 1).
-        """
-        w = ChannelVars(self.base, self.coords)
-        nv, size = len(w.view_rows), w.size
-        # every numerator is at most den
-        A = np.zeros((nv + len(w.rows), size + 2 * nv),
-                     dtype=object if w.den > INT64_MAX else np.int64)
-        A[:nv, :size] = w.view_rows
-        A[range(nv), range(size, size + nv)] = -w.den
-        A[range(nv), range(size + nv, size + 2 * nv)] = w.den
-        A[nv:, :size] = np.repeat(np.eye(len(w.rows), dtype=np.int64), len(w.outs), axis=1)
-        start = [w.identity_bits >> j & 1 for j in range(size)] + [0] * (2 * nv)
-        c = (0,) * size + (Fraction(-1, 2),) * (2 * nv)
-        return w, A, tuple(start), c
-
-    @cached_property
-    def _float_lp(self):
-        """The same LP for HiGHS: view rows over ``den``, row sums as they are."""
-        w, A, _, _ = self._exact_lp
-        nv = len(w.view_rows)
-        rows = A.tolist()
-        F = np.array([[num / w.den for num in row] for row in rows[:nv]] + rows[nv:],
-                     dtype=np.float64)
-        c = np.zeros(A.shape[1])
-        c[w.size:] = 0.5
-        return w, F, c, np.ones(len(w.rows))
 
 
 @dataclass(frozen=True)
@@ -116,9 +57,10 @@ class MembershipResult:
             return None
         return self.table.channel([Fraction(v, self.den) for v in self.solution])
 
-    def verify(self, handle: ViewSetHandle, q: JointPmf) -> None:
-        """Re-check exactly that the nearest channel's view lies at ``upper``."""
-        view = induce_view(handle.base, handle.adversary_set, self.nearest_channel)
+    def verify(self, w: ChannelVars, q: JointPmf) -> None:
+        """Re-check exactly that the nearest channel's view, through the
+        table ``w`` of its set, lies at ``upper``."""
+        view = induce_view(w.p, w.coords, self.nearest_channel)
         if not self.lower <= self.upper == view.tv_distance(q):
             raise AssertionError("the nearest channel's view is not at the upper bound")
 
@@ -191,21 +133,22 @@ class DistanceScreen:
         return [False if v * self.td > cut else accept for v in lower]
 
 
-def distance_to_viewset(handle: ViewSetHandle, q: JointPmf, thresh) -> MembershipResult:
-    """Exact bounds on min over channels W of TV(view(W), q), for an exact q,
-    that decide it against thresh: the lower one exceeds it or the upper
-    one does not.  HiGHS solves the LP, and ``_certificate`` turns its duals
-    and its channel, rounded to multiples of 2**-CERT_BITS, into the bounds;
-    when thresh lies between them, or HiGHS fails, the rational simplex decides.
+def distance_to_viewset(w: ChannelVars, q: JointPmf, thresh) -> MembershipResult:
+    """Exact bounds on min over channels W of TV(view(W), q), for an exact q
+    and the channel table ``w`` of A's coordinates, that decide it against
+    thresh: the lower one exceeds it or the upper one does not.  HiGHS
+    solves the LP, and ``_certificate`` turns its duals and its channel,
+    rounded to multiples of 2**-CERT_BITS, into the bounds; when thresh lies
+    between them, or HiGHS fails, the rational simplex decides.
     """
-    if handle.base.axes != q.axes:
+    if w.p.axes != q.axes:
         raise ProbabilityError("query pmf axes do not match the base law")
-    if not handle.coords:
-        dist = handle.base.tv_distance(q)
+    if not w.coords:
+        dist = w.p.tv_distance(q)
         return MembershipResult(dist, dist)
     from scipy.optimize import linprog   # lazy: scipy's import costs more memory than decoding
 
-    w, A, c, ones = handle._float_lp
+    A, c, ones = w._float_lp
     b = np.concatenate([q.mass.reshape(-1).astype(np.float64), ones])
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if res.success:
@@ -218,7 +161,7 @@ def distance_to_viewset(handle: ViewSetHandle, q: JointPmf, thresh) -> Membershi
             result = _certificate(w, q, chan.reshape(-1).tolist(), g.astype(np.int64).tolist())
             if result.lower > thresh or result.upper <= thresh:
                 return result
-    return _distance_exact(handle, q)
+    return _distance_exact(w, q)
 
 
 def _certificate(w: ChannelVars, q: JointPmf, chan: list[int], g: list[int]) -> MembershipResult:
@@ -244,10 +187,10 @@ def _certificate(w: ChannelVars, q: JointPmf, chan: list[int], g: list[int]) -> 
     return MembershipResult(lower, upper, w, chan, one)
 
 
-def _distance_exact(handle: ViewSetHandle, q: JointPmf) -> MembershipResult:
-    w, A, identity, c = handle._exact_lp
+def _distance_exact(w: ChannelVars, q: JointPmf) -> MembershipResult:
+    A, identity, c = w._exact_lp
     nv = len(w.view_rows)
-    qs, ps = q.mass.reshape(-1).tolist(), handle.base.mass.reshape(-1).tolist()
+    qs, ps = q.mass.reshape(-1).tolist(), w.p.mass.reshape(-1).tolist()
     b = [w.den * x for x in qs] + [1] * len(w.rows)
     # start at the identity channel, whose view is P, with slacks P - q split
     # by sign; each identity column is alone in its row-sum row and each

@@ -24,7 +24,8 @@ from byzfc.probability import (Alphabet, Channel, JointPmf, SampleBlock,
                                pmf_from_dict, sample_iid, tv_distance)
 from byzfc.structures import TargetFunction
 from byzfc.viability import check_s_viability, verify_witness
-from byzfc.viewsets import ViewSetHandle, distance_to_viewset, induce_view
+from byzfc.polytope import ChannelVars
+from byzfc.viewsets import distance_to_viewset, induce_view
 
 
 def criterion(num: int, desc: str, ok: bool) -> None:
@@ -332,12 +333,12 @@ class TestCriterion10:
 
         # view-geometry: untouched-marginal lower bound on the distance, on
         # random rational laws: a radius just below the gap never admits q
-        handles = {a: ViewSetHandle(erasure_pmf, frozenset(a)) for a in ((0,), (1, 2))}
+        tables = {a: ChannelVars(erasure_pmf, a) for a in ((0,), (1, 2))}
         for t in range(400):
             m = rng.integers(1, 1001, size=erasure_pmf.mass.shape)
             q = JointPmf(erasure_pmf.axes, np.array([Fraction(int(v), int(m.sum()))
                                             for v in m.reshape(-1)]).reshape(m.shape))
-            for aset, h in handles.items():
+            for aset, h in tables.items():
                 untouched = tuple(c for c in range(4) if c not in aset)
                 gap = erasure_pmf.marginalize(untouched).tv_distance(q.marginalize(untouched))
                 res = distance_to_viewset(h, q, gap - Fraction(1, 10**12))

@@ -551,6 +551,44 @@ class TestMalformedInput:
         assert code == 2 and len(err.splitlines()) == 1
         assert f"must be a list, not {kind}" in err
 
+    @pytest.mark.parametrize("case", ["check-viability-out-file", "export-out-file", "pmf-dir",
+                                      "config-dir", "block-dir", "scenario-dir"])
+    def test_a_path_of_the_wrong_kind_exits_2_with_one_line(self, case, tmp_path, capsys,
+                                                           erasure_config):
+        # a file where an output directory belongs (FileExistsError) and a
+        # directory where an input file belongs (IsADirectoryError) are
+        # configuration errors, like a missing file
+        plain, folder = tmp_path / "plain.json", tmp_path / "folder"
+        plain.write_text("{}")
+        folder.mkdir()
+
+        def put(name, obj):
+            path = tmp_path / name
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        def decode(config=None, block=None):
+            config = config or put("c.json", config_to_json_dict(erasure_config))
+            block = block or put("b.json", sample_iid(erasure_config.base.to_float(), 20,
+                                                      seed=1).to_json_dict())
+            return ["decode", "--config", config, "--block", block]
+
+        args = {
+            "check-viability-out-file": lambda: ["check-viability", "--example",
+                                                 "example-3-2-erasure:uv", "--threshold", "2",
+                                                 "--out", str(plain)],
+            "export-out-file": lambda: ["examples", "export", "example-3-2-erasure",
+                                        "--out", str(plain)],
+            "pmf-dir": lambda: ["check-viability", "--pmf", str(folder), "--function", str(plain),
+                                "--threshold", "2"],
+            "config-dir": lambda: decode(config=str(folder)),
+            "block-dir": lambda: decode(block=str(folder)),
+            "scenario-dir": lambda: ["simulate", str(folder)],
+        }[case]()
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+
     def test_fault_while_resolving_a_witness_is_internal(self, tmp_path, monkeypatch):
         import byzfc.adversary as adversary
 

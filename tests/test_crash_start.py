@@ -43,10 +43,11 @@ from byzfc.simplex import (LPError, Tableau, certifies, dual_certificate, full_r
 from byzfc.structures import AdversaryStructure, nonintersecting_collections
 from byzfc.viability import (GBuildConflict, Regions, _f_at, _needs_solving, _Region,
                              _repaired, build_g, check_viability)
-from byzfc.viewsets import ViewSetHandle, _distance_exact, induce_view
+from byzfc.polytope import ChannelVars
+from byzfc.viewsets import _distance_exact, induce_view
 
 from test_acceptance import t1_instance
-from test_viewsets import coefficients, random_channel
+from test_viewsets import coefficients, random_channel, table
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -110,8 +111,8 @@ def test_generated_regions_match_phase1(sizes, seed, zero_frac, pick, s):
     _compare_starts(Regions(p)[cols[pick % len(cols)]], np.random.default_rng(seed))
 
 
-def distance_queries(p: JointPmf) -> list[tuple[ViewSetHandle, JointPmf]]:
-    """(handle, query) pairs for the exact view-distance LP on the worked
+def distance_queries(p: JointPmf) -> list[tuple[ChannelVars, JointPmf]]:
+    """(channel table, query) pairs for the exact view-distance LP on the worked
     example's law p: four adversary sets against p itself, random laws and
     views p induces through random exact channels."""
     queries = [p]
@@ -121,8 +122,8 @@ def distance_queries(p: JointPmf) -> list[tuple[ViewSetHandle, JointPmf]]:
         aset = (0,) if seed % 2 else (1, 2)
         axes = tuple(p.axes[c] for c in aset)
         queries.append(induce_view(p, aset, random_channel(axes, seed=seed, small=True)))
-    handles = [ViewSetHandle(p, frozenset(aset)) for aset in ({0}, {1}, {1, 2}, {0, 2})]
-    return [(h, JointPmf(p.axes, q.mass)) for h in handles for q in queries]
+    tables = [table(p, aset) for aset in ({0}, {1}, {1, 2}, {0, 2})]
+    return [(h, JointPmf(p.axes, q.mass)) for h in tables for q in queries]
 
 
 def test_exact_distance_same_without_the_start(erasure_pmf, monkeypatch):

@@ -446,10 +446,12 @@ class TestExactModeDecode:
     def test_replaced_delta_rebuilds_the_screen(self, erasure_pmf, erasure_f_uv,
                                                 erasure_config):
         # a config derived by replace screens at its new radius, on the same
-        # exact view handles and with the tables built so far
+        # exact law and adversary sets, whose channel tables its own store
+        # builds, and with the tables built so far
         cfg = dataclasses.replace(erasure_config, delta=0.2)
-        assert cfg.handles == erasure_config.handles and cfg.screen.thresh == 0.2
-        assert all(h.base is erasure_pmf for h in cfg.handles)
+        assert cfg.structure.sets == erasure_config.structure.sets and cfg.screen.thresh == 0.2
+        assert all(cfg._regions.channel(tuple(sorted(s))).p is erasure_pmf
+                   for s in cfg.structure.nonempty_sets)
         assert cfg.g_tables == erasure_config.g_tables
         blk = exact_type_block(erasure_pmf)
         v = decode(cfg, blk)
@@ -528,6 +530,33 @@ class TestCertifiedDecode:
         monkeypatch.setattr(decoder, "distance_to_viewset",
                             lambda h, q, thresh: viewsets._distance_exact(h, q))
         assert [explanation_set(erasure_config, blk) for blk in blocks] == certified
+
+    def test_band_lps_read_the_stores_tables(self, flipped_blocks, erasure_pmf, erasure_f_uv,
+                                             threshold_3_2, monkeypatch):
+        # a config build and the membership LPs of flipped band blocks build
+        # one channel table per non-empty set, the region store's, and each
+        # LP's result keeps the store's table of its set
+        built, results = [], []
+        init = ChannelVars.__init__
+
+        def counted(self, p, coords, *args):
+            built.append(coords)
+            init(self, p, coords, *args)
+
+        def solve(w, q, thresh):
+            res = viewsets.distance_to_viewset(w, q, thresh)
+            results.append((w, res))
+            return res
+
+        monkeypatch.setattr(ChannelVars, "__init__", counted)
+        monkeypatch.setattr(decoder, "distance_to_viewset", solve)
+        cfg = build_decoder_config(erasure_pmf, erasure_f_uv, threshold_3_2, delta=0.1)
+        kinds = [decode(cfg, blk).kind for blk in flipped_blocks]
+        assert len(built) == 6 and "estimate" in kinds
+        assert sorted(built) == sorted(tuple(sorted(s)) for s in threshold_3_2.nonempty_sets)
+        assert results and {w.coords for w, _ in results} < set(built)
+        for w, res in results:
+            assert res.table is w is cfg._regions.channel(w.coords)
 
     def test_decoding_builds_no_channel(self, flipped_blocks, erasure_config, monkeypatch):
         # the nearest channel is built only when asked for: decoding reads

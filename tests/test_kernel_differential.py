@@ -37,10 +37,10 @@ from byzfc.simplex import (ENTRY_BOUND, MAX_PIVOTS, Infeasible, LPError, Tableau
                            _integers, positive_coordinates)
 from byzfc.structures import nonintersecting_collections
 from byzfc.viability import Regions, _needs_solving, _Region, check_viability
-from byzfc.viewsets import ViewSetHandle
 
 from test_crash_start import _identity_start, _ladder, distance_queries
 from test_simplex import fuzz_lps, integer_rows, random_lps
+from test_viewsets import table
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -386,7 +386,7 @@ def test_exact_view_distance(erasure_pmf, monkeypatch):
     pf = erasure_pmf.to_float()
     for seed in range(3):
         q = empirical_type(sample_iid(pf, 5000, seed=derive_seed(19, seed)))
-        cases += [(ViewSetHandle(erasure_pmf, frozenset(aset)), q) for aset in ({0}, {1, 2})]
+        cases += [(table(erasure_pmf, aset), q) for aset in ({0}, {1, 2})]
     for h, q in cases:
         same_run(_distance_run(h, q, monkeypatch))
 
@@ -400,7 +400,7 @@ def test_exact_view_distance_over_a_huge_denominator(monkeypatch):
     for seed in range(3):
         q = empirical_type(sample_iid(base.to_float(), 500, seed=derive_seed(61, seed)))
         for aset in ({0}, {1}, {0, 1}):
-            same_run(_distance_run(ViewSetHandle(base, frozenset(aset)), q, monkeypatch))
+            same_run(_distance_run(table(base, aset), q, monkeypatch))
 
 
 def test_fallback_regions_of_the_ladder():

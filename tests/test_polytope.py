@@ -14,7 +14,7 @@ from byzfc.polytope import ChannelVars, law_ints
 from byzfc.probability import Alphabet, Channel, JointPmf, ProbabilityError, derive_seed, integer_mass
 from byzfc.structures import AdversaryStructure
 from byzfc.viability import Regions, _Region, check_viability
-from byzfc.viewsets import ViewSetHandle, induce_view
+from byzfc.viewsets import distance_to_viewset, induce_view
 
 from test_acceptance import t1_instance
 from test_viewsets import coefficients, random_channel
@@ -81,7 +81,8 @@ def test_float_view_rows_are_the_float_view(law, threshold_3_2):
         if not s:
             continue
         coords = tuple(sorted(s))
-        w, A, _, _ = ViewSetHandle(law, s)._float_lp
+        w = Regions(law).channel(coords)
+        A = w._float_lp[0]
         axes = tuple(law.axes[c] for c in coords)
         chan = random_channel(axes, seed=7, small=True)
         x = np.zeros(w.size)
@@ -123,14 +124,15 @@ def test_identity_point_is_identity_channel(law, threshold_3_2):
 
 @pytest.mark.parametrize("as_float", [False, True])
 def test_rows_are_the_marginal_support(law, threshold_3_2, erasure_pmf, as_float):
-    # as_float: the table the float LP reads, against the float marginal
+    # as_float: the store's table, which the float LP reads, against the
+    # float marginal
     mass = law.mass.astype(np.float64) if as_float else law.mass
     dropped = 0
     for s in threshold_3_2.sets:
         if not s:
             continue
         coords = tuple(sorted(s))
-        w = ViewSetHandle(law, s)._float_lp[0] if as_float else ChannelVars(law, coords)
+        w = Regions(law).channel(coords) if as_float else ChannelVars(law, coords)
         marg = mass.sum(axis=tuple(c for c in range(law.k) if c not in coords))
         support = [tx for tx in product(*(range(law.axes[c].size) for c in coords))
                    if marg[tx] > 0]
@@ -167,9 +169,9 @@ def test_bit_rows_are_the_dict_rows(law, threshold_3_2):
 def test_a_table_whose_identity_view_is_not_the_law_is_refused(law, monkeypatch):
     # the identity's view, P's numerators over den, must be P: they are
     # checked once per law, where they are computed, in the region store and
-    # in a table built without them (a view-set handle's); numerators of
-    # another scale, another denominator or the law reflected on an axis are
-    # refused
+    # in a table built without them, before its view-distance LP; numerators
+    # of another scale, another denominator or the law reflected on an axis
+    # are refused
     nums, den = integer_mass(law.mass)
     got = law_ints(law)
     assert got[1] == den and np.array_equal(got[0], nums)
@@ -177,9 +179,22 @@ def test_a_table_whose_identity_view_is_not_the_law_is_refused(law, monkeypatch)
         monkeypatch.setattr(polytope, "integer_mass", lambda mass, ints=ints: ints)
         for build in (lambda: law_ints(law), lambda: Regions(law),
                       lambda: ChannelVars(law, (0,)),
-                      lambda: ViewSetHandle(law, frozenset({0}))._exact_lp):
+                      lambda: ChannelVars(law, (0,))._exact_lp):
             with pytest.raises(ValueError, match="identity channel's view"):
                 build()
+
+
+@pytest.mark.parametrize("coord", [3, -1, True], ids=["side", "negative", "bool"])
+@pytest.mark.parametrize("route", ["store", "distance"])
+def test_a_table_refuses_a_coordinate_that_is_no_user(coord, route, erasure_pmf):
+    # coordinate 3 of the erasure law is the side information, no user's,
+    # and True is not read as user 1: the regions' tables and the
+    # view-distance LP's are refused alike
+    with pytest.raises(ProbabilityError, match="out of range"):
+        if route == "store":
+            Regions(erasure_pmf).channel((coord,))
+        else:
+            distance_to_viewset(ChannelVars(erasure_pmf, (0, coord)), erasure_pmf, 0)
 
 
 def reference_channel_vars(p: JointPmf, coords: tuple[int, ...], ints=None) -> SimpleNamespace:

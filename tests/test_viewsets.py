@@ -17,13 +17,13 @@ from byzfc.decoder import DecoderConfig, build_decoder_config, explanation_set
 from byzfc.examples_lib import random_pmf
 from byzfc.polytope import ChannelVars
 from byzfc.probability import (Alphabet, Channel, JointPmf, ProbabilityError, SampleBlock,
-                               derive_seed, empirical_type, philox, pmf_from_dict, sample_iid,
-                               tv_distance, type_counts, uniform_pmf)
+                               derive_seed, empirical_type, integer_mass, philox, pmf_from_dict,
+                               sample_iid, tv_distance, type_counts, uniform_pmf)
 from byzfc.simplex import Tableau
 from byzfc.structures import AdversaryStructure
-from byzfc.viability import check_s_viability
-from byzfc.viewsets import (CERT_BITS, DistanceScreen, ViewSetHandle, _certificate,
-                            _distance_exact, distance_to_viewset, induce_view)
+from byzfc.viability import Regions, check_s_viability
+from byzfc.viewsets import (CERT_BITS, DistanceScreen, _certificate, _distance_exact,
+                            distance_to_viewset, induce_view)
 
 from test_decoder import exact_type_block
 from test_simplex import integer_rows
@@ -58,19 +58,37 @@ def rational_pmf(axes, rng) -> JointPmf:
     return JointPmf(axes, mass.reshape(w.shape))
 
 
+def table(p: JointPmf, aset) -> ChannelVars:
+    """A fresh channel table of the adversary set ``aset`` over p."""
+    return ChannelVars(p, tuple(sorted(aset)))
+
+
+_NUMERATORS: dict[int, tuple] = {}
+
+
+def numerators(p: JointPmf) -> tuple[np.ndarray, int]:
+    """P's integer numerators and their least common denominator, read with
+    ``integer_mass`` once per law (kept by the law's id, with the law)."""
+    got = _NUMERATORS.get(id(p))
+    if got is None or got[0] is not p:
+        got = _NUMERATORS[id(p)] = (p, *integer_mass(p.mass))
+    return got[1], got[2]
+
+
 def coefficients(w: ChannelVars, v) -> list[tuple[tuple[int, ...], int, int]]:
     """View v's ``(tx, var, num)`` read off P by index: one per input tx in
     ``w.rows`` with num / den = P(v with w's coords <- tx) > 0, in that
     order; var is W(v's coords | tx)."""
+    nums, den = numerators(w.p)
+    assert den == w.den
     ux, out = tuple(v[c] for c in w.coords), []
     for tx in w.rows:
         full = list(v)
         for pos, c in enumerate(w.coords):
             full[c] = tx[pos]
-        num = Fraction(w.p.mass[tuple(full)]) * w.den
-        assert num.denominator == 1
+        num = nums[tuple(full)]
         if num > 0:
-            out.append((tx, w.var[(tx, ux)], num.numerator))
+            out.append((tx, w.var[(tx, ux)], num))
     return out
 
 
@@ -110,7 +128,7 @@ class TestInduceView:
 class TestDistance:
     def test_base_law_distance_zero(self, erasure_pmf):
         for aset in ({0}, {1}, {1, 2}, frozenset()):
-            h = ViewSetHandle(erasure_pmf, frozenset(aset))
+            h = table(erasure_pmf, aset)
             res = distance_to_viewset(h, erasure_pmf, 0)
             assert res.upper == 0
             res.verify(h, erasure_pmf)
@@ -124,7 +142,7 @@ class TestDistance:
         q = pmf_from_dict((b, b, b), {
             (0, 0, 0): Fraction(3, 8), (1, 1, 1): Fraction(3, 8),
             (0, 1, 0): Fraction(1, 8), (1, 0, 1): Fraction(1, 8)})
-        h = ViewSetHandle(p, frozenset({0}))
+        h = table(p, {0})
         gap = p.marginalize((1, 2)).tv_distance(q.marginalize((1, 2)))
         res = distance_to_viewset(h, q, gap)
         assert gap > 0
@@ -144,7 +162,7 @@ class TestDistance:
                 axes = tuple(erasure_pmf.axes[c] for c in sorted(aset))
                 w = random_channel(axes, seed=seed, small=True)
                 q = induce_view(erasure_pmf, aset, w)
-                h = ViewSetHandle(erasure_pmf, frozenset(aset))
+                h = table(erasure_pmf, aset)
                 res = distance_to_viewset(h, q, 0)
                 assert res.upper == 0
                 res.verify(h, q)
@@ -157,7 +175,7 @@ class TestDistance:
         # mix toward uniform to get a positive distance
         u = uniform_pmf(q.axes)
         q = JointPmf(q.axes, Fraction(7, 10) * q.mass + Fraction(3, 10) * u.mass)
-        h = ViewSetHandle(erasure_pmf, frozenset({1, 2}))
+        h = table(erasure_pmf, {1, 2})
         exact = _distance_exact(h, q)
         assert exact.lower == exact.upper > 0 and exact.nearest_channel is not None
         exact.verify(h, q)
@@ -175,7 +193,7 @@ class TestDistance:
             for aset in ({0}, {2}, {1, 2}):
                 untouched = tuple(c for c in range(4) if c not in aset)
                 gap = erasure_pmf.marginalize(untouched).tv_distance(q.marginalize(untouched))
-                h = ViewSetHandle(erasure_pmf, frozenset(aset))
+                h = table(erasure_pmf, aset)
                 thresh = gap - Fraction(1, 10**12)
                 res = distance_to_viewset(h, q, thresh)
                 assert res.lower <= res.upper and res.upper > thresh
@@ -184,11 +202,12 @@ class TestDistance:
 class TestHandleCache:
     @pytest.mark.parametrize("exact", [True, False])
     def test_reused_handle_matches_a_fresh_one(self, erasure_pmf, exact):
-        # the LP's rows and matrix are built once per handle; only q changes.
-        # exact: the rational simplex; else the certified HiGHS bounds
-        rng = philox(21)
+        # the LP's rows and matrix are built once per channel table, the
+        # store's; only q changes.  exact: the rational simplex; else the
+        # certified HiGHS bounds
+        rng, store = philox(21), Regions(erasure_pmf)
         for aset in ({0}, {1, 2}):
-            shared = ViewSetHandle(erasure_pmf, frozenset(aset))
+            shared = store.channel(tuple(sorted(aset)))
             for seed in range(3):
                 law = rational_pmf(erasure_pmf.axes, rng)
                 q = empirical_type(sample_iid(law.to_float(), 300, seed=seed))
@@ -196,16 +215,15 @@ class TestHandleCache:
                 def solve(h):
                     return _distance_exact(h, q) if exact else distance_to_viewset(h, q, 1)
 
-                got, want = solve(shared), solve(ViewSetHandle(erasure_pmf, frozenset(aset)))
+                got, want = solve(shared), solve(table(erasure_pmf, aset))
                 assert (got.lower, got.upper) == (want.lower, want.upper) and got.upper > 0
                 assert np.array_equal(got.nearest_channel.rows, want.nearest_channel.rows)
 
 
-def _fraction_distance_lp(handle: ViewSetHandle):
+def _fraction_distance_lp(w: ChannelVars):
     """The view-distance LP with P-valued Fraction rows: P(v with A <- tx)
     on W(ux | tx), -1 and 1 on the view slacks, then the row sums."""
-    w = ChannelVars(handle.base, handle.coords)
-    views = list(np.ndindex(handle.base.mass.shape))
+    views = list(np.ndindex(w.p.mass.shape))
     nv = len(views)
     rows = [[Fraction(0)] * (w.size + 2 * nv) for _ in range(nv + len(w.rows))]
     for vi, v in enumerate(views):
@@ -215,14 +233,14 @@ def _fraction_distance_lp(handle: ViewSetHandle):
     for ti, tx in enumerate(w.rows):
         for ux in w.outs:
             rows[nv + ti][w.var[(tx, ux)]] = 1
-    return w, rows
+    return rows
 
 
-def _fraction_distance(handle: ViewSetHandle, q: JointPmf):
+def _fraction_distance(w: ChannelVars, q: JointPmf):
     """Distance and nearest channel from the Fraction rows (right-hand side
     q), started at the identity channel with slacks P - q split by sign."""
-    p = handle.base
-    w, rows = _fraction_distance_lp(handle)
+    p = w.p
+    rows = _fraction_distance_lp(w)
     views = list(np.ndindex(p.mass.shape))
     nv = len(views)
     start = [Fraction(0)] * (w.size + 2 * nv)
@@ -247,19 +265,19 @@ def test_integer_distance_rows_match_the_fraction_rows(erasure_pmf, threshold_3_
         types = [empirical_type(sample_iid(law.to_float(), 60, seed=derive_seed(41, li, t)))
                  for t in range(3)]
         for aset in threshold_3_2.sets:
-            handle = ViewSetHandle(law, aset)
+            w = table(law, aset)
             if aset:
-                _, rows = _fraction_distance_lp(handle)
-                _, A, _, _ = handle._float_lp
+                rows = _fraction_distance_lp(w)
+                A = w._float_lp[0]
                 assert np.array_equal(A, np.array(rows, dtype=float))
             for q in types:
                 if aset:
-                    got = _distance_exact(handle, q)
-                    dist, chan = _fraction_distance(handle, q)
+                    got = _distance_exact(w, q)
+                    dist, chan = _fraction_distance(w, q)
                     assert got.lower == got.upper == dist
                     assert got.nearest_channel.to_json_dict() == chan.to_json_dict()
                 else:
-                    got = distance_to_viewset(handle, q, 0)
+                    got = distance_to_viewset(w, q, 0)
                     assert got.lower == got.upper == law.tv_distance(q)
                 lps += 1
     assert lps == 105
@@ -297,20 +315,20 @@ def test_float_lp_matrix_is_the_float_laws(erasure_pmf, threshold_3_2):
     laws = [erasure_pmf] + [random_pmf(sizes, seed=seed, max_weight=top)
                             for sizes in ((2, 2, 2, 2), (3, 3, 3, 2), (2, 3, 3, 2))
                             for seed in range(3) for top in (3, 1000003)]
-    handles = 0
+    tables = 0
     for law in laws:
         for aset in threshold_3_2.sets:
             if aset:
                 want = _float_law_lp(law, aset)
-                got = ViewSetHandle(law, aset)._float_lp[1]
+                got = table(law, aset)._float_lp[0]
                 assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
-                handles += 1
-    assert handles == 114
+                tables += 1
+    assert tables == 114
 
 
 @pytest.fixture(scope="module")
 def band_types(screen_blocks, erasure_pmf, threshold_3_2):
-    """(handle, type) pairs that the bounds leave to the LP at delta = 0.1:
+    """(channel table, type) pairs that the bounds leave to the LP at delta = 0.1:
     the erasure law's screen blocks, and memoryless attacks on every set of
     random_pmf (2,2,2,2) at threshold 2 of 3 and (2,2,2,2,2) at 2 of 4."""
     laws = [(erasure_pmf, threshold_3_2, screen_blocks)]
@@ -331,7 +349,7 @@ def band_types(screen_blocks, erasure_pmf, threshold_3_2):
         for blk in blks:
             for aset, inside in zip(structure.sets, screen.decide(type_counts(blk))):
                 if inside is None:
-                    out.append((ViewSetHandle(p, aset), empirical_type(blk)))
+                    out.append((table(p, aset), empirical_type(blk)))
     return out
 
 
@@ -367,17 +385,17 @@ class TestCertificate:
         from scipy.optimize import linprog
 
         one, rng = 1 << CERT_BITS, philox(45)
-        for h, q in band_types[::6]:
-            w, A, c, ones = h._float_lp
+        for w, q in band_types[::6]:
+            A, c, ones = w._float_lp
             res = linprog(c, A_eq=A, b_eq=np.concatenate([q.mass.reshape(-1).astype(float), ones]),
                           bounds=(0, None), method="highs")
             duals = res.eqlin.marginals[:q.mass.size] + rng.normal(0, 0.3, q.mass.size)
             g = np.clip(np.rint(duals * one), -one // 2, one // 2).astype(np.int64).tolist()
             chan = rng.multinomial(one, np.full(len(w.outs), 1 / len(w.outs)), size=len(w.rows))
             got = _certificate(w, q, chan.reshape(-1).tolist(), g)
-            dist = _distance_exact(h, q).lower
+            dist = _distance_exact(w, q).lower
             assert got.lower == reference_lower(w, q, g) <= dist <= got.upper
-            got.verify(h, q)
+            got.verify(w, q)
 
     @pytest.mark.parametrize("law", ["huge", "ternary"])
     def test_bounds_past_int64_match_the_fractions(self, law):
@@ -394,7 +412,7 @@ class TestCertificate:
             p, sets = random_pmf((3, 3, 3, 3), seed=11), ({0}, {2}, {0, 1}, {1, 2})
         one, rng = 1 << CERT_BITS, philox(47)
         for aset in sets:
-            w = ViewSetHandle(p, frozenset(aset))._exact_lp[0]
+            w = table(p, aset)
             assert (w.den << CERT_BITS > viewsets.INT64_MAX) == (law == "huge")
             for seed in range(3):
                 q = empirical_type(sample_iid(p.to_float(), 500, seed=derive_seed(48, seed)))
@@ -476,7 +494,7 @@ class TestMembership:
     def test_triangle_consistency(self, erasure_pmf):
         # d1 <= d2 + TV(q1, q2) holds between the exact bounds as well
         rng = philox(6)
-        h = ViewSetHandle(erasure_pmf, frozenset({1}))
+        h = table(erasure_pmf, {1})
         for seed in range(8):
             q1, q2 = rational_pmf(erasure_pmf.axes, rng), rational_pmf(erasure_pmf.axes, rng)
             r1, r2 = distance_to_viewset(h, q1, 1), distance_to_viewset(h, q2, 1)
@@ -543,9 +561,10 @@ class TestScreen:
         for blk in screen_blocks:
             ty, lp_only = empirical_type(blk), []
             bounds = erasure_config.screen.bounds(type_counts(blk))
-            for i, h in enumerate(erasure_config.handles):
+            for i, s in enumerate(erasure_config.structure.sets):
+                h = erasure_config._regions.channel(tuple(sorted(s)))
                 lower, upper = bounds[i]
-                dist = _distance_exact(h, ty).lower if h.coords else h.base.tv_distance(ty)
+                dist = _distance_exact(h, ty).lower if h.coords else h.p.tv_distance(ty)
                 assert lower <= dist <= upper
                 if dist <= 0.1:
                     lp_only.append(i)
