@@ -12,10 +12,10 @@ updates only the rows that hold the pivot column, and no entry outgrows
 the determinants of integer pivoting (Edmonds 1967; Bareiss 1968), which
 carry every row over one shared denominator.  The array is int64 while
 every entry is at most ``ENTRY_BOUND`` in absolute value, which keeps each
-product of a pivot exact, and Python ints (``object``) from the first
-pivot that leaves a larger entry.  The objective rides along as one more
-integer row with its own scale, so Fractions appear only in the values
-returned.
+product of a pivot exact, and Python ints (``object``) only from a pivot
+that leaves a larger entry until one leaves every entry within the bound
+again.  The objective rides along as one more integer row with its own
+scale, so Fractions appear only in the values returned.
 
 Problems are equality-form:  optimize c.x  s.t.  A x = b,  x >= 0.  A is
 one 2-D integer numpy array, int64 or Python ints, and anything else (a
@@ -273,7 +273,9 @@ class Tableau:
     row: the columns, the right-hand side at column ``width - 1``, and a
     zero at column ``width``, where the objective row keeps its scale.  Row
     i stands for ``rows[i]`` divided by ``rows[i, basis[i]]``, which is
-    positive, and the gcd of its entries is 1.
+    positive, and the gcd of its entries is 1.  The array is int64 while
+    every entry is within ``ENTRY_BOUND``, Python ints only until a pivot
+    leaves every entry within it again.
     """
 
     def __init__(self, A: np.ndarray, b: Sequence, start: Sequence | None = None):
@@ -330,8 +332,13 @@ class Tableau:
             if g.max() > 1:
                 sub //= np.maximum(g, 1)[:, None]
             rows[hit] = sub
-            if rows.dtype != object and np.abs(sub).max() > ENTRY_BOUND:
-                self.rows = rows.astype(object)
+            # the updated rows decide a turn to Python ints; only when they
+            # fit is the whole array scanned for a return to int64
+            if np.abs(sub).max() > ENTRY_BOUND:
+                if rows.dtype != object:
+                    self.rows = rows.astype(object)
+            elif rows.dtype == object:
+                self.rows = _fitted(rows)
         self.basis[r] = c
 
     def _bland_step(self) -> bool:

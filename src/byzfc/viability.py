@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd
+from itertools import accumulate, chain, combinations, product
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -384,32 +384,34 @@ def _materialize_witness(region: _Region, conflict: GBuildConflict) -> Violation
     var_a = region.var(a[0], a[1], tuple(v[c] for c in wa.coords))
     var_b = region.var(b[0], b[1], tuple(v[c] for c in wb.coords))
     sol = region.conflict_vertex(var_a, var_b)
-    # member m's joint numerators at view vp, num * W_m(vp | tx), are row vp of
-    # its view rows times the vertex, kept on the columns the vertex uses;
-    # den * P_view(vp) is member 0's sum of them
+    # the vertex times L, the lcm of its denominators, is integral; member m's
+    # joint numerators at view vp, den * L * Q(vp, tx), are row vp of its view
+    # rows times it, kept on the columns it uses, and D = den * L * Q(vp) is
+    # member 0's sum of them; a scenario tuple's mass over M members is then
+    # the product of its numerators over den * L * D^(M-1)
+    scale = lcm(*(x.denominator for x in sol))
+    ints = [x.numerator * (scale // x.denominator) for x in sol]
     joints = []
     for w, off in zip(members, region.offsets):
-        x = np.array(sol[off:off + w.size], dtype=object)
+        x = np.array(ints[off:off + w.size], dtype=object)
         cols = np.flatnonzero(x).tolist()
         joints.append(([w.inputs[c] for c in cols], (w.view_rows[:, cols] * x[cols]).tolist()))
 
     joint_axes = tuple(p.axes) + tuple(p.axes[c] for w in members for c in w.coords)
     mass = zero_mass(tuple(ax.size for ax in joint_axes))
-
     for vi, vp in enumerate(np.ndindex(p.mass.shape)):
-        dpv = sum(joints[0][1][vi])
-        if dpv == 0:
+        d = sum(joints[0][1][vi])
+        if d == 0:
             continue
-        pv = Fraction(dpv, region.den)
-        posts = [[(tx, num / dpv) for tx, num in zip(ins, rows[vi]) if num]
-                 for ins, rows in joints]
-        for combo in product(*posts):
-            weight = pv
+        below = region.den * scale * d ** (len(members) - 1)
+        nums = [[(tx, num) for tx, num in zip(ins, rows[vi]) if num] for ins, rows in joints]
+        for combo in product(*nums):
+            top = 1
             idx: list[int] = list(vp)
-            for tx, pr in combo:
-                weight *= pr
+            for tx, num in combo:
+                top *= num
                 idx.extend(tx)
-            mass[tuple(idx)] = mass[tuple(idx)] + weight
+            mass[tuple(idx)] = Fraction(top, below)
     joint = JointPmf(joint_axes, mass)
 
     point: list[int] = list(v)
@@ -503,8 +505,17 @@ def check_viability(p: JointPmf, f: TargetFunction, structure: AdversaryStructur
 
 
 def _needs_solving(col: Collection) -> bool:
-    """Whether at most two members can be dropped leaving the rest non-intersecting."""
-    return sum(not frozenset.intersection(*col[:i], *col[i + 1:]) for i in range(len(col))) <= 2
+    """Whether at most two members can be dropped leaving the rest non-intersecting:
+    the rest of each member is read off prefix and suffix intersections, and
+    the walk stops at a third member whose rest is empty."""
+    heads = [*accumulate(col[:-1], frozenset.intersection)]  # heads[i]: col[:i + 1]
+    tails = [*accumulate(col[:0:-1], frozenset.intersection)][::-1]  # tails[i]: col[i + 1:]
+    dropped = 0
+    for rest in chain(tails[:1], map(frozenset.intersection, heads, tails[1:]), heads[-1:]):
+        dropped += not rest
+        if dropped > 2:
+            return False
+    return True
 
 
 def check_s_viability(p: JointPmf, f: TargetFunction, s: int) -> ViabilityReport:

@@ -18,12 +18,18 @@ pivot list of the benchmark's seed-1 ``verdict-random`` pass is pinned, as
 is the route (bits, dual or tableau) that settles each of its regions, and
 every pivot of that pass must keep each row primitive, each basic row
 positive at its basic column, and each row without the pivot column as it
-was.
+was; so must every pivot of pass 1, whose k3-5 conflict tableau passes the
+int64 bound and comes back within it.  ``fraction_joint`` is the witness
+joint's old construction through Fraction products, kept as the reference
+for the integer one on every refutation of the ladder, of ``uvw`` and of
+the seed-1 ``verdict-witness`` threshold-1 pool.
 """
 
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from pathlib import Path
 from typing import Sequence
@@ -32,10 +38,11 @@ import numpy as np
 import pytest
 
 from byzfc import viability, viewsets
-from byzfc.probability import Alphabet, JointPmf, derive_seed, empirical_type, sample_iid
+from byzfc.probability import (Alphabet, JointPmf, derive_seed, empirical_type, philox, sample_iid,
+                               zero_mass)
 from byzfc.simplex import (ENTRY_BOUND, MAX_PIVOTS, Infeasible, LPError, Tableau, Unbounded,
                            _integers, positive_coordinates)
-from byzfc.structures import nonintersecting_collections
+from byzfc.structures import AdversaryStructure, nonintersecting_collections
 from byzfc.viability import Regions, _needs_solving, _Region, check_viability
 
 from test_crash_start import _identity_start, _ladder, distance_queries
@@ -351,25 +358,36 @@ def growing_lps():
         yield A2, b, [int(v) for v in rng.integers(-2**16, 2**16, size=n)] + [0]
 
 
-def test_entries_past_the_int64_bound(monkeypatch):
-    # the array starts as int64 and turns to Python ints at the first pivot
-    # that leaves an entry past ENTRY_BOUND; the log is the dense kernel's
+def _watch_kinds(monkeypatch) -> list:
+    """The (before, after) dtype of the rows at every ``Tableau`` pivot."""
     pivot = Tableau._pivot
     kinds: list = []
 
     def watched(self, r, c):
-        kinds.append(self.rows.dtype)
+        before = self.rows.dtype
         pivot(self, r, c)
+        kinds.append((before, self.rows.dtype))
 
     monkeypatch.setattr(Tableau, "_pivot", watched)
-    switched = 0
+    return kinds
+
+
+def test_entries_past_the_int64_bound(monkeypatch):
+    # the array starts as int64 and turns to Python ints at the first pivot
+    # that leaves an entry past ENTRY_BOUND, and back to int64 at a pivot
+    # that leaves every entry within it; the log is the dense kernel's
+    kinds = _watch_kinds(monkeypatch)
+    switched = returned = 0
     for A, b, c in growing_lps():
         assert max(abs(v) for row in A for v in row) <= ENTRY_BOUND
         for sign in (1, -1):
             kinds.clear()
             same_run(_lp_run(*integer_rows(A, b), [sign * v for v in c]))
-            switched += kinds[0] == np.int64 and object in kinds
+            befores = [before for before, _ in kinds]
+            switched += befores[0] == np.int64 and object in befores
+            returned += (object, np.int64) in kinds
     assert switched == 60, switched
+    assert returned == 5, returned
 
 
 def _distance_run(h, q, monkeypatch):
@@ -451,18 +469,91 @@ def test_conflict_vertices_on_the_nonviable_instances(monkeypatch, erasure_pmf,
     assert refuted == 20
 
 
-def _seed_1_verdict_random_pass():
+def fraction_joint(region: _Region, sol: list[Fraction]) -> np.ndarray:
+    """The witness joint's mass on the conflict vertex ``sol`` through
+    Fraction products: each view's mass times every member's posterior."""
+    p, members = region.p, region.members
+    joints = []
+    for w, off in zip(members, region.offsets):
+        x = np.array(sol[off:off + w.size], dtype=object)
+        cols = np.flatnonzero(x).tolist()
+        joints.append(([w.inputs[c] for c in cols], (w.view_rows[:, cols] * x[cols]).tolist()))
+    sizes = [ax.size for ax in p.axes] + [p.axes[c].size for w in members for c in w.coords]
+    mass = zero_mass(tuple(sizes))
+    for vi, vp in enumerate(np.ndindex(p.mass.shape)):
+        dpv = sum(joints[0][1][vi])
+        if dpv == 0:
+            continue
+        posts = [[(tx, num / dpv) for tx, num in zip(ins, rows[vi]) if num]
+                 for ins, rows in joints]
+        for combo in product(*posts):
+            weight = Fraction(dpv, region.den)
+            idx = list(vp)
+            for tx, pr in combo:
+                weight *= pr
+                idx.extend(tx)
+            mass[tuple(idx)] = mass[tuple(idx)] + weight
+    return mass
+
+
+def _witness_joints_match_the_fraction_joint(p, f, structure, monkeypatch) -> bool:
+    """Whether f is refuted; the witness joint, if any, must equal
+    ``fraction_joint`` on its conflict vertex entry by entry, and so must
+    its ``witness_digest``."""
+    vertices = []
+    vertex = _Region.conflict_vertex
+
+    def recorded(self, var_a, var_b):
+        vertices.append((self, vertex(self, var_a, var_b)))
+        return vertices[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(_Region, "conflict_vertex", recorded)
+        report = check_viability(p, f, structure)
+    if report.viable:
+        assert not vertices
+        return False
+    [(region, sol)] = vertices
+    w = report.witness
+    mass = fraction_joint(region, sol)
+    assert w.joint.mass.shape == mass.shape
+    assert all(type(v) is Fraction for v in w.joint.mass.flat)
+    assert w.joint.mass.tolist() == mass.tolist()
+    old = replace(w, joint=JointPmf(w.joint.axes, mass))
+    assert workloads.witness_digest(old) == workloads.witness_digest(w)
+    return True
+
+
+def test_integer_witness_joints_match_the_fraction_products(monkeypatch, erasure_pmf,
+                                                            erasure_f_uvw, threshold_3_2):
+    # the ladder's refutations with the worked example's uvw, then the
+    # threshold-1 pool as the seed-1 verdict-witness pass relabels it
+    instances = [*_ladder(), (erasure_pmf, erasure_f_uvw, threshold_3_2)]
+    refuted = sum(_witness_joints_match_the_fraction_joint(p, f, structure, monkeypatch)
+                  for p, f, structure in instances)
+    assert refuted == 20
+    pool = 0
+    for t in range(200):
+        p, f = workloads.t1_instance(t)
+        rng = philox(derive_seed(workloads.DEFAULT_SEED, "relabel-t1", 0, t))
+        p, f = workloads.relabel(p, f, rng)
+        pool += _witness_joints_match_the_fraction_joint(
+            p, f, AdversaryStructure.threshold(2, 1), monkeypatch)
+    assert pool == 15, pool
+
+
+def _seed_1_verdict_random_pass(i: int = 0):
     wl = workloads.VerdictRandom(workloads.DEFAULT_SEED, workloads.load_expected())
     wl.setup()
-    for op in wl.pass_ops(0):
+    for op in wl.pass_ops(i):
         assert op.check(op.run()) is None
 
 
-def test_pivots_touch_only_the_rows_with_the_pivot_column(monkeypatch):
-    """Every pivot of the seed-1 ``verdict-random`` pass (its fallback regions
-    and conflict vertices) leaves each row without the pivot column, and the
-    pivot row, as they were; each row, the objective's included, stays
-    primitive, and each basic row positive at its basic column."""
+def _checked_pivots(monkeypatch) -> list:
+    """Every ``Tableau`` pivot as (r, c, dtype of the rows before it), each
+    checked to leave each row without the pivot column, and the pivot row,
+    as they were; each row, the objective's included, primitive; and each
+    basic row positive at its basic column."""
     pivot = Tableau._pivot
     pivots = []
 
@@ -475,11 +566,47 @@ def test_pivots_touch_only_the_rows_with_the_pivot_column(monkeypatch):
             assert not row.any() or gcd(*row.tolist()) == 1
         for row, bi in zip(self.rows, self.basis):
             assert bi < 0 or row[bi] > 0
-        pivots.append((r, c))
+        pivots.append((r, c, before.dtype))
 
     monkeypatch.setattr(Tableau, "_pivot", checked)
+    return pivots
+
+
+def test_pivots_touch_only_the_rows_with_the_pivot_column(monkeypatch):
+    """Every pivot of the seed-1 ``verdict-random`` pass (its fallback regions
+    and conflict vertices) keeps the rows as ``_checked_pivots`` says."""
+    pivots = _checked_pivots(monkeypatch)
     _seed_1_verdict_random_pass()
     assert len(pivots) == 456
+
+
+def _relabeled_k3(i: int, j: int):
+    """The k=3 instance j of ``verdict-random`` as seed-1 pass i relabels it."""
+    p, f = workloads.k3_instance(j)
+    return workloads.relabel(p, f, philox(derive_seed(workloads.DEFAULT_SEED, "relabel-k3", i, j)))
+
+
+def test_a_conflict_tableau_returns_to_int64(monkeypatch):
+    # pass 1's k3-5 conflict vertex takes phase 1 past ENTRY_BOUND; the
+    # tableau pivots on Python ints only until every entry fits again, and
+    # its run is the dense kernel's
+    kinds = _watch_kinds(monkeypatch)
+    p, f = _relabeled_k3(1, 5)
+    viable, vertices = same_run(
+        lambda kernel: _conflict_vertices(p, f, workloads.T32, kernel, monkeypatch))
+    assert not viable and len(vertices) == 1
+    assert (np.int64, object) in kinds and (object, np.int64) in kinds
+
+
+def test_pass_1_pivots_on_python_ints_until_its_entries_fit(monkeypatch):
+    """Seed-1 ``verdict-random`` pass 1 keeps the rows as ``_checked_pivots``
+    says, through its k3-5 conflict vertex, whose entries pass ENTRY_BOUND:
+    4 of its pivots run on Python ints, where 35 did while a tableau that
+    turned to them kept them until its next ``maximize``."""
+    pivots = _checked_pivots(monkeypatch)
+    _seed_1_verdict_random_pass(1)
+    assert len(pivots) == 395
+    assert sum(dtype == object for _, _, dtype in pivots) == 4
 
 
 PASS_PIVOTS = "02a8a60238a8974442433de79fba2e46cb82401844e11a185dce34658a08e981"
